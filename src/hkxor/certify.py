@@ -207,7 +207,7 @@ def certify_even(inst: Instance, ell: int, tol: float = DEFAULT_TOL,
     factor = graph.total_degree / (graph.delta * inst.m)
     algval = 0.5 + factor * (sigma + tol * max(1.0, sigma))
     return Certificate(digest(inst), "even", ell, None, tol, solver_seed,
-                       algval, sigma, residual, graph.num_vertices, len(graph.edges),
+                       algval, sigma, residual, graph.num_vertices, graph.num_edges,
                        time.perf_counter() - start)
 
 
@@ -247,9 +247,10 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
         graph = build_odd(dec, inst, t, ell)
         pruned, gamma = edge_delete(graph, eta)
         penalty = sum(absbb for _, _, _, absbb in pruned.skipped)
-        active = [ty for ty in pruned.types if ty.pairs]
-        for ty in pruned.types:
-            if not ty.pairs:
+        counts = pruned.type_counts().tolist()
+        active = [(ty, count) for ty, count in zip(pruned.types, counts) if count]
+        for ty, count in zip(pruned.types, counts):
+            if not count:
                 penalty += ty.abs_coeff
             if ty.rho > 1:
                 warnings.append(
@@ -262,9 +263,8 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
             nverts = pruned.num_vertices
             nedges = 0
         else:
-            w_min = min(float(ty.rho) * len(ty.pairs) for ty in active)
-            slack = sum((float(ty.rho) * len(ty.pairs) - w_min) * ty.abs_coeff
-                        for ty in active)
+            w_min = min(float(ty.rho) * count for ty, count in active)
+            slack = sum((float(ty.rho) * count - w_min) * ty.abs_coeff for ty, count in active)
             reg = regularize(pruned)
             norm_t, residual_t = spectral_norm(
                 _scaled(pruned.signed_matrix(), reg.gamma), tol=tol, seed=solver_seed)
@@ -298,7 +298,5 @@ def certify(inst: Instance, ell: int, eps: float = 0.5, tol: float = DEFAULT_TOL
     if branch == "auto":
         branch = "even" if inst.k % 2 == 0 else "odd"
     if branch == "even":
-        if inst.k % 2 != 0:
-            raise ValueError(f"branch=even needs even k, got k={inst.k}")
         return certify_even(inst, ell, tol=tol, solver_seed=solver_seed)
     return certify_odd(inst, ell, eps, tol=tol, solver_seed=solver_seed)

@@ -4,19 +4,15 @@ Reports are line-oriented ``key=value`` text with stable keys, so runs are
 diffable and re-runnable from their own header.  Exit codes: 0 success,
 2 contradiction witness, 3 usage error, 4 resource guard exceeded.
 
-Every command is deterministic given its flags; sweep parallelism (--jobs,
-capped by the HKXOR_THREADS environment variable) never changes outputs, so
-the level of parallelism is not echoed in the report.
+Every command is deterministic given its flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -40,6 +36,7 @@ from .oracle import (
 from .sos import (
     Contradiction,
     MomentOracle,
+    MomentOracleGap,
     boundary_expansion_check,
     lift_classical,
     max_entropy_build,
@@ -147,7 +144,10 @@ def _parse_moments(path: str) -> MomentOracle:
     if not rows or not rows[0].startswith("PMOM v1"):
         raise ParseError(1, "expected PMOM v1 header")
     fields = dict(tok.split("=", 1) for tok in rows[0].split()[2:])
-    n, d = int(fields["n"]), int(fields["d"])
+    try:
+        n, d = int(fields["n"]), int(fields["d"])
+    except KeyError as exc:
+        raise ParseError(1, f"missing header field {exc.args[0]!r}") from None
     from .sos import ExactComplex
     values: dict[int, object] = {}
     for lineno, row in enumerate(rows[1:], start=2):
@@ -218,12 +218,7 @@ def _cmd_sweep(args) -> int:
             "tol": args.tol, "model": _MODEL_ALIASES[args.model],
             "branch": args.branch, "solver_seed": args.solver_seed}
     cells = [(m, seed) for m in m_grid for seed in seeds]
-    jobs = max(1, min(args.jobs, int(os.environ.get("HKXOR_THREADS", args.jobs) or 1)))
-    if jobs > 1 and cells:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            algvals = list(pool.map(lambda c: _sweep_cell(base, *c), cells))
-    else:
-        algvals = [_sweep_cell(base, *cell) for cell in cells]
+    algvals = [_sweep_cell(base, *cell) for cell in cells]
 
     threshold = 0.5 + args.eps
     lines = _header("sweep", {"n": args.n, "k": args.k, "ell": args.ell,
@@ -293,7 +288,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--tol", type=float, default=1e-6)
     sweep.add_argument("--branch", choices=("auto", "even", "odd"), default="auto")
     sweep.add_argument("--solver-seed", type=int, default=0)
-    sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(func=_cmd_sweep)
     return parser
@@ -312,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RESOURCE
     except (ParseError, ValueError, FileNotFoundError) as exc:
         print(f"hkxor: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MomentOracleGap as exc:
+        print(f"hkxor: error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except SpectralNormError as exc:
         print(f"hkxor: solver failure: {exc} (best estimate {exc.best_estimate})",

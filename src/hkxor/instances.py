@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliOp
+from .pauli import _LETTERS, PauliOp
 
 MODELS = ("rademacher-semirandom", "gaussian-semirandom", "random", "one-basis-z", "explicit")
 
@@ -119,9 +119,6 @@ class GeneratorConfig:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
-
-
-_LETTERS = "XYZ"
 
 
 def generate(cfg: GeneratorConfig) -> Instance:

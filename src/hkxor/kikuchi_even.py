@@ -11,21 +11,24 @@ Edges are generated per constraint by direct combinatorial enumeration (the
 Delta pairs), never by scanning all N^2 vertex pairs.  Entries are ordered
 (row, col) pairs; the edge set is closed under transposition, so the signed
 adjacency is symmetric.
+
+The even, odd (kikuchi_odd) and level-n graphs share one typed COO store,
+KikuchiGraph: one (row, col, type id) entry per directed edge and one signed
+weight per type.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 import scipy.sparse as sp
 
 from .instances import Instance
-from .pauli import PauliOp, SliceIndex, commutes, mul_words
-
-_LETTERS = "XYZ"
+from .pauli import _LETTERS, PauliOp, SliceIndex, commutes, mul_words, site_mask
 
 LEVEL_N_QUBIT_CAP = 6
 
@@ -38,39 +41,79 @@ class DegenerateRegularizerError(ValueError):
 class KikuchiGraph:
     """Typed sparse signed adjacency over a canonical vertex enumeration.
 
-    ``edges`` holds ordered entries (row, col, constraint_id, signed weight);
-    ``degrees`` is the unsigned weighted degree vector (|b_C| per entry), and
-    ``delta`` the exact per-constraint ordered pair count.
+    Directed edge e runs from ``rows[e]`` to ``cols[e]`` and carries the
+    signed weight ``weights[tids[e]]`` of the type that placed it: a
+    constraint (even), a term (level-n) or an ordered constraint pair (odd).
+    ``delta`` is the exact (weighted) ordered pair count per type.  Each edge
+    adds |w|/2 to the degree of both endpoints, and the signed matrix is the
+    symmetrization (E + E^T)/2 of the directed entries.
     """
 
     n: int
     k: int
     ell: int
     index: SliceIndex
-    m: int
-    delta: int
-    edges: list[tuple[int, int, int, float]]
-    degrees: np.ndarray = field(repr=False)
+    delta: int | Fraction
+    rows: np.ndarray = field(repr=False)
+    cols: np.ndarray = field(repr=False)
+    tids: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     @property
     def num_vertices(self) -> int:
         return self.index.size
 
     @property
+    def num_edges(self) -> int:
+        return len(self.rows)
+
+    def type_counts(self) -> np.ndarray:
+        """Number of directed edges of each type."""
+        return np.bincount(self.tids, minlength=len(self.weights))
+
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Interleaved entries (q, r), (r, q) per edge with half its signed weight."""
+        half = np.repeat(self.weights[self.tids] / 2.0, 2)
+        return (np.column_stack((self.rows, self.cols)).ravel(),
+                np.column_stack((self.cols, self.rows)).ravel(), half)
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Unsigned weighted degree vector: |w|/2 at both endpoints of every edge."""
+        ends, _, half = self._endpoints()
+        return np.bincount(ends, weights=np.abs(half), minlength=self.num_vertices)
+
+    @property
     def total_degree(self) -> float:
-        return float(self.degrees.sum())
+        """Sum of |w| over directed edges, accumulated type by type (|w| * count)."""
+        counts = self.type_counts().tolist()
+        return float(sum(abs(w) * c for w, c in zip(self.weights.tolist(), counts)))
 
     @property
     def average_degree(self) -> float:
         return self.total_degree / self.num_vertices if self.num_vertices else 0.0
 
     def signed_matrix(self) -> sp.csr_matrix:
-        """N x N symmetric signed adjacency (duplicate entries summed)."""
+        """N x N symmetric signed adjacency (E + E^T)/2, duplicate entries summed."""
         size = self.num_vertices
-        if not self.edges:
+        if not self.num_edges:
             return sp.csr_matrix((size, size))
-        rows, cols, _cids, w = zip(*self.edges)
-        return sp.csr_matrix((w, (rows, cols)), shape=(size, size))
+        rows, cols, vals = self._endpoints()
+        return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
+
+    def type_columns(self) -> list[str]:
+        """Per type, the dump columns after "row col": "<type id> <weight>"."""
+        return [f"{tid} {w!r}" for tid, w in enumerate(self.weights.tolist())]
+
+
+def _sorted_graph(n: int, k: int, ell: int, index, delta: int, rows: list[int],
+                  cols: list[int], tids: list[int], weights: list[float]) -> KikuchiGraph:
+    """Graph with entries in ascending (row, col, type id) order."""
+    rows_a, cols_a, tids_a = (np.array(v, dtype=np.int64) for v in (rows, cols, tids))
+    order = np.lexsort((tids_a, cols_a, rows_a))
+    return KikuchiGraph(n=n, k=k, ell=ell, index=index, delta=delta, rows=rows_a[order],
+                        cols=cols_a[order], tids=tids_a[order],
+                        weights=np.array(weights, dtype=np.float64))
 
 
 def delta_count(n: int, k: int, ell: int) -> int:
@@ -88,7 +131,7 @@ def average_degree_bound(n: int, k: int, ell: int, m: int) -> float:
 
 
 def build_even(inst: Instance, ell: int) -> KikuchiGraph:
-    """Level-ell Kikuchi graph of an even-arity instance."""
+    """Level-ell Kikuchi graph of an even-arity instance: one edge type per constraint."""
     n, k = inst.n, inst.k
     if k % 2 != 0:
         raise ValueError(f"even-arity builder needs even k, got k={k}; use the odd pipeline")
@@ -96,19 +139,16 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
         raise ValueError(f"need k/2 <= ell <= n/2, got k={k}, ell={ell}, n={n}")
 
     index = SliceIndex(n, ell)
-    delta = delta_count(n, k, ell)
-    edges: list[tuple[int, int, int, float]] = []
-    degrees = np.zeros(index.size)
+    rows: list[int] = []
+    cols: list[int] = []
+    tids: list[int] = []
 
     for cid, c in enumerate(inst.constraints):
         word = c.pauli
         sup = c.support
         off_sites = [i for i in range(n) if i not in set(sup)]
-        absw = abs(c.coeff)
         for half in combinations(sup, k // 2):
-            q_mask = 0
-            for s in half:
-                q_mask |= 1 << s
+            q_mask = site_mask(half)
             r_mask = word.support_mask & ~q_mask
             q_base = word.restrict(q_mask)
             r_base = word.restrict(r_mask)
@@ -120,13 +160,12 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
                     prod = mul_words(q, r)
                     assert prod.op == word and prod.phase_exp == 0, "edge product is not +P"
                     assert commutes(q, r), "edge endpoints do not commute"
-                    qi, ri = index.rank(q), index.rank(r)
-                    edges.append((qi, ri, cid, c.coeff))
-                    degrees[qi] += absw
+                    rows.append(index.rank(q))
+                    cols.append(index.rank(r))
+                    tids.append(cid)
 
-    edges.sort(key=lambda e: (e[0], e[1], e[2]))
-    return KikuchiGraph(n=n, k=k, ell=ell, index=index, m=inst.m, delta=delta,
-                        edges=edges, degrees=degrees)
+    return _sorted_graph(n, k, ell, index, delta_count(n, k, ell), rows, cols, tids,
+                         [c.coeff for c in inst.constraints])
 
 
 @dataclass
@@ -141,7 +180,7 @@ class Regularizer:
         return float(self.gamma.sum())
 
 
-def regularize(graph) -> Regularizer:
+def regularize(graph: KikuchiGraph) -> Regularizer:
     """Gamma = D + d*Id from a built graph; Tr(Gamma) equals twice the total degree."""
     total = graph.total_degree
     if total <= 0:
@@ -153,21 +192,16 @@ def regularize(graph) -> Regularizer:
     return reg
 
 
-def dump_graph(graph) -> str:
-    """Debug/golden dump: "KIKUCHI v1 n k ell N E" then "row col cid weight" lines.
+def dump_graph(graph: KikuchiGraph) -> str:
+    """Debug/golden dump: "KIKUCHI v1 n k ell N E" then one "row col <type columns>" line per edge.
 
-    Odd graphs dump through the same header with a trailing pair-type column
-    per edge line (see OddKikuchiGraph.edge_lines).
+    The type columns are "cid weight" for even graphs, "term weight" for
+    level-n graphs and "cid weight pair=<cid>:<cid2>" for odd graphs.
     """
-    if hasattr(graph, "edge_lines"):
-        body = graph.edge_lines()
-        count = graph.num_edges
-    else:
-        body = [" ".join(repr(v) if isinstance(v, float) else str(v) for v in e)
-                for e in graph.edges]
-        count = len(graph.edges)
-    lines = [f"KIKUCHI v1 {graph.n} {graph.k} {graph.ell} {graph.num_vertices} {count}"]
-    lines.extend(body)
+    columns = graph.type_columns()
+    lines = [f"KIKUCHI v1 {graph.n} {graph.k} {graph.ell} {graph.num_vertices} {graph.num_edges}"]
+    lines.extend(f"{q} {r} {columns[t]}" for q, r, t in
+                 zip(graph.rows.tolist(), graph.cols.tolist(), graph.tids.tolist()))
     return "\n".join(lines) + "\n"
 
 
@@ -193,7 +227,7 @@ def build_level_n(source, n: int | None = None, coeff_tol: float = 0.0) -> Kikuc
 
     ``source`` is either a DenseOperator (coefficients extracted by inner
     products) or an iterable of (PauliOp, real coefficient) pairs with ``n``
-    given.  Gated to n <= 6 (4^n vertices).
+    given.  Gated to n <= 6 (4^n vertices).  One edge type per kept term.
     """
     from .oracle import DenseOperator, pauli_coefficient
 
@@ -218,21 +252,20 @@ def build_level_n(source, n: int | None = None, coeff_tol: float = 0.0) -> Kikuc
         full = FullGroupIndex(n)
         terms = [(p, float(c)) for p, c in source if abs(c) > coeff_tol]
 
-    edges: list[tuple[int, int, int, float]] = []
-    degrees = np.zeros(full.size)
-    for pid, (p, coeff) in enumerate(terms):
+    rows: list[int] = []
+    cols: list[int] = []
+    tids: list[int] = []
+    for pid, (p, _coeff) in enumerate(terms):
         for qi in range(full.size):
             q = full.unrank(qi)
             r = mul_words(q, p).op
-            ri = full.rank(r)
-            edges.append((qi, ri, pid, coeff))
-            degrees[qi] += abs(coeff)
+            rows.append(qi)
+            cols.append(full.rank(r))
+            tids.append(pid)
 
-    edges.sort(key=lambda e: (e[0], e[1], e[2]))
     # k = 0 marks the full-group variant (terms of mixed weight)
-    graph = KikuchiGraph(n=n, k=0, ell=n, index=full, m=len(terms), delta=full.size,
-                         edges=edges, degrees=degrees)
-    return graph
+    return _sorted_graph(n, 0, n, full, full.size, rows, cols, tids,
+                         [coeff for _p, coeff in terms])
 
 
 def level_n_hatted(graph: KikuchiGraph) -> np.ndarray:

@@ -20,34 +20,36 @@ the pair (Q, R) is an edge when:
 3. Q2 * Q1 * R1 * R2 = +P P' (the "commuting" sign; the pairs satisfying
    1-2 with sign -P P' form the anticommuting set, used only for rho).
 
-The per-type weight is rho * b_C * b_C' with
+The graph lives in the typed COO store shared with the even and level-n
+graphs (kikuchi_even.KikuchiGraph): each ordered constraint pair is one edge
+type, with weight rho * b_C * b_C' and
 rho = (|commuting| + |anticommuting|) / (2 |commuting|); the identity
-rho * |commuting| = Delta_t holds for every type and is asserted exactly in
-rational arithmetic.  Types whose commuting set is empty (possible when the
-residuals share their support and differ everywhere, e.g. (YY, ZZ)) place no
-edges and are recorded as skipped; the certificate accounts for them
-separately.  The signed matrix is the symmetrization (E + E^T)/2 of the
-directed entries; for types whose residual labels commute this is a no-op
-(the directed set is transpose-closed), for anticommuting labels it splits
-each entry in half, which preserves the quadratic-form identity because such
-ordered pairs contribute conjugate values.
+rho * |commuting| = Delta_t (the store's ``delta``) holds for every type and
+is asserted exactly in rational arithmetic.  OddKikuchiGraph adds only the
+slice t, the pair metadata per type id and the skipped types.  Types whose
+commuting set is empty (possible when the residuals share their support and
+differ everywhere, e.g. (YY, ZZ)) place no edges and are recorded as
+skipped; the certificate accounts for them separately.  The store's signed
+matrix is the symmetrization (E + E^T)/2 of the directed entries; for types
+whose residual labels commute this is a no-op (the directed set is
+transpose-closed), for anticommuting labels it splits each entry in half,
+which preserves the quadratic-form identity because such ordered pairs
+contribute conjugate values.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
-import scipy.sparse as sp
 
 from .instances import Instance
-from .pauli import PauliOp, SliceIndex, canonical_key, commutes
-
-_LETTERS = "XYZ"
+from .kikuchi_even import KikuchiGraph
+from .pauli import _LETTERS, PauliOp, SliceIndex, canonical_key, commutes, site_mask
 
 EDGE_BUDGET = 20_000_000
 
@@ -126,10 +128,7 @@ def regularity_decompose(inst: Instance, ell: int, eps: float) -> BipartiteDecom
             for cid in sorted(remaining):
                 w = words[cid]
                 for sub in combinations(w.support(), t):
-                    mask = 0
-                    for s in sub:
-                        mask |= 1 << s
-                    counts.setdefault(w.restrict(mask), []).append(cid)
+                    counts.setdefault(w.restrict(site_mask(sub)), []).append(cid)
             ready = [u for u, lst in counts.items() if len(lst) >= tau]
             if not ready:
                 break
@@ -169,10 +168,7 @@ def regularity_check(dec: BipartiteDecomposition, inst: Instance, eps: float,
         for w in members:
             for width in range(bucket.t + 1, k + 1):
                 for sub in combinations(w.support(), width):
-                    mask = 0
-                    for s in sub:
-                        mask |= 1 << s
-                    cand = w.restrict(mask)
+                    cand = w.restrict(site_mask(sub))
                     seen[cand] = seen.get(cand, 0) + 1
         for cand, count in seen.items():
             bound = max((3 * n / ell) ** (k / 2 - 1 - cand.weight()), 1.0) / eps**2
@@ -322,15 +318,16 @@ def _combine(n: int, comp1: PauliOp, comp2: PauliOp) -> PauliOp:
     return PauliOp(2 * n, comp1.xmask | (comp2.xmask << n), comp1.zmask | (comp2.zmask << n))
 
 
-@dataclass
+@dataclass(frozen=True)
 class OddEdgeType:
+    """Ordered constraint pair (cid, cid2) of one bucket; its edges live in the graph's store."""
+
     bucket_id: int
     cid: int
     cid2: int
     rho: Fraction
     sign: float  # b_C * b_C'
     labels_commute: bool
-    pairs: list[tuple[int, int]] = field(default_factory=list)
 
     @property
     def weight(self) -> float:
@@ -342,65 +339,16 @@ class OddEdgeType:
 
 
 @dataclass
-class OddKikuchiGraph:
-    n: int
-    k: int
+class OddKikuchiGraph(KikuchiGraph):
+    """Odd graph of slice t: type id i of the shared store is the ordered pair ``types[i]``."""
+
     t: int
-    ell: int
-    index: SliceIndex
-    delta_t: Fraction
     types: list[OddEdgeType]
     skipped: list[tuple[int, int, int, float]]  # (bucket_id, cid, cid2, |b b'|)
 
-    @property
-    def num_vertices(self) -> int:
-        return self.index.size
-
-    @property
-    def num_edges(self) -> int:
-        return sum(len(ty.pairs) for ty in self.types)
-
-    @property
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_vertices)
-        for ty in self.types:
-            w = abs(ty.weight) / 2.0
-            for q, r in ty.pairs:
-                deg[q] += w
-                deg[r] += w
-        return deg
-
-    @property
-    def total_degree(self) -> float:
-        return float(sum(abs(ty.weight) * len(ty.pairs) for ty in self.types))
-
-    @property
-    def average_degree(self) -> float:
-        return self.total_degree / self.num_vertices if self.num_vertices else 0.0
-
-    def signed_matrix(self) -> sp.csr_matrix:
-        """Symmetrized signed adjacency (E + E^T)/2 of the directed typed entries."""
-        size = self.num_vertices
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        for ty in self.types:
-            w = ty.weight / 2.0
-            for q, r in ty.pairs:
-                rows.extend((q, r))
-                cols.extend((r, q))
-                vals.extend((w, w))
-        if not rows:
-            return sp.csr_matrix((size, size))
-        return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-
-    def edge_lines(self) -> list[str]:
-        """Dump rows "row col cid weight pair=<cid>:<cid2>" (debug/golden)."""
-        out = []
-        for ty in self.types:
-            for q, r in ty.pairs:
-                out.append(f"{q} {r} {ty.cid} {ty.weight!r} pair={ty.cid}:{ty.cid2}")
-        return out
+    def type_columns(self) -> list[str]:
+        return [f"{ty.cid} {w!r} pair={ty.cid}:{ty.cid2}"
+                for ty, w in zip(self.types, self.weights.tolist())]
 
 
 def enumerate_type_pairs(p: PauliOp, q: PauliOp, ell: int):
@@ -420,14 +368,10 @@ def enumerate_type_pairs(p: PauliOp, q: PauliOp, ell: int):
 
     for s1, s2 in _splits(kk):
         for half1 in combinations(sup_p, s1):
-            m1 = 0
-            for s in half1:
-                m1 |= 1 << s
+            m1 = site_mask(half1)
             q1_base, r1_base = p.restrict(m1), p.restrict(p.support_mask & ~m1)
             for half2 in combinations(sup_q, s2):
-                m2 = 0
-                for s in half2:
-                    m2 |= 1 << s
+                m2 = site_mask(half2)
                 q2_base, r2_base = q.restrict(m2), q.restrict(q.support_mask & ~m2)
                 for chosen in combinations(free_slots, L):
                     for letters in product(_LETTERS, repeat=L):
@@ -449,7 +393,11 @@ def enumerate_type_pairs(p: PauliOp, q: PauliOp, ell: int):
 
 
 def build_odd(dec: BipartiteDecomposition, inst: Instance, t: int, ell: int) -> OddKikuchiGraph:
-    """Odd Kikuchi graph of slice t: commuting-condition edges for every ordered bucket pair."""
+    """Odd Kikuchi graph of slice t: commuting-condition edges for every ordered bucket pair.
+
+    Edges are stored type by type (types in bucket, then pair order), each
+    type's (row, col) pairs ascending.
+    """
     n, k = inst.n, inst.k
     kk = k - t
     if ell < kk:
@@ -466,6 +414,9 @@ def build_odd(dec: BipartiteDecomposition, inst: Instance, t: int, ell: int) -> 
 
     types: list[OddEdgeType] = []
     skipped: list[tuple[int, int, int, float]] = []
+    rows: list[int] = []
+    cols: list[int] = []
+    tids: list[int] = []
     bucket_ids = {id(b): i for i, b in enumerate(dec.buckets)}
     for bucket in slice_buckets:
         bid = bucket_ids[id(bucket)]
@@ -483,20 +434,49 @@ def build_odd(dec: BipartiteDecomposition, inst: Instance, t: int, ell: int) -> 
                     continue
                 rho = Fraction(nc + na, 2 * nc)
                 assert rho * nc == delta_t, "per-type weighted count != Delta_t"
-                ty = OddEdgeType(bucket_id=bid, cid=cid, cid2=cid2, rho=rho, sign=bb,
-                                 labels_commute=commutes(p, q))
-                for (qv, rv), sign_ok in enumerate_type_pairs(p, q, ell):
-                    if sign_ok:
-                        ty.pairs.append((index.rank(qv), index.rank(rv)))
-                assert len(ty.pairs) == nc, "enumerated commuting count != closed form"
-                ty.pairs.sort()
-                types.append(ty)
+                pairs = sorted((index.rank(qv), index.rank(rv))
+                               for (qv, rv), sign_ok in enumerate_type_pairs(p, q, ell)
+                               if sign_ok)
+                assert len(pairs) == nc, "enumerated commuting count != closed form"
+                rows.extend(qi for qi, _ in pairs)
+                cols.extend(ri for _, ri in pairs)
+                tids.extend([len(types)] * nc)
+                types.append(OddEdgeType(bucket_id=bid, cid=cid, cid2=cid2, rho=rho, sign=bb,
+                                         labels_commute=commutes(p, q)))
 
-    return OddKikuchiGraph(n=n, k=k, t=t, ell=ell, index=index, delta_t=delta_t,
-                           types=types, skipped=skipped)
+    return OddKikuchiGraph(
+        n=n, k=k, ell=ell, index=index, delta=delta_t,
+        rows=np.array(rows, dtype=np.int64), cols=np.array(cols, dtype=np.int64),
+        tids=np.array(tids, dtype=np.int64),
+        weights=np.array([ty.weight for ty in types], dtype=np.float64),
+        t=t, types=types, skipped=skipped)
 
 
 # -- local degrees and edge deletion --------------------------------------------
+
+
+def _side_cids(graph: OddKikuchiGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Per type id, the constraint on side 0 (cid) and on side 1 (cid2)."""
+    return (np.array([ty.cid for ty in graph.types], dtype=np.int64),
+            np.array([ty.cid2 for ty in graph.types], dtype=np.int64))
+
+
+def _partner_counts(graph: OddKikuchiGraph, keep: np.ndarray):
+    """Distinct partner counts per (vertex, constraint, side) over the kept edges.
+
+    Keys are encoded as (q * C + cid) * 2 + side with C above every
+    constraint id, so ascending codes are ascending (q, cid, side) tuples.
+    Returns (ascending key codes, partner counts, C).
+    """
+    cid1, cid2 = _side_cids(graph)
+    span = int(max(cid1.max(), cid2.max())) + 1 if graph.types else 1
+    q, tid = graph.rows[keep], graph.tids[keep]
+    a, b = cid1[tid], cid2[tid]
+    # (key, partner) pairs: side 0 keys (q, cid) with partner cid2, side 1 the reverse
+    codes = np.concatenate((((q * span + a) * 2) * span + b,
+                            ((q * span + b) * 2 + 1) * span + a))
+    keys, counts = np.unique(np.unique(codes) // span, return_counts=True)
+    return keys, counts, span
 
 
 def local_degrees(graph: OddKikuchiGraph) -> dict[tuple[int, int, int], int]:
@@ -505,12 +485,9 @@ def local_degrees(graph: OddKikuchiGraph) -> dict[tuple[int, int, int], int]:
     Key (q, cid, 0) counts partners C' with an edge from q typed (cid, C');
     (q, cid, 1) counts partners typed (C', cid).  Zero entries are omitted.
     """
-    partners: dict[tuple[int, int, int], set[int]] = {}
-    for ty in graph.types:
-        for q, _r in ty.pairs:
-            partners.setdefault((q, ty.cid, 0), set()).add(ty.cid2)
-            partners.setdefault((q, ty.cid2, 1), set()).add(ty.cid)
-    return {key: len(val) for key, val in partners.items()}
+    keys, counts, span = _partner_counts(graph, np.ones(graph.num_edges, dtype=bool))
+    return {(key // (2 * span), key // 2 % span, key % 2): count
+            for key, count in zip(keys.tolist(), counts.tolist())}
 
 
 def max_local_degree(graph: OddKikuchiGraph) -> int:
@@ -518,68 +495,60 @@ def max_local_degree(graph: OddKikuchiGraph) -> int:
     return max(table.values()) if table else 0
 
 
-def _delete_edge(ty: OddEdgeType, pair: tuple[int, int]) -> int:
-    """Remove a directed pair; for transpose-closed (commuting-label) types remove its mirror too."""
-    removed = 0
-    ty.pairs.remove(pair)
-    removed += 1
-    if ty.labels_commute:
-        mirror = (pair[1], pair[0])
-        if mirror != pair and mirror in ty.pairs:
-            ty.pairs.remove(mirror)
-            removed += 1
-    return removed
-
-
 def edge_delete(graph: OddKikuchiGraph, eta: int) -> tuple[OddKikuchiGraph, float]:
     """Prune to eta-bounded local degree, then equalize per-type deleted fractions.
 
-    Phase 1 repeatedly deletes the canonically-lowest edge at any (vertex,
-    constraint, side) whose partner count exceeds eta.  Phase 2 computes the
-    max deleted fraction gamma over ordered types and deletes further edges
-    (canonical order) until every type has lost ceil(gamma * count) edges, as
-    close as pairing integrality allows.  Returns the pruned graph and gamma.
+    Phase 1 repeatedly deletes the canonically-lowest edge, by (pair, type
+    id), at the lowest (vertex, constraint, side) whose partner count exceeds
+    eta.  Phase 2 computes the max deleted fraction gamma over ordered types
+    and deletes further edges (lowest pair first) until every type has lost
+    ceil(gamma * count) edges, as close as pairing integrality allows.
+    Deleting an edge of a commuting-label (transpose-closed) type also
+    deletes its mirror.  Returns the pruned graph and gamma.
     """
     if eta < 1:
         raise ValueError(f"need eta >= 1, got {eta}")
-    pruned = OddKikuchiGraph(
-        n=graph.n, k=graph.k, t=graph.t, ell=graph.ell, index=graph.index,
-        delta_t=graph.delta_t,
-        types=[OddEdgeType(ty.bucket_id, ty.cid, ty.cid2, ty.rho, ty.sign,
-                           ty.labels_commute, list(ty.pairs)) for ty in graph.types],
-        skipped=list(graph.skipped),
-    )
-    initial = [len(ty.pairs) for ty in pruned.types]
+    rows, cols, tids = graph.rows, graph.cols, graph.tids
+    keep = np.ones(graph.num_edges, dtype=bool)
+    initial = graph.type_counts().tolist()
+    left = list(initial)
 
+    def delete(e: int) -> None:
+        keep[e] = False
+        tid = int(tids[e])
+        left[tid] -= 1
+        q, r = rows[e], cols[e]
+        if graph.types[tid].labels_commute and q != r:
+            mirror = np.flatnonzero(keep & (tids == tid) & (rows == r) & (cols == q))
+            if len(mirror):
+                keep[mirror[0]] = False
+                left[tid] -= 1
+
+    side_cids = _side_cids(graph)
     while True:
-        table: dict[tuple[int, int, int], set[int]] = {}
-        for tid, ty in enumerate(pruned.types):
-            for q, _r in ty.pairs:
-                table.setdefault((q, ty.cid, 0), set()).add(ty.cid2)
-                table.setdefault((q, ty.cid2, 1), set()).add(ty.cid)
-        violations = sorted(key for key, val in table.items() if len(val) > eta)
-        if not violations:
+        keys, counts, span = _partner_counts(graph, keep)
+        over = keys[counts > eta]
+        if not len(over):
             break
-        q, cid, side = violations[0]
-        candidates = []
-        for tid, ty in enumerate(pruned.types):
-            matches = (ty.cid == cid) if side == 0 else (ty.cid2 == cid)
-            if not matches:
-                continue
-            for pair in ty.pairs:
-                if pair[0] == q:
-                    candidates.append((pair, tid))
-        pair, tid = min(candidates, key=lambda c: (c[0], c[1]))
-        _delete_edge(pruned.types[tid], pair)
+        key = int(over[0])
+        q, cid, side = key // (2 * span), key // 2 % span, key % 2
+        cand = np.flatnonzero(keep & (rows == q) & (side_cids[side][tids] == cid))
+        # lowest (col, type id); lexsort is stable, so ties keep the earliest entry
+        delete(int(cand[np.lexsort((tids[cand], cols[cand]))[0]]))
 
     gamma = 0.0
-    for ty, n0 in zip(pruned.types, initial):
+    for n0, n1 in zip(initial, left):
         if n0:
-            gamma = max(gamma, (n0 - len(ty.pairs)) / n0)
+            gamma = max(gamma, (n0 - n1) / n0)
 
-    for ty, n0 in zip(pruned.types, initial):
+    for tid, n0 in enumerate(initial):
         target = math.ceil(gamma * n0 - 1e-12)
-        while n0 - len(ty.pairs) < target and ty.pairs:
-            _delete_edge(ty, ty.pairs[0])
+        if n0 - left[tid] >= target:
+            continue
+        for e in np.flatnonzero(tids == tid).tolist():
+            if n0 - left[tid] >= target or not left[tid]:
+                break
+            if keep[e]:
+                delete(e)
 
-    return pruned, gamma
+    return replace(graph, rows=rows[keep], cols=cols[keep], tids=tids[keep]), gamma

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliOp, PhasedPauli
+from .pauli import PauliOp, PhasedPauli, site_mask
 
 DENSE_QUBIT_CAP = 12
 QFORM_QUBIT_CAP = 8
@@ -86,23 +86,19 @@ def assemble_pauli_sum(n: int, terms) -> DenseOperator:
     return DenseOperator(n, m)
 
 
-def assemble(inst) -> DenseOperator:
-    """Dense H = Id/2 + (1/2|H|) sum_C b_C P_C for an Instance."""
-    if inst.n > DENSE_QUBIT_CAP:
-        raise ResourceGuardError(f"dense assembly needs n <= {DENSE_QUBIT_CAP}, got {inst.n}")
-    dim = 1 << inst.n
-    m = np.zeros((dim, dim), dtype=complex)
-    for c in inst.constraints:
-        m += c.coeff * dense_word(c.pauli)
-    if inst.constraints:
-        m /= 2 * len(inst.constraints)
-    m += 0.5 * np.eye(dim)
-    return DenseOperator(inst.n, m)
-
-
 def assemble_star(inst) -> DenseOperator:
     """Dense unnormalized sum of signed constraint words."""
     return assemble_pauli_sum(inst.n, [(c.pauli, c.coeff) for c in inst.constraints])
+
+
+def assemble(inst) -> DenseOperator:
+    """Dense H = Id/2 + (1/2|H|) sum_C b_C P_C for an Instance."""
+    op = assemble_star(inst)
+    m = op.matrix  # scaled in place: same rounding as summing then normalizing
+    if inst.constraints:
+        m /= 2 * len(inst.constraints)
+    m += 0.5 * np.eye(1 << inst.n)
+    return op
 
 
 def pauli_coefficient(op: DenseOperator, word: PauliOp) -> complex:
@@ -148,7 +144,8 @@ def quadratic_form_check(inst, ell: int, state: np.ndarray, graph) -> float:
         return blocks[idx]
 
     lhs = 0.0 + 0.0j
-    for q, r, _cid, w in graph.edges:
+    weights = graph.weights[graph.tids].tolist()
+    for q, r, w in zip(graph.rows.tolist(), graph.cols.tolist(), weights):
         lhs += w * np.vdot(block(q), block(r))
 
     rhs = 0.0 + 0.0j
@@ -192,10 +189,7 @@ def classical_max(hypergraph, coeffs, n: int) -> tuple[float, tuple[int, ...]]:
     idx = np.arange(dim, dtype=np.int64)
     phi = np.zeros(dim)
     for sites, b in zip(hypergraph, coeffs):
-        mask = 0
-        for i in sites:
-            mask |= 1 << i
-        phi += b * (1.0 - 2.0 * (_popcount(idx & mask) & 1))
+        phi += b * (1.0 - 2.0 * (_popcount(idx & site_mask(sites)) & 1))
     m = len(hypergraph)
     vals = 0.5 + phi / (2 * m) if m else np.full(dim, 0.5)
     best = float(vals.max())

@@ -184,6 +184,14 @@ class PhasedPauli:
         return f"{self.phase_str}*{self.op.to_sparse()}"
 
 
+def site_mask(sites) -> int:
+    """Bit mask with bit s set for every 0-indexed site s."""
+    mask = 0
+    for s in sites:
+        mask |= 1 << s
+    return mask
+
+
 def _check_same_n(a: PauliOp, b: PauliOp) -> None:
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} != {b.n}")

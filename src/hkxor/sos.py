@@ -30,7 +30,8 @@ from itertools import combinations
 import numpy as np
 
 from .instances import Instance
-from .pauli import PauliOp, canonical_key, commutes, enumerate_slice, mul_words, slice_size
+from .pauli import (PauliOp, canonical_key, commutes, enumerate_slice, mul_words, site_mask,
+                    slice_size)
 
 MOMENT_MATRIX_CAP = 5000
 EXHAUSTIVE_SUBSET_CAP = 20
@@ -292,16 +293,6 @@ def anticommuting_obstruction(inst: Instance) -> list[tuple[int, int]]:
     return out
 
 
-def _one_basis_type(inst: Instance) -> str | None:
-    types = set()
-    for c in inst.constraints:
-        for i in c.support:
-            types.add(c.pauli.letter_at(i))
-    if len(types) > 1:
-        return None
-    return types.pop() if types else "Z"
-
-
 def max_entropy_build(inst: Instance, d: int):
     """Closure of the seeded assignment; PseudoExpectation or Contradiction.
 
@@ -311,8 +302,8 @@ def max_entropy_build(inst: Instance, d: int):
     """
     if d < inst.k:
         raise ValueError(f"degree {d} below constraint arity {inst.k}")
-    basis = _one_basis_type(inst)
-    obstructions = tuple(anticommuting_obstruction(inst)) if basis is None else ()
+    one_basis = inst.is_one_basis()
+    obstructions = () if one_basis else tuple(anticommuting_obstruction(inst))
 
     prov = _Provenance()
     values: dict[PauliOp, ExactComplex] = {}
@@ -369,7 +360,7 @@ def max_entropy_build(inst: Instance, d: int):
                     return conflict(prod.op, existing, cand, left, right)
 
     return PseudoExpectation(n=inst.n, degree=d, values=values, provenance=prov,
-                             experimental=basis is None, obstructions=obstructions)
+                             experimental=not one_basis, obstructions=obstructions)
 
 
 def positivity_check(pe: PseudoExpectation, d: int) -> tuple[float, bool]:
@@ -418,12 +409,7 @@ def boundary_expansion_check(hypergraph, beta: float, d: int,
     Exhaustive up to size EXHAUSTIVE_SUBSET_CAP; beyond that a sampled pass
     runs and the report is flagged as heuristic.
     """
-    masks = []
-    for sites in hypergraph:
-        m = 0
-        for s in sites:
-            m |= 1 << s
-        masks.append(m)
+    masks = [site_mask(sites) for sites in hypergraph]
     limit = min(d, len(masks))
     exhaustive = limit <= EXHAUSTIVE_SUBSET_CAP
     witness = None
@@ -528,10 +514,7 @@ class MomentOracle:
                     for i in sites:
                         prod *= x[i]
                     total += w * prod
-                mask = 0
-                for i in sites:
-                    mask |= 1 << i
-                values[mask] = ExactComplex.of(total)
+                values[site_mask(sites)] = ExactComplex.of(total)
         return MomentOracle(n=n, degree=degree, values=values)
 
     def value(self, mask: int) -> ExactComplex:
@@ -555,9 +538,7 @@ def lift_classical(inst: Instance, moments: MomentOracle, d: int) -> PseudoExpec
     values: dict[PauliOp, ExactComplex] = {}
     for size in range(d + 1):
         for sites in combinations(range(inst.n), size):
-            mask = 0
-            for i in sites:
-                mask |= 1 << i
+            mask = site_mask(sites)
             val = moments.value(mask)
             if not val.is_zero():
                 values[PauliOp(inst.n, 0, mask)] = val
@@ -568,8 +549,5 @@ def classical_energy(inst: Instance, moments: MomentOracle) -> ExactComplex:
     """The classical SoS objective 1/2 + (1/2|H|) sum_C b_C pE[x_C], exactly."""
     total = ZERO
     for c in inst.constraints:
-        mask = 0
-        for i in c.support:
-            mask |= 1 << i
-        total = total + ExactComplex.of(Fraction(c.coeff)) * moments.value(mask)
+        total = total + ExactComplex.of(Fraction(c.coeff)) * moments.value(site_mask(c.support))
     return ExactComplex.of(Fraction(1, 2)) + ExactComplex.of(Fraction(1, 2 * inst.m)) * total

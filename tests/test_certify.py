@@ -134,7 +134,8 @@ def test_trace_moment_r1():
     g = build_even(inst, 2)
     reg = regularize(g)
     value, root = trace_moment(g, reg, 1)
-    expected = sum(w * w / (reg.gamma[q] * reg.gamma[r]) for q, r, _, w in g.edges)
+    expected = sum(w * w / (reg.gamma[q] * reg.gamma[r])
+                   for q, r, w in zip(g.rows, g.cols, g.weights[g.tids]))
     assert abs(value - expected) < 1e-9 * max(1.0, expected)
     assert abs(root - value**0.5) < 1e-12
 

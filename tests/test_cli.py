@@ -144,12 +144,42 @@ def Fraction_from(text):
     return Fraction(text)
 
 
-def test_sweep_deterministic_across_jobs(tmp_path, capsys):
+def lift_error(tmp_path, capsys, pmom):
+    """Exit code and stderr of `witness --degree 2 --lift` on the 3-cycle with a bad PMOM file."""
+    inst_path = tmp_path / "cyc"
+    inst_path.write_text(
+        "HKXOR v1 n=3 k=2 m=3 model=one-basis-z seed=0\n"
+        "Z1 Z2 1.0\nZ2 Z3 -1.0\nZ1 Z3 1.0\n")
+    moments = tmp_path / "pmom"
+    moments.write_text(pmom)
+    code = main(["witness", "--in", str(inst_path), "--degree", "2", "--lift", str(moments)])
+    return code, capsys.readouterr().err
+
+
+def test_witness_lift_degree_below_request_is_usage_error(tmp_path, capsys):
+    code, err = lift_error(tmp_path, capsys, "PMOM v1 n=3 d=1\n- 1\n1 1\n2 1\n3 1\n")
+    assert code == 3
+    assert err.startswith("hkxor: error: oracle degree 1 below requested 2")
+
+
+def test_witness_lift_missing_monomial_is_usage_error(tmp_path, capsys):
+    code, err = lift_error(tmp_path, capsys, "PMOM v1 n=3 d=2\n- 1\n1 1\n2 1\n3 1\n1,2 1\n")
+    assert code == 3
+    assert err.startswith("hkxor: error: no moment recorded for mask 0x5")
+
+
+def test_witness_lift_header_without_n_is_usage_error(tmp_path, capsys):
+    code, err = lift_error(tmp_path, capsys, "PMOM v1 d=2\n- 1\n")
+    assert code == 3
+    assert err.startswith("hkxor: error: line 1: missing header field 'n'")
+
+
+def test_sweep_deterministic(tmp_path, capsys):
     args = ["sweep", "--n", "12", "--k", "2", "--ell", "1", "--eps", "0.9",
             "--m-grid", "12,24", "--seeds", "3"]
-    code, out1 = run(capsys, *args, "--jobs", "1")
+    code, out1 = run(capsys, *args)
     assert code == 0
-    code, out2 = run(capsys, *args, "--jobs", "4")
+    code, out2 = run(capsys, *args)
     assert code == 0
     assert out1 == out2
     assert "agg.m=12.success_fraction=" in out1

@@ -79,17 +79,17 @@ def single_zz():
 
 def test_single_constraint_graph():
     g = build_even(single_zz(), 1)
-    assert g.delta == 2 and len(g.edges) == 2
+    assert g.delta == 2 and g.num_edges == 2
     idx = g.index
     z1, z2 = idx.rank(PauliOp.from_sparse("Z1", 2)), idx.rank(PauliOp.from_sparse("Z2", 2))
-    assert sorted((q, r) for q, r, _, _ in g.edges) == sorted([(z1, z2), (z2, z1)])
-    assert all(w == 1.0 for _, _, _, w in g.edges)
+    assert sorted(zip(g.rows.tolist(), g.cols.tolist())) == sorted([(z1, z2), (z2, z1)])
+    assert all(w == 1.0 for w in g.weights[g.tids])
 
 
 def test_empty_instance_graph():
     inst = Instance(4, 2, (), "explicit")
     g = build_even(inst, 1)
-    assert len(g.edges) == 0 and g.average_degree == 0.0
+    assert g.num_edges == 0 and g.average_degree == 0.0
     with pytest.raises(DegenerateRegularizerError):
         regularize(g)
 
@@ -98,7 +98,8 @@ def test_build_matches_scan_per_constraint():
     inst = generate(GeneratorConfig(n=4, k=2, m=3, model="rademacher-semirandom", seed=5))
     g = build_even(inst, 2)
     for cid, c in enumerate(inst.constraints):
-        built = sorted((q, r) for q, r, i, _ in g.edges if i == cid)
+        mine = g.tids == cid
+        built = sorted(zip(g.rows[mine].tolist(), g.cols[mine].tolist()))
         assert built == sorted(fast_pair_scan(c.pauli, 4, 2))
         assert len(built) == g.delta == 12
 
@@ -108,6 +109,18 @@ def test_signed_matrix_symmetric():
         inst = generate(GeneratorConfig(n=6, k=2, m=8, model="gaussian-semirandom", seed=seed))
         mat = build_even(inst, 2).signed_matrix()
         assert (mat != mat.T).nnz == 0
+
+
+def test_degrees_equal_out_degrees():
+    # the edge set is transpose-closed, so |w|/2 at both endpoints sums to the
+    # |b_C| out-degree up to summation order
+    for seed in range(3):
+        inst = generate(GeneratorConfig(n=6, k=2, m=8, model="gaussian-semirandom", seed=seed))
+        g = build_even(inst, 2)
+        out = np.zeros(g.num_vertices)
+        for q, cid in zip(g.rows.tolist(), g.tids.tolist()):
+            out[q] += abs(inst.constraints[cid].coeff)
+        assert np.allclose(g.degrees, out, rtol=1e-12, atol=0.0)
 
 
 def test_regularize_single_constraint():
@@ -150,13 +163,13 @@ def test_average_degree_bound_holds_at_random():
 def test_level_n_single_z():
     g = build_level_n([(PauliOp.from_sparse("Z1", 1), 1.0)], n=1)
     pairs = {(g.index.unrank(q).to_string(), g.index.unrank(r).to_string())
-             for q, r, _, _ in g.edges}
+             for q, r in zip(g.rows.tolist(), g.cols.tolist())}
     assert pairs == {("I", "Z"), ("Z", "I"), ("X", "Y"), ("Y", "X")}
 
 
 def test_level_n_zero_operator():
     g = build_level_n([], n=2)
-    assert len(g.edges) == 0
+    assert g.num_edges == 0
 
 
 def test_level_n_spectrum_equality():

@@ -1,0 +1,78 @@
+"""Golden KIKUCHI v1 dumps: sha256 of even, odd, pruned and level-n graph dumps.
+
+The constants were recorded from the list-based edge representation that
+preceded the typed COO store, so they pin the store to byte-identical dumps
+and, for pruned graphs, to the same deleted edges and the same gamma.
+"""
+
+import hashlib
+
+from hkxor.instances import Constraint, GeneratorConfig, Instance, generate
+from hkxor.kikuchi_even import build_even, build_level_n, dump_graph
+from hkxor.kikuchi_odd import build_odd, edge_delete, regularity_decompose
+from hkxor.oracle import assemble
+from hkxor.pauli import PauliOp
+
+
+def explicit_instance(n, k, words_sparse):
+    words = [PauliOp.from_sparse(w, n) for w in words_sparse]
+    return Instance(n, k, tuple(Constraint(w.support(), w, 1.0) for w in words), "explicit")
+
+
+def sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def pruned_dump(graph, eta):
+    pruned, gamma = edge_delete(graph, eta)
+    return dump_graph(pruned) + f"gamma={gamma!r}\n"
+
+
+def test_pruned_dump_at_eta_1():
+    # the instance of test_edge_delete_prunes_and_equalizes
+    inst = explicit_instance(4, 3, ["X1 X2 Y3", "X1 Y2 Y3", "X1 Z2 Y4", "X1 X2 Z4"])
+    g = build_odd(regularity_decompose(inst, ell=2, eps=1.0), inst, t=1, ell=2)
+    assert sha(pruned_dump(g, 1)) == (
+        "db185448e3e7d93568b8fcb57e4eec846f4fe256dbe3cf1d18ee5fb98c3951ce")
+
+
+def test_pruned_dumps_at_eta_2_on_criterion_11_instances():
+    text = ""
+    for seed in range(30):
+        inst = generate(GeneratorConfig(n=6, k=3, m=12, model="random", seed=2000 + seed))
+        g = build_odd(regularity_decompose(inst, 2, 1.0), inst, 1, 2)
+        text += pruned_dump(g, 2)
+    assert sha(text) == "c04fa2c1c494f299982ee5da28aeff1232fb3d1ad40aeb2203be16933858fdda"
+
+
+def test_even_dump():
+    inst = generate(GeneratorConfig(n=6, k=2, m=8, model="gaussian-semirandom", seed=5))
+    assert sha(dump_graph(build_even(inst, 2))) == (
+        "1a3a205d44524baf96d2f54bf2200b894373d7a274daaca24a8854645b11bbda")
+
+
+def test_odd_dump():
+    inst = generate(GeneratorConfig(n=4, k=3, m=6, model="gaussian-semirandom", seed=7))
+    g = build_odd(regularity_decompose(inst, 2, 1.0), inst, 1, 2)
+    assert sha(dump_graph(g)) == (
+        "41078219596e544390600be487d8e72e6574fa20ef4552960c0e8539c6e9c469")
+
+
+def test_level_n_dumps():
+    terms = [(PauliOp.from_sparse("Z1 Z2", 2), 0.75), (PauliOp.from_sparse("X1", 2), -1.5),
+             (PauliOp.from_sparse("Y2", 2), 0.1)]
+    assert sha(dump_graph(build_level_n(terms, n=2))) == (
+        "6cfdb910183d8f351876974844405219c6887b45de88d46afdd95cee4662a790")
+    inst = generate(GeneratorConfig(n=2, k=2, m=3, model="gaussian-semirandom", seed=3))
+    assert sha(dump_graph(build_level_n(assemble(inst)))) == (
+        "b64367e65127d58e673ccbe552de0fece2612f4fb243984fd876ac6aa9a54293")
+
+
+def test_partial_pruning_dumps_at_level_3():
+    # gamma strictly between 0 and 1, so the dumps pin which edges each phase deletes
+    text = ""
+    for n, m, seed, eta in ((6, 16, 1, 1), (6, 16, 3, 2), (5, 14, 4, 2)):
+        inst = generate(GeneratorConfig(n=n, k=3, m=m, model="random", seed=seed))
+        g = build_odd(regularity_decompose(inst, 3, 1.0), inst, 1, 3)
+        text += pruned_dump(g, eta)
+    assert sha(text) == "54ea316017bef2e96ffb4756bd2d5b796df92616921e3b94f7d800ecd4b09f90"

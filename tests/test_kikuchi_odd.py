@@ -236,12 +236,14 @@ def test_build_odd_matches_scan():
     dec = regularity_decompose(inst, ell=2, eps=1.0)
     g = build_odd(dec, inst, t=1, ell=2)
     assert len(g.types) == 2 and not g.skipped
-    for ty in g.types:
+    for tid, ty in enumerate(g.types):
         p = tilde_word(inst.constraints[ty.cid].pauli, dec.buckets[ty.bucket_id].center)
         q = tilde_word(inst.constraints[ty.cid2].pauli, dec.buckets[ty.bucket_id].center)
         commuting, _ = odd_pair_scan(p, q, 2)
-        assert sorted(ty.pairs) == sorted(commuting)
-        assert ty.rho * len(ty.pairs) == g.delta_t
+        mine = g.tids == tid
+        pairs = list(zip(g.rows[mine].tolist(), g.cols[mine].tolist()))
+        assert sorted(pairs) == sorted(commuting)
+        assert ty.rho * len(pairs) == g.delta
         assert ty.sign == -1.0
 
 
@@ -286,7 +288,7 @@ def test_quadratic_form_identity_odd():
             q = tilde_word(inst.constraints[ty.cid2].pauli, dec.buckets[ty.bucket_id].center)
             prod = mul_words(p, q)
             rhs += ty.sign * prod.phase * np.vdot(psi, apply_word(prod.op, psi))
-        rhs *= float(g.delta_t)
+        rhs *= float(g.delta)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
@@ -311,6 +313,24 @@ def test_local_degrees():
     assert max_local_degree(g) == 1
 
 
+def test_local_degrees_and_degrees_match_edge_loops():
+    # reference loops over the directed edges; the store computes both with arrays
+    for n, m, seed in ((6, 16, 1), (5, 14, 4)):
+        inst = generate(GeneratorConfig(n=n, k=3, m=m, model="gaussian-semirandom", seed=seed))
+        g = build_odd(regularity_decompose(inst, 3, 1.0), inst, 1, 3)
+        partners = {}
+        deg = np.zeros(g.num_vertices)
+        for q, r, tid in zip(g.rows.tolist(), g.cols.tolist(), g.tids.tolist()):
+            ty = g.types[tid]
+            partners.setdefault((q, ty.cid, 0), set()).add(ty.cid2)
+            partners.setdefault((q, ty.cid2, 1), set()).add(ty.cid)
+            deg[q] += abs(ty.weight) / 2.0
+            deg[r] += abs(ty.weight) / 2.0
+        assert max(len(val) for val in partners.values()) >= 2
+        assert local_degrees(g) == {key: len(val) for key, val in partners.items()}
+        assert np.array_equal(g.degrees, deg)
+
+
 def test_edge_delete_noop_when_bounded():
     inst = shared_first_site_instance()
     dec = regularity_decompose(inst, ell=2, eps=1.0)
@@ -333,8 +353,7 @@ def test_edge_delete_prunes_and_equalizes():
     assert 0.0 < gamma <= 1.0
     mat = pruned.signed_matrix()
     assert abs(mat - mat.T).max() == 0.0
-    for ty0, ty1 in zip(g.types, pruned.types):
-        n0, n1 = len(ty0.pairs), len(ty1.pairs)
+    for n0, n1 in zip(g.type_counts().tolist(), pruned.type_counts().tolist()):
         if n0:
             # deleted fraction within one (possibly paired) deletion of gamma
             assert (n0 - n1) / n0 >= gamma - 2.5 / n0
