@@ -33,6 +33,7 @@ from .oracle import (
     classical_max,
     lambda_max,
 )
+from .pauli import site_mask
 from .sos import (
     Contradiction,
     MomentOracle,
@@ -143,25 +144,41 @@ def _parse_moments(path: str) -> MomentOracle:
         rows = fh.read().splitlines()
     if not rows or not rows[0].startswith("PMOM v1"):
         raise ParseError(1, "expected PMOM v1 header")
-    fields = dict(tok.split("=", 1) for tok in rows[0].split()[2:])
+    fields = {}
+    for tok in rows[0].split()[2:]:
+        key, sep, value = tok.partition("=")
+        if not sep:
+            raise ParseError(1, f"header token {tok!r} is not key=value")
+        fields[key] = value
     try:
         n, d = int(fields["n"]), int(fields["d"])
     except KeyError as exc:
         raise ParseError(1, f"missing header field {exc.args[0]!r}") from None
+    except ValueError:
+        raise ParseError(1, "header fields n and d must be integers") from None
     from .sos import ExactComplex
     values: dict[int, object] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row.strip():
             continue
-        sites_str, value_str = row.split()
-        mask = 0
-        if sites_str != "-":
-            for tok in sites_str.split(","):
-                site = int(tok)
-                if not 1 <= site <= n:
-                    raise ParseError(lineno, f"site {site} out of range")
-                mask |= 1 << (site - 1)
-        values[mask] = ExactComplex.of(Fraction(value_str))
+        toks = row.split()
+        if len(toks) != 2:
+            raise ParseError(lineno, f"expected '<sites> <value>', got {len(toks)} tokens")
+        sites_str, value_str = toks
+        try:
+            sites = [] if sites_str == "-" else [int(tok) for tok in sites_str.split(",")]
+        except ValueError:
+            raise ParseError(lineno, f"bad site list {sites_str!r}") from None
+        for site in sites:
+            if not 1 <= site <= n:
+                raise ParseError(lineno, f"site {site} out of range")
+        if len(set(sites)) != len(sites):
+            raise ParseError(lineno, f"repeated site in {sites_str!r}")
+        try:
+            value = Fraction(value_str)
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(lineno, f"bad moment value {value_str!r}") from None
+        values[site_mask(s - 1 for s in sites)] = ExactComplex.of(value)
     return MomentOracle(n=n, degree=d, values=values)
 
 

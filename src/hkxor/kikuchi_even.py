@@ -31,6 +31,8 @@ from .instances import Instance
 from .pauli import _LETTERS, PauliOp, SliceIndex, commutes, mul_words, site_mask
 
 LEVEL_N_QUBIT_CAP = 6
+# most edges (even) or edge candidates (odd) one graph build may make
+EDGE_BUDGET = 20_000_000
 
 
 class DegenerateRegularizerError(ValueError):
@@ -137,6 +139,9 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
         raise ValueError(f"even-arity builder needs even k, got k={k}; use the odd pipeline")
     if not k // 2 <= ell <= n // 2:
         raise ValueError(f"need k/2 <= ell <= n/2, got k={k}, ell={ell}, n={n}")
+    edges = inst.m * delta_count(n, k, ell)
+    if edges > EDGE_BUDGET:
+        raise MemoryError(f"{edges:.2e} edges exceeds budget {EDGE_BUDGET:.1e}")
 
     index = SliceIndex(n, ell)
     rows: list[int] = []

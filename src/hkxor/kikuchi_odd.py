@@ -35,6 +35,17 @@ whose residual labels commute this is a no-op (the directed set is
 transpose-closed), for anticommuting labels it splits each entry in half,
 which preserves the quadratic-form identity because such ordered pairs
 contribute conjugate values.
+
+Construction is array code over all types of a slice at once (type_edges).
+Every residual of slice t has weight kk = k - t, so every type has the same
+candidate block: (half1, half2) choices times free-slot choices with
+letters.  The patterns are built once per slice and gathered against each
+type's supports, letters and free sites into (site, letter) arrays for Q
+and R; candidates with the commuting sign are kept, conditions 1-3 are
+checked on dense letters in one vectorized pass, and both endpoints are
+ranked by the batch kernel SliceIndex.rank_batch.  Chunks of at most
+CHUNK_CANDIDATES candidates bound the working memory, and one lexsort puts
+the edges in store order.
 """
 
 from __future__ import annotations
@@ -48,10 +59,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .instances import Instance
-from .kikuchi_even import KikuchiGraph
-from .pauli import _LETTERS, PauliOp, SliceIndex, canonical_key, commutes, site_mask
-
-EDGE_BUDGET = 20_000_000
+from .kikuchi_even import EDGE_BUDGET, KikuchiGraph
+from .pauli import PauliOp, SliceIndex, canonical_key, commutes, site_mask
 
 
 class InfeasibleLevelError(ValueError):
@@ -314,10 +323,6 @@ def rho_value(p: PauliOp, q: PauliOp, ell: int) -> Fraction | None:
 # -- odd graph construction ----------------------------------------------------
 
 
-def _combine(n: int, comp1: PauliOp, comp2: PauliOp) -> PauliOp:
-    return PauliOp(2 * n, comp1.xmask | (comp2.xmask << n), comp1.zmask | (comp2.zmask << n))
-
-
 @dataclass(frozen=True)
 class OddEdgeType:
     """Ordered constraint pair (cid, cid2) of one bucket; its edges live in the graph's store."""
@@ -351,52 +356,141 @@ class OddKikuchiGraph(KikuchiGraph):
                 for ty, w in zip(self.types, self.weights.tolist())]
 
 
-def enumerate_type_pairs(p: PauliOp, q: PauliOp, ell: int):
-    """Yield (vertex_pair, commuting_flag) for every (Q, R) meeting conditions 1-2.
+# Candidates per chunk of type_edges.  Its working memory is a few arrays of
+# this many rows (ell sites, ell letters or 2n dense letters each), whatever
+# the size of the slice.
+CHUNK_CANDIDATES = 1 << 16
 
-    p, q are the residual labels; vertices are combined 2n-site words.
+# letter codes: rank code (X, Y, Z) = (0, 1, 2) <-> symplectic code x | z << 1,
+# with which the letter of a product of two letters is their XOR
+_SYM = np.array([1, 3, 2], dtype=np.int8)
+_RANK = np.array([-1, 0, 2, 1], dtype=np.int64)
+
+
+def _dense_letters(words: list[PauliOp], n: int) -> np.ndarray:
+    """(len(words), n) int8 symplectic letter codes, 0 for the identity."""
+    return np.array([[(w.xmask >> s & 1) | (w.zmask >> s & 1) << 1 for s in range(n)]
+                     for w in words], dtype=np.int8).reshape(len(words), n)
+
+
+def _index_rows(rows: list[tuple[int, ...]], width: int) -> np.ndarray:
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+def _halves(kk: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions, among the 2kk residual sites (supp(P), then supp(P') shifted by n),
+    that Q takes and that R takes: one (H, kk) row pair per (half1, half2) choice."""
+    q_take, r_take = [], []
+    for s1, s2 in _splits(kk):
+        for half1 in combinations(range(kk), s1):
+            for half2 in combinations(range(kk, 2 * kk), s2):
+                q_take.append(half1 + half2)
+                r_take.append(tuple(i for i in range(2 * kk) if i not in q_take[-1]))
+    return _index_rows(q_take, kk), _index_rows(r_take, kk)
+
+
+def _check_edges(n: int, kk: int, q: tuple[np.ndarray, np.ndarray],
+                 r: tuple[np.ndarray, np.ndarray], target: np.ndarray) -> None:
+    """Conditions 1-3 on dense letters, one row per edge (Q, R).
+
+    ``q`` and ``r`` are (sites, letter codes) arrays of the endpoints on 2n
+    sites; ``target`` holds the (2n,) letters of P (x) P'.  Q1 R1 = P and Q2 R2 = P'
+    with phase +1 and the clean split hold iff no site carries two different
+    non-identity letters and the letterwise product (XOR) is the target.
     """
-    n = p.n
-    kk = p.weight()
+    qd = np.zeros(target.shape, dtype=np.int8)
+    rd = np.zeros(target.shape, dtype=np.int8)
+    np.put_along_axis(qd, q[0], _SYM[q[1]], axis=1)
+    np.put_along_axis(rd, r[0], _SYM[r[1]], axis=1)
+    clean = (qd == 0) | (rd == 0) | (qd == rd)
+    assert clean.all() and np.array_equal(qd ^ rd, target), "edge product is not +P (x) P'"
+    on_res = (qd != 0) & (target != 0)
+    s1, s2 = on_res[:, :n].sum(axis=1), on_res[:, n:].sum(axis=1)
+    assert ((s1 + s2 == kk) & (np.abs(s1 - s2) <= 1)).all(), "edge splits a residual unevenly"
+    q2, p = qd[:, n:], target[:, :n]
+    assert not (((q2 != 0) & (p != 0) & (q2 != p)).sum(axis=1) % 2).any(), \
+        "edge endpoints fail the commuting sign"
+
+
+def type_edges(words: list[PauliOp], first, second,
+               ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges meeting conditions 1-3 for the types (words[first[i]], words[second[i]]).
+
+    ``words`` are residuals of one weight kk on n qubits.  Every type has the
+    same candidate block: a (half1, half2) choice times ell - kk free slots
+    (off supp(P) in component 1, off supp(P') in component 2) with letters.
+    The candidates of all types are made at once as (site, letter) arrays,
+    in chunks of at most CHUNK_CANDIDATES, and ranked by
+    ``SliceIndex(2n, ell).rank_batch``.  Returns int64 (rows, cols, tids),
+    tid i for type i, ordered by (tid, row, col).
+    """
+    first = np.asarray(first, dtype=np.int64)
+    second = np.asarray(second, dtype=np.int64)
+    empty = np.zeros(0, dtype=np.int64)
+    if not len(first):
+        return empty, empty, empty
+    n, kk = words[0].n, words[0].weight()
+    if any(w.n != n or w.weight() != kk for w in words):
+        raise ValueError("residual words must share n and weight")
     L = ell - kk
     if L < 0:
         raise InfeasibleLevelError(f"need ell >= {kk}, got {ell}")
-    sup_p, sup_q = p.support(), q.support()
-    off_p = [i for i in range(n) if not (p.support_mask >> i & 1)]
-    off_q = [i for i in range(n) if not (q.support_mask >> i & 1)]
-    free_slots = [(0, s) for s in off_p] + [(1, s) for s in off_q]
+    index = SliceIndex(2 * n, ell)
 
-    for s1, s2 in _splits(kk):
-        for half1 in combinations(sup_p, s1):
-            m1 = site_mask(half1)
-            q1_base, r1_base = p.restrict(m1), p.restrict(p.support_mask & ~m1)
-            for half2 in combinations(sup_q, s2):
-                m2 = site_mask(half2)
-                q2_base, r2_base = q.restrict(m2), q.restrict(q.support_mask & ~m2)
-                for chosen in combinations(free_slots, L):
-                    for letters in product(_LETTERS, repeat=L):
-                        f1x = f1z = f2x = f2z = 0
-                        for (comp, site), letter in zip(chosen, letters):
-                            single = PauliOp.single(n, site, letter)
-                            if comp == 0:
-                                f1x |= single.xmask
-                                f1z |= single.zmask
-                            else:
-                                f2x |= single.xmask
-                                f2z |= single.zmask
-                        q1 = PauliOp(n, q1_base.xmask | f1x, q1_base.zmask | f1z)
-                        r1 = PauliOp(n, r1_base.xmask | f1x, r1_base.zmask | f1z)
-                        q2 = PauliOp(n, q2_base.xmask | f2x, q2_base.zmask | f2z)
-                        r2 = PauliOp(n, r2_base.xmask | f2x, r2_base.zmask | f2z)
-                        sign_ok = commutes(q2, p)
-                        yield (_combine(n, q1, q2), _combine(n, r1, r2)), sign_ok
+    dense = _dense_letters(words, n)
+    sup = np.nonzero(dense)[1].reshape(len(words), kk)
+    off = np.nonzero(dense == 0)[1].reshape(len(words), n - kk)
+    p, q = dense[first], dense[second]
+    sup_p, sup_q, off_q = sup[first], sup[second], off[second]
+    res_sites = np.concatenate((sup_p, sup_q + n), axis=1)
+    res_sym = np.concatenate((np.take_along_axis(p, sup_p, axis=1),
+                              np.take_along_axis(q, sup_q, axis=1)), axis=1)
+    res_rank = _RANK[res_sym]
+    free_sites = np.concatenate((off[first], off_q + n), axis=1)
+    target = np.concatenate((p, q), axis=1)
+    # the commuting sign: sites of Q2 where P acts with another letter, counted
+    # on the residual sites of component 2 and on its free slots
+    p_on_q = np.take_along_axis(p, sup_q, axis=1)
+    anti_res = np.concatenate((np.zeros_like(sup_p, dtype=bool),
+                               (p_on_q != 0) & (p_on_q != res_sym[:, kk:])), axis=1)
+    p_free = np.concatenate((np.zeros((len(first), n - kk), dtype=np.int8),
+                             np.take_along_axis(p, off_q, axis=1)), axis=1)
+
+    q_take, r_take = _halves(kk)
+    anti_h = anti_res[:, q_take].sum(axis=2)  # (T, H)
+    slot_sets = _index_rows(list(combinations(range(2 * n - 2 * kk), L)), L)
+    letter_sets = _index_rows(list(product(range(3), repeat=L)), L)
+    num_free = len(slot_sets) * len(letter_sets)
+    f_step = min(num_free, max(1, CHUNK_CANDIDATES // len(q_take)))
+    t_step = max(1, CHUNK_CANDIDATES // (len(q_take) * f_step))
+
+    parts = []
+    for t0 in range(0, len(first), t_step):
+        for f0 in range(0, num_free, f_step):
+            f = np.arange(f0, min(f0 + f_step, num_free))
+            f_slots, f_letters = slot_sets[f // len(letter_sets)], letter_sets[f % len(letter_sets)]
+            pf = p_free[t0:t0 + t_step][:, f_slots]
+            anti_f = ((pf != 0) & (pf != _SYM[f_letters])).sum(axis=2)  # (Tc, Fc)
+            keep = (anti_h[t0:t0 + t_step, :, None] + anti_f[:, None, :]) % 2 == 0
+            ti, hi, fi = np.nonzero(keep)
+            tt = ti + t0
+            free_s, free_l = free_sites[tt[:, None], f_slots[fi]], f_letters[fi]
+            ends = [(np.concatenate((res_sites[tt[:, None], take[hi]], free_s), axis=1),
+                     np.concatenate((res_rank[tt[:, None], take[hi]], free_l), axis=1))
+                    for take in (q_take, r_take)]
+            _check_edges(n, kk, *ends, target[tt])
+            parts.append((index.rank_batch(*ends[0]), index.rank_batch(*ends[1]), tt))
+
+    rows, cols, tids = (np.concatenate(col) for col in zip(*parts))
+    order = np.lexsort((cols, rows, tids))
+    return rows[order], cols[order], tids[order]
 
 
 def build_odd(dec: BipartiteDecomposition, inst: Instance, t: int, ell: int) -> OddKikuchiGraph:
     """Odd Kikuchi graph of slice t: commuting-condition edges for every ordered bucket pair.
 
     Edges are stored type by type (types in bucket, then pair order), each
-    type's (row, col) pairs ascending.
+    type's (row, col) pairs ascending; ``type_edges`` builds all of them.
     """
     n, k = inst.n, inst.k
     kk = k - t
@@ -414,19 +508,21 @@ def build_odd(dec: BipartiteDecomposition, inst: Instance, t: int, ell: int) -> 
 
     types: list[OddEdgeType] = []
     skipped: list[tuple[int, int, int, float]] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    tids: list[int] = []
+    residuals: list[PauliOp] = []
+    first: list[int] = []
+    second: list[int] = []
+    counts: list[int] = []
     bucket_ids = {id(b): i for i, b in enumerate(dec.buckets)}
     for bucket in slice_buckets:
         bid = bucket_ids[id(bucket)]
-        residual = {cid: tilde_word(inst.constraints[cid].pauli, bucket.center)
-                    for cid in bucket.cids}
+        at = {cid: len(residuals) + i for i, cid in enumerate(bucket.cids)}
+        residuals.extend(tilde_word(inst.constraints[cid].pauli, bucket.center)
+                         for cid in bucket.cids)
         for cid in bucket.cids:
             for cid2 in bucket.cids:
                 if cid == cid2:
                     continue
-                p, q = residual[cid], residual[cid2]
+                p, q = residuals[at[cid]], residuals[at[cid2]]
                 nc, na = rho_counts(p, q, ell)
                 bb = inst.constraints[cid].coeff * inst.constraints[cid2].coeff
                 if nc == 0:
@@ -434,20 +530,17 @@ def build_odd(dec: BipartiteDecomposition, inst: Instance, t: int, ell: int) -> 
                     continue
                 rho = Fraction(nc + na, 2 * nc)
                 assert rho * nc == delta_t, "per-type weighted count != Delta_t"
-                pairs = sorted((index.rank(qv), index.rank(rv))
-                               for (qv, rv), sign_ok in enumerate_type_pairs(p, q, ell)
-                               if sign_ok)
-                assert len(pairs) == nc, "enumerated commuting count != closed form"
-                rows.extend(qi for qi, _ in pairs)
-                cols.extend(ri for _, ri in pairs)
-                tids.extend([len(types)] * nc)
+                first.append(at[cid])
+                second.append(at[cid2])
+                counts.append(nc)
                 types.append(OddEdgeType(bucket_id=bid, cid=cid, cid2=cid2, rho=rho, sign=bb,
                                          labels_commute=commutes(p, q)))
 
+    rows, cols, tids = type_edges(residuals, first, second, ell)
+    assert np.bincount(tids, minlength=len(types)).tolist() == counts, \
+        "enumerated commuting count != closed form"
     return OddKikuchiGraph(
-        n=n, k=k, ell=ell, index=index, delta=delta_t,
-        rows=np.array(rows, dtype=np.int64), cols=np.array(cols, dtype=np.int64),
-        tids=np.array(tids, dtype=np.int64),
+        n=n, k=k, ell=ell, index=index, delta=delta_t, rows=rows, cols=cols, tids=tids,
         weights=np.array([ty.weight for ty in types], dtype=np.float64),
         t=t, types=types, skipped=skipped)
 

@@ -174,6 +174,47 @@ def test_witness_lift_header_without_n_is_usage_error(tmp_path, capsys):
     assert err.startswith("hkxor: error: line 1: missing header field 'n'")
 
 
+def test_witness_lift_header_token_without_equals_is_usage_error(tmp_path, capsys):
+    code, err = lift_error(tmp_path, capsys, "PMOM v1 n=3 d\n- 1\n")
+    assert code == 3
+    assert err.startswith("hkxor: error: line 1: header token 'd' is not key=value")
+
+
+def test_witness_lift_one_token_row_is_usage_error(tmp_path, capsys):
+    code, err = lift_error(tmp_path, capsys, "PMOM v1 n=3 d=2\n- 1\n1,2\n")
+    assert code == 3
+    assert err.startswith("hkxor: error: line 3: expected '<sites> <value>', got 1 tokens")
+
+
+def test_witness_lift_non_integer_site_is_usage_error(tmp_path, capsys):
+    code, err = lift_error(tmp_path, capsys, "PMOM v1 n=3 d=2\n- 1\n1 1\nx,2 1\n")
+    assert code == 3
+    assert err.startswith("hkxor: error: line 4: bad site list 'x,2'")
+
+
+def test_witness_lift_bad_value_is_usage_error(tmp_path, capsys):
+    code, err = lift_error(tmp_path, capsys, "PMOM v1 n=3 d=2\n- 1/x\n")
+    assert code == 3
+    assert err.startswith("hkxor: error: line 2: bad moment value '1/x'")
+
+
+def test_certify_even_edge_budget_exits_4_before_building(tmp_path, capsys, monkeypatch):
+    # m * Delta = 700 * 29,754 = 2.08e7 edges > EDGE_BUDGET
+    import hkxor.kikuchi_even as kikuchi_even
+
+    def no_build(*args):
+        raise AssertionError("build_even started making edges")
+
+    monkeypatch.setattr(kikuchi_even, "mul_words", no_build)
+    path = tmp_path / "big"
+    run(capsys, "gen", "--n", "60", "--k", "2", "--m", "700", "--seed", "0",
+        "--out", str(path))
+    code = main(["certify", "--in", str(path), "--ell", "3"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert "exceeds budget" in err
+
+
 def test_sweep_deterministic(tmp_path, capsys):
     args = ["sweep", "--n", "12", "--k", "2", "--ell", "1", "--eps", "0.9",
             "--m-grid", "12,24", "--seeds", "3"]

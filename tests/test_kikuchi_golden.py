@@ -2,14 +2,17 @@
 
 The constants were recorded from the list-based edge representation that
 preceded the typed COO store, so they pin the store to byte-identical dumps
-and, for pruned graphs, to the same deleted edges and the same gamma.
+and, for pruned graphs, to the same deleted edges and the same gamma.  The
+two odd graphs at scale were recorded from the per-candidate builder that
+preceded the batch one (``type_edges``).
 """
 
 import hashlib
 
 from hkxor.instances import Constraint, GeneratorConfig, Instance, generate
 from hkxor.kikuchi_even import build_even, build_level_n, dump_graph
-from hkxor.kikuchi_odd import build_odd, edge_delete, regularity_decompose
+from hkxor.kikuchi_odd import (BipartiteDecomposition, Bucket, build_odd, edge_delete,
+                               regularity_decompose)
 from hkxor.oracle import assemble
 from hkxor.pauli import PauliOp
 
@@ -76,3 +79,36 @@ def test_partial_pruning_dumps_at_level_3():
         g = build_odd(regularity_decompose(inst, 3, 1.0), inst, 1, 3)
         text += pruned_dump(g, eta)
     assert sha(text) == "54ea316017bef2e96ffb4756bd2d5b796df92616921e3b94f7d800ecd4b09f90"
+
+
+def odd_dump(graph):
+    return dump_graph(graph) + f"skipped={graph.skipped!r}\n"
+
+
+def test_odd_dump_at_benchmark_scale():
+    # n=12, k=3, m=60, ell=3, eps=0.8 with one word structure and seeded signs
+    words = tuple(c.pauli for c in generate(GeneratorConfig(n=12, k=3, m=60, seed=0)).constraints)
+    inst = generate(GeneratorConfig(n=12, k=3, m=60, model="rademacher-semirandom", seed=1,
+                                    words=words))
+    dec = regularity_decompose(inst, 3, 0.8)
+    assert dec.nonempty_levels() == [1]
+    g = build_odd(dec, inst, 1, 3)
+    assert (g.num_edges, len(g.types)) == (37120, 190)
+    assert sha(odd_dump(g)) == "dee3c8831f8ccb5fa50a0f9c4a40ca88e3f05977dff80622c738746d59b45e95"
+
+
+def test_odd_dumps_with_odd_residual_weight():
+    # k=5 and t=2: weight-3 residuals, so both (1, 2) and (2, 1) splits place edges
+    n = 7
+    words = ["X1 Y2 Y3 Y4 Y5", "X1 Y2 Z3 Z4 Z5", "X1 Y2 X3 Y4 Z6", "X1 Y2 Z5 X6 Y7",
+             "X1 Y2 Y3 Y4 Y5", "Z3 Z4 X5 Z6 Z7", "Y3 X4 X5 Y6 Z7", "Z3 Y4 X5 Y6 Z7"]
+    coeffs = [1.0, -1.0, 0.5, -2.0, 1.5, -1.0, 1.0, 0.25]
+    ops = [PauliOp.from_sparse(w, n) for w in words]
+    inst = Instance(n, 5, tuple(Constraint(w.support(), w, b) for w, b in zip(ops, coeffs)),
+                    "explicit")
+    dec = BipartiteDecomposition(n=n, k=5, ell=4, eps=1.0, m=8, buckets=(
+        Bucket(t=2, center=PauliOp.from_sparse("X1 Y2", n), cids=(0, 1, 2, 3, 4)),
+        Bucket(t=2, center=PauliOp.from_sparse("X5 Z7", n), cids=(5, 7)),
+        Bucket(t=1, center=PauliOp.from_sparse("Y3", n), cids=(6,), residual=True)))
+    text = "".join(odd_dump(build_odd(dec, inst, 2, ell)) for ell in (3, 4))
+    assert sha(text) == "d5080d718b2809baa5010acf927b6f45be354aac75a3205dee0b3a81b8fe680c"

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hkxor import kikuchi_odd
 from hkxor.instances import Constraint, GeneratorConfig, Instance, generate
 from hkxor.kikuchi_odd import (
     InfeasibleLevelError,
@@ -13,7 +14,6 @@ from hkxor.kikuchi_odd import (
     cs_operator,
     delta_count_odd,
     edge_delete,
-    enumerate_type_pairs,
     local_degrees,
     max_local_degree,
     regularity_check,
@@ -22,6 +22,7 @@ from hkxor.kikuchi_odd import (
     rho_value,
     tau_threshold,
     tilde_word,
+    type_edges,
     Bucket,
     BipartiteDecomposition,
 )
@@ -183,10 +184,9 @@ def test_pair_counts_match_exhaustive_scan(n, ell, ps, qs):
     assert (len(commuting), len(anticommuting)) == (nc, na)
     k, t = kk + 1, 1  # any (k, t) with k - t = kk gives the same count
     assert Fraction(nc + na, 2) == delta_count_odd(n, k, t, ell)
-    idx = SliceIndex(2 * n, ell)
-    built = sorted((idx.rank(qv), idx.rank(rv))
-                   for (qv, rv), ok in enumerate_type_pairs(p, q, ell) if ok)
-    assert built == sorted(commuting)
+    rows, cols, tids = type_edges([p, q], [0], [1], ell)
+    assert not tids.any()
+    assert list(zip(rows.tolist(), cols.tolist())) == sorted(commuting)
 
 
 def test_rho_range_for_nonempty_types():
@@ -245,6 +245,30 @@ def test_build_odd_matches_scan():
         assert sorted(pairs) == sorted(commuting)
         assert ty.rho * len(pairs) == g.delta
         assert ty.sign == -1.0
+
+
+def test_type_edges_of_many_types_equal_each_type_alone():
+    words = [PauliOp.from_sparse(w, 4) for w in ("X1 Y2", "Z3 Z4", "Y1 Y2", "Z1 Z2", "X1 Z2")]
+    first, second = [0, 1, 2, 4, 0], [1, 0, 3, 3, 4]
+    rows, cols, tids = type_edges(words, first, second, 3)
+    assert tids.tolist() == sorted(tids.tolist())
+    for tid, (a, b) in enumerate(zip(first, second)):
+        alone = type_edges([words[a], words[b]], [0], [1], 3)
+        assert np.array_equal(rows[tids == tid], alone[0])
+        assert np.array_equal(cols[tids == tid], alone[1])
+
+
+def test_chunked_build_matches_one_chunk(monkeypatch):
+    # small limits split the types, and then one type's free-slot choices, into chunks
+    inst = generate(GeneratorConfig(n=6, k=3, m=16, model="random", seed=1))
+    dec = regularity_decompose(inst, 3, 1.0)
+    whole = build_odd(dec, inst, 1, 3)
+    assert whole.num_edges > 500
+    for limit in (3, 50, 500):
+        monkeypatch.setattr(kikuchi_odd, "CHUNK_CANDIDATES", limit)
+        part = build_odd(dec, inst, 1, 3)
+        for name in ("rows", "cols", "tids", "weights"):
+            assert np.array_equal(getattr(part, name), getattr(whole, name))
 
 
 def test_build_odd_records_skipped_types():

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hkxor.pauli import (
     PauliOp,
@@ -152,6 +153,47 @@ def test_rank_unrank_bijection(n, ell):
         assert idx.unrank(i) == op
         seen.add(i)
     assert seen == set(range(idx.size))
+
+
+@st.composite
+def slice_words(draw):
+    """(n, ell, rows of (sites, letters)) with n <= 120 and ell <= 4; sites unsorted."""
+    n = draw(st.integers(1, 120))
+    ell = draw(st.integers(0, min(n, 4)))
+    word = st.tuples(st.permutations(range(n)).map(lambda perm: perm[:ell]),
+                     st.lists(st.integers(0, 2), min_size=ell, max_size=ell))
+    return n, ell, draw(st.lists(word, min_size=1, max_size=8))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(slice_words())
+def test_rank_batch_equals_rank(case):
+    n, ell, words = case
+    idx = SliceIndex(n, ell)
+    sites = np.array([w[0] for w in words], dtype=np.int64).reshape(len(words), ell)
+    letters = np.array([w[1] for w in words], dtype=np.int64).reshape(len(words), ell)
+    expected = [idx.rank(PauliOp.from_letters(n, w[0], "".join("XYZ"[a] for a in w[1])))
+                for w in words]
+    assert idx.rank_batch(sites, letters).tolist() == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 120).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, min(n, 4)).flatmap(lambda ell: st.tuples(
+        st.just(ell), st.integers(0, slice_size(n, ell) - 1))))))
+def test_rank_unrank_round_trip(case):
+    n, (ell, i) = case
+    idx = SliceIndex(n, ell)
+    assert idx.rank(idx.unrank(i)) == i
+
+
+def test_rank_batch_rejects_bad_rows_and_oversized_slices():
+    idx = SliceIndex(6, 2)
+    for sites, letters in (([[1, 1]], [[0, 0]]), ([[0, 6]], [[0, 0]]), ([[0, 1]], [[0, 3]])):
+        with pytest.raises(ValueError):
+            idx.rank_batch(np.array(sites), np.array(letters))
+    with pytest.raises(ValueError, match="int64"):
+        SliceIndex(120, 40).rank_batch(np.zeros((0, 40)), np.zeros((0, 40)))
 
 
 def test_string_round_trips():
