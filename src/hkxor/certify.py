@@ -48,7 +48,9 @@ from .kikuchi_even import build_even, regularize
 from .kikuchi_odd import build_odd, cs_operator, edge_delete, regularity_decompose
 
 DEFAULT_TOL = 1e-6
-DEFAULT_ETA_CONST = 3
+ETA_CONST = 3
+# most nonzeros trace_moment may hold in one sparse power
+TRACE_BUDGET_NNZ = 50_000_000
 _DENSE_CUTOFF = 16
 
 
@@ -58,8 +60,7 @@ class SpectralNormError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0,
-                  maxiter: int | None = None) -> tuple[float, float]:
+def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[float, float]:
     """(sigma, residual) with |sigma - lambda_absmax| <= tol * max(1, sigma).
 
     Accepts a symmetric real sparse or dense matrix; the extremal Ritz pair's
@@ -87,7 +88,7 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0,
         try:
             vals, vecs = spla.eigsh(mat, k=1, which="LM", v0=v0,
                                     tol=min(tol * 1e-3, 1e-10),
-                                    maxiter=maxiter or max(1000, 20 * size))
+                                    maxiter=max(1000, 20 * size))
         except spla.ArpackNoConvergence as exc:
             best = float(np.abs(exc.eigenvalues).max()) if len(exc.eigenvalues) else None
             raise SpectralNormError("eigensolver did not converge", best) from exc
@@ -107,18 +108,18 @@ def _scaled(matrix: sp.csr_matrix, gamma: np.ndarray) -> sp.csr_matrix:
     return (inv_sqrt @ matrix @ inv_sqrt).tocsr()
 
 
-def trace_moment(graph, reg, r: int, budget_nnz: int = 50_000_000) -> tuple[float, float]:
+def trace_moment(graph, reg, r: int) -> tuple[float, float]:
     """(Tr((Gamma^{-1} A*)^{2r}), its 2r-th root) by repeated sparse products."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     mat = graph.signed_matrix()
-    if 2 * r * max(mat.nnz, 1) > budget_nnz:
+    if 2 * r * max(mat.nnz, 1) > TRACE_BUDGET_NNZ:
         raise MemoryError("trace moment exceeds the configured memory budget")
     b = (sp.diags(1.0 / reg.gamma) @ mat).tocsr()
     power = b
     for _ in range(r - 1):
         power = (power @ b).tocsr()
-        if power.nnz > budget_nnz:
+        if power.nnz > TRACE_BUDGET_NNZ:
             raise MemoryError("trace moment exceeds the configured memory budget")
     value = float(power.multiply(power.T).sum())
     value = max(value, 0.0)
@@ -211,13 +212,13 @@ def certify_even(inst: Instance, ell: int, tol: float = DEFAULT_TOL,
                        time.perf_counter() - start)
 
 
-def eta_bound(k: int, eps: float, const: int = DEFAULT_ETA_CONST) -> int:
-    """Local-degree cap ceil(8 * const^k * k^3 / eps^2) used before pruning."""
-    return math.ceil(8 * const**k * k**3 / eps**2)
+def eta_bound(k: int, eps: float) -> int:
+    """Local-degree cap ceil(8 * ETA_CONST^k * k^3 / eps^2) used before pruning."""
+    return math.ceil(8 * ETA_CONST**k * k**3 / eps**2)
 
 
 def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
-                solver_seed: int = 0, eta_const: int = DEFAULT_ETA_CONST) -> Certificate:
+                solver_seed: int = 0) -> Certificate:
     """Decomposition-based certificate 1/2 + sum_t sqrt(max(0, algval_t)) / k."""
     start = time.perf_counter()
     if inst.m == 0:
@@ -225,7 +226,7 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
                            0.5, 0.0, 0.0, 0, 0, time.perf_counter() - start)
     k = inst.k
     dec = regularity_decompose(inst, ell, eps)
-    eta = eta_bound(k, eps, eta_const)
+    eta = eta_bound(k, eps)
     slices: list[SliceCertificate] = []
     warnings = list(dec.warnings)
     total = 0.0

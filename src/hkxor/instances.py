@@ -105,7 +105,6 @@ class GeneratorConfig:
     m: int
     model: str = "rademacher-semirandom"
     seed: int = 0
-    eps: float | None = None
     hypergraph: tuple[tuple[int, ...], ...] | None = None
     words: tuple[PauliOp, ...] | None = None
     coeffs: tuple[float, ...] | None = None
@@ -175,13 +174,13 @@ def generate(cfg: GeneratorConfig) -> Instance:
     return Instance(cfg.n, cfg.k, constraints, cfg.model, cfg.seed)
 
 
-def threshold_size(n: float, k: int, ell: int, eps: float, c_thr: float = 1.0) -> int:
-    """ceil(c_thr * n * (n/ell)^(k/2-1) * ln(n) / eps^4), the refutation density."""
+def threshold_size(n: float, k: int, ell: int, eps: float) -> int:
+    """ceil(n * (n/ell)^(k/2-1) * ln(n) / eps^4), the refutation density."""
     if not 0 < eps <= 1:
         raise ValueError(f"need 0 < eps <= 1, got {eps}")
     if not k / 2 <= ell <= n / 2:
         raise ValueError(f"need k/2 <= ell <= n/2, got k={k}, ell={ell}, n={n}")
-    return math.ceil(c_thr * n * (n / ell) ** (k / 2 - 1) * math.log(n) / eps**4)
+    return math.ceil(n * (n / ell) ** (k / 2 - 1) * math.log(n) / eps**4)
 
 
 # -- text format --------------------------------------------------------------

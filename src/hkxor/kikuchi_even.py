@@ -108,8 +108,8 @@ class KikuchiGraph:
         return [f"{tid} {w!r}" for tid, w in enumerate(self.weights.tolist())]
 
 
-def _sorted_graph(n: int, k: int, ell: int, index, delta: int, rows: list[int],
-                  cols: list[int], tids: list[int], weights: list[float]) -> KikuchiGraph:
+def _sorted_graph(n: int, k: int, ell: int, index, delta: int, rows, cols, tids,
+                  weights: list[float]) -> KikuchiGraph:
     """Graph with entries in ascending (row, col, type id) order."""
     rows_a, cols_a, tids_a = (np.array(v, dtype=np.int64) for v in (rows, cols, tids))
     order = np.lexsort((tids_a, cols_a, rows_a))
@@ -227,47 +227,38 @@ class FullGroupIndex:
         return PauliOp(self.n, index >> self.n, index & ((1 << self.n) - 1))
 
 
-def build_level_n(source, n: int | None = None, coeff_tol: float = 0.0) -> KikuchiGraph:
+def build_level_n(source, n: int | None = None) -> KikuchiGraph:
     """Kikuchi graph over all 4^n words: (Q, R) is an edge of weight c(P) iff Q*R = P up to phase.
 
     ``source`` is either a DenseOperator (coefficients extracted by inner
     products) or an iterable of (PauliOp, real coefficient) pairs with ``n``
-    given.  Gated to n <= 6 (4^n vertices).  One edge type per kept term.
+    given.  Gated to n <= 6 (4^n vertices).  One edge type per nonzero term.
+    The phase-free product XORs masks, so R = Q*P ranks as rank(Q) ^ rank(P).
     """
     from .oracle import DenseOperator, pauli_coefficient
 
-    if isinstance(source, DenseOperator):
+    dense = isinstance(source, DenseOperator)
+    if dense:
         n = source.n
-        if n > LEVEL_N_QUBIT_CAP:
-            raise ValueError(f"level-n graph needs n <= {LEVEL_N_QUBIT_CAP}, got {n}")
-        full = FullGroupIndex(n)
-        terms = []
-        for i in range(full.size):
-            p = full.unrank(i)
-            coeff = pauli_coefficient(source, p)
-            if abs(coeff.imag) > 1e-12:
-                raise ValueError("operator has non-real Pauli coefficients")
-            if abs(coeff.real) > coeff_tol:
-                terms.append((p, coeff.real))
-    else:
-        if n is None:
-            raise ValueError("n is required for coefficient-map input")
-        if n > LEVEL_N_QUBIT_CAP:
-            raise ValueError(f"level-n graph needs n <= {LEVEL_N_QUBIT_CAP}, got {n}")
-        full = FullGroupIndex(n)
-        terms = [(p, float(c)) for p, c in source if abs(c) > coeff_tol]
+    elif n is None:
+        raise ValueError("n is required for coefficient-map input")
+    if n > LEVEL_N_QUBIT_CAP:
+        raise ValueError(f"level-n graph needs n <= {LEVEL_N_QUBIT_CAP}, got {n}")
+    full = FullGroupIndex(n)
+    if dense:
+        words = [PauliOp(n, x, z) for x in range(1 << n) for z in range(1 << n)]  # rank order
+        coeffs = [pauli_coefficient(source, p) for p in words]
+        if any(abs(c.imag) > 1e-12 for c in coeffs):
+            raise ValueError("operator has non-real Pauli coefficients")
+        source = [(p, c.real) for p, c in zip(words, coeffs)]
+    terms = [(p, float(c)) for p, c in source if abs(c) > 0]
+    if any(p.n != n for p, _c in terms):
+        raise ValueError(f"every term of a level-n graph must act on n={n} qubits")
 
-    rows: list[int] = []
-    cols: list[int] = []
-    tids: list[int] = []
-    for pid, (p, _coeff) in enumerate(terms):
-        for qi in range(full.size):
-            q = full.unrank(qi)
-            r = mul_words(q, p).op
-            rows.append(qi)
-            cols.append(full.rank(r))
-            tids.append(pid)
-
+    ranks = np.array([full.rank(p) for p, _c in terms], dtype=np.int64)
+    rows = np.tile(np.arange(full.size, dtype=np.int64), len(terms))
+    cols = rows ^ np.repeat(ranks, full.size)
+    tids = np.repeat(np.arange(len(terms), dtype=np.int64), full.size)
     # k = 0 marks the full-group variant (terms of mixed weight)
     return _sorted_graph(n, 0, n, full, full.size, rows, cols, tids,
                          [coeff for _p, coeff in terms])

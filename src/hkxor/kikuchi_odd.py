@@ -98,12 +98,6 @@ class BipartiteDecomposition:
     def slice(self, t: int) -> list[Bucket]:
         return [b for b in self.buckets if b.t == t]
 
-    def slice_cids(self, t: int) -> list[int]:
-        out: list[int] = []
-        for b in self.slice(t):
-            out.extend(b.cids)
-        return out
-
     def nonempty_levels(self) -> list[int]:
         return sorted({b.t for b in self.buckets}, reverse=True)
 

@@ -19,43 +19,38 @@ from .pauli import PauliOp, PhasedPauli, site_mask
 
 DENSE_QUBIT_CAP = 12
 QFORM_QUBIT_CAP = 8
+# relative deviation from Hermitian that lambda_max accepts
+HERMITIAN_TOL = 1e-12
 
 
 class ResourceGuardError(RuntimeError):
     """A documented size guard was exceeded."""
 
 
-def _popcount(a: np.ndarray) -> np.ndarray:
-    return np.bitwise_count(a)
+def word_action(op: PauliOp) -> tuple[np.ndarray, np.ndarray]:
+    """A phase-free word as a signed permutation of the 2^n basis states.
+
+    W(x,z)|b> = i^{|x&z|} (-1)^{|z&b|} |b ^ x>: column b of the word holds
+    ``vals[b]`` in row ``rows[b] = b ^ x``.  The phase-free product of two
+    words XORs their masks.
+    """
+    cols = np.arange(1 << op.n, dtype=np.int64)
+    phase = (1j) ** ((op.xmask & op.zmask).bit_count() % 4)
+    vals = phase * (1.0 - 2.0 * (np.bitwise_count(cols & op.zmask) & 1))
+    return cols ^ op.xmask, vals
 
 
 def apply_word(op: PauliOp, psi: np.ndarray) -> np.ndarray:
-    """Apply a phase-free word to a statevector of dimension 2^n.
-
-    W(x,z)|b> = i^{|x&z|} (-1)^{|z & b|} |b ^ x>.
-    """
-    dim = 1 << op.n
-    if psi.shape[0] != dim:
+    """Apply a phase-free word to a statevector of dimension 2^n."""
+    if psi.shape[0] != 1 << op.n:
         raise ValueError(f"state dimension {psi.shape[0]} != 2^{op.n}")
-    idx = np.arange(dim, dtype=np.int64)
-    src = idx ^ op.xmask
-    phase = (1j) ** ((op.xmask & op.zmask).bit_count() % 4)
-    signs = 1.0 - 2.0 * (_popcount(src & op.zmask) & 1)
-    return phase * signs * psi[src]
+    rows, vals = word_action(op)
+    return vals[rows] * psi[rows]
 
 
 def dense_word(op: PauliOp) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a phase-free word (signed permutation)."""
-    if op.n > DENSE_QUBIT_CAP:
-        raise ResourceGuardError(f"dense word needs n <= {DENSE_QUBIT_CAP}, got {op.n}")
-    dim = 1 << op.n
-    cols = np.arange(dim, dtype=np.int64)
-    rows = cols ^ op.xmask
-    phase = (1j) ** ((op.xmask & op.zmask).bit_count() % 4)
-    vals = phase * (1.0 - 2.0 * (_popcount(cols & op.zmask) & 1))
-    m = np.zeros((dim, dim), dtype=complex)
-    m[rows, cols] = vals
-    return m
+    return assemble_pauli_sum(op.n, [(op, 1.0)]).matrix
 
 
 def dense_phased(p: PhasedPauli) -> np.ndarray:
@@ -76,13 +71,19 @@ class DenseOperator:
 
 
 def assemble_pauli_sum(n: int, terms) -> DenseOperator:
-    """Dense sum of (PauliOp, coefficient) terms."""
+    """Dense sum of (PauliOp, coefficient) terms, one scatter-add per term.
+
+    Terms are added one at a time: repeated words, and words sharing an x-mask,
+    hit the same entries, which one buffered fancy-index add would drop.
+    """
     if n > DENSE_QUBIT_CAP:
         raise ResourceGuardError(f"dense assembly needs n <= {DENSE_QUBIT_CAP}, got {n}")
     dim = 1 << n
+    cols = np.arange(dim, dtype=np.int64)
     m = np.zeros((dim, dim), dtype=complex)
     for op, coeff in terms:
-        m += coeff * dense_word(op)
+        rows, vals = word_action(op)
+        m[rows, cols] += coeff * vals
     return DenseOperator(n, m)
 
 
@@ -103,17 +104,15 @@ def assemble(inst) -> DenseOperator:
 
 def pauli_coefficient(op: DenseOperator, word: PauliOp) -> complex:
     """<H, P> = Tr(P H) / 2^n, using the signed-permutation structure of P."""
-    dim = 1 << op.n
-    cols = np.arange(dim, dtype=np.int64)
-    phase = (1j) ** ((word.xmask & word.zmask).bit_count() % 4)
-    vals = phase * (1.0 - 2.0 * (_popcount(cols & word.zmask) & 1))
-    return complex(np.sum(vals * op.matrix[cols, cols ^ word.xmask]) / dim)
+    rows, vals = word_action(word)
+    cols = np.arange(1 << op.n, dtype=np.int64)
+    return complex(np.sum(vals * op.matrix[cols, rows]) / (1 << op.n))
 
 
-def lambda_max(op: DenseOperator, hermitian_tol: float = 1e-12) -> float:
+def lambda_max(op: DenseOperator) -> float:
     """Exact (machine precision) maximum eigenvalue of a Hermitian operator."""
     dev = np.max(np.abs(op.matrix - op.matrix.conj().T))
-    if dev > hermitian_tol * max(1.0, np.max(np.abs(op.matrix))):
+    if dev > HERMITIAN_TOL * max(1.0, np.max(np.abs(op.matrix))):
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
     return float(np.linalg.eigvalsh(op.matrix)[-1])
 
@@ -189,7 +188,7 @@ def classical_max(hypergraph, coeffs, n: int) -> tuple[float, tuple[int, ...]]:
     idx = np.arange(dim, dtype=np.int64)
     phi = np.zeros(dim)
     for sites, b in zip(hypergraph, coeffs):
-        phi += b * (1.0 - 2.0 * (_popcount(idx & site_mask(sites)) & 1))
+        phi += b * (1.0 - 2.0 * (np.bitwise_count(idx & site_mask(sites)) & 1))
     m = len(hypergraph)
     vals = 0.5 + phi / (2 * m) if m else np.full(dim, 0.5)
     best = float(vals.max())

@@ -35,6 +35,9 @@ from .pauli import (PauliOp, canonical_key, commutes, enumerate_slice, mul_words
 
 MOMENT_MATRIX_CAP = 5000
 EXHAUSTIVE_SUBSET_CAP = 20
+# seeded subsets a sampled boundary expansion check draws
+EXPANSION_SAMPLES = 20000
+EXPANSION_SEED = 0
 
 
 # -- exact complex rationals ---------------------------------------------------
@@ -344,7 +347,8 @@ def max_entropy_build(inst: Instance, d: int):
     while head < len(order):
         w = order[head]
         head += 1
-        for u in list(order):
+        for i in range(len(order)):  # the words known when this step began
+            u = order[i]
             for left, right in ((u, w), (w, u)):
                 prod = mul_words(left, right)
                 if prod.op.weight() > d:
@@ -402,49 +406,42 @@ class ExpansionReport:
         return None
 
 
-def boundary_expansion_check(hypergraph, beta: float, d: int,
-                             samples: int = 20000, seed: int = 0) -> ExpansionReport:
+def _expansion_subsets(count: int, limit: int, exhaustive: bool):
+    """Constraint subsets of size 1..limit: all of them by size, or seeded samples."""
+    if exhaustive:
+        for size in range(1, limit + 1):
+            yield from combinations(range(count), size)
+        return
+    rng = random.Random(EXPANSION_SEED)
+    for _ in range(EXPANSION_SAMPLES):
+        size = rng.randrange(1, limit + 1)
+        yield tuple(sorted(rng.sample(range(count), size)))
+
+
+def boundary_expansion_check(hypergraph, beta: float, d: int) -> ExpansionReport:
     """Check |xor of supports| >= beta * |S| for all subsets S up to size d.
 
     Exhaustive up to size EXHAUSTIVE_SUBSET_CAP; beyond that a sampled pass
     runs and the report is flagged as heuristic.
     """
+    if d < 1:
+        raise ValueError(f"expansion subset size d must be at least 1, got {d}")
     masks = [site_mask(sites) for sites in hypergraph]
     limit = min(d, len(masks))
     exhaustive = limit <= EXHAUSTIVE_SUBSET_CAP
     witness = None
-    profile: list[tuple[int, int]] = []
-
-    if exhaustive:
-        for size in range(1, limit + 1):
-            best = None
-            for subset in combinations(range(len(masks)), size):
-                acc = 0
-                for i in subset:
-                    acc ^= masks[i]
-                boundary = acc.bit_count()
-                best = boundary if best is None else min(best, boundary)
-                if boundary < beta * size and witness is None:
-                    witness = subset
-            if best is not None:
-                profile.append((size, best))
-    else:
-        rng = random.Random(seed)
-        best_by_size: dict[int, int] = {}
-        for _ in range(samples):
-            size = rng.randrange(1, limit + 1)
-            subset = tuple(sorted(rng.sample(range(len(masks)), size)))
-            acc = 0
-            for i in subset:
-                acc ^= masks[i]
-            boundary = acc.bit_count()
-            best_by_size[size] = min(best_by_size.get(size, boundary), boundary)
-            if boundary < beta * size and witness is None:
-                witness = subset
-        profile = sorted(best_by_size.items())
-
+    best_by_size: dict[int, int] = {}
+    for subset in _expansion_subsets(len(masks), limit, exhaustive):
+        acc = 0
+        for i in subset:
+            acc ^= masks[i]
+        boundary = acc.bit_count()
+        size = len(subset)
+        best_by_size[size] = min(best_by_size.get(size, boundary), boundary)
+        if boundary < beta * size and witness is None:
+            witness = subset
     return ExpansionReport(beta=beta, d=d, passed=witness is None, witness=witness,
-                           exhaustive=exhaustive, profile=tuple(profile))
+                           exhaustive=exhaustive, profile=tuple(sorted(best_by_size.items())))
 
 
 # -- the anticommutation obstruction value ------------------------------------------
@@ -533,6 +530,8 @@ def lift_classical(inst: Instance, moments: MomentOracle, d: int) -> PseudoExpec
     """
     if inst.model != "one-basis-z" and any(c.pauli.xmask for c in inst.constraints):
         raise ValueError("lifting needs a Z-basis instance")
+    if d < inst.k:
+        raise ValueError(f"degree {d} below constraint arity {inst.k}")
     if moments.degree < d:
         raise MomentOracleGap(f"oracle degree {moments.degree} below requested {d}")
     values: dict[PauliOp, ExactComplex] = {}

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
+import itertools
+
 from hkxor.cli import main
 from hkxor.instances import parse
 
@@ -156,6 +158,33 @@ def lift_error(tmp_path, capsys, pmom):
     return code, capsys.readouterr().err
 
 
+def lift_point_with_degree(tmp_path, capsys, degree):
+    """`witness --lift` of the point x = (1, 1, 1, 1) on a one-basis n=4 k=2 instance."""
+    inst_path = tmp_path / "chain"
+    inst_path.write_text(
+        "HKXOR v1 n=4 k=2 m=3 model=one-basis-z seed=0\n"
+        "Z1 Z2 1.0\nZ2 Z3 -1.0\nZ3 Z4 -1.0\n")
+    moments = tmp_path / "pmom"
+    moments.write_text("PMOM v1 n=4 d=4\n- 1\n" + "".join(
+        f"{','.join(map(str, sites))} 1\n"
+        for size in range(1, 5) for sites in itertools.combinations(range(1, 5), size)))
+    code = main(["witness", "--in", str(inst_path), "--degree", str(degree),
+                 "--lift", str(moments)])
+    return code, capsys.readouterr()
+
+
+def test_witness_lift_degree_below_arity_is_usage_error(tmp_path, capsys):
+    # the true energy of the point is 1/3; a degree-1 lift used to report 1/2
+    for degree in (1, -1):
+        code, captured = lift_point_with_degree(tmp_path, capsys, degree)
+        assert code == 3
+        assert f"degree {degree} below constraint arity 2" in captured.err
+        assert captured.out == ""
+    code, captured = lift_point_with_degree(tmp_path, capsys, 2)
+    assert code == 0
+    assert "energy=0.3333333333333333" in captured.out
+
+
 def test_witness_lift_degree_below_request_is_usage_error(tmp_path, capsys):
     code, err = lift_error(tmp_path, capsys, "PMOM v1 n=3 d=1\n- 1\n1 1\n2 1\n3 1\n")
     assert code == 3
@@ -231,6 +260,16 @@ def test_sweep_empty_grid_is_usage_error(capsys):
                  "--m-grid", "", "--seeds", "2"])
     capsys.readouterr()
     assert code == 3
+
+
+def test_sweep_without_seeds_is_usage_error(capsys):
+    for seeds in ("0", "-2"):
+        code = main(["sweep", "--n", "8", "--k", "2", "--ell", "1", "--eps", "0.5",
+                     "--m-grid", "8", "--seeds", seeds])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "--seeds must be at least 1" in captured.err
+        assert captured.out == ""
 
 
 def test_unknown_flag_usage_error(capsys):

@@ -172,6 +172,12 @@ def test_level_n_zero_operator():
     assert g.num_edges == 0
 
 
+def test_level_n_rejects_terms_on_other_qubit_counts():
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="n="):
+            build_level_n([(PauliOp.from_sparse("Z1 Z2", 2), 1.0)], n=n)
+
+
 def test_level_n_spectrum_equality():
     rng = np.random.default_rng(7)
     for n in (1, 2):

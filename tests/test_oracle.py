@@ -1,5 +1,6 @@
 """Dense oracle: assembly, eigenvalues, brute-force XOR values."""
 
+import itertools
 import math
 import random
 
@@ -17,6 +18,7 @@ from hkxor.oracle import (
     dense_word,
     lambda_max,
     pauli_coefficient,
+    word_action,
 )
 from hkxor.pauli import PauliOp
 
@@ -43,6 +45,34 @@ def test_dense_word_matches_kron():
         np.testing.assert_allclose(
             dense_word(PauliOp.from_string(letters)), kron_word(letters), atol=1e-14
         )
+
+
+def test_word_action_matches_kron_for_every_word():
+    for n in range(1, 4):
+        for letters in itertools.product("IXYZ", repeat=n):
+            op = PauliOp.from_string("".join(letters))
+            rows, vals = word_action(op)
+            m = np.zeros((1 << n, 1 << n), dtype=complex)
+            m[rows, np.arange(1 << n)] = vals
+            np.testing.assert_array_equal(m, kron_word(letters))
+            np.testing.assert_array_equal(dense_word(op), m)
+
+
+def test_assemble_adds_repeated_words_and_shared_x_masks():
+    # X1 Z2 twice, and Y1 Z3 with the same x-mask: their entries coincide, so
+    # an assembly that scatters all terms in one buffered add would lose some
+    words = ["XZI", "XZI", "YIZ", "IZZ"]
+    coeffs = [1.0, 1.0, -1.0, 1.0]
+    constraints = tuple(Constraint(PauliOp.from_string(w).support(), PauliOp.from_string(w), b)
+                        for w, b in zip(words, coeffs))
+    h = assemble(Instance(3, 2, constraints, "explicit"))
+    ref = 0.5 * np.eye(8) + sum(b * kron_word(w) for w, b in zip(words, coeffs)) / 8
+    np.testing.assert_allclose(h.matrix, ref, atol=1e-14)
+    h2 = assemble_pauli_sum(2, [(PauliOp.from_string("XZ"), 0.3),
+                                (PauliOp.from_string("XZ"), -0.7),
+                                (PauliOp.from_string("YI"), 0.25)])
+    np.testing.assert_allclose(h2.matrix, -0.4 * kron_word("XZ") + 0.25 * kron_word("YI"),
+                               atol=1e-14)
 
 
 def test_apply_word_matches_dense():

@@ -62,6 +62,12 @@ def test_expansion_empty_hypergraph():
     assert report.passed and report.witness is None
 
 
+def test_expansion_rejects_subset_size_below_one():
+    for d in (0, -3):
+        with pytest.raises(ValueError, match="at least 1"):
+            boundary_expansion_check([(0, 1, 2)], beta=1.0, d=d)
+
+
 def test_max_entropy_single_constraint():
     inst = z_instance(3, [(0, 1, 2)], [1.0])
     pe = max_entropy_build(inst, 3)
