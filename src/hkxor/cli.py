@@ -26,6 +26,7 @@ from .instances import (
     parse,
     serialize,
 )
+from .kikuchi_odd import check_eps
 from .oracle import ResourceGuardError, assemble, classical_max, lambda_max
 from .pauli import site_mask
 from .sos import (
@@ -223,6 +224,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("empty m grid")
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    check_eps(args.eps)
     seeds = list(range(args.seeds))
     base = {"n": args.n, "k": args.k, "ell": args.ell, "eps": args.eps,
             "tol": args.tol, "model": _MODEL_ALIASES[args.model],

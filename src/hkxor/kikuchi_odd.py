@@ -108,14 +108,19 @@ class BipartiteDecomposition:
         return "\n".join(lines) + "\n"
 
 
+def check_eps(eps: float) -> None:
+    """Raise ValueError unless 0 < eps <= 1, the range every eps-dependent bound needs."""
+    if not 0 < eps <= 1:
+        raise ValueError(f"need 0 < eps <= 1, got {eps}")
+
+
 def regularity_decompose(inst: Instance, ell: int, eps: float) -> BipartiteDecomposition:
     """Greedy bucketing by shared subwords, t = k down to 1, then the residual pass.
 
     Candidate centers are scanned in canonical word order and members
     extracted in ascending constraint id, so the output is deterministic.
     """
-    if not 0 < eps <= 1:
-        raise ValueError(f"need 0 < eps <= 1, got {eps}")
+    check_eps(eps)
     if ell < inst.k / 2:
         raise ValueError(f"need ell >= k/2, got ell={ell}, k={inst.k}")
     n, k = inst.n, inst.k

@@ -1,10 +1,15 @@
 """Spectral norms and certificate soundness at oracle scale."""
 
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hkxor.certify import (
+    SMALL_COMPONENT,
+    SpectralNormError,
     certify,
     certify_even,
     certify_odd,
@@ -45,6 +50,111 @@ def test_spectral_norm_negation_agrees():
 def test_spectral_norm_rejects_asymmetric():
     with pytest.raises(ValueError):
         spectral_norm(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])), tol=1e-6)
+
+
+# hkxor re-exports certify(), which hides the module attribute of that name
+certify_module = importlib.import_module("hkxor.certify")
+
+
+def dense_norm(mat) -> float:
+    return float(np.max(np.abs(np.linalg.eigvalsh(mat.toarray()))))
+
+
+def random_block(rng, size: int, scale: float = 1.0) -> sp.csr_matrix:
+    """A connected symmetric block: a random path plus a few random chords."""
+    a = sp.diags([rng.standard_normal(size - 1)], [1], shape=(size, size))
+    chords = sp.random(size, size, density=min(1.0, 3.0 / size), random_state=rng)
+    a = a + chords
+    return (scale * (a + a.T)).tocsr()
+
+
+def mixed_blocks(rng, small_scale: float, large_scale: float) -> sp.csr_matrix:
+    """Isolated zero rows, diagonal singletons, components on both sides of
+    SMALL_COMPONENT, and a small block next to its negation."""
+    tie = random_block(rng, 5, small_scale)
+    blocks = [sp.csr_matrix((3, 3)),
+              sp.diags([0.3, -0.7]),
+              random_block(rng, 2, small_scale),
+              random_block(rng, 17, small_scale),
+              tie, -tie,
+              random_block(rng, SMALL_COMPONENT, small_scale),
+              random_block(rng, SMALL_COMPONENT + 1, large_scale),
+              sp.csr_matrix((1, 1)),
+              random_block(rng, 150, large_scale)]
+    return sp.block_diag(blocks, format="csr")
+
+
+def permuted(mat: sp.csr_matrix, rng) -> sp.csr_matrix:
+    perm = rng.permutation(mat.shape[0])
+    return mat[perm][:, perm].tocsr()
+
+
+@pytest.mark.parametrize("small_scale,large_scale", [(1.0, 1.0), (10.0, 1.0), (1.0, 10.0)])
+def test_spectral_norm_by_components_matches_dense(small_scale, large_scale):
+    rng = np.random.default_rng(7)
+    mat = mixed_blocks(rng, small_scale, large_scale)
+    for candidate in (mat, permuted(mat, rng)):
+        sigma, residual = spectral_norm(candidate, tol=1e-9)
+        assert abs(sigma - dense_norm(candidate)) < 1e-10
+        assert residual <= 1e-9 * max(1.0, sigma)
+
+
+def test_spectral_norm_plus_minus_tie_across_components():
+    rng = np.random.default_rng(3)
+    tie = random_block(rng, 9)
+    for mat in (sp.block_diag([tie, -tie], format="csr"),
+                sp.block_diag([random_block(rng, 80, 0.1), 5 * tie, random_block(rng, 70),
+                               -5 * tie], format="csr")):
+        sigma, _ = spectral_norm(permuted(mat, rng), tol=1e-9)
+        assert abs(sigma - dense_norm(mat)) < 1e-10
+
+
+def test_spectral_norm_only_large_components():
+    rng = np.random.default_rng(11)
+    for mat in (random_block(rng, 120),
+                sp.block_diag([random_block(rng, 90), random_block(rng, 100)], format="csr")):
+        sigma, _ = spectral_norm(mat, tol=1e-9)
+        assert abs(sigma - dense_norm(mat)) < 1e-10
+
+
+def test_spectral_norm_chunk_of_one_block(monkeypatch):
+    rng = np.random.default_rng(5)
+    mat = permuted(mixed_blocks(rng, 10.0, 1.0), rng)
+    expected = spectral_norm(mat, tol=1e-9)
+    monkeypatch.setattr(certify_module, "CHUNK_ENTRIES", 1)
+    sigma, _ = spectral_norm(mat, tol=1e-9)
+    assert abs(sigma - dense_norm(mat)) < 1e-10
+    assert sigma == expected[0]
+
+
+def test_spectral_norm_same_seed_same_repr():
+    rng = np.random.default_rng(13)
+    mat = permuted(mixed_blocks(rng, 1.0, 1.0), rng)
+    for seed in (0, 4):
+        assert repr(spectral_norm(mat, seed=seed)) == repr(spectral_norm(mat, seed=seed))
+
+
+def test_spectral_norm_error_keeps_small_block_maximum(monkeypatch):
+    rng = np.random.default_rng(17)
+    mat = mixed_blocks(rng, 10.0, 1.0)
+    small = dense_norm(mat)
+
+    def no_convergence(sub, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.array([0.5]),
+                                       np.ones((sub.shape[0], 1)))
+
+    monkeypatch.setattr(certify_module.spla, "eigsh", no_convergence)
+    with pytest.raises(SpectralNormError, match="did not converge") as err:
+        spectral_norm(mat, tol=1e-9)
+    assert abs(err.value.best_estimate - small) < 1e-10
+
+    def poor_pair(sub, **kwargs):
+        return np.array([0.5]), np.ones((sub.shape[0], 1))
+
+    monkeypatch.setattr(certify_module.spla, "eigsh", poor_pair)
+    with pytest.raises(SpectralNormError, match="exceeds tolerance budget") as err:
+        spectral_norm(mat, tol=1e-9)
+    assert abs(err.value.best_estimate - small) < 1e-10
 
 
 def test_spectral_norm_matches_dense_on_kikuchi():

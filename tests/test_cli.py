@@ -272,6 +272,20 @@ def test_sweep_without_seeds_is_usage_error(capsys):
         assert captured.out == ""
 
 
+def test_sweep_eps_outside_unit_interval_is_usage_error(capsys, monkeypatch):
+    def no_cells(*args):
+        raise AssertionError("a sweep cell ran before eps was checked")
+
+    monkeypatch.setattr("hkxor.cli._sweep_cell", no_cells)
+    for eps in ("0", "2"):
+        code = main(["sweep", "--n", "6", "--k", "2", "--ell", "1", "--eps", eps,
+                     "--m-grid", "4", "--seeds", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"need 0 < eps <= 1, got {float(eps)}" in captured.err
+        assert captured.out == ""
+
+
 def test_unknown_flag_usage_error(capsys):
     assert main(["certify", "--bogus"]) == 3
     capsys.readouterr()

@@ -3,8 +3,10 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hkxor.instances import (
+    MODELS,
     GeneratorConfig,
     ParseError,
     digest,
@@ -77,6 +79,27 @@ def test_round_trip_many():
         again = parse(text)
         assert serialize(again) == text
         assert digest(again) == digest(inst)
+
+
+@st.composite
+def generated_instances(draw):
+    """An instance of any generator model; explicit ones get arbitrary finite coefficients."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, n))
+    m = draw(st.integers(1, 12))
+    model = draw(st.sampled_from(MODELS))
+    coeffs = None
+    if model == "explicit":
+        coeffs = tuple(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                     min_size=m, max_size=m)))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return generate(GeneratorConfig(n=n, k=k, m=m, model=model, seed=seed, coeffs=coeffs))
+
+
+@settings(max_examples=200)
+@given(generated_instances())
+def test_parse_serialize_round_trip(inst):
+    assert parse(serialize(inst)) == inst
 
 
 def test_parse_minimal():

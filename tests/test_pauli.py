@@ -165,7 +165,7 @@ def slice_words(draw):
     return n, ell, draw(st.lists(word, min_size=1, max_size=8))
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(slice_words())
 def test_rank_batch_equals_rank(case):
     n, ell, words = case
@@ -177,7 +177,7 @@ def test_rank_batch_equals_rank(case):
     assert idx.rank_batch(sites, letters).tolist() == expected
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(1, 120).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(0, min(n, 4)).flatmap(lambda ell: st.tuples(
         st.just(ell), st.integers(0, slice_size(n, ell) - 1))))))
@@ -185,6 +185,28 @@ def test_rank_unrank_round_trip(case):
     n, (ell, i) = case
     idx = SliceIndex(n, ell)
     assert idx.rank(idx.unrank(i)) == i
+
+
+def words_on(n: int):
+    return st.builds(PauliOp, st.just(n), st.integers(0, 2**n - 1), st.integers(0, 2**n - 1))
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 70).flatmap(lambda n: st.tuples(words_on(n), words_on(n), words_on(n))))
+def test_mul_words_associative_with_phases(words):
+    a, b, c = words
+    ab, bc = mul_words(a, b), mul_words(b, c)
+    left, right = mul_words(ab.op, c), mul_words(a, bc.op)
+    assert left.op == right.op
+    assert (ab.phase_exp + left.phase_exp) % 4 == (bc.phase_exp + right.phase_exp) % 4
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(words_on(n), words_on(n))))
+def test_mul_words_matches_dense_products(words):
+    p, q = words
+    np.testing.assert_allclose(dense_word(p) @ dense_word(q), dense_phased(mul_words(p, q)),
+                               atol=1e-13)
 
 
 def test_rank_batch_rejects_bad_rows_and_oversized_slices():
