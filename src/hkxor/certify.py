@@ -69,40 +69,35 @@ class SpectralNormError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-def _small_blocks(coo: sp.coo_matrix, labels: np.ndarray,
-                  sizes: np.ndarray) -> tuple[float, int]:
+def _small_blocks(mat: sp.csr_matrix, labels: np.ndarray,
+                  sizes: np.ndarray) -> tuple[float, np.ndarray | None]:
     """(max |eigenvalue| over the components of at most SMALL_COMPONENT vertices,
-    the label of a component attaining it, or -1 if there are none).
+    the dense block of a component attaining it, or None if there are none).
 
-    Components are grouped by size; each group is solved by batched eigvalsh on
-    chunks of at most max(1, CHUNK_ENTRIES // size^2) dense blocks.
+    The small components' vertices are ordered by (size, label), so the blocks
+    of one size lie one after another on the diagonal of the permuted matrix.
+    Each size is solved by batched eigvalsh on chunks of at most
+    max(1, CHUNK_ENTRIES // size^2) blocks, each chunk one contiguous row range.
     """
-    order = np.argsort(labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    pos = np.empty_like(labels)
-    pos[order] = np.arange(len(labels)) - starts[labels[order]]
-    comp = labels[coo.row]
-    slot = np.empty_like(sizes)
-    best, where = 0.0, -1
+    order = np.lexsort((labels, sizes[labels]))
+    vsize = sizes[labels[order]]  # ascending
+    small = order[vsize <= SMALL_COMPONENT]
+    coo = mat[small][:, small].tocoo()
+    best, winner = 0.0, None
     for s in np.unique(sizes[sizes <= SMALL_COMPONENT]).tolist():
-        comps = np.flatnonzero(sizes == s)
-        slot[comps] = np.arange(len(comps))
-        ent = np.flatnonzero(sizes[comp] == s)
-        ent = ent[np.argsort(slot[comp[ent]], kind="stable")]
-        ent_slot = slot[comp[ent]]
-        per = max(1, CHUNK_ENTRIES // (s * s))
-        for a in range(0, len(comps), per):
-            b = min(a + per, len(comps))
-            lo, hi = np.searchsorted(ent_slot, [a, b])
-            e = ent[lo:hi]
-            blocks = np.zeros((b - a, s, s))
-            np.add.at(blocks, (ent_slot[lo:hi] - a, pos[coo.row[e]], pos[coo.col[e]]),
-                      coo.data[e])
+        lo, hi = np.searchsorted(vsize, (s, s + 1))
+        per = max(1, CHUNK_ENTRIES // (s * s)) * s  # rows of one chunk
+        for a in range(lo, hi, per):
+            b = min(a + per, hi)
+            e = slice(*np.searchsorted(coo.row, (a, b)))
+            row, col = coo.row[e] - a, coo.col[e] - a
+            blocks = np.zeros(((b - a) // s, s, s))
+            np.add.at(blocks, (row // s, row % s, col % s), coo.data[e])
             norms = np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
             i = int(np.argmax(norms))
-            if where < 0 or norms[i] > best:
-                best, where = float(norms[i]), int(comps[a + i])
-    return best, where
+            if winner is None or norms[i] > best:
+                best, winner = float(norms[i]), blocks[i]
+    return best, winner
 
 
 def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[float, float]:
@@ -134,7 +129,7 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
 
     _, labels = connected_components(mat, directed=False)
     sizes = np.bincount(labels)
-    small, where = _small_blocks(mat.tocoo(), labels, sizes)
+    small, block = _small_blocks(mat, labels, sizes)
     large = np.flatnonzero(sizes[labels] > SMALL_COMPONENT)
 
     if len(large):
@@ -145,7 +140,7 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
                                     tol=min(tol * 1e-3, 1e-10),
                                     maxiter=max(1000, 20 * len(large)))
         except spla.ArpackNoConvergence as exc:
-            known = np.append(np.abs(exc.eigenvalues), [small] if where >= 0 else [])
+            known = np.append(np.abs(exc.eigenvalues), [] if block is None else [small])
             best = float(known.max()) if len(known) else None
             raise SpectralNormError("eigensolver did not converge", best) from exc
         lam, vec = float(vals[0]), vecs[:, 0]
@@ -156,8 +151,6 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
         if abs(lam) >= small:
             return abs(lam), residual
 
-    verts = np.flatnonzero(labels == where)
-    block = mat[verts][:, verts].toarray()
     vals, vecs = np.linalg.eigh(block)
     i = int(np.argmax(np.abs(vals)))
     lam, vec = float(vals[i]), vecs[:, i]

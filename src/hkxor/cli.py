@@ -24,6 +24,7 @@ from .instances import (
     digest,
     generate,
     parse,
+    read_header,
     serialize,
 )
 from .kikuchi_odd import check_eps
@@ -134,18 +135,9 @@ def _cmd_oracle(args) -> int:
 def _parse_moments(path: str) -> MomentOracle:
     with open(path, "r", encoding="utf-8") as fh:
         rows = fh.read().splitlines()
-    if not rows or not rows[0].startswith("PMOM v1"):
-        raise ParseError(1, "expected PMOM v1 header")
-    fields = {}
-    for tok in rows[0].split()[2:]:
-        key, sep, value = tok.partition("=")
-        if not sep:
-            raise ParseError(1, f"header token {tok!r} is not key=value")
-        fields[key] = value
+    n, d = read_header(rows[0] if rows else "", "PMOM", "v1", ("n", "d"))
     try:
-        n, d = int(fields["n"]), int(fields["d"])
-    except KeyError as exc:
-        raise ParseError(1, f"missing header field {exc.args[0]!r}") from None
+        n, d = int(n), int(d)
     except ValueError:
         raise ParseError(1, "header fields n and d must be integers") from None
     from .sos import ExactComplex

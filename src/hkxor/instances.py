@@ -197,33 +197,41 @@ def serialize(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_header(line: str, magic: str, version: str, keys: tuple[str, ...]) -> list[str]:
+    """Values of ``keys`` in a ``<magic> <version> key=value ...`` header (line 1).
+
+    Raises ParseError for another magic or version, a token without ``=``, a
+    repeated key or a missing one; keys not asked for are allowed.
+    """
+    head = line.split()
+    if len(head) < 2 or head[0] != magic:
+        raise ParseError(1, f"expected {magic} header")
+    if head[1] != version:
+        raise ParseError(1, f"unsupported format version {head[1]!r}")
+    fields: dict[str, str] = {}
+    for tok in head[2:]:
+        key, sep, val = tok.partition("=")
+        if not sep:
+            raise ParseError(1, f"header token {tok!r} is not key=value")
+        if key in fields:
+            raise ParseError(1, f"duplicate header field {key!r}")
+        fields[key] = val
+    for key in keys:
+        if key not in fields:
+            raise ParseError(1, f"missing header field {key!r}")
+    return [fields[key] for key in keys]
+
+
 def parse(text: str) -> Instance:
     lines = text.splitlines()
     if not lines:
         raise ParseError(1, "empty document")
-    head = lines[0].split()
-    if len(head) < 2 or head[0] != _FORMAT_MAGIC:
-        raise ParseError(1, f"expected {_FORMAT_MAGIC} header")
-    if head[1] != _FORMAT_VERSION:
-        raise ParseError(1, f"unsupported format version {head[1]!r}")
-    fields: dict[str, str] = {}
-    for tok in head[2:]:
-        if "=" not in tok:
-            raise ParseError(1, f"bad header token {tok!r}")
-        key, val = tok.split("=", 1)
-        if key in fields:
-            raise ParseError(1, f"duplicate header field {key!r}")
-        fields[key] = val
+    n, k, m, model, seed = read_header(lines[0], _FORMAT_MAGIC, _FORMAT_VERSION,
+                                       ("n", "k", "m", "model", "seed"))
     try:
-        n = int(fields["n"])
-        k = int(fields["k"])
-        m = int(fields["m"])
-        model = fields["model"]
-        seed = int(fields["seed"])
-    except KeyError as exc:
-        raise ParseError(1, f"missing header field {exc.args[0]!r}") from None
-    except ValueError as exc:
-        raise ParseError(1, str(exc)) from None
+        n, k, m, seed = int(n), int(k), int(m), int(seed)
+    except ValueError:
+        raise ParseError(1, "header fields n, k, m and seed must be integers") from None
 
     constraints = []
     body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]

@@ -553,8 +553,8 @@ def _side_cids(graph: OddKikuchiGraph) -> tuple[np.ndarray, np.ndarray]:
             np.array([ty.cid2 for ty in graph.types], dtype=np.int64))
 
 
-def _partner_counts(graph: OddKikuchiGraph, keep: np.ndarray):
-    """Distinct partner counts per (vertex, constraint, side) over the kept edges.
+def _partner_counts(graph: OddKikuchiGraph):
+    """Distinct partner counts per (vertex, constraint, side) over the graph's edges.
 
     Keys are encoded as (q * C + cid) * 2 + side with C above every
     constraint id, so ascending codes are ascending (q, cid, side) tuples.
@@ -562,13 +562,14 @@ def _partner_counts(graph: OddKikuchiGraph, keep: np.ndarray):
     """
     cid1, cid2 = _side_cids(graph)
     span = int(max(cid1.max(), cid2.max())) + 1 if graph.types else 1
-    q, tid = graph.rows[keep], graph.tids[keep]
-    a, b = cid1[tid], cid2[tid]
-    # (key, partner) pairs: side 0 keys (q, cid) with partner cid2, side 1 the reverse
-    codes = np.concatenate((((q * span + a) * 2) * span + b,
-                            ((q * span + b) * 2 + 1) * span + a))
-    keys, counts = np.unique(np.unique(codes) // span, return_counts=True)
-    return keys, counts, span
+    q, a, b = graph.rows, cid1[graph.tids], cid2[graph.tids]
+    # (key, partner) pairs: side 0 keys (q, cid) with partner cid2, side 1 the reverse;
+    # np.unique would hash them, far slower than this sort
+    codes = np.sort(np.concatenate((((q * span + a) * 2) * span + b,
+                                    ((q * span + b) * 2 + 1) * span + a)))
+    keys = codes[np.diff(codes, prepend=-1) != 0] // span
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[starts], np.diff(starts, append=len(keys)), span
 
 
 def local_degrees(graph: OddKikuchiGraph) -> dict[tuple[int, int, int], int]:
@@ -577,7 +578,7 @@ def local_degrees(graph: OddKikuchiGraph) -> dict[tuple[int, int, int], int]:
     Key (q, cid, 0) counts partners C' with an edge from q typed (cid, C');
     (q, cid, 1) counts partners typed (C', cid).  Zero entries are omitted.
     """
-    keys, counts, span = _partner_counts(graph, np.ones(graph.num_edges, dtype=bool))
+    keys, counts, span = _partner_counts(graph)
     return {(key // (2 * span), key // 2 % span, key % 2): count
             for key, count in zip(keys.tolist(), counts.tolist())}
 
@@ -592,55 +593,56 @@ def edge_delete(graph: OddKikuchiGraph, eta: int) -> tuple[OddKikuchiGraph, floa
 
     Phase 1 repeatedly deletes the canonically-lowest edge, by (pair, type
     id), at the lowest (vertex, constraint, side) whose partner count exceeds
-    eta.  Phase 2 computes the max deleted fraction gamma over ordered types
-    and deletes further edges (lowest pair first) until every type has lost
-    ceil(gamma * count) edges, as close as pairing integrality allows.
-    Deleting an edge of a commuting-label (transpose-closed) type also
-    deletes its mirror.  Returns the pruned graph and gamma.
+    eta (in one ascending pass, as counts only fall).  Phase 2 computes the
+    max deleted fraction gamma over ordered types and deletes further edges
+    (lowest pair first) until every type has lost ceil(gamma * count) edges,
+    as close as pairing integrality allows.  Deleting an edge of a
+    commuting-label (transpose-closed) type also deletes its mirror.
+    Returns the pruned graph and gamma.
     """
     if eta < 1:
         raise ValueError(f"need eta >= 1, got {eta}")
     rows, cols, tids = graph.rows, graph.cols, graph.tids
     keep = np.ones(graph.num_edges, dtype=bool)
     initial = graph.type_counts().tolist()
-    left = list(initial)
+    # the edges of type i, in store order, are by_type[bounds[i]:bounds[i + 1]]
+    by_type = np.argsort(tids, kind="stable")
+    bounds = np.cumsum([0] + initial)
 
-    def delete(e: int) -> None:
+    def delete(e: int) -> int:
         keep[e] = False
-        tid = int(tids[e])
-        left[tid] -= 1
-        q, r = rows[e], cols[e]
-        if graph.types[tid].labels_commute and q != r:
-            mirror = np.flatnonzero(keep & (tids == tid) & (rows == r) & (cols == q))
-            if len(mirror):
-                keep[mirror[0]] = False
-                left[tid] -= 1
+        tid, q, r = tids[e], rows[e], cols[e]
+        if not graph.types[tid].labels_commute or q == r:
+            return 1
+        same = by_type[bounds[tid]:bounds[tid + 1]]
+        mirror = same[keep[same] & (rows[same] == r) & (cols[same] == q)][:1]
+        keep[mirror] = False
+        return 1 + len(mirror)
 
+    keys, counts, span = _partner_counts(graph)
     side_cids = _side_cids(graph)
-    while True:
-        keys, counts, span = _partner_counts(graph, keep)
-        over = keys[counts > eta]
-        if not len(over):
-            break
-        key = int(over[0])
+    by_row = np.argsort(rows, kind="stable")
+    for key in keys[counts > eta].tolist():
         q, cid, side = key // (2 * span), key // 2 % span, key % 2
-        cand = np.flatnonzero(keep & (rows == q) & (side_cids[side][tids] == cid))
-        # lowest (col, type id); lexsort is stable, so ties keep the earliest entry
-        delete(int(cand[np.lexsort((tids[cand], cols[cand]))[0]]))
+        cand = by_row[slice(*np.searchsorted(rows, (q, q + 1), sorter=by_row))]
+        cand = cand[keep[cand] & (side_cids[side][tids[cand]] == cid)]
+        # lowest (col, type id) first; lexsort is stable, so ties keep store order
+        cand = cand[np.lexsort((tids[cand], cols[cand]))]
+        # deleting cand[:j] leaves the partners whose last edge sits at j or later
+        partners = side_cids[1 - side][tids[cand]]
+        last = len(cand) - 1 - np.unique(partners[::-1], return_index=True)[1]
+        if len(last) > eta:
+            for e in cand[:np.sort(last)[-eta - 1] + 1].tolist():
+                delete(e)
 
-    gamma = 0.0
-    for n0, n1 in zip(initial, left):
-        if n0:
-            gamma = max(gamma, (n0 - n1) / n0)
-
+    kept = np.bincount(tids[keep], minlength=len(initial)).tolist()
+    gamma = max([(n0 - n1) / n0 for n0, n1 in zip(initial, kept) if n0], default=0.0)
     for tid, n0 in enumerate(initial):
-        target = math.ceil(gamma * n0 - 1e-12)
-        if n0 - left[tid] >= target:
-            continue
-        for e in np.flatnonzero(tids == tid).tolist():
-            if n0 - left[tid] >= target or not left[tid]:
+        need = math.ceil(gamma * n0 - 1e-12) - (n0 - kept[tid])
+        for e in by_type[bounds[tid]:bounds[tid + 1]].tolist():
+            if need <= 0:
                 break
             if keep[e]:
-                delete(e)
+                need -= delete(e)
 
     return replace(graph, rows=rows[keep], cols=cols[keep], tids=tids[keep]), gamma

@@ -117,10 +117,6 @@ def lambda_max(op: DenseOperator) -> float:
     return float(np.linalg.eigvalsh(op.matrix)[-1])
 
 
-def lambda_min(op: DenseOperator) -> float:
-    return float(np.linalg.eigvalsh(op.matrix)[0])
-
-
 def quadratic_form_check(inst, ell: int, state: np.ndarray, graph) -> float:
     """Relative error between the weight-slice quadratic form and the direct energy.
 

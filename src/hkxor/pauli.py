@@ -90,7 +90,7 @@ class PauliOp:
 
     def support(self) -> tuple[int, ...]:
         """Ascending 0-indexed sites carrying a non-identity letter."""
-        return tuple(i for i in range(self.n) if self.support_mask >> i & 1)
+        return _set_bits(self.support_mask)
 
     def is_identity(self) -> bool:
         return self.xmask == 0 and self.zmask == 0
@@ -179,12 +179,18 @@ class PhasedPauli:
             raise ValueError(f"bad phase {s!r}")
         return PhasedPauli(op, PHASE_STRINGS.index(s))
 
-    def adjoint(self) -> "PhasedPauli":
-        # words are Hermitian, so only the phase conjugates
-        return PhasedPauli(self.op, (-self.phase_exp) % 4)
-
     def __str__(self) -> str:
         return f"{self.phase_str}*{self.op.to_sparse()}"
+
+
+def _set_bits(mask: int) -> tuple[int, ...]:
+    """Ascending positions of the set bits of a nonnegative int, one step per set bit."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
 
 
 def site_mask(sites) -> int:
@@ -242,8 +248,7 @@ def meet(p: PauliOp, q: PauliOp) -> frozenset[int]:
     """Sites where p and q agree non-trivially: supp(p) & supp(q) minus supp(p*q)."""
     _check_same_n(p, q)
     agree = ~((p.xmask ^ q.xmask) | (p.zmask ^ q.zmask))
-    m = p.support_mask & q.support_mask & agree
-    return frozenset(i for i in range(p.n) if m >> i & 1)
+    return frozenset(_set_bits(p.support_mask & q.support_mask & agree))
 
 
 # -- canonical enumeration of weight slices --------------------------------

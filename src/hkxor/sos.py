@@ -149,10 +149,6 @@ class Derivation:
         return self.steps[-1][0]
 
     @property
-    def length(self) -> int:
-        return len(self.steps)
-
-    @property
     def width(self) -> int:
         return len(self.axiom_ids)
 
@@ -242,7 +238,6 @@ class PseudoExpectation:
     n: int
     degree: int
     values: dict[PauliOp, ExactComplex]
-    provenance: _Provenance | None = None
     experimental: bool = False
     obstructions: tuple[tuple[int, int], ...] = ()
 
@@ -267,11 +262,6 @@ class PseudoExpectation:
             total = total + ExactComplex.of(Fraction(c.coeff)) * self.value(c.pauli)
         half = ExactComplex.of(Fraction(1, 2))
         return half + ExactComplex.of(Fraction(1, 2 * inst.m)) * total
-
-    def derivation_of(self, word: PauliOp) -> Derivation:
-        if self.provenance is None or word not in self.provenance.rules:
-            raise KeyError(f"no derivation recorded for {word}")
-        return self.provenance.derivation(word)
 
     def dump(self) -> str:
         lines = [f"PSEXP v1 n={self.n} d={self.degree}"]
@@ -363,7 +353,7 @@ def max_entropy_build(inst: Instance, d: int):
                 elif existing != cand:
                     return conflict(prod.op, existing, cand, left, right)
 
-    return PseudoExpectation(n=inst.n, degree=d, values=values, provenance=prov,
+    return PseudoExpectation(n=inst.n, degree=d, values=values,
                              experimental=not one_basis, obstructions=obstructions)
 
 

@@ -209,6 +209,13 @@ def test_witness_lift_header_token_without_equals_is_usage_error(tmp_path, capsy
     assert err.startswith("hkxor: error: line 1: header token 'd' is not key=value")
 
 
+def test_witness_lift_duplicate_header_field_is_usage_error(tmp_path, capsys):
+    # the last d used to win silently; instance files already rejected a repeat
+    code, err = lift_error(tmp_path, capsys, "PMOM v1 n=3 d=1 d=2\n- 1\n")
+    assert code == 3
+    assert err.startswith("hkxor: error: line 1: duplicate header field 'd'")
+
+
 def test_witness_lift_one_token_row_is_usage_error(tmp_path, capsys):
     code, err = lift_error(tmp_path, capsys, "PMOM v1 n=3 d=2\n- 1\n1,2\n")
     assert code == 3

@@ -119,3 +119,5 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse("HKXOR v2 n=2 k=2 m=1 model=explicit seed=0\nZ1 Z2 1.0\n")
     assert err.value.lineno == 1
+    with pytest.raises(ParseError, match="^line 1: header fields n, k, m and seed must be integers"):
+        parse("HKXOR v1 n=x k=2 m=1 model=explicit seed=0\nZ1 Z2 1.0\n")

@@ -277,6 +277,9 @@ def test_build_odd_records_skipped_types():
     g = build_odd(dec, inst, t=1, ell=2)
     assert g.num_edges == 0
     assert len(g.skipped) == 2  # both ordered types
+    assert local_degrees(g) == {}
+    pruned, gamma = edge_delete(g, eta=1)
+    assert (pruned.num_edges, gamma) == (0, 0.0)
 
 
 def test_signed_matrix_symmetric():
@@ -383,6 +386,81 @@ def test_edge_delete_prunes_and_equalizes():
             assert (n0 - n1) / n0 >= gamma - 2.5 / n0
     with pytest.raises(ValueError):
         edge_delete(g, eta=0)
+
+
+def edge_delete_reference(graph, eta):
+    """The fixpoint form of edge_delete: recount every partner after each deletion and
+    delete the lowest (col, type id) edge at the lowest (vertex, constraint, side)
+    over eta, then equalize by scanning each type in store order.  Returns the kept
+    (rows, cols, tids) and gamma."""
+    rows, cols, tids = graph.rows, graph.cols, graph.tids
+    side_cids = (np.array([ty.cid for ty in graph.types], dtype=np.int64),
+                 np.array([ty.cid2 for ty in graph.types], dtype=np.int64))
+    span = int(max(side_cids[0].max(), side_cids[1].max())) + 1
+    keep = np.ones(graph.num_edges, dtype=bool)
+    initial = graph.type_counts().tolist()
+    left = list(initial)
+
+    def delete(e):
+        keep[e] = False
+        tid = int(tids[e])
+        left[tid] -= 1
+        q, r = rows[e], cols[e]
+        if graph.types[tid].labels_commute and q != r:
+            mirror = np.flatnonzero(keep & (tids == tid) & (rows == r) & (cols == q))
+            if len(mirror):
+                keep[mirror[0]] = False
+                left[tid] -= 1
+
+    while True:
+        q, a, b = rows[keep], side_cids[0][tids[keep]], side_cids[1][tids[keep]]
+        codes = np.concatenate((((q * span + a) * 2) * span + b,
+                                ((q * span + b) * 2 + 1) * span + a))
+        keys, counts = np.unique(np.unique(codes) // span, return_counts=True)
+        over = keys[counts > eta]
+        if not len(over):
+            break
+        key = int(over[0])
+        q, cid, side = key // (2 * span), key // 2 % span, key % 2
+        cand = np.flatnonzero(keep & (rows == q) & (side_cids[side][tids] == cid))
+        delete(int(cand[np.lexsort((tids[cand], cols[cand]))[0]]))
+
+    gamma = 0.0
+    for n0, n1 in zip(initial, left):
+        if n0:
+            gamma = max(gamma, (n0 - n1) / n0)
+    for tid, n0 in enumerate(initial):
+        target = math.ceil(gamma * n0 - 1e-12)
+        for e in np.flatnonzero(tids == tid).tolist():
+            if n0 - left[tid] >= target or not left[tid]:
+                break
+            if keep[e]:
+                delete(e)
+    return rows[keep], cols[keep], tids[keep], gamma
+
+
+def assert_prunes_like_reference(graph, eta):
+    pruned, gamma = edge_delete(graph, eta)
+    rows, cols, tids, ref_gamma = edge_delete_reference(graph, eta)
+    assert repr(gamma) == repr(ref_gamma)
+    for got, want in ((pruned.rows, rows), (pruned.cols, cols), (pruned.tids, tids)):
+        assert np.array_equal(got, want)
+    return pruned, gamma
+
+
+def test_edge_delete_matches_fixpoint_reference():
+    # one ascending pass over the keys above eta deletes what the fixpoint deletes
+    inst = generate(GeneratorConfig(n=8, k=3, m=60, seed=1))
+    g = build_odd(regularity_decompose(inst, 3, 0.8), inst, 1, 3)
+    pruned, gamma = assert_prunes_like_reference(g, eta=4)
+    assert (g.num_edges, g.num_edges - pruned.num_edges, gamma) == (28976, 1086, 0.03125)
+    # small graphs of every model, with and without commuting-label mirrors, at several eta
+    for model in ("rademacher-semirandom", "gaussian-semirandom", "random"):
+        for seed in range(3):
+            inst = generate(GeneratorConfig(n=6, k=3, m=16, model=model, seed=seed))
+            g = build_odd(regularity_decompose(inst, 3, 1.0), inst, 1, 3)
+            for eta in (1, 2, 3):
+                assert_prunes_like_reference(g, eta)
 
 
 def test_decomposition_dump_format():

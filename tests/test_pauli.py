@@ -209,6 +209,15 @@ def test_mul_words_matches_dense_products(words):
                                atol=1e-13)
 
 
+@settings(max_examples=200)
+@given(st.integers(1, 200).flatmap(lambda n: st.tuples(words_on(n), words_on(n))))
+def test_support_and_meet_equal_site_scans(words):
+    # masks up to 200 bits, wider than one machine word
+    p, q = words
+    assert p.support() == tuple(i for i in range(p.n) if p.letter_at(i) != "I")
+    assert meet(p, q) == {i for i in range(p.n) if p.letter_at(i) == q.letter_at(i) != "I"}
+
+
 def test_rank_batch_rejects_bad_rows_and_oversized_slices():
     idx = SliceIndex(6, 2)
     for sites, letters in (([[1, 1]], [[0, 0]]), ([[0, 6]], [[0, 0]]), ([[0, 1]], [[0, 3]])):
