@@ -286,69 +286,46 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
     if inst.m == 0:
         return Certificate(digest(inst), "odd", ell, eps, tol, solver_seed,
                            0.5, 0.0, 0.0, 0, 0, time.perf_counter() - start)
-    k = inst.k
     dec = regularity_decompose(inst, ell, eps)
-    eta = eta_bound(k, eps)
+    eta = eta_bound(inst.k, eps)
     slices: list[SliceCertificate] = []
     warnings = list(dec.warnings)
-    total = 0.0
-    worst_norm = 0.0
-    worst_residual = 0.0
-    verts = edges = 0
 
     for t in dec.nonempty_levels():
         cs = cs_operator(dec, inst, t)
-        has_pairs = any(len(b.cids) >= 2 for b in dec.slice(t))
-        if not has_pairs:
-            algval_t = cs.constant_term
-            slices.append(SliceCertificate(t, algval_t, cs.num_centers,
-                                           cs.num_constraints, 0.0, 0.0, 0.0, eta,
-                                           0, 0, 0))
-            total += math.sqrt(max(0.0, algval_t)) / k
+        if not any(len(b.cids) >= 2 for b in dec.slice(t)):
+            slices.append(SliceCertificate(t, cs.constant_term, cs.num_centers,
+                                           cs.num_constraints, 0.0, 0.0, 0.0, eta, 0, 0, 0))
             continue
 
         graph = build_odd(dec, inst, t, ell)
         pruned, gamma = edge_delete(graph, eta)
-        penalty = sum(absbb for _, _, _, absbb in pruned.skipped)
         counts = pruned.type_counts().tolist()
-        active = [(ty, count) for ty, count in zip(pruned.types, counts) if count]
-        for ty, count in zip(pruned.types, counts):
-            if not count:
-                penalty += ty.abs_coeff
-            if ty.rho > 1:
-                warnings.append(
-                    f"t={t}: pair weight rho={float(ty.rho):.3f} outside [1/2, 1] "
-                    f"for constraints ({ty.cid}, {ty.cid2})")
+        penalty = sum((ty.abs_coeff for ty, count in zip(pruned.types, counts) if not count),
+                      start=sum(absbb for *_, absbb in pruned.skipped))
+        warnings += [f"t={t}: pair weight rho={float(ty.rho):.3f} outside [1/2, 1] "
+                     f"for constraints ({ty.cid}, {ty.cid2})"
+                     for ty in pruned.types if ty.rho > 1]
 
-        if not active:
-            algval_t = cs.constant_term + cs.scale * penalty
-            norm_t = residual_t = 0.0
-            nverts = pruned.num_vertices
-            nedges = 0
-        else:
+        norm_t = residual_t = norm_term = 0.0
+        if pruned.num_edges:
+            active = [(ty, count) for ty, count in zip(pruned.types, counts) if count]
             w_min = min(float(ty.rho) * count for ty, count in active)
             slack = sum((float(ty.rho) * count - w_min) * ty.abs_coeff for ty, count in active)
             reg = regularize(pruned)
             norm_t, residual_t = spectral_norm(
                 _scaled(pruned.signed_matrix(), reg.gamma), tol=tol, seed=solver_seed)
             padded = norm_t + tol * max(1.0, norm_t)
-            algval_t = (cs.constant_term
-                        + cs.scale * (padded * reg.trace + slack) / w_min
-                        + cs.scale * penalty)
-            nverts, nedges = pruned.num_vertices, pruned.num_edges
-
-        slices.append(SliceCertificate(t, algval_t, cs.num_centers, cs.num_constraints,
-                                       norm_t, residual_t, gamma, eta, nverts, nedges,
+            norm_term = cs.scale * (padded * reg.trace + slack) / w_min
+        slices.append(SliceCertificate(t, cs.constant_term + norm_term + cs.scale * penalty,
+                                       cs.num_centers, cs.num_constraints, norm_t, residual_t,
+                                       gamma, eta, pruned.num_vertices, pruned.num_edges,
                                        len(pruned.skipped)))
-        total += math.sqrt(max(0.0, algval_t)) / k
-        worst_norm = max(worst_norm, norm_t)
-        worst_residual = max(worst_residual, residual_t)
-        verts = max(verts, nverts)
-        edges += nedges
 
-    algval = 0.5 + total
-    return Certificate(digest(inst), "odd", ell, eps, tol, solver_seed,
-                       algval, worst_norm, worst_residual, verts, edges,
+    algval = 0.5 + sum(math.sqrt(max(0.0, s.algval)) / inst.k for s in slices)
+    return Certificate(digest(inst), "odd", ell, eps, tol, solver_seed, algval,
+                       max(s.norm for s in slices), max(s.residual for s in slices),
+                       max(s.num_vertices for s in slices), sum(s.num_edges for s in slices),
                        time.perf_counter() - start, per_t=tuple(slices),
                        warnings=tuple(warnings))
 

@@ -21,13 +21,13 @@ from .instances import (
     GeneratorConfig,
     Instance,
     ParseError,
+    check_eps,
     digest,
     generate,
     parse,
     read_header,
     serialize,
 )
-from .kikuchi_odd import check_eps
 from .oracle import ResourceGuardError, assemble, classical_max, lambda_max
 from .pauli import site_mask
 from .sos import (
@@ -211,9 +211,14 @@ def _sweep_cell(base: dict, m: int, seed: int):
 
 
 def _cmd_sweep(args) -> int:
-    m_grid = [int(tok) for tok in args.m_grid.split(",") if tok]
+    try:
+        m_grid = [int(tok) for tok in args.m_grid.split(",") if tok]
+    except ValueError:
+        raise ValueError(f"bad --m-grid value {args.m_grid!r}") from None
     if not m_grid:
         raise ValueError("empty m grid")
+    if len(set(m_grid)) != len(m_grid):
+        raise ValueError(f"repeated m in --m-grid {args.m_grid!r}")
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     check_eps(args.eps)

@@ -174,10 +174,15 @@ def generate(cfg: GeneratorConfig) -> Instance:
     return Instance(cfg.n, cfg.k, constraints, cfg.model, cfg.seed)
 
 
-def threshold_size(n: float, k: int, ell: int, eps: float) -> int:
-    """ceil(n * (n/ell)^(k/2-1) * ln(n) / eps^4), the refutation density."""
+def check_eps(eps: float) -> None:
+    """Raise ValueError unless 0 < eps <= 1, the range every eps-dependent bound needs."""
     if not 0 < eps <= 1:
         raise ValueError(f"need 0 < eps <= 1, got {eps}")
+
+
+def threshold_size(n: float, k: int, ell: int, eps: float) -> int:
+    """ceil(n * (n/ell)^(k/2-1) * ln(n) / eps^4), the refutation density."""
+    check_eps(eps)
     if not k / 2 <= ell <= n / 2:
         raise ValueError(f"need k/2 <= ell <= n/2, got k={k}, ell={ell}, n={n}")
     return math.ceil(n * (n / ell) ** (k / 2 - 1) * math.log(n) / eps**4)

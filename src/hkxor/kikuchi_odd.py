@@ -58,7 +58,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .instances import Instance
+from .instances import Instance, check_eps
 from .kikuchi_even import EDGE_BUDGET, KikuchiGraph
 from .pauli import PauliOp, SliceIndex, canonical_key, commutes, site_mask
 
@@ -108,17 +108,14 @@ class BipartiteDecomposition:
         return "\n".join(lines) + "\n"
 
 
-def check_eps(eps: float) -> None:
-    """Raise ValueError unless 0 < eps <= 1, the range every eps-dependent bound needs."""
-    if not 0 < eps <= 1:
-        raise ValueError(f"need 0 < eps <= 1, got {eps}")
-
-
 def regularity_decompose(inst: Instance, ell: int, eps: float) -> BipartiteDecomposition:
     """Greedy bucketing by shared subwords, t = k down to 1, then the residual pass.
 
-    Candidate centers are scanned in canonical word order and members
-    extracted in ascending constraint id, so the output is deterministic.
+    Each level builds its count table once and walks the centers ready in it
+    in canonical word order, taking tau still-remaining members at a time in
+    ascending constraint id.  Counts only fall as buckets are taken, so no
+    center below the current one becomes ready again; the output is the one
+    a rescan after every bucket would give, and it is deterministic.
     """
     check_eps(eps)
     if ell < inst.k / 2:
@@ -131,19 +128,18 @@ def regularity_decompose(inst: Instance, ell: int, eps: float) -> BipartiteDecom
 
     for t in range(k, 0, -1):
         tau = tau_threshold(n, k, ell, eps, t)
-        while True:
-            counts: dict[PauliOp, list[int]] = {}
-            for cid in sorted(remaining):
-                w = words[cid]
-                for sub in combinations(w.support(), t):
-                    counts.setdefault(w.restrict(site_mask(sub)), []).append(cid)
-            ready = [u for u, lst in counts.items() if len(lst) >= tau]
-            if not ready:
-                break
-            center = min(ready, key=canonical_key)
-            take = tuple(sorted(counts[center])[:tau])
-            buckets.append(Bucket(t=t, center=center, cids=take))
-            remaining.difference_update(take)
+        counts: dict[PauliOp, list[int]] = {}
+        for cid in sorted(remaining):
+            w = words[cid]
+            for sub in combinations(w.support(), t):
+                counts.setdefault(w.restrict(site_mask(sub)), []).append(cid)
+        ready = sorted((u for u, lst in counts.items() if len(lst) >= tau), key=canonical_key)
+        for center in ready:
+            members = [cid for cid in counts[center] if cid in remaining]
+            for i in range(0, len(members) - tau + 1, tau):
+                take = tuple(members[i:i + tau])
+                buckets.append(Bucket(t=t, center=center, cids=take))
+                remaining.difference_update(take)
 
     tau1 = tau_threshold(n, k, ell, eps, 1)
     if inst.m < n * tau1:
@@ -492,9 +488,6 @@ def build_odd(dec: BipartiteDecomposition, inst: Instance, t: int, ell: int) -> 
     type's (row, col) pairs ascending; ``type_edges`` builds all of them.
     """
     n, k = inst.n, inst.k
-    kk = k - t
-    if ell < kk:
-        raise InfeasibleLevelError(f"need ell >= k-t = {kk}, got ell={ell}")
     delta_t = delta_count_odd(n, k, t, ell)
     index = SliceIndex(2 * n, ell)
     slice_buckets = dec.slice(t)
@@ -511,9 +504,9 @@ def build_odd(dec: BipartiteDecomposition, inst: Instance, t: int, ell: int) -> 
     first: list[int] = []
     second: list[int] = []
     counts: list[int] = []
-    bucket_ids = {id(b): i for i, b in enumerate(dec.buckets)}
-    for bucket in slice_buckets:
-        bid = bucket_ids[id(bucket)]
+    for bid, bucket in enumerate(dec.buckets):
+        if bucket.t != t:
+            continue
         at = {cid: len(residuals) + i for i, cid in enumerate(bucket.cids)}
         residuals.extend(tilde_word(inst.constraints[cid].pauli, bucket.center)
                          for cid in bucket.cids)
@@ -619,21 +612,24 @@ def edge_delete(graph: OddKikuchiGraph, eta: int) -> tuple[OddKikuchiGraph, floa
         keep[mirror] = False
         return 1 + len(mirror)
 
-    keys, counts, span = _partner_counts(graph)
     side_cids = _side_cids(graph)
-    by_row = np.argsort(rows, kind="stable")
-    for key in keys[counts > eta].tolist():
-        q, cid, side = key // (2 * span), key // 2 % span, key % 2
-        cand = by_row[slice(*np.searchsorted(rows, (q, q + 1), sorter=by_row))]
-        cand = cand[keep[cand] & (side_cids[side][tids[cand]] == cid)]
-        # lowest (col, type id) first; lexsort is stable, so ties keep store order
-        cand = cand[np.lexsort((tids[cand], cols[cand]))]
-        # deleting cand[:j] leaves the partners whose last edge sits at j or later
-        partners = side_cids[1 - side][tids[cand]]
-        last = len(cand) - 1 - np.unique(partners[::-1], return_index=True)[1]
-        if len(last) > eta:
-            for e in cand[:np.sort(last)[-eta - 1] + 1].tolist():
-                delete(e)
+    # a key's partner count is at most the number of types its constraint has on
+    # that side, so phase 1 has nothing to delete unless that number exceeds eta
+    if any(np.bincount(c, minlength=1).max() > eta for c in side_cids):
+        keys, counts, span = _partner_counts(graph)
+        by_row = np.argsort(rows, kind="stable")
+        for key in keys[counts > eta].tolist():
+            q, cid, side = key // (2 * span), key // 2 % span, key % 2
+            cand = by_row[slice(*np.searchsorted(rows, (q, q + 1), sorter=by_row))]
+            cand = cand[keep[cand] & (side_cids[side][tids[cand]] == cid)]
+            # lowest (col, type id) first; lexsort is stable, so ties keep store order
+            cand = cand[np.lexsort((tids[cand], cols[cand]))]
+            # deleting cand[:j] leaves the partners whose last edge sits at j or later
+            partners = side_cids[1 - side][tids[cand]]
+            last = len(cand) - 1 - np.unique(partners[::-1], return_index=True)[1]
+            if len(last) > eta:
+                for e in cand[:np.sort(last)[-eta - 1] + 1].tolist():
+                    delete(e)
 
     kept = np.bincount(tids[keep], minlength=len(initial)).tolist()
     gamma = max([(n0 - n1) / n0 for n0, n1 in zip(initial, kept) if n0], default=0.0)

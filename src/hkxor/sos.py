@@ -8,12 +8,13 @@ carrying both derivations (it is a meaningful output, not a failure: the
 combined derivation multiplies out to Identity with value -1).
 
 For one-basis instances (every word a single letter type) the closure runs
-on support masks: products are support XORs with no phases and all values
-are +-1.  Well-definedness is guaranteed when the hypergraph is a small-set
-boundary expander of quality (beta, d0) with beta * d0 / 2 at or above the
-requested degree.  General instances are accepted but labeled experimental;
-an anticommutation scan runs first since any anticommuting constraint pair
-rules out a degree-2k pseudo-expectation assigning both terms value 1.
+the same mul_words path as any other instance; their products carry no phase,
+so all values are +-1.  Well-definedness is guaranteed when the hypergraph is
+a small-set boundary expander of quality (beta, d0) with beta * d0 / 2 at or
+above the requested degree.  General instances are accepted but labeled
+experimental; an anticommutation scan runs first since any anticommuting
+constraint pair rules out a degree-2k pseudo-expectation assigning both
+terms value 1.
 
 All values live in {0, +-1, +-i} (rationals after lifting), kept exact with
 a tiny complex-rational type so checks like the -1/9 obstruction value are
@@ -22,6 +23,7 @@ bit-exact.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,7 +36,8 @@ from .pauli import (PauliOp, canonical_key, commutes, enumerate_slice, mul_words
                     slice_size)
 
 MOMENT_MATRIX_CAP = 5000
-EXHAUSTIVE_SUBSET_CAP = 20
+# most subsets an exhaustive boundary expansion check enumerates
+EXHAUSTIVE_SUBSET_CAP = 1 << 21
 # seeded subsets a sampled boundary expansion check draws
 EXPANSION_SAMPLES = 20000
 EXPANSION_SEED = 0
@@ -289,9 +292,10 @@ def anticommuting_obstruction(inst: Instance) -> list[tuple[int, int]]:
 def max_entropy_build(inst: Instance, d: int):
     """Closure of the seeded assignment; PseudoExpectation or Contradiction.
 
-    One-basis instances (any single letter type) run on support XORs with
-    +-1 values.  Other instances are accepted as experimental: values may be
-    +-i and the anticommutation scan result is attached.
+    Every instance runs one mul_words closure; on one-basis instances (any
+    single letter type) products carry no phase and all values are +-1.
+    Other instances are accepted as experimental: values may be +-i and the
+    anticommutation scan result is attached.
     """
     if d < inst.k:
         raise ValueError(f"degree {d} below constraint arity {inst.k}")
@@ -411,14 +415,16 @@ def _expansion_subsets(count: int, limit: int, exhaustive: bool):
 def boundary_expansion_check(hypergraph, beta: float, d: int) -> ExpansionReport:
     """Check |xor of supports| >= beta * |S| for all subsets S up to size d.
 
-    Exhaustive up to size EXHAUSTIVE_SUBSET_CAP; beyond that a sampled pass
-    runs and the report is flagged as heuristic.
+    Exhaustive when the subsets of size 1..min(d, m) number at most
+    EXHAUSTIVE_SUBSET_CAP; beyond that a sampled pass runs and the report is
+    flagged as heuristic.
     """
     if d < 1:
         raise ValueError(f"expansion subset size d must be at least 1, got {d}")
     masks = [site_mask(sites) for sites in hypergraph]
     limit = min(d, len(masks))
-    exhaustive = limit <= EXHAUSTIVE_SUBSET_CAP
+    subsets = sum(math.comb(len(masks), size) for size in range(1, limit + 1))
+    exhaustive = subsets <= EXHAUSTIVE_SUBSET_CAP
     witness = None
     best_by_size: dict[int, int] = {}
     for subset in _expansion_subsets(len(masks), limit, exhaustive):

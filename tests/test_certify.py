@@ -1,5 +1,6 @@
 """Spectral norms and certificate soundness at oracle scale."""
 
+import hashlib
 import importlib
 
 import numpy as np
@@ -219,6 +220,49 @@ def test_certify_odd_skipped_types_stay_sound():
     cert = certify_odd(inst, ell=2, eps=1.0)
     assert cert.per_t[0].num_skipped == 2
     assert cert.algval >= lambda_max(assemble(inst)) - 1e-9
+
+
+def odd_instance(n, k, words, coeffs=None):
+    ops = [PauliOp.from_sparse(w, n) for w in words]
+    coeffs = coeffs or [1.0] * len(ops)
+    return Instance(n, k, tuple(Constraint(w.support(), w, b) for w, b in zip(ops, coeffs)),
+                    "explicit")
+
+
+def test_odd_report_lines_golden(monkeypatch):
+    # recorded from the certify_odd that kept one branch per slice kind and running totals
+    hub = [f"X1 Y2 {'XYZ'[i % 3]}{3 + i // 3 % 4}" for i in range(36)] + ["Z3 X4 Y5", "Y4 Y5 Y6"]
+    cases = [  # (instance, ell, eps, eta or None for eta_bound)
+        (odd_instance(6, 3, hub, [(-1) ** i * (1 + i / 8) for i in range(38)]), 2, 1.0, None),
+        (odd_instance(3, 3, ["X1 Y2 Y3", "X1 Z2 Z3"]), 2, 1.0, None),
+        (odd_instance(5, 4, ["X1 Y2 Y3 Y4", "X1 Z2 Z3 Z5", "X1 X2 Y3 Z4"], [1.0, -0.5, 2.0]),
+         3, 1.0, None),
+        (generate(GeneratorConfig(n=6, k=3, m=12, model="gaussian-semirandom", seed=2001)),
+         2, 1.0, 2),
+        (generate(GeneratorConfig(n=6, k=3, m=16, model="random", seed=3)), 3, 1.0, 2),
+        (generate(GeneratorConfig(n=6, k=3, m=16, model="gaussian-semirandom", seed=1)),
+         3, 1.0, 1),
+        (generate(GeneratorConfig(n=7, k=3, m=20, model="rademacher-semirandom", seed=11)),
+         2, 0.8, None),
+    ]
+    certify_module = importlib.import_module("hkxor.certify")
+    eta_bound = certify_module.eta_bound
+    lines, slices, warnings = [], [], []
+    for inst, ell, eps, eta in cases:
+        monkeypatch.setattr(certify_module, "eta_bound",
+                            eta_bound if eta is None else lambda k, eps, eta=eta: eta)
+        cert = certify_odd(inst, ell, eps)
+        lines += [line for line in cert.report_lines() if not line.startswith("wall_time_s=")]
+        slices += cert.per_t
+        warnings += cert.warnings
+    # a slice without pairs, one whose types all placed or kept no edge, one pruned
+    # with gamma > 0 that keeps edges, and a pair weight rho > 1
+    assert any(s.num_vertices == 0 for s in slices)
+    assert any(s.num_vertices and not s.num_edges for s in slices)
+    assert any(0 < s.gamma < 1 and s.num_edges for s in slices)
+    assert any("rho=1.500" in w for w in warnings)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "b9e6e89de566e1ad19e13f138bd79a1101359167a1e346dd9e51661f50f098ef")
 
 
 def test_certify_dispatch():

@@ -293,6 +293,23 @@ def test_sweep_eps_outside_unit_interval_is_usage_error(capsys, monkeypatch):
         assert captured.out == ""
 
 
+def test_sweep_bad_or_repeated_m_is_usage_error(capsys, monkeypatch):
+    def no_cells(*args):
+        raise AssertionError("a sweep cell ran before the m grid was checked")
+
+    monkeypatch.setattr("hkxor.cli._sweep_cell", no_cells)
+    for grid, message in (("4,4", "repeated m in --m-grid '4,4'"),
+                          ("8,4,8", "repeated m in --m-grid '8,4,8'"),
+                          ("4,x", "bad --m-grid value '4,x'"),
+                          ("4.5", "bad --m-grid value '4.5'")):
+        code = main(["sweep", "--n", "6", "--k", "2", "--ell", "1", "--eps", "0.5",
+                     "--m-grid", grid, "--seeds", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert message in captured.err
+        assert captured.out == ""
+
+
 def test_unknown_flag_usage_error(capsys):
     assert main(["certify", "--bogus"]) == 3
     capsys.readouterr()

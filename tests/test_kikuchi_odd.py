@@ -1,6 +1,8 @@
 """Odd-arity pipeline: decomposition guarantees, pair counts, deletion."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +29,8 @@ from hkxor.kikuchi_odd import (
     BipartiteDecomposition,
 )
 from hkxor.oracle import apply_word
-from hkxor.pauli import PauliOp, PhasedPauli, SliceIndex, multiply, mul_words
+from hkxor.pauli import (PauliOp, PhasedPauli, SliceIndex, canonical_key, multiply, mul_words,
+                         site_mask)
 
 
 def explicit_instance(n, k, words_sparse, coeffs=None):
@@ -105,6 +108,69 @@ def test_decompose_repeated_word_bucket():
     rest = dec.slice(1)
     assert len(rest) == 1 and rest[0].residual and len(rest[0].cids) == 4
     assert rest[0].center == PauliOp.from_sparse("X1", 5)
+
+
+def regularity_decompose_reference(inst, ell, eps):
+    """The rescan form of regularity_decompose: rebuild the count table after every
+    bucket and take the canonically lowest ready center.  Returns the dump."""
+    n, k = inst.n, inst.k
+    words = [c.pauli for c in inst.constraints]
+    remaining = set(range(inst.m))
+    buckets = []
+    for t in range(k, 0, -1):
+        tau = tau_threshold(n, k, ell, eps, t)
+        while True:
+            counts = {}
+            for cid in sorted(remaining):
+                w = words[cid]
+                for sub in itertools.combinations(w.support(), t):
+                    counts.setdefault(w.restrict(site_mask(sub)), []).append(cid)
+            ready = [u for u, lst in counts.items() if len(lst) >= tau]
+            if not ready:
+                break
+            center = min(ready, key=canonical_key)
+            take = tuple(sorted(counts[center])[:tau])
+            buckets.append(Bucket(t=t, center=center, cids=take))
+            remaining.difference_update(take)
+    groups = {}
+    for cid in sorted(remaining):
+        w = words[cid]
+        groups.setdefault(w.restrict(1 << min(w.support())), []).append(cid)
+    for center in sorted(groups, key=canonical_key):
+        buckets.append(Bucket(t=1, center=center, cids=tuple(groups[center]), residual=True))
+    return BipartiteDecomposition(n=n, k=k, ell=ell, eps=eps, m=inst.m,
+                                  buckets=tuple(buckets)).dump()
+
+
+def hub_instance(n, k, m, seed, hubs):
+    """Nine in ten words extend one of a few random hub subwords of weight 1..k."""
+    rng = random.Random(seed)
+    hub_letters = []
+    for _ in range(hubs):
+        sites = rng.sample(range(n), rng.randint(1, k))
+        hub_letters.append({s: rng.choice("XYZ") for s in sites})
+    words = []
+    for _ in range(m):
+        letters = dict(rng.choice(hub_letters)) if rng.random() < 0.9 else {}
+        for s in rng.sample([s for s in range(n) if s not in letters], k - len(letters)):
+            letters[s] = rng.choice("XYZ")
+        sites = tuple(sorted(letters))
+        words.append(PauliOp.from_letters(n, sites, "".join(letters[s] for s in sites)))
+    return Instance(n, k, tuple(Constraint(w.support(), w, 1.0) for w in words), "explicit")
+
+
+def test_decompose_walk_matches_rescan_reference():
+    levels, repeated = set(), 0
+    for seed in range(12):
+        inst = hub_instance(8, 4, 300 + 100 * seed, seed, 2 + seed % 4)
+        ell = 2 + seed % 2
+        dec = regularity_decompose(inst, ell, 1.0)
+        assert dec.dump() == regularity_decompose_reference(inst, ell, 1.0)
+        extracted = [(b.t, b.center) for b in dec.buckets if not b.residual]
+        levels |= {t for t, _ in extracted}
+        repeated += len(extracted) - len(set(extracted))
+    # buckets at every level above the residual pass, and centers taken repeatedly
+    assert levels == {2, 3, 4} and repeated >= 10
 
 
 def test_decompose_disjoint_supports_all_residual():
@@ -461,6 +527,23 @@ def test_edge_delete_matches_fixpoint_reference():
             g = build_odd(regularity_decompose(inst, 3, 1.0), inst, 1, 3)
             for eta in (1, 2, 3):
                 assert_prunes_like_reference(g, eta)
+
+
+def test_edge_delete_skips_phase_one_when_no_constraint_has_more_than_eta_types(monkeypatch):
+    # a key's partner count is at most the types its constraint has on that side
+    inst = generate(GeneratorConfig(n=6, k=3, m=16, model="random", seed=1))
+    g = build_odd(regularity_decompose(inst, 3, 1.0), inst, 1, 3)
+    most = max(np.bincount([getattr(ty, side) for ty in g.types]).max()
+               for side in ("cid", "cid2"))
+    calls = []
+    partner_counts = kikuchi_odd._partner_counts
+    monkeypatch.setattr(kikuchi_odd, "_partner_counts",
+                        lambda graph: calls.append(graph) or partner_counts(graph))
+    assert_prunes_like_reference(g, most - 1)
+    assert len(calls) == 1
+    pruned, gamma = assert_prunes_like_reference(g, most)
+    assert len(calls) == 1
+    assert gamma == 0.0 and pruned.num_edges == g.num_edges
 
 
 def test_decomposition_dump_format():

@@ -62,6 +62,15 @@ def test_expansion_empty_hypergraph():
     assert report.passed and report.witness is None
 
 
+def test_expansion_samples_when_subsets_exceed_the_cap():
+    # C(200, <=6) ~ 8.5e10 subsets: sampled, though d is small
+    edges = [tuple(range(i % 30, i % 30 + 3)) for i in range(200)]
+    assert not boundary_expansion_check(edges, beta=0.5, d=6).exhaustive
+    # four edges give 15 subsets at the same d
+    report = boundary_expansion_check(edges[:4], beta=0.5, d=6)
+    assert report.exhaustive and [size for size, _ in report.profile] == [1, 2, 3, 4]
+
+
 def test_expansion_rejects_subset_size_below_one():
     for d in (0, -3):
         with pytest.raises(ValueError, match="at least 1"):
