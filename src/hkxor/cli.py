@@ -32,8 +32,8 @@ from .oracle import ResourceGuardError, assemble, classical_max, lambda_max
 from .pauli import site_mask
 from .sos import (
     Contradiction,
+    ExactComplex,
     MomentOracle,
-    MomentOracleGap,
     boundary_expansion_check,
     lift_classical,
     max_entropy_build,
@@ -140,7 +140,6 @@ def _parse_moments(path: str) -> MomentOracle:
         n, d = int(n), int(d)
     except ValueError:
         raise ParseError(1, "header fields n and d must be integers") from None
-    from .sos import ExactComplex
     values: dict[int, object] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if not row.strip():
@@ -219,6 +218,8 @@ def _cmd_sweep(args) -> int:
         raise ValueError("empty m grid")
     if len(set(m_grid)) != len(m_grid):
         raise ValueError(f"repeated m in --m-grid {args.m_grid!r}")
+    if min(m_grid) < 1:
+        raise ValueError(f"m must be at least 1 in --m-grid {args.m_grid!r}")
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     check_eps(args.eps)
@@ -312,11 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceGuardError, MemoryError) as exc:
         print(f"hkxor: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ParseError, ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"hkxor: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MomentOracleGap as exc:
-        print(f"hkxor: error: {exc.args[0]}", file=sys.stderr)
         return EXIT_USAGE
     except SpectralNormError as exc:
         print(f"hkxor: solver failure: {exc} (best estimate {exc.best_estimate})",

@@ -150,11 +150,11 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
 
     for cid, c in enumerate(inst.constraints):
         word = c.pauli
-        sup = c.support
-        off_sites = [i for i in range(n) if i not in set(sup)]
-        for half in combinations(sup, k // 2):
+        sup_mask = word.support_mask
+        off_sites = [i for i in range(n) if not sup_mask >> i & 1]
+        for half in combinations(c.support, k // 2):
             q_mask = site_mask(half)
-            r_mask = word.support_mask & ~q_mask
+            r_mask = sup_mask & ~q_mask
             q_base = word.restrict(q_mask)
             r_base = word.restrict(r_mask)
             for shared_sites in combinations(off_sites, ell - k // 2):

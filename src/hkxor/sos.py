@@ -57,10 +57,6 @@ class ExactComplex:
             return value
         return ExactComplex(Fraction(value))
 
-    @staticmethod
-    def from_phase(exp: int) -> "ExactComplex":
-        return _PHASE_VALUES[exp % 4]
-
     def __add__(self, other: "ExactComplex") -> "ExactComplex":
         return ExactComplex(self.re + other.re, self.im + other.im)
 
@@ -70,6 +66,13 @@ class ExactComplex:
     def __mul__(self, other: "ExactComplex") -> "ExactComplex":
         return ExactComplex(self.re * other.re - self.im * other.im,
                             self.re * other.im + self.im * other.re)
+
+    def times_i(self, exp: int) -> "ExactComplex":
+        """self * i**exp: one quarter turn (re, im) -> (-im, re) per unit of exp mod 4."""
+        value = self
+        for _ in range(exp % 4):
+            value = ExactComplex(-value.im, value.re)
+        return value
 
     def conjugate(self) -> "ExactComplex":
         return ExactComplex(self.re, -self.im)
@@ -91,7 +94,6 @@ class ExactComplex:
 
 _ONE = ExactComplex(Fraction(1))
 _I = ExactComplex(Fraction(0), Fraction(1))
-_PHASE_VALUES = (_ONE, _I, -_ONE, -_I)
 ZERO = ExactComplex()
 
 
@@ -101,11 +103,11 @@ ZERO = ExactComplex()
 class PauliPolynomial:
     """Finite sum of words with exact complex-rational coefficients."""
 
-    def __init__(self, n: int, terms: dict[PauliOp, ExactComplex] | None = None):
+    def __init__(self, n: int, pairs=()):
         self.n = n
         self.terms: dict[PauliOp, ExactComplex] = {}
-        for op, coeff in (terms or {}).items():
-            self._add(op, coeff)
+        for op, coeff in pairs:
+            self._add(op, ExactComplex.of(coeff))
 
     def _add(self, op: PauliOp, coeff: ExactComplex) -> None:
         cur = self.terms.get(op, ZERO) + coeff
@@ -114,22 +116,15 @@ class PauliPolynomial:
         else:
             self.terms[op] = cur
 
-    @staticmethod
-    def from_terms(n: int, pairs) -> "PauliPolynomial":
-        poly = PauliPolynomial(n)
-        for op, coeff in pairs:
-            poly._add(op, ExactComplex.of(coeff))
-        return poly
-
     def adjoint(self) -> "PauliPolynomial":
-        return PauliPolynomial(self.n, {op: c.conjugate() for op, c in self.terms.items()})
+        return PauliPolynomial(self.n, ((op, c.conjugate()) for op, c in self.terms.items()))
 
     def __mul__(self, other: "PauliPolynomial") -> "PauliPolynomial":
         out = PauliPolynomial(self.n)
         for a, ca in self.terms.items():
             for b, cb in other.terms.items():
                 prod = mul_words(a, b)
-                out._add(prod.op, ca * cb * ExactComplex.from_phase(prod.phase_exp))
+                out._add(prod.op, (ca * cb).times_i(prod.phase_exp))
         return out
 
     def gram_square(self) -> "PauliPolynomial":
@@ -196,17 +191,13 @@ class _Provenance:
         self.rules: dict[PauliOp, tuple] = {}
         self.axioms: dict[PauliOp, frozenset[int]] = {}
 
-    def set_identity(self, word: PauliOp) -> None:
-        self.rules[word] = ("identity",)
-        self.axioms[word] = frozenset()
-
-    def set_axiom(self, word: PauliOp, cid: int) -> None:
-        self.rules[word] = ("axiom", cid)
-        self.axioms[word] = frozenset((cid,))
-
-    def set_product(self, word: PauliOp, left: PauliOp, right: PauliOp) -> None:
-        self.rules[word] = ("product", left, right)
-        self.axioms[word] = self.axioms[left] ^ self.axioms[right]
+    def record(self, word: PauliOp, rule: str, *args) -> None:
+        """Rule "identity" (no args), "axiom" (cid) or "product" (left, right word)."""
+        self.rules[word] = (rule, *args)
+        if rule == "product":
+            self.axioms[word] = self.axioms[args[0]] ^ self.axioms[args[1]]
+        else:
+            self.axioms[word] = frozenset(args)
 
     def derivation(self, word: PauliOp) -> Derivation:
         order: list[PauliOp] = []
@@ -250,7 +241,7 @@ class PseudoExpectation:
     def pair_value(self, left: PauliOp, right: PauliOp) -> ExactComplex:
         """pE[left^dag right] with the product phase applied to the stored word value."""
         prod = mul_words(left, right)
-        return ExactComplex.from_phase(prod.phase_exp) * self.value(prod.op)
+        return self.value(prod.op).times_i(prod.phase_exp)
 
     def evaluate(self, poly: PauliPolynomial) -> ExactComplex:
         total = ZERO
@@ -304,37 +295,32 @@ def max_entropy_build(inst: Instance, d: int):
 
     prov = _Provenance()
     values: dict[PauliOp, ExactComplex] = {}
-    ident = PauliOp.identity(inst.n)
-    values[ident] = _ONE
-    prov.set_identity(ident)
-    order: list[PauliOp] = [ident]
+    order: list[PauliOp] = []
 
-    def conflict(word, existing, candidate, left, right):
-        deriv_a = prov.derivation(word)
-        prov.set_product(word, left, right)
-        deriv_b = prov.derivation(word)
-        return Contradiction(word=word, value_a=existing, value_b=candidate,
-                             derivation_a=deriv_a, derivation_b=deriv_b,
-                             obstructions=obstructions)
+    def assign(word, value, rule, *args):
+        """Record a new word's value and rule; a second, different value is a Contradiction."""
+        existing = values.get(word)
+        if existing is None:
+            values[word] = value
+            prov.record(word, rule, *args)
+            order.append(word)
+        elif existing != value:
+            deriv_a = prov.derivation(word)
+            prov.record(word, rule, *args)
+            return Contradiction(word=word, value_a=existing, value_b=value,
+                                 derivation_a=deriv_a, derivation_b=prov.derivation(word),
+                                 obstructions=obstructions)
+        return None
 
+    assign(PauliOp.identity(inst.n), _ONE, "identity")
     # seed the axioms in constraint order
     for cid, c in enumerate(inst.constraints):
         val = ExactComplex.of(Fraction(c.coeff))
         if val * val != _ONE:
             raise ValueError("max-entropy seeding needs +-1 coefficients")
-        word = c.pauli
-        if word in values:
-            if values[word] != val:
-                deriv_a = prov.derivation(word)
-                prov.set_axiom(word, cid)
-                return Contradiction(word=word, value_a=values[word], value_b=val,
-                                     derivation_a=deriv_a,
-                                     derivation_b=prov.derivation(word),
-                                     obstructions=obstructions)
-            continue
-        values[word] = val
-        prov.set_axiom(word, cid)
-        order.append(word)
+        found = assign(c.pauli, val, "axiom", cid)
+        if found is not None:
+            return found
 
     # fixpoint: pE[Q R] = conj(pE[Q]) pE[R] whenever the product stays in degree
     head = 0
@@ -347,15 +333,10 @@ def max_entropy_build(inst: Instance, d: int):
                 prod = mul_words(left, right)
                 if prod.op.weight() > d:
                     continue
-                cand = (values[left].conjugate() * values[right]
-                        * ExactComplex.from_phase(-prod.phase_exp))
-                existing = values.get(prod.op)
-                if existing is None:
-                    values[prod.op] = cand
-                    prov.set_product(prod.op, left, right)
-                    order.append(prod.op)
-                elif existing != cand:
-                    return conflict(prod.op, existing, cand, left, right)
+                cand = (values[left].conjugate() * values[right]).times_i(-prod.phase_exp)
+                found = assign(prod.op, cand, "product", left, right)
+                if found is not None:
+                    return found
 
     return PseudoExpectation(n=inst.n, degree=d, values=values,
                              experimental=not one_basis, obstructions=obstructions)
@@ -449,10 +430,8 @@ def obstruction_polynomial(p: PauliOp, q: PauliOp) -> PauliPolynomial:
         raise ValueError("obstruction polynomial needs an anticommuting pair")
     third = Fraction(1, 3)
     prod = mul_words(p, q)
-    poly = PauliPolynomial.from_terms(p.n, [(p, ExactComplex.of(-third)),
-                                            (q, ExactComplex.of(third))])
-    poly._add(prod.op, ExactComplex.of(third) * ExactComplex.from_phase(prod.phase_exp))
-    return poly
+    return PauliPolynomial(p.n, [(p, -third), (q, third),
+                                 (prod.op, ExactComplex.of(third).times_i(prod.phase_exp))])
 
 
 def obstruction_pseudo_expectation(p: PauliOp, q: PauliOp) -> PseudoExpectation:
@@ -466,7 +445,7 @@ def obstruction_pseudo_expectation(p: PauliOp, q: PauliOp) -> PseudoExpectation:
         raise ValueError("needs an anticommuting pair")
     values = {PauliOp.identity(p.n): _ONE, p: _ONE, q: _ONE}
     prod = mul_words(p, q)
-    values[prod.op] = ExactComplex.from_phase(-prod.phase_exp)
+    values[prod.op] = _ONE.times_i(-prod.phase_exp)
     return PseudoExpectation(n=p.n, degree=2 * max(p.weight(), q.weight()),
                              values=values, experimental=True)
 
@@ -474,7 +453,7 @@ def obstruction_pseudo_expectation(p: PauliOp, q: PauliOp) -> PseudoExpectation:
 # -- lifting classical pseudo-expectations -------------------------------------------
 
 
-class MomentOracleGap(KeyError):
+class MomentOracleGap(ValueError):
     """The classical moment oracle has no value for a requested monomial."""
 
 
@@ -524,7 +503,7 @@ def lift_classical(inst: Instance, moments: MomentOracle, d: int) -> PseudoExpec
     support; every other word gets 0.  The lifted value of the Hamiltonian
     equals the classical objective value by construction.
     """
-    if inst.model != "one-basis-z" and any(c.pauli.xmask for c in inst.constraints):
+    if any(c.pauli.xmask for c in inst.constraints):
         raise ValueError("lifting needs a Z-basis instance")
     if d < inst.k:
         raise ValueError(f"degree {d} below constraint arity {inst.k}")

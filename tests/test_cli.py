@@ -301,7 +301,9 @@ def test_sweep_bad_or_repeated_m_is_usage_error(capsys, monkeypatch):
     for grid, message in (("4,4", "repeated m in --m-grid '4,4'"),
                           ("8,4,8", "repeated m in --m-grid '8,4,8'"),
                           ("4,x", "bad --m-grid value '4,x'"),
-                          ("4.5", "bad --m-grid value '4.5'")):
+                          ("4.5", "bad --m-grid value '4.5'"),
+                          ("4,0", "m must be at least 1 in --m-grid '4,0'"),
+                          ("4,-1", "m must be at least 1 in --m-grid '4,-1'")):
         code = main(["sweep", "--n", "6", "--k", "2", "--ell", "1", "--eps", "0.5",
                      "--m-grid", grid, "--seeds", "1"])
         captured = capsys.readouterr()
@@ -318,6 +320,18 @@ def test_unknown_flag_usage_error(capsys):
 def test_missing_file_usage_error(capsys):
     assert main(["certify", "--in", "/nonexistent", "--ell", "1"]) == 3
     capsys.readouterr()
+
+
+def test_directory_as_input_or_output_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "i.hkxor"
+    assert main(["gen", "--n", "4", "--k", "2", "--m", "3", "--out", str(inst)]) == 0
+    for argv in (["certify", "--in", str(tmp_path), "--ell", "1"],
+                 ["gen", "--n", "4", "--k", "2", "--m", "3", "--out", str(tmp_path)],
+                 ["certify", "--in", str(inst), "--ell", "1", "--out", str(tmp_path)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err.startswith("hkxor: error: ")
 
 
 def test_certify_empty_instance_file(tmp_path, capsys):

@@ -1,14 +1,17 @@
 """Max-entropy pseudo-expectations, expansion, positivity, lifting."""
 
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hkxor.instances import Constraint, GeneratorConfig, Instance, generate
 from hkxor.oracle import apply_word, assemble, lambda_max
-from hkxor.pauli import PauliOp, commutes, mul_words
+from hkxor.pauli import PauliOp, canonical_key, commutes, mul_words
 from hkxor.sos import (
     Contradiction,
     ExactComplex,
@@ -37,12 +40,22 @@ def z_instance(n, supports, coeffs):
 
 
 def test_exact_complex():
-    i = ExactComplex.from_phase(1)
+    i = ONE.times_i(1)
     assert i * i == ExactComplex.of(-1)
-    assert i.conjugate() == ExactComplex.from_phase(3)
+    assert i.conjugate() == ONE.times_i(3)
     assert (i + i.conjugate()).is_zero()
     assert complex(ExactComplex(Fraction(1, 2), Fraction(-1, 2))) == 0.5 - 0.5j
     assert str(i) == "+i" and str(-i) == "-i"
+
+
+@given(st.fractions(), st.fractions(), st.integers(-8, 8))
+def test_times_i_equals_repeated_products_by_i(re, im, exp):
+    value = ExactComplex(re, im)
+    unit = ExactComplex(Fraction(0), Fraction(1 if exp > 0 else -1))  # i, or 1/i = -i
+    expected = value
+    for _ in range(abs(exp)):
+        expected = expected * unit
+    assert value.times_i(exp) == expected
 
 
 def test_expansion_pass_example():
@@ -181,6 +194,14 @@ def test_moment_matrix_hermitian():
             assert pe.pair_value(a, b) == pe.pair_value(b, a).conjugate()
 
 
+def test_pair_value_applies_the_product_phase():
+    # X Z = -i Y and Z X = +i Y, so with pE[Y] = 1 the two orders give -i and +i
+    x1, y1, z1 = (PauliOp.from_sparse(s, 1) for s in ("X1", "Y1", "Z1"))
+    pe = PseudoExpectation(n=1, degree=2, values={y1: ONE})
+    assert pe.pair_value(x1, z1) == ExactComplex(Fraction(0), Fraction(-1))
+    assert pe.pair_value(z1, x1) == ExactComplex(Fraction(0), Fraction(1))
+
+
 def test_anticommuting_obstruction_lists():
     inst = generate(GeneratorConfig(n=5, k=3, m=6, model="one-basis-z", seed=1))
     assert anticommuting_obstruction(inst) == []
@@ -298,3 +319,67 @@ def test_lift_value_bounded_by_dense_maximum():
         _, argmax = classical_max(inst.hypergraph(), inst.coeffs(), inst.n)
         pe_opt = lift_classical(inst, MomentOracle.from_distribution(7, [argmax]), 3)
         assert abs(float(pe_opt.energy(inst).re) - lam) < 1e-10
+
+
+def _exact(value):
+    return f"{value.re} {value.im}"
+
+
+def test_witness_layer_golden():
+    """sha256 over max-entropy dumps, closure word order and contradictions of three
+    models at several degrees, positivity reprs, lifted dumps and energies, and
+    squared obstruction polynomials with their values."""
+    lines, kinds = [], Counter()
+    for model, n, k, m, degrees in (("one-basis-z", 6, 3, 5, (3,)),
+                                    ("one-basis-z", 5, 3, 4, (3, 4)),
+                                    ("one-basis-z", 8, 3, 4, (4, 6)),
+                                    ("one-basis-z", 5, 2, 6, (2, 4)),
+                                    ("random", 4, 2, 2, (2, 3, 4)),
+                                    ("random", 5, 3, 3, (3, 4, 6)),
+                                    ("rademacher-semirandom", 6, 2, 4, (2, 3)),
+                                    ("rademacher-semirandom", 5, 3, 3, (3, 5))):
+        for seed in range(6):
+            inst = generate(GeneratorConfig(n=n, k=k, m=m, model=model, seed=seed))
+            for d in degrees:
+                result = max_entropy_build(inst, d)
+                if isinstance(result, Contradiction):
+                    kinds["contradiction"] += 1
+                    lines += result.dump_lines()
+                    continue
+                kinds["psexp"] += 1
+                lines.append(result.dump())
+                lines.append(" ".join(word.to_string() for word in result.values))
+                lines.append(f"{result.experimental} {result.obstructions}")
+                if d <= 3 or n <= 4:
+                    kinds["positivity"] += 1
+                    lines.append(repr(positivity_check(result, d)))
+    rng = random.Random(3)
+    for seed in range(6):
+        n = 5 - seed % 2
+        inst = generate(GeneratorConfig(n=n, k=3, m=6, model="one-basis-z", seed=seed))
+        points = [tuple(rng.choice((-1, 1)) for _ in range(n)) for _ in range(1 + seed % 3)]
+        d = 3 + seed % 2
+        pe = lift_classical(inst, MomentOracle.from_distribution(n, points), d)
+        kinds["lifted"] += 1
+        lines += [pe.dump(), _exact(pe.energy(inst)), repr(positivity_check(pe, d))]
+    while kinds["obstruction"] < 12:
+        n = rng.randrange(1, 5)
+        words = []
+        for _ in range(2):
+            sites = tuple(sorted(rng.sample(range(n), rng.randrange(1, n + 1))))
+            words.append(PauliOp.from_letters(n, sites,
+                                              "".join(rng.choice("XYZ") for _ in sites)))
+        p, q = words
+        if commutes(p, q):
+            continue
+        kinds["obstruction"] += 1
+        squared = obstruction_polynomial(p, q).gram_square()
+        for word in sorted(squared.terms, key=canonical_key):
+            lines.append(f"{word.to_string()} {_exact(squared.terms[word])}")
+        lines.append(_exact(obstruction_pseudo_expectation(p, q).evaluate(squared)))
+    assert kinds == {"psexp": 52, "positivity": 32, "contradiction": 50, "lifted": 6,
+                     "obstruction": 12}
+    # 56 of the 100 contradiction values are +-i: the closure applies phases
+    assert sum("i" in line for line in lines if line.startswith("value_")) == 56
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "b11ded340f1d709b243c92c7525c2d5738e0f9edcb1f091094324b99118f8b52")
