@@ -32,8 +32,8 @@ count rho * count' (equal to Delta_t when nothing was deleted), slack the
 Every norm is taken per connected component of the matrix, since the norm
 of a block-diagonal matrix is the largest norm of its blocks: components of
 at most SMALL_COMPONENT vertices are solved exactly by batched dense
-eigvalsh, the rest together by one iterative (ARPACK) solve whose Ritz pair
-must pass a residual check.  Every certificate is deterministic given
+eigvalsh, each larger one by its own iterative (ARPACK) solve whose Ritz
+pair must pass a residual check.  Every certificate is deterministic given
 (instance bytes, ell, eps, tol, solver seed): the iterative eigensolver
 starts from a seeded vector.
 """
@@ -69,22 +69,18 @@ class SpectralNormError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-def _small_blocks(mat: sp.csr_matrix, labels: np.ndarray,
-                  sizes: np.ndarray) -> tuple[float, np.ndarray | None]:
+def _small_blocks(coo: sp.coo_matrix, vsize: np.ndarray) -> tuple[float, np.ndarray | None]:
     """(max |eigenvalue| over the components of at most SMALL_COMPONENT vertices,
     the dense block of a component attaining it, or None if there are none).
 
-    The small components' vertices are ordered by (size, label), so the blocks
-    of one size lie one after another on the diagonal of the permuted matrix.
-    Each size is solved by batched eigvalsh on chunks of at most
-    max(1, CHUNK_ENTRIES // size^2) blocks, each chunk one contiguous row range.
+    coo holds the rows of those components, ordered by (size, label), so the
+    blocks of one size lie one after another on its diagonal; vsize is the
+    component size of each row (ascending).  Each size is solved by batched
+    eigvalsh on chunks of at most max(1, CHUNK_ENTRIES // size^2) blocks, each
+    chunk one contiguous row range.
     """
-    order = np.lexsort((labels, sizes[labels]))
-    vsize = sizes[labels[order]]  # ascending
-    small = order[vsize <= SMALL_COMPONENT]
-    coo = mat[small][:, small].tocoo()
     best, winner = 0.0, None
-    for s in np.unique(sizes[sizes <= SMALL_COMPONENT]).tolist():
+    for s in np.unique(vsize).tolist():
         lo, hi = np.searchsorted(vsize, (s, s + 1))
         per = max(1, CHUNK_ENTRIES // (s * s)) * s  # rows of one chunk
         for a in range(lo, hi, per):
@@ -104,16 +100,18 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     """(sigma, residual) with |sigma - lambda_absmax| <= tol * max(1, sigma).
 
     Accepts a symmetric real sparse or dense matrix.  Its norm is the largest
-    norm of its connected components (the diagonal blocks of a symmetric
-    permutation), so components of at most SMALL_COMPONENT vertices are solved
-    exactly by batched dense eigvalsh, and the principal submatrix on all the
-    larger ones by one ARPACK call started from the seeded Philox vector of the
-    whole matrix restricted to those vertices; the result depends only on
-    (matrix, seed).  sigma is the larger of the two parts, and residual is
-    ||M v - lambda v|| / ||v|| of the winning eigenpair.  The ARPACK Ritz
+    norm of its connected components, so rows without stored entries are
+    dropped and the rest permuted by (component size, label): each component
+    becomes one contiguous diagonal block.  Components of at most
+    SMALL_COMPONENT vertices are solved exactly by batched dense eigvalsh, and
+    each larger one by its own ARPACK call started from the seeded Philox
+    vector of the whole matrix restricted to that block; the result depends
+    only on (matrix, seed).  sigma is the largest of the parts (a large
+    component wins a tie with the small-block maximum), and residual is
+    ||M v - lambda v|| / ||v|| of the winning eigenpair.  Every ARPACK Ritz
     pair's residual certifies its value (for symmetric M the eigenvalue error
     is at most the residual); a failed solve raises SpectralNormError whose
-    best_estimate is never below the exact small-block maximum.
+    best_estimate is never below a part already solved.
     """
     if tol <= 0:
         raise ValueError(f"need tol > 0, got {tol}")
@@ -129,38 +127,54 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
 
     _, labels = connected_components(mat, directed=False)
     sizes = np.bincount(labels)
-    small, block = _small_blocks(mat, labels, sizes)
-    large = np.flatnonzero(sizes[labels] > SMALL_COMPONENT)
+    rows = np.flatnonzero(np.diff(mat.indptr))  # rows without stored entries add nothing
+    order = rows[np.lexsort((labels[rows], sizes[labels[rows]]))]
+    vsize = sizes[labels[order]]  # ascending
+    mat = mat[order][:, order]
+    cut = int(np.searchsorted(vsize, SMALL_COMPONENT, side="right"))
+    best, block = _small_blocks(mat[:cut].tocoo(), vsize[:cut])
+    residual = None  # the winning large component's, once there is one
 
-    if len(large):
-        v0 = np.random.Generator(np.random.Philox(key=seed)).standard_normal(size)
-        sub = mat if len(large) == size else mat[large][:, large]
+    if cut < len(order):
+        v0 = np.random.Generator(np.random.Philox(key=seed)).standard_normal(size)[order]
+    a = cut
+    while a < len(order):
+        b = a + int(vsize[a])
+        sub = mat[a:b, a:b]
         try:
-            vals, vecs = spla.eigsh(sub, k=1, which="LM", v0=v0[large],
-                                    tol=min(tol * 1e-3, 1e-10),
-                                    maxiter=max(1000, 20 * len(large)))
+            vals, vecs = spla.eigsh(sub, k=1, which="LM", v0=v0[a:b],
+                                    tol=min(tol * 1e-3, 1e-10), maxiter=max(1000, 20 * (b - a)))
         except spla.ArpackNoConvergence as exc:
-            known = np.append(np.abs(exc.eigenvalues), [] if block is None else [small])
+            known = np.append(np.abs(exc.eigenvalues),
+                              [] if block is None and residual is None else [best])
             best = float(known.max()) if len(known) else None
             raise SpectralNormError("eigensolver did not converge", best) from exc
         lam, vec = float(vals[0]), vecs[:, 0]
-        residual = float(np.linalg.norm(sub @ vec - lam * vec) / np.linalg.norm(vec))
-        if residual > tol * max(1.0, abs(lam)):
+        res = float(np.linalg.norm(sub @ vec - lam * vec) / np.linalg.norm(vec))
+        if res > tol * max(1.0, abs(lam)):
             raise SpectralNormError(
-                f"residual {residual:.3e} exceeds tolerance budget", max(small, abs(lam)))
-        if abs(lam) >= small:
-            return abs(lam), residual
+                f"residual {res:.3e} exceeds tolerance budget", max(best, abs(lam)))
+        if abs(lam) >= best:
+            best, residual = abs(lam), res
+        a = b
+    if residual is not None:
+        return best, residual
 
     vals, vecs = np.linalg.eigh(block)
     i = int(np.argmax(np.abs(vals)))
     lam, vec = float(vals[i]), vecs[:, i]
-    return small, float(np.linalg.norm(block @ vec - lam * vec) / np.linalg.norm(vec))
+    return best, float(np.linalg.norm(block @ vec - lam * vec) / np.linalg.norm(vec))
 
 
 def _scaled(matrix: sp.csr_matrix, gamma: np.ndarray) -> sp.csr_matrix:
-    """Gamma^{-1/2} M Gamma^{-1/2} as a sparse matrix."""
-    inv_sqrt = sp.diags(1.0 / np.sqrt(gamma))
-    return (inv_sqrt @ matrix @ inv_sqrt).tocsr()
+    """Gamma^{-1/2} M Gamma^{-1/2} as a sparse matrix without stored zeros (an
+    explicit zero would join two components)."""
+    s = 1.0 / np.sqrt(gamma)
+    rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    out = sp.csr_matrix((matrix.data * s[rows] * s[matrix.indices], matrix.indices.copy(),
+                         matrix.indptr.copy()), shape=matrix.shape)
+    out.eliminate_zeros()
+    return out
 
 
 def trace_moment(graph, reg, r: int) -> tuple[float, float]:

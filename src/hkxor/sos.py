@@ -36,6 +36,9 @@ from .pauli import (PauliOp, canonical_key, commutes, enumerate_slice, mul_words
                     slice_size)
 
 MOMENT_MATRIX_CAP = 5000
+# most words the max-entropy closure assigns before it stops (each new word is
+# multiplied against every earlier one, so the closure's cost is quadratic)
+MAX_ENTROPY_WORDS = 10_000
 # most subsets an exhaustive boundary expansion check enumerates
 EXHAUSTIVE_SUBSET_CAP = 1 << 21
 # seeded subsets a sampled boundary expansion check draws
@@ -286,7 +289,8 @@ def max_entropy_build(inst: Instance, d: int):
     Every instance runs one mul_words closure; on one-basis instances (any
     single letter type) products carry no phase and all values are +-1.
     Other instances are accepted as experimental: values may be +-i and the
-    anticommutation scan result is attached.
+    anticommutation scan result is attached.  Raises MemoryError rather than
+    assign more than MAX_ENTROPY_WORDS words.
     """
     if d < inst.k:
         raise ValueError(f"degree {d} below constraint arity {inst.k}")
@@ -301,6 +305,8 @@ def max_entropy_build(inst: Instance, d: int):
         """Record a new word's value and rule; a second, different value is a Contradiction."""
         existing = values.get(word)
         if existing is None:
+            if len(order) >= MAX_ENTROPY_WORDS:
+                raise MemoryError(f"max-entropy closure exceeds {MAX_ENTROPY_WORDS} words")
             values[word] = value
             prov.record(word, rule, *args)
             order.append(word)

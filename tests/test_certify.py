@@ -158,6 +158,61 @@ def test_spectral_norm_error_keeps_small_block_maximum(monkeypatch):
     assert abs(err.value.best_estimate - small) < 1e-10
 
 
+def counting_eigsh(monkeypatch, fail_on=None):
+    """Record the size of every eigsh call; call number fail_on does not converge."""
+    sizes = []
+    real = spla.eigsh
+
+    def wrapper(sub, **kwargs):
+        sizes.append(sub.shape[0])
+        if len(sizes) == fail_on:
+            raise spla.ArpackNoConvergence("no convergence", np.array([]),
+                                           np.ones((sub.shape[0], 0)))
+        return real(sub, **kwargs)
+
+    monkeypatch.setattr(certify_module.spla, "eigsh", wrapper)
+    return sizes
+
+
+def test_spectral_norm_one_eigsh_per_large_component(monkeypatch):
+    rng = np.random.default_rng(19)
+    mat = permuted(sp.block_diag([mixed_blocks(rng, 1.0, 1.0), random_block(rng, 90)],
+                                 format="csr"), rng)
+    sizes = counting_eigsh(monkeypatch)
+    sigma, _ = spectral_norm(mat, tol=1e-9)
+    assert sizes == [SMALL_COMPONENT + 1, 90, 150]
+    assert abs(sigma - dense_norm(mat)) < 1e-10
+
+
+@pytest.mark.parametrize("small_scale,first_scale", [(10.0, 1.0), (1.0, 10.0)])
+def test_spectral_norm_second_large_failure_keeps_solved_parts(monkeypatch, small_scale,
+                                                              first_scale):
+    rng = np.random.default_rng(23)
+    small = [random_block(rng, s, small_scale) for s in (4, 30)]
+    first, second = random_block(rng, 80, first_scale), random_block(rng, 120)
+    mat = permuted(sp.block_diag(small + [second, first], format="csr"), rng)
+    sizes = counting_eigsh(monkeypatch, fail_on=2)
+    with pytest.raises(SpectralNormError, match="did not converge") as err:
+        spectral_norm(mat, tol=1e-9)
+    assert sizes == [80, 120]
+    assert err.value.best_estimate >= dense_norm(first) - 1e-10
+    assert err.value.best_estimate >= max(dense_norm(b) for b in small) - 1e-10
+
+
+def test_spectral_norm_empty_rows_between_blocks_match_dense():
+    rng = np.random.default_rng(29)
+    blocks = []
+    for size in (70, 3, 1, 100, 40, 2, 66):
+        blocks += [random_block(rng, size) if size > 1 else sp.diags([0.9]),
+                   sp.csr_matrix((int(rng.integers(1, 4)),) * 2)]
+    blocks.append(sp.csr_matrix(([0.0], ([0], [0])), shape=(1, 1)))  # a stored zero
+    mat = sp.block_diag(blocks, format="csr")
+    for candidate in (mat, permuted(mat, rng), -permuted(mat, rng)):
+        sigma, residual = spectral_norm(candidate, tol=1e-9)
+        assert abs(sigma - dense_norm(candidate)) < 1e-10
+        assert residual <= 1e-9 * max(1.0, sigma)
+
+
 def test_spectral_norm_matches_dense_on_kikuchi():
     g = build_even(single_zz(), 1)
     reg = regularize(g)
@@ -209,6 +264,33 @@ def test_certify_odd_soundness_sweep():
         inst = generate(GeneratorConfig(n=5, k=3, m=7, model=models[seed % 3], seed=seed))
         cert = certify_odd(inst, ell=2, eps=0.8)
         assert cert.algval >= lambda_max(assemble(inst)) - 1e-9, f"seed {seed}"
+
+
+def test_certify_odd_two_large_components_at_benchmark_scale(monkeypatch):
+    # the odd-slice benchmark's graph: its signed matrix stores 1,792 cancelled
+    # zeros, and its two components above SMALL_COMPONENT are solved one at a
+    # time; algval recorded when both shared one ARPACK call
+    words = tuple(c.pauli for c in generate(GeneratorConfig(n=12, k=3, m=60, seed=0)).constraints)
+    inst = generate(GeneratorConfig(n=12, k=3, m=60, model="rademacher-semirandom", seed=1,
+                                    words=words))
+    sizes = counting_eigsh(monkeypatch)
+    cert = certify_odd(inst, 3, 0.8)
+    assert sizes == [4944, 5694]
+    assert (cert.num_vertices, cert.num_edges) == (54648, 37120)
+    assert abs(cert.algval - 1.3394618017977042) <= 1e-12 * 1.3394618017977042
+
+
+def test_scaled_matches_diagonal_products_and_drops_stored_zeros():
+    rng = np.random.default_rng(31)
+    mat = random_block(rng, 40)
+    mat.data[::7] = 0.0  # cancelled entries, as signed_matrix may store them
+    gamma = rng.uniform(0.5, 3.0, 40)
+    inv = sp.diags(1.0 / np.sqrt(gamma))
+    expected = (inv @ mat @ inv).tocsr()
+    got = certify_module._scaled(mat, gamma)
+    assert not (got.data == 0).any()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, attr), getattr(expected, attr))
 
 
 def test_certify_odd_skipped_types_stay_sound():

@@ -122,6 +122,20 @@ def test_witness_contradiction_exit_code(tmp_path, capsys):
     assert "CONTRADICTION" in out
 
 
+def test_witness_max_entropy_word_budget_exits_4(tmp_path, capsys):
+    # all-+1 one-basis words never contradict, so the degree-12 closure only
+    # stops at its word budget
+    path = tmp_path / "z24"
+    run(capsys, "gen", "--n", "24", "--k", "3", "--m", "40", "--model", "one-basis-z",
+        "--seed", "1", "--out", str(path))
+    path.write_text(path.read_text().replace(" -1.0\n", " 1.0\n"))
+    code = main(["witness", "--in", str(path), "--degree", "12"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err.startswith("hkxor: resource guard: max-entropy closure exceeds")
+
+
 def test_witness_lift(tmp_path, capsys):
     inst_path = tmp_path / "cyc"
     inst_path.write_text(
