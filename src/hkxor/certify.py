@@ -96,6 +96,12 @@ def _small_blocks(coo: sp.coo_matrix, vsize: np.ndarray) -> tuple[float, np.ndar
     return best, winner
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless tol is finite and positive, as the algval margin needs."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"need finite tol > 0, got {tol}")
+
+
 def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[float, float]:
     """(sigma, residual) with |sigma - lambda_absmax| <= tol * max(1, sigma).
 
@@ -113,8 +119,7 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     is at most the residual); a failed solve raises SpectralNormError whose
     best_estimate is never below a part already solved.
     """
-    if tol <= 0:
-        raise ValueError(f"need tol > 0, got {tol}")
+    check_tol(tol)
     mat = sp.csr_matrix(matrix)
     size = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
@@ -272,6 +277,7 @@ def certify_even(inst: Instance, ell: int, tol: float = DEFAULT_TOL,
                  solver_seed: int = 0) -> Certificate:
     """Even-arity certificate algval = 1/2 + f * (sigma + margin)."""
     start = time.perf_counter()
+    check_tol(tol)
     if inst.k % 2 != 0:
         raise ValueError(f"even branch needs even k, got k={inst.k}")
     if inst.m == 0:
@@ -297,6 +303,7 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
                 solver_seed: int = 0) -> Certificate:
     """Decomposition-based certificate 1/2 + sum_t sqrt(max(0, algval_t)) / k."""
     start = time.perf_counter()
+    check_tol(tol)
     if inst.m == 0:
         return Certificate(digest(inst), "odd", ell, eps, tol, solver_seed,
                            0.5, 0.0, 0.0, 0, 0, time.perf_counter() - start)

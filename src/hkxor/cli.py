@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .certify import SpectralNormError, certify
+from .certify import SpectralNormError, certify, check_tol
 from .instances import (
     GeneratorConfig,
     Instance,
@@ -223,6 +223,7 @@ def _cmd_sweep(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     check_eps(args.eps)
+    check_tol(args.tol)
     seeds = list(range(args.seeds))
     base = {"n": args.n, "k": args.k, "ell": args.ell, "eps": args.eps,
             "tol": args.tol, "model": _MODEL_ALIASES[args.model],

@@ -149,7 +149,9 @@ def generate(cfg: GeneratorConfig) -> Instance:
             if cfg.model == "one-basis-z":
                 word = PauliOp.from_letters(cfg.n, sup, "Z" * cfg.k)
             else:
-                letters = "".join(_LETTERS[int(d)] for d in rng.integers(0, 3, size=cfg.k))
+                # k scalar draws take the same values from the stream as one
+                # size=k draw, and cost less than that one call for small k
+                letters = "".join(_LETTERS[rng.integers(0, 3)] for _ in range(cfg.k))
                 word = PauliOp.from_letters(cfg.n, sup, letters)
             words.append(word)
 

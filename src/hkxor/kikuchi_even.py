@@ -28,7 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .instances import Instance
-from .pauli import _LETTERS, PauliOp, SliceIndex, commutes, mul_words, site_mask
+from .pauli import (_LETTERS, PauliOp, SliceIndex, _set_bits, commutes, mul_words,
+                    site_mask)
 
 LEVEL_N_QUBIT_CAP = 6
 # most edges (even) or edge candidates (odd) one graph build may make
@@ -144,30 +145,33 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
         raise MemoryError(f"{edges:.2e} edges exceeds budget {EDGE_BUDGET:.1e}")
 
     index = SliceIndex(n, ell)
+    rank = index.rank
     rows: list[int] = []
     cols: list[int] = []
     tids: list[int] = []
+    extra = ell - k // 2  # number of sites Q and R share off supp(P)
+    shared_words = [PauliOp.identity(n)]
 
     for cid, c in enumerate(inst.constraints):
         word = c.pauli
-        sup_mask = word.support_mask
-        off_sites = [i for i in range(n) if not sup_mask >> i & 1]
+        if extra:
+            off_sites = _set_bits(~word.support_mask & ((1 << n) - 1))
+            shared_words = [PauliOp.from_letters(n, sites, "".join(letters))
+                            for sites in combinations(off_sites, extra)
+                            for letters in product(_LETTERS, repeat=extra)]
         for half in combinations(c.support, k // 2):
             q_mask = site_mask(half)
-            r_mask = sup_mask & ~q_mask
-            q_base = word.restrict(q_mask)
-            r_base = word.restrict(r_mask)
-            for shared_sites in combinations(off_sites, ell - k // 2):
-                for letters in product(_LETTERS, repeat=ell - k // 2):
-                    shared = PauliOp.from_letters(n, shared_sites, "".join(letters))
-                    q = PauliOp(n, q_base.xmask | shared.xmask, q_base.zmask | shared.zmask)
-                    r = PauliOp(n, r_base.xmask | shared.xmask, r_base.zmask | shared.zmask)
-                    prod = mul_words(q, r)
-                    assert prod.op == word and prod.phase_exp == 0, "edge product is not +P"
-                    assert commutes(q, r), "edge endpoints do not commute"
-                    rows.append(index.rank(q))
-                    cols.append(index.rank(r))
-                    tids.append(cid)
+            qx, qz = word.xmask & q_mask, word.zmask & q_mask  # P on the half
+            rx, rz = word.xmask ^ qx, word.zmask ^ qz  # P on the rest of supp(P)
+            for shared in shared_words:
+                q = PauliOp(n, qx | shared.xmask, qz | shared.zmask)
+                r = PauliOp(n, rx | shared.xmask, rz | shared.zmask)
+                prod = mul_words(q, r)
+                assert prod.op == word and prod.phase_exp == 0, "edge product is not +P"
+                assert commutes(q, r), "edge endpoints do not commute"
+                rows.append(rank(q))
+                cols.append(rank(r))
+                tids.append(cid)
 
     return _sorted_graph(n, k, ell, index, delta_count(n, k, ell), rows, cols, tids,
                          [c.coeff for c in inst.constraints])

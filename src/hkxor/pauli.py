@@ -31,6 +31,8 @@ import numpy as np
 _LETTERS = "XYZ"
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
+# letter code (X, Y, Z -> 0, 1, 2) of a site's bit pair, indexed by x | z << 1
+_PAIR_CODE = (-1, 0, 2, 1)
 
 PHASES = (1, 1j, -1, -1j)
 PHASE_STRINGS = ("+1", "+i", "-1", "-i")
@@ -303,6 +305,9 @@ class SliceIndex:
         sum_j C(n - 1 - c_(j-1), ell - j) - C(n - c_j, ell - j),
 
     which both ``rank`` (one word) and ``rank_batch`` (arrays) evaluate.
+    ``rank`` keeps every rank it computes, keyed by the word's masks, so a
+    builder that meets the same vertex many times ranks it once; the memo
+    holds at most ``size`` entries.
     """
 
     def __init__(self, n: int, ell: int):
@@ -312,11 +317,20 @@ class SliceIndex:
         self.ell = ell
         self.size = slice_size(n, ell)
         self._comb = _binomials(n, ell)
+        self._ranks: dict[tuple[int, int], int] = {}
 
     def rank(self, op: PauliOp) -> int:
         if op.n != self.n:
             raise ValueError(f"qubit counts differ: {op.n} != {self.n}")
-        sup = op.support()
+        key = (op.xmask, op.zmask)
+        found = self._ranks.get(key)
+        if found is None:
+            found = self._ranks[key] = self._rank(*key)
+        return found
+
+    def _rank(self, xmask: int, zmask: int) -> int:
+        """Rank of the word (xmask, zmask) on self.n qubits, computed from its bits."""
+        sup = _set_bits(xmask | zmask)
         if len(sup) != self.ell:
             raise ValueError(f"word has weight {len(sup)}, slice expects {self.ell}")
         comb = self._comb
@@ -326,7 +340,7 @@ class SliceIndex:
             y = self.ell - j
             sup_rank += comb[self.n - 1 - prev][y] - comb[self.n - s][y]
             prev = s
-            code = 3 * code + _LETTERS.index(op.letter_at(s))
+            code = 3 * code + _PAIR_CODE[(xmask >> s & 1) | (zmask >> s & 1) << 1]
         return sup_rank * 3**self.ell + code
 
     def rank_batch(self, sites: np.ndarray, letters: np.ndarray) -> np.ndarray:

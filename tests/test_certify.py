@@ -48,6 +48,12 @@ def test_spectral_norm_negation_agrees():
     assert abs(s1 - s2) < 1e-8
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_spectral_norm_rejects_non_finite_or_nonpositive_tol(tol):
+    with pytest.raises(ValueError, match="need finite tol > 0"):
+        spectral_norm(sp.eye(3, format="csr"), tol=tol)
+
+
 def test_spectral_norm_rejects_asymmetric():
     with pytest.raises(ValueError):
         spectral_norm(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])), tol=1e-6)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: formats, exit codes, determinism."""
 
+import importlib
 import itertools
 
 from hkxor.cli import main
@@ -263,6 +264,46 @@ def test_certify_even_edge_budget_exits_4_before_building(tmp_path, capsys, monk
     err = capsys.readouterr().err
     assert code == 4
     assert "exceeds budget" in err
+
+
+BAD_TOLS = ("nan", "inf", "0", "-1")
+
+
+def no_builds(monkeypatch):
+    def fail(*args):
+        raise AssertionError("a graph build or sweep cell ran before tol was checked")
+
+    # the package re-exports certify(), which hides the module of that name
+    certify_module = importlib.import_module("hkxor.certify")
+    monkeypatch.setattr(certify_module, "build_even", fail)
+    monkeypatch.setattr(certify_module, "build_odd", fail)
+    monkeypatch.setattr("hkxor.cli._sweep_cell", fail)
+
+
+def test_certify_non_finite_or_nonpositive_tol_is_usage_error(tmp_path, capsys, monkeypatch):
+    no_builds(monkeypatch)
+    for k in (2, 3):
+        path = tmp_path / f"k{k}"
+        run(capsys, "gen", "--n", "8", "--k", str(k), "--m", "10", "--seed", "1",
+            "--out", str(path))
+        for tol in BAD_TOLS:
+            code = main(["certify", "--in", str(path), "--ell", "1" if k == 2 else "2",
+                         "--tol", tol])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert f"need finite tol > 0, got {float(tol)}" in captured.err
+            assert captured.out == ""
+
+
+def test_sweep_non_finite_or_nonpositive_tol_is_usage_error(capsys, monkeypatch):
+    no_builds(monkeypatch)
+    for tol in BAD_TOLS:
+        code = main(["sweep", "--n", "6", "--k", "2", "--ell", "1", "--eps", "0.5",
+                     "--m-grid", "4", "--seeds", "1", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"need finite tol > 0, got {float(tol)}" in captured.err
+        assert captured.out == ""
 
 
 def test_sweep_deterministic(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Instance generation models, determinism, and the text format."""
 
+import hashlib
 import math
 
 import pytest
@@ -48,6 +49,19 @@ def test_determinism_byte_identical():
     assert serialize(generate(cfg)) == serialize(generate(cfg))
     other = GeneratorConfig(n=8, k=3, m=20, model="random", seed=124)
     assert serialize(generate(cfg)) != serialize(generate(other))
+
+
+def test_generated_bytes_golden():
+    # recorded before the letter draws became k scalar calls: a change in how
+    # draws are made must keep the bytes of every sampling model
+    text = ""
+    for model in ("rademacher-semirandom", "gaussian-semirandom", "random", "one-basis-z"):
+        for n, k, m in ((60, 2, 500), (10, 4, 40), (9, 3, 30)):
+            for seed in (0, 1, 7, 2**64 - 1):
+                text += serialize(generate(GeneratorConfig(n=n, k=k, m=m, model=model,
+                                                           seed=seed)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "ba8fcbb0f56af216bdddd4185313ba8d4fb9cc391656b81da483a0537f829919")
 
 
 def test_generate_errors():

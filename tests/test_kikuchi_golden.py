@@ -4,10 +4,13 @@ The constants were recorded from the list-based edge representation that
 preceded the typed COO store, so they pin the store to byte-identical dumps
 and, for pruned graphs, to the same deleted edges and the same gamma.  The
 two odd graphs at scale were recorded from the per-candidate builder that
-preceded the batch one (``type_edges``).
+preceded the batch one (``type_edges``), and the k=4 even graphs from the
+builder that ranked every endpoint from scratch.
 """
 
 import hashlib
+
+import pytest
 
 from hkxor.instances import Constraint, GeneratorConfig, Instance, generate
 from hkxor.kikuchi_even import build_even, build_level_n, dump_graph
@@ -52,6 +55,24 @@ def test_even_dump():
     inst = generate(GeneratorConfig(n=6, k=2, m=8, model="gaussian-semirandom", seed=5))
     assert sha(dump_graph(build_even(inst, 2))) == (
         "1a3a205d44524baf96d2f54bf2200b894373d7a274daaca24a8854645b11bbda")
+
+
+@pytest.mark.parametrize("model,seed,ell,edges,digest", [
+    ("rademacher-semirandom", 11, 2, 60,
+     "7ac094102b5c9da07f9832e6520e9938f80dca0d18862ab94594ad6a153bac8a"),
+    ("rademacher-semirandom", 11, 3, 720,
+     "7096b629665f0bc7edaf676bd3a5ebc33bfaa12e6a2d7d71d9606aa9218a1163"),
+    ("gaussian-semirandom", 12, 2, 60,
+     "5b6a8438a733e396428be08c8d67b23571db4b4adc9bc2015c0073e9212b8bae"),
+    ("gaussian-semirandom", 12, 3, 720,
+     "4f7a63780d2d76ec147d0cd6fd611eebb2807f79a6152ccf2ed13f0bde5017cf"),
+])
+def test_even_dump_k4(model, seed, ell, edges, digest):
+    # ell = k/2 shares no site off supp(P); ell = k/2 + 1 shares one
+    inst = generate(GeneratorConfig(n=8, k=4, m=10, model=model, seed=seed))
+    g = build_even(inst, ell)
+    assert g.num_edges == edges
+    assert sha(dump_graph(g)) == digest
 
 
 def test_odd_dump():

@@ -177,6 +177,42 @@ def test_rank_batch_equals_rank(case):
     assert idx.rank_batch(sites, letters).tolist() == expected
 
 
+def test_rank_memo_still_checks_qubit_count():
+    idx = SliceIndex(4, 2)
+    op = PauliOp.from_sparse("X1 Z3", 4)
+    assert idx.rank(op) == idx.rank(op)
+    assert (op.xmask, op.zmask) in idx._ranks
+    for n in (3, 5):
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            idx.rank(PauliOp(n, op.xmask, op.zmask))
+
+
+def test_rank_memo_never_stores_a_word_of_the_wrong_weight():
+    idx = SliceIndex(4, 2)
+    for word in ("X1", "X1 Y2 Z3", "I"):
+        op = PauliOp.from_sparse(word, 4)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="slice expects 2"):
+                idx.rank(op)
+    assert idx._ranks == {}
+
+
+@settings(max_examples=200)
+@given(slice_words())
+def test_warm_rank_equals_rank_batch_and_a_fresh_index(case):
+    n, ell, words = case
+    ops = [PauliOp.from_letters(n, w[0], "".join("XYZ"[a] for a in w[1])) for w in words]
+    warm = SliceIndex(n, ell)
+    for op in reversed(ops):
+        warm.rank(op)
+    assert len(warm._ranks) == len(set(ops)) <= warm.size
+    sites = np.array([w[0] for w in words], dtype=np.int64).reshape(len(words), ell)
+    letters = np.array([w[1] for w in words], dtype=np.int64).reshape(len(words), ell)
+    expected = warm.rank_batch(sites, letters).tolist()
+    assert [warm.rank(op) for op in ops] == expected
+    assert [SliceIndex(n, ell).rank(op) for op in ops] == expected
+
+
 @settings(max_examples=200)
 @given(st.integers(1, 120).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(0, min(n, 4)).flatmap(lambda ell: st.tuples(
