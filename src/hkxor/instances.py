@@ -15,8 +15,11 @@ Generation models (coefficient law / structure law):
 * ``explicit``               nothing sampled; words and coefficients given.
 
 Randomness comes from a counter-based Philox generator keyed by the 64-bit
-seed (the ``rng=philox`` token in file headers names it), so a fixed seed
-reproduces the instance byte-for-byte under a fixed library version.
+seed (the ``rng=philox`` token in file headers names it).  Supports, letters
+and signs are read straight off its raw 64-bit outputs with the rules numpy's
+``Generator`` applies to them (see :class:`_Philox32`), so their bytes depend
+only on the Philox stream, which numpy keeps fixed (NEP 19); Gaussian
+coefficients still come from ``Generator.standard_normal``.
 
 Sites are 0-indexed in the Python API; the text format is 1-indexed.
 """
@@ -25,11 +28,12 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _LETTERS, PauliOp
+from .pauli import PauliOp
 
 MODELS = ("rademacher-semirandom", "gaussian-semirandom", "random", "one-basis-z", "explicit")
 
@@ -120,6 +124,112 @@ class GeneratorConfig:
             raise ValueError("seed must fit in 64 bits")
 
 
+_U32 = 0xFFFFFFFF
+# raw 64-bit outputs fetched per refill of the 32-bit buffer
+_RAW_BLOCK = 4096
+
+
+class _Philox32:
+    """The 32-bit draws ``Generator(Philox(key=seed))`` makes, read off the raw stream.
+
+    numpy's Generator splits each 64-bit Philox output into its low 32 bits
+    and then its high 32 bits, and draws a bounded integer by Lemire's method
+    (Lemire, ACM TOMACS 2019).  The methods below replay those rules draw for
+    draw, so each takes exactly the words the numpy call it names would take.
+    """
+
+    def __init__(self, seed: int):
+        self._bits = np.random.Philox(key=seed)
+        self._fetched = 0  # 32-bit words read off the bit generator
+        self._words: list[int] = []  # unread words, the next one last
+
+    @property
+    def used(self) -> int:
+        """32-bit words consumed so far."""
+        return self._fetched - len(self._words)
+
+    def _fill(self, raw_count: int) -> None:
+        raw = self._bits.random_raw(raw_count)
+        words = np.empty(2 * raw_count, dtype=np.uint64)
+        words[0::2] = raw & _U32
+        words[1::2] = raw >> 32
+        self._words[:0] = words[::-1].tolist()
+        self._fetched += 2 * raw_count
+
+    def below(self, r: int) -> int:
+        """Uniform in [0, r]: ``integers(0, r + 1)``; r = 0 takes no draw."""
+        if r == 0:
+            return 0
+        r1 = r + 1
+        words = self._words
+        while True:
+            if not words:
+                self._fill(_RAW_BLOCK)
+            m = words.pop() * r1
+            if m & _U32 >= (_U32 - r) % r1:
+                return m >> 32
+
+    def take(self, count: int) -> np.ndarray:
+        """The next ``count`` words, as uint64."""
+        if count > len(self._words):
+            self._fill((count - len(self._words) + 1) // 2)
+        split = len(self._words) - count
+        out = self._words[split:]
+        del self._words[split:]
+        return np.array(out[::-1], dtype=np.uint64)
+
+    def subset_mask(self, n: int, k: int) -> int:
+        """Site mask of ``choice(n, size=k, replace=False)``, taking its draws."""
+        below = self.below
+        mask = 0
+        if n > 10000 and k > n // 50:
+            # numpy shuffles the tail of arange(n); the support is its last k slots
+            moved: dict[int, int] = {}
+            for i in range(n - 1, max(n - k, 1) - 1, -1):
+                j = below(i)
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            for i in range(n - k, n):
+                mask |= 1 << moved.get(i, i)
+            return mask
+        # Floyd's algorithm, then a shuffle of the k picks whose order sorting discards
+        for j in range(n - k, n):
+            bit = 1 << below(j)
+            mask |= 1 << j if mask & bit else bit
+        for i in range(k - 1, 0, -1):
+            below(i)
+        return mask
+
+    def word(self, n: int, mask: int) -> PauliOp:
+        """One uniform letter per site of ``mask``, in ascending site order."""
+        below = self.below
+        xm = zm = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            code = below(2)  # 0, 1, 2 -> X, Y, Z
+            if code != 2:
+                xm |= low
+            if code != 0:
+                zm |= low
+            rest ^= low
+        return PauliOp(n, xm, zm)
+
+
+def _edge_mask(edge, n: int, k: int) -> int:
+    """Site mask of an explicit hyperedge; ValueError unless k distinct sites in [0, n)."""
+    mask = 0
+    for site in edge:
+        site = operator.index(site)
+        if not 0 <= site < n:
+            raise ValueError(f"site {site} out of range for n={n}")
+        if mask >> site & 1:
+            raise ValueError(f"duplicate site {site}")
+        mask |= 1 << site
+    if len(edge) != k:
+        raise ValueError(f"hyperedge {tuple(edge)} has {len(edge)} sites, expected k={k}")
+    return mask
+
+
 def generate(cfg: GeneratorConfig) -> Instance:
     """Draw an instance; deterministic given the config (Philox keyed by seed).
 
@@ -128,32 +238,25 @@ def generate(cfg: GeneratorConfig) -> Instance:
     Explicitly supplied structure skips its draws, so a fixed hypergraph with
     varying seeds varies only letters/coefficients.
     """
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
+    stream = _Philox32(cfg.seed)
 
-    words: list[PauliOp] = []
     if cfg.words is not None:
         if len(cfg.words) != cfg.m:
             raise ValueError("explicit words must have length m")
         words = list(cfg.words)
     else:
-        supports: list[tuple[int, ...]] = []
+        edges = None
         if cfg.hypergraph is not None:
             if len(cfg.hypergraph) != cfg.m:
                 raise ValueError("explicit hypergraph must have m edges")
-            supports = [tuple(sorted(e)) for e in cfg.hypergraph]
+            edges = [_edge_mask(e, cfg.n, cfg.k) for e in cfg.hypergraph]
+        words = []
         for i in range(cfg.m):
-            if cfg.hypergraph is None:
-                sup = tuple(sorted(int(s) for s in rng.choice(cfg.n, size=cfg.k, replace=False)))
-            else:
-                sup = supports[i]
+            mask = stream.subset_mask(cfg.n, cfg.k) if edges is None else edges[i]
             if cfg.model == "one-basis-z":
-                word = PauliOp.from_letters(cfg.n, sup, "Z" * cfg.k)
+                words.append(PauliOp(cfg.n, 0, mask))
             else:
-                # k scalar draws take the same values from the stream as one
-                # size=k draw, and cost less than that one call for small k
-                letters = "".join(_LETTERS[rng.integers(0, 3)] for _ in range(cfg.k))
-                word = PauliOp.from_letters(cfg.n, sup, letters)
-            words.append(word)
+                words.append(stream.word(cfg.n, mask))
 
     for w in words:
         if w.weight() != cfg.k:
@@ -166,9 +269,14 @@ def generate(cfg: GeneratorConfig) -> Instance:
     elif cfg.model == "explicit":
         raise ValueError("explicit model requires explicit coefficients")
     elif cfg.model == "gaussian-semirandom":
-        coeffs = [float(b) for b in rng.standard_normal(cfg.m)]
+        # standard_normal reads whole 64-bit outputs, from the first one the
+        # 32-bit draws above left untouched
+        bits = np.random.Philox(key=cfg.seed)
+        bits.random_raw(-(-stream.used // 2), output=False)
+        coeffs = np.random.Generator(bits).standard_normal(cfg.m).tolist()
     else:
-        coeffs = [float(2 * b - 1) for b in rng.integers(0, 2, size=cfg.m)]
+        # integers(0, 2) never rejects: its threshold is 2**32 mod 2 = 0
+        coeffs = ((stream.take(cfg.m) >> 31) * 2.0 - 1.0).tolist()
 
     constraints = tuple(
         Constraint(w.support(), w, b) for w, b in zip(words, coeffs)

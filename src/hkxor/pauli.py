@@ -30,7 +30,8 @@ import numpy as np
 # letter codes used by the canonical ordering: X < Y < Z
 _LETTERS = "XYZ"
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
-_BITS_LETTER = {v: k for k, v in _LETTER_BITS.items()}
+# letter of a site's bit pair, indexed by x | z << 1
+_PAIR_LETTER = "IXZY"
 # letter code (X, Y, Z -> 0, 1, 2) of a site's bit pair, indexed by x | z << 1
 _PAIR_CODE = (-1, 0, 2, 1)
 
@@ -98,7 +99,7 @@ class PauliOp:
         return self.xmask == 0 and self.zmask == 0
 
     def letter_at(self, site: int) -> str:
-        return _BITS_LETTER[(self.xmask >> site & 1, self.zmask >> site & 1)]
+        return _PAIR_LETTER[(self.xmask >> site & 1) | (self.zmask >> site & 1) << 1]
 
     def restrict(self, site_mask: int) -> "PauliOp":
         """Word equal to self on sites in ``site_mask``, identity elsewhere."""
@@ -112,9 +113,15 @@ class PauliOp:
 
     def to_sparse(self) -> str:
         """Sparse form like ``"X3 Z7"`` with ascending 1-indexed sites; identity is ``"I"``."""
-        if self.is_identity():
-            return "I"
-        return " ".join(f"{self.letter_at(i)}{i + 1}" for i in self.support())
+        xm, zm = self.xmask, self.zmask
+        parts = []
+        rest = xm | zm
+        while rest:
+            low = rest & -rest  # the bit of 0-indexed site low.bit_length() - 1
+            parts.append(_PAIR_LETTER[(xm & low != 0) | (zm & low != 0) << 1]
+                         + str(low.bit_length()))
+            rest ^= low
+        return " ".join(parts) or "I"
 
     @staticmethod
     def from_string(s: str) -> "PauliOp":

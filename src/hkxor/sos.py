@@ -509,6 +509,8 @@ def lift_classical(inst: Instance, moments: MomentOracle, d: int) -> PseudoExpec
     support; every other word gets 0.  The lifted value of the Hamiltonian
     equals the classical objective value by construction.
     """
+    if moments.n != inst.n:
+        raise ValueError(f"moments are for n={moments.n} qubits, instance has n={inst.n}")
     if any(c.pauli.xmask for c in inst.constraints):
         raise ValueError("lifting needs a Z-basis instance")
     if d < inst.k:

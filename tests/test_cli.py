@@ -212,6 +212,27 @@ def test_witness_lift_missing_monomial_is_usage_error(tmp_path, capsys):
     assert err.startswith("hkxor: error: no moment recorded for mask 0x5")
 
 
+def point_moments(n):
+    """PMOM v1 text, degree 2, of the point x = (1, ..., 1) on n qubits."""
+    return f"PMOM v1 n={n} d=2\n- 1\n" + "".join(
+        f"{','.join(map(str, sites))} 1\n"
+        for size in (1, 2) for sites in itertools.combinations(range(1, n + 1), size))
+
+
+def test_witness_lift_moments_for_more_qubits_is_usage_error(tmp_path, capsys):
+    # used to lift the first three sites' moments with exit 0
+    code, err = lift_error(tmp_path, capsys, point_moments(4))
+    assert code == 3
+    assert err.startswith("hkxor: error: moments are for n=4 qubits, instance has n=3")
+
+
+def test_witness_lift_moments_for_fewer_qubits_is_usage_error(tmp_path, capsys):
+    # used to fail only at the first mask the file could not hold
+    code, err = lift_error(tmp_path, capsys, point_moments(2))
+    assert code == 3
+    assert err.startswith("hkxor: error: moments are for n=2 qubits, instance has n=3")
+
+
 def test_witness_lift_header_without_n_is_usage_error(tmp_path, capsys):
     code, err = lift_error(tmp_path, capsys, "PMOM v1 d=2\n- 1\n")
     assert code == 3

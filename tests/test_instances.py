@@ -3,8 +3,9 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hkxor.instances import (
     MODELS,
@@ -62,6 +63,73 @@ def test_generated_bytes_golden():
                                                            seed=seed)))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "ba8fcbb0f56af216bdddd4185313ba8d4fb9cc391656b81da483a0537f829919")
+
+
+def test_generated_bytes_golden_wide():
+    # recorded with numpy's Generator.choice/integers doing the draws: pins the
+    # paths the golden above misses, an explicit hypergraph (letters only),
+    # k = n (Floyd's draw-free first step), n = k = 1, and both branches of
+    # the support sampler at n > 10000 (k = 201 shuffles the tail, k = 200 runs Floyd)
+    hypergraph = ((0, 1, 2), (6, 2, 4), (3, 5, 1), (0, 6, 3), (4, 5, 6), (1, 2, 3))
+    text = ""
+    for model in ("rademacher-semirandom", "gaussian-semirandom"):
+        for n, k, m, edges in ((7, 3, 6, hypergraph), (5, 5, 20, None), (1, 1, 20, None),
+                               (10001, 201, 2, None), (10001, 200, 2, None)):
+            for seed in (0, 3, 2**63, 2**64 - 1):
+                text += serialize(generate(GeneratorConfig(n=n, k=k, m=m, model=model,
+                                                           seed=seed, hypergraph=edges)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b12143b2fe56daffb1b273cbe18d34db6e6b3c449998b0a26f9dc51ab5761f01")
+
+
+def numpy_draws(n, k, m, model, seed):
+    """Words and coefficients from numpy's own choice/integers/standard_normal calls."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    words = []
+    for _ in range(m):
+        sup = sorted(int(s) for s in rng.choice(n, size=k, replace=False))
+        letters = "Z" * k if model == "one-basis-z" else "".join(
+            "XYZ"[rng.integers(0, 3)] for _ in range(k))
+        words.append(PauliOp.from_letters(n, sup, letters))
+    if model == "gaussian-semirandom":
+        coeffs = rng.standard_normal(m).tolist()
+    else:
+        coeffs = [float(2 * b - 1) for b in rng.integers(0, 2, size=m)]
+    return words, coeffs
+
+
+@st.composite
+def sampler_cases(draw):
+    """Small n, or n > 10000 where k > n // 50 switches numpy's choice to a tail shuffle."""
+    n = draw(st.one_of(st.integers(1, 60), st.integers(10001, 12000)))
+    k = draw(st.integers(1, min(n, 300)))
+    m = draw(st.integers(1, 12 if n <= 60 else 2))
+    model = draw(st.sampled_from(("rademacher-semirandom", "gaussian-semirandom",
+                                  "one-basis-z")))
+    return n, k, m, model, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sampler_cases())
+@example((10001, 201, 2, "rademacher-semirandom", 5))
+@example((12000, 241, 2, "gaussian-semirandom", 2**64 - 1))
+@example((12000, 240, 2, "rademacher-semirandom", 0))
+@example((7, 7, 5, "gaussian-semirandom", 1))
+@example((12000, 1, 1, "rademacher-semirandom", 201614))  # Lemire rejects the first draw
+def test_generate_equals_numpy_calls(case):
+    n, k, m, model, seed = case
+    inst = generate(GeneratorConfig(n=n, k=k, m=m, model=model, seed=seed))
+    words, coeffs = numpy_draws(n, k, m, model, seed)
+    assert [c.pauli for c in inst.constraints] == words
+    assert list(inst.coeffs()) == coeffs
+
+
+@pytest.mark.parametrize("model", ("rademacher-semirandom", "one-basis-z"))
+@pytest.mark.parametrize("edge", ((0, 0, 1), (0, 1, 5), (-1, 0, 1), (0, 1), (0, 1, 2, 3)))
+def test_explicit_hypergraph_bad_edge_raises(model, edge):
+    # a repeated site, a site outside [0, n) or the wrong size
+    with pytest.raises(ValueError):
+        generate(GeneratorConfig(n=5, k=3, m=2, model=model, hypergraph=((0, 1, 2), edge)))
 
 
 def test_generate_errors():

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hkxor.pauli import (
     PauliOp,
@@ -252,6 +252,15 @@ def test_support_and_meet_equal_site_scans(words):
     p, q = words
     assert p.support() == tuple(i for i in range(p.n) if p.letter_at(i) != "I")
     assert meet(p, q) == {i for i in range(p.n) if p.letter_at(i) == q.letter_at(i) != "I"}
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 200).flatmap(words_on))
+@example(PauliOp.identity(5))
+def test_to_sparse_equals_letter_scan(p):
+    # to_sparse reads the bit pairs itself; letter_at is the reference
+    expected = " ".join(f"{p.letter_at(i)}{i + 1}" for i in range(p.n) if p.letter_at(i) != "I")
+    assert p.to_sparse() == (expected or "I")
 
 
 def test_rank_batch_rejects_bad_rows_and_oversized_slices():
