@@ -161,7 +161,10 @@ def _parse_moments(path: str) -> MomentOracle:
             value = Fraction(value_str)
         except (ValueError, ZeroDivisionError):
             raise ParseError(lineno, f"bad moment value {value_str!r}") from None
-        values[site_mask(s - 1 for s in sites)] = ExactComplex.of(value)
+        mask = site_mask(s - 1 for s in sites)
+        if mask in values:
+            raise ParseError(lineno, f"monomial {sites_str!r} listed twice")
+        values[mask] = ExactComplex.of(value)
     return MomentOracle(n=n, degree=d, values=values)
 
 

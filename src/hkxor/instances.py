@@ -19,7 +19,12 @@ seed (the ``rng=philox`` token in file headers names it).  Supports, letters
 and signs are read straight off its raw 64-bit outputs with the rules numpy's
 ``Generator`` applies to them (see :class:`_Philox32`), so their bytes depend
 only on the Philox stream, which numpy keeps fixed (NEP 19); Gaussian
-coefficients still come from ``Generator.standard_normal``.
+coefficients still come from ``Generator.standard_normal``.  The supports
+and letters of all m constraints are drawn as one (m, w) block of 32-bit
+words: a row's w columns are Floyd's draws, the discarded shuffle draws and
+the letter draws, Lemire's rule is applied to the whole block, and the rare
+row holding a rejected draw is redrawn word by word (as is every row where
+numpy shuffles a tail instead of running Floyd).
 
 Sites are 0-indexed in the Python API; the text format is 1-indexed.
 """
@@ -127,6 +132,8 @@ class GeneratorConfig:
 _U32 = 0xFFFFFFFF
 # raw 64-bit outputs fetched per refill of the 32-bit buffer
 _RAW_BLOCK = 4096
+# most 32-bit words drawn as one block: bounds each block's temporaries
+_BLOCK_WORDS = 1 << 16
 
 
 class _Philox32:
@@ -134,8 +141,13 @@ class _Philox32:
 
     numpy's Generator splits each 64-bit Philox output into its low 32 bits
     and then its high 32 bits, and draws a bounded integer by Lemire's method
-    (Lemire, ACM TOMACS 2019).  The methods below replay those rules draw for
-    draw, so each takes exactly the words the numpy call it names would take.
+    (Lemire, ACM TOMACS 2019): ``integers(0, r + 1)`` multiplies a word u by
+    r + 1, returns the high half of the product and rejects u (drawing again)
+    when the low half is below 2**32 mod (r + 1).  The methods below replay
+    those rules draw for draw, so each takes exactly the words the numpy call
+    it names would take.  :meth:`bounded_block` applies the rule to a whole
+    block of rows at once and hands back the words from the first row holding
+    a rejected draw, which the scalar :meth:`below` then redraws.
     """
 
     def __init__(self, seed: int):
@@ -148,13 +160,14 @@ class _Philox32:
         """32-bit words consumed so far."""
         return self._fetched - len(self._words)
 
-    def _fill(self, raw_count: int) -> None:
+    def _raw_words(self, raw_count: int) -> np.ndarray:
+        """The next ``2 * raw_count`` words off the bit generator, as uint64."""
         raw = self._bits.random_raw(raw_count)
         words = np.empty(2 * raw_count, dtype=np.uint64)
         words[0::2] = raw & _U32
         words[1::2] = raw >> 32
-        self._words[:0] = words[::-1].tolist()
         self._fetched += 2 * raw_count
+        return words
 
     def below(self, r: int) -> int:
         """Uniform in [0, r]: ``integers(0, r + 1)``; r = 0 takes no draw."""
@@ -164,25 +177,45 @@ class _Philox32:
         words = self._words
         while True:
             if not words:
-                self._fill(_RAW_BLOCK)
+                words[:] = self._raw_words(_RAW_BLOCK)[::-1].tolist()
             m = words.pop() * r1
             if m & _U32 >= (_U32 - r) % r1:
                 return m >> 32
 
     def take(self, count: int) -> np.ndarray:
         """The next ``count`` words, as uint64."""
-        if count > len(self._words):
-            self._fill((count - len(self._words) + 1) // 2)
-        split = len(self._words) - count
-        out = self._words[split:]
-        del self._words[split:]
-        return np.array(out[::-1], dtype=np.uint64)
+        words = self._words
+        head = words[max(len(words) - count, 0):]
+        del words[len(words) - len(head):]
+        out = np.array(head[::-1], dtype=np.uint64)
+        if len(out) < count:
+            more = self._raw_words((count - len(out) + 1) // 2)
+            words.extend(more[count - len(out):].tolist())  # at most one word
+            out = np.concatenate((out, more[:count - len(out)]))
+        return out
+
+    def bounded_block(self, rows: int, bounds: np.ndarray) -> np.ndarray:
+        """``below(r)`` for each r of ``bounds`` (all positive), row after row.
+
+        Returns the (rows', len(bounds)) values of the rows before the first
+        one that holds a rejected draw (all ``rows`` if none does); the words
+        of that row and the rows after it go back unread.
+        """
+        words = self.take(rows * len(bounds)).reshape(rows, len(bounds))
+        r1 = bounds.astype(np.uint64) + 1
+        product = words * r1
+        bad = ((product & _U32) < 2**32 % r1).any(axis=1)
+        if bad.any():
+            keep = int(bad.argmax())
+            self._words.extend(words[keep:].ravel()[::-1].tolist())
+            product = product[:keep]
+        return (product >> 32).astype(np.int64)
 
     def subset_mask(self, n: int, k: int) -> int:
         """Site mask of ``choice(n, size=k, replace=False)``, taking its draws."""
         below = self.below
         mask = 0
-        if n > 10000 and k > n // 50:
+        if _tail_shuffle(n, k):
             # numpy shuffles the tail of arange(n); the support is its last k slots
             moved: dict[int, int] = {}
             for i in range(n - 1, max(n - k, 1) - 1, -1):
@@ -215,6 +248,11 @@ class _Philox32:
         return PauliOp(n, xm, zm)
 
 
+def _tail_shuffle(n: int, k: int) -> bool:
+    """True where ``choice(n, size=k, replace=False)`` shuffles a tail instead of Floyd."""
+    return n > 10000 and k > n // 50
+
+
 def _edge_mask(edge, n: int, k: int) -> int:
     """Site mask of an explicit hyperedge; ValueError unless k distinct sites in [0, n)."""
     mask = 0
@@ -228,6 +266,88 @@ def _edge_mask(edge, n: int, k: int) -> int:
     if len(edge) != k:
         raise ValueError(f"hyperedge {tuple(edge)} has {len(edge)} sites, expected k={k}")
     return mask
+
+
+def _floyd_sites(n: int, k: int, draws: np.ndarray) -> np.ndarray:
+    """Sorted supports of Floyd's algorithm, one row per row of its draws.
+
+    ``draws`` holds the draws for j = n - k, ..., n - 1 with j > 0 (j = 0
+    picks site 0 with no draw); step j keeps its draw unless an earlier step
+    of the row picked it, and picks j then.
+    """
+    picks = np.zeros((len(draws), k), dtype=np.int64)
+    col = 0
+    for t, j in enumerate(range(n - k, n)):
+        if j == 0:
+            continue
+        draw = draws[:, col]
+        col += 1
+        picks[:, t] = np.where((picks[:, :t] == draw[:, None]).any(axis=1), j, draw)
+    picks.sort(axis=1)
+    return picks
+
+
+def _block_rows(n: int, sites: np.ndarray, codes: np.ndarray | None) -> tuple[list, list]:
+    """Supports and words of rows of sorted sites and letter codes (0, 1, 2 -> X, Y, Z).
+
+    ``codes`` None means every letter is Z.  Masks are uint64 sums of distinct
+    bits up to 64 qubits and Python ints beyond.
+    """
+    dtype = np.uint64 if n <= 64 else object
+    bits = np.ones((), dtype=dtype) << sites.astype(dtype)
+    if codes is None:
+        xms = [0] * len(sites)
+        zms = bits.sum(axis=1).tolist()
+    else:
+        xms = np.where(codes != 2, bits, 0).sum(axis=1).tolist()
+        zms = np.where(codes != 0, bits, 0).sum(axis=1).tolist()
+    return list(zip(*sites.T.tolist())), [PauliOp(n, x, z) for x, z in zip(xms, zms)]
+
+
+def _draw_words(stream: _Philox32, cfg: GeneratorConfig) -> tuple[list, list]:
+    """Sorted supports and words of the constraints, drawn as numpy's choice/integers would.
+
+    Each row's draws are its support (Floyd's k draws for j > 0, then the k - 1
+    draws of the shuffle whose order sorting discards; none for an explicit
+    hyperedge) and then one letter per site (none for one-basis-z).  Rows are
+    drawn as blocks; a row holding a rejected draw, and every row on numpy's
+    tail-shuffle branch, is drawn word by word.
+    """
+    n, k, m = cfg.n, cfg.k, cfg.m
+    letters = cfg.model != "one-basis-z"
+    if cfg.hypergraph is not None:
+        if len(cfg.hypergraph) != m:
+            raise ValueError("explicit hypergraph must have m edges")
+        edges = [_edge_mask(e, n, k) for e in cfg.hypergraph]
+        fixed = np.sort(np.array(cfg.hypergraph, dtype=np.int64).reshape(m, k), axis=1)
+        bounds = []
+    else:
+        edges = fixed = None
+        bounds = [j for j in range(n - k, n) if j] + list(range(k - 1, 0, -1))
+    width = len(bounds) + (k if letters else 0)
+    bounds = np.array(bounds + [2] * (width - len(bounds)), dtype=np.int64)
+    blocked = fixed is not None or not _tail_shuffle(n, k)
+    rows_per_block = max(_BLOCK_WORDS // max(width, 1), 1)
+    supports: list = []
+    words: list = []
+    while len(words) < m:
+        i = len(words)
+        if blocked:
+            want = min(m - i, rows_per_block)
+            draws = stream.bounded_block(want, bounds)
+            sites = fixed[i:i + len(draws)] if fixed is not None else _floyd_sites(n, k, draws)
+            block_supports, block_words = _block_rows(
+                n, sites, draws[:, width - k:] if letters else None)
+            supports += block_supports
+            words += block_words
+            if len(draws) == want:
+                continue
+        # the next row holds a rejected draw, or numpy shuffles the tail
+        mask = edges[len(words)] if edges is not None else stream.subset_mask(n, k)
+        word = stream.word(n, mask) if letters else PauliOp(n, 0, mask)
+        supports.append(word.support())
+        words.append(word)
+    return supports, words
 
 
 def generate(cfg: GeneratorConfig) -> Instance:
@@ -244,19 +364,9 @@ def generate(cfg: GeneratorConfig) -> Instance:
         if len(cfg.words) != cfg.m:
             raise ValueError("explicit words must have length m")
         words = list(cfg.words)
+        supports = [w.support() for w in words]
     else:
-        edges = None
-        if cfg.hypergraph is not None:
-            if len(cfg.hypergraph) != cfg.m:
-                raise ValueError("explicit hypergraph must have m edges")
-            edges = [_edge_mask(e, cfg.n, cfg.k) for e in cfg.hypergraph]
-        words = []
-        for i in range(cfg.m):
-            mask = stream.subset_mask(cfg.n, cfg.k) if edges is None else edges[i]
-            if cfg.model == "one-basis-z":
-                words.append(PauliOp(cfg.n, 0, mask))
-            else:
-                words.append(stream.word(cfg.n, mask))
+        supports, words = _draw_words(stream, cfg)
 
     for w in words:
         if w.weight() != cfg.k:
@@ -266,6 +376,8 @@ def generate(cfg: GeneratorConfig) -> Instance:
         coeffs = [float(b) for b in cfg.coeffs]
         if len(coeffs) != cfg.m:
             raise ValueError("explicit coefficients must have length m")
+        if not all(map(math.isfinite, coeffs)):
+            raise ValueError("explicit coefficients must be finite")
     elif cfg.model == "explicit":
         raise ValueError("explicit model requires explicit coefficients")
     elif cfg.model == "gaussian-semirandom":
@@ -278,9 +390,7 @@ def generate(cfg: GeneratorConfig) -> Instance:
         # integers(0, 2) never rejects: its threshold is 2**32 mod 2 = 0
         coeffs = ((stream.take(cfg.m) >> 31) * 2.0 - 1.0).tolist()
 
-    constraints = tuple(
-        Constraint(w.support(), w, b) for w, b in zip(words, coeffs)
-    )
+    constraints = tuple(map(Constraint, supports, words, coeffs))
     return Instance(cfg.n, cfg.k, constraints, cfg.model, cfg.seed)
 
 
@@ -361,6 +471,8 @@ def parse(text: str) -> Instance:
             coeff = float(toks[-1])
         except ValueError:
             raise ParseError(lineno, f"bad coefficient {toks[-1]!r}") from None
+        if not math.isfinite(coeff):
+            raise ParseError(lineno, f"coefficient {toks[-1]!r} is not finite")
         try:
             word = PauliOp.from_sparse(" ".join(toks[:-1]), n)
         except ValueError as exc:

@@ -50,8 +50,7 @@ class PauliOp:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError(f"qubit count must be nonnegative, got {self.n}")
-        full = (1 << self.n) - 1
-        if self.xmask & ~full or self.zmask & ~full:
+        if (self.xmask | self.zmask) >> self.n:
             raise ValueError("mask bits beyond qubit count must be zero")
 
     @staticmethod

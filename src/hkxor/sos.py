@@ -406,6 +406,8 @@ def boundary_expansion_check(hypergraph, beta: float, d: int) -> ExpansionReport
     EXHAUSTIVE_SUBSET_CAP; beyond that a sampled pass runs and the report is
     flagged as heuristic.
     """
+    if not math.isfinite(beta):
+        raise ValueError(f"expansion beta must be finite, got {beta}")
     if d < 1:
         raise ValueError(f"expansion subset size d must be at least 1, got {d}")
     masks = [site_mask(sites) for sites in hypergraph]

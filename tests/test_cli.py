@@ -418,3 +418,40 @@ def test_certify_empty_instance_file(tmp_path, capsys):
     fields = dict(l.split("=", 1) for l in out.splitlines() if "=" in l)
     assert float(fields["algval"]) == 0.5
     assert fields["algval_clamped"] == "0.5"
+
+
+def test_witness_lift_repeated_monomial_is_usage_error(tmp_path, capsys):
+    # the later value used to win silently and the lifted witness dumped ZZI -0.5
+    code, err = lift_error(tmp_path, capsys,
+                           "PMOM v1 n=3 d=2\n- 1\n1 1\n2 1\n3 1\n1,2 1/2\n1,3 1\n2,3 1\n2,1 -1/2\n")
+    assert code == 3
+    assert err.startswith("hkxor: error: line 9: monomial '2,1' listed twice")
+
+
+def test_non_finite_coefficient_is_usage_error(tmp_path, capsys):
+    # certify used to fail on a bare AssertionError in regularize; oracle ran
+    # into numpy warnings and a non-converging eigensolver before exit 3
+    for value in ("nan", "inf", "-inf"):
+        path = tmp_path / f"{value}.hkxor"
+        path.write_text("HKXOR v1 n=3 k=2 m=2 model=explicit seed=0\n"
+                        f"Z1 Z2 1.0\nZ2 Y3 {value}\n")
+        for argv in (("certify", "--in", str(path), "--ell", "1"),
+                     ("oracle", "--in", str(path))):
+            code = main(list(argv))
+            captured = capsys.readouterr()
+            assert code == 3
+            assert captured.err.startswith(
+                f"hkxor: error: line 3: coefficient '{value}' is not finite")
+            assert captured.out == ""
+
+
+def test_oracle_non_finite_expansion_beta_is_usage_error(tmp_path, capsys):
+    # `boundary < nan * size` is never true, so nan used to report expansion.pass=1
+    path = tmp_path / "inst"
+    run(capsys, "gen", "--n", "6", "--k", "2", "--m", "4", "--model", "one-basis-z",
+        "--seed", "1", "--out", str(path))
+    for beta in ("nan", "inf"):
+        code = main(["oracle", "--in", str(path), "--expansion", beta, "2"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "expansion beta must be finite" in captured.err

@@ -82,12 +82,13 @@ def test_generated_bytes_golden_wide():
         "b12143b2fe56daffb1b273cbe18d34db6e6b3c449998b0a26f9dc51ab5761f01")
 
 
-def numpy_draws(n, k, m, model, seed):
+def numpy_draws(n, k, m, model, seed, hypergraph=None):
     """Words and coefficients from numpy's own choice/integers/standard_normal calls."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     words = []
-    for _ in range(m):
-        sup = sorted(int(s) for s in rng.choice(n, size=k, replace=False))
+    for i in range(m):
+        sup = sorted(hypergraph[i] if hypergraph else
+                     (int(s) for s in rng.choice(n, size=k, replace=False)))
         letters = "Z" * k if model == "one-basis-z" else "".join(
             "XYZ"[rng.integers(0, 3)] for _ in range(k))
         words.append(PauliOp.from_letters(n, sup, letters))
@@ -116,12 +117,32 @@ def sampler_cases(draw):
 @example((12000, 240, 2, "rademacher-semirandom", 0))
 @example((7, 7, 5, "gaussian-semirandom", 1))
 @example((12000, 1, 1, "rademacher-semirandom", 201614))  # Lemire rejects the first draw
+# Lemire rejects a support draw in the middle row and in the last row of a
+# five-row block (seeds found by replaying the rule on the raw stream)
+@example((12000, 1, 5, "rademacher-semirandom", 1164563))
+@example((12000, 1, 5, "gaussian-semirandom", 101052))
+@example((5, 5, 9, "rademacher-semirandom", 3))  # n = k: the j = 0 Floyd step takes no draw
+@example((9, 4, 12, "one-basis-z", 2**64 - 1))  # supports only, no letter draws
 def test_generate_equals_numpy_calls(case):
     n, k, m, model, seed = case
     inst = generate(GeneratorConfig(n=n, k=k, m=m, model=model, seed=seed))
     words, coeffs = numpy_draws(n, k, m, model, seed)
     assert [c.pauli for c in inst.constraints] == words
     assert list(inst.coeffs()) == coeffs
+
+
+@pytest.mark.parametrize("model", ("rademacher-semirandom", "gaussian-semirandom",
+                                   "one-basis-z"))
+@pytest.mark.parametrize("seed", (0, 2**64 - 1))
+def test_generate_explicit_hypergraph_equals_numpy_calls(model, seed):
+    # only the letters are drawn (none for one-basis-z); hyperedges come in any order
+    hypergraph = ((0, 1, 2), (6, 2, 4), (3, 5, 1), (0, 6, 3), (4, 5, 6), (1, 2, 3)) * 3
+    inst = generate(GeneratorConfig(n=7, k=3, m=len(hypergraph), model=model, seed=seed,
+                                    hypergraph=hypergraph))
+    words, coeffs = numpy_draws(7, 3, len(hypergraph), model, seed, hypergraph)
+    assert [c.pauli for c in inst.constraints] == words
+    assert list(inst.coeffs()) == coeffs
+    assert [c.support for c in inst.constraints] == [tuple(sorted(e)) for e in hypergraph]
 
 
 @pytest.mark.parametrize("model", ("rademacher-semirandom", "one-basis-z"))
@@ -137,6 +158,10 @@ def test_generate_errors():
         GeneratorConfig(n=3, k=4, m=1)
     with pytest.raises(ValueError):
         GeneratorConfig(n=3, k=2, m=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            generate(GeneratorConfig(n=3, k=2, m=2, model="explicit", coeffs=(1.0, bad),
+                                     hypergraph=((0, 1), (1, 2))))
 
 
 def test_threshold_size_examples():
@@ -198,6 +223,10 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse("HKXOR v1 n=2 k=2 m=1 model=explicit seed=0\nZ1 Q2 1.0\n")
     assert err.value.lineno == 2
+    for value in ("nan", "inf", "-inf", "NaN"):
+        with pytest.raises(ParseError, match="not finite") as err:
+            parse(f"HKXOR v1 n=2 k=2 m=2 model=explicit seed=0\nZ1 Z2 1.0\nX1 Y2 {value}\n")
+        assert err.value.lineno == 3
     with pytest.raises(ParseError) as err:
         parse("HKXOR v2 n=2 k=2 m=1 model=explicit seed=0\nZ1 Z2 1.0\n")
     assert err.value.lineno == 1

@@ -120,6 +120,14 @@ def test_meet():
     assert meet(p, p) == set(p.support())
 
 
+@pytest.mark.parametrize("n, xmask, zmask", ((2, 4, 0), (2, 0, 4), (2, 1 << 70, 3), (0, 0, 1),
+                                           (3, -1, 0), (3, 0, -2), (-1, 0, 0)))
+def test_mask_bits_beyond_qubit_count_raise(n, xmask, zmask):
+    with pytest.raises(ValueError):
+        PauliOp(n, xmask, zmask)
+    assert PauliOp(3, 7, 5).weight() == 3 and PauliOp(0, 0, 0).is_identity()
+
+
 def test_mismatched_n_errors():
     with pytest.raises(ValueError):
         commutes(PauliOp.identity(2), PauliOp.identity(3))
