@@ -52,7 +52,6 @@ _MODEL_ALIASES = {
     "gaussian-semirandom": "gaussian-semirandom",
     "random": "random",
     "one-basis-z": "one-basis-z",
-    "explicit": "explicit",
 }
 
 

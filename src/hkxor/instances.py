@@ -1,8 +1,10 @@
 """Hamiltonian k-XOR instances: representation, generation, serialization.
 
 An instance is a multiset of constraints (C, P_C, b_C): a k-site support C,
-a Pauli word P_C supported exactly on C, and a real coefficient b_C.  It
-defines the Hamiltonian  Id/2 + (1/2|H|) * sum_C b_C P_C.
+a Pauli word P_C supported exactly on C, and a real coefficient b_C.  Since
+C is the support of P_C, a :class:`Constraint` stores only P_C and b_C and
+reads C off the word.  An instance defines the Hamiltonian
+Id/2 + (1/2|H|) * sum_C b_C P_C.
 
 Generation models (coefficient law / structure law):
 
@@ -20,11 +22,11 @@ and signs are read straight off its raw 64-bit outputs with the rules numpy's
 ``Generator`` applies to them (see :class:`_Philox32`), so their bytes depend
 only on the Philox stream, which numpy keeps fixed (NEP 19); Gaussian
 coefficients still come from ``Generator.standard_normal``.  The supports
-and letters of all m constraints are drawn as one (m, w) block of 32-bit
-words: a row's w columns are Floyd's draws, the discarded shuffle draws and
-the letter draws, Lemire's rule is applied to the whole block, and the rare
-row holding a rejected draw is redrawn word by word (as is every row where
-numpy shuffles a tail instead of running Floyd).
+and letters of all m constraints are drawn as one (m, w) block of bounded
+draws: a row's w columns are Floyd's draws, the discarded shuffle draws and
+the letter draws, and every row's word is built from its block row.  Where
+numpy shuffles a tail instead of running Floyd, each row's support is drawn
+on its own and its letters as a one-row block.
 
 Sites are 0-indexed in the Python API; the text format is 1-indexed.
 """
@@ -54,15 +56,18 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Constraint:
-    """One signed local term: sorted 0-indexed support, word on it, coefficient."""
+    """One signed local term b_C P_C: a Pauli word and its coefficient.
 
-    support: tuple[int, ...]
+    Its support C is the word's: :attr:`support` reads it off ``pauli``.
+    """
+
     pauli: PauliOp
     coeff: float
 
-    def __post_init__(self) -> None:
-        if self.pauli.support() != self.support:
-            raise ValueError(f"word support {self.pauli.support()} != {self.support}")
+    @property
+    def support(self) -> tuple[int, ...]:
+        """Ascending 0-indexed sites the word acts on."""
+        return self.pauli.support()
 
 
 @dataclass(frozen=True)
@@ -81,8 +86,8 @@ class Instance:
         for c in self.constraints:
             if c.pauli.n != self.n:
                 raise ValueError("constraint qubit count differs from instance")
-            if len(c.support) != self.k:
-                raise ValueError(f"constraint arity {len(c.support)} != k={self.k}")
+            if c.pauli.weight() != self.k:
+                raise ValueError(f"constraint arity {c.pauli.weight()} != k={self.k}")
         if self.model == "one-basis-z":
             for c in self.constraints:
                 if c.pauli.xmask != 0:
@@ -127,6 +132,8 @@ class GeneratorConfig:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
+        if self.words is not None and self.hypergraph is not None:
+            raise ValueError("give explicit words or an explicit hypergraph, not both")
 
 
 _U32 = 0xFFFFFFFF
@@ -146,8 +153,8 @@ class _Philox32:
     when the low half is below 2**32 mod (r + 1).  The methods below replay
     those rules draw for draw, so each takes exactly the words the numpy call
     it names would take.  :meth:`bounded_block` applies the rule to a whole
-    block of rows at once and hands back the words from the first row holding
-    a rejected draw, which the scalar :meth:`below` then redraws.
+    block of rows at once; the rare row holding a rejected draw is redrawn by
+    the scalar :meth:`below` and ends the block.
     """
 
     def __init__(self, seed: int):
@@ -197,55 +204,33 @@ class _Philox32:
     def bounded_block(self, rows: int, bounds: np.ndarray) -> np.ndarray:
         """``below(r)`` for each r of ``bounds`` (all positive), row after row.
 
-        Returns the (rows', len(bounds)) values of the rows before the first
-        one that holds a rejected draw (all ``rows`` if none does); the words
-        of that row and the rows after it go back unread.
+        Returns int64 values of shape (rows', len(bounds)).  If no draw is
+        rejected, rows' = ``rows``.  Otherwise the block ends with the first
+        row holding a rejected draw, redrawn by ``below``, and the words
+        after that row go back unread.
         """
         words = self.take(rows * len(bounds)).reshape(rows, len(bounds))
         r1 = bounds.astype(np.uint64) + 1
         product = words * r1
         bad = ((product & _U32) < 2**32 % r1).any(axis=1)
+        values = (product >> 32).astype(np.int64)
         if bad.any():
             keep = int(bad.argmax())
             self._words.extend(words[keep:].ravel()[::-1].tolist())
-            product = product[:keep]
-        return (product >> 32).astype(np.int64)
+            values = values[:keep + 1]
+            values[keep] = [self.below(r) for r in bounds.tolist()]
+        return values
 
-    def subset_mask(self, n: int, k: int) -> int:
-        """Site mask of ``choice(n, size=k, replace=False)``, taking its draws."""
-        below = self.below
-        mask = 0
-        if _tail_shuffle(n, k):
-            # numpy shuffles the tail of arange(n); the support is its last k slots
-            moved: dict[int, int] = {}
-            for i in range(n - 1, max(n - k, 1) - 1, -1):
-                j = below(i)
-                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-            for i in range(n - k, n):
-                mask |= 1 << moved.get(i, i)
-            return mask
-        # Floyd's algorithm, then a shuffle of the k picks whose order sorting discards
-        for j in range(n - k, n):
-            bit = 1 << below(j)
-            mask |= 1 << j if mask & bit else bit
-        for i in range(k - 1, 0, -1):
-            below(i)
-        return mask
+    def tail_sites(self, n: int, k: int) -> np.ndarray:
+        """Sorted sites of ``choice(n, size=k, replace=False)`` on numpy's tail-shuffle branch.
 
-    def word(self, n: int, mask: int) -> PauliOp:
-        """One uniform letter per site of ``mask``, in ascending site order."""
-        below = self.below
-        xm = zm = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            code = below(2)  # 0, 1, 2 -> X, Y, Z
-            if code != 2:
-                xm |= low
-            if code != 0:
-                zm |= low
-            rest ^= low
-        return PauliOp(n, xm, zm)
+        numpy shuffles the tail of arange(n); the sites are its last k slots.
+        """
+        moved: dict[int, int] = {}
+        for i in range(n - 1, max(n - k, 1) - 1, -1):
+            j = self.below(i)
+            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+        return np.sort([moved.get(i, i) for i in range(n - k, n)])
 
 
 def _tail_shuffle(n: int, k: int) -> bool:
@@ -253,19 +238,18 @@ def _tail_shuffle(n: int, k: int) -> bool:
     return n > 10000 and k > n // 50
 
 
-def _edge_mask(edge, n: int, k: int) -> int:
-    """Site mask of an explicit hyperedge; ValueError unless k distinct sites in [0, n)."""
-    mask = 0
+def _check_edge(edge, n: int, k: int) -> None:
+    """ValueError unless an explicit hyperedge is k distinct sites in [0, n)."""
+    seen = set()
     for site in edge:
         site = operator.index(site)
         if not 0 <= site < n:
             raise ValueError(f"site {site} out of range for n={n}")
-        if mask >> site & 1:
+        if site in seen:
             raise ValueError(f"duplicate site {site}")
-        mask |= 1 << site
+        seen.add(site)
     if len(edge) != k:
         raise ValueError(f"hyperedge {tuple(edge)} has {len(edge)} sites, expected k={k}")
-    return mask
 
 
 def _floyd_sites(n: int, k: int, draws: np.ndarray) -> np.ndarray:
@@ -287,8 +271,8 @@ def _floyd_sites(n: int, k: int, draws: np.ndarray) -> np.ndarray:
     return picks
 
 
-def _block_rows(n: int, sites: np.ndarray, codes: np.ndarray | None) -> tuple[list, list]:
-    """Supports and words of rows of sorted sites and letter codes (0, 1, 2 -> X, Y, Z).
+def _block_rows(n: int, sites: np.ndarray, codes: np.ndarray | None) -> list[PauliOp]:
+    """Words of rows of sites and their letter codes (0, 1, 2 -> X, Y, Z), column by column.
 
     ``codes`` None means every letter is Z.  Masks are uint64 sums of distinct
     bits up to 64 qubits and Python ints beyond.
@@ -301,53 +285,46 @@ def _block_rows(n: int, sites: np.ndarray, codes: np.ndarray | None) -> tuple[li
     else:
         xms = np.where(codes != 2, bits, 0).sum(axis=1).tolist()
         zms = np.where(codes != 0, bits, 0).sum(axis=1).tolist()
-    return list(zip(*sites.T.tolist())), [PauliOp(n, x, z) for x, z in zip(xms, zms)]
+    return [PauliOp(n, x, z) for x, z in zip(xms, zms)]
 
 
-def _draw_words(stream: _Philox32, cfg: GeneratorConfig) -> tuple[list, list]:
-    """Sorted supports and words of the constraints, drawn as numpy's choice/integers would.
+def _draw_words(stream: _Philox32, cfg: GeneratorConfig) -> list[PauliOp]:
+    """Words of the constraints, drawn as numpy's choice/integers calls would draw them.
 
     Each row's draws are its support (Floyd's k draws for j > 0, then the k - 1
     draws of the shuffle whose order sorting discards; none for an explicit
-    hyperedge) and then one letter per site (none for one-basis-z).  Rows are
-    drawn as blocks; a row holding a rejected draw, and every row on numpy's
-    tail-shuffle branch, is drawn word by word.
+    hyperedge) and then one letter per site in ascending site order (none for
+    one-basis-z).  On numpy's tail-shuffle branch the support of each row is
+    drawn first and its letters are a one-row block.
     """
     n, k, m = cfg.n, cfg.k, cfg.m
     letters = cfg.model != "one-basis-z"
+    fixed = None
     if cfg.hypergraph is not None:
         if len(cfg.hypergraph) != m:
             raise ValueError("explicit hypergraph must have m edges")
-        edges = [_edge_mask(e, n, k) for e in cfg.hypergraph]
+        for edge in cfg.hypergraph:
+            _check_edge(edge, n, k)
         fixed = np.sort(np.array(cfg.hypergraph, dtype=np.int64).reshape(m, k), axis=1)
+    tail = fixed is None and _tail_shuffle(n, k)
+    if fixed is not None or tail:
         bounds = []
     else:
-        edges = fixed = None
         bounds = [j for j in range(n - k, n) if j] + list(range(k - 1, 0, -1))
     width = len(bounds) + (k if letters else 0)
     bounds = np.array(bounds + [2] * (width - len(bounds)), dtype=np.int64)
-    blocked = fixed is not None or not _tail_shuffle(n, k)
     rows_per_block = max(_BLOCK_WORDS // max(width, 1), 1)
-    supports: list = []
-    words: list = []
+    words: list[PauliOp] = []
     while len(words) < m:
         i = len(words)
-        if blocked:
-            want = min(m - i, rows_per_block)
-            draws = stream.bounded_block(want, bounds)
+        if tail:
+            sites = stream.tail_sites(n, k)[None]
+            draws = stream.bounded_block(1, bounds)
+        else:
+            draws = stream.bounded_block(min(m - i, rows_per_block), bounds)
             sites = fixed[i:i + len(draws)] if fixed is not None else _floyd_sites(n, k, draws)
-            block_supports, block_words = _block_rows(
-                n, sites, draws[:, width - k:] if letters else None)
-            supports += block_supports
-            words += block_words
-            if len(draws) == want:
-                continue
-        # the next row holds a rejected draw, or numpy shuffles the tail
-        mask = edges[len(words)] if edges is not None else stream.subset_mask(n, k)
-        word = stream.word(n, mask) if letters else PauliOp(n, 0, mask)
-        supports.append(word.support())
-        words.append(word)
-    return supports, words
+        words += _block_rows(n, sites, draws[:, width - k:] if letters else None)
+    return words
 
 
 def generate(cfg: GeneratorConfig) -> Instance:
@@ -364,9 +341,8 @@ def generate(cfg: GeneratorConfig) -> Instance:
         if len(cfg.words) != cfg.m:
             raise ValueError("explicit words must have length m")
         words = list(cfg.words)
-        supports = [w.support() for w in words]
     else:
-        supports, words = _draw_words(stream, cfg)
+        words = _draw_words(stream, cfg)
 
     for w in words:
         if w.weight() != cfg.k:
@@ -390,7 +366,7 @@ def generate(cfg: GeneratorConfig) -> Instance:
         # integers(0, 2) never rejects: its threshold is 2**32 mod 2 = 0
         coeffs = ((stream.take(cfg.m) >> 31) * 2.0 - 1.0).tolist()
 
-    constraints = tuple(map(Constraint, supports, words, coeffs))
+    constraints = tuple(map(Constraint, words, coeffs))
     return Instance(cfg.n, cfg.k, constraints, cfg.model, cfg.seed)
 
 
@@ -479,7 +455,7 @@ def parse(text: str) -> Instance:
             raise ParseError(lineno, str(exc)) from None
         if word.weight() != k:
             raise ParseError(lineno, f"word weight {word.weight()} != k={k}")
-        constraints.append(Constraint(word.support(), word, coeff))
+        constraints.append(Constraint(word, coeff))
     try:
         return Instance(n, k, tuple(constraints), model, seed)
     except ValueError as exc:

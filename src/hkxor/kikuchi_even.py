@@ -159,7 +159,7 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
             shared_words = [PauliOp.from_letters(n, sites, "".join(letters))
                             for sites in combinations(off_sites, extra)
                             for letters in product(_LETTERS, repeat=extra)]
-        for half in combinations(c.support, k // 2):
+        for half in combinations(word.support(), k // 2):
             q_mask = site_mask(half)
             qx, qz = word.xmask & q_mask, word.zmask & q_mask  # P on the half
             rx, rz = word.xmask ^ qx, word.zmask ^ qz  # P on the rest of supp(P)

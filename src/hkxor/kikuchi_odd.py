@@ -60,7 +60,8 @@ import numpy as np
 
 from .instances import Instance, check_eps
 from .kikuchi_even import EDGE_BUDGET, KikuchiGraph
-from .pauli import PauliOp, SliceIndex, canonical_key, commutes, site_mask
+from .pauli import (_CODE_PAIR, _PAIR_CODE, PauliOp, SliceIndex, canonical_key, commutes,
+                    site_mask)
 
 
 class InfeasibleLevelError(ValueError):
@@ -358,8 +359,8 @@ CHUNK_CANDIDATES = 1 << 16
 
 # letter codes: rank code (X, Y, Z) = (0, 1, 2) <-> symplectic code x | z << 1,
 # with which the letter of a product of two letters is their XOR
-_SYM = np.array([1, 3, 2], dtype=np.int8)
-_RANK = np.array([-1, 0, 2, 1], dtype=np.int64)
+_SYM = np.array(_CODE_PAIR, dtype=np.int8)
+_RANK = np.array(_PAIR_CODE, dtype=np.int64)
 
 
 def _dense_letters(words: list[PauliOp], n: int) -> np.ndarray:

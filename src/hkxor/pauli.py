@@ -34,6 +34,8 @@ _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _PAIR_LETTER = "IXZY"
 # letter code (X, Y, Z -> 0, 1, 2) of a site's bit pair, indexed by x | z << 1
 _PAIR_CODE = (-1, 0, 2, 1)
+# its inverse: the bit pair x | z << 1 of letter code 0, 1, 2 (X, Y, Z)
+_CODE_PAIR = (1, 3, 2)
 
 PHASES = (1, 1j, -1, -1j)
 PHASE_STRINGS = ("+1", "+i", "-1", "-i")
@@ -62,7 +64,7 @@ class PauliOp:
         """Single-letter word acting on a 0-indexed site."""
         if not 0 <= site < n:
             raise ValueError(f"site {site} out of range for n={n}")
-        x, z = _LETTER_BITS[letter.upper()]
+        x, z = _letter_bits(letter)
         return PauliOp(n, x << site, z << site)
 
     @staticmethod
@@ -74,7 +76,7 @@ class PauliOp:
         for site, letter in zip(sites, letters):
             if not 0 <= site < n:
                 raise ValueError(f"site {site} out of range for n={n}")
-            x, z = _LETTER_BITS[letter.upper()]
+            x, z = _letter_bits(letter)
             if x == 0 and z == 0:
                 raise ValueError("identity letter not allowed in from_letters")
             if (xm | zm) >> site & 1:
@@ -126,7 +128,7 @@ class PauliOp:
     def from_string(s: str) -> "PauliOp":
         xm = zm = 0
         for i, ch in enumerate(s):
-            x, z = _LETTER_BITS[ch.upper()]
+            x, z = _letter_bits(ch)
             xm |= x << i
             zm |= z << i
         return PauliOp(len(s), xm, zm)
@@ -160,7 +162,8 @@ class PauliOp:
 def canonical_key(op: PauliOp) -> tuple:
     """Sort key: weight, then support lexicographic, then letters X<Y<Z (first site most significant)."""
     sup = op.support()
-    return (len(sup), sup, tuple(_LETTERS.index(op.letter_at(i)) for i in sup))
+    xm, zm = op.xmask, op.zmask
+    return (len(sup), sup, tuple(_PAIR_CODE[(xm >> i & 1) | (zm >> i & 1) << 1] for i in sup))
 
 
 @dataclass(frozen=True)
@@ -189,6 +192,14 @@ class PhasedPauli:
 
     def __str__(self) -> str:
         return f"{self.phase_str}*{self.op.to_sparse()}"
+
+
+def _letter_bits(letter: str) -> tuple[int, int]:
+    """The (x, z) bits of a letter I, X, Y or Z (either case); ValueError for any other."""
+    try:
+        return _LETTER_BITS[letter.upper()]
+    except KeyError:
+        raise ValueError(f"bad Pauli letter {letter!r}") from None
 
 
 def _set_bits(mask: int) -> tuple[int, ...]:

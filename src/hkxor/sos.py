@@ -533,5 +533,5 @@ def classical_energy(inst: Instance, moments: MomentOracle) -> ExactComplex:
     """The classical SoS objective 1/2 + (1/2|H|) sum_C b_C pE[x_C], exactly."""
     total = ZERO
     for c in inst.constraints:
-        total = total + ExactComplex.of(Fraction(c.coeff)) * moments.value(site_mask(c.support))
+        total = total + ExactComplex.of(Fraction(c.coeff)) * moments.value(c.pauli.support_mask)
     return ExactComplex.of(Fraction(1, 2)) + ExactComplex.of(Fraction(1, 2 * inst.m)) * total

@@ -25,7 +25,7 @@ from hkxor.pauli import PauliOp
 
 def single_zz():
     word = PauliOp.from_sparse("Z1 Z2", 2)
-    return Instance(2, 2, (Constraint((0, 1), word, 1.0),), "explicit")
+    return Instance(2, 2, (Constraint(word, 1.0),), "explicit")
 
 
 def test_spectral_norm_identity():
@@ -302,8 +302,7 @@ def test_scaled_matches_diagonal_products_and_drops_stored_zeros():
 def test_certify_odd_skipped_types_stay_sound():
     # residual pair (YY, ZZ) places no edges; the penalty term keeps soundness
     words = ["X1 Y2 Y3", "X1 Z2 Z3"]
-    cons = tuple(Constraint(PauliOp.from_sparse(w, 3).support(),
-                            PauliOp.from_sparse(w, 3), 1.0) for w in words)
+    cons = tuple(Constraint(PauliOp.from_sparse(w, 3), 1.0) for w in words)
     inst = Instance(3, 3, cons, "explicit")
     cert = certify_odd(inst, ell=2, eps=1.0)
     assert cert.per_t[0].num_skipped == 2
@@ -313,7 +312,7 @@ def test_certify_odd_skipped_types_stay_sound():
 def odd_instance(n, k, words, coeffs=None):
     ops = [PauliOp.from_sparse(w, n) for w in words]
     coeffs = coeffs or [1.0] * len(ops)
-    return Instance(n, k, tuple(Constraint(w.support(), w, b) for w, b in zip(ops, coeffs)),
+    return Instance(n, k, tuple(Constraint(w, b) for w, b in zip(ops, coeffs)),
                     "explicit")
 
 

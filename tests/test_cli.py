@@ -41,6 +41,18 @@ def test_gen_deterministic(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_gen_and_sweep_reject_explicit_model(tmp_path, capsys):
+    # an explicit instance needs its coefficients, which neither command takes
+    for argv in (["gen", "--n", "4", "--k", "2", "--m", "2", "--out", str(tmp_path / "x")],
+                 ["sweep", "--n", "6", "--k", "2", "--ell", "1", "--eps", "0.5",
+                  "--m-grid", "4", "--seeds", "1"]):
+        code = main(argv + ["--model", "explicit"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "invalid choice: 'explicit'" in captured.err
+        assert not (tmp_path / "x").exists()
+
+
 def test_gen_bad_ranges(tmp_path, capsys):
     code = main(["gen", "--n", "3", "--k", "5", "--m", "2",
                  "--out", str(tmp_path / "x")])

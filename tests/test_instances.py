@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from hkxor.instances import (
     MODELS,
+    Constraint,
     GeneratorConfig,
     ParseError,
     digest,
@@ -16,6 +17,7 @@ from hkxor.instances import (
     parse,
     serialize,
     threshold_size,
+    _Philox32,
 )
 from hkxor.pauli import PauliOp
 
@@ -143,6 +145,36 @@ def test_generate_explicit_hypergraph_equals_numpy_calls(model, seed):
     assert [c.pauli for c in inst.constraints] == words
     assert list(inst.coeffs()) == coeffs
     assert [c.support for c in inst.constraints] == [tuple(sorted(e)) for e in hypergraph]
+
+
+# n=12000, k=1: one Floyd draw below 11999, then one letter below 2, per row
+@pytest.mark.parametrize("seed, rows_out, used", ((0, 5, 10), (1164563, 3, 7), (101052, 5, 11)))
+def test_bounded_block_equals_below_replay(seed, rows_out, used):
+    # seed 0 rejects nothing; 1164563 rejects a draw in the third of five rows,
+    # which ends the block; 101052 rejects one in the last row
+    bounds = np.array([11999, 2])
+    stream, replay = _Philox32(seed), _Philox32(seed)
+    block = stream.bounded_block(5, bounds)
+    assert block.tolist() == [[replay.below(r) for r in bounds.tolist()] for _ in range(rows_out)]
+    assert stream.used == replay.used == used
+    # the words after the block are handed back unread
+    assert stream.take(7).tolist() == replay.take(7).tolist()
+
+
+@pytest.mark.parametrize("n", (8, 70))
+def test_constraint_support_is_read_off_its_word(n):
+    inst = generate(GeneratorConfig(n=n, k=3, m=20, model="random", seed=5))
+    for c in inst.constraints:
+        assert c.support == c.pauli.support() == tuple(sorted(c.support))
+        assert all(type(s) is int for s in c.support)
+    assert Constraint(PauliOp.from_sparse("X2 Z5", 6), -1.0).support == (1, 4)
+
+
+def test_words_with_a_hypergraph_raise():
+    # the hypergraph would be ignored: the words fix the supports
+    words = (PauliOp.from_sparse("X1 X2", 4), PauliOp.from_sparse("Z3 Z4", 4))
+    with pytest.raises(ValueError, match="not both"):
+        GeneratorConfig(n=4, k=2, m=2, words=words, hypergraph=((0, 3), (1, 2)))
 
 
 @pytest.mark.parametrize("model", ("rademacher-semirandom", "one-basis-z"))

@@ -74,7 +74,7 @@ def test_delta_count_matches_scan(n, k, ell):
 
 def single_zz():
     word = PauliOp.from_sparse("Z1 Z2", 2)
-    return Instance(2, 2, (Constraint((0, 1), word, 1.0),), "explicit")
+    return Instance(2, 2, (Constraint(word, 1.0),), "explicit")
 
 
 def test_single_constraint_graph():

@@ -22,7 +22,7 @@ from hkxor.pauli import PauliOp
 
 def explicit_instance(n, k, words_sparse):
     words = [PauliOp.from_sparse(w, n) for w in words_sparse]
-    return Instance(n, k, tuple(Constraint(w.support(), w, 1.0) for w in words), "explicit")
+    return Instance(n, k, tuple(Constraint(w, 1.0) for w in words), "explicit")
 
 
 def sha(text):
@@ -125,7 +125,7 @@ def test_odd_dumps_with_odd_residual_weight():
              "X1 Y2 Y3 Y4 Y5", "Z3 Z4 X5 Z6 Z7", "Y3 X4 X5 Y6 Z7", "Z3 Y4 X5 Y6 Z7"]
     coeffs = [1.0, -1.0, 0.5, -2.0, 1.5, -1.0, 1.0, 0.25]
     ops = [PauliOp.from_sparse(w, n) for w in words]
-    inst = Instance(n, 5, tuple(Constraint(w.support(), w, b) for w, b in zip(ops, coeffs)),
+    inst = Instance(n, 5, tuple(Constraint(w, b) for w, b in zip(ops, coeffs)),
                     "explicit")
     dec = BipartiteDecomposition(n=n, k=5, ell=4, eps=1.0, m=8, buckets=(
         Bucket(t=2, center=PauliOp.from_sparse("X1 Y2", n), cids=(0, 1, 2, 3, 4)),

@@ -36,7 +36,7 @@ from hkxor.pauli import (PauliOp, PhasedPauli, SliceIndex, canonical_key, multip
 def explicit_instance(n, k, words_sparse, coeffs=None):
     words = [PauliOp.from_sparse(w, n) for w in words_sparse]
     coeffs = coeffs or [1.0] * len(words)
-    cons = tuple(Constraint(w.support(), w, b) for w, b in zip(words, coeffs))
+    cons = tuple(Constraint(w, b) for w, b in zip(words, coeffs))
     return Instance(n, k, cons, "explicit")
 
 
@@ -156,7 +156,7 @@ def hub_instance(n, k, m, seed, hubs):
             letters[s] = rng.choice("XYZ")
         sites = tuple(sorted(letters))
         words.append(PauliOp.from_letters(n, sites, "".join(letters[s] for s in sites)))
-    return Instance(n, k, tuple(Constraint(w.support(), w, 1.0) for w in words), "explicit")
+    return Instance(n, k, tuple(Constraint(w, 1.0) for w in words), "explicit")
 
 
 def test_decompose_walk_matches_rescan_reference():

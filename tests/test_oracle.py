@@ -63,8 +63,7 @@ def test_assemble_adds_repeated_words_and_shared_x_masks():
     # an assembly that scatters all terms in one buffered add would lose some
     words = ["XZI", "XZI", "YIZ", "IZZ"]
     coeffs = [1.0, 1.0, -1.0, 1.0]
-    constraints = tuple(Constraint(PauliOp.from_string(w).support(), PauliOp.from_string(w), b)
-                        for w, b in zip(words, coeffs))
+    constraints = tuple(Constraint(PauliOp.from_string(w), b) for w, b in zip(words, coeffs))
     h = assemble(Instance(3, 2, constraints, "explicit"))
     ref = 0.5 * np.eye(8) + sum(b * kron_word(w) for w, b in zip(words, coeffs)) / 8
     np.testing.assert_allclose(h.matrix, ref, atol=1e-14)
@@ -87,11 +86,11 @@ def test_apply_word_matches_dense():
 
 def zz_instance():
     word = PauliOp.from_sparse("Z1 Z2", 2)
-    return Instance(2, 2, (Constraint((0, 1), word, 1.0),), "explicit")
+    return Instance(2, 2, (Constraint(word, 1.0),), "explicit")
 
 
 def test_assemble_examples():
-    h1 = assemble(Instance(1, 1, (Constraint((0,), PauliOp.from_sparse("Z1", 1), 1.0),), "explicit"))
+    h1 = assemble(Instance(1, 1, (Constraint(PauliOp.from_sparse("Z1", 1), 1.0),), "explicit"))
     np.testing.assert_allclose(h1.matrix, np.diag([1.0, 0.0]), atol=1e-14)
 
     g = assemble(zz_instance())

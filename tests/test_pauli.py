@@ -128,6 +128,14 @@ def test_mask_bits_beyond_qubit_count_raise(n, xmask, zmask):
     assert PauliOp(3, 7, 5).weight() == 3 and PauliOp(0, 0, 0).is_identity()
 
 
+@pytest.mark.parametrize("make", (lambda: PauliOp.single(3, 0, "Q"),
+                                  lambda: PauliOp.from_letters(3, (0,), "Q"),
+                                  lambda: PauliOp.from_string("XQ")))
+def test_bad_letter_raises_value_error_naming_it(make):
+    with pytest.raises(ValueError, match="'Q'"):
+        make()
+
+
 def test_mismatched_n_errors():
     with pytest.raises(ValueError):
         commutes(PauliOp.identity(2), PauliOp.identity(3))

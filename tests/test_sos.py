@@ -33,7 +33,7 @@ ONE = ExactComplex.of(1)
 
 def z_instance(n, supports, coeffs):
     cons = tuple(
-        Constraint(tuple(sorted(s)), PauliOp.from_letters(n, tuple(sorted(s)), "Z" * len(s)), b)
+        Constraint(PauliOp.from_letters(n, tuple(sorted(s)), "Z" * len(s)), b)
         for s, b in zip(supports, coeffs)
     )
     return Instance(n, len(supports[0]), cons, "one-basis-z")
@@ -153,7 +153,7 @@ def test_max_entropy_well_defined_on_expanders():
 
 def test_one_basis_x_accepted_via_relabeling():
     words = [PauliOp.from_letters(4, (0, 1), "XX"), PauliOp.from_letters(4, (2, 3), "XX")]
-    cons = tuple(Constraint(w.support(), w, 1.0) for w in words)
+    cons = tuple(Constraint(w, 1.0) for w in words)
     inst = Instance(4, 2, cons, "explicit")
     pe = max_entropy_build(inst, 4)
     assert isinstance(pe, PseudoExpectation) and not pe.experimental
@@ -207,7 +207,7 @@ def test_anticommuting_obstruction_lists():
     assert anticommuting_obstruction(inst) == []
     x1 = PauliOp.from_sparse("X1", 1)
     z1 = PauliOp.from_sparse("Z1", 1)
-    pair_inst = Instance(1, 1, (Constraint((0,), x1, 1.0), Constraint((0,), z1, 1.0)),
+    pair_inst = Instance(1, 1, (Constraint(x1, 1.0), Constraint(z1, 1.0)),
                          "explicit")
     assert anticommuting_obstruction(pair_inst) == [(0, 1)]
 
