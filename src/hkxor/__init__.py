@@ -8,10 +8,8 @@ from .pauli import (  # noqa: F401
     SliceIndex,
     commutes,
     enumerate_slice,
-    meet,
     multiply,
     mul_words,
-    subsumes,
 )
 from .instances import (  # noqa: F401
     Constraint,

@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .certify import SpectralNormError, certify, check_tol
+from .certify import DEFAULT_TOL, SpectralNormError, certify, check_tol
 from .instances import (
     GeneratorConfig,
     Instance,
@@ -270,7 +270,7 @@ def _build_parser() -> _Parser:
     cert.add_argument("--in", dest="infile", required=True)
     cert.add_argument("--ell", type=int, required=True)
     cert.add_argument("--eps", type=float, default=0.5)
-    cert.add_argument("--tol", type=float, default=1e-6)
+    cert.add_argument("--tol", type=float, default=DEFAULT_TOL)
     cert.add_argument("--branch", choices=("auto", "even", "odd"), default="auto")
     cert.add_argument("--solver-seed", type=int, default=0)
     cert.add_argument("--out", default=None)
@@ -297,7 +297,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--model", choices=sorted(_MODEL_ALIASES), default="rademacher")
     sweep.add_argument("--m-grid", required=True, help="comma-separated m values")
     sweep.add_argument("--seeds", type=int, required=True)
-    sweep.add_argument("--tol", type=float, default=1e-6)
+    sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
     sweep.add_argument("--branch", choices=("auto", "even", "odd"), default="auto")
     sweep.add_argument("--solver-seed", type=int, default=0)
     sweep.add_argument("--out", default=None)

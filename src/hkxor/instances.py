@@ -14,19 +14,22 @@ Generation models (coefficient law / structure law):
 * ``random``                 hypergraph of m uniform k-subsets (sampled with
   replacement as a multiset) with uniform non-identity letters; +-1 signs.
 * ``one-basis-z``            every word is Z-type; +-1 signs.
-* ``explicit``               nothing sampled; words and coefficients given.
+* ``explicit``               coefficients given; words given, or drawn
+  as for the other models.
 
-Randomness comes from a counter-based Philox generator keyed by the 64-bit
-seed (the ``rng=philox`` token in file headers names it).  Supports, letters
-and signs are read straight off its raw 64-bit outputs with the rules numpy's
-``Generator`` applies to them (see :class:`_Philox32`), so their bytes depend
-only on the Philox stream, which numpy keeps fixed (NEP 19); Gaussian
-coefficients still come from ``Generator.standard_normal``.  The supports
-and letters of all m constraints are drawn as one (m, w) block of bounded
-draws: a row's w columns are Floyd's draws, the discarded shuffle draws and
-the letter draws, and every row's word is built from its block row.  Where
-numpy shuffles a tail instead of running Floyd, each row's support is drawn
-on its own and its letters as a one-row block.
+Randomness comes from one ``numpy.random.Generator`` on a Philox bit
+generator keyed by the 64-bit seed (the ``rng=philox`` token in file
+headers names it).  Supports and letters are drawn as numpy's per-row
+``choice(n, size=k, replace=False)`` and ``integers(0, 3)`` calls would
+draw them, but a block of rows at a time: one ``integers`` call on a
+broadcast array of upper bounds.  A row's columns are its support draws
+(Floyd's steps and the shuffle whose order sorting discards, or the steps
+of the tail shuffle numpy runs instead for large n) and its letter draws.
+Signs are ``integers(0, 2)`` and Gaussian coefficients
+``standard_normal``.  NEP 19 keeps bit-generator streams fixed but not
+``Generator`` method streams, so the bytes rest on numpy's bounded-draw
+rule (Lemire's method) and its Gaussian sampler; the byte goldens and the
+numpy-call tests fail on any numpy whose calls differ.
 
 Sites are 0-indexed in the Python API; the text format is 1-indexed.
 """
@@ -136,101 +139,8 @@ class GeneratorConfig:
             raise ValueError("give explicit words or an explicit hypergraph, not both")
 
 
-_U32 = 0xFFFFFFFF
-# raw 64-bit outputs fetched per refill of the 32-bit buffer
-_RAW_BLOCK = 4096
-# most 32-bit words drawn as one block: bounds each block's temporaries
+# most draws made as one block: bounds each block's temporaries
 _BLOCK_WORDS = 1 << 16
-
-
-class _Philox32:
-    """The 32-bit draws ``Generator(Philox(key=seed))`` makes, read off the raw stream.
-
-    numpy's Generator splits each 64-bit Philox output into its low 32 bits
-    and then its high 32 bits, and draws a bounded integer by Lemire's method
-    (Lemire, ACM TOMACS 2019): ``integers(0, r + 1)`` multiplies a word u by
-    r + 1, returns the high half of the product and rejects u (drawing again)
-    when the low half is below 2**32 mod (r + 1).  The methods below replay
-    those rules draw for draw, so each takes exactly the words the numpy call
-    it names would take.  :meth:`bounded_block` applies the rule to a whole
-    block of rows at once; the rare row holding a rejected draw is redrawn by
-    the scalar :meth:`below` and ends the block.
-    """
-
-    def __init__(self, seed: int):
-        self._bits = np.random.Philox(key=seed)
-        self._fetched = 0  # 32-bit words read off the bit generator
-        self._words: list[int] = []  # unread words, the next one last
-
-    @property
-    def used(self) -> int:
-        """32-bit words consumed so far."""
-        return self._fetched - len(self._words)
-
-    def _raw_words(self, raw_count: int) -> np.ndarray:
-        """The next ``2 * raw_count`` words off the bit generator, as uint64."""
-        raw = self._bits.random_raw(raw_count)
-        words = np.empty(2 * raw_count, dtype=np.uint64)
-        words[0::2] = raw & _U32
-        words[1::2] = raw >> 32
-        self._fetched += 2 * raw_count
-        return words
-
-    def below(self, r: int) -> int:
-        """Uniform in [0, r]: ``integers(0, r + 1)``; r = 0 takes no draw."""
-        if r == 0:
-            return 0
-        r1 = r + 1
-        words = self._words
-        while True:
-            if not words:
-                words[:] = self._raw_words(_RAW_BLOCK)[::-1].tolist()
-            m = words.pop() * r1
-            if m & _U32 >= (_U32 - r) % r1:
-                return m >> 32
-
-    def take(self, count: int) -> np.ndarray:
-        """The next ``count`` words, as uint64."""
-        words = self._words
-        head = words[max(len(words) - count, 0):]
-        del words[len(words) - len(head):]
-        out = np.array(head[::-1], dtype=np.uint64)
-        if len(out) < count:
-            more = self._raw_words((count - len(out) + 1) // 2)
-            words.extend(more[count - len(out):].tolist())  # at most one word
-            out = np.concatenate((out, more[:count - len(out)]))
-        return out
-
-    def bounded_block(self, rows: int, bounds: np.ndarray) -> np.ndarray:
-        """``below(r)`` for each r of ``bounds`` (all positive), row after row.
-
-        Returns int64 values of shape (rows', len(bounds)).  If no draw is
-        rejected, rows' = ``rows``.  Otherwise the block ends with the first
-        row holding a rejected draw, redrawn by ``below``, and the words
-        after that row go back unread.
-        """
-        words = self.take(rows * len(bounds)).reshape(rows, len(bounds))
-        r1 = bounds.astype(np.uint64) + 1
-        product = words * r1
-        bad = ((product & _U32) < 2**32 % r1).any(axis=1)
-        values = (product >> 32).astype(np.int64)
-        if bad.any():
-            keep = int(bad.argmax())
-            self._words.extend(words[keep:].ravel()[::-1].tolist())
-            values = values[:keep + 1]
-            values[keep] = [self.below(r) for r in bounds.tolist()]
-        return values
-
-    def tail_sites(self, n: int, k: int) -> np.ndarray:
-        """Sorted sites of ``choice(n, size=k, replace=False)`` on numpy's tail-shuffle branch.
-
-        numpy shuffles the tail of arange(n); the sites are its last k slots.
-        """
-        moved: dict[int, int] = {}
-        for i in range(n - 1, max(n - k, 1) - 1, -1):
-            j = self.below(i)
-            moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
-        return np.sort([moved.get(i, i) for i in range(n - k, n)])
 
 
 def _tail_shuffle(n: int, k: int) -> bool:
@@ -271,6 +181,20 @@ def _floyd_sites(n: int, k: int, draws: np.ndarray) -> np.ndarray:
     return picks
 
 
+def _tail_sites(n: int, k: int, draws: np.ndarray) -> np.ndarray:
+    """Sorted supports of numpy's tail shuffle, one row per row of its draws.
+
+    ``draws`` starts with the draws for i = n - 1, ..., max(n - k, 1): step i
+    swaps slots i and its draw of arange(n), and the support is the last k slots.
+    """
+    slots = np.tile(np.arange(n), (len(draws), 1))
+    rows = np.arange(len(draws))
+    for t, i in enumerate(range(n - 1, max(n - k, 1) - 1, -1)):
+        j = draws[:, t]
+        slots[:, i], slots[rows, j] = slots[rows, j], slots[:, i].copy()
+    return np.sort(slots[:, n - k:], axis=1)
+
+
 def _block_rows(n: int, sites: np.ndarray, codes: np.ndarray | None) -> list[PauliOp]:
     """Words of rows of sites and their letter codes (0, 1, 2 -> X, Y, Z), column by column.
 
@@ -288,41 +212,47 @@ def _block_rows(n: int, sites: np.ndarray, codes: np.ndarray | None) -> list[Pau
     return [PauliOp(n, x, z) for x, z in zip(xms, zms)]
 
 
-def _draw_words(stream: _Philox32, cfg: GeneratorConfig) -> list[PauliOp]:
-    """Words of the constraints, drawn as numpy's choice/integers calls would draw them.
+def _draw_words(rng: np.random.Generator, cfg: GeneratorConfig) -> list[PauliOp]:
+    """Words of the constraints, drawn as numpy's per-row choice/integers calls would draw them.
 
-    Each row's draws are its support (Floyd's k draws for j > 0, then the k - 1
-    draws of the shuffle whose order sorting discards; none for an explicit
-    hyperedge) and then one letter per site in ascending site order (none for
-    one-basis-z).  On numpy's tail-shuffle branch the support of each row is
-    drawn first and its letters are a one-row block.
+    Each row's draws are its support and then one letter per site in ascending
+    site order (none for one-basis-z).  The support takes Floyd's k draws for
+    j > 0 and then the k - 1 draws of the shuffle whose order sorting
+    discards, or, on numpy's tail-shuffle branch, one draw per shuffled slot;
+    an explicit hyperedge takes none.  A block of rows is one ``integers``
+    call on a broadcast (rows, w) array of upper bounds: numpy draws it
+    element by element, redrawing a rejected draw in place as the per-row
+    calls do.
     """
     n, k, m = cfg.n, cfg.k, cfg.m
-    letters = cfg.model != "one-basis-z"
     fixed = None
+    tail = False
     if cfg.hypergraph is not None:
         if len(cfg.hypergraph) != m:
             raise ValueError("explicit hypergraph must have m edges")
         for edge in cfg.hypergraph:
             _check_edge(edge, n, k)
         fixed = np.sort(np.array(cfg.hypergraph, dtype=np.int64).reshape(m, k), axis=1)
-    tail = fixed is None and _tail_shuffle(n, k)
-    if fixed is not None or tail:
         bounds = []
+    elif _tail_shuffle(n, k):
+        tail = True
+        bounds = list(range(n - 1, max(n - k, 1) - 1, -1))
     else:
         bounds = [j for j in range(n - k, n) if j] + list(range(k - 1, 0, -1))
-    width = len(bounds) + (k if letters else 0)
-    bounds = np.array(bounds + [2] * (width - len(bounds)), dtype=np.int64)
+    letters = cfg.model != "one-basis-z"
+    highs = np.array(bounds + [2] * (k if letters else 0), dtype=np.int64) + 1
+    width = len(highs)
     rows_per_block = max(_BLOCK_WORDS // max(width, 1), 1)
     words: list[PauliOp] = []
     while len(words) < m:
         i = len(words)
-        if tail:
-            sites = stream.tail_sites(n, k)[None]
-            draws = stream.bounded_block(1, bounds)
+        draws = rng.integers(0, np.broadcast_to(highs, (min(m - i, rows_per_block), width)))
+        if fixed is not None:
+            sites = fixed[i:i + len(draws)]
+        elif tail:
+            sites = _tail_sites(n, k, draws)
         else:
-            draws = stream.bounded_block(min(m - i, rows_per_block), bounds)
-            sites = fixed[i:i + len(draws)] if fixed is not None else _floyd_sites(n, k, draws)
+            sites = _floyd_sites(n, k, draws)
         words += _block_rows(n, sites, draws[:, width - k:] if letters else None)
     return words
 
@@ -330,23 +260,21 @@ def _draw_words(stream: _Philox32, cfg: GeneratorConfig) -> list[PauliOp]:
 def generate(cfg: GeneratorConfig) -> Instance:
     """Draw an instance; deterministic given the config (Philox keyed by seed).
 
-    Draw order: per constraint, first the support (a uniform k-subset) and
-    then one uniform letter per site; after all words, the coefficient block.
-    Explicitly supplied structure skips its draws, so a fixed hypergraph with
-    varying seeds varies only letters/coefficients.
+    One ``Generator(Philox(key=seed))`` makes every draw.  Draw order: per
+    constraint, first the support (a uniform k-subset) and then one uniform
+    letter per site; after all words, the coefficients (``integers(0, 2)``
+    signs or ``standard_normal``).  Explicitly supplied structure skips its
+    draws, so a fixed hypergraph with varying seeds varies only
+    letters/coefficients.
     """
-    stream = _Philox32(cfg.seed)
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
     if cfg.words is not None:
         if len(cfg.words) != cfg.m:
             raise ValueError("explicit words must have length m")
         words = list(cfg.words)
     else:
-        words = _draw_words(stream, cfg)
-
-    for w in words:
-        if w.weight() != cfg.k:
-            raise ValueError(f"word {w} has weight {w.weight()}, expected k={cfg.k}")
+        words = _draw_words(rng, cfg)
 
     if cfg.coeffs is not None:
         coeffs = [float(b) for b in cfg.coeffs]
@@ -357,14 +285,9 @@ def generate(cfg: GeneratorConfig) -> Instance:
     elif cfg.model == "explicit":
         raise ValueError("explicit model requires explicit coefficients")
     elif cfg.model == "gaussian-semirandom":
-        # standard_normal reads whole 64-bit outputs, from the first one the
-        # 32-bit draws above left untouched
-        bits = np.random.Philox(key=cfg.seed)
-        bits.random_raw(-(-stream.used // 2), output=False)
-        coeffs = np.random.Generator(bits).standard_normal(cfg.m).tolist()
+        coeffs = rng.standard_normal(cfg.m).tolist()
     else:
-        # integers(0, 2) never rejects: its threshold is 2**32 mod 2 = 0
-        coeffs = ((stream.take(cfg.m) >> 31) * 2.0 - 1.0).tolist()
+        coeffs = (rng.integers(0, 2, size=cfg.m) * 2.0 - 1.0).tolist()
 
     constraints = tuple(map(Constraint, words, coeffs))
     return Instance(cfg.n, cfg.k, constraints, cfg.model, cfg.seed)

@@ -38,7 +38,6 @@ _PAIR_CODE = (-1, 0, 2, 1)
 _CODE_PAIR = (1, 3, 2)
 
 PHASES = (1, 1j, -1, -1j)
-PHASE_STRINGS = ("+1", "+i", "-1", "-i")
 
 
 @dataclass(frozen=True)
@@ -180,19 +179,6 @@ class PhasedPauli:
     def phase(self) -> complex:
         return PHASES[self.phase_exp]
 
-    @property
-    def phase_str(self) -> str:
-        return PHASE_STRINGS[self.phase_exp]
-
-    @staticmethod
-    def from_phase_str(s: str, op: PauliOp) -> "PhasedPauli":
-        if s not in PHASE_STRINGS:
-            raise ValueError(f"bad phase {s!r}")
-        return PhasedPauli(op, PHASE_STRINGS.index(s))
-
-    def __str__(self) -> str:
-        return f"{self.phase_str}*{self.op.to_sparse()}"
-
 
 def _letter_bits(letter: str) -> tuple[int, int]:
     """The (x, z) bits of a letter I, X, Y or Z (either case); ValueError for any other."""
@@ -254,20 +240,6 @@ def commutes(a: PauliOp, b: PauliOp) -> bool:
     _check_same_n(a, b)
     s = (a.xmask & b.zmask).bit_count() + (a.zmask & b.xmask).bit_count()
     return s % 2 == 0
-
-
-def subsumes(u: PauliOp, p: PauliOp) -> bool:
-    """True iff p acts identically to u on every site where u is non-identity."""
-    _check_same_n(u, p)
-    s = u.support_mask
-    return (p.xmask & s) == u.xmask and (p.zmask & s) == u.zmask
-
-
-def meet(p: PauliOp, q: PauliOp) -> frozenset[int]:
-    """Sites where p and q agree non-trivially: supp(p) & supp(q) minus supp(p*q)."""
-    _check_same_n(p, q)
-    agree = ~((p.xmask ^ q.xmask) | (p.zmask ^ q.zmask))
-    return frozenset(_set_bits(p.support_mask & q.support_mask & agree))
 
 
 # -- canonical enumeration of weight slices --------------------------------

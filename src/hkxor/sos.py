@@ -146,10 +146,6 @@ class Derivation:
     axiom_ids: frozenset[int]
 
     @property
-    def target(self) -> PauliOp:
-        return self.steps[-1][0]
-
-    @property
     def width(self) -> int:
         return len(self.axiom_ids)
 
@@ -379,12 +375,6 @@ class ExpansionReport:
     witness: tuple[int, ...] | None
     exhaustive: bool
     profile: tuple[tuple[int, int], ...]  # (subset size, min boundary) per size
-
-    def min_boundary(self, size: int) -> int | None:
-        for s, b in self.profile:
-            if s == size:
-                return b
-        return None
 
 
 def _expansion_subsets(count: int, limit: int, exhaustive: bool):

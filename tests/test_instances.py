@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hkxor import instances
 from hkxor.instances import (
     MODELS,
     Constraint,
@@ -17,7 +18,6 @@ from hkxor.instances import (
     parse,
     serialize,
     threshold_size,
-    _Philox32,
 )
 from hkxor.pauli import PauliOp
 
@@ -147,18 +147,27 @@ def test_generate_explicit_hypergraph_equals_numpy_calls(model, seed):
     assert [c.support for c in inst.constraints] == [tuple(sorted(e)) for e in hypergraph]
 
 
-# n=12000, k=1: one Floyd draw below 11999, then one letter below 2, per row
-@pytest.mark.parametrize("seed, rows_out, used", ((0, 5, 10), (1164563, 3, 7), (101052, 5, 11)))
-def test_bounded_block_equals_below_replay(seed, rows_out, used):
-    # seed 0 rejects nothing; 1164563 rejects a draw in the third of five rows,
-    # which ends the block; 101052 rejects one in the last row
-    bounds = np.array([11999, 2])
-    stream, replay = _Philox32(seed), _Philox32(seed)
-    block = stream.bounded_block(5, bounds)
-    assert block.tolist() == [[replay.below(r) for r in bounds.tolist()] for _ in range(rows_out)]
-    assert stream.used == replay.used == used
-    # the words after the block are handed back unread
-    assert stream.take(7).tolist() == replay.take(7).tolist()
+MULTI_BLOCK_CASES = (
+    GeneratorConfig(n=60, k=2, m=40, seed=3),
+    # Lemire rejects a support draw in the third of the five rows
+    GeneratorConfig(n=12000, k=1, m=5, seed=1164563),
+    # numpy's tail-shuffle branch
+    GeneratorConfig(n=10001, k=201, m=3, model="gaussian-semirandom", seed=2),
+    GeneratorConfig(n=17, k=3, m=30, seed=4,
+                    hypergraph=tuple(tuple((3 * i + 5 * j) % 17 for j in range(3))
+                                     for i in range(30))),
+    GeneratorConfig(n=60, k=2, m=40, model="one-basis-z", seed=5),
+)
+
+
+@pytest.mark.parametrize("cfg", MULTI_BLOCK_CASES)
+def test_block_size_does_not_change_the_bytes(cfg, monkeypatch):
+    # blocks of one word up to a few rows: the rows of every block, and the
+    # stream between blocks, must be those of a single block
+    text = serialize(generate(cfg))
+    for block_words in (1, 2, 7, 64):
+        monkeypatch.setattr(instances, "_BLOCK_WORDS", block_words)
+        assert serialize(generate(cfg)) == text
 
 
 @pytest.mark.parametrize("n", (8, 70))
@@ -183,6 +192,14 @@ def test_explicit_hypergraph_bad_edge_raises(model, edge):
     # a repeated site, a site outside [0, n) or the wrong size
     with pytest.raises(ValueError):
         generate(GeneratorConfig(n=5, k=3, m=2, model=model, hypergraph=((0, 1, 2), edge)))
+
+
+def test_explicit_words_of_the_wrong_shape_raise():
+    # a word of the wrong weight, or on the wrong number of qubits
+    good = PauliOp.from_sparse("X1 Z3", 4)
+    for bad in (PauliOp.from_sparse("X1 Y2 Z3", 4), PauliOp.from_sparse("X1 Z3", 5)):
+        with pytest.raises(ValueError):
+            generate(GeneratorConfig(n=4, k=2, m=2, words=(good, bad)))
 
 
 def test_generate_errors():

@@ -61,7 +61,7 @@ def test_times_i_equals_repeated_products_by_i(re, im, exp):
 def test_expansion_pass_example():
     report = boundary_expansion_check([(0, 1, 2), (2, 3, 4)], beta=2, d=2)
     assert report.passed and report.exhaustive
-    assert report.min_boundary(1) == 3 and report.min_boundary(2) == 4
+    assert dict(report.profile) == {1: 3, 2: 4}
 
 
 def test_expansion_duplicate_edge_fails():
