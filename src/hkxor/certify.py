@@ -49,7 +49,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .instances import Instance, digest
+from .instances import Instance, check_eps, digest
 from .kikuchi_even import build_even, regularize
 from .kikuchi_odd import build_odd, cs_operator, edge_delete, regularity_decompose
 
@@ -102,6 +102,12 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"need finite tol > 0, got {tol}")
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless 0 <= seed < 2**128, the key range of the solver's Philox."""
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"solver seed must be in [0, 2**128), got {seed}")
+
+
 def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[float, float]:
     """(sigma, residual) with |sigma - lambda_absmax| <= tol * max(1, sigma).
 
@@ -120,6 +126,7 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     best_estimate is never below a part already solved.
     """
     check_tol(tol)
+    check_seed(seed)
     mat = sp.csr_matrix(matrix)
     size = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
@@ -278,6 +285,7 @@ def certify_even(inst: Instance, ell: int, tol: float = DEFAULT_TOL,
     """Even-arity certificate algval = 1/2 + f * (sigma + margin)."""
     start = time.perf_counter()
     check_tol(tol)
+    check_seed(solver_seed)
     if inst.k % 2 != 0:
         raise ValueError(f"even branch needs even k, got k={inst.k}")
     if inst.m == 0:
@@ -304,6 +312,7 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
     """Decomposition-based certificate 1/2 + sum_t sqrt(max(0, algval_t)) / k."""
     start = time.perf_counter()
     check_tol(tol)
+    check_seed(solver_seed)
     if inst.m == 0:
         return Certificate(digest(inst), "odd", ell, eps, tol, solver_seed,
                            0.5, 0.0, 0.0, 0, 0, time.perf_counter() - start)
@@ -353,9 +362,13 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
 
 def certify(inst: Instance, ell: int, eps: float = 0.5, tol: float = DEFAULT_TOL,
             branch: str = "auto", solver_seed: int = 0) -> Certificate:
-    """Dispatch on k parity (branch="auto"), or force a branch explicitly."""
+    """Dispatch on k parity (branch="auto"), or force a branch explicitly.
+
+    ``eps`` is checked on either branch, though only the odd one reads it.
+    """
     if branch not in ("auto", "even", "odd"):
         raise ValueError(f"unknown branch {branch!r}")
+    check_eps(eps)
     if branch == "auto":
         branch = "even" if inst.k % 2 == 0 else "odd"
     if branch == "even":

@@ -40,6 +40,7 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,11 +58,12 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(NamedTuple):
     """One signed local term b_C P_C: a Pauli word and its coefficient.
 
-    Its support C is the word's: :attr:`support` reads it off ``pauli``.
+    An immutable tuple ``(pauli, coeff)``, like the words themselves (see
+    :mod:`hkxor.pauli`).  Its support C is the word's: :attr:`support`
+    reads it off ``pauli``.
     """
 
     pauli: PauliOp

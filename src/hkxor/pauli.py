@@ -13,6 +13,12 @@ so every ``PauliOp`` squares to the identity with phase +1.  Products of two
 words pick up a phase in {+1, +i, -1, -i}; :class:`PhasedPauli` carries that
 phase explicitly as an exponent of i modulo 4.
 
+Both are immutable tuples of their fields, ``(n, xmask, zmask)`` and
+``(op, phase_exp)``: building one is a single ``tuple.__new__`` after the
+checks, and hashing and comparing run in C.  A word hashes and compares as
+its field tuple, so ``PauliOp(2, 1, 0) == (2, 1, 0)`` and words order like
+tuples under ``<``.
+
 Sites are 0-indexed internally.  All textual formats (dense ``"IXZY..."``
 strings and sparse ``"X3 Z7"`` strings) use 1-indexed sites.
 """
@@ -20,7 +26,7 @@ strings and sparse ``"X3 Z7"`` strings) use 1-indexed sites.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterator
@@ -40,19 +46,25 @@ _CODE_PAIR = (1, 3, 2)
 PHASES = (1, 1j, -1, -1j)
 
 
-@dataclass(frozen=True)
-class PauliOp:
+_tuple_new = tuple.__new__
+
+
+class PauliOp(namedtuple("PauliOp", "n xmask zmask")):
     """Phase-free n-qubit Pauli word in symplectic bit-pair encoding."""
 
-    n: int
-    xmask: int
-    zmask: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"qubit count must be nonnegative, got {self.n}")
-        if (self.xmask | self.zmask) >> self.n:
+    def __new__(cls, n: int, xmask: int, zmask: int) -> "PauliOp":
+        if n < 0:
+            raise ValueError(f"qubit count must be nonnegative, got {n}")
+        if (xmask | zmask) >> n:
             raise ValueError("mask bits beyond qubit count must be zero")
+        return _tuple_new(cls, (n, xmask, zmask))
+
+    @classmethod
+    def _make(cls, iterable) -> "PauliOp":
+        # namedtuple's _make (and _replace, which calls it) would skip the checks
+        return cls(*iterable)
 
     @staticmethod
     def identity(n: int) -> "PauliOp":
@@ -165,15 +177,17 @@ def canonical_key(op: PauliOp) -> tuple:
     return (len(sup), sup, tuple(_PAIR_CODE[(xm >> i & 1) | (zm >> i & 1) << 1] for i in sup))
 
 
-@dataclass(frozen=True)
-class PhasedPauli:
+class PhasedPauli(namedtuple("PhasedPauli", "op phase_exp")):
     """Pauli word with an explicit global phase i^phase_exp, phase_exp in {0,1,2,3}."""
 
-    op: PauliOp
-    phase_exp: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phase_exp", self.phase_exp % 4)
+    def __new__(cls, op: PauliOp, phase_exp: int = 0) -> "PhasedPauli":
+        return _tuple_new(cls, (op, phase_exp % 4))
+
+    @classmethod
+    def _make(cls, iterable) -> "PhasedPauli":
+        return cls(*iterable)
 
     @property
     def phase(self) -> complex:
@@ -218,15 +232,11 @@ def mul_words(p: PauliOp, q: PauliOp) -> PhasedPauli:
     |x1&z1| + |x2&z2| - |x3&z3| + 2*|z1&x2|  (mod 4), x3 = x1^x2, z3 = z1^z2.
     """
     _check_same_n(p, q)
-    x3 = p.xmask ^ q.xmask
-    z3 = p.zmask ^ q.zmask
-    e = (
-        (p.xmask & p.zmask).bit_count()
-        + (q.xmask & q.zmask).bit_count()
-        - (x3 & z3).bit_count()
-        + 2 * (p.zmask & q.xmask).bit_count()
-    )
-    return PhasedPauli(PauliOp(p.n, x3, z3), e % 4)
+    px, pz, qx, qz = p.xmask, p.zmask, q.xmask, q.zmask
+    x3, z3 = px ^ qx, pz ^ qz
+    e = ((px & pz).bit_count() + (qx & qz).bit_count() - (x3 & z3).bit_count()
+         + 2 * (pz & qx).bit_count())
+    return PhasedPauli(PauliOp(p.n, x3, z3), e)
 
 
 def multiply(a: PhasedPauli, b: PhasedPauli) -> PhasedPauli:

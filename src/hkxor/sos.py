@@ -71,11 +71,15 @@ class ExactComplex:
                             self.re * other.im + self.im * other.re)
 
     def times_i(self, exp: int) -> "ExactComplex":
-        """self * i**exp: one quarter turn (re, im) -> (-im, re) per unit of exp mod 4."""
-        value = self
-        for _ in range(exp % 4):
-            value = ExactComplex(-value.im, value.re)
-        return value
+        """self * i**exp: exp mod 4 quarter turns (re, im) -> (-im, re), applied as one rotation."""
+        turn = exp % 4
+        if turn == 0:
+            return self
+        if turn == 1:
+            return ExactComplex(-self.im, self.re)
+        if turn == 2:
+            return ExactComplex(-self.re, -self.im)
+        return ExactComplex(self.im, -self.re)
 
     def conjugate(self) -> "ExactComplex":
         return ExactComplex(self.re, -self.im)
@@ -84,7 +88,9 @@ class ExactComplex:
         return self.re == 0 and self.im == 0
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # the same correctly rounded int / int division float(Fraction) makes, minus its dispatch
+        re, im = self.re, self.im
+        return complex(re.numerator / re.denominator, im.numerator / im.denominator)
 
     def __str__(self) -> str:
         for sym, val in (("+1", _ONE), ("-1", -_ONE), ("+i", _I), ("-i", -_I)):

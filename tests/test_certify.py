@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -248,6 +249,37 @@ def test_certify_even_soundness_sweep():
         inst = generate(GeneratorConfig(n=6, k=2, m=8, model=models[seed % 4], seed=seed))
         cert = certify_even(inst, 2)
         assert cert.algval >= lambda_max(assemble(inst)) - 1e-9
+
+
+@pytest.mark.parametrize("eps", (float("nan"), 0.0, -0.5, 1.5, float("inf")))
+def test_certify_checks_eps_on_every_branch(eps, monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a graph was built before eps was checked")
+
+    monkeypatch.setattr(certify_module, "build_even", no_build)
+    monkeypatch.setattr(certify_module, "regularity_decompose", no_build)
+    odd = generate(GeneratorConfig(n=5, k=3, m=4, model="random", seed=0))
+    for inst, branch in ((single_zz(), "auto"), (single_zz(), "even"), (odd, "auto"),
+                         (odd, "odd"), (Instance(4, 2, (), "explicit"), "auto"),
+                         (Instance(5, 3, (), "explicit"), "auto")):
+        with pytest.raises(ValueError, match=f"need 0 < eps <= 1, got {eps}"):
+            certify(inst, 1 if inst.k == 2 else 2, eps=eps, branch=branch)
+
+
+@pytest.mark.parametrize("seed", (-1, 2**128, -(2**70)))
+def test_solver_seed_outside_the_philox_key_range_is_refused(seed):
+    rng = np.random.default_rng(5)
+    small = random_block(rng, 8)  # solved by dense eigvalsh alone
+    large = random_block(rng, SMALL_COMPONENT + 10)  # solved by ARPACK
+    for mat in (small, large, sp.csr_matrix((3, 3))):
+        with pytest.raises(ValueError, match=re.escape(f"in [0, 2**128), got {seed}")):
+            spectral_norm(mat, seed=seed)
+    for run in (lambda: certify_even(single_zz(), 1, solver_seed=seed),
+                lambda: certify_even(Instance(4, 2, (), "explicit"), 1, solver_seed=seed),
+                lambda: certify_odd(Instance(5, 3, (), "explicit"), 2, 0.5, solver_seed=seed)):
+        with pytest.raises(ValueError, match=f"got {seed}"):
+            run()
+    assert spectral_norm(large, seed=2**128 - 1) == spectral_norm(large, seed=2**128 - 1)
 
 
 def test_certify_even_rejects_odd_k():

@@ -2,7 +2,12 @@
 
 import importlib
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import hkxor
 from hkxor.cli import main
 from hkxor.instances import parse
 
@@ -467,3 +472,55 @@ def test_oracle_non_finite_expansion_beta_is_usage_error(tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 3
         assert "expansion beta must be finite" in captured.err
+
+
+def test_certify_eps_outside_unit_interval_is_usage_error_on_even_instances(tmp_path, capsys):
+    path = tmp_path / "even.hkxor"
+    run(capsys, "gen", "--n", "6", "--k", "2", "--m", "5", "--seed", "1", "--out", str(path))
+    for eps in ("nan", "0", "2"):
+        code = main(["certify", "--in", str(path), "--ell", "1", "--eps", eps])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"need 0 < eps <= 1, got {float(eps)}" in captured.err
+        assert captured.out == ""
+
+
+def test_certify_negative_solver_seed_is_usage_error_at_both_graph_sizes(tmp_path, capsys,
+                                                                          monkeypatch):
+    # n=6: every component has at most 64 vertices, so no ARPACK call reads the seed;
+    # n=60 m=3931: ARPACK would; both are refused before a graph is built
+    def no_build(*args):
+        raise AssertionError("a graph was built before the seed was checked")
+
+    monkeypatch.setattr(importlib.import_module("hkxor.certify"), "build_even", no_build)
+    for n, m in ((6, 5), (60, 3931)):
+        path = tmp_path / f"n{n}.hkxor"
+        run(capsys, "gen", "--n", str(n), "--k", "2", "--m", str(m), "--seed", "1",
+            "--out", str(path))
+        for seed in ("-1", str(2**128)):
+            code = main(["certify", "--in", str(path), "--ell", "1", "--solver-seed", seed])
+            captured = capsys.readouterr()
+            assert code == 3
+            assert f"solver seed must be in [0, 2**128), got {seed}" in captured.err
+            assert captured.out == ""
+    code = main(["sweep", "--n", "6", "--k", "2", "--ell", "1", "--eps", "0.5",
+                 "--m-grid", "4", "--seeds", "1", "--solver-seed", "-1"])
+    assert code == 3 and "got -1" in capsys.readouterr().err
+
+
+def test_python_dash_m_hkxor_runs_the_cli_without_installing(tmp_path):
+    src = str(Path(hkxor.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def hkxor_module(*argv):
+        return subprocess.run([sys.executable, "-m", "hkxor", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+
+    out = tmp_path / "inst.hkxor"
+    done = hkxor_module("gen", "--n", "6", "--k", "2", "--m", "4", "--seed", "2",
+                        "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert out.read_text().startswith("HKXOR v1 n=6 k=2 m=4")
+    done = hkxor_module("certify", "--bogus")
+    assert done.returncode == 3
+    assert "error: the following arguments are required: --in" in done.stderr

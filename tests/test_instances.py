@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -177,6 +178,32 @@ def test_constraint_support_is_read_off_its_word(n):
         assert c.support == c.pauli.support() == tuple(sorted(c.support))
         assert all(type(s) is int for s in c.support)
     assert Constraint(PauliOp.from_sparse("X2 Z5", 6), -1.0).support == (1, 4)
+
+
+@settings(max_examples=200)
+@given(st.integers(1, 70).flatmap(lambda n: st.builds(
+    PauliOp, st.just(n), st.integers(0, 2**n - 1), st.integers(0, 2**n - 1))),
+       st.floats(allow_nan=False), st.integers(0, pickle.HIGHEST_PROTOCOL))
+def test_constraint_is_a_value_of_its_fields(word, coeff, protocol):
+    c = Constraint(word, coeff)
+    assert c.pauli is word and c.coeff == coeff
+    assert hash(c) == hash((word, coeff)) and c == (word, coeff) == Constraint(word, coeff)
+    assert c != Constraint(word, coeff + 1.0) or coeff + 1.0 == coeff
+    assert repr(c) == f"Constraint(pauli={word!r}, coeff={coeff!r})"
+    back = pickle.loads(pickle.dumps(c, protocol))
+    assert back == c and type(back) is Constraint and type(back.pauli) is PauliOp
+    for name in ("pauli", "coeff", "support", "other"):
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+
+
+def test_constraint_words_are_checked_on_every_path():
+    with pytest.raises(ValueError):
+        Constraint(PauliOp(2, 4, 0), 1.0)
+    c = Constraint(PauliOp(3, 4, 0), 1.0)
+    with pytest.raises(ValueError):
+        c._replace(pauli=c.pauli._replace(n=2))
+    assert c._replace(coeff=-1.0) == Constraint._make((c.pauli, -1.0)) == (c.pauli, -1.0)
 
 
 def test_words_with_a_hypergraph_raise():

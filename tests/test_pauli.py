@@ -1,6 +1,7 @@
 """Exact Pauli algebra against dense matrix ground truth."""
 
 import math
+import pickle
 import random
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hkxor.pauli import (
+    PHASES,
     PauliOp,
     PhasedPauli,
     SliceIndex,
@@ -277,3 +279,79 @@ def test_weight():
     assert PauliOp.identity(4).weight() == 0
     assert PauliOp.from_sparse("X1 Y2 Z4", 5).weight() == 3
     assert slice_size(3, 2) == 3**2 * math.comb(3, 2)
+
+
+# -- value semantics: words and phased words are tuples of their fields --------
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 70).flatmap(lambda n: st.tuples(words_on(n), st.integers(-9, 9))))
+def test_words_hash_compare_and_print_as_their_fields(case):
+    p, e = case
+    fields = (p.n, p.xmask, p.zmask)
+    assert hash(p) == hash(fields) and p == fields
+    assert p == PauliOp(*fields) and p != PauliOp(p.n + 1, p.xmask, p.zmask)
+    assert repr(p) == f"PauliOp(n={p.n}, xmask={p.xmask}, zmask={p.zmask})"
+    phased = PhasedPauli(p, e)
+    assert phased.phase_exp == e % 4 and phased.phase == PHASES[e % 4]
+    assert hash(phased) == hash((p, e % 4)) == hash((fields, e % 4))
+    assert phased == PhasedPauli(p, e + 4) and phased != PhasedPauli(p, e + 1)
+    assert repr(phased) == f"PhasedPauli(op={p!r}, phase_exp={e % 4})"
+    assert str(p) == p.to_sparse() and str(phased) == repr(phased)
+
+
+@settings(max_examples=100)
+@given(st.integers(0, 70).flatmap(lambda n: st.tuples(words_on(n), st.integers(0, 3))),
+       st.integers(0, pickle.HIGHEST_PROTOCOL))
+def test_pickle_round_trip_returns_an_equal_value(case, protocol):
+    p, e = case
+    for value in (p, PhasedPauli(p, e)):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert back == value and type(back) is type(value)
+    assert type(pickle.loads(pickle.dumps(PhasedPauli(p, e), protocol)).op) is PauliOp
+
+
+@settings(max_examples=200)
+@given(st.integers(-3, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 12), st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1))))
+def test_every_construction_path_checks_the_fields(case):
+    n, good_n, xmask, zmask = case
+    valid = n >= 0 and not (xmask | zmask) >> n
+    base = PauliOp(good_n, 0, 0)
+    paths = (lambda: PauliOp(n, xmask, zmask),
+             lambda: PauliOp._make((n, xmask, zmask)),
+             lambda: base._replace(n=n, xmask=xmask, zmask=zmask))
+    for make in paths:
+        if valid:
+            assert make() == (n, xmask, zmask)
+        else:
+            with pytest.raises(ValueError):
+                make()
+    if n < 0:
+        with pytest.raises(ValueError):
+            PauliOp.identity(n)
+
+
+def test_fields_and_attributes_cannot_be_assigned():
+    p = PauliOp(3, 5, 1)
+    phased = PhasedPauli(p, 2)
+    for value, name in ((p, "n"), (p, "xmask"), (p, "zmask"), (p, "other"),
+                        (phased, "op"), (phased, "phase_exp"), (phased, "other")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+    assert p == (3, 5, 1) and phased == (p, 2)
+
+
+def test_phased_pauli_reduces_negative_phases_mod_4():
+    p = PauliOp(1, 1, 0)
+    assert [PhasedPauli(p, e).phase_exp for e in range(-8, 0)] == [0, 1, 2, 3] * 2
+    assert PhasedPauli(p).phase_exp == 0 and PhasedPauli(p, -1).phase == -1j
+    assert PhasedPauli._make((p, -3)) == (p, 1)
+    assert PhasedPauli(p, 0)._replace(phase_exp=-6) == (p, 2)
+
+
+def test_words_order_like_their_field_tuples():
+    # not used by the package, which orders words by canonical_key
+    assert PauliOp(2, 1, 0) < PauliOp(2, 1, 2) < PauliOp(3, 0, 0)
+    assert sorted([PauliOp(2, 3, 0), PauliOp(1, 1, 0), PauliOp(2, 0, 1)]) == [
+        (1, 1, 0), (2, 0, 1), (2, 3, 0)]

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from hkxor.instances import Constraint, GeneratorConfig, Instance, generate
 from hkxor.oracle import apply_word, assemble, lambda_max
@@ -56,6 +56,23 @@ def test_times_i_equals_repeated_products_by_i(re, im, exp):
     for _ in range(abs(exp)):
         expected = expected * unit
     assert value.times_i(exp) == expected
+
+
+def test_times_i_is_one_rotation_for_every_exponent():
+    value = ExactComplex(Fraction(3, 7), Fraction(-5, 2))
+    for exp in range(-8, 9):
+        expected = value
+        for _ in range(exp % 4):
+            expected = ExactComplex(-expected.im, expected.re)  # one quarter turn
+        assert value.times_i(exp) == expected
+    assert value.times_i(0) is value and value.times_i(-4) is value
+
+
+@given(st.fractions(), st.fractions())
+@example(Fraction(10**400 + 1, 3 * 10**399), Fraction(-1, 10**320))  # huge terms, subnormal
+def test_complex_equals_float_of_each_part(re, im):
+    value = ExactComplex(re, im)
+    assert complex(value) == complex(float(value.re), float(value.im))
 
 
 def test_expansion_pass_example():
