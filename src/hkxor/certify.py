@@ -288,15 +288,15 @@ def certify_even(inst: Instance, ell: int, tol: float = DEFAULT_TOL,
     check_seed(solver_seed)
     if inst.k % 2 != 0:
         raise ValueError(f"even branch needs even k, got k={inst.k}")
-    if inst.m == 0:
-        return Certificate(digest(inst), "even", ell, None, tol, solver_seed,
-                           0.5, 0.0, 0.0, 0, 0, time.perf_counter() - start)
     graph = build_even(inst, ell)
-    reg = regularize(graph)
-    sigma, residual = spectral_norm(_scaled(graph.signed_matrix(), reg.gamma),
-                                    tol=tol, seed=solver_seed)
-    factor = graph.total_degree / (graph.delta * inst.m)
-    algval = 0.5 + factor * (sigma + tol * max(1.0, sigma))
+    algval, sigma, residual = 0.5, 0.0, 0.0
+    # zero total degree (no constraint, or only zero coefficients): H = Id/2 and sigma = 0
+    if graph.total_degree:
+        reg = regularize(graph)
+        sigma, residual = spectral_norm(_scaled(graph.signed_matrix(), reg.gamma),
+                                        tol=tol, seed=solver_seed)
+        factor = graph.total_degree / (graph.delta * inst.m)
+        algval = 0.5 + factor * (sigma + tol * max(1.0, sigma))
     return Certificate(digest(inst), "even", ell, None, tol, solver_seed,
                        algval, sigma, residual, graph.num_vertices, graph.num_edges,
                        time.perf_counter() - start)
@@ -313,9 +313,6 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
     start = time.perf_counter()
     check_tol(tol)
     check_seed(solver_seed)
-    if inst.m == 0:
-        return Certificate(digest(inst), "odd", ell, eps, tol, solver_seed,
-                           0.5, 0.0, 0.0, 0, 0, time.perf_counter() - start)
     dec = regularity_decompose(inst, ell, eps)
     eta = eta_bound(inst.k, eps)
     slices: list[SliceCertificate] = []
@@ -338,7 +335,7 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
                      for ty in pruned.types if ty.rho > 1]
 
         norm_t = residual_t = norm_term = 0.0
-        if pruned.num_edges:
+        if pruned.total_degree:  # zero total degree: no edges, or only zero weights
             active = [(ty, count) for ty, count in zip(pruned.types, counts) if count]
             w_min = min(float(ty.rho) * count for ty, count in active)
             slack = sum((float(ty.rho) * count - w_min) * ty.abs_coeff for ty, count in active)
@@ -354,8 +351,10 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
 
     algval = 0.5 + sum(math.sqrt(max(0.0, s.algval)) / inst.k for s in slices)
     return Certificate(digest(inst), "odd", ell, eps, tol, solver_seed, algval,
-                       max(s.norm for s in slices), max(s.residual for s in slices),
-                       max(s.num_vertices for s in slices), sum(s.num_edges for s in slices),
+                       max((s.norm for s in slices), default=0.0),
+                       max((s.residual for s in slices), default=0.0),
+                       max((s.num_vertices for s in slices), default=0),
+                       sum(s.num_edges for s in slices),
                        time.perf_counter() - start, per_t=tuple(slices),
                        warnings=tuple(warnings))
 

@@ -1,9 +1,11 @@
 """Hamiltonian k-XOR instances: representation, generation, serialization.
 
 An instance is a multiset of constraints (C, P_C, b_C): a k-site support C,
-a Pauli word P_C supported exactly on C, and a real coefficient b_C.  Since
-C is the support of P_C, a :class:`Constraint` stores only P_C and b_C and
-reads C off the word.  An instance defines the Hamiltonian
+a Pauli word P_C supported exactly on C, and a real coefficient b_C.  An
+:class:`Instance` stores them as three columns: the (m, k) sites, the (m, k)
+letters and the (m,) coefficients.  Its ``constraints`` view turns each row
+into a :class:`Constraint`, which stores only P_C and b_C and reads C off
+the word.  An instance defines the Hamiltonian
 Id/2 + (1/2|H|) * sum_C b_C P_C.
 
 Generation models (coefficient law / structure law):
@@ -40,11 +42,12 @@ import hashlib
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import PauliOp
+from .pauli import _LETTERS, PauliOp, words_from_arrays, words_to_arrays
 
 MODELS = ("rademacher-semirandom", "gaussian-semirandom", "random", "one-basis-z", "explicit")
 
@@ -75,11 +78,20 @@ class Constraint(NamedTuple):
         return self.pauli.support()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
+    """m constraints on n qubits, stored as three read-only columns.
+
+    Row i is the word with letter code ``letters[i, j]`` (0, 1, 2 for X, Y, Z)
+    on site ``sites[i, j]``, ascending in j, and the coefficient ``coeffs[i]``.
+    The arrays are copied and checked when the instance is built.
+    """
+
     n: int
     k: int
-    constraints: tuple[Constraint, ...]
+    sites: np.ndarray
+    letters: np.ndarray
+    coeffs: np.ndarray
     model: str
     seed: int = 0
 
@@ -88,33 +100,46 @@ class Instance:
             raise ValueError(f"unknown model {self.model!r}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
-        for c in self.constraints:
-            if c.pauli.n != self.n:
-                raise ValueError("constraint qubit count differs from instance")
-            if c.pauli.weight() != self.k:
-                raise ValueError(f"constraint arity {c.pauli.weight()} != k={self.k}")
-        if self.model == "one-basis-z":
-            for c in self.constraints:
-                if c.pauli.xmask != 0:
-                    raise ValueError("one-basis-z instance contains a non-Z word")
+        sites, letters = np.asarray(self.sites), np.asarray(self.letters)
+        if sites.dtype.kind not in "iu" or letters.dtype.kind not in "iu":
+            raise ValueError("sites and letter codes must be integers")
+        coeffs = np.array(self.coeffs, dtype=np.float64)
+        if (coeffs.ndim != 1 or sites.shape != (len(coeffs), self.k)
+                or letters.shape != sites.shape):
+            raise ValueError(f"need (m, {self.k}) sites and letters and (m,) coefficients, got "
+                             f"{sites.shape}, {letters.shape} and {coeffs.shape}")
+        if len(sites) and (sites[:, 0].min() < 0 or sites[:, -1].max() >= self.n
+                           or (np.diff(sites, axis=1) <= 0).any()):
+            raise ValueError(f"the sites of each row must ascend strictly inside [0, {self.n})")
+        if len(letters) and (letters.min() < 0 or letters.max() > 2):
+            raise ValueError("letter codes must be 0, 1 or 2 (X, Y, Z)")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
+        if self.model == "one-basis-z" and (letters != 2).any():
+            raise ValueError("one-basis-z instance contains a non-Z word")
+        for name, value in (("sites", sites.astype(np.int64)),
+                            ("letters", letters.astype(np.int8)), ("coeffs", coeffs)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # a pickled or copied instance is rebuilt through the checks: read-only, no stale view
+        return Instance, (self.n, self.k, self.sites, self.letters, self.coeffs, self.model,
+                          self.seed)
 
     @property
     def m(self) -> int:
-        return len(self.constraints)
+        return len(self.coeffs)
+
+    @cached_property
+    def constraints(self) -> tuple[Constraint, ...]:
+        """The rows as (word, coefficient) tuples, built on first read."""
+        words = words_from_arrays(self.n, self.sites, self.letters)
+        return tuple(map(Constraint, words, self.coeffs.tolist()))
 
     def is_one_basis(self) -> bool:
         """True iff every site of every word carries the same single letter type."""
-        types = set()
-        for c in self.constraints:
-            for i in c.support:
-                types.add(c.pauli.letter_at(i))
-        return len(types) <= 1
-
-    def hypergraph(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(c.support for c in self.constraints)
-
-    def coeffs(self) -> tuple[float, ...]:
-        return tuple(c.coeff for c in self.constraints)
+        return np.unique(self.letters).size <= 1
 
 
 @dataclass(frozen=True)
@@ -197,34 +222,18 @@ def _tail_sites(n: int, k: int, draws: np.ndarray) -> np.ndarray:
     return np.sort(slots[:, n - k:], axis=1)
 
 
-def _block_rows(n: int, sites: np.ndarray, codes: np.ndarray | None) -> list[PauliOp]:
-    """Words of rows of sites and their letter codes (0, 1, 2 -> X, Y, Z), column by column.
-
-    ``codes`` None means every letter is Z.  Masks are uint64 sums of distinct
-    bits up to 64 qubits and Python ints beyond.
-    """
-    dtype = np.uint64 if n <= 64 else object
-    bits = np.ones((), dtype=dtype) << sites.astype(dtype)
-    if codes is None:
-        xms = [0] * len(sites)
-        zms = bits.sum(axis=1).tolist()
-    else:
-        xms = np.where(codes != 2, bits, 0).sum(axis=1).tolist()
-        zms = np.where(codes != 0, bits, 0).sum(axis=1).tolist()
-    return [PauliOp(n, x, z) for x, z in zip(xms, zms)]
-
-
-def _draw_words(rng: np.random.Generator, cfg: GeneratorConfig) -> list[PauliOp]:
-    """Words of the constraints, drawn as numpy's per-row choice/integers calls would draw them.
+def _draw_rows(rng: np.random.Generator, cfg: GeneratorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(m, k) sites and letter codes of the constraints, drawn as numpy's per-row
+    choice/integers calls would draw them.
 
     Each row's draws are its support and then one letter per site in ascending
-    site order (none for one-basis-z).  The support takes Floyd's k draws for
-    j > 0 and then the k - 1 draws of the shuffle whose order sorting
-    discards, or, on numpy's tail-shuffle branch, one draw per shuffled slot;
-    an explicit hyperedge takes none.  A block of rows is one ``integers``
-    call on a broadcast (rows, w) array of upper bounds: numpy draws it
-    element by element, redrawing a rejected draw in place as the per-row
-    calls do.
+    site order (none for one-basis-z, whose letters are all Z).  The support
+    takes Floyd's k draws for j > 0 and then the k - 1 draws of the shuffle
+    whose order sorting discards, or, on numpy's tail-shuffle branch, one draw
+    per shuffled slot; an explicit hyperedge takes none.  A block of rows is
+    one ``integers`` call on a broadcast (rows, w) array of upper bounds: numpy
+    draws it element by element, redrawing a rejected draw in place as the
+    per-row calls do.
     """
     n, k, m = cfg.n, cfg.k, cfg.m
     fixed = None
@@ -241,22 +250,21 @@ def _draw_words(rng: np.random.Generator, cfg: GeneratorConfig) -> list[PauliOp]
         bounds = list(range(n - 1, max(n - k, 1) - 1, -1))
     else:
         bounds = [j for j in range(n - k, n) if j] + list(range(k - 1, 0, -1))
-    letters = cfg.model != "one-basis-z"
-    highs = np.array(bounds + [2] * (k if letters else 0), dtype=np.int64) + 1
+    drawn = cfg.model != "one-basis-z"
+    highs = np.array(bounds + [2] * (k if drawn else 0), dtype=np.int64) + 1
     width = len(highs)
     rows_per_block = max(_BLOCK_WORDS // max(width, 1), 1)
-    words: list[PauliOp] = []
-    while len(words) < m:
-        i = len(words)
+    sites, letters = [], []
+    for i in range(0, m, rows_per_block):
         draws = rng.integers(0, np.broadcast_to(highs, (min(m - i, rows_per_block), width)))
         if fixed is not None:
-            sites = fixed[i:i + len(draws)]
+            sites.append(fixed[i:i + len(draws)])
         elif tail:
-            sites = _tail_sites(n, k, draws)
+            sites.append(_tail_sites(n, k, draws))
         else:
-            sites = _floyd_sites(n, k, draws)
-        words += _block_rows(n, sites, draws[:, width - k:] if letters else None)
-    return words
+            sites.append(_floyd_sites(n, k, draws))
+        letters.append(draws[:, width - k:] if drawn else np.full((len(draws), k), 2))
+    return np.concatenate(sites), np.concatenate(letters)
 
 
 def generate(cfg: GeneratorConfig) -> Instance:
@@ -274,25 +282,22 @@ def generate(cfg: GeneratorConfig) -> Instance:
     if cfg.words is not None:
         if len(cfg.words) != cfg.m:
             raise ValueError("explicit words must have length m")
-        words = list(cfg.words)
+        sites, letters = words_to_arrays(cfg.words, cfg.n, cfg.k)
     else:
-        words = _draw_words(rng, cfg)
+        sites, letters = _draw_rows(rng, cfg)
 
     if cfg.coeffs is not None:
         coeffs = [float(b) for b in cfg.coeffs]
         if len(coeffs) != cfg.m:
             raise ValueError("explicit coefficients must have length m")
-        if not all(map(math.isfinite, coeffs)):
-            raise ValueError("explicit coefficients must be finite")
     elif cfg.model == "explicit":
         raise ValueError("explicit model requires explicit coefficients")
     elif cfg.model == "gaussian-semirandom":
-        coeffs = rng.standard_normal(cfg.m).tolist()
+        coeffs = rng.standard_normal(cfg.m)
     else:
-        coeffs = (rng.integers(0, 2, size=cfg.m) * 2.0 - 1.0).tolist()
+        coeffs = rng.integers(0, 2, size=cfg.m) * 2.0 - 1.0
 
-    constraints = tuple(map(Constraint, words, coeffs))
-    return Instance(cfg.n, cfg.k, constraints, cfg.model, cfg.seed)
+    return Instance(cfg.n, cfg.k, sites, letters, coeffs, cfg.model, cfg.seed)
 
 
 def check_eps(eps: float) -> None:
@@ -313,14 +318,23 @@ def threshold_size(n: float, k: int, ell: int, eps: float) -> int:
 
 
 def serialize(inst: Instance) -> str:
-    """One header line, then one constraint per line: sparse word + coefficient."""
-    lines = [
-        f"{_FORMAT_MAGIC} {_FORMAT_VERSION} n={inst.n} k={inst.k} m={inst.m} "
-        f"model={inst.model} seed={inst.seed} rng=philox"
-    ]
-    for c in inst.constraints:
-        lines.append(f"{c.pauli.to_sparse()} {c.coeff!r}")
-    return "\n".join(lines) + "\n"
+    """One header line, then one constraint per line: sparse word + coefficient.
+
+    Each distinct (site, letter) token and each distinct coefficient (by its
+    bits, so -0.0 keeps its sign) is formatted once; numpy joins the columns.
+    """
+    head = (f"{_FORMAT_MAGIC} {_FORMAT_VERSION} n={inst.n} k={inst.k} m={inst.m} "
+            f"model={inst.model} seed={inst.seed} rng=philox\n")
+    codes, at = np.unique(inst.sites * 3 + inst.letters, return_inverse=True)
+    tokens = np.array([f"{_LETTERS[c % 3]}{c // 3 + 1}" for c in codes.tolist()], dtype=str)
+    bits, coeff_at = np.unique(inst.coeffs.view(np.uint64), return_inverse=True)
+    values = np.array([repr(b) for b in bits.view(np.float64).tolist()], dtype=str)
+    at = at.reshape(inst.sites.shape)
+    lines = tokens[at[:, 0]]
+    for j in range(1, inst.k):
+        lines = np.strings.add(np.strings.add(lines, " "), tokens[at[:, j]])
+    lines = np.strings.add(np.strings.add(lines, " "), values[coeff_at])
+    return head + "".join(np.strings.add(lines, "\n").tolist())
 
 
 def read_header(line: str, magic: str, version: str, keys: tuple[str, ...]) -> list[str]:
@@ -359,7 +373,7 @@ def parse(text: str) -> Instance:
     except ValueError:
         raise ParseError(1, "header fields n, k, m and seed must be integers") from None
 
-    constraints = []
+    words, coeffs = [], []
     body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
     if len(body) != m:
         raise ParseError(len(lines) + 1 if len(body) < m else body[m][0],
@@ -380,9 +394,10 @@ def parse(text: str) -> Instance:
             raise ParseError(lineno, str(exc)) from None
         if word.weight() != k:
             raise ParseError(lineno, f"word weight {word.weight()} != k={k}")
-        constraints.append(Constraint(word, coeff))
+        words.append(word)
+        coeffs.append(coeff)
     try:
-        return Instance(n, k, tuple(constraints), model, seed)
+        return Instance(n, k, *words_to_arrays(words, n, k), coeffs, model, seed)
     except ValueError as exc:
         raise ParseError(1, str(exc)) from None
 

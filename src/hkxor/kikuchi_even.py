@@ -110,7 +110,7 @@ class KikuchiGraph:
 
 
 def _sorted_graph(n: int, k: int, ell: int, index, delta: int, rows, cols, tids,
-                  weights: list[float]) -> KikuchiGraph:
+                  weights) -> KikuchiGraph:
     """Graph with entries in ascending (row, col, type id) order."""
     rows_a, cols_a, tids_a = (np.array(v, dtype=np.int64) for v in (rows, cols, tids))
     order = np.lexsort((tids_a, cols_a, rows_a))
@@ -173,8 +173,7 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
                 cols.append(rank(r))
                 tids.append(cid)
 
-    return _sorted_graph(n, k, ell, index, delta_count(n, k, ell), rows, cols, tids,
-                         [c.coeff for c in inst.constraints])
+    return _sorted_graph(n, k, ell, index, delta_count(n, k, ell), rows, cols, tids, inst.coeffs)
 
 
 @dataclass

@@ -60,8 +60,8 @@ import numpy as np
 
 from .instances import Instance, check_eps
 from .kikuchi_even import EDGE_BUDGET, KikuchiGraph
-from .pauli import (_CODE_PAIR, _PAIR_CODE, PauliOp, SliceIndex, canonical_key, commutes,
-                    site_mask)
+from .pauli import (_CODE_PAIR, PauliOp, SliceIndex, canonical_key, commutes, site_mask,
+                    words_to_arrays)
 
 
 class InfeasibleLevelError(ValueError):
@@ -357,16 +357,9 @@ class OddKikuchiGraph(KikuchiGraph):
 # the size of the slice.
 CHUNK_CANDIDATES = 1 << 16
 
-# letter codes: rank code (X, Y, Z) = (0, 1, 2) <-> symplectic code x | z << 1,
-# with which the letter of a product of two letters is their XOR
+# symplectic code x | z << 1 of rank code (X, Y, Z) = (0, 1, 2), with which the
+# letter of a product of two letters is their XOR
 _SYM = np.array(_CODE_PAIR, dtype=np.int8)
-_RANK = np.array(_PAIR_CODE, dtype=np.int64)
-
-
-def _dense_letters(words: list[PauliOp], n: int) -> np.ndarray:
-    """(len(words), n) int8 symplectic letter codes, 0 for the identity."""
-    return np.array([[(w.xmask >> s & 1) | (w.zmask >> s & 1) << 1 for s in range(n)]
-                     for w in words], dtype=np.int8).reshape(len(words), n)
 
 
 def _index_rows(rows: list[tuple[int, ...]], width: int) -> np.ndarray:
@@ -426,22 +419,20 @@ def type_edges(words: list[PauliOp], first, second,
     if not len(first):
         return empty, empty, empty
     n, kk = words[0].n, words[0].weight()
-    if any(w.n != n or w.weight() != kk for w in words):
-        raise ValueError("residual words must share n and weight")
     L = ell - kk
     if L < 0:
         raise InfeasibleLevelError(f"need ell >= {kk}, got {ell}")
     index = SliceIndex(2 * n, ell)
 
-    dense = _dense_letters(words, n)
-    sup = np.nonzero(dense)[1].reshape(len(words), kk)
+    sup, codes = words_to_arrays(words, n, kk)
+    dense = np.zeros((len(words), n), dtype=np.int8)  # symplectic codes, 0 off the support
+    np.put_along_axis(dense, sup, _SYM[codes], axis=1)
     off = np.nonzero(dense == 0)[1].reshape(len(words), n - kk)
     p, q = dense[first], dense[second]
     sup_p, sup_q, off_q = sup[first], sup[second], off[second]
     res_sites = np.concatenate((sup_p, sup_q + n), axis=1)
-    res_sym = np.concatenate((np.take_along_axis(p, sup_p, axis=1),
-                              np.take_along_axis(q, sup_q, axis=1)), axis=1)
-    res_rank = _RANK[res_sym]
+    res_rank = np.concatenate((codes[first], codes[second]), axis=1)
+    res_sym = _SYM[res_rank]
     free_sites = np.concatenate((off[first], off_q + n), axis=1)
     target = np.concatenate((p, q), axis=1)
     # the commuting sign: sites of Q2 where P acts with another letter, counted

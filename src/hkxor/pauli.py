@@ -220,6 +220,43 @@ def site_mask(sites) -> int:
     return mask
 
 
+# -- words as (site, letter) arrays ----------------------------------------------
+
+
+def words_from_arrays(n: int, sites: np.ndarray, letters: np.ndarray) -> list[PauliOp]:
+    """Words of row i: letter code ``letters[i, j]`` (0, 1, 2 -> X, Y, Z) on site ``sites[i, j]``.
+
+    The sites of a row must be distinct in [0, n).  Masks are uint64 sums of
+    distinct bits up to 64 qubits and Python ints beyond.
+    """
+    dtype = np.uint64 if n <= 64 else object
+    bits = np.ones((), dtype=dtype) << sites.astype(dtype)
+    xms = np.where(letters != 2, bits, 0).sum(axis=1).tolist()
+    zms = np.where(letters != 0, bits, 0).sum(axis=1).tolist()
+    return [PauliOp(n, x, z) for x, z in zip(xms, zms)]
+
+
+def words_to_arrays(words, n: int, weight: int) -> tuple[np.ndarray, np.ndarray]:
+    """(len(words), weight) int64 ascending sites and int8 letter codes (X, Y, Z -> 0, 1, 2).
+
+    The inverse of :func:`words_from_arrays`.  Raises ValueError unless every
+    word acts on n qubits with the given weight.
+    """
+    if any(w.n != n for w in words):
+        raise ValueError(f"every word must act on n={n} qubits")
+    size = (n + 7) // 8
+    raw = b"".join(mask.to_bytes(size, "little") for w in words for mask in (w.xmask, w.zmask))
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(words), 2, size),
+                         axis=2, count=n, bitorder="little")
+    pairs = bits[:, 0] | bits[:, 1] << 1  # x | z << 1 per site
+    weights = np.count_nonzero(pairs, axis=1)
+    if (weights != weight).any():
+        raise ValueError(f"word weight {weights[weights != weight][0]} != {weight}")
+    rows, sites = np.nonzero(pairs)
+    return (sites.reshape(len(words), weight),
+            np.array(_PAIR_CODE, dtype=np.int8)[pairs[rows, sites]].reshape(len(words), weight))
+
+
 def _check_same_n(a: PauliOp, b: PauliOp) -> None:
     if a.n != b.n:
         raise ValueError(f"qubit counts differ: {a.n} != {b.n}")

@@ -260,7 +260,7 @@ class PseudoExpectation:
         for c in inst.constraints:
             total = total + ExactComplex.of(Fraction(c.coeff)) * self.value(c.pauli)
         half = ExactComplex.of(Fraction(1, 2))
-        return half + ExactComplex.of(Fraction(1, 2 * inst.m)) * total
+        return half + ExactComplex.of(Fraction(1, 2 * inst.m)) * total if inst.m else half
 
     def dump(self) -> str:
         lines = [f"PSEXP v1 n={self.n} d={self.degree}"]
@@ -509,7 +509,7 @@ def lift_classical(inst: Instance, moments: MomentOracle, d: int) -> PseudoExpec
     """
     if moments.n != inst.n:
         raise ValueError(f"moments are for n={moments.n} qubits, instance has n={inst.n}")
-    if any(c.pauli.xmask for c in inst.constraints):
+    if (inst.letters != 2).any():
         raise ValueError("lifting needs a Z-basis instance")
     if d < inst.k:
         raise ValueError(f"degree {d} below constraint arity {inst.k}")
@@ -530,4 +530,5 @@ def classical_energy(inst: Instance, moments: MomentOracle) -> ExactComplex:
     total = ZERO
     for c in inst.constraints:
         total = total + ExactComplex.of(Fraction(c.coeff)) * moments.value(c.pauli.support_mask)
-    return ExactComplex.of(Fraction(1, 2)) + ExactComplex.of(Fraction(1, 2 * inst.m)) * total
+    half = ExactComplex.of(Fraction(1, 2))
+    return half + ExactComplex.of(Fraction(1, 2 * inst.m)) * total if inst.m else half

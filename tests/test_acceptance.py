@@ -283,7 +283,7 @@ def test_criterion_6_lifting():
         n = 6 + trial % 5
         m = 8 + trial % 10
         inst = generate(GeneratorConfig(n=n, k=3, m=m, model="one-basis-z", seed=trial))
-        best, _ = classical_max(inst.hypergraph(), inst.coeffs(), n)
+        best, _ = classical_max(inst.sites.tolist(), inst.coeffs.tolist(), n)
         lam = lambda_max(assemble(inst))
         assert abs(best - lam) <= 1e-10, trial
         assignments = [tuple(int(v) for v in rng.choice([-1, 1], n))
@@ -303,7 +303,7 @@ def test_criterion_7_max_entropy():
     while built < 30 and seed < 400:
         inst = generate(GeneratorConfig(n=16, k=3, m=4, model="one-basis-z", seed=seed))
         seed += 1
-        report = boundary_expansion_check(inst.hypergraph(), beta=1.5, d=4)
+        report = boundary_expansion_check(inst.sites.tolist(), beta=1.5, d=4)
         if not report.passed:
             continue
         pe = max_entropy_build(inst, 3)  # beta * d0 / 2 = 3 >= degree

@@ -18,7 +18,7 @@ from hkxor.certify import (
     spectral_norm,
     trace_moment,
 )
-from hkxor.instances import Constraint, GeneratorConfig, Instance, generate
+from hkxor.instances import GeneratorConfig, generate, parse
 from hkxor.kikuchi_even import build_even, regularize
 from hkxor.oracle import assemble, lambda_max
 from hkxor.pauli import PauliOp
@@ -26,7 +26,12 @@ from hkxor.pauli import PauliOp
 
 def single_zz():
     word = PauliOp.from_sparse("Z1 Z2", 2)
-    return Instance(2, 2, (Constraint(word, 1.0),), "explicit")
+    return generate(GeneratorConfig(n=2, k=2, m=1, model="explicit", words=(word,),
+                                    coeffs=(1.0,)))
+
+
+def empty(n, k):
+    return parse(f"HKXOR v1 n={n} k={k} m=0 model=explicit seed=0\n")
 
 
 def test_spectral_norm_identity():
@@ -239,8 +244,28 @@ def test_certify_even_single_constraint():
 
 
 def test_certify_even_empty():
-    cert = certify_even(Instance(4, 2, (), "explicit"), 1)
+    cert = certify_even(empty(4, 2), 1)
     assert cert.algval == 0.5
+
+
+def test_certify_odd_empty():
+    cert = certify_odd(empty(5, 3), 2, 0.5)
+    assert (cert.algval, cert.norm, cert.residual, cert.num_vertices, cert.num_edges,
+            cert.per_t) == (0.5, 0.0, 0.0, 0, 0, ())
+
+
+def test_empty_instance_still_checks_ell_and_eps():
+    # an empty instance used to certify 1/2 before ell or eps was looked at
+    with pytest.raises(ValueError, match="need k/2 <= ell <= n/2"):
+        certify_even(empty(4, 2), 99)
+    for ell, eps, message in ((-3, 0.5, "need ell >= k/2"), (2, 7.0, "need 0 < eps <= 1")):
+        with pytest.raises(ValueError, match=message):
+            certify_odd(empty(4, 3), ell, eps)
+
+
+def test_certify_rejects_an_unknown_branch():
+    with pytest.raises(ValueError, match="unknown branch 'both'"):
+        certify(single_zz(), 1, branch="both")
 
 
 def test_certify_even_soundness_sweep():
@@ -260,8 +285,8 @@ def test_certify_checks_eps_on_every_branch(eps, monkeypatch):
     monkeypatch.setattr(certify_module, "regularity_decompose", no_build)
     odd = generate(GeneratorConfig(n=5, k=3, m=4, model="random", seed=0))
     for inst, branch in ((single_zz(), "auto"), (single_zz(), "even"), (odd, "auto"),
-                         (odd, "odd"), (Instance(4, 2, (), "explicit"), "auto"),
-                         (Instance(5, 3, (), "explicit"), "auto")):
+                         (odd, "odd"), (empty(4, 2), "auto"),
+                         (empty(5, 3), "auto")):
         with pytest.raises(ValueError, match=f"need 0 < eps <= 1, got {eps}"):
             certify(inst, 1 if inst.k == 2 else 2, eps=eps, branch=branch)
 
@@ -275,8 +300,8 @@ def test_solver_seed_outside_the_philox_key_range_is_refused(seed):
         with pytest.raises(ValueError, match=re.escape(f"in [0, 2**128), got {seed}")):
             spectral_norm(mat, seed=seed)
     for run in (lambda: certify_even(single_zz(), 1, solver_seed=seed),
-                lambda: certify_even(Instance(4, 2, (), "explicit"), 1, solver_seed=seed),
-                lambda: certify_odd(Instance(5, 3, (), "explicit"), 2, 0.5, solver_seed=seed)):
+                lambda: certify_even(empty(4, 2), 1, solver_seed=seed),
+                lambda: certify_odd(empty(5, 3), 2, 0.5, solver_seed=seed)):
         with pytest.raises(ValueError, match=f"got {seed}"):
             run()
     assert spectral_norm(large, seed=2**128 - 1) == spectral_norm(large, seed=2**128 - 1)
@@ -334,8 +359,8 @@ def test_scaled_matches_diagonal_products_and_drops_stored_zeros():
 def test_certify_odd_skipped_types_stay_sound():
     # residual pair (YY, ZZ) places no edges; the penalty term keeps soundness
     words = ["X1 Y2 Y3", "X1 Z2 Z3"]
-    cons = tuple(Constraint(PauliOp.from_sparse(w, 3), 1.0) for w in words)
-    inst = Instance(3, 3, cons, "explicit")
+    inst = generate(GeneratorConfig(n=3, k=3, m=2, model="explicit", coeffs=(1.0, 1.0),
+                                    words=tuple(PauliOp.from_sparse(w, 3) for w in words)))
     cert = certify_odd(inst, ell=2, eps=1.0)
     assert cert.per_t[0].num_skipped == 2
     assert cert.algval >= lambda_max(assemble(inst)) - 1e-9
@@ -344,8 +369,8 @@ def test_certify_odd_skipped_types_stay_sound():
 def odd_instance(n, k, words, coeffs=None):
     ops = [PauliOp.from_sparse(w, n) for w in words]
     coeffs = coeffs or [1.0] * len(ops)
-    return Instance(n, k, tuple(Constraint(w, b) for w, b in zip(ops, coeffs)),
-                    "explicit")
+    return generate(GeneratorConfig(n=n, k=k, m=len(ops), model="explicit", words=tuple(ops),
+                                    coeffs=coeffs))
 
 
 def test_odd_report_lines_golden(monkeypatch):

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import hkxor
 from hkxor.cli import main
 from hkxor.instances import parse
@@ -435,6 +437,75 @@ def test_certify_empty_instance_file(tmp_path, capsys):
     fields = dict(l.split("=", 1) for l in out.splitlines() if "=" in l)
     assert float(fields["algval"]) == 0.5
     assert fields["algval_clamped"] == "0.5"
+
+
+@pytest.mark.parametrize("k, ell, message", ((2, "99", "need k/2 <= ell <= n/2"),
+                                             (3, "-3", "need ell >= k/2")))
+def test_certify_checks_ell_on_an_empty_instance_file(tmp_path, capsys, k, ell, message):
+    # the empty file used to certify algval=0.5 for any ell; a non-empty one never did
+    word = " ".join(f"Z{i}" for i in range(1, k + 1))
+    for m, rows in ((0, ""), (1, f"{word} 1.0\n")):
+        path = tmp_path / f"m{m}.hkxor"
+        path.write_text(f"HKXOR v1 n=4 k={k} m={m} model=explicit seed=0\n{rows}")
+        code = main(["certify", "--in", str(path), "--ell", ell])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith(f"hkxor: error: {message}")
+
+
+def test_witness_on_an_empty_instance_file(tmp_path, capsys):
+    # the energy used to divide by m = 0 and die on ZeroDivisionError
+    path = tmp_path / "empty.hkxor"
+    path.write_text("HKXOR v1 n=3 k=2 m=0 model=one-basis-z seed=0\n")
+    moments = tmp_path / "m.pmom"
+    moments.write_text("PMOM v1 n=3 d=2\n- 1\n1 0\n2 0\n3 0\n1,2 0\n1,3 0\n2,3 0\n")
+    for lift in ((), ("--lift", str(moments))):
+        code, out = run(capsys, "witness", "--in", str(path), "--degree", "2", *lift)
+        assert code == 0
+        assert "energy=0.5" in out.splitlines()
+
+
+@pytest.mark.parametrize("k, rows, ell", ((2, ("Z1 Z2", "X2 Y3"), "1"),
+                                          (3, ("Z1 Z2 Z3", "Z1 X2 Y4"), "2")))
+def test_certify_all_zero_coefficients_matches_the_oracle(tmp_path, capsys, k, rows, ell):
+    # H = Id/2; the graph has edges of weight 0, which regularize used to refuse (exit 3)
+    path = tmp_path / "zero.hkxor"
+    path.write_text(f"HKXOR v1 n=4 k={k} m=2 model=explicit seed=0\n"
+                    + "".join(f"{row} 0.0\n" for row in rows))
+    code, out = run(capsys, "certify", "--in", str(path), "--ell", ell)
+    assert code == 0
+    fields = dict(line.split("=", 1) for line in out.splitlines() if "=" in line)
+    assert fields["algval"] == "0.5" and int(fields["num_edges"]) > 0
+    code, out = run(capsys, "oracle", "--in", str(path))
+    assert code == 0 and "lambda_max=0.5" in out.splitlines()
+
+
+def test_certify_odd_edge_budget_exits_4_before_building(tmp_path, capsys, monkeypatch):
+    # the t=1 slice of this n=20, k=3, m=60 instance estimates 2.1e9 edge candidates at ell=6
+    import hkxor.kikuchi_odd as kikuchi_odd
+
+    def no_build(*args):
+        raise AssertionError("build_odd started making edges")
+
+    monkeypatch.setattr(kikuchi_odd, "type_edges", no_build)
+    path = tmp_path / "big"
+    run(capsys, "gen", "--n", "20", "--k", "3", "--m", "60", "--seed", "0",
+        "--out", str(path))
+    code = main(["certify", "--in", str(path), "--ell", "6", "--eps", "1.0"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err.startswith("hkxor: resource guard: estimated 2.06e+09 edge candidates")
+
+
+def test_witness_reports_a_skipped_moment_matrix(tmp_path, capsys):
+    # 1 + 3 * 34 + 9 * C(34, 2) = 5,152 words of weight <= 2 exceed MOMENT_MATRIX_CAP
+    path = tmp_path / "wide.hkxor"
+    path.write_text("HKXOR v1 n=34 k=2 m=1 model=one-basis-z seed=0\nZ1 Z2 1.0\n")
+    code, out = run(capsys, "witness", "--in", str(path), "--degree", "4")
+    assert code == 0
+    assert ("positivity.skipped=moment matrix would have 5152 rows (cap 5000)"
+            in out.splitlines())
+    assert "energy=+1" in out.splitlines()
 
 
 def test_witness_lift_repeated_monomial_is_usage_error(tmp_path, capsys):

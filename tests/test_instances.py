@@ -1,5 +1,6 @@
 """Instance generation models, determinism, and the text format."""
 
+import copy
 import hashlib
 import math
 import pickle
@@ -13,6 +14,7 @@ from hkxor.instances import (
     MODELS,
     Constraint,
     GeneratorConfig,
+    Instance,
     ParseError,
     digest,
     generate,
@@ -41,7 +43,7 @@ def test_one_basis_z_explicit_hypergraph():
 def test_gaussian_moments():
     m = 10_000
     inst = generate(GeneratorConfig(n=6, k=3, m=m, model="gaussian-semirandom", seed=7))
-    coeffs = inst.coeffs()
+    coeffs = inst.coeffs.tolist()
     mean = sum(coeffs) / m
     mean_sq = sum(b * b for b in coeffs) / m
     assert abs(mean) < 4 / math.sqrt(m)
@@ -131,7 +133,7 @@ def test_generate_equals_numpy_calls(case):
     inst = generate(GeneratorConfig(n=n, k=k, m=m, model=model, seed=seed))
     words, coeffs = numpy_draws(n, k, m, model, seed)
     assert [c.pauli for c in inst.constraints] == words
-    assert list(inst.coeffs()) == coeffs
+    assert inst.coeffs.tolist() == coeffs
 
 
 @pytest.mark.parametrize("model", ("rademacher-semirandom", "gaussian-semirandom",
@@ -144,7 +146,7 @@ def test_generate_explicit_hypergraph_equals_numpy_calls(model, seed):
                                     hypergraph=hypergraph))
     words, coeffs = numpy_draws(7, 3, len(hypergraph), model, seed, hypergraph)
     assert [c.pauli for c in inst.constraints] == words
-    assert list(inst.coeffs()) == coeffs
+    assert inst.coeffs.tolist() == coeffs
     assert [c.support for c in inst.constraints] == [tuple(sorted(e)) for e in hypergraph]
 
 
@@ -266,9 +268,12 @@ def test_round_trip_many():
 
 @st.composite
 def generated_instances(draw):
-    """An instance of any generator model; explicit ones get arbitrary finite coefficients."""
-    n = draw(st.integers(1, 12))
-    k = draw(st.integers(1, n))
+    """An instance of any generator model; explicit ones get arbitrary finite coefficients.
+
+    n reaches past 64, where words no longer fit a uint64 mask.
+    """
+    n = draw(st.integers(1, 70))
+    k = draw(st.integers(1, min(n, 12)))
     m = draw(st.integers(1, 12))
     model = draw(st.sampled_from(MODELS))
     coeffs = None
@@ -282,7 +287,11 @@ def generated_instances(draw):
 @settings(max_examples=200)
 @given(generated_instances())
 def test_parse_serialize_round_trip(inst):
-    assert parse(serialize(inst)) == inst
+    again = parse(serialize(inst))
+    assert (again.n, again.k, again.model, again.seed) == (inst.n, inst.k, inst.model, inst.seed)
+    for name in ("sites", "letters", "coeffs"):
+        a, b = getattr(again, name), getattr(inst, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_parse_minimal():
@@ -308,3 +317,99 @@ def test_parse_errors_carry_line_numbers():
     assert err.value.lineno == 1
     with pytest.raises(ParseError, match="^line 1: header fields n, k, m and seed must be integers"):
         parse("HKXOR v1 n=x k=2 m=1 model=explicit seed=0\nZ1 Z2 1.0\n")
+    head = "HKXOR v1 n=3 k=2 m=2 model=explicit seed=0\nZ1 Z2 1.0\n"
+    for row, message in (("Z1", "expected a sparse word and a coefficient"),
+                         ("Z1 Z2 one", "bad coefficient 'one'"),
+                         ("Z1 Z2 Z3 1.0", "word weight 3 != k=2")):
+        with pytest.raises(ParseError, match=f"^line 3: {message}"):
+            parse(head + row + "\n")
+
+
+def serialize_by_rows(inst):
+    """The per-row formatter serialize replaced: each word's sparse form and repr(coeff)."""
+    lines = [f"HKXOR v1 n={inst.n} k={inst.k} m={inst.m} model={inst.model} "
+             f"seed={inst.seed} rng=philox"]
+    lines += [f"{c.pauli.to_sparse()} {c.coeff!r}" for c in inst.constraints]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def explicit_rows(draw):
+    """(n, k, sites, letters) of m rows on up to 70 qubits, past the uint64 mask width."""
+    n = draw(st.integers(1, 70))
+    k = draw(st.integers(1, min(n, 6)))
+    m = draw(st.integers(0, 8))
+    sites = [sorted(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)))
+             for _ in range(m)]
+    letters = draw(st.lists(st.lists(st.integers(0, 2), min_size=k, max_size=k),
+                            min_size=m, max_size=m))
+    return (n, k, np.array(sites, dtype=np.int64).reshape(m, k),
+            np.array(letters, dtype=np.int8).reshape(m, k))
+
+
+SPECIAL_COEFFS = (0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1e300)
+
+
+@settings(max_examples=200)
+@given(explicit_rows(), st.lists(st.one_of(st.sampled_from(SPECIAL_COEFFS),
+                                           st.floats(allow_nan=False, allow_infinity=False)),
+                                 min_size=8, max_size=8))
+@example((70, 3, np.array([[0, 1, 69], [5, 6, 7], [0, 63, 64], [1, 2, 3], [3, 4, 5], [6, 7, 8]]),
+          np.array([[0, 1, 2], [2, 2, 2], [1, 1, 1], [0, 0, 0], [2, 1, 0], [1, 0, 2]])),
+         SPECIAL_COEFFS + (1.0, -1.0))
+def test_serialize_equals_the_per_row_formatter(rows, coeffs):
+    n, k, sites, letters = rows
+    inst = Instance(n, k, sites, letters, list(coeffs[:len(sites)]), "explicit")
+    text = serialize(inst)
+    assert text == serialize_by_rows(inst)
+    assert digest(inst) == hashlib.sha256(text.encode()).hexdigest()
+
+
+def instance_args(**change):
+    """Keyword arguments of a valid two-row n=4, k=2 instance, with some replaced."""
+    args = dict(n=4, k=2, sites=np.array([[0, 1], [1, 3]]), letters=np.array([[2, 2], [2, 2]]),
+                coeffs=[1.0, -1.0], model="one-basis-z")
+    args.update(change)
+    return args
+
+
+@pytest.mark.parametrize("change", (
+    dict(model="mixed"),
+    dict(k=0), dict(k=5),
+    dict(sites=np.array([[0.0, 1.0], [1.0, 3.0]])),  # floats, even whole ones
+    dict(sites=np.array([[True, True], [False, True]])),
+    dict(sites=np.array([[1, 0], [1, 3]])),  # not ascending
+    dict(sites=np.array([[0, 0], [1, 3]])),  # a repeated site
+    dict(sites=np.array([[-1, 1], [1, 3]])), dict(sites=np.array([[0, 1], [1, 4]])),
+    dict(sites=np.array([[0, 1, 2], [1, 2, 3]])),  # k columns are 2
+    dict(sites=np.array([[0, 1]])),  # fewer rows than coefficients
+    dict(letters=np.array([[2, 2]])), dict(letters=np.array([[2.0, 2.0], [2.0, 2.0]])),
+    dict(letters=np.array([[2, 3], [2, 2]]), model="explicit"),
+    dict(letters=np.array([[2, -1], [2, 2]]), model="explicit"),
+    dict(letters=np.array([[2, 2], [0, 2]])),  # an X under one-basis-z
+    dict(coeffs=[1.0]), dict(coeffs=[[1.0], [-1.0]]), dict(coeffs=1.0),
+    dict(coeffs=[1.0, math.nan]), dict(coeffs=[math.inf, 1.0]), dict(coeffs=[1.0, -math.inf]),
+))
+def test_instance_rejects_malformed_columns(change):
+    Instance(**instance_args())
+    with pytest.raises(ValueError):
+        Instance(**instance_args(**change))
+
+
+def test_instance_columns_are_read_only_copies():
+    args = instance_args()
+    inst = Instance(**args)
+    assert inst.sites.dtype == np.int64 and inst.letters.dtype == np.int8
+    assert inst.coeffs.dtype == np.float64
+    args["sites"][0, 0] = 2  # the caller's array is not the stored one
+    assert inst.sites[0, 0] == 0
+    words = [c.pauli for c in inst.constraints]
+    for name in ("sites", "letters", "coeffs"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(inst, name)[0] = 1
+    assert [c.pauli for c in inst.constraints] == words
+    assert inst.constraints is inst.constraints  # built once
+    for again in (pickle.loads(pickle.dumps(inst)), copy.copy(inst), copy.deepcopy(inst)):
+        assert again.constraints == inst.constraints
+        assert not any(getattr(again, name).flags.writeable
+                       for name in ("sites", "letters", "coeffs"))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hkxor.instances import Constraint, GeneratorConfig, Instance, generate
+from hkxor.instances import GeneratorConfig, generate, parse
 from hkxor.kikuchi_even import (
     DegenerateRegularizerError,
     average_degree_bound,
@@ -74,7 +74,8 @@ def test_delta_count_matches_scan(n, k, ell):
 
 def single_zz():
     word = PauliOp.from_sparse("Z1 Z2", 2)
-    return Instance(2, 2, (Constraint(word, 1.0),), "explicit")
+    return generate(GeneratorConfig(n=2, k=2, m=1, model="explicit", words=(word,),
+                                    coeffs=(1.0,)))
 
 
 def test_single_constraint_graph():
@@ -86,8 +87,14 @@ def test_single_constraint_graph():
     assert all(w == 1.0 for w in g.weights[g.tids])
 
 
+@pytest.mark.parametrize("ell", (0, 3))
+def test_build_even_rejects_ell_outside_its_range(ell):
+    with pytest.raises(ValueError, match="need k/2 <= ell <= n/2"):
+        build_even(generate(GeneratorConfig(n=4, k=2, m=2, seed=0)), ell)
+
+
 def test_empty_instance_graph():
-    inst = Instance(4, 2, (), "explicit")
+    inst = parse("HKXOR v1 n=4 k=2 m=0 model=explicit seed=0\n")
     g = build_even(inst, 1)
     assert g.num_edges == 0 and g.average_degree == 0.0
     with pytest.raises(DegenerateRegularizerError):

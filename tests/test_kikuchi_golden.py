@@ -12,7 +12,7 @@ import hashlib
 
 import pytest
 
-from hkxor.instances import Constraint, GeneratorConfig, Instance, generate
+from hkxor.instances import GeneratorConfig, generate
 from hkxor.kikuchi_even import build_even, build_level_n, dump_graph
 from hkxor.kikuchi_odd import (BipartiteDecomposition, Bucket, build_odd, edge_delete,
                                regularity_decompose)
@@ -22,7 +22,8 @@ from hkxor.pauli import PauliOp
 
 def explicit_instance(n, k, words_sparse):
     words = [PauliOp.from_sparse(w, n) for w in words_sparse]
-    return Instance(n, k, tuple(Constraint(w, 1.0) for w in words), "explicit")
+    return generate(GeneratorConfig(n=n, k=k, m=len(words), model="explicit", words=tuple(words),
+                                    coeffs=(1.0,) * len(words)))
 
 
 def sha(text):
@@ -125,8 +126,8 @@ def test_odd_dumps_with_odd_residual_weight():
              "X1 Y2 Y3 Y4 Y5", "Z3 Z4 X5 Z6 Z7", "Y3 X4 X5 Y6 Z7", "Z3 Y4 X5 Y6 Z7"]
     coeffs = [1.0, -1.0, 0.5, -2.0, 1.5, -1.0, 1.0, 0.25]
     ops = [PauliOp.from_sparse(w, n) for w in words]
-    inst = Instance(n, 5, tuple(Constraint(w, b) for w, b in zip(ops, coeffs)),
-                    "explicit")
+    inst = generate(GeneratorConfig(n=n, k=5, m=len(ops), model="explicit", words=tuple(ops),
+                                    coeffs=coeffs))
     dec = BipartiteDecomposition(n=n, k=5, ell=4, eps=1.0, m=8, buckets=(
         Bucket(t=2, center=PauliOp.from_sparse("X1 Y2", n), cids=(0, 1, 2, 3, 4)),
         Bucket(t=2, center=PauliOp.from_sparse("X5 Z7", n), cids=(5, 7)),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from hkxor import kikuchi_odd
-from hkxor.instances import Constraint, GeneratorConfig, Instance, generate
+from hkxor.instances import GeneratorConfig, generate, parse
 from hkxor.kikuchi_odd import (
     InfeasibleLevelError,
     build_odd,
@@ -36,8 +36,8 @@ from hkxor.pauli import (PauliOp, PhasedPauli, SliceIndex, canonical_key, multip
 def explicit_instance(n, k, words_sparse, coeffs=None):
     words = [PauliOp.from_sparse(w, n) for w in words_sparse]
     coeffs = coeffs or [1.0] * len(words)
-    cons = tuple(Constraint(w, b) for w, b in zip(words, coeffs))
-    return Instance(n, k, cons, "explicit")
+    return generate(GeneratorConfig(n=n, k=k, m=len(words), model="explicit", words=tuple(words),
+                                    coeffs=coeffs))
 
 
 def components(v, n):
@@ -156,7 +156,8 @@ def hub_instance(n, k, m, seed, hubs):
             letters[s] = rng.choice("XYZ")
         sites = tuple(sorted(letters))
         words.append(PauliOp.from_letters(n, sites, "".join(letters[s] for s in sites)))
-    return Instance(n, k, tuple(Constraint(w, 1.0) for w in words), "explicit")
+    return generate(GeneratorConfig(n=n, k=k, m=len(words), model="explicit", words=tuple(words),
+                                    coeffs=(1.0,) * len(words)))
 
 
 def test_decompose_walk_matches_rescan_reference():
@@ -216,7 +217,8 @@ def test_regularity_check_adversarial_bucket():
 
 def test_regularity_check_empty():
     dec = BipartiteDecomposition(n=4, k=3, ell=2, eps=0.5, m=0, buckets=())
-    ok, witness = regularity_check(dec, explicit_instance(4, 3, []), 0.5, 2)
+    ok, witness = regularity_check(dec, parse("HKXOR v1 n=4 k=3 m=0 model=explicit seed=0\n"),
+                                   0.5, 2)
     assert ok and witness is None
 
 

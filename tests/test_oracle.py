@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from hkxor.instances import Constraint, GeneratorConfig, Instance, generate
+from hkxor.instances import GeneratorConfig, generate
 from hkxor.oracle import (
     ResourceGuardError,
     apply_word,
@@ -63,8 +63,9 @@ def test_assemble_adds_repeated_words_and_shared_x_masks():
     # an assembly that scatters all terms in one buffered add would lose some
     words = ["XZI", "XZI", "YIZ", "IZZ"]
     coeffs = [1.0, 1.0, -1.0, 1.0]
-    constraints = tuple(Constraint(PauliOp.from_string(w), b) for w, b in zip(words, coeffs))
-    h = assemble(Instance(3, 2, constraints, "explicit"))
+    h = assemble(generate(GeneratorConfig(
+        n=3, k=2, m=4, model="explicit", words=tuple(map(PauliOp.from_string, words)),
+        coeffs=coeffs)))
     ref = 0.5 * np.eye(8) + sum(b * kron_word(w) for w, b in zip(words, coeffs)) / 8
     np.testing.assert_allclose(h.matrix, ref, atol=1e-14)
     h2 = assemble_pauli_sum(2, [(PauliOp.from_string("XZ"), 0.3),
@@ -86,11 +87,13 @@ def test_apply_word_matches_dense():
 
 def zz_instance():
     word = PauliOp.from_sparse("Z1 Z2", 2)
-    return Instance(2, 2, (Constraint(word, 1.0),), "explicit")
+    return generate(GeneratorConfig(n=2, k=2, m=1, model="explicit", words=(word,),
+                                    coeffs=(1.0,)))
 
 
 def test_assemble_examples():
-    h1 = assemble(Instance(1, 1, (Constraint(PauliOp.from_sparse("Z1", 1), 1.0),), "explicit"))
+    h1 = assemble(generate(GeneratorConfig(n=1, k=1, m=1, model="explicit",
+                                           words=(PauliOp.from_sparse("Z1", 1),), coeffs=(1.0,))))
     np.testing.assert_allclose(h1.matrix, np.diag([1.0, 0.0]), atol=1e-14)
 
     g = assemble(zz_instance())
@@ -129,7 +132,7 @@ def test_value_floor_on_generated_instances():
 def test_one_basis_matches_classical_brute_force():
     for seed in range(6):
         inst = generate(GeneratorConfig(n=6, k=3, m=10, model="one-basis-z", seed=seed))
-        best, _ = classical_max(inst.hypergraph(), inst.coeffs(), inst.n)
+        best, _ = classical_max(inst.sites.tolist(), inst.coeffs.tolist(), inst.n)
         assert abs(lambda_max(assemble(inst)) - best) < 1e-10
 
 

@@ -19,6 +19,8 @@ from hkxor.pauli import (
     mul_words,
     multiply,
     slice_size,
+    words_from_arrays,
+    words_to_arrays,
 )
 from hkxor.oracle import dense_phased, dense_word
 
@@ -355,3 +357,38 @@ def test_words_order_like_their_field_tuples():
     assert PauliOp(2, 1, 0) < PauliOp(2, 1, 2) < PauliOp(3, 0, 0)
     assert sorted([PauliOp(2, 3, 0), PauliOp(1, 1, 0), PauliOp(2, 0, 1)]) == [
         (1, 1, 0), (2, 0, 1), (2, 3, 0)]
+
+
+@st.composite
+def word_lists(draw):
+    """(n, weight, words) with n up to 70, past the width of a uint64 mask."""
+    n = draw(st.integers(1, 70))
+    weight = draw(st.integers(0, min(n, 6)))
+    rows = draw(st.lists(st.tuples(
+        st.lists(st.integers(0, n - 1), min_size=weight, max_size=weight, unique=True),
+        st.text("XYZ", min_size=weight, max_size=weight)), max_size=8))
+    return n, weight, [PauliOp.from_letters(n, sites, letters) for sites, letters in rows]
+
+
+@settings(max_examples=200)
+@given(word_lists())
+@example((70, 3, [PauliOp.from_sparse("X1 Y64 Z70", 70), PauliOp.from_sparse("Z63 X64 Y65", 70)]))
+def test_word_array_conversions_are_inverses(case):
+    n, weight, words = case
+    sites, letters = words_to_arrays(words, n, weight)
+    assert sites.shape == letters.shape == (len(words), weight)
+    assert sites.dtype == np.int64 and letters.dtype == np.int8
+    assert sites.tolist() == [list(w.support()) for w in words]
+    assert letters.tolist() == [["XYZ".index(w.letter_at(s)) for s in w.support()]
+                                for w in words]
+    assert words_from_arrays(n, sites, letters) == words
+    again = words_to_arrays(words_from_arrays(n, sites, letters), n, weight)
+    assert all(np.array_equal(a, b) for a, b in zip(again, (sites, letters)))
+
+
+def test_words_to_arrays_rejects_other_weights_and_qubit_counts():
+    words = [PauliOp.from_sparse("X1 Z3", 4)]
+    with pytest.raises(ValueError, match="word weight 2 != 3"):
+        words_to_arrays(words, 4, 3)
+    with pytest.raises(ValueError, match="n=5"):
+        words_to_arrays(words, 5, 2)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from hkxor.instances import Constraint, GeneratorConfig, Instance, generate
+from hkxor.instances import GeneratorConfig, generate, parse
 from hkxor.oracle import apply_word, assemble, lambda_max
 from hkxor.pauli import PauliOp, canonical_key, commutes, mul_words
 from hkxor.sos import (
@@ -32,11 +32,9 @@ ONE = ExactComplex.of(1)
 
 
 def z_instance(n, supports, coeffs):
-    cons = tuple(
-        Constraint(PauliOp.from_letters(n, tuple(sorted(s)), "Z" * len(s)), b)
-        for s, b in zip(supports, coeffs)
-    )
-    return Instance(n, len(supports[0]), cons, "one-basis-z")
+    words = tuple(PauliOp.from_letters(n, tuple(sorted(s)), "Z" * len(s)) for s in supports)
+    return generate(GeneratorConfig(n=n, k=len(supports[0]), m=len(words), model="one-basis-z",
+                                    words=words, coeffs=coeffs))
 
 
 def test_exact_complex():
@@ -118,6 +116,21 @@ def test_max_entropy_single_constraint():
     assert pe.value(PauliOp.identity(3)) == ONE
 
 
+def test_max_entropy_checks_degree_and_coefficients():
+    with pytest.raises(ValueError, match="degree 2 below constraint arity 3"):
+        max_entropy_build(z_instance(3, [(0, 1, 2)], [1.0]), 2)
+    with pytest.raises(ValueError, match="needs \\+-1 coefficients"):
+        max_entropy_build(z_instance(3, [(0, 1, 2)], [0.5]), 3)
+
+
+def test_energies_of_an_empty_instance_are_one_half():
+    # both used to divide by m = 0
+    inst = parse("HKXOR v1 n=3 k=2 m=0 model=one-basis-z seed=0\n")
+    half = ExactComplex.of(Fraction(1, 2))
+    assert max_entropy_build(inst, 2).energy(inst) == half
+    assert classical_energy(inst, MomentOracle.from_distribution(3, [(1, -1, 1)])) == half
+
+
 def test_max_entropy_contradiction_triangle():
     inst = z_instance(3, [(0, 1), (1, 2), (0, 2)], [1.0, 1.0, -1.0])
     result = max_entropy_build(inst, 4)
@@ -130,7 +143,7 @@ def test_max_entropy_contradiction_triangle():
     for cid in result.combined_axioms:
         acc ^= sum(1 << i for i in inst.constraints[cid].support)
     assert acc == 0
-    report = boundary_expansion_check(inst.hypergraph(), beta=0.5,
+    report = boundary_expansion_check(inst.sites.tolist(), beta=0.5,
                                       d=len(result.combined_axioms))
     assert not report.passed
 
@@ -156,7 +169,7 @@ def test_max_entropy_well_defined_on_expanders():
     built = 0
     for seed in range(40):
         inst = generate(GeneratorConfig(n=16, k=3, m=4, model="one-basis-z", seed=seed))
-        report = boundary_expansion_check(inst.hypergraph(), beta=1.5, d=4)
+        report = boundary_expansion_check(inst.sites.tolist(), beta=1.5, d=4)
         if not report.passed:
             continue
         pe = max_entropy_build(inst, 3)  # beta * d0 / 2 = 3 >= degree
@@ -170,8 +183,8 @@ def test_max_entropy_well_defined_on_expanders():
 
 def test_one_basis_x_accepted_via_relabeling():
     words = [PauliOp.from_letters(4, (0, 1), "XX"), PauliOp.from_letters(4, (2, 3), "XX")]
-    cons = tuple(Constraint(w, 1.0) for w in words)
-    inst = Instance(4, 2, cons, "explicit")
+    inst = generate(GeneratorConfig(n=4, k=2, m=2, model="explicit", words=tuple(words),
+                                    coeffs=(1.0, 1.0)))
     pe = max_entropy_build(inst, 4)
     assert isinstance(pe, PseudoExpectation) and not pe.experimental
     assert pe.value(mul_words(words[0], words[1]).op) == ONE
@@ -224,8 +237,8 @@ def test_anticommuting_obstruction_lists():
     assert anticommuting_obstruction(inst) == []
     x1 = PauliOp.from_sparse("X1", 1)
     z1 = PauliOp.from_sparse("Z1", 1)
-    pair_inst = Instance(1, 1, (Constraint(x1, 1.0), Constraint(z1, 1.0)),
-                         "explicit")
+    pair_inst = generate(GeneratorConfig(n=1, k=1, m=2, model="explicit", words=(x1, z1),
+                                         coeffs=(1.0, 1.0)))
     assert anticommuting_obstruction(pair_inst) == [(0, 1)]
 
 
@@ -333,7 +346,7 @@ def test_lift_value_bounded_by_dense_maximum():
         assignments = [tuple(int(v) for v in rng.choice([-1, 1], 7)) for _ in range(2)]
         pe = lift_classical(inst, MomentOracle.from_distribution(7, assignments), 3)
         assert float(pe.energy(inst).re) <= lam + 1e-10
-        _, argmax = classical_max(inst.hypergraph(), inst.coeffs(), inst.n)
+        _, argmax = classical_max(inst.sites.tolist(), inst.coeffs.tolist(), inst.n)
         pe_opt = lift_classical(inst, MomentOracle.from_distribution(7, [argmax]), 3)
         assert abs(float(pe_opt.energy(inst).re) - lam) < 1e-10
 
