@@ -51,7 +51,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .instances import Instance, check_eps, digest
 from .kikuchi_even import build_even, regularize
-from .kikuchi_odd import build_odd, cs_operator, edge_delete, regularity_decompose
+from .kikuchi_odd import (build_odd, check_free_sites, cs_operator, edge_delete,
+                          regularity_decompose)
 
 DEFAULT_TOL = 1e-6
 ETA_CONST = 3
@@ -314,6 +315,8 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
     check_tol(tol)
     check_seed(solver_seed)
     dec = regularity_decompose(inst, ell, eps)
+    for t in dec.nonempty_levels():
+        check_free_sites(inst.n, inst.k, t, ell)
     eta = eta_bound(inst.k, eps)
     slices: list[SliceCertificate] = []
     warnings = list(dec.warnings)
@@ -328,17 +331,22 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
         graph = build_odd(dec, inst, t, ell)
         pruned, gamma = edge_delete(graph, eta)
         counts = pruned.type_counts().tolist()
-        penalty = sum((ty.abs_coeff for ty, count in zip(pruned.types, counts) if not count),
+        rho, abs_signs = pruned.rho.tolist(), np.abs(pruned.signs).tolist()
+        penalty = sum((a for a, count in zip(abs_signs, counts) if not count),
                       start=sum(absbb for *_, absbb in pruned.skipped))
-        warnings += [f"t={t}: pair weight rho={float(ty.rho):.3f} outside [1/2, 1] "
-                     f"for constraints ({ty.cid}, {ty.cid2})"
-                     for ty in pruned.types if ty.rho > 1]
+        # rho > 1 exactly when |commuting| (a type's count before pruning) < Delta_t,
+        # as |commuting| + |anticommuting| = 2 Delta_t
+        over = graph.type_counts() < math.ceil(graph.delta)
+        warnings += [f"t={t}: pair weight rho={r:.3f} outside [1/2, 1] "
+                     f"for constraints ({cid}, {cid2})"
+                     for (cid, cid2), r in zip(pruned.pairs[over].tolist(),
+                                               pruned.rho[over].tolist())]
 
         norm_t = residual_t = norm_term = 0.0
         if pruned.total_degree:  # zero total degree: no edges, or only zero weights
-            active = [(ty, count) for ty, count in zip(pruned.types, counts) if count]
-            w_min = min(float(ty.rho) * count for ty, count in active)
-            slack = sum((float(ty.rho) * count - w_min) * ty.abs_coeff for ty, count in active)
+            active = [(r, count, a) for r, count, a in zip(rho, counts, abs_signs) if count]
+            w_min = min(r * count for r, count, _ in active)
+            slack = sum((r * count - w_min) * a for r, count, a in active)
             reg = regularize(pruned)
             norm_t, residual_t = spectral_norm(
                 _scaled(pruned.signed_matrix(), reg.gamma), tol=tol, seed=solver_seed)

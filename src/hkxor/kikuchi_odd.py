@@ -23,35 +23,39 @@ the pair (Q, R) is an edge when:
 The graph lives in the typed COO store shared with the even and level-n
 graphs (kikuchi_even.KikuchiGraph): each ordered constraint pair is one edge
 type, with weight rho * b_C * b_C' and
-rho = (|commuting| + |anticommuting|) / (2 |commuting|); the identity
-rho * |commuting| = Delta_t (the store's ``delta``) holds for every type and
-is asserted exactly in rational arithmetic.  OddKikuchiGraph adds only the
-slice t, the pair metadata per type id and the skipped types.  Types whose
-commuting set is empty (possible when the residuals share their support and
-differ everywhere, e.g. (YY, ZZ)) place no edges and are recorded as
-skipped; the certificate accounts for them separately.  The store's signed
-matrix is the symmetrization (E + E^T)/2 of the directed entries; for types
-whose residual labels commute this is a no-op (the directed set is
-transpose-closed), for anticommuting labels it splits each entry in half,
-which preserves the quadratic-form identity because such ordered pairs
-contribute conjugate values.
+rho = (|commuting| + |anticommuting|) / (2 |commuting|).  Both counts depend
+only on the residuals' overlap signature (shared sites where they agree, and
+where they differ), and |commuting| + |anticommuting| = 2 Delta_t (the
+store's ``delta``) is asserted exactly for every signature.  OddKikuchiGraph
+adds the slice t, one column per type field (the pair, rho, the sign
+b_C b_C' and whether the residual labels commute) and the skipped types.
+Types whose commuting set is empty (possible when the residuals share their
+support and differ everywhere, e.g. (YY, ZZ)) place no edges and are
+recorded as skipped; the certificate accounts for them separately.  The
+store's signed matrix is the symmetrization (E + E^T)/2 of the directed
+entries; for types whose residual labels commute this is a no-op (the
+directed set is transpose-closed), for anticommuting labels it splits each
+entry in half, which preserves the quadratic-form identity because such
+ordered pairs contribute conjugate values.
 
-Construction is array code over all types of a slice at once (type_edges).
-Every residual of slice t has weight kk = k - t, so every type has the same
-candidate block: (half1, half2) choices times free-slot choices with
-letters.  The patterns are built once per slice and gathered against each
-type's supports, letters and free sites into (site, letter) arrays for Q
-and R; candidates with the commuting sign are kept, conditions 1-3 are
-checked on dense letters in one vectorized pass, and both endpoints are
-ranked by the batch kernel SliceIndex.rank_batch.  Chunks of at most
-CHUNK_CANDIDATES candidates bound the working memory, and one lexsort puts
-the edges in store order.
+Construction is array code over all types of a slice at once.  The
+residuals are the slice's rows of ``inst.sites`` and ``inst.letters`` with
+their centers' sites removed, the pairs and their overlap signatures are
+computed in bulk, and type_edges places the edges.  Every residual of slice
+t has weight kk = k - t, so every type has the same candidate block:
+(half1, half2) choices times free-slot choices with letters.  The patterns
+are built once per slice and gathered against each type's supports, letters
+and free sites into (site, letter) arrays for Q and R; candidates with the
+commuting sign are kept, conditions 1-3 are checked on dense letters in one
+vectorized pass, and both endpoints are ranked by the batch kernel
+SliceIndex.rank_batch.  Chunks of at most CHUNK_CANDIDATES candidates bound
+the working memory, and one lexsort puts the edges in store order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -60,8 +64,7 @@ import numpy as np
 
 from .instances import Instance, check_eps
 from .kikuchi_even import EDGE_BUDGET, KikuchiGraph
-from .pauli import (_CODE_PAIR, PauliOp, SliceIndex, canonical_key, commutes, site_mask,
-                    words_to_arrays)
+from .pauli import _CODE_PAIR, PauliOp, SliceIndex, canonical_key, site_mask, words_to_arrays
 
 
 class InfeasibleLevelError(ValueError):
@@ -191,6 +194,26 @@ def tilde_word(word: PauliOp, center: PauliOp) -> PauliOp:
     return PauliOp(word.n, word.xmask & strip, word.zmask & strip)
 
 
+def residuals(dec: BipartiteDecomposition, inst: Instance,
+              t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of slice t, bucket by bucket in member order, as residuals P~_C.
+
+    Returns int64 bucket ids and constraint ids, shape (R,), and the residuals
+    (the ``tilde_word`` of each row) as (R, k - t) int64 ascending sites and
+    int8 letter codes: the row's sites and letters off its center's t sites.
+    """
+    bids = [bid for bid, b in enumerate(dec.buckets) if b.t == t]
+    sizes = [len(dec.buckets[bid].cids) for bid in bids]
+    cids = np.array([cid for bid in bids for cid in dec.buckets[bid].cids], dtype=np.int64)
+    centers = words_to_arrays([dec.buckets[bid].center for bid in bids], inst.n, t)[0]
+    sites = inst.sites[cids]
+    on_center = (sites[:, :, None] == np.repeat(centers, sizes, axis=0)[:, None, :]).any(axis=2)
+    assert (on_center.sum(axis=1) == t).all(), "a residual does not have weight k - t"
+    shape = (len(cids), inst.k - t)
+    return (np.repeat(np.array(bids, dtype=np.int64), sizes), cids,
+            sites[~on_center].reshape(shape), inst.letters[cids][~on_center].reshape(shape))
+
+
 @dataclass(frozen=True)
 class CSOperator:
     """Bookkeeping for the squared slice operator after the Cauchy-Schwarz step."""
@@ -213,25 +236,28 @@ class CSOperator:
 
 
 def cs_operator(dec: BipartiteDecomposition, inst: Instance, t: int) -> CSOperator:
-    slice_buckets = dec.slice(t)
-    cids = [cid for b in slice_buckets for cid in b.cids]
-    if not cids:
+    _, cids, _, _ = residuals(dec, inst, t)
+    if not len(cids):
         raise ValueError(f"slice t={t} is empty")
-    for b in slice_buckets:
-        for cid in b.cids:
-            w = tilde_word(inst.constraints[cid].pauli, b.center)
-            assert w.weight() == inst.k - t
     return CSOperator(
         t=t,
-        num_centers=len(slice_buckets),
+        num_centers=len(dec.slice(t)),
         num_constraints=len(cids),
         total_m=inst.m,
         k=inst.k,
-        sum_b_sq=float(sum(inst.constraints[cid].coeff ** 2 for cid in cids)),
+        sum_b_sq=float(sum(c ** 2 for c in inst.coeffs[cids].tolist())),
     )
 
 
 # -- pair counting -------------------------------------------------------------
+
+
+def check_free_sites(n: int, k: int, t: int, ell: int) -> None:
+    """Raise ValueError unless the 2n - 2(k-t) sites off the two residuals can hold
+    the ell - (k-t) free slots of a vertex pair at level t."""
+    kk = k - t
+    if 2 * n - 2 * kk < ell - kk:
+        raise ValueError("not enough free sites for the level")
 
 
 def delta_count_odd(n: int, k: int, t: int, ell: int) -> Fraction:
@@ -244,8 +270,7 @@ def delta_count_odd(n: int, k: int, t: int, ell: int) -> Fraction:
         raise ValueError(f"need 0 <= t <= k, got t={t}, k={k}")
     if ell < kk:
         raise InfeasibleLevelError(f"need ell >= k-t, got ell={ell}, k-t={kk}")
-    if 2 * n - 2 * kk < ell - kk:
-        raise ValueError("not enough free sites for the level")
+    check_free_sites(n, k, t, ell)
     val = (
         Fraction(1, 2)
         * math.comb(kk, (kk + 1) // 2)
@@ -319,37 +344,21 @@ def rho_value(p: PauliOp, q: PauliOp, ell: int) -> Fraction | None:
 # -- odd graph construction ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OddEdgeType:
-    """Ordered constraint pair (cid, cid2) of one bucket; its edges live in the graph's store."""
-
-    bucket_id: int
-    cid: int
-    cid2: int
-    rho: Fraction
-    sign: float  # b_C * b_C'
-    labels_commute: bool
-
-    @property
-    def weight(self) -> float:
-        return float(self.rho) * self.sign
-
-    @property
-    def abs_coeff(self) -> float:
-        return abs(self.sign)
-
-
 @dataclass
 class OddKikuchiGraph(KikuchiGraph):
-    """Odd graph of slice t: type id i of the shared store is the ordered pair ``types[i]``."""
+    """Odd graph of slice t: type id i of the shared store is the ordered constraint
+    pair ``pairs[i]``, whose weight is ``weights[i] = rho[i] * signs[i]``."""
 
     t: int
-    types: list[OddEdgeType]
+    pairs: np.ndarray = field(repr=False)  # (T, 2) int64: (cid, cid2)
+    rho: np.ndarray = field(repr=False)  # (T,) float64: (|C| + |A|) / (2 |C|), rounded once
+    signs: np.ndarray = field(repr=False)  # (T,) float64: b_C * b_C'
+    labels_commute: np.ndarray = field(repr=False)  # (T,) bool: the residuals commute
     skipped: list[tuple[int, int, int, float]]  # (bucket_id, cid, cid2, |b b'|)
 
     def type_columns(self) -> list[str]:
-        return [f"{ty.cid} {w!r} pair={ty.cid}:{ty.cid2}"
-                for ty, w in zip(self.types, self.weights.tolist())]
+        return [f"{cid} {w!r} pair={cid}:{cid2}"
+                for (cid, cid2), w in zip(self.pairs.tolist(), self.weights.tolist())]
 
 
 # Candidates per chunk of type_edges.  Its working memory is a few arrays of
@@ -401,11 +410,12 @@ def _check_edges(n: int, kk: int, q: tuple[np.ndarray, np.ndarray],
         "edge endpoints fail the commuting sign"
 
 
-def type_edges(words: list[PauliOp], first, second,
+def type_edges(n: int, sites: np.ndarray, letters: np.ndarray, first, second,
                ell: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edges meeting conditions 1-3 for the types (words[first[i]], words[second[i]]).
+    """Edges meeting conditions 1-3 for the types (row first[i], row second[i]).
 
-    ``words`` are residuals of one weight kk on n qubits.  Every type has the
+    ``sites`` and ``letters`` hold residuals of one weight kk on n qubits, one
+    per row: (R, kk) ascending sites and letter codes.  Every type has the
     same candidate block: a (half1, half2) choice times ell - kk free slots
     (off supp(P) in component 1, off supp(P') in component 2) with letters.
     The candidates of all types are made at once as (site, letter) arrays,
@@ -418,20 +428,19 @@ def type_edges(words: list[PauliOp], first, second,
     empty = np.zeros(0, dtype=np.int64)
     if not len(first):
         return empty, empty, empty
-    n, kk = words[0].n, words[0].weight()
+    kk = sites.shape[1]
     L = ell - kk
     if L < 0:
         raise InfeasibleLevelError(f"need ell >= {kk}, got {ell}")
     index = SliceIndex(2 * n, ell)
 
-    sup, codes = words_to_arrays(words, n, kk)
-    dense = np.zeros((len(words), n), dtype=np.int8)  # symplectic codes, 0 off the support
-    np.put_along_axis(dense, sup, _SYM[codes], axis=1)
-    off = np.nonzero(dense == 0)[1].reshape(len(words), n - kk)
+    dense = np.zeros((len(sites), n), dtype=np.int8)  # symplectic codes, 0 off the support
+    np.put_along_axis(dense, sites, _SYM[letters], axis=1)
+    off = np.nonzero(dense == 0)[1].reshape(len(sites), n - kk)
     p, q = dense[first], dense[second]
-    sup_p, sup_q, off_q = sup[first], sup[second], off[second]
+    sup_p, sup_q, off_q = sites[first], sites[second], off[second]
     res_sites = np.concatenate((sup_p, sup_q + n), axis=1)
-    res_rank = np.concatenate((codes[first], codes[second]), axis=1)
+    res_rank = np.concatenate((letters[first], letters[second]), axis=1)
     res_sym = _SYM[res_rank]
     free_sites = np.concatenate((off[first], off_q + n), axis=1)
     target = np.concatenate((p, q), axis=1)
@@ -473,69 +482,67 @@ def type_edges(words: list[PauliOp], first, second,
     return rows[order], cols[order], tids[order]
 
 
+def _bucket_pairs(sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices (a, b), a != b, of the ordered pairs of rows in one bucket, rows
+    numbered bucket by bucket: by bucket, then a, then b."""
+    sizes = np.array(sizes, dtype=np.int64)
+    per_row = np.repeat(sizes, sizes)  # the size of each row's bucket
+    first = np.repeat(np.arange(len(per_row)), per_row)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    second = np.repeat(np.repeat(np.cumsum(sizes) - sizes, sizes), per_row) + offset
+    keep = first != second
+    return first[keep], second[keep]
+
+
 def build_odd(dec: BipartiteDecomposition, inst: Instance, t: int, ell: int) -> OddKikuchiGraph:
     """Odd Kikuchi graph of slice t: commuting-condition edges for every ordered bucket pair.
 
-    Edges are stored type by type (types in bucket, then pair order), each
+    Types are the ordered pairs by bucket, then cid, then cid2 (in member
+    order), without the skipped ones.  Edges are stored type by type, each
     type's (row, col) pairs ascending; ``type_edges`` builds all of them.
     """
     n, k = inst.n, inst.k
     delta_t = delta_count_odd(n, k, t, ell)
     index = SliceIndex(2 * n, ell)
-    slice_buckets = dec.slice(t)
-    if not any(len(b.cids) >= 1 for b in slice_buckets):
+    sizes = [len(b.cids) for b in dec.slice(t)]
+    if not any(sizes):
         raise ValueError(f"slice t={t} is empty")
 
-    est = 2 * float(delta_t) * sum(len(b.cids) * (len(b.cids) - 1) for b in slice_buckets)
+    est = 2 * float(delta_t) * sum(s * (s - 1) for s in sizes)
     if est > EDGE_BUDGET:
         raise MemoryError(f"estimated {est:.2e} edge candidates exceeds budget {EDGE_BUDGET:.1e}")
 
-    types: list[OddEdgeType] = []
-    skipped: list[tuple[int, int, int, float]] = []
-    residuals: list[PauliOp] = []
-    first: list[int] = []
-    second: list[int] = []
-    counts: list[int] = []
-    for bid, bucket in enumerate(dec.buckets):
-        if bucket.t != t:
-            continue
-        at = {cid: len(residuals) + i for i, cid in enumerate(bucket.cids)}
-        residuals.extend(tilde_word(inst.constraints[cid].pauli, bucket.center)
-                         for cid in bucket.cids)
-        for cid in bucket.cids:
-            for cid2 in bucket.cids:
-                if cid == cid2:
-                    continue
-                p, q = residuals[at[cid]], residuals[at[cid2]]
-                nc, na = rho_counts(p, q, ell)
-                bb = inst.constraints[cid].coeff * inst.constraints[cid2].coeff
-                if nc == 0:
-                    skipped.append((bid, cid, cid2, abs(bb)))
-                    continue
-                rho = Fraction(nc + na, 2 * nc)
-                assert rho * nc == delta_t, "per-type weighted count != Delta_t"
-                first.append(at[cid])
-                second.append(at[cid2])
-                counts.append(nc)
-                types.append(OddEdgeType(bucket_id=bid, cid=cid, cid2=cid2, rho=rho, sign=bb,
-                                         labels_commute=commutes(p, q)))
+    bids, cids, sites, letters = residuals(dec, inst, t)
+    first, second = _bucket_pairs(sizes)
+    shared = sites[first][:, :, None] == sites[second][:, None, :]
+    agree = (shared & (letters[first][:, :, None] == letters[second][:, None, :])).sum(axis=(1, 2))
+    differ = shared.sum(axis=(1, 2)) - agree
+    # (commuting, anticommuting) counts once per overlap signature (agree, differ)
+    kk = k - t
+    sigs, inverse = np.unique(agree * (kk + 1) + differ, return_inverse=True)
+    counts = [_rho_counts_signature(n, ell, kk, e, d)
+              for e, d in zip((sigs // (kk + 1)).tolist(), (sigs % (kk + 1)).tolist())]
+    assert all(nc + na == 2 * delta_t for nc, na in counts), "weighted pair count != Delta_t"
+    nc = np.array([c for c, _ in counts], dtype=np.int64)[inverse]
+    # rho is read only where nc > 0: the others are skipped types
+    rho = np.array([(c + a) / (2 * c) if c else math.nan for c, a in counts])[inverse]
+    signs = inst.coeffs[cids[first]] * inst.coeffs[cids[second]]
+    pairs = np.column_stack((cids[first], cids[second]))
 
-    rows, cols, tids = type_edges(residuals, first, second, ell)
-    assert np.bincount(tids, minlength=len(types)).tolist() == counts, \
+    skip = nc == 0
+    skipped = list(zip(bids[first][skip].tolist(), *pairs[skip].T.tolist(),
+                       np.abs(signs[skip]).tolist()))
+    place = ~skip
+    rows, cols, tids = type_edges(n, sites, letters, first[place], second[place], ell)
+    assert np.array_equal(np.bincount(tids, minlength=place.sum()), nc[place]), \
         "enumerated commuting count != closed form"
     return OddKikuchiGraph(
         n=n, k=k, ell=ell, index=index, delta=delta_t, rows=rows, cols=cols, tids=tids,
-        weights=np.array([ty.weight for ty in types], dtype=np.float64),
-        t=t, types=types, skipped=skipped)
+        weights=rho[place] * signs[place], t=t, pairs=pairs[place], rho=rho[place],
+        signs=signs[place], labels_commute=differ[place] % 2 == 0, skipped=skipped)
 
 
 # -- local degrees and edge deletion --------------------------------------------
-
-
-def _side_cids(graph: OddKikuchiGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Per type id, the constraint on side 0 (cid) and on side 1 (cid2)."""
-    return (np.array([ty.cid for ty in graph.types], dtype=np.int64),
-            np.array([ty.cid2 for ty in graph.types], dtype=np.int64))
 
 
 def _partner_counts(graph: OddKikuchiGraph):
@@ -545,9 +552,8 @@ def _partner_counts(graph: OddKikuchiGraph):
     constraint id, so ascending codes are ascending (q, cid, side) tuples.
     Returns (ascending key codes, partner counts, C).
     """
-    cid1, cid2 = _side_cids(graph)
-    span = int(max(cid1.max(), cid2.max())) + 1 if graph.types else 1
-    q, a, b = graph.rows, cid1[graph.tids], cid2[graph.tids]
+    span = int(graph.pairs.max()) + 1 if len(graph.pairs) else 1
+    q, a, b = graph.rows, graph.pairs[graph.tids, 0], graph.pairs[graph.tids, 1]
     # (key, partner) pairs: side 0 keys (q, cid) with partner cid2, side 1 the reverse;
     # np.unique would hash them, far slower than this sort
     codes = np.sort(np.concatenate((((q * span + a) * 2) * span + b,
@@ -597,14 +603,14 @@ def edge_delete(graph: OddKikuchiGraph, eta: int) -> tuple[OddKikuchiGraph, floa
     def delete(e: int) -> int:
         keep[e] = False
         tid, q, r = tids[e], rows[e], cols[e]
-        if not graph.types[tid].labels_commute or q == r:
+        if not graph.labels_commute[tid] or q == r:
             return 1
         same = by_type[bounds[tid]:bounds[tid + 1]]
         mirror = same[keep[same] & (rows[same] == r) & (cols[same] == q)][:1]
         keep[mirror] = False
         return 1 + len(mirror)
 
-    side_cids = _side_cids(graph)
+    side_cids = graph.pairs.T
     # a key's partner count is at most the number of types its constraint has on
     # that side, so phase 1 has nothing to delete unless that number exceeds eta
     if any(np.bincount(c, minlength=1).max() > eta for c in side_cids):

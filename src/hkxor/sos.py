@@ -230,6 +230,15 @@ class _Provenance:
 # -- pseudo-expectations -----------------------------------------------------------
 
 
+def _energy(inst: Instance, value_of) -> ExactComplex:
+    """1/2 + (1/2|H|) sum_C b_C value_of(C) over the constraints C, exactly; 1/2 when m = 0."""
+    total = ZERO
+    for c in inst.constraints:
+        total = total + ExactComplex.of(Fraction(c.coeff)) * value_of(c)
+    half = ExactComplex.of(Fraction(1, 2))
+    return half + ExactComplex.of(Fraction(1, 2 * inst.m)) * total if inst.m else half
+
+
 @dataclass
 class PseudoExpectation:
     """Partial map from phase-free words of weight <= degree to exact values."""
@@ -256,11 +265,7 @@ class PseudoExpectation:
 
     def energy(self, inst: Instance) -> ExactComplex:
         """pE[Id/2 + (1/2|H|) sum_C b_C P_C] in exact arithmetic for +-1 coefficients."""
-        total = ZERO
-        for c in inst.constraints:
-            total = total + ExactComplex.of(Fraction(c.coeff)) * self.value(c.pauli)
-        half = ExactComplex.of(Fraction(1, 2))
-        return half + ExactComplex.of(Fraction(1, 2 * inst.m)) * total if inst.m else half
+        return _energy(inst, lambda c: self.value(c.pauli))
 
     def dump(self) -> str:
         lines = [f"PSEXP v1 n={self.n} d={self.degree}"]
@@ -527,8 +532,4 @@ def lift_classical(inst: Instance, moments: MomentOracle, d: int) -> PseudoExpec
 
 def classical_energy(inst: Instance, moments: MomentOracle) -> ExactComplex:
     """The classical SoS objective 1/2 + (1/2|H|) sum_C b_C pE[x_C], exactly."""
-    total = ZERO
-    for c in inst.constraints:
-        total = total + ExactComplex.of(Fraction(c.coeff)) * moments.value(c.pauli.support_mask)
-    half = ExactComplex.of(Fraction(1, 2))
-    return half + ExactComplex.of(Fraction(1, 2 * inst.m)) * total if inst.m else half
+    return _energy(inst, lambda c: moments.value(c.pauli.support_mask))

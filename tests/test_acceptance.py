@@ -230,8 +230,8 @@ def test_criterion_3_counting_formulas():
         inst = generate(GeneratorConfig(n=6, k=3, m=10, model="random", seed=1000 + seed))
         dec = regularity_decompose(inst, 2, 0.8)
         g = build_odd(dec, inst, 1, 2)
-        for ty in g.types:
-            assert Fraction(1, 2) <= ty.rho <= 1
+        for count in g.type_counts().tolist():  # |commuting|, and rho = Delta_t / |commuting|
+            assert Fraction(1, 2) <= Fraction(g.delta) / count <= 1
             rho_checked += 1
 
     verdict("3 counting-formulas", True,

@@ -21,13 +21,8 @@ from hkxor.certify import (
 from hkxor.instances import GeneratorConfig, generate, parse
 from hkxor.kikuchi_even import build_even, regularize
 from hkxor.oracle import assemble, lambda_max
-from hkxor.pauli import PauliOp
 
-
-def single_zz():
-    word = PauliOp.from_sparse("Z1 Z2", 2)
-    return generate(GeneratorConfig(n=2, k=2, m=1, model="explicit", words=(word,),
-                                    coeffs=(1.0,)))
+from helpers import explicit_instance, single_zz
 
 
 def empty(n, k):
@@ -358,28 +353,19 @@ def test_scaled_matches_diagonal_products_and_drops_stored_zeros():
 
 def test_certify_odd_skipped_types_stay_sound():
     # residual pair (YY, ZZ) places no edges; the penalty term keeps soundness
-    words = ["X1 Y2 Y3", "X1 Z2 Z3"]
-    inst = generate(GeneratorConfig(n=3, k=3, m=2, model="explicit", coeffs=(1.0, 1.0),
-                                    words=tuple(PauliOp.from_sparse(w, 3) for w in words)))
+    inst = explicit_instance(3, 3, ["X1 Y2 Y3", "X1 Z2 Z3"])
     cert = certify_odd(inst, ell=2, eps=1.0)
     assert cert.per_t[0].num_skipped == 2
     assert cert.algval >= lambda_max(assemble(inst)) - 1e-9
-
-
-def odd_instance(n, k, words, coeffs=None):
-    ops = [PauliOp.from_sparse(w, n) for w in words]
-    coeffs = coeffs or [1.0] * len(ops)
-    return generate(GeneratorConfig(n=n, k=k, m=len(ops), model="explicit", words=tuple(ops),
-                                    coeffs=coeffs))
 
 
 def test_odd_report_lines_golden(monkeypatch):
     # recorded from the certify_odd that kept one branch per slice kind and running totals
     hub = [f"X1 Y2 {'XYZ'[i % 3]}{3 + i // 3 % 4}" for i in range(36)] + ["Z3 X4 Y5", "Y4 Y5 Y6"]
     cases = [  # (instance, ell, eps, eta or None for eta_bound)
-        (odd_instance(6, 3, hub, [(-1) ** i * (1 + i / 8) for i in range(38)]), 2, 1.0, None),
-        (odd_instance(3, 3, ["X1 Y2 Y3", "X1 Z2 Z3"]), 2, 1.0, None),
-        (odd_instance(5, 4, ["X1 Y2 Y3 Y4", "X1 Z2 Z3 Z5", "X1 X2 Y3 Z4"], [1.0, -0.5, 2.0]),
+        (explicit_instance(6, 3, hub, [(-1) ** i * (1 + i / 8) for i in range(38)]), 2, 1.0, None),
+        (explicit_instance(3, 3, ["X1 Y2 Y3", "X1 Z2 Z3"]), 2, 1.0, None),
+        (explicit_instance(5, 4, ["X1 Y2 Y3 Y4", "X1 Z2 Z3 Z5", "X1 X2 Y3 Z4"], [1.0, -0.5, 2.0]),
          3, 1.0, None),
         (generate(GeneratorConfig(n=6, k=3, m=12, model="gaussian-semirandom", seed=2001)),
          2, 1.0, 2),
@@ -407,6 +393,23 @@ def test_odd_report_lines_golden(monkeypatch):
     assert any("rho=1.500" in w for w in warnings)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "b9e6e89de566e1ad19e13f138bd79a1101359167a1e346dd9e51661f50f098ef")
+
+
+def test_certify_odd_checks_free_sites_before_any_graph(monkeypatch):
+    # 2n - 2(k-t) free sites must hold ell - (k-t) slots on every non-empty slice,
+    # with or without a constraint pair; at n=4, k=3, t=1 that is ell <= 6
+    certify_module = importlib.import_module("hkxor.certify")
+    build_odd = certify_module.build_odd
+    monkeypatch.setattr(certify_module, "build_odd", lambda *a: pytest.fail("graph built"))
+    for words in (["Z1 Z2 Z3"], ["Z1 Z2 Z3", "Z1 Z2 Z4"]):
+        with pytest.raises(ValueError, match="not enough free sites for the level"):
+            certify_odd(explicit_instance(4, 3, words, [1.0, -1.0][:len(words)]), 7, 0.5)
+    assert certify_odd(explicit_instance(4, 3, ["Z1 Z2 Z3"]), 6, 0.5).algval == 1.5
+    # a slice without a pair is not held to ell >= k - t: k=5, ell=3 < k - t = 4
+    assert certify_odd(explicit_instance(5, 5, ["Z1 Z2 Z3 Z4 Z5"]), 3, 0.5).ell == 3
+    monkeypatch.setattr(certify_module, "build_odd", build_odd)
+    assert certify_odd(explicit_instance(4, 3, ["Z1 Z2 Z3", "Z1 Z2 Z4"], [1.0, -1.0]), 6,
+                       0.5).ell == 6
 
 
 def test_certify_dispatch():

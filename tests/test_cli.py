@@ -453,6 +453,18 @@ def test_certify_checks_ell_on_an_empty_instance_file(tmp_path, capsys, k, ell, 
         assert captured.err.startswith(f"hkxor: error: {message}")
 
 
+def test_certify_odd_refuses_an_ell_without_free_sites(tmp_path, capsys):
+    # the one-row file has no constraint pair and used to certify algval=1.5 at ell=99;
+    # the two-row file builds a graph and was refused
+    for rows in ("Z1 Z2 Z3 1.0\n", "Z1 Z2 Z3 1.0\nZ1 Z2 Z4 -1.0\n"):
+        path = tmp_path / "inst.hkxor"
+        path.write_text(f"HKXOR v1 n=4 k=3 m={rows.count(chr(10))} model=explicit seed=0\n{rows}")
+        code = main(["certify", "--in", str(path), "--ell", "99"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("hkxor: error: not enough free sites for the level")
+
+
 def test_witness_on_an_empty_instance_file(tmp_path, capsys):
     # the energy used to divide by m = 0 and die on ZeroDivisionError
     path = tmp_path / "empty.hkxor"

@@ -17,6 +17,8 @@ from hkxor.kikuchi_even import (
 )
 from hkxor.pauli import PauliOp, SliceIndex, enumerate_slice, mul_words
 
+from helpers import single_zz
+
 
 def full_pair_scan(word, n, ell):
     """All ordered (Q, R) in the weight-ell slice with Q*R = word (+1 phase) and the overlap condition."""
@@ -70,12 +72,6 @@ def test_delta_count_examples():
 def test_delta_count_matches_scan(n, k, ell):
     word = PauliOp.from_letters(n, tuple(range(k)), ("XYZ" * k)[:k])
     assert len(fast_pair_scan(word, n, ell)) == delta_count(n, k, ell)
-
-
-def single_zz():
-    word = PauliOp.from_sparse("Z1 Z2", 2)
-    return generate(GeneratorConfig(n=2, k=2, m=1, model="explicit", words=(word,),
-                                    coeffs=(1.0,)))
 
 
 def test_single_constraint_graph():

@@ -19,11 +19,7 @@ from hkxor.kikuchi_odd import (BipartiteDecomposition, Bucket, build_odd, edge_d
 from hkxor.oracle import assemble
 from hkxor.pauli import PauliOp
 
-
-def explicit_instance(n, k, words_sparse):
-    words = [PauliOp.from_sparse(w, n) for w in words_sparse]
-    return generate(GeneratorConfig(n=n, k=k, m=len(words), model="explicit", words=tuple(words),
-                                    coeffs=(1.0,) * len(words)))
+from helpers import explicit_instance
 
 
 def sha(text):
@@ -115,7 +111,7 @@ def test_odd_dump_at_benchmark_scale():
     dec = regularity_decompose(inst, 3, 0.8)
     assert dec.nonempty_levels() == [1]
     g = build_odd(dec, inst, 1, 3)
-    assert (g.num_edges, len(g.types)) == (37120, 190)
+    assert (g.num_edges, len(g.pairs)) == (37120, 190)
     assert sha(odd_dump(g)) == "dee3c8831f8ccb5fa50a0f9c4a40ca88e3f05977dff80622c738746d59b45e95"
 
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hkxor import kikuchi_odd
 from hkxor.instances import GeneratorConfig, generate, parse
@@ -29,15 +30,10 @@ from hkxor.kikuchi_odd import (
     BipartiteDecomposition,
 )
 from hkxor.oracle import apply_word
-from hkxor.pauli import (PauliOp, PhasedPauli, SliceIndex, canonical_key, multiply, mul_words,
-                         site_mask)
+from hkxor.pauli import (PauliOp, PhasedPauli, SliceIndex, canonical_key, commutes, multiply,
+                         mul_words, site_mask, words_to_arrays)
 
-
-def explicit_instance(n, k, words_sparse, coeffs=None):
-    words = [PauliOp.from_sparse(w, n) for w in words_sparse]
-    coeffs = coeffs or [1.0] * len(words)
-    return generate(GeneratorConfig(n=n, k=k, m=len(words), model="explicit", words=tuple(words),
-                                    coeffs=coeffs))
+from helpers import explicit_instance
 
 
 def components(v, n):
@@ -252,7 +248,7 @@ def test_pair_counts_match_exhaustive_scan(n, ell, ps, qs):
     assert (len(commuting), len(anticommuting)) == (nc, na)
     k, t = kk + 1, 1  # any (k, t) with k - t = kk gives the same count
     assert Fraction(nc + na, 2) == delta_count_odd(n, k, t, ell)
-    rows, cols, tids = type_edges([p, q], [0], [1], ell)
+    rows, cols, tids = type_edges(n, *words_to_arrays([p, q], n, kk), [0], [1], ell)
     assert not tids.any()
     assert list(zip(rows.tolist(), cols.tolist())) == sorted(commuting)
 
@@ -303,25 +299,151 @@ def test_build_odd_matches_scan():
     inst = shared_first_site_instance()
     dec = regularity_decompose(inst, ell=2, eps=1.0)
     g = build_odd(dec, inst, t=1, ell=2)
-    assert len(g.types) == 2 and not g.skipped
-    for tid, ty in enumerate(g.types):
-        p = tilde_word(inst.constraints[ty.cid].pauli, dec.buckets[ty.bucket_id].center)
-        q = tilde_word(inst.constraints[ty.cid2].pauli, dec.buckets[ty.bucket_id].center)
+    assert len(g.pairs) == 2 and not g.skipped
+    center = {cid: b.center for b in dec.slice(1) for cid in b.cids}
+    for tid, (cid, cid2) in enumerate(g.pairs.tolist()):
+        p = tilde_word(inst.constraints[cid].pauli, center[cid])
+        q = tilde_word(inst.constraints[cid2].pauli, center[cid2])
         commuting, _ = odd_pair_scan(p, q, 2)
         mine = g.tids == tid
         pairs = list(zip(g.rows[mine].tolist(), g.cols[mine].tolist()))
         assert sorted(pairs) == sorted(commuting)
-        assert ty.rho * len(pairs) == g.delta
-        assert ty.sign == -1.0
+        assert rho_value(p, q, 2) * len(pairs) == g.delta
+        assert g.rho[tid] == float(rho_value(p, q, 2))
+        assert g.signs[tid] == -1.0
+
+
+def test_build_odd_checks_its_counts_exactly(monkeypatch):
+    # |commuting| + |anticommuting| == 2 Delta_t per overlap signature, and each type
+    # places exactly |commuting| edges
+    inst = shared_first_site_instance()
+    dec = regularity_decompose(inst, ell=2, eps=1.0)
+    signature, edges = kikuchi_odd._rho_counts_signature, kikuchi_odd.type_edges
+    monkeypatch.setattr(kikuchi_odd, "_rho_counts_signature",
+                        lambda *args: (signature(*args)[0], signature(*args)[1] + 1))
+    with pytest.raises(AssertionError, match="Delta_t"):
+        build_odd(dec, inst, 1, 2)
+    monkeypatch.setattr(kikuchi_odd, "_rho_counts_signature", signature)
+    monkeypatch.setattr(kikuchi_odd, "type_edges",
+                        lambda *args: tuple(col[1:] for col in edges(*args)))
+    with pytest.raises(AssertionError, match="closed form"):
+        build_odd(dec, inst, 1, 2)
+
+
+def type_table_reference(dec, inst, t, ell):
+    """The per-pair loop the type columns replaced: (pairs, rho, signs, labels_commute,
+    skipped), one entry per ordered pair by bucket, then cid, then cid2."""
+    delta_t = delta_count_odd(inst.n, inst.k, t, ell)
+    pairs, rho, signs, labels, skipped = [], [], [], [], []
+    for bid, bucket in enumerate(dec.buckets):
+        if bucket.t != t:
+            continue
+        for cid in bucket.cids:
+            for cid2 in bucket.cids:
+                if cid == cid2:
+                    continue
+                p = tilde_word(inst.constraints[cid].pauli, bucket.center)
+                q = tilde_word(inst.constraints[cid2].pauli, bucket.center)
+                nc, na = rho_counts(p, q, ell)
+                bb = inst.constraints[cid].coeff * inst.constraints[cid2].coeff
+                if nc == 0:
+                    skipped.append((bid, cid, cid2, abs(bb)))
+                    continue
+                exact = Fraction(nc + na, 2 * nc)
+                assert exact * nc == delta_t
+                pairs.append((cid, cid2))
+                rho.append(float(exact))
+                signs.append(bb)
+                labels.append(commutes(p, q))
+    return pairs, rho, signs, labels, skipped
+
+
+def word_sparse(sites, letters):
+    return " ".join(f"{letter}{site + 1}" for site, letter in zip(sites, letters))
+
+
+@st.composite
+def odd_slices(draw):
+    """(instance, decomposition, t, ell): buckets at level t of words drawn around
+    their bucket's center, members in drawn order, plus a bucket at another level."""
+    k = draw(st.sampled_from((3, 5)))
+    n = draw(st.integers(max(4, k), 9))
+    t = draw(st.integers(1, k))
+    kk = k - t
+    ell = draw(st.integers(max(1, kk), min(kk + 2, 2 * n - kk)))
+    coeff = st.one_of(st.sampled_from((1.0, -1.0, 0.0)),
+                      st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False))
+    words, coeffs, buckets = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        center_sites = draw(st.lists(st.integers(0, n - 1), min_size=t, max_size=t,
+                                     unique=True))
+        center = dict(zip(center_sites, draw(st.text("XYZ", min_size=t, max_size=t))))
+        cids = []
+        for _ in range(draw(st.integers(1, 4))):
+            rest = draw(st.permutations([s for s in range(n) if s not in center]))[:kk]
+            letters = {**center, **dict(zip(rest, draw(st.text("XYZ", min_size=kk,
+                                                                max_size=kk))))}
+            cids.append(len(words))
+            words.append(word_sparse(sorted(letters), [letters[s] for s in sorted(letters)]))
+            coeffs.append(draw(coeff))
+        buckets.append(Bucket(t=t, center=PauliOp.from_sparse(
+            word_sparse(sorted(center), [center[s] for s in sorted(center)]), n),
+            cids=tuple(draw(st.permutations(cids)))))
+    buckets.insert(draw(st.integers(0, len(buckets))),
+                   Bucket(t=t % k + 1, center=PauliOp.from_sparse("X1", n), cids=(0,)))
+    inst = explicit_instance(n, k, words, coeffs)
+    return inst, BipartiteDecomposition(n=n, k=k, ell=ell, eps=1.0, m=inst.m,
+                                        buckets=tuple(buckets)), t, ell
+
+
+def one_bucket_slice(n, k, t, ell, words, coeffs, center):
+    inst = explicit_instance(n, k, words, coeffs)
+    bucket = Bucket(t=t, center=PauliOp.from_sparse(center, n), cids=tuple(range(inst.m)))
+    return inst, BipartiteDecomposition(n=n, k=k, ell=ell, eps=1.0, m=inst.m,
+                                        buckets=(bucket,)), t, ell
+
+
+# residuals (Y1 Y2, Z1 Z2) and (Y1 Y2, X1 Y2): four of the six ordered types are skipped
+SKIPPING = one_bucket_slice(4, 3, 1, 2, ["Y1 Y2 X3", "Z1 Z2 X3", "X1 Y2 X3"],
+                            [1.0, -0.0, 0.5], "X3")
+# residuals (Y1 Y2 Y3, Z1 Z2 Z4): rho = 3/2
+RHO_ABOVE_ONE = one_bucket_slice(6, 5, 2, 3, ["Y1 Y2 Y3 X5 X6", "Z1 Z2 Z4 X5 X6"],
+                                 [-1.5, 2.0], "X5 X6")
+
+
+def test_hand_made_slices_skip_types_and_exceed_rho_one():
+    inst, dec, t, ell = SKIPPING
+    g = build_odd(dec, inst, t, ell)
+    assert [(cid, cid2) for _, cid, cid2, _ in g.skipped] == [(0, 1), (1, 0), (1, 2), (2, 1)]
+    assert g.pairs.tolist() == [[0, 2], [2, 0]]
+    inst, dec, t, ell = RHO_ABOVE_ONE
+    assert build_odd(dec, inst, t, ell).rho.tolist() == [1.5, 1.5]
+
+
+@settings(max_examples=150)
+@given(odd_slices())
+@example(SKIPPING)
+@example(RHO_ABOVE_ONE)
+def test_type_columns_equal_the_per_pair_loop(case):
+    inst, dec, t, ell = case
+    g = build_odd(dec, inst, t, ell)
+    pairs, rho, signs, labels, skipped = type_table_reference(dec, inst, t, ell)
+    assert g.pairs.tolist() == [list(p) for p in pairs]
+    assert g.pairs.dtype == np.int64 and g.labels_commute.tolist() == labels
+    assert g.rho.tobytes() == np.array(rho, dtype=np.float64).tobytes()
+    assert g.signs.tobytes() == np.array(signs, dtype=np.float64).tobytes()
+    assert g.weights.tobytes() == np.array([r * b for r, b in zip(rho, signs)]).tobytes()
+    assert repr(g.skipped) == repr(skipped)
 
 
 def test_type_edges_of_many_types_equal_each_type_alone():
     words = [PauliOp.from_sparse(w, 4) for w in ("X1 Y2", "Z3 Z4", "Y1 Y2", "Z1 Z2", "X1 Z2")]
     first, second = [0, 1, 2, 4, 0], [1, 0, 3, 3, 4]
-    rows, cols, tids = type_edges(words, first, second, 3)
+    sites, letters = words_to_arrays(words, 4, 2)
+    rows, cols, tids = type_edges(4, sites, letters, first, second, 3)
     assert tids.tolist() == sorted(tids.tolist())
     for tid, (a, b) in enumerate(zip(first, second)):
-        alone = type_edges([words[a], words[b]], [0], [1], 3)
+        alone = type_edges(4, sites[[a, b]], letters[[a, b]], [0], [1], 3)
         assert np.array_equal(rows[tids == tid], alone[0])
         assert np.array_equal(cols[tids == tid], alone[1])
 
@@ -378,11 +500,12 @@ def test_quadratic_form_identity_odd():
         lhs = sum(w * np.vdot(blocks[i], blocks[j])
                   for i, j, w in zip(mat.row, mat.col, mat.data))
         rhs = 0.0
-        for ty in g.types:
-            p = tilde_word(inst.constraints[ty.cid].pauli, dec.buckets[ty.bucket_id].center)
-            q = tilde_word(inst.constraints[ty.cid2].pauli, dec.buckets[ty.bucket_id].center)
+        center = {cid: b.center for b in dec.slice(1) for cid in b.cids}
+        for (cid, cid2), sign in zip(g.pairs.tolist(), g.signs.tolist()):
+            p = tilde_word(inst.constraints[cid].pauli, center[cid])
+            q = tilde_word(inst.constraints[cid2].pauli, center[cid2])
             prod = mul_words(p, q)
-            rhs += ty.sign * prod.phase * np.vdot(psi, apply_word(prod.op, psi))
+            rhs += sign * prod.phase * np.vdot(psi, apply_word(prod.op, psi))
         rhs *= float(g.delta)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
@@ -415,12 +538,13 @@ def test_local_degrees_and_degrees_match_edge_loops():
         g = build_odd(regularity_decompose(inst, 3, 1.0), inst, 1, 3)
         partners = {}
         deg = np.zeros(g.num_vertices)
+        pairs, weights = g.pairs.tolist(), g.weights.tolist()
         for q, r, tid in zip(g.rows.tolist(), g.cols.tolist(), g.tids.tolist()):
-            ty = g.types[tid]
-            partners.setdefault((q, ty.cid, 0), set()).add(ty.cid2)
-            partners.setdefault((q, ty.cid2, 1), set()).add(ty.cid)
-            deg[q] += abs(ty.weight) / 2.0
-            deg[r] += abs(ty.weight) / 2.0
+            cid, cid2 = pairs[tid]
+            partners.setdefault((q, cid, 0), set()).add(cid2)
+            partners.setdefault((q, cid2, 1), set()).add(cid)
+            deg[q] += abs(weights[tid]) / 2.0
+            deg[r] += abs(weights[tid]) / 2.0
         assert max(len(val) for val in partners.values()) >= 2
         assert local_degrees(g) == {key: len(val) for key, val in partners.items()}
         assert np.array_equal(g.degrees, deg)
@@ -462,9 +586,8 @@ def edge_delete_reference(graph, eta):
     over eta, then equalize by scanning each type in store order.  Returns the kept
     (rows, cols, tids) and gamma."""
     rows, cols, tids = graph.rows, graph.cols, graph.tids
-    side_cids = (np.array([ty.cid for ty in graph.types], dtype=np.int64),
-                 np.array([ty.cid2 for ty in graph.types], dtype=np.int64))
-    span = int(max(side_cids[0].max(), side_cids[1].max())) + 1
+    side_cids = (graph.pairs[:, 0], graph.pairs[:, 1])
+    span = int(graph.pairs.max()) + 1
     keep = np.ones(graph.num_edges, dtype=bool)
     initial = graph.type_counts().tolist()
     left = list(initial)
@@ -474,7 +597,7 @@ def edge_delete_reference(graph, eta):
         tid = int(tids[e])
         left[tid] -= 1
         q, r = rows[e], cols[e]
-        if graph.types[tid].labels_commute and q != r:
+        if graph.labels_commute[tid] and q != r:
             mirror = np.flatnonzero(keep & (tids == tid) & (rows == r) & (cols == q))
             if len(mirror):
                 keep[mirror[0]] = False
@@ -535,8 +658,7 @@ def test_edge_delete_skips_phase_one_when_no_constraint_has_more_than_eta_types(
     # a key's partner count is at most the types its constraint has on that side
     inst = generate(GeneratorConfig(n=6, k=3, m=16, model="random", seed=1))
     g = build_odd(regularity_decompose(inst, 3, 1.0), inst, 1, 3)
-    most = max(np.bincount([getattr(ty, side) for ty in g.types]).max()
-               for side in ("cid", "cid2"))
+    most = max(np.bincount(g.pairs[:, side]).max() for side in (0, 1))
     calls = []
     partner_counts = kikuchi_odd._partner_counts
     monkeypatch.setattr(kikuchi_odd, "_partner_counts",
