@@ -26,6 +26,7 @@ from .instances import (
     generate,
     parse,
     read_header,
+    read_number,
     serialize,
 )
 from .oracle import ResourceGuardError, assemble, classical_max, lambda_max
@@ -137,7 +138,7 @@ def _parse_moments(path: str) -> MomentOracle:
         rows = fh.read().splitlines()
     n, d = read_header(rows[0] if rows else "", "PMOM", "v1", ("n", "d"))
     try:
-        n, d = int(n), int(d)
+        n, d = read_number(n), read_number(d)
     except ValueError:
         raise ParseError(1, "header fields n and d must be integers") from None
     values: dict[int, object] = {}
@@ -149,7 +150,7 @@ def _parse_moments(path: str) -> MomentOracle:
             raise ParseError(lineno, f"expected '<sites> <value>', got {len(toks)} tokens")
         sites_str, value_str = toks
         try:
-            sites = [] if sites_str == "-" else [int(tok) for tok in sites_str.split(",")]
+            sites = [] if sites_str == "-" else [read_number(tok) for tok in sites_str.split(",")]
         except ValueError:
             raise ParseError(lineno, f"bad site list {sites_str!r}") from None
         for site in sites:
@@ -158,7 +159,7 @@ def _parse_moments(path: str) -> MomentOracle:
         if len(set(sites)) != len(sites):
             raise ParseError(lineno, f"repeated site in {sites_str!r}")
         try:
-            value = Fraction(value_str)
+            value = read_number(value_str, Fraction)
         except (ValueError, ZeroDivisionError):
             raise ParseError(lineno, f"bad moment value {value_str!r}") from None
         mask = site_mask(s - 1 for s in sites)

@@ -337,6 +337,18 @@ def serialize(inst: Instance) -> str:
     return head + "".join(np.strings.add(lines, "\n").tolist())
 
 
+def read_number(text: str, kind=int):
+    """``kind(text)`` (int, float or Fraction) for plain ASCII text, an int as digits only.
+
+    Raises ValueError for other Unicode digits and for ``_`` separators, which
+    those constructors accept but the text formats do not.  Every integer
+    the formats hold (sites, counts, seeds) is nonnegative, so it takes no sign.
+    """
+    if not text.isascii() or "_" in text or (kind is int and not text.isdigit()):
+        raise ValueError(f"{text!r} is not a plain ASCII number")
+    return kind(text)
+
+
 def read_header(line: str, magic: str, version: str, keys: tuple[str, ...]) -> list[str]:
     """Values of ``keys`` in a ``<magic> <version> key=value ...`` header (line 1).
 
@@ -369,7 +381,7 @@ def parse(text: str) -> Instance:
     n, k, m, model, seed = read_header(lines[0], _FORMAT_MAGIC, _FORMAT_VERSION,
                                        ("n", "k", "m", "model", "seed"))
     try:
-        n, k, m, seed = int(n), int(k), int(m), int(seed)
+        n, k, m, seed = map(read_number, (n, k, m, seed))
     except ValueError:
         raise ParseError(1, "header fields n, k, m and seed must be integers") from None
 
@@ -383,7 +395,7 @@ def parse(text: str) -> Instance:
         if len(toks) < 2:
             raise ParseError(lineno, "expected a sparse word and a coefficient")
         try:
-            coeff = float(toks[-1])
+            coeff = read_number(toks[-1], float)
         except ValueError:
             raise ParseError(lineno, f"bad coefficient {toks[-1]!r}") from None
         if not math.isfinite(coeff):

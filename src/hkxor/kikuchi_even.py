@@ -8,7 +8,9 @@ are identical.  Such endpoints always commute and the product phase is +1;
 both are asserted during construction.
 
 Edges are generated per constraint by direct combinatorial enumeration (the
-Delta pairs), never by scanning all N^2 vertex pairs.  Entries are ordered
+Delta pairs), never by scanning all N^2 vertex pairs: each half of supp(P),
+read off the instance's site and letter columns, times each word of the
+weight-(ell - k/2) slice that is disjoint from supp(P).  Entries are ordered
 (row, col) pairs; the edge set is closed under transposition, so the signed
 adjacency is symmetric.
 
@@ -22,14 +24,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import scipy.sparse as sp
 
 from .instances import Instance
-from .pauli import (_LETTERS, PauliOp, SliceIndex, _set_bits, commutes, mul_words,
-                    site_mask)
+from .pauli import (PauliOp, SliceIndex, commutes, enumerate_slice, masks_from_arrays,
+                    mul_words, site_mask)
 
 LEVEL_N_QUBIT_CAP = 6
 # most edges (even) or edge candidates (odd) one graph build may make
@@ -149,20 +151,17 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
     rows: list[int] = []
     cols: list[int] = []
     tids: list[int] = []
-    extra = ell - k // 2  # number of sites Q and R share off supp(P)
-    shared_words = [PauliOp.identity(n)]
+    # the words Q and R may share off supp(P): weight ell - k/2, disjoint from supp(P)
+    shared_slice = list(enumerate_slice(n, ell - k // 2))
 
-    for cid, c in enumerate(inst.constraints):
-        word = c.pauli
-        if extra:
-            off_sites = _set_bits(~word.support_mask & ((1 << n) - 1))
-            shared_words = [PauliOp.from_letters(n, sites, "".join(letters))
-                            for sites in combinations(off_sites, extra)
-                            for letters in product(_LETTERS, repeat=extra)]
-        for half in combinations(word.support(), k // 2):
+    for cid, (sites, px, pz) in enumerate(zip(inst.sites.tolist(),
+                                              *masks_from_arrays(n, inst.sites, inst.letters))):
+        word, supp = (n, px, pz), px | pz
+        shared_words = [w for w in shared_slice if not (w.xmask | w.zmask) & supp]
+        for half in combinations(sites, k // 2):
             q_mask = site_mask(half)
-            qx, qz = word.xmask & q_mask, word.zmask & q_mask  # P on the half
-            rx, rz = word.xmask ^ qx, word.zmask ^ qz  # P on the rest of supp(P)
+            qx, qz = px & q_mask, pz & q_mask  # P on the half
+            rx, rz = px ^ qx, pz ^ qz  # P on the rest of supp(P)
             for shared in shared_words:
                 q = PauliOp(n, qx | shared.xmask, qz | shared.zmask)
                 r = PauliOp(n, rx | shared.xmask, rz | shared.zmask)

@@ -43,13 +43,15 @@ residuals are the slice's rows of ``inst.sites`` and ``inst.letters`` with
 their centers' sites removed, the pairs and their overlap signatures are
 computed in bulk, and type_edges places the edges.  Every residual of slice
 t has weight kk = k - t, so every type has the same candidate block:
-(half1, half2) choices times free-slot choices with letters.  The patterns
-are built once per slice and gathered against each type's supports, letters
-and free sites into (site, letter) arrays for Q and R; candidates with the
-commuting sign are kept, conditions 1-3 are checked on dense letters in one
-vectorized pass, and both endpoints are ranked by the batch kernel
-SliceIndex.rank_batch.  Chunks of at most CHUNK_CANDIDATES candidates bound
-the working memory, and one lexsort puts the edges in store order.
+(half1, half2) choices times the free choices, which are the rows of the
+weight-(ell - kk) slice table (pauli.slice_arrays) on the 2n - 2kk free
+slots.  The patterns are built once per slice and gathered against each
+type's supports, letters and free sites into (site, letter) arrays for Q
+and R; candidates with the commuting sign are kept, conditions 1-3 are
+checked on dense letters in one vectorized pass, and both endpoints are
+ranked by the batch kernel SliceIndex.rank_batch.  Chunks of at most
+CHUNK_CANDIDATES candidates bound the working memory, and one lexsort puts
+the edges in store order.
 """
 
 from __future__ import annotations
@@ -58,13 +60,14 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .instances import Instance, check_eps
 from .kikuchi_even import EDGE_BUDGET, KikuchiGraph
-from .pauli import _CODE_PAIR, PauliOp, SliceIndex, canonical_key, site_mask, words_to_arrays
+from .pauli import (_CODE_PAIR, PauliOp, SliceIndex, canonical_key, site_mask, slice_arrays,
+                    words_to_arrays)
 
 
 class InfeasibleLevelError(ValueError):
@@ -371,10 +374,6 @@ CHUNK_CANDIDATES = 1 << 16
 _SYM = np.array(_CODE_PAIR, dtype=np.int8)
 
 
-def _index_rows(rows: list[tuple[int, ...]], width: int) -> np.ndarray:
-    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
-
-
 def _halves(kk: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions, among the 2kk residual sites (supp(P), then supp(P') shifted by n),
     that Q takes and that R takes: one (H, kk) row pair per (half1, half2) choice."""
@@ -384,7 +383,7 @@ def _halves(kk: int) -> tuple[np.ndarray, np.ndarray]:
             for half2 in combinations(range(kk, 2 * kk), s2):
                 q_take.append(half1 + half2)
                 r_take.append(tuple(i for i in range(2 * kk) if i not in q_take[-1]))
-    return _index_rows(q_take, kk), _index_rows(r_take, kk)
+    return tuple(np.array(take, dtype=np.int64).reshape(len(take), kk) for take in (q_take, r_take))
 
 
 def _check_edges(n: int, kk: int, q: tuple[np.ndarray, np.ndarray],
@@ -416,8 +415,9 @@ def type_edges(n: int, sites: np.ndarray, letters: np.ndarray, first, second,
 
     ``sites`` and ``letters`` hold residuals of one weight kk on n qubits, one
     per row: (R, kk) ascending sites and letter codes.  Every type has the
-    same candidate block: a (half1, half2) choice times ell - kk free slots
-    (off supp(P) in component 1, off supp(P') in component 2) with letters.
+    same candidate block: a (half1, half2) choice times a row of the
+    weight-(ell - kk) slice table on the free slots (off supp(P) in
+    component 1, off supp(P') in component 2).
     The candidates of all types are made at once as (site, letter) arrays,
     in chunks of at most CHUNK_CANDIDATES, and ranked by
     ``SliceIndex(2n, ell).rank_batch``.  Returns int64 (rows, cols, tids),
@@ -454,9 +454,9 @@ def type_edges(n: int, sites: np.ndarray, letters: np.ndarray, first, second,
 
     q_take, r_take = _halves(kk)
     anti_h = anti_res[:, q_take].sum(axis=2)  # (T, H)
-    slot_sets = _index_rows(list(combinations(range(2 * n - 2 * kk), L)), L)
-    letter_sets = _index_rows(list(product(range(3), repeat=L)), L)
-    num_free = len(slot_sets) * len(letter_sets)
+    # free choices: ell - kk of the 2n - 2kk free slots, with letters
+    free_slots, free_letters = slice_arrays(2 * n - 2 * kk, L)
+    num_free = len(free_slots)
     f_step = min(num_free, max(1, CHUNK_CANDIDATES // len(q_take)))
     t_step = max(1, CHUNK_CANDIDATES // (len(q_take) * f_step))
 
@@ -464,7 +464,7 @@ def type_edges(n: int, sites: np.ndarray, letters: np.ndarray, first, second,
     for t0 in range(0, len(first), t_step):
         for f0 in range(0, num_free, f_step):
             f = np.arange(f0, min(f0 + f_step, num_free))
-            f_slots, f_letters = slot_sets[f // len(letter_sets)], letter_sets[f % len(letter_sets)]
+            f_slots, f_letters = free_slots[f], free_letters[f]
             pf = p_free[t0:t0 + t_step][:, f_slots]
             anti_f = ((pf != 0) & (pf != _SYM[f_letters])).sum(axis=2)  # (Tc, Fc)
             keep = (anti_h[t0:t0 + t_step, :, None] + anti_f[:, None, :]) % 2 == 0
@@ -589,10 +589,17 @@ def edge_delete(graph: OddKikuchiGraph, eta: int) -> tuple[OddKikuchiGraph, floa
     (lowest pair first) until every type has lost ceil(gamma * count) edges,
     as close as pairing integrality allows.  Deleting an edge of a
     commuting-label (transpose-closed) type also deletes its mirror.
-    Returns the pruned graph and gamma.
+    Returns the pruned graph and gamma; when no constraint has more than eta
+    types on a side, that is an equal graph and 0.0, found before any sort.
     """
     if eta < 1:
         raise ValueError(f"need eta >= 1, got {eta}")
+    side_cids = graph.pairs.T
+    # a key's partner count is at most the number of types its constraint has on
+    # that side, so phase 1 has nothing to delete unless that number exceeds eta;
+    # then gamma is 0 and phase 2 deletes nothing either
+    if not any(np.bincount(c, minlength=1).max() > eta for c in side_cids):
+        return replace(graph), 0.0
     rows, cols, tids = graph.rows, graph.cols, graph.tids
     keep = np.ones(graph.num_edges, dtype=bool)
     initial = graph.type_counts().tolist()
@@ -610,29 +617,27 @@ def edge_delete(graph: OddKikuchiGraph, eta: int) -> tuple[OddKikuchiGraph, floa
         keep[mirror] = False
         return 1 + len(mirror)
 
-    side_cids = graph.pairs.T
-    # a key's partner count is at most the number of types its constraint has on
-    # that side, so phase 1 has nothing to delete unless that number exceeds eta
-    if any(np.bincount(c, minlength=1).max() > eta for c in side_cids):
-        keys, counts, span = _partner_counts(graph)
-        by_row = np.argsort(rows, kind="stable")
-        for key in keys[counts > eta].tolist():
-            q, cid, side = key // (2 * span), key // 2 % span, key % 2
-            cand = by_row[slice(*np.searchsorted(rows, (q, q + 1), sorter=by_row))]
-            cand = cand[keep[cand] & (side_cids[side][tids[cand]] == cid)]
-            # lowest (col, type id) first; lexsort is stable, so ties keep store order
-            cand = cand[np.lexsort((tids[cand], cols[cand]))]
-            # deleting cand[:j] leaves the partners whose last edge sits at j or later
-            partners = side_cids[1 - side][tids[cand]]
-            last = len(cand) - 1 - np.unique(partners[::-1], return_index=True)[1]
-            if len(last) > eta:
-                for e in cand[:np.sort(last)[-eta - 1] + 1].tolist():
-                    delete(e)
+    keys, counts, span = _partner_counts(graph)
+    by_row = np.argsort(rows, kind="stable")
+    for key in keys[counts > eta].tolist():
+        q, cid, side = key // (2 * span), key // 2 % span, key % 2
+        cand = by_row[slice(*np.searchsorted(rows, (q, q + 1), sorter=by_row))]
+        cand = cand[keep[cand] & (side_cids[side][tids[cand]] == cid)]
+        # lowest (col, type id) first; lexsort is stable, so ties keep store order
+        cand = cand[np.lexsort((tids[cand], cols[cand]))]
+        # deleting cand[:j] leaves the partners whose last edge sits at j or later
+        partners = side_cids[1 - side][tids[cand]]
+        last = len(cand) - 1 - np.unique(partners[::-1], return_index=True)[1]
+        if len(last) > eta:
+            for e in cand[:np.sort(last)[-eta - 1] + 1].tolist():
+                delete(e)
 
     kept = np.bincount(tids[keep], minlength=len(initial)).tolist()
     gamma = max([(n0 - n1) / n0 for n0, n1 in zip(initial, kept) if n0], default=0.0)
     for tid, n0 in enumerate(initial):
         need = math.ceil(gamma * n0 - 1e-12) - (n0 - kept[tid])
+        if need <= 0:
+            continue
         for e in by_type[bounds[tid]:bounds[tid + 1]].tolist():
             if need <= 0:
                 break

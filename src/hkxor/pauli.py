@@ -153,7 +153,7 @@ class PauliOp(namedtuple("PauliOp", "n xmask zmask")):
         last_site = 0
         for tok in s.split():
             letter, site_str = tok[0].upper(), tok[1:]
-            if letter not in "XYZ" or not site_str.isdigit():
+            if letter not in "XYZ" or not (site_str.isascii() and site_str.isdigit()):
                 raise ValueError(f"bad sparse Pauli token {tok!r}")
             site = int(site_str)
             if not 1 <= site <= n:
@@ -223,17 +223,23 @@ def site_mask(sites) -> int:
 # -- words as (site, letter) arrays ----------------------------------------------
 
 
-def words_from_arrays(n: int, sites: np.ndarray, letters: np.ndarray) -> list[PauliOp]:
-    """Words of row i: letter code ``letters[i, j]`` (0, 1, 2 -> X, Y, Z) on site ``sites[i, j]``.
+def masks_from_arrays(n: int, sites: np.ndarray, letters: np.ndarray) -> tuple[list, list]:
+    """(xmasks, zmasks) of row i: letter code ``letters[i, j]`` (0, 1, 2 -> X, Y, Z) on
+    site ``sites[i, j]``.
 
     The sites of a row must be distinct in [0, n).  Masks are uint64 sums of
-    distinct bits up to 64 qubits and Python ints beyond.
+    distinct bits up to 64 qubits and Python ints beyond; both lists hold
+    Python ints.
     """
     dtype = np.uint64 if n <= 64 else object
     bits = np.ones((), dtype=dtype) << sites.astype(dtype)
-    xms = np.where(letters != 2, bits, 0).sum(axis=1).tolist()
-    zms = np.where(letters != 0, bits, 0).sum(axis=1).tolist()
-    return [PauliOp(n, x, z) for x, z in zip(xms, zms)]
+    return (np.where(letters != 2, bits, 0).sum(axis=1).tolist(),
+            np.where(letters != 0, bits, 0).sum(axis=1).tolist())
+
+
+def words_from_arrays(n: int, sites: np.ndarray, letters: np.ndarray) -> list[PauliOp]:
+    """Words of the rows of :func:`masks_from_arrays`."""
+    return [PauliOp(n, x, z) for x, z in zip(*masks_from_arrays(n, sites, letters))]
 
 
 def words_to_arrays(words, n: int, weight: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,19 +304,16 @@ def slice_size(n: int, ell: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _binomials(n: int, ell: int) -> tuple[tuple[int, ...], ...]:
-    """C(x, y) for x <= n, y <= ell; zero where x - y > n - ell.
+def _binomial_array(n: int, ell: int) -> np.ndarray:
+    """Read-only C(x, y) for x <= n, y <= ell; zero where x - y > n - ell.
 
     Ranking a sorted weight-ell support only reads entries with
     x - y <= n - ell, each at most C(n, ell), so the zeros are never read.
+    The table is int64 when C(n, ell) fits and holds Python ints otherwise.
     """
-    return tuple(tuple(math.comb(x, y) if x - y <= n - ell else 0 for y in range(ell + 1))
-                 for x in range(n + 1))
-
-
-@lru_cache(maxsize=None)
-def _binomial_array(n: int, ell: int) -> np.ndarray:
-    table = np.array(_binomials(n, ell), dtype=np.int64)
+    table = np.array([[math.comb(x, y) if x - y <= n - ell else 0 for y in range(ell + 1)]
+                      for x in range(n + 1)],
+                     dtype=np.int64 if math.comb(n, ell) < 2**63 else object)
     table.setflags(write=False)
     return table
 
@@ -335,15 +338,15 @@ class SliceIndex:
 
     Ordering: supports ascending lexicographic (as sorted site tuples); within
     a support, letters ordered X < Y < Z with the lowest site most significant.
-    For sorted sites c_0 < ... < c_(ell-1) with c_(-1) = -1, the hockey-stick
-    identity gives the support rank in closed form,
+    For sorted sites c_0 < ... < c_(ell-1), the support rank is
 
-        sum_j C(n - 1 - c_(j-1), ell - j) - C(n - c_j, ell - j),
+        C(n, ell) - 1 - sum_j C(n - 1 - c_j, ell - j),
 
-    which both ``rank`` (one word) and ``rank_batch`` (arrays) evaluate.
-    ``rank`` keeps every rank it computes, keyed by the word's masks, so a
-    builder that meets the same vertex many times ranks it once; the memo
-    holds at most ``size`` entries.
+    as term j counts the supports after it that first differ at position j:
+    their last ell - j sites all lie above c_j.  Both ``rank`` (one word) and
+    ``rank_batch`` (arrays) evaluate it.  ``rank`` keeps every rank it
+    computes, keyed by the word's masks, so a builder that meets the same
+    vertex many times ranks it once; the memo holds at most ``size`` entries.
     """
 
     def __init__(self, n: int, ell: int):
@@ -352,7 +355,7 @@ class SliceIndex:
         self.n = n
         self.ell = ell
         self.size = slice_size(n, ell)
-        self._comb = _binomials(n, ell)
+        self._comb = _binomial_array(n, ell).tolist()
         self._ranks: dict[tuple[int, int], int] = {}
 
     def rank(self, op: PauliOp) -> int:
@@ -367,17 +370,15 @@ class SliceIndex:
     def _rank(self, xmask: int, zmask: int) -> int:
         """Rank of the word (xmask, zmask) on self.n qubits, computed from its bits."""
         sup = _set_bits(xmask | zmask)
-        if len(sup) != self.ell:
-            raise ValueError(f"word has weight {len(sup)}, slice expects {self.ell}")
-        comb = self._comb
-        sup_rank = code = 0
-        prev = -1
+        n, ell, comb = self.n, self.ell, self._comb
+        if len(sup) != ell:
+            raise ValueError(f"word has weight {len(sup)}, slice expects {ell}")
+        sup_rank = comb[n][ell] - 1
+        code = 0
         for j, s in enumerate(sup):
-            y = self.ell - j
-            sup_rank += comb[self.n - 1 - prev][y] - comb[self.n - s][y]
-            prev = s
+            sup_rank -= comb[n - 1 - s][ell - j]
             code = 3 * code + _PAIR_CODE[(xmask >> s & 1) | (zmask >> s & 1) << 1]
-        return sup_rank * 3**self.ell + code
+        return sup_rank * 3**ell + code
 
     def rank_batch(self, sites: np.ndarray, letters: np.ndarray) -> np.ndarray:
         """int64 ranks of the words given row by row as (..., ell) site and letter arrays.
@@ -385,27 +386,26 @@ class SliceIndex:
         ``sites`` are 0-indexed and distinct within a row, in any order;
         ``letters`` are the codes 0, 1, 2 for X, Y, Z.  Equal to ``rank``
         word by word, without building the words, so it also serves slices
-        whose words do not fit an int64 mask.
+        whose words do not fit an int64 mask.  A site's position j in its
+        sorted row is the number of smaller sites in the row, so no row is
+        sorted; the positions sum to ell (ell - 1) / 2 exactly when the
+        row's sites are distinct.
         """
+        n, ell = self.n, self.ell
         if self.size >= 2**63:
             raise ValueError(f"slice size {self.size} does not fit int64 ranks")
         sites = np.asarray(sites, dtype=np.int64)
         letters = np.asarray(letters, dtype=np.int64)
-        if sites.shape != letters.shape or sites.shape[-1:] != (self.ell,):
-            raise ValueError(f"need matching (..., {self.ell}) site and letter arrays")
-        order = np.argsort(sites, axis=-1)
-        sites = np.take_along_axis(sites, order, axis=-1)
-        letters = np.take_along_axis(letters, order, axis=-1)
-        if sites.size and (sites[..., 0].min() < 0 or sites[..., -1].max() >= self.n
-                           or (np.diff(sites, axis=-1) <= 0).any()
+        if sites.shape != letters.shape or sites.shape[-1:] != (ell,):
+            raise ValueError(f"need matching (..., {ell}) site and letter arrays")
+        j = (sites[..., :, None] > sites[..., None, :]).sum(axis=-1)
+        if sites.size and (sites.min() < 0 or sites.max() >= n
+                           or (j.sum(axis=-1) != ell * (ell - 1) // 2).any()
                            or letters.min() < 0 or letters.max() > 2):
             raise ValueError("sites must be distinct in [0, n) and letters in {0, 1, 2}")
-        comb = _binomial_array(self.n, self.ell)
-        y = self.ell - np.arange(self.ell)
-        prev = np.concatenate((np.full(sites.shape[:-1] + (1,), -1, dtype=np.int64),
-                               sites[..., :-1]), axis=-1)
-        sup_rank = (comb[self.n - 1 - prev, y] - comb[self.n - sites, y]).sum(axis=-1)
-        return sup_rank * 3**self.ell + (letters * 3 ** (y - 1)).sum(axis=-1)
+        comb = _binomial_array(n, ell)
+        sup_rank = comb[n, ell] - 1 - comb[n - 1 - sites, ell - j].sum(axis=-1)
+        return sup_rank * 3**ell + (letters * 3 ** (ell - 1 - j)).sum(axis=-1)
 
     def unrank(self, index: int) -> PauliOp:
         if not 0 <= index < self.size:
@@ -420,10 +420,21 @@ class SliceIndex:
         return PauliOp.from_letters(self.n, sites, "".join(letters))
 
 
-def enumerate_slice(n: int, ell: int) -> Iterator[PauliOp]:
-    """Yield all 3^ell * C(n, ell) weight-ell words in canonical SliceIndex order."""
+def slice_arrays(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every weight-ell word on n qubits in canonical SliceIndex order, row by row:
+    (size, ell) int64 ascending sites and int8 letter codes (X, Y, Z -> 0, 1, 2).
+
+    ell = 0 gives one empty row, the identity.
+    """
     if not 0 <= ell <= n:
         raise ValueError(f"need 0 <= ell <= n, got ell={ell}, n={n}")
-    for sites in combinations(range(n), ell):
-        for letters in product(_LETTERS, repeat=ell):
-            yield PauliOp.from_letters(n, sites, "".join(letters))
+    supports = list(combinations(range(n), ell))
+    codes = list(product(range(3), repeat=ell))
+    return (np.repeat(np.array(supports, dtype=np.int64).reshape(len(supports), ell),
+                      len(codes), axis=0),
+            np.tile(np.array(codes, dtype=np.int8).reshape(len(codes), ell), (len(supports), 1)))
+
+
+def enumerate_slice(n: int, ell: int) -> Iterator[PauliOp]:
+    """Yield all 3^ell * C(n, ell) weight-ell words in canonical SliceIndex order."""
+    yield from words_from_arrays(n, *slice_arrays(n, ell))

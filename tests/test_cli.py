@@ -289,6 +289,27 @@ def test_witness_lift_bad_value_is_usage_error(tmp_path, capsys):
     assert err.startswith("hkxor: error: line 2: bad moment value '1/x'")
 
 
+@pytest.mark.parametrize("pmom,message", [
+    ("PMOM v1 n=3 d=\u0662\n- 1\n", "line 1: header fields n and d must be integers"),
+    ("PMOM v1 n=3 d=2\n- 1\n\u0661 1\n", "line 3: bad site list '\u0661'"),
+    ("PMOM v1 n=3 d=2\n- 1\n1 1_0\n", "line 3: bad moment value '1_0'"),
+], ids=["arabic-indic-header", "arabic-indic-site", "underscored-value"])
+def test_witness_lift_non_ascii_or_underscored_number_is_usage_error(tmp_path, capsys, pmom,
+                                                                     message):
+    code, err = lift_error(tmp_path, capsys, pmom)
+    assert code == 3
+    assert err.startswith(f"hkxor: error: {message}")
+
+
+def test_certify_non_ascii_site_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "inst"
+    path.write_text("HKXOR v1 n=4 k=2 m=1 model=explicit seed=0\nX1 Z\u0663 1.0\n",
+                    encoding="utf-8")
+    assert main(["certify", "--in", str(path), "--ell", "1"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "hkxor: error: line 2: bad sparse Pauli token 'Z\u0663'")
+
+
 def test_certify_even_edge_budget_exits_4_before_building(tmp_path, capsys, monkeypatch):
     # m * Delta = 700 * 29,754 = 2.08e7 edges > EDGE_BUDGET
     import hkxor.kikuchi_even as kikuchi_even

@@ -325,6 +325,29 @@ def test_parse_errors_carry_line_numbers():
             parse(head + row + "\n")
 
 
+@pytest.mark.parametrize("text,lineno,message", [
+    # a site, a header field or a coefficient that int() or float() would read
+    ("HKXOR v1 n=4 k=1 m=1 model=explicit seed=0\nX\u0663 1.0\n", 2,
+     "bad sparse Pauli token 'X\u0663'"),
+    ("HKXOR v1 n=4 k=1 m=1 model=explicit seed=0\nX\u00b3 1.0\n", 2,
+     "bad sparse Pauli token 'X\u00b3'"),
+    ("HKXOR v1 n=\u0664 k=1 m=1 model=explicit seed=0\nX3 1.0\n", 1,
+     "header fields n, k, m and seed must be integers"),
+    ("HKXOR v1 n=1_0 k=1 m=1 model=explicit seed=0\nX3 1.0\n", 1,
+     "header fields n, k, m and seed must be integers"),
+    ("HKXOR v1 n=4 k=1 m=1 model=explicit seed=0\nX3 1_0\n", 2, "bad coefficient '1_0'"),
+    ("HKXOR v1 n=4 k=1 m=1 model=explicit seed=0\nX3 \u0661.0\n", 2,
+     "bad coefficient '\u0661.0'"),
+], ids=["arabic-indic-site", "superscript-site", "arabic-indic-header", "underscored-header",
+        "underscored-coeff", "arabic-indic-coeff"])
+def test_parse_accepts_only_ascii_numbers(text, lineno, message):
+    with pytest.raises(ParseError, match=f"^line {lineno}: {message}$") as err:
+        parse(text)
+    assert err.value.lineno == lineno
+    # the ASCII form of the same document parses
+    assert parse("HKXOR v1 n=4 k=1 m=1 model=explicit seed=0\nX3 1.0\n").m == 1
+
+
 def serialize_by_rows(inst):
     """The per-row formatter serialize replaced: each word's sparse form and repr(coeff)."""
     lines = [f"HKXOR v1 n={inst.n} k={inst.k} m={inst.m} model={inst.model} "

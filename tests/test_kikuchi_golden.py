@@ -5,7 +5,9 @@ preceded the typed COO store, so they pin the store to byte-identical dumps
 and, for pruned graphs, to the same deleted edges and the same gamma.  The
 two odd graphs at scale were recorded from the per-candidate builder that
 preceded the batch one (``type_edges``), and the k=4 even graphs from the
-builder that ranked every endpoint from scratch.
+builder that ranked every endpoint from scratch.  The graphs past 64 qubits
+(even) and 64 sites (odd) were recorded from the builders that enumerated
+each constraint's shared words and each type's free slots themselves.
 """
 
 import hashlib
@@ -130,3 +132,48 @@ def test_odd_dumps_with_odd_residual_weight():
         Bucket(t=1, center=PauliOp.from_sparse("Y3", n), cids=(6,), residual=True)))
     text = "".join(odd_dump(build_odd(dec, inst, 2, ell)) for ell in (3, 4))
     assert sha(text) == "d5080d718b2809baa5010acf927b6f45be354aac75a3205dee0b3a81b8fe680c"
+
+
+def wide_even_text(n, k, ell, m, model, seed):
+    return dump_graph(build_even(generate(GeneratorConfig(n=n, k=k, m=m, model=model,
+                                                          seed=seed)), ell))
+
+
+def wide_odd_text(n, ell, m, model, seed):
+    """Every built slice of an n-qubit k=3 instance, then its prunes at eta 1 and 2."""
+    inst = generate(GeneratorConfig(n=n, k=3, m=m, model=model, seed=seed))
+    dec = regularity_decompose(inst, ell, 0.5)
+    text = ""
+    for t in dec.nonempty_levels():
+        if any(len(b.cids) >= 2 for b in dec.slice(t)):
+            g = build_odd(dec, inst, t, ell)
+            text += odd_dump(g) + pruned_dump(g, 1) + pruned_dump(g, 2)
+    return text
+
+
+@pytest.mark.parametrize("case,lines,digest", [
+    # n > 64: the words' masks take the object-dtype path of masks_from_arrays
+    ((65, 2, 1, 40, "rademacher-semirandom", 1), 81,
+     "1ed34b9f3aea001247833f6ae2e927f599cd135fea9ee8112f4fc6916dfb6813"),
+    ((66, 4, 3, 4, "gaussian-semirandom", 2), 4465,
+     "29abe00d5492cc87b201b2e3bc8ada3ff9aa9841cba0bccba3c6d29abc4a363c"),
+    ((70, 2, 2, 6, "rademacher-semirandom", 3), 2449,
+     "70a8e5bbce94ae83e512caa2737e1336b14c3ddf6fd6d3e91d0d53ba363d5c58"),
+    ((70, 4, 2, 10, "gaussian-semirandom", 4), 61,
+     "40f1622d1c23913ef2277e6b6cf02ee950931662bcb2e59d04eb0e447a7cde2a"),
+])
+def test_even_dumps_past_64_qubits(case, lines, digest):
+    text = wide_even_text(*case)
+    assert (len(text.splitlines()), sha(text)) == (lines, digest)
+
+
+@pytest.mark.parametrize("case,lines,digest", [
+    # 2n > 64 sites: vertices are ranked past the uint64 mask width
+    ((34, 3, 60, "rademacher-semirandom", 5), 119502,
+     "f1f03003c9a5da4d4b71ede8491ff0ec679fd341db58bb8f462c7e61d1c7a73b"),
+    ((40, 2, 80, "gaussian-semirandom", 6), 882,
+     "3fc664fb86fd04ef985539a00635bba7b4780efa319a5da40cdc89a85901e872"),
+])
+def test_odd_dumps_past_64_sites(case, lines, digest):
+    text = wide_odd_text(*case)
+    assert (len(text.splitlines()), sha(text)) == (lines, digest)

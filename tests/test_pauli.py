@@ -18,6 +18,7 @@ from hkxor.pauli import (
     enumerate_slice,
     mul_words,
     multiply,
+    slice_arrays,
     slice_size,
     words_from_arrays,
     words_to_arrays,
@@ -173,6 +174,42 @@ def test_rank_batch_equals_rank(case):
     expected = [idx.rank(PauliOp.from_letters(n, w[0], "".join("XYZ"[a] for a in w[1])))
                 for w in words]
     assert idx.rank_batch(sites, letters).tolist() == expected
+
+
+small_slices = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, min(n, 4))))
+
+
+@settings(max_examples=60)
+@given(small_slices, st.integers(0, 2**32 - 1))
+def test_slice_table_ranks_in_order_in_any_column_order(case, seed):
+    n, ell = case
+    idx = SliceIndex(n, ell)
+    sites, letters = slice_arrays(n, ell)
+    assert (sites.dtype, letters.dtype) == (np.int64, np.int8)
+    assert sites.shape == letters.shape == (idx.size, ell)
+    # shuffle each row's columns: rank_batch takes a row's sites in any order
+    perm = np.argsort(np.random.default_rng(seed).random(sites.shape), axis=1)
+    ranks = idx.rank_batch(np.take_along_axis(sites, perm, axis=1),
+                           np.take_along_axis(letters, perm, axis=1))
+    assert ranks.tolist() == list(range(idx.size))
+    words = list(enumerate_slice(n, ell))
+    assert words == words_from_arrays(n, sites, letters)
+    assert [idx.rank(w) for w in words] == list(range(idx.size))
+    assert words == [idx.unrank(i) for i in range(idx.size)]
+
+
+@settings(max_examples=60)
+@given(small_slices.filter(lambda case: case[1] >= 2), st.data())
+def test_rank_batch_rejects_a_repeated_site_in_any_column_pair(case, data):
+    n, ell = case
+    sites, letters = slice_arrays(n, ell)
+    row = data.draw(st.integers(0, len(sites) - 1))
+    a, b = data.draw(st.permutations(range(ell)))[:2]
+    sites = sites.copy()
+    sites[row, b] = sites[row, a]
+    with pytest.raises(ValueError, match="distinct"):
+        SliceIndex(n, ell).rank_batch(sites, letters)
 
 
 def test_rank_memo_still_checks_qubit_count():
