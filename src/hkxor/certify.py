@@ -40,6 +40,7 @@ starts from a seeded vector.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
 
 from .instances import Instance, check_eps, digest
@@ -97,6 +99,28 @@ def _small_blocks(coo: sp.coo_matrix, vsize: np.ndarray) -> tuple[float, np.ndar
     return best, winner
 
 
+def _permuted(mat: sp.csr_matrix, order: np.ndarray) -> sp.csr_matrix:
+    """``mat[order][:, order]`` as one row gather and a relabel of the column
+    indices.  Each row keeps its stored entries in their order, so a product
+    with the result sums every row in the same order; entries in columns
+    outside ``order`` are dropped."""
+    rows = mat[order]
+    relabel = np.full(mat.shape[1], -1, dtype=mat.indices.dtype)
+    relabel[order] = np.arange(len(order))
+    cols = relabel[rows.indices]
+    keep = cols >= 0
+    indptr = np.concatenate(([0], np.cumsum(keep)))[rows.indptr]  # entries kept before each row
+    return sp.csr_matrix((rows.data[keep], cols[keep], indptr), shape=(len(order), len(order)))
+
+
+def _csr_product(mat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``mat @ x`` for a vector x by scipy's CSR kernel, without the sparse
+    dispatch around it (the same kernel, so the same sums)."""
+    out = np.zeros(mat.shape[0], dtype=np.result_type(mat.dtype, x.dtype))
+    csr_matvec(*mat.shape, mat.indptr, mat.indices, mat.data, x, out)
+    return out
+
+
 def check_tol(tol: float) -> None:
     """Raise ValueError unless tol is finite and positive, as the algval margin needs."""
     if not (math.isfinite(tol) and tol > 0):
@@ -141,9 +165,12 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     _, labels = connected_components(mat, directed=False)
     sizes = np.bincount(labels)
     rows = np.flatnonzero(np.diff(mat.indptr))  # rows without stored entries add nothing
-    order = rows[np.lexsort((labels[rows], sizes[labels[rows]]))]
+    # by (component size, label), each below len(sizes) <= size; a stable sort
+    # keeps the rows of one component ascending
+    key = sizes[labels[rows]] * len(sizes) + labels[rows]
+    order = rows[np.argsort(key, kind="stable")]
     vsize = sizes[labels[order]]  # ascending
-    mat = mat[order][:, order]
+    mat = _permuted(mat, order)
     cut = int(np.searchsorted(vsize, SMALL_COMPONENT, side="right"))
     best, block = _small_blocks(mat[:cut].tocoo(), vsize[:cut])
     residual = None  # the winning large component's, once there is one
@@ -154,8 +181,10 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     while a < len(order):
         b = a + int(vsize[a])
         sub = mat[a:b, a:b]
+        op = spla.LinearOperator(sub.shape, matvec=functools.partial(_csr_product, sub),
+                                 dtype=sub.dtype)
         try:
-            vals, vecs = spla.eigsh(sub, k=1, which="LM", v0=v0[a:b],
+            vals, vecs = spla.eigsh(op, k=1, which="LM", v0=v0[a:b],
                                     tol=min(tol * 1e-3, 1e-10), maxiter=max(1000, 20 * (b - a)))
         except spla.ArpackNoConvergence as exc:
             known = np.append(np.abs(exc.eigenvalues),

@@ -46,12 +46,13 @@ t has weight kk = k - t, so every type has the same candidate block:
 (half1, half2) choices times the free choices, which are the rows of the
 weight-(ell - kk) slice table (pauli.slice_arrays) on the 2n - 2kk free
 slots.  The patterns are built once per slice and gathered against each
-type's supports, letters and free sites into (site, letter) arrays for Q
-and R; candidates with the commuting sign are kept, conditions 1-3 are
-checked on dense letters in one vectorized pass, and both endpoints are
-ranked by the batch kernel SliceIndex.rank_batch.  Chunks of at most
-CHUNK_CANDIDATES candidates bound the working memory, and one lexsort puts
-the edges in store order.
+type's supports, letters and free sites into (site, letter) columns for Q
+and R; candidates with the commuting sign are kept, both endpoints are
+ranked by the batch kernel SliceIndex.rank_batch, and conditions 1-3 are
+checked on the endpoints' columns against the residuals' in one vectorized
+pass.  Chunks of at most CHUNK_CANDIDATES candidates bound the working
+memory, and one argsort on the int64 key (type, row) puts the edges in store
+order.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ import numpy as np
 
 from .instances import Instance, check_eps
 from .kikuchi_even import EDGE_BUDGET, KikuchiGraph
-from .pauli import (_CODE_PAIR, PauliOp, SliceIndex, canonical_key, site_mask, slice_arrays,
+from .pauli import (PauliOp, SliceIndex, canonical_key, site_mask, slice_arrays,
                     words_to_arrays)
 
 
@@ -365,13 +366,9 @@ class OddKikuchiGraph(KikuchiGraph):
 
 
 # Candidates per chunk of type_edges.  Its working memory is a few arrays of
-# this many rows (ell sites, ell letters or 2n dense letters each), whatever
-# the size of the slice.
+# this many rows (ell sites or ell letters each), whatever the size of the
+# slice.
 CHUNK_CANDIDATES = 1 << 16
-
-# symplectic code x | z << 1 of rank code (X, Y, Z) = (0, 1, 2), with which the
-# letter of a product of two letters is their XOR
-_SYM = np.array(_CODE_PAIR, dtype=np.int8)
 
 
 def _halves(kk: int) -> tuple[np.ndarray, np.ndarray]:
@@ -387,26 +384,42 @@ def _halves(kk: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_edges(n: int, kk: int, q: tuple[np.ndarray, np.ndarray],
-                 r: tuple[np.ndarray, np.ndarray], target: np.ndarray) -> None:
-    """Conditions 1-3 on dense letters, one row per edge (Q, R).
+                 r: tuple[np.ndarray, np.ndarray], res: tuple[np.ndarray, np.ndarray]) -> None:
+    """Conditions 1-3 on the endpoints' columns, one row per edge (Q, R).
 
-    ``q`` and ``r`` are (sites, letter codes) arrays of the endpoints on 2n
-    sites; ``target`` holds the (2n,) letters of P (x) P'.  Q1 R1 = P and Q2 R2 = P'
-    with phase +1 and the clean split hold iff no site carries two different
-    non-identity letters and the letterwise product (XOR) is the target.
+    ``q`` and ``r`` are the endpoints' (E, ell) (sites, letter codes) on 2n
+    sites, each row's sites distinct; ``res`` holds the (E, 2kk) ones of
+    P (x) P', supp(P) first and then supp(P') shifted by n.  Take each
+    (site, letter) as one key 3 site + letter.  Q1 R1 = P and Q2 R2 = P' with
+    phase +1 and the clean split hold iff every key of Q, R and P (x) P' is
+    met in exactly one of the other two: a site both endpoints carry with one
+    letter cancels, a site one endpoint carries is the target's, and no site
+    carries two different non-identity letters.  As the keys of each are
+    distinct and |Q| = |R|, that is: every key of Q is met once, in R or in
+    P (x) P', and R meets kk keys of P (x) P'.  (Then no key is in all
+    three, so each key of R or P (x) P' is met at most once, and counting
+    the meetings shows that every one is met and that Q meets the other kk
+    keys of P (x) P'.)
     """
-    qd = np.zeros(target.shape, dtype=np.int8)
-    rd = np.zeros(target.shape, dtype=np.int8)
-    np.put_along_axis(qd, q[0], _SYM[q[1]], axis=1)
-    np.put_along_axis(rd, r[0], _SYM[r[1]], axis=1)
-    clean = (qd == 0) | (rd == 0) | (qd == rd)
-    assert clean.all() and np.array_equal(qd ^ rd, target), "edge product is not +P (x) P'"
-    on_res = (qd != 0) & (target != 0)
-    s1, s2 = on_res[:, :n].sum(axis=1), on_res[:, n:].sum(axis=1)
-    assert ((s1 + s2 == kk) & (np.abs(s1 - s2) <= 1)).all(), "edge splits a residual unevenly"
-    q2, p = qd[:, n:], target[:, :n]
-    assert not (((q2 != 0) & (p != 0) & (q2 != p)).sum(axis=1) % 2).any(), \
-        "edge endpoints fail the commuting sign"
+    # every count is at most ell + 2 kk <= 3 ell, and rank_batch admits no slice
+    # with ell >= 40 (3^40 > 2^63), so int8 counts cannot wrap
+    zero = np.zeros(len(q[0]), dtype=np.int8)
+
+    def count(bools):
+        return sum(bools, zero)
+
+    qk, rk, tk = ([s * 3 + a for s, a in zip(sites.T, letters.T)] for sites, letters in (q, r, res))
+    qt = [[a == c for c in tk] for a in qk]
+    assert (all((count([a == b for b in rk] + row) == 1).all() for a, row in zip(qk, qt))
+            and (count([b == c for b in rk for c in tk]) == kk).all()), \
+        "edge product is not +P (x) P'"
+    # Q meets kk keys of P (x) P', s1 of them on supp(P) and kk - s1 on supp(P')
+    s1 = count([row[c] for row in qt for c in range(kk)])
+    assert (np.abs(2 * s1 - kk) <= 1).all(), "edge splits a residual unevenly"
+    # sites of Q2 where P acts with another letter
+    anti = count([(qs == ps + n) & (ql != pl) for qs, ql in zip(q[0].T, q[1].T)
+                  for ps, pl in zip(res[0].T[:kk], res[1].T[:kk])])
+    assert not (anti % 2).any(), "edge endpoints fail the commuting sign"
 
 
 def type_edges(n: int, sites: np.ndarray, letters: np.ndarray, first, second,
@@ -421,7 +434,8 @@ def type_edges(n: int, sites: np.ndarray, letters: np.ndarray, first, second,
     The candidates of all types are made at once as (site, letter) arrays,
     in chunks of at most CHUNK_CANDIDATES, and ranked by
     ``SliceIndex(2n, ell).rank_batch``.  Returns int64 (rows, cols, tids),
-    tid i for type i, ordered by (tid, row, col).
+    tid i for type i, ordered by (tid, row); a type has at most one edge
+    per row.
     """
     first = np.asarray(first, dtype=np.int64)
     second = np.asarray(second, dtype=np.int64)
@@ -433,22 +447,23 @@ def type_edges(n: int, sites: np.ndarray, letters: np.ndarray, first, second,
     if L < 0:
         raise InfeasibleLevelError(f"need ell >= {kk}, got {ell}")
     index = SliceIndex(2 * n, ell)
+    if len(first) * index.size > 2**63:
+        raise ValueError(f"{len(first)} types of {index.size} vertices overflow the int64 edge key")
 
-    dense = np.zeros((len(sites), n), dtype=np.int8)  # symplectic codes, 0 off the support
-    np.put_along_axis(dense, sites, _SYM[letters], axis=1)
+    dense = np.zeros((len(sites), n), dtype=np.int8)  # letter code + 1, 0 off the support
+    np.put_along_axis(dense, sites, letters + 1, axis=1)
     off = np.nonzero(dense == 0)[1].reshape(len(sites), n - kk)
-    p, q = dense[first], dense[second]
+    p = dense[first]
     sup_p, sup_q, off_q = sites[first], sites[second], off[second]
-    res_sites = np.concatenate((sup_p, sup_q + n), axis=1)
+    # int32 sites (all below 2n) halve the per-edge site and key columns
+    res_sites = np.concatenate((sup_p, sup_q + n), axis=1).astype(np.int32)
     res_rank = np.concatenate((letters[first], letters[second]), axis=1)
-    res_sym = _SYM[res_rank]
-    free_sites = np.concatenate((off[first], off_q + n), axis=1)
-    target = np.concatenate((p, q), axis=1)
+    free_sites = np.concatenate((off[first], off_q + n), axis=1).astype(np.int32)
     # the commuting sign: sites of Q2 where P acts with another letter, counted
     # on the residual sites of component 2 and on its free slots
     p_on_q = np.take_along_axis(p, sup_q, axis=1)
     anti_res = np.concatenate((np.zeros_like(sup_p, dtype=bool),
-                               (p_on_q != 0) & (p_on_q != res_sym[:, kk:])), axis=1)
+                               (p_on_q != 0) & (p_on_q != res_rank[:, kk:] + 1)), axis=1)
     p_free = np.concatenate((np.zeros((len(first), n - kk), dtype=np.int8),
                              np.take_along_axis(p, off_q, axis=1)), axis=1)
 
@@ -466,19 +481,30 @@ def type_edges(n: int, sites: np.ndarray, letters: np.ndarray, first, second,
             f = np.arange(f0, min(f0 + f_step, num_free))
             f_slots, f_letters = free_slots[f], free_letters[f]
             pf = p_free[t0:t0 + t_step][:, f_slots]
-            anti_f = ((pf != 0) & (pf != _SYM[f_letters])).sum(axis=2)  # (Tc, Fc)
+            anti_f = ((pf != 0) & (pf != f_letters + 1)).sum(axis=2)  # (Tc, Fc)
             keep = (anti_h[t0:t0 + t_step, :, None] + anti_f[:, None, :]) % 2 == 0
             ti, hi, fi = np.nonzero(keep)
             tt = ti + t0
-            free_s, free_l = free_sites[tt[:, None], f_slots[fi]], f_letters[fi]
-            ends = [(np.concatenate((res_sites[tt[:, None], take[hi]], free_s), axis=1),
-                     np.concatenate((res_rank[tt[:, None], take[hi]], free_l), axis=1))
-                    for take in (q_take, r_take)]
-            _check_edges(n, kk, *ends, target[tt])
+            # each endpoint as (E, ell) views of (ell, E) columns: its kk
+            # residual sites and letters, then the L free slots both share
+            free = [(free_sites[tt, f_slots[fi, j]], f_letters[fi, j]) for j in range(L)]
+            ends = []
+            for take in (q_take, r_take):
+                end = (np.empty((ell, len(tt)), dtype=np.int32),
+                       np.empty((ell, len(tt)), dtype=np.int8))
+                for j in range(kk):
+                    at = take[hi, j]
+                    end[0][j], end[1][j] = res_sites[tt, at], res_rank[tt, at]
+                for j, (s, a) in enumerate(free, kk):
+                    end[0][j], end[1][j] = s, a
+                ends.append((end[0].T, end[1].T))
             parts.append((index.rank_batch(*ends[0]), index.rank_batch(*ends[1]), tt))
+            _check_edges(n, kk, *ends, (res_sites[tt], res_rank[tt]))
 
     rows, cols, tids = (np.concatenate(col) for col in zip(*parts))
-    order = np.lexsort((cols, rows, tids))
+    # R = Q (P (x) P') up to phase, so within a type col is a function of row
+    # and the one key (tid, row) orders the edges
+    order = np.argsort(tids * index.size + rows)
     return rows[order], cols[order], tids[order]
 
 

@@ -384,28 +384,37 @@ class SliceIndex:
         """int64 ranks of the words given row by row as (..., ell) site and letter arrays.
 
         ``sites`` are 0-indexed and distinct within a row, in any order;
-        ``letters`` are the codes 0, 1, 2 for X, Y, Z.  Equal to ``rank``
-        word by word, without building the words, so it also serves slices
-        whose words do not fit an int64 mask.  A site's position j in its
-        sorted row is the number of smaller sites in the row, so no row is
-        sorted; the positions sum to ell (ell - 1) / 2 exactly when the
-        row's sites are distinct.
+        ``letters`` are the codes 0, 1, 2 for X, Y, Z; both must have an
+        integer dtype.  Equal to ``rank`` word by word, without building the
+        words, so it also serves slices whose words do not fit an int64
+        mask.  The work goes column by column: a site's position j in its
+        sorted row is the number of smaller sites in the row, a sum of
+        ell - 1 column comparisons, so no row is sorted; the positions sum to
+        ell (ell - 1) / 2 exactly when the row's sites are distinct.
         """
         n, ell = self.n, self.ell
         if self.size >= 2**63:
             raise ValueError(f"slice size {self.size} does not fit int64 ranks")
-        sites = np.asarray(sites, dtype=np.int64)
-        letters = np.asarray(letters, dtype=np.int64)
+        sites, letters = np.asarray(sites), np.asarray(letters)
+        if sites.dtype.kind not in "iu" or letters.dtype.kind not in "iu":
+            raise ValueError("sites and letter codes must be integers")
         if sites.shape != letters.shape or sites.shape[-1:] != (ell,):
             raise ValueError(f"need matching (..., {ell}) site and letter arrays")
-        j = (sites[..., :, None] > sites[..., None, :]).sum(axis=-1)
+        cols = [sites[..., i].astype(np.int64, copy=False) for i in range(ell)]
+        pos = [sum((c > d for d in cols[:i] + cols[i + 1:]), np.zeros_like(c))
+               for i, c in enumerate(cols)]
         if sites.size and (sites.min() < 0 or sites.max() >= n
-                           or (j.sum(axis=-1) != ell * (ell - 1) // 2).any()
+                           or (sum(pos) != ell * (ell - 1) // 2).any()
                            or letters.min() < 0 or letters.max() > 2):
             raise ValueError("sites must be distinct in [0, n) and letters in {0, 1, 2}")
         comb = _binomial_array(n, ell)
-        sup_rank = comb[n, ell] - 1 - comb[n - 1 - sites, ell - j].sum(axis=-1)
-        return sup_rank * 3**ell + (letters * 3 ** (ell - 1 - j)).sum(axis=-1)
+        flat = comb.ravel()  # entry (x, y) of the table at x (ell + 1) + y
+        pow3 = 3 ** np.arange(ell - 1, -1, -1, dtype=np.int64)  # 3^(ell - 1 - j) at j
+        ranks = np.full(sites.shape[:-1], (comb[n, ell] - 1) * 3**ell, dtype=np.int64)
+        for i, (c, j) in enumerate(zip(cols, pos)):
+            ranks -= flat[(n - 1 - c) * (ell + 1) + ell - j] * 3**ell
+            ranks += letters[..., i] * pow3[j]
+        return ranks
 
     def unrank(self, index: int) -> PauliOp:
         if not 0 <= index < self.size:

@@ -220,6 +220,27 @@ def test_spectral_norm_empty_rows_between_blocks_match_dense():
         assert residual <= 1e-9 * max(1.0, sigma)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_permuted_equals_fancy_indexing_entry_for_entry(seed):
+    # the component order and the ARPACK operator must sum every row in the order
+    # mat[order][:, order] stores it, so each matvec, and sigma, stay bit-identical
+    rng = np.random.default_rng(seed)
+    mat = permuted(mixed_blocks(rng, 1.0, 1.0), rng).tolil()
+    mat[0, mat.shape[0] - 1] = 1e-20  # one-sided, under the symmetry tolerance
+    mat = mat.tocsr()
+    for i in range(mat.shape[0]):  # store each row's entries out of column order
+        e = slice(mat.indptr[i], mat.indptr[i + 1])
+        shuffle = rng.permutation(e.stop - e.start)
+        mat.indices[e], mat.data[e] = mat.indices[e][shuffle], mat.data[e][shuffle]
+    mat.has_sorted_indices = False
+    order = rng.permutation(np.flatnonzero(np.diff(mat.indptr)))
+    mine, reference = certify_module._permuted(mat, order), mat[order][:, order]
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(mine, name), getattr(reference, name))
+    x = rng.standard_normal(len(order))
+    assert certify_module._csr_product(mine, x).tobytes() == (reference @ x).tobytes()
+
+
 def test_spectral_norm_matches_dense_on_kikuchi():
     g = build_even(single_zz(), 1)
     reg = regularize(g)

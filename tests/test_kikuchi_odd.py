@@ -236,6 +236,7 @@ DELTA_CASES = [
     (4, 3, "Y1 Y2 Y3", "Z1 Z2 Z4"),
     (4, 3, "X1 X2 X3", "X1 X2 X4"),
     (3, 2, "", ""),
+    (3, 0, "", ""),
 ]
 
 
@@ -459,6 +460,121 @@ def test_chunked_build_matches_one_chunk(monkeypatch):
         part = build_odd(dec, inst, 1, 3)
         for name in ("rows", "cols", "tids", "weights"):
             assert np.array_equal(getattr(part, name), getattr(whole, name))
+
+
+def dense_check_reference(n, kk, q, r, res):
+    """The dense form of kikuchi_odd._check_edges: both endpoints and P (x) P' as
+    (E, 2n) symplectic letters.  Returns the message of the first failing
+    condition, or None."""
+    sym = np.array([1, 3, 2], dtype=np.int8)  # x | z << 1 of rank codes X, Y, Z
+    qd, rd, target = (np.zeros((len(q[0]), 2 * n), dtype=np.int8) for _ in range(3))
+    for dense, (sites, letters) in ((qd, q), (rd, r), (target, res)):
+        np.put_along_axis(dense, sites, sym[letters], axis=1)
+    clean = (qd == 0) | (rd == 0) | (qd == rd)
+    if not (clean.all() and np.array_equal(qd ^ rd, target)):
+        return "edge product is not +P (x) P'"
+    on_res = (qd != 0) & (target != 0)
+    s1, s2 = on_res[:, :n].sum(axis=1), on_res[:, n:].sum(axis=1)
+    if not ((s1 + s2 == kk) & (np.abs(s1 - s2) <= 1)).all():
+        return "edge splits a residual unevenly"
+    q2, p = qd[:, n:], target[:, :n]
+    if (((q2 != 0) & (p != 0) & (q2 != p)).sum(axis=1) % 2).any():
+        return "edge endpoints fail the commuting sign"
+    return None
+
+
+def column_check(n, kk, q, r, res):
+    """kikuchi_odd._check_edges as a verdict: the message of the assert it trips, or None."""
+    try:
+        kikuchi_odd._check_edges(n, kk, q, r, res)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def checked_candidates(monkeypatch, n, words, first, second, ell):
+    """The (q, r, res) arrays type_edges hands to _check_edges, as (E, width) copies."""
+    calls = []
+    monkeypatch.setattr(kikuchi_odd, "_check_edges", lambda n, kk, *ends: calls.append(ends))
+    type_edges(n, *words_to_arrays([PauliOp.from_sparse(w, n) for w in words], n,
+                                   len(words[0].split())), first, second, ell)
+    monkeypatch.undo()
+    return [np.concatenate(part) for part in zip(*(sum(call, ()) for call in calls))]
+
+
+def split_candidates(arrays):
+    q_s, q_l, r_s, r_l, t_s, t_l = (a.copy() for a in arrays)
+    return (q_s, q_l), (r_s, r_l), (t_s, t_l)
+
+
+def test_check_edges_trips_each_condition(monkeypatch):
+    n, kk = 4, 2
+    arrays = checked_candidates(monkeypatch, n, ["X1 Y2", "Z3 Z4"], [0], [1], 3)
+    q, r, res = split_candidates(arrays)
+    assert len(q[0]) > 10 and column_check(n, kk, q, r, res) is None
+    # a changed letter breaks the product
+    q[1][0, 0] = (q[1][0, 0] + 1) % 3
+    assert column_check(n, kk, q, r, res) == "edge product is not +P (x) P'"
+    # Q's site on supp(P') moved to R, and R's site on supp(P) moved to Q: the
+    # product is still +P (x) P', but Q holds all of supp(P)
+    q, r, res = split_candidates(arrays)
+    row = 0
+    qc = int(np.flatnonzero(np.isin(q[0][row], res[0][row, kk:]))[0])
+    rc = int(np.flatnonzero(np.isin(r[0][row], res[0][row, :kk]))[0])
+    for a, b in zip(q, r):
+        a[row, qc], b[row, rc] = b[row, rc], a[row, qc]
+    assert column_check(n, kk, q, r, res) == "edge splits a residual unevenly"
+    # a component-2 free slot inside supp(P) (shifted by n): changing its letter
+    # in both endpoints keeps conditions 1 and 2 and flips the commuting sign
+    q, r, res = split_candidates(arrays)
+    free = q[0][:, kk:]
+    row = int(np.flatnonzero(np.isin(free[:, 0], res[0][0, :kk] + n))[0])
+    site = int(free[row, 0])
+    p_letter = int(res[1][row, :kk][res[0][row, :kk] == site - n][0])
+    new = (p_letter + 1) % 3 if q[1][row, kk] == p_letter else p_letter
+    q[1][row, kk] = r[1][row, kk] = new
+    assert column_check(n, kk, q, r, res) == "edge endpoints fail the commuting sign"
+
+
+@pytest.mark.parametrize("n,words,ell", [
+    (4, ["X1 Y2", "Z3 Z4", "Y1 Z3"], 3),
+    (5, ["X1 Y2 Z3", "Z2 Z4 Y5", "Y1 Y2 Y3"], 4),
+    (4, ["X2", "Y2", "Z4"], 2),
+])
+def test_check_edges_accepts_what_the_dense_check_accepts(monkeypatch, n, words, ell):
+    kk = len(words[0].split())
+    first, second = zip(*itertools.permutations(range(len(words)), 2))
+    arrays = checked_candidates(monkeypatch, n, words, first, second, ell)
+    rng = np.random.default_rng(7)
+    verdicts = set()
+    for trial in range(600):
+        q, r, res = split_candidates(arrays)
+        row = int(rng.integers(len(q[0])))
+        q, r, res = ((s[row:row + 1], a[row:row + 1]) for s, a in (q, r, res))
+        for _ in range(int(rng.integers(1, 3))):
+            sites, letters = (q, r)[int(rng.integers(2))]
+            col = int(rng.integers(ell))
+            kind = rng.integers(4)
+            if kind == 0:  # a letter of one endpoint
+                letters[0, col] = rng.integers(3)
+            elif kind == 1:  # a site of one endpoint, kept distinct within its row
+                other = np.setdiff1d(np.arange(2 * n), sites[0])
+                sites[0, col] = rng.choice(other)
+            elif kind == 2:  # one letter of both endpoints at a shared site
+                shared = np.intersect1d(q[0][0], r[0][0])
+                if len(shared):
+                    s = rng.choice(shared)
+                    q[1][0, q[0][0] == s] = r[1][0, r[0][0] == s] = rng.integers(3)
+            else:  # exchange one column of Q with one of R where rows stay distinct
+                a, b = int(rng.integers(ell)), int(rng.integers(ell))
+                if (q[0][0, a] not in np.delete(r[0][0], b)
+                        and r[0][0, b] not in np.delete(q[0][0], a)):
+                    for x, y in zip(q, r):
+                        x[0, a], y[0, b] = y[0, b], x[0, a]
+        expected = dense_check_reference(n, kk, q, r, res)
+        assert column_check(n, kk, q, r, res) == expected, (trial, q, r, res)
+        verdicts.add(expected)
+    assert None in verdicts and "edge product is not +P (x) P'" in verdicts
 
 
 def test_build_odd_records_skipped_types():

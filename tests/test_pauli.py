@@ -164,16 +164,34 @@ def slice_words(draw):
     return n, ell, draw(st.lists(word, min_size=1, max_size=8))
 
 
-@settings(max_examples=200)
-@given(slice_words())
+@st.composite
+def word_batches(draw):
+    """(n, ell, lead shape, rows of (sites, letters)) with one row per entry of a
+    lead shape of one or two axes, each of length 0 to 3; sites unsorted."""
+    n = draw(st.integers(1, 120))
+    ell = draw(st.integers(0, min(n, 4)))
+    lead = tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=2)))
+    word = st.tuples(st.permutations(range(n)).map(lambda perm: perm[:ell]),
+                     st.lists(st.integers(0, 2), min_size=ell, max_size=ell))
+    size = math.prod(lead)
+    return n, ell, lead, draw(st.lists(word, min_size=size, max_size=size))
+
+
+@settings(max_examples=300)
+@given(word_batches())
+@example((5, 0, (2, 3), [((), [])] * 6))
+@example((5, 1, (0,), []))
+@example((5, 3, (2, 0), []))
 def test_rank_batch_equals_rank(case):
-    n, ell, words = case
+    n, ell, lead, words = case
     idx = SliceIndex(n, ell)
-    sites = np.array([w[0] for w in words], dtype=np.int64).reshape(len(words), ell)
-    letters = np.array([w[1] for w in words], dtype=np.int64).reshape(len(words), ell)
+    sites = np.array([w[0] for w in words], dtype=np.int64).reshape(lead + (ell,))
+    letters = np.array([w[1] for w in words], dtype=np.int8).reshape(lead + (ell,))
     expected = [idx.rank(PauliOp.from_letters(n, w[0], "".join("XYZ"[a] for a in w[1])))
                 for w in words]
-    assert idx.rank_batch(sites, letters).tolist() == expected
+    ranks = idx.rank_batch(sites, letters)
+    assert (ranks.shape, ranks.dtype) == (lead, np.int64)
+    assert ranks.ravel().tolist() == expected
 
 
 small_slices = st.integers(1, 12).flatmap(
@@ -300,6 +318,10 @@ def test_rank_batch_rejects_bad_rows_and_oversized_slices():
     idx = SliceIndex(6, 2)
     for sites, letters in (([[1, 1]], [[0, 0]]), ([[0, 6]], [[0, 0]]), ([[0, 1]], [[0, 3]])):
         with pytest.raises(ValueError):
+            idx.rank_batch(np.array(sites), np.array(letters))
+    # non-integer sites or letters are refused, not truncated
+    for sites, letters in (([[0.0, 1.9]], [[0, 2]]), ([[0, 1]], [[0, 2.7]])):
+        with pytest.raises(ValueError, match="must be integers"):
             idx.rank_batch(np.array(sites), np.array(letters))
     with pytest.raises(ValueError, match="int64"):
         SliceIndex(120, 40).rank_batch(np.zeros((0, 40)), np.zeros((0, 40)))
