@@ -38,6 +38,7 @@ from .sos import (
     boundary_expansion_check,
     lift_classical,
     max_entropy_build,
+    moment_rows,
     positivity_check,
 )
 
@@ -193,6 +194,7 @@ def _cmd_witness(args) -> int:
                          ";".join(f"{i},{j}" for i, j in pe.obstructions))
     energy = pe.energy(inst)
     lines.append(f"energy={energy}")
+    lines.append(f"positivity.rows={moment_rows(pe.n, args.degree)}")
     try:
         min_eig, passed = positivity_check(pe, args.degree)
         lines.append(f"positivity.min_eig={min_eig!r}")

@@ -273,13 +273,18 @@ def mul_words(p: PauliOp, q: PauliOp) -> PhasedPauli:
 
     With W(x,z) = i^{|x&z|} X^x Z^z the product phase exponent is
     |x1&z1| + |x2&z2| - |x3&z3| + 2*|z1&x2|  (mod 4), x3 = x1^x2, z3 = z1^z2.
+
+    The result is built without re-checking: the XOR of two in-range masks
+    is in range, and ``e % 4`` is what PhasedPauli stores.
     """
-    _check_same_n(p, q)
+    n = p.n
+    if n != q.n:  # _check_same_n, inlined on this hot path
+        raise ValueError(f"qubit counts differ: {n} != {q.n}")
     px, pz, qx, qz = p.xmask, p.zmask, q.xmask, q.zmask
     x3, z3 = px ^ qx, pz ^ qz
     e = ((px & pz).bit_count() + (qx & qz).bit_count() - (x3 & z3).bit_count()
          + 2 * (pz & qx).bit_count())
-    return PhasedPauli(PauliOp(p.n, x3, z3), e)
+    return _tuple_new(PhasedPauli, (_tuple_new(PauliOp, (n, x3, z3)), e % 4))
 
 
 def multiply(a: PhasedPauli, b: PhasedPauli) -> PhasedPauli:

@@ -254,8 +254,9 @@ class PseudoExpectation:
 
     def pair_value(self, left: PauliOp, right: PauliOp) -> ExactComplex:
         """pE[left^dag right] with the product phase applied to the stored word value."""
-        prod = mul_words(left, right)
-        return self.value(prod.op).times_i(prod.phase_exp)
+        op, phase_exp = mul_words(left, right)
+        value = self.values.get(op)
+        return ZERO if value is None else value.times_i(phase_exp)
 
     def evaluate(self, poly: PauliPolynomial) -> ExactComplex:
         total = ZERO
@@ -355,19 +356,33 @@ def max_entropy_build(inst: Instance, d: int):
                              experimental=not one_basis, obstructions=obstructions)
 
 
-def positivity_check(pe: PseudoExpectation, d: int) -> tuple[float, bool]:
-    """Minimum eigenvalue of the moment matrix over weight <= d/2 words; pass at -1e-8."""
-    half = d // 2
-    count = sum(slice_size(pe.n, w) for w in range(half + 1))
+def moment_rows(n: int, d: int) -> int:
+    """Rows of the degree-d moment matrix: the n-qubit words of weight <= d/2."""
+    return sum(slice_size(n, w) for w in range(d // 2 + 1))
+
+
+def moment_matrix(pe: PseudoExpectation, d: int) -> np.ndarray:
+    """Complex moment matrix pE[a^dag b] over the words a, b of weight <= d/2, slice by slice.
+
+    Raises MemoryError above MOMENT_MATRIX_CAP rows.
+    """
+    count = moment_rows(pe.n, d)
     if count > MOMENT_MATRIX_CAP:
         raise MemoryError(f"moment matrix would have {count} rows (cap {MOMENT_MATRIX_CAP})")
     words: list[PauliOp] = []
-    for w in range(half + 1):
+    for w in range(d // 2 + 1):
         words.extend(enumerate_slice(pe.n, w))
     mat = np.zeros((count, count), dtype=complex)
+    pair_value = pe.pair_value
+    # most products are absent words, whose value is the shared ZERO
     for i, a in enumerate(words):
-        for j, b in enumerate(words):
-            mat[i, j] = complex(pe.pair_value(a, b))
+        mat[i] = [0j if (v := pair_value(a, b)) is ZERO else complex(v) for b in words]
+    return mat
+
+
+def positivity_check(pe: PseudoExpectation, d: int) -> tuple[float, bool]:
+    """Minimum eigenvalue of the moment matrix over weight <= d/2 words; pass at -1e-8."""
+    mat = moment_matrix(pe, d)
     dev = np.max(np.abs(mat - mat.conj().T))
     if dev > 1e-12:
         raise ValueError(f"moment matrix is not Hermitian (deviation {dev:.3e})")

@@ -127,6 +127,8 @@ def test_witness_single_constraint(tmp_path, capsys):
     code, out = run(capsys, "witness", "--in", str(path), "--degree", "3")
     assert code == 0
     assert "energy=+1" in out
+    # the identity and the 3 * 3 words of weight 1 index the degree-3 moment matrix
+    assert "positivity.rows=10" in out.splitlines()
     assert "positivity.pass=1" in out
     assert "PSEXP v1 n=3 d=3" in out
 
@@ -538,6 +540,7 @@ def test_witness_reports_a_skipped_moment_matrix(tmp_path, capsys):
     assert code == 0
     assert ("positivity.skipped=moment matrix would have 5152 rows (cap 5000)"
             in out.splitlines())
+    assert "positivity.rows=5152" in out.splitlines()
     assert "energy=+1" in out.splitlines()
 
 

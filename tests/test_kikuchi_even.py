@@ -15,9 +15,10 @@ from hkxor.kikuchi_even import (
     level_n_hatted,
     regularize,
 )
+from hkxor.kikuchi_odd import build_odd, regularity_decompose
 from hkxor.pauli import PauliOp, SliceIndex, enumerate_slice, mul_words
 
-from helpers import single_zz
+from helpers import degrees_reference, single_zz
 
 
 def full_pair_scan(word, n, ell):
@@ -124,6 +125,18 @@ def test_degrees_equal_out_degrees():
         for q, cid in zip(g.rows.tolist(), g.tids.tolist()):
             out[q] += abs(inst.constraints[cid].coeff)
         assert np.allclose(g.degrees, out, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("model, k, ell", (("rademacher-semirandom", 2, 2),
+                                           ("gaussian-semirandom", 2, 2),
+                                           ("gaussian-semirandom", 3, 3)))
+def test_degrees_equal_the_interleaved_bincount_bit_for_bit(model, k, ell):
+    for seed in range(3):
+        inst = generate(GeneratorConfig(n=7, k=k, m=14, model=model, seed=seed))
+        g = (build_even(inst, ell) if k % 2 == 0 else
+             build_odd(regularity_decompose(inst, ell, 1.0), inst, 1, ell))
+        assert g.num_edges
+        assert g.degrees.tobytes() == degrees_reference(g).tobytes()
 
 
 def test_regularize_single_constraint():

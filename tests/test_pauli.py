@@ -291,6 +291,25 @@ def test_mul_words_associative_with_phases(words):
 
 
 @settings(max_examples=200)
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(words_on(n), words_on(n))))
+def test_mul_words_builds_checked_words(words):
+    # mul_words skips the constructors' checks; its output must pass them anyway
+    p, q = words
+    prod = mul_words(p, q)
+    assert type(prod) is PhasedPauli and type(prod.op) is PauliOp
+    assert prod.phase_exp in range(4)
+    assert prod.op.n == p.n and prod.op.xmask < 2**p.n and prod.op.zmask < 2**p.n
+    assert prod.op == PauliOp(p.n, prod.op.xmask, prod.op.zmask)
+    assert prod == PhasedPauli(PauliOp(p.n, p.xmask ^ q.xmask, p.zmask ^ q.zmask),
+                               prod.phase_exp)
+
+
+def test_mul_words_refuses_mismatched_qubit_counts():
+    with pytest.raises(ValueError, match="qubit counts differ: 2 != 3"):
+        mul_words(PauliOp.identity(2), PauliOp.identity(3))
+
+
+@settings(max_examples=200)
 @given(st.integers(1, 3).flatmap(lambda n: st.tuples(words_on(n), words_on(n))))
 def test_mul_words_matches_dense_products(words):
     p, q = words

@@ -11,8 +11,9 @@ from hypothesis import example, given, strategies as st
 
 from hkxor.instances import GeneratorConfig, generate, parse
 from hkxor.oracle import apply_word, assemble, lambda_max
-from hkxor.pauli import PauliOp, canonical_key, commutes, mul_words
+from hkxor.pauli import PauliOp, canonical_key, commutes, enumerate_slice, mul_words
 from hkxor.sos import (
+    ZERO,
     Contradiction,
     ExactComplex,
     MomentOracle,
@@ -23,10 +24,14 @@ from hkxor.sos import (
     classical_energy,
     lift_classical,
     max_entropy_build,
+    moment_matrix,
+    moment_rows,
     obstruction_polynomial,
     obstruction_pseudo_expectation,
     positivity_check,
 )
+
+from helpers import moment_matrix_reference
 
 ONE = ExactComplex.of(1)
 
@@ -211,6 +216,50 @@ def test_positivity_point_distribution():
         assert abs(complex(val) - np.vdot(psi, apply_word(word, psi))) < 1e-12
     min_eig, ok = positivity_check(pe, 4)
     assert ok, min_eig
+
+
+def _lifted_one_basis():
+    inst = generate(GeneratorConfig(n=5, k=3, m=6, model="one-basis-z", seed=2))
+    points = [(1, -1, 1, 1, -1), (-1, -1, 1, -1, 1), (1, 1, 1, -1, -1)]
+    return lift_classical(inst, MomentOracle.from_distribution(5, points), 4)
+
+
+def _max_entropy(model, n, k, m, seed):
+    pe = max_entropy_build(generate(GeneratorConfig(n=n, k=k, m=m, model=model, seed=seed)), 4)
+    assert isinstance(pe, PseudoExpectation)
+    return pe
+
+
+_MOMENT_CASES = {"lifted": _lifted_one_basis,
+                 "one-basis": lambda: _max_entropy("one-basis-z", 7, 3, 6, 1),
+                 "experimental": lambda: _max_entropy("random", 4, 2, 2, 1)}
+
+
+@pytest.mark.parametrize("kind", _MOMENT_CASES)
+def test_moment_matrix_equals_the_entry_by_entry_reference(kind):
+    pe = _MOMENT_CASES[kind]()
+    ref = moment_matrix_reference(pe, 4)
+    mat = moment_matrix(pe, 4)
+    assert mat.shape == (moment_rows(pe.n, 4),) * 2
+    assert np.array_equal(mat, ref)
+    assert repr(positivity_check(pe, 4)[0]) == repr(float(np.linalg.eigvalsh(ref)[0]))
+    if kind == "lifted":  # averages over three points: rationals other than 0, +-1
+        assert not np.isin(ref, (-1, 0, 1)).all()
+    if kind == "experimental":  # products with phase +-i
+        assert (ref.imag != 0).any()
+
+
+def test_pair_value_of_an_absent_word_is_zero_at_every_phase():
+    pe = _max_entropy("random", 4, 2, 2, 1)
+    words = [w for weight in range(3) for w in enumerate_slice(4, weight)]
+    seen = set()
+    for a in words:
+        for b in words:
+            prod = mul_words(a, b)
+            if prod.op not in pe.values and prod.phase_exp not in seen:
+                seen.add(prod.phase_exp)
+                assert pe.pair_value(a, b) == ZERO and complex(pe.pair_value(a, b)) == 0j
+    assert seen == {0, 1, 2, 3}
 
 
 def test_moment_matrix_hermitian():
