@@ -1,8 +1,34 @@
-"""Desk-scale ground truth: dense Hamiltonians, exact eigenvalues, brute force.
+"""Desk-scale ground truth: dense Hamiltonians, proved eigenvalues, brute force.
 
 Everything here favors being unarguably correct over being fast.  Dense
 operators are capped at n <= 12 qubits and the weight-slice quadratic-form
 check at n <= 8; callers hitting the caps get a ResourceGuardError.
+
+``lambda_max`` returns the top eigenvalue without diagonalizing the whole
+matrix, and proves it.  The value is the top Ritz value lam of one seeded
+ARPACK run, so lambda_max(H) >= lam up to rounding (a Ritz value is a
+Rayleigh quotient).  The upper side is proved by Rump's criterion
+("Verification of positive definiteness", BIT 46 (2006)): if floating-point
+Cholesky runs to completion on a Hermitian B of dimension N, then
+B + dB = R^H R with |dB_ij| <= g sqrt(B_ii B_jj), g = gamma_K / (1 - gamma_K),
+gamma_K = K u / (1 - K u), u = 2^-53, so lambda_min(B) >= -g tr|diag B|.
+Real arithmetic needs K = N + 1; a complex product adds at most
+sqrt(2) gamma_2 < gamma_3 relative error (Higham, "Accuracy and Stability
+of Numerical Algorithms", section 3.6), and K = 2(N + 1) covers that and a
+reciprocal in the triangular solves.  With B = fl(t I - H) this gives
+
+    lambda_max(H) <= t + c,
+    c = g sum_i |B_ii| + 2u max_i |B_ii| + 8 eta (2(N + 1) + max_i |B_ii|),
+
+where the second term covers the rounding of the shifted diagonal, the
+third is Rump's underflow term (doubled for complex arithmetic, eta =
+2^-1074), and c is inflated by 2^-40 for the roundings in evaluating it.
+The shift is t = lam + r + c(lam), r the Ritz residual, so a Ritz value at
+the top passes and delta = t + c - lam is about 2c: 3.5e-11 at n=10.  A
+Cholesky that refuses proves nothing, and the dense ``eigvalsh`` answers
+instead; it also answers for dimension <= DENSE_DIM, where ARPACK does not
+apply.  A matrix without off-diagonal entries returns its largest
+diagonal entry, exactly.
 
 Basis convention: computational basis states are indexed by integers whose
 bit i is the state of (0-indexed) site i, site 0 least significant.  Bit 0
@@ -11,9 +37,13 @@ means the +1 eigenstate of Z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import zpotrf
 
 from .pauli import PauliOp, PhasedPauli, site_mask
 
@@ -21,6 +51,10 @@ DENSE_QUBIT_CAP = 12
 QFORM_QUBIT_CAP = 8
 # relative deviation from Hermitian that lambda_max accepts
 HERMITIAN_TOL = 1e-12
+# lambda_max diagonalizes matrices up to this dimension densely
+DENSE_DIM = 64
+UNIT_ROUNDOFF = 2.0**-53
+SMALLEST_SUBNORMAL = 2.0**-1074
 
 
 class ResourceGuardError(RuntimeError):
@@ -98,7 +132,7 @@ def assemble(inst) -> DenseOperator:
     m = op.matrix  # scaled in place: same rounding as summing then normalizing
     if inst.constraints:
         m /= 2 * len(inst.constraints)
-    m += 0.5 * np.eye(1 << inst.n)
+    m.reshape(-1)[:: (1 << inst.n) + 1] += 0.5  # the diagonal, as a view
     return op
 
 
@@ -109,12 +143,77 @@ def pauli_coefficient(op: DenseOperator, word: PauliOp) -> complex:
     return complex(np.sum(vals * op.matrix[cols, rows]) / (1 << op.n))
 
 
+def ritz_max(csr: sp.csr_matrix) -> tuple[float, float]:
+    """(lam, r): the top Ritz value of a Hermitian CSR matrix and its residual
+    ||H v - lam v|| / ||v||, from one ARPACK run to machine precision started
+    from a seeded vector, so the result depends only on the matrix."""
+    v0 = np.random.Generator(np.random.Philox(key=0)).standard_normal(csr.shape[0])
+    vals, vecs = spla.eigsh(csr, k=1, which="LA", tol=0, v0=v0)
+    lam, vec = float(vals[0]), vecs[:, 0]
+    return lam, float(np.linalg.norm(csr @ vec - lam * vec) / np.linalg.norm(vec))
+
+
+def rump_shift(diag: np.ndarray) -> float:
+    """c of the module docstring for a shifted matrix with real diagonal ``diag``."""
+    ku = 2 * (len(diag) + 1) * UNIT_ROUNDOFF
+    gamma = ku / (1 - ku)
+    mags = np.abs(diag)
+    top = float(mags.max())
+    c = (gamma / (1 - gamma) * math.fsum(mags) + 2 * UNIT_ROUNDOFF * top
+         + 8 * SMALLEST_SUBNORMAL * (2 * (len(diag) + 1) + top))
+    return c * (1 + 2.0**-40)
+
+
+def rump_bound(matrix: np.ndarray, shift: float) -> float | None:
+    """A proved upper bound on lambda_max of a Hermitian matrix, or None.
+
+    One LAPACK ``zpotrf`` of fl(shift I - H) (H the Hermitian matrix of the
+    lower triangle, as ``eigvalsh`` reads it); if it runs to completion, the
+    bound is shift + c.  The factorization runs in place on one shifted copy:
+    -H in C order is -H^T = -conj(H) in Fortran order, which has the same
+    spectrum, and its upper triangle is H's lower one.
+    """
+    dim = matrix.shape[0]
+    shifted = np.negative(matrix, order="C", dtype=complex)
+    diag = shifted.reshape(-1)[:: dim + 1]
+    diag += shift
+    c = rump_shift(diag.real)
+    _, info = zpotrf(shifted.T, lower=0, clean=0, overwrite_a=1)
+    return math.nextafter(shift + c, math.inf) if info == 0 else None
+
+
 def lambda_max(op: DenseOperator) -> float:
-    """Exact (machine precision) maximum eigenvalue of a Hermitian operator."""
-    dev = np.max(np.abs(op.matrix - op.matrix.conj().T))
-    if dev > HERMITIAN_TOL * max(1.0, np.max(np.abs(op.matrix))):
-        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
-    return float(np.linalg.eigvalsh(op.matrix)[-1])
+    """Maximum eigenvalue of a Hermitian operator, proved to within delta.
+
+    Returns the largest diagonal entry of a matrix without off-diagonal
+    entries, and the dense ``eigvalsh`` value up to dimension DENSE_DIM.
+    Otherwise returns the top Ritz value lam, after ``rump_bound`` has proved
+    lambda_max < lam + delta (see the module docstring); if ARPACK fails or
+    the Cholesky refuses, returns the dense ``eigvalsh`` value.
+    Raises ValueError if the matrix is not Hermitian.
+    """
+    m = op.matrix
+    csr = sp.csr_matrix(m)  # the Lanczos operand; the Hermitian check reads it too
+    if csr.nnz:
+        dev = abs(csr - csr.conj().T).max()
+        if dev > HERMITIAN_TOL * max(1.0, np.abs(csr.data).max()):
+            raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
+    diag = csr.diagonal()
+    if csr.nnz == np.count_nonzero(diag):  # diagonal: the entries are the eigenvalues
+        return float(diag.real.max())
+    if m.shape[0] <= DENSE_DIM:
+        return _dense_lambda_max(m)
+    try:
+        lam, residual = ritz_max(csr)
+    except spla.ArpackError:
+        return _dense_lambda_max(m)
+    if rump_bound(m, lam + residual + rump_shift(lam - diag.real)) is None:
+        return _dense_lambda_max(m)
+    return lam
+
+
+def _dense_lambda_max(matrix: np.ndarray) -> float:
+    return float(np.linalg.eigvalsh(matrix)[-1])
 
 
 def quadratic_form_check(inst, ell: int, state: np.ndarray, graph) -> float:

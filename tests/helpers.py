@@ -34,3 +34,8 @@ def degrees_reference(graph):
     ends = np.column_stack((graph.rows, graph.cols)).ravel()
     half = np.repeat(graph.weights[graph.tids] / 2.0, 2)
     return np.bincount(ends, weights=np.abs(half), minlength=graph.num_vertices)
+
+
+def lambda_max_reference(matrix):
+    """The top eigenvalue of a Hermitian matrix from a full dense ``eigvalsh``."""
+    return float(np.linalg.eigvalsh(matrix)[-1])

@@ -6,18 +6,26 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
+from helpers import lambda_max_reference
+from hkxor import oracle
 from hkxor.instances import GeneratorConfig, generate
 from hkxor.oracle import (
+    HERMITIAN_TOL,
+    DenseOperator,
     ResourceGuardError,
     apply_word,
     assemble,
     assemble_pauli_sum,
+    assemble_star,
     classical_max,
     classical_value,
     dense_word,
     lambda_max,
     pauli_coefficient,
+    rump_bound,
     word_action,
 )
 from hkxor.pauli import PauliOp
@@ -119,6 +127,114 @@ def test_lambda_max_examples():
 def test_lambda_max_rejects_non_hermitian():
     with pytest.raises(ValueError):
         lambda_max(assemble_pauli_sum(1, [(PauliOp.single(1, 0, "X"), 1j)]))
+
+
+def test_assemble_equals_the_eye_formula_entry_for_entry():
+    # the in-place diagonal shift rounds exactly as adding 0.5 * eye did
+    for seed, model in enumerate(["rademacher-semirandom", "gaussian-semirandom", "random",
+                                  "one-basis-z"]):
+        inst = generate(GeneratorConfig(n=6, k=3, m=9, model=model, seed=seed))
+        formula = assemble_star(inst).matrix / (2 * inst.m) + 0.5 * np.eye(1 << inst.n)
+        assert (assemble(inst).matrix == formula).all()
+
+
+@pytest.mark.parametrize("scale", [1.01, 0.99])
+def test_hermitian_threshold_is_relative_to_the_largest_entry(scale):
+    # the largest entry is 3, so the threshold is 3 * HERMITIAN_TOL; an entry
+    # that is 0 in H and eps in its mirror deviates by exactly eps
+    h = assemble_pauli_sum(2, [(PauliOp.from_string("XI"), 3.0),
+                               (PauliOp.from_string("ZZ"), 1.0)])
+    m = h.matrix.copy()
+    m[0, 3] += scale * 3 * HERMITIAN_TOL
+    if scale > 1:
+        with pytest.raises(ValueError, match="not Hermitian"):
+            lambda_max(DenseOperator(2, m))
+    else:
+        assert abs(lambda_max(DenseOperator(2, m)) - lambda_max_reference(m)) < 1e-12
+
+
+def gapped_instance():
+    """A gaussian n=7 Hamiltonian whose top eigenvalue is over 1e-4 above the next."""
+    h = assemble(generate(GeneratorConfig(n=7, k=3, m=20, model="gaussian-semirandom",
+                                          seed=4)))
+    vals = np.linalg.eigvalsh(h.matrix)
+    assert vals[-1] - vals[-2] > 1e-4
+    return h, float(vals[-1]), float(vals[-2])
+
+
+def no_dense(_matrix):
+    raise AssertionError("the dense eigvalsh ran")
+
+
+def test_lanczos_value_is_proved_without_the_dense_fallback(monkeypatch):
+    h, top, _ = gapped_instance()
+    monkeypatch.setattr(oracle, "_dense_lambda_max", no_dense)
+    lam = lambda_max(h)
+    assert abs(lam - top) < 1e-12
+    bound = rump_bound(h.matrix, lam + 1e-11)
+    assert bound is not None and top < bound < top + 1e-10
+    # the start vector is seeded, so the same matrix gives the same float
+    assert lambda_max(h) == lam
+
+
+def test_proof_refuses_a_shift_below_lambda_max():
+    h, top, _ = gapped_instance()
+    assert rump_bound(h.matrix, top - 1e-6) is None
+
+
+def test_a_ritz_value_below_the_top_falls_back_to_eigvalsh(monkeypatch):
+    h, top, second = gapped_instance()
+    monkeypatch.setattr(oracle, "ritz_max", lambda csr: (second, 0.0))
+    assert rump_bound(h.matrix, second + 1e-10) is None
+    assert lambda_max(h) == lambda_max_reference(h.matrix)
+
+
+def test_arpack_failure_falls_back_to_eigvalsh(monkeypatch):
+    h, _, _ = gapped_instance()
+
+    def fail(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+    monkeypatch.setattr(oracle.spla, "eigsh", fail)
+    assert lambda_max(h) == lambda_max_reference(h.matrix)
+
+
+def test_diagonal_matrices_return_their_largest_entry(monkeypatch):
+    monkeypatch.setattr(oracle, "_dense_lambda_max", no_dense)
+    assert lambda_max(DenseOperator(3, 0.5 * np.eye(8, dtype=complex))) == 0.5
+    assert lambda_max(DenseOperator(7, np.zeros((128, 128), dtype=complex))) == 0.0
+    inst = generate(GeneratorConfig(n=9, k=3, m=12, model="one-basis-z", seed=1))
+    h = assemble(inst)
+    assert lambda_max(h) == np.diag(h.matrix).real.max()
+    best, _ = classical_max(inst.sites.tolist(), inst.coeffs.tolist(), inst.n)
+    assert abs(lambda_max(h) - best) < 1e-12
+
+
+@st.composite
+def pauli_sums(draw):
+    """(n, terms) on 7-9 qubits: words from a small pool, so repeated, with +-1 or
+    Gaussian coefficients; idle qubits make every eigenvalue degenerate."""
+    n = draw(st.integers(7, 9))
+    active = n - draw(st.integers(0, 2))
+    word = st.text("IXYZ", min_size=active, max_size=active).map(
+        lambda s: PauliOp.from_string(s + "I" * (n - active)))
+    pool = draw(st.lists(word, min_size=1, max_size=5))
+    words = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        coeffs = rng.standard_normal(len(words)).tolist()
+    else:
+        coeffs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=len(words),
+                               max_size=len(words)))
+    return n, list(zip(words, coeffs))
+
+
+@settings(max_examples=40)
+@given(pauli_sums())
+def test_lambda_max_matches_dense_eigvalsh(case):
+    n, terms = case
+    h = assemble_pauli_sum(n, terms)
+    assert abs(lambda_max(h) - lambda_max_reference(h.matrix)) <= 1e-12
 
 
 def test_value_floor_on_generated_instances():
