@@ -31,16 +31,18 @@ count rho * count' (equal to Delta_t when nothing was deleted), slack the
 
 Every norm is taken per connected component of the matrix, since the norm
 of a block-diagonal matrix is the largest norm of its blocks: components of
-at most SMALL_COMPONENT vertices are solved exactly by batched dense
+at most oracle.DENSE_DIM vertices are solved exactly by batched dense
 eigvalsh, each larger one by its own iterative (ARPACK) solve whose Ritz
-pair must pass a residual check.  Every certificate is deterministic given
-(instance bytes, ell, eps, tol, solver seed): the iterative eigensolver
-starts from a seeded vector.
+pair must pass a residual check.  The symmetry check, the ARPACK step and
+the residual are the oracle's (``check_hermitian``, ``ritz_pair``,
+``ritz_residual``), so certify and the ground truth share one Hermitian
+eigen-kernel.  Every certificate is deterministic given (instance bytes,
+ell, eps, tol, solver seed): the iterative eigensolver starts from a seeded
+vector.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -48,20 +50,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
 
 from .instances import Instance, check_eps, digest
 from .kikuchi_even import build_even, regularize
 from .kikuchi_odd import (build_odd, check_free_sites, cs_operator, edge_delete,
                           regularity_decompose)
+from .oracle import DENSE_DIM, check_hermitian, ritz_pair, ritz_residual
 
 DEFAULT_TOL = 1e-6
 ETA_CONST = 3
 # most nonzeros trace_moment may hold in one sparse power
 TRACE_BUDGET_NNZ = 50_000_000
-# connected components of at most this many vertices are solved exactly
-SMALL_COMPONENT = 64
 # most dense entries one batched eigvalsh call holds (a chunk of equal-size blocks)
 CHUNK_ENTRIES = 1 << 18
 
@@ -73,7 +73,7 @@ class SpectralNormError(RuntimeError):
 
 
 def _small_blocks(coo: sp.coo_matrix, vsize: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """(max |eigenvalue| over the components of at most SMALL_COMPONENT vertices,
+    """(max |eigenvalue| over the components of at most DENSE_DIM vertices,
     the dense block of a component attaining it, or None if there are none).
 
     coo holds the rows of those components, ordered by (size, label), so the
@@ -113,14 +113,6 @@ def _permuted(mat: sp.csr_matrix, order: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((rows.data[keep], cols[keep], indptr), shape=(len(order), len(order)))
 
 
-def _csr_product(mat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``mat @ x`` for a vector x by scipy's CSR kernel, without the sparse
-    dispatch around it (the same kernel, so the same sums)."""
-    out = np.zeros(mat.shape[0], dtype=np.result_type(mat.dtype, x.dtype))
-    csr_matvec(*mat.shape, mat.indptr, mat.indices, mat.data, x, out)
-    return out
-
-
 def check_tol(tol: float) -> None:
     """Raise ValueError unless tol is finite and positive, as the algval margin needs."""
     if not (math.isfinite(tol) and tol > 0):
@@ -136,19 +128,21 @@ def check_seed(seed: int) -> None:
 def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[float, float]:
     """(sigma, residual) with |sigma - lambda_absmax| <= tol * max(1, sigma).
 
-    Accepts a symmetric real sparse or dense matrix.  Its norm is the largest
-    norm of its connected components, so rows without stored entries are
-    dropped and the rest permuted by (component size, label): each component
-    becomes one contiguous diagonal block.  Components of at most
-    SMALL_COMPONENT vertices are solved exactly by batched dense eigvalsh, and
-    each larger one by its own ARPACK call started from the seeded Philox
-    vector of the whole matrix restricted to that block; the result depends
-    only on (matrix, seed).  sigma is the largest of the parts (a large
-    component wins a tie with the small-block maximum), and residual is
-    ||M v - lambda v|| / ||v|| of the winning eigenpair.  Every ARPACK Ritz
-    pair's residual certifies its value (for symmetric M the eigenvalue error
-    is at most the residual); a failed solve raises SpectralNormError whose
-    best_estimate is never below a part already solved.
+    Accepts a symmetric real sparse or dense matrix; a complex dtype, or a
+    matrix that ``oracle.check_hermitian`` refuses, raises ValueError.  Its
+    norm is the largest norm of its connected components, so rows without
+    stored entries are dropped and the rest permuted by (component size,
+    label): each component becomes one contiguous diagonal block.
+    Components of at most DENSE_DIM vertices are solved exactly by batched
+    dense eigvalsh, and each larger one by its own ``oracle.ritz_pair`` call
+    ("LM") started from the seeded Philox vector of the whole matrix
+    restricted to that block; the result depends only on (matrix, seed).
+    sigma is the largest of the parts (a large component wins a tie with the
+    small-block maximum), and residual is ``oracle.ritz_residual`` of the
+    winning eigenpair.  Every Ritz pair's residual certifies its value (for
+    symmetric M the eigenvalue error is at most the residual); a failed solve
+    raises SpectralNormError whose best_estimate is never below a part
+    already solved.
     """
     check_tol(tol)
     check_seed(seed)
@@ -156,10 +150,10 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     size = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix is not square: {mat.shape}")
-    asym = abs(mat - mat.T).max() if mat.nnz else 0.0
-    if asym > 1e-12 * max(1.0, abs(mat).max()):
-        raise ValueError(f"matrix is not symmetric (deviation {asym:.3e})")
-    if size == 0 or mat.nnz == 0:
+    if np.iscomplexobj(mat):
+        raise ValueError(f"matrix is complex ({mat.dtype}); spectral_norm takes a real one")
+    check_hermitian(mat)
+    if mat.nnz == 0:
         return 0.0, 0.0
 
     _, labels = connected_components(mat, directed=False)
@@ -171,7 +165,7 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     order = rows[np.argsort(key, kind="stable")]
     vsize = sizes[labels[order]]  # ascending
     mat = _permuted(mat, order)
-    cut = int(np.searchsorted(vsize, SMALL_COMPONENT, side="right"))
+    cut = int(np.searchsorted(vsize, DENSE_DIM, side="right"))
     best, block = _small_blocks(mat[:cut].tocoo(), vsize[:cut])
     residual = None  # the winning large component's, once there is one
 
@@ -180,19 +174,14 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     a = cut
     while a < len(order):
         b = a + int(vsize[a])
-        sub = mat[a:b, a:b]
-        op = spla.LinearOperator(sub.shape, matvec=functools.partial(_csr_product, sub),
-                                 dtype=sub.dtype)
         try:
-            vals, vecs = spla.eigsh(op, k=1, which="LM", v0=v0[a:b],
-                                    tol=min(tol * 1e-3, 1e-10), maxiter=max(1000, 20 * (b - a)))
+            lam, res = ritz_pair(mat[a:b, a:b], v0[a:b], "LM", min(tol * 1e-3, 1e-10),
+                                 max(1000, 20 * (b - a)))
         except spla.ArpackNoConvergence as exc:
             known = np.append(np.abs(exc.eigenvalues),
                               [] if block is None and residual is None else [best])
             best = float(known.max()) if len(known) else None
             raise SpectralNormError("eigensolver did not converge", best) from exc
-        lam, vec = float(vals[0]), vecs[:, 0]
-        res = float(np.linalg.norm(sub @ vec - lam * vec) / np.linalg.norm(vec))
         if res > tol * max(1.0, abs(lam)):
             raise SpectralNormError(
                 f"residual {res:.3e} exceeds tolerance budget", max(best, abs(lam)))
@@ -204,8 +193,7 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
 
     vals, vecs = np.linalg.eigh(block)
     i = int(np.argmax(np.abs(vals)))
-    lam, vec = float(vals[i]), vecs[:, i]
-    return best, float(np.linalg.norm(block @ vec - lam * vec) / np.linalg.norm(vec))
+    return best, ritz_residual(block, float(vals[i]), vecs[:, i])
 
 
 def _scaled(matrix: sp.csr_matrix, gamma: np.ndarray) -> sp.csr_matrix:

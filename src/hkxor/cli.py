@@ -29,7 +29,7 @@ from .instances import (
     read_number,
     serialize,
 )
-from .oracle import ResourceGuardError, assemble, classical_max, lambda_max
+from .oracle import assemble, classical_max, lambda_max
 from .pauli import site_mask
 from .sos import (
     Contradiction,
@@ -317,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (ResourceGuardError, MemoryError) as exc:
+    except MemoryError as exc:
         print(f"hkxor: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:

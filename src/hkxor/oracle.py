@@ -2,16 +2,24 @@
 
 Everything here favors being unarguably correct over being fast.  Dense
 operators are capped at n <= 12 qubits and the weight-slice quadratic-form
-check at n <= 8; callers hitting the caps get a ResourceGuardError.
+check at n <= 8; callers hitting the caps get a ResourceGuardError, a
+MemoryError.
+
+This module also holds the Hermitian eigen-kernel that ``certify`` and
+``sos`` share with ``lambda_max``: one symmetry rule (``check_hermitian``,
+relative to the largest entry), one seeded ARPACK step (``ritz_pair``, one
+``eigsh(k=1)`` whose matvec is scipy's CSR kernel called directly), one
+residual (``ritz_residual``) and one dense cut-off (``DENSE_DIM``).
 
 ``lambda_max`` returns the top eigenvalue without diagonalizing the whole
 matrix, and proves it.  The value is the top Ritz value lam of one seeded
-ARPACK run, so lambda_max(H) >= lam up to rounding (a Ritz value is a
-Rayleigh quotient).  The upper side is proved by Rump's criterion
-("Verification of positive definiteness", BIT 46 (2006)): if floating-point
-Cholesky runs to completion on a Hermitian B of dimension N, then
-B + dB = R^H R with |dB_ij| <= g sqrt(B_ii B_jj), g = gamma_K / (1 - gamma_K),
-gamma_K = K u / (1 - K u), u = 2^-53, so lambda_min(B) >= -g tr|diag B|.
+``ritz_pair`` run, so lambda_max(H) >= lam up to rounding (a Ritz value is a
+Rayleigh quotient).  The kernel is trusted for nothing more: the upper side
+is proved by Rump's criterion ("Verification of positive definiteness",
+BIT 46 (2006)): if floating-point Cholesky runs to completion on a Hermitian
+B of dimension N, then B + dB = R^H R with |dB_ij| <= g sqrt(B_ii B_jj),
+g = gamma_K / (1 - gamma_K), gamma_K = K u / (1 - K u), u = 2^-53, so
+lambda_min(B) >= -g tr|diag B|.
 Real arithmetic needs K = N + 1; a complex product adds at most
 sqrt(2) gamma_2 < gamma_3 relative error (Higham, "Accuracy and Stability
 of Numerical Algorithms", section 3.6), and K = 2(N + 1) covers that and a
@@ -37,6 +45,8 @@ means the +1 eigenstate of Z.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,20 +54,22 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import zpotrf
+from scipy.sparse._sparsetools import csr_matvec
 
 from .pauli import PauliOp, PhasedPauli, site_mask
 
 DENSE_QUBIT_CAP = 12
 QFORM_QUBIT_CAP = 8
-# relative deviation from Hermitian that lambda_max accepts
+# relative deviation from Hermitian that check_hermitian accepts
 HERMITIAN_TOL = 1e-12
-# lambda_max diagonalizes matrices up to this dimension densely
+# matrices (and certify's connected components) up to this dimension are
+# diagonalized densely
 DENSE_DIM = 64
 UNIT_ROUNDOFF = 2.0**-53
 SMALLEST_SUBNORMAL = 2.0**-1074
 
 
-class ResourceGuardError(RuntimeError):
+class ResourceGuardError(MemoryError):
     """A documented size guard was exceeded."""
 
 
@@ -143,14 +155,45 @@ def pauli_coefficient(op: DenseOperator, word: PauliOp) -> complex:
     return complex(np.sum(vals * op.matrix[cols, rows]) / (1 << op.n))
 
 
-def ritz_max(csr: sp.csr_matrix) -> tuple[float, float]:
-    """(lam, r): the top Ritz value of a Hermitian CSR matrix and its residual
-    ||H v - lam v|| / ||v||, from one ARPACK run to machine precision started
-    from a seeded vector, so the result depends only on the matrix."""
-    v0 = np.random.Generator(np.random.Philox(key=0)).standard_normal(csr.shape[0])
-    vals, vecs = spla.eigsh(csr, k=1, which="LA", tol=0, v0=v0)
-    lam, vec = float(vals[0]), vecs[:, 0]
-    return lam, float(np.linalg.norm(csr @ vec - lam * vec) / np.linalg.norm(vec))
+def check_hermitian(m) -> None:
+    """Raise ValueError unless max|M - M^H| <= HERMITIAN_TOL * max(1, max|M_ij|).
+
+    M is dense or sparse; a 0x0 matrix passes.  The largest entry is read only
+    when the deviation is above HERMITIAN_TOL.
+    """
+    if m.shape[0] == 0:
+        return
+    dev = abs(m - m.conj().T).max()
+    if dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * abs(m).max():
+        raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
+
+
+def _csr_product(mat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``mat @ x`` for a vector x by scipy's CSR kernel, without the sparse
+    dispatch around it (the same kernel, so the same sums)."""
+    out = np.zeros(mat.shape[0], dtype=np.result_type(mat.dtype, x.dtype))
+    csr_matvec(*mat.shape, mat.indptr, mat.indices, mat.data, x, out)
+    return out
+
+
+def ritz_residual(m, lam: float, vec: np.ndarray) -> float:
+    """||M v - lam v|| / ||v|| for a dense or sparse M."""
+    return float(np.linalg.norm(m @ vec - lam * vec) / np.linalg.norm(vec))
+
+
+def ritz_pair(csr: sp.csr_matrix, v0: np.ndarray, which: str, tol: float,
+              maxiter: int | None = None) -> tuple[float, float]:
+    """(lam, r): the Ritz value of one ARPACK ``eigsh(k=1)`` run on a Hermitian
+    CSR matrix, started from v0, and its residual ``ritz_residual``.
+
+    ARPACK multiplies by ``_csr_product``, so every matvec sums each row in
+    the order the CSR stores it.  ARPACK errors propagate.
+    """
+    op = spla.LinearOperator(csr.shape, matvec=functools.partial(_csr_product, csr),
+                             dtype=csr.dtype)
+    vals, vecs = spla.eigsh(op, k=1, which=which, v0=v0, tol=tol, maxiter=maxiter)
+    lam = float(vals[0])
+    return lam, ritz_residual(csr, lam, vecs[:, 0])
 
 
 def rump_shift(diag: np.ndarray) -> float:
@@ -187,29 +230,26 @@ def lambda_max(op: DenseOperator) -> float:
 
     Returns the largest diagonal entry of a matrix without off-diagonal
     entries, and the dense ``eigvalsh`` value up to dimension DENSE_DIM.
-    Otherwise returns the top Ritz value lam, after ``rump_bound`` has proved
+    Otherwise returns the top Ritz value lam of ``ritz_pair`` ("LA", tol=0,
+    the key-0 Philox start vector), after ``rump_bound`` has proved
     lambda_max < lam + delta (see the module docstring); if ARPACK fails or
     the Cholesky refuses, returns the dense ``eigvalsh`` value.
-    Raises ValueError if the matrix is not Hermitian.
+    Raises ValueError if ``check_hermitian`` refuses the matrix.
     """
     m = op.matrix
     csr = sp.csr_matrix(m)  # the Lanczos operand; the Hermitian check reads it too
-    if csr.nnz:
-        dev = abs(csr - csr.conj().T).max()
-        if dev > HERMITIAN_TOL * max(1.0, np.abs(csr.data).max()):
-            raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
+    check_hermitian(csr)
     diag = csr.diagonal()
     if csr.nnz == np.count_nonzero(diag):  # diagonal: the entries are the eigenvalues
         return float(diag.real.max())
-    if m.shape[0] <= DENSE_DIM:
-        return _dense_lambda_max(m)
-    try:
-        lam, residual = ritz_max(csr)
-    except spla.ArpackError:
-        return _dense_lambda_max(m)
-    if rump_bound(m, lam + residual + rump_shift(lam - diag.real)) is None:
-        return _dense_lambda_max(m)
-    return lam
+    if m.shape[0] > DENSE_DIM:
+        # machine precision from a seeded start, so the result depends only on H
+        v0 = np.random.Generator(np.random.Philox(key=0)).standard_normal(m.shape[0])
+        with contextlib.suppress(spla.ArpackError):
+            lam, residual = ritz_pair(csr, v0, "LA", 0)
+            if rump_bound(m, lam + residual + rump_shift(lam - diag.real)) is not None:
+                return lam
+    return _dense_lambda_max(m)
 
 
 def _dense_lambda_max(matrix: np.ndarray) -> float:

@@ -32,6 +32,7 @@ from itertools import combinations
 import numpy as np
 
 from .instances import Instance
+from .oracle import check_hermitian
 from .pauli import (PauliOp, canonical_key, commutes, enumerate_slice, mul_words, site_mask,
                     slice_size)
 
@@ -381,11 +382,12 @@ def moment_matrix(pe: PseudoExpectation, d: int) -> np.ndarray:
 
 
 def positivity_check(pe: PseudoExpectation, d: int) -> tuple[float, bool]:
-    """Minimum eigenvalue of the moment matrix over weight <= d/2 words; pass at -1e-8."""
+    """Minimum eigenvalue of the moment matrix over weight <= d/2 words; pass at -1e-8.
+
+    Raises ValueError if ``oracle.check_hermitian`` refuses the moment matrix.
+    """
     mat = moment_matrix(pe, d)
-    dev = np.max(np.abs(mat - mat.conj().T))
-    if dev > 1e-12:
-        raise ValueError(f"moment matrix is not Hermitian (deviation {dev:.3e})")
+    check_hermitian(mat)
     min_eig = float(np.linalg.eigvalsh(mat)[0])
     return min_eig, min_eig >= -1e-8
 

@@ -10,7 +10,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hkxor.certify import (
-    SMALL_COMPONENT,
     SpectralNormError,
     certify,
     certify_even,
@@ -20,7 +19,7 @@ from hkxor.certify import (
 )
 from hkxor.instances import GeneratorConfig, generate, parse
 from hkxor.kikuchi_even import build_even, regularize
-from hkxor.oracle import assemble, lambda_max
+from hkxor.oracle import DENSE_DIM, _csr_product, assemble, lambda_max
 
 from helpers import explicit_instance, single_zz
 
@@ -60,6 +59,19 @@ def test_spectral_norm_rejects_asymmetric():
         spectral_norm(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])), tol=1e-6)
 
 
+def test_spectral_norm_refuses_complex_input():
+    # the dense blocks are real, so a complex matrix would lose its imaginary part
+    for mat in (np.array([[0, 1j], [1j, 0]]), np.array([[0, 1j], [-1j, 0]]),
+                np.array([[0, 1], [1, 0]], dtype=complex)):
+        with pytest.raises(ValueError, match="complex"):
+            spectral_norm(mat)
+
+
+def test_spectral_norm_of_an_empty_matrix_is_zero():
+    for mat in (np.zeros((0, 0)), sp.csr_matrix((0, 0))):
+        assert spectral_norm(mat) == (0.0, 0.0)
+
+
 # hkxor re-exports certify(), which hides the module attribute of that name
 certify_module = importlib.import_module("hkxor.certify")
 
@@ -78,15 +90,15 @@ def random_block(rng, size: int, scale: float = 1.0) -> sp.csr_matrix:
 
 def mixed_blocks(rng, small_scale: float, large_scale: float) -> sp.csr_matrix:
     """Isolated zero rows, diagonal singletons, components on both sides of
-    SMALL_COMPONENT, and a small block next to its negation."""
+    DENSE_DIM, and a small block next to its negation."""
     tie = random_block(rng, 5, small_scale)
     blocks = [sp.csr_matrix((3, 3)),
               sp.diags([0.3, -0.7]),
               random_block(rng, 2, small_scale),
               random_block(rng, 17, small_scale),
               tie, -tie,
-              random_block(rng, SMALL_COMPONENT, small_scale),
-              random_block(rng, SMALL_COMPONENT + 1, large_scale),
+              random_block(rng, DENSE_DIM, small_scale),
+              random_block(rng, DENSE_DIM + 1, large_scale),
               sp.csr_matrix((1, 1)),
               random_block(rng, 150, large_scale)]
     return sp.block_diag(blocks, format="csr")
@@ -187,7 +199,7 @@ def test_spectral_norm_one_eigsh_per_large_component(monkeypatch):
                                  format="csr"), rng)
     sizes = counting_eigsh(monkeypatch)
     sigma, _ = spectral_norm(mat, tol=1e-9)
-    assert sizes == [SMALL_COMPONENT + 1, 90, 150]
+    assert sizes == [DENSE_DIM + 1, 90, 150]
     assert abs(sigma - dense_norm(mat)) < 1e-10
 
 
@@ -238,7 +250,7 @@ def test_permuted_equals_fancy_indexing_entry_for_entry(seed):
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(mine, name), getattr(reference, name))
     x = rng.standard_normal(len(order))
-    assert certify_module._csr_product(mine, x).tobytes() == (reference @ x).tobytes()
+    assert _csr_product(mine, x).tobytes() == (reference @ x).tobytes()
 
 
 def test_spectral_norm_matches_dense_on_kikuchi():
@@ -311,7 +323,7 @@ def test_certify_checks_eps_on_every_branch(eps, monkeypatch):
 def test_solver_seed_outside_the_philox_key_range_is_refused(seed):
     rng = np.random.default_rng(5)
     small = random_block(rng, 8)  # solved by dense eigvalsh alone
-    large = random_block(rng, SMALL_COMPONENT + 10)  # solved by ARPACK
+    large = random_block(rng, DENSE_DIM + 10)  # solved by ARPACK
     for mat in (small, large, sp.csr_matrix((3, 3))):
         with pytest.raises(ValueError, match=re.escape(f"in [0, 2**128), got {seed}")):
             spectral_norm(mat, seed=seed)
@@ -347,7 +359,7 @@ def test_certify_odd_soundness_sweep():
 
 def test_certify_odd_two_large_components_at_benchmark_scale(monkeypatch):
     # the odd-slice benchmark's graph: its signed matrix stores 1,792 cancelled
-    # zeros, and its two components above SMALL_COMPONENT are solved one at a
+    # zeros, and its two components above DENSE_DIM are solved one at a
     # time; algval recorded when both shared one ARPACK call
     words = tuple(c.pauli for c in generate(GeneratorConfig(n=12, k=3, m=60, seed=0)).constraints)
     inst = generate(GeneratorConfig(n=12, k=3, m=60, model="rademacher-semirandom", seed=1,

@@ -10,7 +10,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from helpers import lambda_max_reference
-from hkxor import oracle
+from hkxor import oracle, sos
+from hkxor.certify import spectral_norm
 from hkxor.instances import GeneratorConfig, generate
 from hkxor.oracle import (
     HERMITIAN_TOL,
@@ -29,6 +30,7 @@ from hkxor.oracle import (
     word_action,
 )
 from hkxor.pauli import PauliOp
+from hkxor.sos import MomentOracle, lift_classical, positivity_check
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -139,18 +141,33 @@ def test_assemble_equals_the_eye_formula_entry_for_entry():
 
 
 @pytest.mark.parametrize("scale", [1.01, 0.99])
-def test_hermitian_threshold_is_relative_to_the_largest_entry(scale):
-    # the largest entry is 3, so the threshold is 3 * HERMITIAN_TOL; an entry
-    # that is 0 in H and eps in its mirror deviates by exactly eps
+def test_hermitian_threshold_is_relative_to_the_largest_entry(scale, monkeypatch):
+    # every caller's matrix has largest entry 3, so the threshold is
+    # 3 * HERMITIAN_TOL; an entry that is 0 in M and eps in its mirror
+    # deviates by exactly eps
     h = assemble_pauli_sum(2, [(PauliOp.from_string("XI"), 3.0),
-                               (PauliOp.from_string("ZZ"), 1.0)])
-    m = h.matrix.copy()
-    m[0, 3] += scale * 3 * HERMITIAN_TOL
-    if scale > 1:
-        with pytest.raises(ValueError, match="not Hermitian"):
-            lambda_max(DenseOperator(2, m))
-    else:
-        assert abs(lambda_max(DenseOperator(2, m)) - lambda_max_reference(m)) < 1e-12
+                               (PauliOp.from_string("ZZ"), 1.0)]).matrix
+    inst = generate(GeneratorConfig(n=5, k=3, m=6, model="one-basis-z", seed=2))
+    points = [(1, -1, 1, 1, -1), (-1, -1, 1, -1, 1), (1, 1, 1, -1, -1)]
+    pe = lift_classical(inst, MomentOracle.from_distribution(5, points), 4)
+
+    def positivity(m):
+        monkeypatch.setattr(sos, "moment_matrix", lambda *_: m)
+        return positivity_check(pe, 4)[0]
+
+    cases = [(h, lambda m: lambda_max(DenseOperator(2, m)), lambda_max_reference),
+             (h.real, lambda m: spectral_norm(m)[0],
+              lambda m: np.abs(np.linalg.eigvalsh(m)).max()),
+             # the moments of a distribution's lift scaled to total mass 3
+             (3 * sos.moment_matrix(pe, 4), positivity, lambda m: np.linalg.eigvalsh(m)[0])]
+    for matrix, run, reference in cases:
+        m = matrix.copy()
+        m[tuple(np.argwhere(m == 0)[0])] += scale * 3 * HERMITIAN_TOL  # off the diagonal
+        if scale > 1:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                run(m)
+        else:
+            assert abs(run(m) - reference(m)) < 1e-12
 
 
 def gapped_instance():
@@ -184,9 +201,22 @@ def test_proof_refuses_a_shift_below_lambda_max():
 
 def test_a_ritz_value_below_the_top_falls_back_to_eigvalsh(monkeypatch):
     h, top, second = gapped_instance()
-    monkeypatch.setattr(oracle, "ritz_max", lambda csr: (second, 0.0))
+    monkeypatch.setattr(oracle, "ritz_pair", lambda *args: (second, 0.0))
     assert rump_bound(h.matrix, second + 1e-10) is None
     assert lambda_max(h) == lambda_max_reference(h.matrix)
+
+
+def test_lambda_max_repr_golden(monkeypatch):
+    # the verify workload's rademacher instance and a gaussian one, both on the
+    # Ritz path; the reprs pin every bit of the ARPACK run
+    words = tuple(c.pauli for c in generate(GeneratorConfig(n=10, k=3, m=200,
+                                                            seed=0)).constraints)
+    rademacher = generate(GeneratorConfig(n=10, k=3, m=200, model="rademacher-semirandom",
+                                          seed=0, words=words))
+    gaussian = generate(GeneratorConfig(n=9, k=3, m=40, model="gaussian-semirandom", seed=0))
+    monkeypatch.setattr(oracle, "_dense_lambda_max", no_dense)
+    assert repr(lambda_max(assemble(rademacher))) == "0.5753201572846055"
+    assert repr(lambda_max(assemble(gaussian))) == "0.6457668173943302"
 
 
 def test_arpack_failure_falls_back_to_eigvalsh(monkeypatch):
