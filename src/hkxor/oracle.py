@@ -237,7 +237,7 @@ def lambda_max(op: DenseOperator) -> float:
     Raises ValueError if ``check_hermitian`` refuses the matrix.
     """
     m = op.matrix
-    csr = sp.csr_matrix(m)  # the Lanczos operand; the Hermitian check reads it too
+    csr = _csr_of_dense(m)  # the Lanczos operand; the Hermitian check reads it too
     check_hermitian(csr)
     diag = csr.diagonal()
     if csr.nnz == np.count_nonzero(diag):  # diagonal: the entries are the eigenvalues
@@ -250,6 +250,17 @@ def lambda_max(op: DenseOperator) -> float:
             if rump_bound(m, lam + residual + rump_shift(lam - diag.real)) is not None:
                 return lam
     return _dense_lambda_max(m)
+
+
+def _csr_of_dense(m: np.ndarray) -> sp.csr_matrix:
+    """``sp.csr_matrix(m)`` for a dense square m, array for array, from one nonzero mask:
+    the row-major flat positions of the entries give their columns, and the per-row
+    counts summed up give the row pointers."""
+    mask = m != 0
+    flat = np.flatnonzero(mask)
+    indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
+    return sp.csr_matrix((m.ravel()[flat], flat % m.shape[1], indptr), shape=m.shape)
 
 
 def _dense_lambda_max(matrix: np.ndarray) -> float:

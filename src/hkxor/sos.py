@@ -254,10 +254,20 @@ class PseudoExpectation:
         return self.values.get(word, ZERO)
 
     def pair_value(self, left: PauliOp, right: PauliOp) -> ExactComplex:
-        """pE[left^dag right] with the product phase applied to the stored word value."""
-        op, phase_exp = mul_words(left, right)
-        value = self.values.get(op)
-        return ZERO if value is None else value.times_i(phase_exp)
+        """pE[left^dag right] with the product phase applied to the stored word value.
+
+        The product word is looked up by its masks before it is built: a
+        PauliOp hashes and compares as its (n, xmask, zmask) tuple, so the
+        plain tuple finds the stored word, and an absent word (most moment
+        entries) costs one dict probe and returns the shared ZERO.  Only a
+        present word calls mul_words, for the phase.
+        """
+        n, lx, lz = left
+        rn, rx, rz = right
+        if n != rn:  # mul_words' check, made before an absent product could skip it
+            raise ValueError(f"qubit counts differ: {n} != {rn}")
+        value = self.values.get((n, lx ^ rx, lz ^ rz))
+        return ZERO if value is None else value.times_i(mul_words(left, right).phase_exp)
 
     def evaluate(self, poly: PauliPolynomial) -> ExactComplex:
         total = ZERO
@@ -342,12 +352,15 @@ def max_entropy_build(inst: Instance, d: int):
     while head < len(order):
         w = order[head]
         head += 1
+        _, wx, wz = w
         for i in range(len(order)):  # the words known when this step began
             u = order[i]
+            _, ux, uz = u
+            # both orders give the same product word: test its weight on the masks first
+            if ((ux ^ wx) | (uz ^ wz)).bit_count() > d:
+                continue
             for left, right in ((u, w), (w, u)):
                 prod = mul_words(left, right)
-                if prod.op.weight() > d:
-                    continue
                 cand = (values[left].conjugate() * values[right]).times_i(-prod.phase_exp)
                 found = assign(prod.op, cand, "product", left, right)
                 if found is not None:
@@ -357,9 +370,14 @@ def max_entropy_build(inst: Instance, d: int):
                              experimental=not one_basis, obstructions=obstructions)
 
 
+def _moment_weights(n: int, d: int) -> range:
+    """Weights of the degree-d moment matrix's words: 0 to d/2, and no more than n."""
+    return range(min(d // 2, n) + 1)
+
+
 def moment_rows(n: int, d: int) -> int:
     """Rows of the degree-d moment matrix: the n-qubit words of weight <= d/2."""
-    return sum(slice_size(n, w) for w in range(d // 2 + 1))
+    return sum(slice_size(n, w) for w in _moment_weights(n, d))
 
 
 def moment_matrix(pe: PseudoExpectation, d: int) -> np.ndarray:
@@ -371,7 +389,7 @@ def moment_matrix(pe: PseudoExpectation, d: int) -> np.ndarray:
     if count > MOMENT_MATRIX_CAP:
         raise MemoryError(f"moment matrix would have {count} rows (cap {MOMENT_MATRIX_CAP})")
     words: list[PauliOp] = []
-    for w in range(d // 2 + 1):
+    for w in _moment_weights(pe.n, d):
         words.extend(enumerate_slice(pe.n, w))
     mat = np.zeros((count, count), dtype=complex)
     pair_value = pe.pair_value

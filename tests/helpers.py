@@ -20,7 +20,8 @@ def single_zz():
 
 def moment_matrix_reference(pe, d):
     """The degree-d moment matrix entry by entry: the word value of a^dag b times its phase."""
-    words = [w for weight in range(d // 2 + 1) for w in enumerate_slice(pe.n, weight)]
+    words = [w for weight in range(min(d // 2, pe.n) + 1)
+             for w in enumerate_slice(pe.n, weight)]
     mat = np.zeros((len(words), len(words)), dtype=complex)
     for i, a in enumerate(words):
         for j, b in enumerate(words):

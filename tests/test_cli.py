@@ -133,6 +133,16 @@ def test_witness_single_constraint(tmp_path, capsys):
     assert "PSEXP v1 n=3 d=3" in out
 
 
+def test_witness_degree_above_twice_the_qubit_count(tmp_path, capsys):
+    # weights stop at n = 1: the identity and X1, Y1, Z1, and no weight-2 slice
+    path = tmp_path / "one_qubit"
+    path.write_text("HKXOR v1 n=1 k=1 m=1 model=one-basis-z seed=0\nZ1 1.0\n")
+    code, out = run(capsys, "witness", "--in", str(path), "--degree", "4")
+    assert code == 0
+    assert "positivity.rows=4" in out.splitlines()
+    assert "positivity.pass=1" in out.splitlines()
+
+
 def test_witness_contradiction_exit_code(tmp_path, capsys):
     path = tmp_path / "tri"
     path.write_text(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import hkxor.sos as sos
 from hkxor.instances import GeneratorConfig, generate, parse
 from hkxor.oracle import apply_word, assemble, lambda_max
 from hkxor.pauli import PauliOp, canonical_key, commutes, enumerate_slice, mul_words
@@ -258,8 +259,76 @@ def test_pair_value_of_an_absent_word_is_zero_at_every_phase():
             prod = mul_words(a, b)
             if prod.op not in pe.values and prod.phase_exp not in seen:
                 seen.add(prod.phase_exp)
-                assert pe.pair_value(a, b) == ZERO and complex(pe.pair_value(a, b)) == 0j
+                assert pe.pair_value(a, b) is ZERO and complex(pe.pair_value(a, b)) == 0j
     assert seen == {0, 1, 2, 3}
+
+
+_UNITS = (ONE, -ONE, ONE.times_i(1), ONE.times_i(3))
+_VALUES = st.one_of(st.sampled_from(_UNITS),
+                    st.builds(ExactComplex, st.fractions(-2, 2, max_denominator=9),
+                              st.fractions(-2, 2, max_denominator=9)))
+_MASKS = st.tuples(st.integers(0, 63), st.integers(0, 63))
+
+
+def _pair_value_reference(pe, left, right):
+    prod = mul_words(left, right)
+    return pe.value(prod.op).times_i(prod.phase_exp)
+
+
+@given(st.integers(1, 6), _MASKS, _MASKS, st.lists(st.tuples(_MASKS, _VALUES), max_size=8),
+       st.none() | _VALUES)
+# a present product at each phase (the absent ones: the test above)
+@example(1, (1, 0), (1, 0), [], -ONE)  # X X = I
+@example(1, (0, 1), (1, 0), [], ONE.times_i(1))  # Z X = +i Y
+@example(2, (3, 0), (0, 3), [], ONE.times_i(3))  # (X X)(Z Z) = -(Y Y)
+@example(1, (1, 0), (0, 1), [], ONE)  # X Z = -i Y
+def test_pair_value_equals_mul_words_and_value(n, left, right, stored, product_value):
+    low = (1 << n) - 1
+    left, right = (PauliOp(n, x & low, z & low) for x, z in (left, right))
+    values = {PauliOp(n, x & low, z & low): v for (x, z), v in stored}
+    prod = mul_words(left, right).op
+    if product_value is not None:
+        values[prod] = product_value
+    pe = PseudoExpectation(n=n, degree=2 * n, values=values)
+    got = pe.pair_value(left, right)
+    assert got == _pair_value_reference(pe, left, right)
+    assert (got is ZERO) == (prod not in values)
+    # a qubit count mismatch raises before the product word is looked up
+    wide = PauliOp(n + 1, right.xmask, right.zmask)
+    for a, b in ((left, wide), (wide, left)):
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            pe.pair_value(a, b)
+
+
+def test_moment_matrix_calls_mul_words_only_for_present_products(monkeypatch):
+    pe = _lifted_one_basis()
+    words = [w for weight in range(3) for w in enumerate_slice(pe.n, weight)]
+    present = sum(mul_words(a, b).op in pe.values for a in words for b in words)
+    calls = []
+
+    def counted(p, q):
+        calls.append((p, q))
+        return mul_words(p, q)
+
+    monkeypatch.setattr(sos, "mul_words", counted)
+    mat = moment_matrix(pe, 4)
+    assert 0 < len(calls) == present < len(words) ** 2
+    assert np.count_nonzero(mat) == present  # lifted values are never zero
+
+
+@pytest.mark.parametrize("seed", (0, 5))
+def test_moment_matrix_equals_the_reference_at_verify_size(seed):
+    # the benchmark's lifted witness: one-basis-z n=8 k=3 m=12, degree-4 moments
+    # of a three-point distribution, 1 + 24 + 252 = 277 moment rows
+    inst = generate(GeneratorConfig(n=8, k=3, m=12, model="one-basis-z", seed=seed))
+    rng = random.Random(seed)
+    points = [tuple(rng.choice((-1, 1)) for _ in range(8)) for _ in range(3)]
+    moments = MomentOracle.from_distribution(8, points, (Fraction(1, 2), Fraction(1, 4),
+                                                         Fraction(1, 4)), degree=4)
+    pe = lift_classical(inst, moments, 4)
+    mat = moment_matrix(pe, 4)
+    assert mat.shape == (277, 277)
+    assert np.array_equal(mat, moment_matrix_reference(pe, 4))
 
 
 def test_moment_matrix_hermitian():
