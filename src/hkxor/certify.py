@@ -52,7 +52,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .instances import Instance, check_eps, digest
+from .instances import Instance, check_eps, digest, over_eps_power
 from .kikuchi_even import build_even, regularize
 from .kikuchi_odd import (build_odd, check_free_sites, cs_operator, edge_delete,
                           regularity_decompose)
@@ -322,7 +322,7 @@ def certify_even(inst: Instance, ell: int, tol: float = DEFAULT_TOL,
 
 def eta_bound(k: int, eps: float) -> int:
     """Local-degree cap ceil(8 * ETA_CONST^k * k^3 / eps^2) used before pruning."""
-    return math.ceil(8 * ETA_CONST**k * k**3 / eps**2)
+    return math.ceil(over_eps_power(8 * ETA_CONST**k * k**3, eps, 2))
 
 
 def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,

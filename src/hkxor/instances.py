@@ -306,12 +306,22 @@ def check_eps(eps: float) -> None:
         raise ValueError(f"need 0 < eps <= 1, got {eps}")
 
 
+def over_eps_power(numerator: float, eps: float, power: int) -> float:
+    """numerator / eps^power; ValueError naming eps when that bound is not a finite number."""
+    scale = eps**power
+    bound = numerator / scale if scale else math.inf
+    if not math.isfinite(bound):
+        raise ValueError(f"the bound {numerator!r} / eps^{power} is not a finite float "
+                         f"at eps={eps!r}")
+    return bound
+
+
 def threshold_size(n: float, k: int, ell: int, eps: float) -> int:
     """ceil(n * (n/ell)^(k/2-1) * ln(n) / eps^4), the refutation density."""
     check_eps(eps)
     if not k / 2 <= ell <= n / 2:
         raise ValueError(f"need k/2 <= ell <= n/2, got k={k}, ell={ell}, n={n}")
-    return math.ceil(n * (n / ell) ** (k / 2 - 1) * math.log(n) / eps**4)
+    return math.ceil(over_eps_power(n * (n / ell) ** (k / 2 - 1) * math.log(n), eps, 4))
 
 
 # -- text format --------------------------------------------------------------

@@ -65,7 +65,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .instances import Instance, check_eps
+from .instances import Instance, check_eps, over_eps_power
 from .kikuchi_even import EDGE_BUDGET, KikuchiGraph
 from .pauli import (PauliOp, SliceIndex, canonical_key, site_mask, slice_arrays,
                     words_to_arrays)
@@ -80,7 +80,7 @@ class InfeasibleLevelError(ValueError):
 
 def tau_threshold(n: int, k: int, ell: int, eps: float, t: int) -> int:
     """Bucket size ceil(max(1, (3n/ell)^(k/2-t)) * 4 k^2 / eps^2) at level t."""
-    v = max(1.0, (3 * n / ell) ** (k / 2 - t)) * 4 * k * k / eps**2
+    v = over_eps_power(max(1.0, (3 * n / ell) ** (k / 2 - t)) * 4 * k * k, eps, 2)
     # ceilings taken on real-valued thresholds; tiny slop absorbs float-up noise
     return math.ceil(v - 1e-9 * max(1.0, v))
 

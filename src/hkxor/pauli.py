@@ -40,8 +40,6 @@ _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _PAIR_LETTER = "IXZY"
 # letter code (X, Y, Z -> 0, 1, 2) of a site's bit pair, indexed by x | z << 1
 _PAIR_CODE = (-1, 0, 2, 1)
-# its inverse: the bit pair x | z << 1 of letter code 0, 1, 2 (X, Y, Z)
-_CODE_PAIR = (1, 3, 2)
 
 PHASES = (1, 1j, -1, -1j)
 

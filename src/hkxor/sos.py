@@ -18,7 +18,8 @@ terms value 1.
 
 All values live in {0, +-1, +-i} (rationals after lifting), kept exact with
 a tiny complex-rational type so checks like the -1/9 obstruction value are
-bit-exact.
+bit-exact.  The closure itself works on the exponent e of each unit i^e and
+converts to that type only in its result.
 """
 
 from __future__ import annotations
@@ -105,6 +106,8 @@ class ExactComplex:
 _ONE = ExactComplex(Fraction(1))
 _I = ExactComplex(Fraction(0), Fraction(1))
 ZERO = ExactComplex()
+# the unit i^e, indexed by the exponent e mod 4
+_UNITS = (_ONE, _I, -_ONE, -_I)
 
 
 # -- exact Pauli polynomials -----------------------------------------------------
@@ -190,42 +193,28 @@ class Contradiction:
         return out
 
 
-class _Provenance:
-    """DAG of derivation rules, linearized to Derivation objects on demand."""
+def _derivation(rules: dict[PauliOp, tuple], word: PauliOp) -> Derivation:
+    """Linearize a word's rule DAG: rule "identity" (), "axiom" (cid) or "product" (left, right).
 
-    def __init__(self):
-        self.rules: dict[PauliOp, tuple] = {}
-        self.axioms: dict[PauliOp, frozenset[int]] = {}
+    Each step's axiom ids are its operands' ids XORed, so an axiom reached along
+    an even number of DAG paths drops out, as P_C^2 = Id does in the product.
+    """
+    steps: list[tuple[PauliOp, str, tuple]] = []
+    index: dict[PauliOp, int] = {}
 
-    def record(self, word: PauliOp, rule: str, *args) -> None:
-        """Rule "identity" (no args), "axiom" (cid) or "product" (left, right word)."""
-        self.rules[word] = (rule, *args)
-        if rule == "product":
-            self.axioms[word] = self.axioms[args[0]] ^ self.axioms[args[1]]
-        else:
-            self.axioms[word] = frozenset(args)
+    def visit(w: PauliOp) -> int:
+        if w not in index:
+            rule, *args = rules[w]
+            data = (visit(args[0]), visit(args[1])) if rule == "product" else tuple(args)
+            index[w] = len(steps)
+            steps.append((w, rule, data))
+        return index[w]
 
-    def derivation(self, word: PauliOp) -> Derivation:
-        order: list[PauliOp] = []
-        index: dict[PauliOp, int] = {}
-
-        def visit(w: PauliOp) -> int:
-            if w in index:
-                return index[w]
-            rule = self.rules[w]
-            if rule[0] == "product":
-                li, ri = visit(rule[1]), visit(rule[2])
-                data: tuple = (li, ri)
-            elif rule[0] == "axiom":
-                data = (rule[1],)
-            else:
-                data = ()
-            index[w] = len(order)
-            order.append((w, rule[0], data))
-            return index[w]
-
-        visit(word)
-        return Derivation(steps=tuple(order), axiom_ids=self.axioms[word])
+    visit(word)
+    axioms: list[frozenset[int]] = []
+    for _, rule, data in steps:
+        axioms.append(axioms[data[0]] ^ axioms[data[1]] if rule == "product" else frozenset(data))
+    return Derivation(steps=tuple(steps), axiom_ids=axioms[-1])
 
 
 # -- pseudo-expectations -----------------------------------------------------------
@@ -305,8 +294,11 @@ def anticommuting_obstruction(inst: Instance) -> list[tuple[int, int]]:
 def max_entropy_build(inst: Instance, d: int):
     """Closure of the seeded assignment; PseudoExpectation or Contradiction.
 
-    Every instance runs one mul_words closure; on one-basis instances (any
-    single letter type) products carry no phase and all values are +-1.
+    Every value is a unit i^e, so the closure keeps one exponent e mod 4 per
+    word: seeds +1 and -1 are 0 and 2, and pE[Q R] = conj(pE[Q]) pE[R] turns
+    into e_R - e_Q - phase, the phase of Q R from mul_words.  The exponents
+    become ExactComplex values only in the result.  On one-basis instances
+    (any single letter type) products carry no phase and all values are +-1.
     Other instances are accepted as experimental: values may be +-i and the
     anticommutation scan result is attached.  Raises MemoryError rather than
     assign more than MAX_ENTROPY_WORDS words.
@@ -316,34 +308,33 @@ def max_entropy_build(inst: Instance, d: int):
     one_basis = inst.is_one_basis()
     obstructions = () if one_basis else tuple(anticommuting_obstruction(inst))
 
-    prov = _Provenance()
-    values: dict[PauliOp, ExactComplex] = {}
+    rules: dict[PauliOp, tuple] = {}
+    exps: dict[PauliOp, int] = {}
     order: list[PauliOp] = []
 
-    def assign(word, value, rule, *args):
-        """Record a new word's value and rule; a second, different value is a Contradiction."""
-        existing = values.get(word)
+    def assign(word, exp, *rule):
+        """Record a new word's exponent and rule; a second, different one is a Contradiction."""
+        existing = exps.get(word)
         if existing is None:
             if len(order) >= MAX_ENTROPY_WORDS:
                 raise MemoryError(f"max-entropy closure exceeds {MAX_ENTROPY_WORDS} words")
-            values[word] = value
-            prov.record(word, rule, *args)
+            exps[word] = exp
+            rules[word] = rule
             order.append(word)
-        elif existing != value:
-            deriv_a = prov.derivation(word)
-            prov.record(word, rule, *args)
-            return Contradiction(word=word, value_a=existing, value_b=value,
-                                 derivation_a=deriv_a, derivation_b=prov.derivation(word),
+        elif existing != exp:
+            deriv_a = _derivation(rules, word)
+            rules[word] = rule
+            return Contradiction(word=word, value_a=_UNITS[existing], value_b=_UNITS[exp],
+                                 derivation_a=deriv_a, derivation_b=_derivation(rules, word),
                                  obstructions=obstructions)
         return None
 
-    assign(PauliOp.identity(inst.n), _ONE, "identity")
+    assign(PauliOp.identity(inst.n), 0, "identity")
     # seed the axioms in constraint order
     for cid, c in enumerate(inst.constraints):
-        val = ExactComplex.of(Fraction(c.coeff))
-        if val * val != _ONE:
+        if c.coeff not in (1, -1):
             raise ValueError("max-entropy seeding needs +-1 coefficients")
-        found = assign(c.pauli, val, "axiom", cid)
+        found = assign(c.pauli, 0 if c.coeff == 1 else 2, "axiom", cid)
         if found is not None:
             return found
 
@@ -360,13 +351,14 @@ def max_entropy_build(inst: Instance, d: int):
             if ((ux ^ wx) | (uz ^ wz)).bit_count() > d:
                 continue
             for left, right in ((u, w), (w, u)):
-                prod = mul_words(left, right)
-                cand = (values[left].conjugate() * values[right]).times_i(-prod.phase_exp)
-                found = assign(prod.op, cand, "product", left, right)
-                if found is not None:
-                    return found
+                op, phase = mul_words(left, right)
+                exp = (exps[right] - exps[left] - phase) % 4
+                if exps.get(op) != exp:
+                    found = assign(op, exp, "product", left, right)
+                    if found is not None:
+                        return found
 
-    return PseudoExpectation(n=inst.n, degree=d, values=values,
+    return PseudoExpectation(n=inst.n, degree=d, values={w: _UNITS[e] for w, e in exps.items()},
                              experimental=not one_basis, obstructions=obstructions)
 
 

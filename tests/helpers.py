@@ -1,9 +1,13 @@
 """Instances and reference implementations shared by the test modules."""
 
+from fractions import Fraction
+
 import numpy as np
 
 from hkxor.instances import GeneratorConfig, generate
 from hkxor.pauli import PauliOp, enumerate_slice, mul_words
+from hkxor.sos import (MAX_ENTROPY_WORDS, Contradiction, Derivation, ExactComplex,
+                       PseudoExpectation, anticommuting_obstruction)
 
 
 def explicit_instance(n, k, words_sparse, coeffs=None):
@@ -40,3 +44,93 @@ def degrees_reference(graph):
 def lambda_max_reference(matrix):
     """The top eigenvalue of a Hermitian matrix from a full dense ``eigvalsh``."""
     return float(np.linalg.eigvalsh(matrix)[-1])
+
+
+class _Provenance:
+    """DAG of derivation rules with each word's axiom ids kept as it is recorded."""
+
+    def __init__(self):
+        self.rules = {}
+        self.axioms = {}
+
+    def record(self, word, rule, *args):
+        self.rules[word] = (rule, *args)
+        if rule == "product":
+            self.axioms[word] = self.axioms[args[0]] ^ self.axioms[args[1]]
+        else:
+            self.axioms[word] = frozenset(args)
+
+    def derivation(self, word):
+        order, index = [], {}
+
+        def visit(w):
+            if w in index:
+                return index[w]
+            rule = self.rules[w]
+            if rule[0] == "product":
+                data = (visit(rule[1]), visit(rule[2]))
+            elif rule[0] == "axiom":
+                data = (rule[1],)
+            else:
+                data = ()
+            index[w] = len(order)
+            order.append((w, rule[0], data))
+            return index[w]
+
+        visit(word)
+        return Derivation(steps=tuple(order), axiom_ids=self.axioms[word])
+
+
+def max_entropy_reference(inst, d):
+    """The max-entropy closure in ExactComplex arithmetic, every candidate worked out in full.
+
+    Values are conj(pE[Q]) pE[R] i^-phase as complex rationals, and each word's
+    axiom ids are XORed as it is recorded.
+    """
+    if d < inst.k:
+        raise ValueError(f"degree {d} below constraint arity {inst.k}")
+    one_basis = inst.is_one_basis()
+    obstructions = () if one_basis else tuple(anticommuting_obstruction(inst))
+    one = ExactComplex(Fraction(1))
+    prov, values, order = _Provenance(), {}, []
+
+    def assign(word, value, rule, *args):
+        existing = values.get(word)
+        if existing is None:
+            if len(order) >= MAX_ENTROPY_WORDS:
+                raise MemoryError(f"max-entropy closure exceeds {MAX_ENTROPY_WORDS} words")
+            values[word] = value
+            prov.record(word, rule, *args)
+            order.append(word)
+        elif existing != value:
+            deriv_a = prov.derivation(word)
+            prov.record(word, rule, *args)
+            return Contradiction(word=word, value_a=existing, value_b=value,
+                                 derivation_a=deriv_a, derivation_b=prov.derivation(word),
+                                 obstructions=obstructions)
+        return None
+
+    assign(PauliOp.identity(inst.n), one, "identity")
+    for cid, c in enumerate(inst.constraints):
+        val = ExactComplex.of(Fraction(c.coeff))
+        if val * val != one:
+            raise ValueError("max-entropy seeding needs +-1 coefficients")
+        found = assign(c.pauli, val, "axiom", cid)
+        if found is not None:
+            return found
+
+    head = 0
+    while head < len(order):
+        w = order[head]
+        head += 1
+        for u in order[:len(order)]:
+            if mul_words(u, w).op.weight() > d:
+                continue
+            for left, right in ((u, w), (w, u)):
+                prod = mul_words(left, right)
+                cand = (values[left].conjugate() * values[right]).times_i(-prod.phase_exp)
+                found = assign(prod.op, cand, "product", left, right)
+                if found is not None:
+                    return found
+    return PseudoExpectation(n=inst.n, degree=d, values=values,
+                             experimental=not one_basis, obstructions=obstructions)

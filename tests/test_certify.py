@@ -14,6 +14,7 @@ from hkxor.certify import (
     certify,
     certify_even,
     certify_odd,
+    eta_bound,
     spectral_norm,
     trace_moment,
 )
@@ -524,3 +525,10 @@ def test_even_graph_dump_format():
     lines = dump_graph(g).splitlines()
     assert lines[0] == "KIKUCHI v1 2 2 1 6 2"
     assert len(lines) == 3 and all(len(ln.split()) == 4 for ln in lines[1:])
+
+
+def test_eta_bound_past_float_range_names_eps():
+    assert eta_bound(3, 0.5) == 8 * 27 * 27 * 4
+    for eps in (1e-155, 1e-170):  # the cap overflows to inf, and eps^2 underflows to zero
+        with pytest.raises(ValueError, match=f"is not a finite float at eps={eps!r}$"):
+            eta_bound(3, eps)

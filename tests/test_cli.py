@@ -625,6 +625,26 @@ def test_certify_negative_solver_seed_is_usage_error_at_both_graph_sizes(tmp_pat
     assert code == 3 and "got -1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ("1e-170", "1e-155"))
+def test_odd_eps_too_small_for_a_finite_bound_is_usage_error(tmp_path, capsys, monkeypatch, eps):
+    # 1e-170 underflows eps^2 to zero and 1e-155 overflows the bucket size to inf
+    def no_build(*args):
+        raise AssertionError("a graph was built before the eps bound was checked")
+
+    monkeypatch.setattr(importlib.import_module("hkxor.certify"), "build_odd", no_build)
+    path = tmp_path / "odd.hkxor"
+    run(capsys, "gen", "--n", "8", "--k", "3", "--m", "20", "--seed", "1", "--out", str(path))
+    for argv in (["certify", "--in", str(path), "--ell", "2", "--eps", eps],
+                 ["sweep", "--n", "8", "--k", "3", "--ell", "2", "--eps", eps,
+                  "--m-grid", "20", "--seeds", "1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"is not a finite float at eps={float(eps)!r}\n" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 def test_python_dash_m_hkxor_runs_the_cli_without_installing(tmp_path):
     src = str(Path(hkxor.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

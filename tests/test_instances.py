@@ -254,6 +254,10 @@ def test_threshold_size_examples():
         threshold_size(10, 2, 8, 0.5)
     with pytest.raises(ValueError):
         threshold_size(10, 2, 1, 0.0)
+    # eps^4 is subnormal at 1e-80, so the density overflows to inf; at 1e-90 eps^4 is zero
+    for eps in (1e-80, 1e-90):
+        with pytest.raises(ValueError, match=f"is not a finite float at eps={eps!r}$"):
+            threshold_size(60, 2, 1, eps)
 
 
 def test_round_trip_many():

@@ -89,6 +89,9 @@ def test_tau_threshold():
     assert tau_threshold(8, 3, 2, 0.5, 3) == math.ceil(36 / 0.25) == 144
     assert tau_threshold(8, 3, 2, 1.0, 3) == 36
     assert tau_threshold(8, 3, 2, 1.0, 1) == math.ceil(math.sqrt(12) * 36)
+    for eps in (1e-155, 1e-170):  # overflows to inf, and eps^2 underflows to zero
+        with pytest.raises(ValueError, match=f"is not a finite float at eps={eps!r}$"):
+            tau_threshold(8, 3, 2, eps, 3)
 
 
 def test_decompose_repeated_word_bucket():

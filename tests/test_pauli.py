@@ -101,6 +101,7 @@ def test_commutes_matches_phase_comparison():
         ba = mul_words(b, a)
         assert ab.op == ba.op
         assert commutes(a, b) == (ab.phase_exp == ba.phase_exp)
+        assert commutes(a, b) == (ab.phase_exp % 2 == 0)
 
 
 @pytest.mark.parametrize("n, xmask, zmask", ((2, 4, 0), (2, 0, 4), (2, 1 << 70, 3), (0, 0, 1),

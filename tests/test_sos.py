@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hkxor.sos as sos
 from hkxor.instances import GeneratorConfig, generate, parse
@@ -32,7 +32,7 @@ from hkxor.sos import (
     positivity_check,
 )
 
-from helpers import moment_matrix_reference
+from helpers import max_entropy_reference, moment_matrix_reference
 
 ONE = ExactComplex.of(1)
 
@@ -127,6 +127,58 @@ def test_max_entropy_checks_degree_and_coefficients():
         max_entropy_build(z_instance(3, [(0, 1, 2)], [1.0]), 2)
     with pytest.raises(ValueError, match="needs \\+-1 coefficients"):
         max_entropy_build(z_instance(3, [(0, 1, 2)], [0.5]), 3)
+
+
+def _assert_same_closure(got, want):
+    """Witnesses: dump, value order, flags; contradictions: dump lines and combined axioms."""
+    assert type(got) is type(want)
+    if isinstance(want, Contradiction):
+        assert got.dump_lines() == want.dump_lines()
+        assert got.combined_axioms == want.combined_axioms
+        assert (got.value_a, got.value_b) == (want.value_a, want.value_b)
+    else:
+        assert got.dump() == want.dump()
+        assert list(got.values.items()) == list(want.values.items())
+        assert got.experimental == want.experimental
+    assert got.obstructions == want.obstructions
+
+
+@settings(max_examples=120)
+@given(st.sampled_from(("one-basis-z", "random", "rademacher-semirandom",
+                        "gaussian-semirandom")),
+       st.integers(1, 6), st.integers(1, 3), st.integers(1, 6), st.integers(0, 2**32),
+       st.data())
+def test_max_entropy_build_equals_the_reference(model, n, k, m, seed, data):
+    k = min(k, n)
+    d = data.draw(st.integers(k, 2 * k), label="d")
+    inst = generate(GeneratorConfig(n=n, k=k, m=m, model=model, seed=seed))
+    if model == "gaussian-semirandom":
+        for build in (max_entropy_build, max_entropy_reference):
+            with pytest.raises(ValueError, match=r"max-entropy seeding needs \+-1 coefficients"):
+                build(inst, d)
+        return
+    _assert_same_closure(max_entropy_build(inst, d), max_entropy_reference(inst, d))
+
+
+@pytest.mark.parametrize("model, n, k, m, seed, d, kind", (
+    ("one-basis-z", 8, 3, 12, 15, 4, PseudoExpectation),  # a verify pool witness, 163 words
+    ("random", 5, 3, 3, 5, 5, PseudoExpectation),  # experimental, so it carries its scan
+    ("random", 4, 2, 2, 0, 2, Contradiction),  # values -i and +i
+))
+def test_max_entropy_build_does_no_complex_arithmetic(monkeypatch, model, n, k, m, seed, d,
+                                                      kind):
+    inst = generate(GeneratorConfig(n=n, k=k, m=m, model=model, seed=seed))
+    want = max_entropy_reference(inst, d)
+
+    def refuse(*args):
+        raise AssertionError("the closure multiplied or conjugated an ExactComplex")
+
+    monkeypatch.setattr(ExactComplex, "__mul__", refuse)
+    monkeypatch.setattr(ExactComplex, "conjugate", refuse)
+    got = max_entropy_build(inst, d)
+    monkeypatch.undo()
+    assert isinstance(got, kind)
+    _assert_same_closure(got, want)
 
 
 def test_energies_of_an_empty_instance_are_one_half():
