@@ -71,10 +71,15 @@ def _emit(lines: list[str], out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _header(command: str, config: dict) -> list[str]:
-    lines = [f"HKXOR-REPORT v1", f"command={command}", f"version={__version__}"]
-    for key in sorted(config):
-        lines.append(f"config.{key}={config[key]}")
+def _header(args) -> list[str]:
+    """The report header: one ``config.<flag>=<value>`` line per flag of the command but
+    ``--out``, sorted, so the report can be re-run from it."""
+    config = {"in" if key == "infile" else key: value for key, value in vars(args).items()
+              if key not in ("command", "func", "out")}
+    lines = [f"HKXOR-REPORT v1", f"command={args.command}", f"version={__version__}"]
+    for key, value in sorted(config.items()):
+        value = " ".join(value) if isinstance(value, list) else value  # --expansion BETA D
+        lines.append(f"config.{key}={'' if value is None else value}")
     return lines
 
 
@@ -97,9 +102,7 @@ def _cmd_certify(args) -> int:
     start = time.perf_counter()
     cert = certify(inst, args.ell, eps=args.eps, tol=args.tol, branch=args.branch,
                    solver_seed=args.solver_seed)
-    lines = _header("certify", {"in": args.infile, "ell": args.ell, "eps": args.eps,
-                                "tol": args.tol, "branch": args.branch,
-                                "solver_seed": args.solver_seed})
+    lines = _header(args)
     lines += cert.report_lines()
     lines.append(f"total_time_s={time.perf_counter() - start:.3f}")
     _emit(lines, args.out)
@@ -109,7 +112,7 @@ def _cmd_certify(args) -> int:
 def _cmd_oracle(args) -> int:
     inst = _load_instance(args.infile)
     start = time.perf_counter()
-    lines = _header("oracle", {"in": args.infile})
+    lines = _header(args)
     lines.append(f"digest={digest(inst)}")
     lam = lambda_max(assemble(inst))
     lines.append(f"lambda_max={lam!r}")
@@ -172,8 +175,7 @@ def _parse_moments(path: str) -> MomentOracle:
 
 def _cmd_witness(args) -> int:
     inst = _load_instance(args.infile)
-    lines = _header("witness", {"in": args.infile, "degree": args.degree,
-                                "lift": args.lift or ""})
+    lines = _header(args)
     lines.append(f"digest={digest(inst)}")
     if args.lift:
         moments = _parse_moments(args.lift)
@@ -216,12 +218,13 @@ def _sweep_cell(base: dict, m: int, seed: int):
 
 
 def _cmd_sweep(args) -> int:
+    tokens = args.m_grid.split(",")
+    if "" in tokens:
+        raise ValueError(f"empty entry in --m-grid {args.m_grid!r}")
     try:
-        m_grid = [int(tok) for tok in args.m_grid.split(",") if tok]
+        m_grid = [int(tok) for tok in tokens]
     except ValueError:
         raise ValueError(f"bad --m-grid value {args.m_grid!r}") from None
-    if not m_grid:
-        raise ValueError("empty m grid")
     if len(set(m_grid)) != len(m_grid):
         raise ValueError(f"repeated m in --m-grid {args.m_grid!r}")
     if min(m_grid) < 1:
@@ -238,17 +241,12 @@ def _cmd_sweep(args) -> int:
     algvals = [_sweep_cell(base, *cell) for cell in cells]
 
     threshold = 0.5 + args.eps
-    lines = _header("sweep", {"n": args.n, "k": args.k, "ell": args.ell,
-                              "eps": args.eps, "tol": args.tol, "model": args.model,
-                              "branch": args.branch, "m_grid": args.m_grid,
-                              "seeds": args.seeds, "solver_seed": args.solver_seed})
+    lines = _header(args)
     for (m, seed), algval in zip(cells, algvals):
         lines.append(f"cell.m={m}.seed={seed}.algval={algval!r}")
         lines.append(f"cell.m={m}.seed={seed}.success={int(algval <= threshold)}")
     for m in m_grid:
         vals = [algval for (mm, _), algval in zip(cells, algvals) if mm == m]
-        if not vals:
-            continue
         frac = sum(v <= threshold for v in vals) / len(vals)
         lines.append(f"agg.m={m}.count={len(vals)}")
         lines.append(f"agg.m={m}.success_fraction={frac!r}")

@@ -4,7 +4,10 @@ Bipartite decomposition.  Constraints are greedily bucketed by shared
 weight-t subwords U (t from k down to 1, threshold tau_t per level), with
 leftovers keyed by their first non-trivial single-site letter.  Every bucket
 member satisfies U below P_C; stripping U leaves the residual word
-P~_C = P_C * P_U of weight k - t.
+P~_C = P_C * P_U of weight k - t.  A subword is named by its
+SliceIndex(n, t) rank, one rank_batch call per level over the (m, C(k, t))
+column subsets of ``inst.sites`` and ``inst.letters``; within one weight,
+rank order is canonical word order, so no per-row word is built.
 
 Odd Kikuchi graph for a slice t.  Vertices are ordered component pairs
 (Q1, Q2) with |Q1| + |Q2| = ell, encoded as single weight-ell words on 2n
@@ -67,8 +70,7 @@ import numpy as np
 
 from .instances import Instance, check_eps, over_eps_power
 from .kikuchi_even import EDGE_BUDGET, KikuchiGraph
-from .pauli import (PauliOp, SliceIndex, canonical_key, site_mask, slice_arrays,
-                    words_to_arrays)
+from .pauli import PauliOp, SliceIndex, slice_arrays, words_to_arrays
 
 
 class InfeasibleLevelError(ValueError):
@@ -116,51 +118,67 @@ class BipartiteDecomposition:
         return "\n".join(lines) + "\n"
 
 
+def _subword_ranks(n: int, sites: np.ndarray, letters: np.ndarray, t: int) -> np.ndarray:
+    """(R, C(k, t)) ``SliceIndex(n, t)`` ranks of the weight-t subwords of each of the
+    R rows of (R, k) ascending sites and letter codes, subsets in combinations order.
+
+    Within one weight, rank order is canonical word order.
+    """
+    cols = np.array(list(combinations(range(sites.shape[1]), t)), dtype=np.int64)
+    return SliceIndex(n, t).rank_batch(sites[:, cols], letters[:, cols])
+
+
+def _held_by(keys: np.ndarray, rows: np.ndarray, least: int) -> list[tuple[int, np.ndarray]]:
+    """The entries of the (R, c) ``keys`` that at least ``least`` of the rows (R,) hold,
+    ascending, each with the rows holding it, ascending."""
+    order = np.argsort(keys.ravel())
+    distinct, start, counts = np.unique(keys.ravel()[order], return_index=True, return_counts=True)
+    held = np.repeat(rows, keys.shape[1])[order]
+    return [(int(distinct[u]), np.sort(held[start[u]:start[u] + counts[u]]))
+            for u in np.flatnonzero(counts >= least).tolist()]
+
+
 def regularity_decompose(inst: Instance, ell: int, eps: float) -> BipartiteDecomposition:
     """Greedy bucketing by shared subwords, t = k down to 1, then the residual pass.
 
-    Each level builds its count table once and walks the centers ready in it
-    in canonical word order, taking tau still-remaining members at a time in
-    ascending constraint id.  Counts only fall as buckets are taken, so no
-    center below the current one becomes ready again; the output is the one
-    a rescan after every bucket would give, and it is deterministic.
+    Subwords are named by their ``SliceIndex(n, t)`` ranks, computed on the
+    instance's columns.  Each level ranks the remaining rows' subwords once
+    and walks the centers ready in it in rank (canonical word) order, taking
+    tau still-remaining members at a time in ascending constraint id.  Counts
+    only fall as buckets are taken, so no center below the current one
+    becomes ready again; the output is the one a rescan after every bucket
+    would give, and it is deterministic.  The residual pass groups the
+    leftovers by their lowest site's letter, whose weight-1 rank is
+    3 site + letter.
     """
     check_eps(eps)
     if ell < inst.k / 2:
         raise ValueError(f"need ell >= k/2, got ell={ell}, k={inst.k}")
     n, k = inst.n, inst.k
-    words = [c.pauli for c in inst.constraints]
-    remaining = set(range(inst.m))
+    left = np.ones(inst.m, dtype=bool)
     buckets: list[Bucket] = []
     warnings: list[str] = []
 
     for t in range(k, 0, -1):
         tau = tau_threshold(n, k, ell, eps, t)
-        counts: dict[PauliOp, list[int]] = {}
-        for cid in sorted(remaining):
-            w = words[cid]
-            for sub in combinations(w.support(), t):
-                counts.setdefault(w.restrict(site_mask(sub)), []).append(cid)
-        ready = sorted((u for u, lst in counts.items() if len(lst) >= tau), key=canonical_key)
-        for center in ready:
-            members = [cid for cid in counts[center] if cid in remaining]
+        rows = np.flatnonzero(left)
+        ranks = _subword_ranks(n, inst.sites[rows], inst.letters[rows], t)
+        for rank, members in _held_by(ranks, rows, tau):
+            members = members[left[members]]
+            center = SliceIndex(n, t).unrank(rank)
             for i in range(0, len(members) - tau + 1, tau):
-                take = tuple(members[i:i + tau])
-                buckets.append(Bucket(t=t, center=center, cids=take))
-                remaining.difference_update(take)
+                take = members[i:i + tau]
+                buckets.append(Bucket(t=t, center=center, cids=tuple(take.tolist())))
+                left[take] = False
 
     tau1 = tau_threshold(n, k, ell, eps, 1)
     if inst.m < n * tau1:
         warnings.append(f"|H|={inst.m} < n*tau_1={n * tau1}: center-count bound not guaranteed")
-    residual_groups: dict[PauliOp, list[int]] = {}
-    for cid in sorted(remaining):
-        w = words[cid]
-        first = min(w.support())
-        residual_groups.setdefault(w.restrict(1 << first), []).append(cid)
-    for center in sorted(residual_groups, key=canonical_key):
-        cids = tuple(sorted(residual_groups[center]))
+    rows = np.flatnonzero(left)
+    for rank, cids in _held_by(inst.sites[rows, :1] * 3 + inst.letters[rows, :1], rows, 1):
         assert len(cids) < tau1, "residual bucket reached the extraction threshold"
-        buckets.append(Bucket(t=1, center=center, cids=cids, residual=True))
+        buckets.append(Bucket(t=1, center=SliceIndex(n, 1).unrank(rank), cids=tuple(cids.tolist()),
+                              residual=True))
 
     return BipartiteDecomposition(n=n, k=k, ell=ell, eps=eps, m=inst.m,
                                   buckets=tuple(buckets), warnings=tuple(warnings))
@@ -171,21 +189,22 @@ def regularity_check(dec: BipartiteDecomposition, inst: Instance, eps: float,
     """Exhaustive search for a subword W violating the per-bucket regularity threshold.
 
     A violation is a bucket, a word W with |W| > t, and > max((3n/ell)^(k/2-1-|W|), 1)
-    / eps^2 bucket members all subsuming W.  Returns (ok, first witness or None).
+    / eps^2 bucket members all subsuming W.  Returns (ok, first witness or None):
+    the first bucket's first violating word by member, then by width, then by subset.
     """
     n, k = dec.n, dec.k
     for bid, bucket in enumerate(dec.buckets):
-        members = [inst.constraints[cid].pauli for cid in bucket.cids]
-        seen: dict[PauliOp, int] = {}
-        for w in members:
-            for width in range(bucket.t + 1, k + 1):
-                for sub in combinations(w.support(), width):
-                    cand = w.restrict(site_mask(sub))
-                    seen[cand] = seen.get(cand, 0) + 1
-        for cand, count in seen.items():
-            bound = max((3 * n / ell) ** (k / 2 - 1 - cand.weight()), 1.0) / eps**2
-            if count > bound + 1e-9:
-                return False, (bid, cand, count, bound)
+        cids, found = list(bucket.cids), []
+        for width in range(bucket.t + 1, k + 1):
+            bound = max((3 * n / ell) ** (k / 2 - 1 - width), 1.0) / eps**2
+            ranks = _subword_ranks(n, inst.sites[cids], inst.letters[cids], width)
+            words, at, counts = np.unique(ranks, return_index=True, return_counts=True)
+            # at = member * C(k, width) + subset, the word's first place
+            found += [(a // ranks.shape[1], width, a, word, count, bound) for a, word, count
+                      in zip(at.tolist(), words.tolist(), counts.tolist()) if count > bound + 1e-9]
+        if found:
+            _, width, _, word, count, bound = min(found)
+            return False, (bid, SliceIndex(n, width).unrank(word), count, bound)
     return True, None
 
 
@@ -240,8 +259,8 @@ class CSOperator:
 
 
 def cs_operator(dec: BipartiteDecomposition, inst: Instance, t: int) -> CSOperator:
-    _, cids, _, _ = residuals(dec, inst, t)
-    if not len(cids):
+    cids = [cid for b in dec.slice(t) for cid in b.cids]  # residuals' order
+    if not cids:
         raise ValueError(f"slice t={t} is empty")
     return CSOperator(
         t=t,
@@ -401,8 +420,8 @@ def _check_edges(n: int, kk: int, q: tuple[np.ndarray, np.ndarray],
     the meetings shows that every one is met and that Q meets the other kk
     keys of P (x) P'.)
     """
-    # every count is at most ell + 2 kk <= 3 ell, and rank_batch admits no slice
-    # with ell >= 40 (3^40 > 2^63), so int8 counts cannot wrap
+    # every count is at most ell + 2 kk <= 3 ell, and type_edges' int64 edge key
+    # admits no slice with ell >= 40 (3^40 > 2^63), so int8 counts cannot wrap
     zero = np.zeros(len(q[0]), dtype=np.int8)
 
     def count(bools):

@@ -384,20 +384,20 @@ class SliceIndex:
         return sup_rank * 3**ell + code
 
     def rank_batch(self, sites: np.ndarray, letters: np.ndarray) -> np.ndarray:
-        """int64 ranks of the words given row by row as (..., ell) site and letter arrays.
+        """Ranks of the words given row by row as (..., ell) site and letter arrays.
 
         ``sites`` are 0-indexed and distinct within a row, in any order;
         ``letters`` are the codes 0, 1, 2 for X, Y, Z; both must have an
         integer dtype.  Equal to ``rank`` word by word, without building the
         words, so it also serves slices whose words do not fit an int64
-        mask.  The work goes column by column: a site's position j in its
-        sorted row is the number of smaller sites in the row, a sum of
-        ell - 1 column comparisons, so no row is sorted; the positions sum to
-        ell (ell - 1) / 2 exactly when the row's sites are distinct.
+        mask.  The ranks are int64 when the slice has fewer than 2^63 words
+        and Python ints in an object array otherwise.  The work goes column
+        by column: a site's position j in its sorted row is the number of
+        smaller sites in the row, a sum of ell - 1 column comparisons, so no
+        row is sorted; the positions sum to ell (ell - 1) / 2 exactly when
+        the row's sites are distinct.
         """
         n, ell = self.n, self.ell
-        if self.size >= 2**63:
-            raise ValueError(f"slice size {self.size} does not fit int64 ranks")
         sites, letters = np.asarray(sites), np.asarray(letters)
         if sites.dtype.kind not in "iu" or letters.dtype.kind not in "iu":
             raise ValueError("sites and letter codes must be integers")
@@ -410,10 +410,11 @@ class SliceIndex:
                            or (sum(pos) != ell * (ell - 1) // 2).any()
                            or letters.min() < 0 or letters.max() > 2):
             raise ValueError("sites must be distinct in [0, n) and letters in {0, 1, 2}")
+        dtype = np.int64 if self.size < 2**63 else object
         comb = _binomial_array(n, ell)
-        flat = comb.ravel()  # entry (x, y) of the table at x (ell + 1) + y
-        pow3 = 3 ** np.arange(ell - 1, -1, -1, dtype=np.int64)  # 3^(ell - 1 - j) at j
-        ranks = np.full(sites.shape[:-1], (comb[n, ell] - 1) * 3**ell, dtype=np.int64)
+        flat = comb.ravel().astype(dtype, copy=False)  # entry (x, y) at x (ell + 1) + y
+        pow3 = np.array([3 ** (ell - 1 - j) for j in range(ell)], dtype=dtype)  # 3^(ell-1-j) at j
+        ranks = np.full(sites.shape[:-1], (int(comb[n, ell]) - 1) * 3**ell, dtype=dtype)
         for i, (c, j) in enumerate(zip(cols, pos)):
             ranks -= flat[(n - 1 - c) * (ell + 1) + ell - j] * 3**ell
             ranks += letters[..., i] * pow3[j]

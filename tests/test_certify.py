@@ -532,3 +532,11 @@ def test_eta_bound_past_float_range_names_eps():
     for eps in (1e-155, 1e-170):  # the cap overflows to inf, and eps^2 underflows to zero
         with pytest.raises(ValueError, match=f"is not a finite float at eps={eps!r}$"):
             eta_bound(3, eps)
+
+
+@pytest.mark.parametrize("k,ell", [(2, 1), (3, 2), (4, 2), (5, 4)])
+def test_certify_reads_only_the_instance_columns(k, ell):
+    # neither branch builds the per-row word view (Instance.constraints, cached on first read)
+    inst = generate(GeneratorConfig(n=8, k=k, m=40, model="gaussian-semirandom", seed=k))
+    certify(inst, ell, eps=0.8)
+    assert "constraints" not in vars(inst)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hkxor
-from hkxor.cli import main
+from hkxor.cli import _build_parser, main
 from hkxor.instances import parse
 
 
@@ -438,6 +438,65 @@ def test_sweep_bad_or_repeated_m_is_usage_error(capsys, monkeypatch):
         assert code == 3
         assert message in captured.err
         assert captured.out == ""
+
+
+def test_sweep_empty_m_grid_entry_is_usage_error(capsys, monkeypatch):
+    def no_cells(*args):
+        raise AssertionError("a sweep cell ran before the m grid was checked")
+
+    monkeypatch.setattr("hkxor.cli._sweep_cell", no_cells)
+    for grid in ("5,,6", ",5", "5,", "5,,6,", ""):
+        code = main(["sweep", "--n", "6", "--k", "2", "--ell", "1", "--eps", "0.5",
+                     "--m-grid", grid, "--seeds", "1"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert f"empty entry in --m-grid {grid!r}" in captured.err
+        assert captured.out == ""
+
+
+def _rerun_argv(command, out):
+    """The command line that a report's header describes."""
+    argv = [command]
+    for line in out.splitlines():
+        if line.startswith("config."):
+            key, value = line[len("config."):].split("=", 1)
+            if value:
+                argv += ["--" + key.replace("_", "-"), *value.split(" ")]
+    return argv
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("certify", ["--ell", "2", "--eps", "0.9", "--branch", "odd", "--solver-seed", "3"]),
+    ("oracle", ["--expansion", "1.0", "2"]),
+    ("witness", ["--degree", "3"]),
+    ("sweep", ["--n", "8", "--k", "2", "--ell", "1", "--eps", "0.5", "--m-grid", "4,6",
+               "--seeds", "2", "--model", "gaussian", "--tol", "1e-07"]),
+])
+def test_report_header_lists_every_flag_and_reruns(tmp_path, capsys, command, flags):
+    path = tmp_path / "inst"
+    run(capsys, "gen", "--n", "6", "--k", "3", "--m", "5", "--model", "one-basis-z", "--seed", "4",
+        "--out", str(path))
+    argv = [command] + ([] if command == "sweep" else ["--in", str(path)]) + flags
+    code, out = run(capsys, *argv)
+    assert code == 0
+    dests = set(vars(_build_parser().parse_args(argv))) - {"command", "func", "out"}
+    keys = {line.split("=", 1)[0] for line in out.splitlines() if line.startswith("config.")}
+    assert keys == {"config." + ("in" if dest == "infile" else dest) for dest in dests}
+
+    def untimed(text):
+        return [line for line in text.splitlines() if "time_s=" not in line]
+
+    # the header alone re-runs the command: the same report, timings aside
+    assert untimed(run(capsys, *_rerun_argv(command, out))[1]) == untimed(out)
+
+
+def test_certify_odd_past_int64_subword_ranks(tmp_path, capsys):
+    # k = 13 on 200 sites: the weight-t subword slices of t = 9..13 hold 2^63 words or more
+    path = tmp_path / "k13"
+    run(capsys, "gen", "--n", "200", "--k", "13", "--m", "5", "--seed", "1", "--out", str(path))
+    code, out = run(capsys, "certify", "--in", str(path), "--ell", "7", "--eps", "0.5")
+    assert code == 0
+    assert "algval=1.5" in out.splitlines() and "branch=odd" in out.splitlines()
 
 
 def test_unknown_flag_usage_error(capsys):

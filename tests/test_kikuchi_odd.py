@@ -21,6 +21,7 @@ from hkxor.kikuchi_odd import (
     max_local_degree,
     regularity_check,
     regularity_decompose,
+    residuals,
     rho_counts,
     rho_value,
     tau_threshold,
@@ -141,8 +142,9 @@ def regularity_decompose_reference(inst, ell, eps):
                                   buckets=tuple(buckets)).dump()
 
 
-def hub_instance(n, k, m, seed, hubs):
-    """Nine in ten words extend one of a few random hub subwords of weight 1..k."""
+def hub_instance(n, k, m, seed, hubs, gaussian=False):
+    """Nine in ten words extend one of a few random hub subwords of weight 1..k; the
+    coefficients are 1, or standard normal draws when ``gaussian``."""
     rng = random.Random(seed)
     hub_letters = []
     for _ in range(hubs):
@@ -155,22 +157,25 @@ def hub_instance(n, k, m, seed, hubs):
             letters[s] = rng.choice("XYZ")
         sites = tuple(sorted(letters))
         words.append(PauliOp.from_letters(n, sites, "".join(letters[s] for s in sites)))
+    coeffs = tuple(rng.gauss(0.0, 1.0) if gaussian else 1.0 for _ in words)
     return generate(GeneratorConfig(n=n, k=k, m=len(words), model="explicit", words=tuple(words),
-                                    coeffs=(1.0,) * len(words)))
+                                    coeffs=coeffs))
 
 
 def test_decompose_walk_matches_rescan_reference():
-    levels, repeated = set(), 0
-    for seed in range(12):
-        inst = hub_instance(8, 4, 300 + 100 * seed, seed, 2 + seed % 4)
-        ell = 2 + seed % 2
-        dec = regularity_decompose(inst, ell, 1.0)
-        assert dec.dump() == regularity_decompose_reference(inst, ell, 1.0)
-        extracted = [(b.t, b.center) for b in dec.buckets if not b.residual]
-        levels |= {t for t, _ in extracted}
-        repeated += len(extracted) - len(set(extracted))
-    # buckets at every level above the residual pass, and centers taken repeatedly
-    assert levels == {2, 3, 4} and repeated >= 10
+    # n = 70 puts the words' masks past 64 bits; gaussian coefficients on odd seeds
+    for n, k, min_repeated in ((8, 4, 10), (70, 3, 20), (9, 5, 5)):
+        levels, repeated = set(), 0
+        for seed in range(12):
+            inst = hub_instance(n, k, 300 + 100 * seed, seed, 2 + seed % 4, gaussian=seed % 2)
+            ell = (k + 1) // 2 + seed % 2
+            dec = regularity_decompose(inst, ell, 1.0)
+            assert dec.dump() == regularity_decompose_reference(inst, ell, 1.0)
+            extracted = [(b.t, b.center) for b in dec.buckets if not b.residual]
+            levels |= {t for t, _ in extracted}
+            repeated += len(extracted) - len(set(extracted))
+        # buckets at every level above the residual pass, and centers taken repeatedly
+        assert levels >= set(range(2, k + 1)) and repeated >= min_repeated
 
 
 def test_decompose_disjoint_supports_all_residual():
@@ -212,6 +217,46 @@ def test_regularity_check_adversarial_bucket():
     ok, witness = regularity_check(dec, inst, 0.5, 2)
     assert not ok
     assert witness[1].weight() > 1 and witness[2] == 6
+
+
+def regularity_check_reference(dec, inst, eps, ell):
+    """regularity_check on per-row words: count every subword of width t + 1..k of a
+    bucket's members in a dict, and return the first violating entry in insertion order."""
+    n, k = dec.n, dec.k
+    for bid, bucket in enumerate(dec.buckets):
+        seen = {}
+        for cid in bucket.cids:
+            w = inst.constraints[cid].pauli
+            for width in range(bucket.t + 1, k + 1):
+                for sub in itertools.combinations(w.support(), width):
+                    cand = w.restrict(site_mask(sub))
+                    seen[cand] = seen.get(cand, 0) + 1
+        for cand, count in seen.items():
+            bound = max((3 * n / ell) ** (k / 2 - 1 - cand.weight()), 1.0) / eps**2
+            if count > bound + 1e-9:
+                return False, (bid, cand, count, bound)
+    return True, None
+
+
+def test_regularity_check_matches_the_word_reference():
+    # the decompositions' own buckets, and one bucket of every row at the lowest and the
+    # highest center weight (rows reversed, so member order differs from id order)
+    violations = 0
+    for n, k, seed in ((8, 4, 1), (8, 4, 2), (70, 3, 3), (9, 5, 4), (6, 3, 5)):
+        inst = hub_instance(n, k, 120 + 20 * seed, seed, 3, gaussian=seed % 2)
+        ell = (k + 1) // 2
+        dec = regularity_decompose(inst, ell, 1.0)
+        whole = [BipartiteDecomposition(n=n, k=k, ell=ell, eps=1.0, m=inst.m, buckets=(
+            Bucket(t=t, center=PauliOp.identity(n), cids=tuple(range(inst.m))[::-1]),))
+            for t in (1, k - 1)]
+        for d in [dec] + whole:
+            for eps in (1.0, 0.5, 0.2, 0.05):
+                result = regularity_check(d, inst, eps, ell)
+                assert result == regularity_check_reference(d, inst, eps, ell)
+                if not result[0]:
+                    violations += 1
+                    assert type(result[1][2]) is int  # the count, as the reference gives it
+    assert violations >= 20
 
 
 def test_regularity_check_empty():
@@ -639,6 +684,26 @@ def test_cs_operator():
     for b in dec.slice(1):
         for cid in b.cids:
             assert tilde_word(inst.constraints[cid].pauli, b.center).weight() == inst.k - 1
+
+
+def test_cs_operator_reads_the_slice_without_residuals(monkeypatch):
+    # the constraint ids come from the buckets, in the residuals' row order, so the sum of
+    # squared coefficients is bit-identical to one over the residuals' ids
+    cases = []
+    for seed in range(6):
+        inst = generate(GeneratorConfig(n=6, k=3, m=20 + seed, model="gaussian-semirandom",
+                                        seed=seed))
+        dec = regularity_decompose(inst, 2, 0.8)
+        cases += [(dec, inst, t, residuals(dec, inst, t)[1]) for t in dec.nonempty_levels()]
+
+    def no_residuals(*args):
+        raise AssertionError("cs_operator computed the residuals")
+
+    monkeypatch.setattr(kikuchi_odd, "residuals", no_residuals)
+    for dec, inst, t, cids in cases:
+        cs = cs_operator(dec, inst, t)
+        assert cs.num_constraints == len(cids) and cs.num_centers == len(dec.slice(t))
+        assert cs.sum_b_sq == float(sum(c ** 2 for c in inst.coeffs[cids].tolist()))
 
 
 def test_local_degrees():

@@ -334,7 +334,7 @@ def test_to_sparse_equals_letter_scan(p):
     assert p.to_sparse() == (expected or "I")
 
 
-def test_rank_batch_rejects_bad_rows_and_oversized_slices():
+def test_rank_batch_rejects_bad_rows_and_ranks_oversized_slices():
     idx = SliceIndex(6, 2)
     for sites, letters in (([[1, 1]], [[0, 0]]), ([[0, 6]], [[0, 0]]), ([[0, 1]], [[0, 3]])):
         with pytest.raises(ValueError):
@@ -343,8 +343,23 @@ def test_rank_batch_rejects_bad_rows_and_oversized_slices():
     for sites, letters in (([[0.0, 1.9]], [[0, 2]]), ([[0, 1]], [[0, 2.7]])):
         with pytest.raises(ValueError, match="must be integers"):
             idx.rank_batch(np.array(sites), np.array(letters))
-    with pytest.raises(ValueError, match="int64"):
-        SliceIndex(120, 40).rank_batch(np.zeros((0, 40)), np.zeros((0, 40)))
+    # slices of 2^63 words or more get Python-int ranks, equal to rank word by word; at
+    # (100, 12) only 3^ell C(n, ell) passes 2^63, not C(n, ell) itself
+    rng = np.random.default_rng(7)
+    for n, ell in ((120, 40), (200, 45), (100, 12)):
+        idx = SliceIndex(n, ell)
+        assert idx.size >= 2**63 and (math.comb(n, ell) < 2**63) == (ell == 12)
+        sites = np.array([rng.choice(n, ell, replace=False) for _ in range(40)])
+        letters = rng.integers(0, 3, size=sites.shape).astype(np.int8)
+        ranks = idx.rank_batch(sites, letters)
+        assert (ranks.shape, ranks.dtype) == ((40,), object)
+        # the first row's sites reversed and reranked alone: any site order, any batch size
+        assert idx.rank_batch(sites[:1, ::-1], letters[:1, ::-1]).tolist() == ranks[:1].tolist()
+        for row, letter_row, rank in zip(sites.tolist(), letters.tolist(), ranks.tolist()):
+            order = np.argsort(row)
+            word = PauliOp.from_letters(n, [row[i] for i in order],
+                                        "".join("XYZ"[letter_row[i]] for i in order))
+            assert type(rank) is int and rank == idx.rank(word) and idx.unrank(rank) == word
 
 
 def test_string_round_trips():
