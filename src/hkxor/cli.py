@@ -10,6 +10,7 @@ Every command is deterministic given its flags.
 from __future__ import annotations
 
 import argparse
+import functools
 import statistics
 import sys
 import time
@@ -255,7 +256,9 @@ def _cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(prog="hkxor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -5,11 +5,21 @@ operators are capped at n <= 12 qubits and the weight-slice quadratic-form
 check at n <= 8; callers hitting the caps get a ResourceGuardError, a
 MemoryError.
 
+A dense Hamiltonian is built from mask columns in one grouped pass
+(``_grouped_sum``): the terms are grouped by x-mask, since the words of one
+group fill the same 2^n entries, and each group's entries are summed over
+its members in input order, one vectorized add per member rank, then
+divided and scattered once into the zero matrix.  Summation order is the
+rule that keeps every bit: each entry is the same sequence of additions as
+one scatter-add per term in input order, so no regrouped reduction (a
+``reduceat`` or a pairwise sum) may replace it.
+
 This module also holds the Hermitian eigen-kernel that ``certify`` and
 ``sos`` share with ``lambda_max``: one symmetry rule (``check_hermitian``,
-relative to the largest entry), one seeded ARPACK step (``ritz_pair``, one
-``eigsh(k=1)`` whose matvec is scipy's CSR kernel called directly), one
-residual (``ritz_residual``) and one dense cut-off (``DENSE_DIM``).
+relative to the largest entry, refusing non-finite entries), one seeded
+ARPACK step (``ritz_pair``, one ``eigsh(k=1)`` whose matvec is scipy's CSR
+kernel called directly), one residual (``ritz_residual``) and one dense
+cut-off (``DENSE_DIM``).
 
 ``lambda_max`` returns the top eigenvalue without diagonalizing the whole
 matrix, and proves it.  The value is the top Ritz value lam of one seeded
@@ -54,9 +64,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import zpotrf
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import csr_has_canonical_format, csr_matvec
 
-from .pauli import PauliOp, PhasedPauli, site_mask
+from .pauli import PHASES, PauliOp, PhasedPauli, masks_from_arrays, site_mask
 
 DENSE_QUBIT_CAP = 12
 QFORM_QUBIT_CAP = 8
@@ -67,6 +77,9 @@ HERMITIAN_TOL = 1e-12
 DENSE_DIM = 64
 UNIT_ROUNDOFF = 2.0**-53
 SMALLEST_SUBNORMAL = 2.0**-1074
+# dense assembly sums at most this many entries of x-mask groups at a time
+ASSEMBLY_CHUNK = 1 << 16
+_PHASE_TABLE = np.array(PHASES, dtype=complex)
 
 
 class ResourceGuardError(MemoryError):
@@ -96,7 +109,7 @@ def apply_word(op: PauliOp, psi: np.ndarray) -> np.ndarray:
 
 def dense_word(op: PauliOp) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a phase-free word (signed permutation)."""
-    return assemble_pauli_sum(op.n, [(op, 1.0)]).matrix
+    return _grouped_sum(op.n, [op.xmask], [op.zmask], [1.0])
 
 
 def dense_phased(p: PhasedPauli) -> np.ndarray:
@@ -117,35 +130,72 @@ class DenseOperator:
 
 
 def assemble_pauli_sum(n: int, terms) -> DenseOperator:
-    """Dense sum of (PauliOp, coefficient) terms, one scatter-add per term.
-
-    Terms are added one at a time: repeated words, and words sharing an x-mask,
-    hit the same entries, which one buffered fancy-index add would drop.
-    """
-    if n > DENSE_QUBIT_CAP:
-        raise ResourceGuardError(f"dense assembly needs n <= {DENSE_QUBIT_CAP}, got {n}")
-    dim = 1 << n
-    cols = np.arange(dim, dtype=np.int64)
-    m = np.zeros((dim, dim), dtype=complex)
-    for op, coeff in terms:
-        rows, vals = word_action(op)
-        m[rows, cols] += coeff * vals
-    return DenseOperator(n, m)
+    """Dense sum of (PauliOp, coefficient) terms, by ``_grouped_sum``."""
+    terms = [(op.xmask, op.zmask, coeff) for op, coeff in terms]
+    return DenseOperator(n, _grouped_sum(n, *(zip(*terms) if terms else ((), (), ()))))
 
 
 def assemble_star(inst) -> DenseOperator:
     """Dense unnormalized sum of signed constraint words."""
-    return assemble_pauli_sum(inst.n, [(c.pauli, c.coeff) for c in inst.constraints])
+    return DenseOperator(inst.n, _grouped_sum(inst.n, *_columns(inst)))
 
 
 def assemble(inst) -> DenseOperator:
     """Dense H = Id/2 + (1/2|H|) sum_C b_C P_C for an Instance."""
-    op = assemble_star(inst)
-    m = op.matrix  # scaled in place: same rounding as summing then normalizing
-    if inst.constraints:
-        m /= 2 * len(inst.constraints)
+    m = _grouped_sum(inst.n, *_columns(inst), divisor=2 * inst.m)
     m.reshape(-1)[:: (1 << inst.n) + 1] += 0.5  # the diagonal, as a view
-    return op
+    return DenseOperator(inst.n, m)
+
+
+def _columns(inst) -> tuple[list, list, np.ndarray]:
+    """(xmasks, zmasks, coeffs) of an Instance's rows."""
+    return (*masks_from_arrays(inst.n, inst.sites, inst.letters), inst.coeffs)
+
+
+def _grouped_sum(n: int, xmasks, zmasks, coeffs, divisor: int = 0) -> np.ndarray:
+    """Dense sum_t coeffs[t] W(xmasks[t], zmasks[t]), divided by ``divisor`` unless it is 0.
+
+    Word t puts w_t (-1)^{|z_t & b|} in entry (b ^ x_t, b), with w_t =
+    coeffs[t] i^{|x_t & z_t|} from the exact table ``PHASES``.  The terms are
+    grouped by x-mask, and each group's 2^n entries are summed in input order,
+    one vectorized add per member rank (groups by descending size, so the
+    groups with an r-th member are a prefix): every entry sees the additions,
+    and so the roundings, of one scatter-add per term.  A group sum is divided
+    and then scattered once into the zero matrix.  Groups go in chunks of at
+    most ``ASSEMBLY_CHUNK`` entries, which bounds the temporaries.
+    """
+    if n > DENSE_QUBIT_CAP:
+        raise ResourceGuardError(f"dense assembly needs n <= {DENSE_QUBIT_CAP}, got {n}")
+    dim = 1 << n
+    out = np.zeros((dim, dim), dtype=complex)
+    if not len(coeffs):
+        return out
+    xmasks, zmasks = np.asarray(xmasks, dtype=np.int64), np.asarray(zmasks, dtype=np.int64)
+    weights = _PHASE_TABLE[np.bitwise_count(xmasks & zmasks) & 3] * np.asarray(coeffs)
+    keys, group, sizes = np.unique(xmasks, return_inverse=True, return_counts=True)
+    by_term = np.argsort(group, kind="stable")  # group by group, input order inside one
+    rank = np.empty_like(by_term)
+    rank[by_term] = np.arange(len(by_term)) - (np.cumsum(sizes) - sizes)[group[by_term]]
+    by_size = np.argsort(-sizes, kind="stable")
+    slot = np.empty_like(by_size)
+    slot[by_size] = np.arange(len(by_size))
+    table = np.zeros((len(sizes), int(sizes.max())), dtype=np.int64)  # term of (slot, rank)
+    table[slot[group], rank] = np.arange(len(group))
+    keys, sizes = keys[by_size], sizes[by_size]
+    cols = np.arange(dim, dtype=np.int64)
+    step = max(1, ASSEMBLY_CHUNK >> n)
+    for a in range(0, len(keys), step):
+        chunk = sizes[a:a + step]
+        acc = np.zeros((len(chunk), dim), dtype=complex)
+        for r in range(int(chunk[0])):
+            terms = table[a:a + np.count_nonzero(chunk > r), r]
+            odd = np.bitwise_count(zmasks[terms, None] & cols) & 1
+            w = weights[terms, None]
+            acc[:len(terms)] += np.where(odd, -w, w)
+        if divisor:
+            acc /= divisor
+        out[keys[a:a + step, None] ^ cols, cols] = acc
+    return out
 
 
 def pauli_coefficient(op: DenseOperator, word: PauliOp) -> complex:
@@ -156,16 +206,40 @@ def pauli_coefficient(op: DenseOperator, word: PauliOp) -> complex:
 
 
 def check_hermitian(m) -> None:
-    """Raise ValueError unless max|M - M^H| <= HERMITIAN_TOL * max(1, max|M_ij|).
+    """Raise ValueError unless every entry of M is finite and
+    ``hermitian_deviation(M) <= HERMITIAN_TOL * max(1, max|M_ij|)``.
 
     M is dense or sparse; a 0x0 matrix passes.  The largest entry is read only
     when the deviation is above HERMITIAN_TOL.
     """
     if m.shape[0] == 0:
         return
-    dev = abs(m - m.conj().T).max()
-    if dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * abs(m).max():
+    if not np.isfinite(m.data if sp.issparse(m) else m).all():
+        raise ValueError("matrix has a non-finite entry")
+    dev = hermitian_deviation(m)
+    # abs() of a sparse matrix sums its duplicates in place, so it reads a copy
+    if dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * abs(m.copy() if sp.issparse(m) else m).max():
         raise ValueError(f"matrix is not Hermitian (deviation {dev:.3e})")
+
+
+def hermitian_deviation(m) -> float:
+    """max|M - M^H| of a dense or sparse square M with at least one row.
+
+    A CSR matrix without duplicate entries whose transpose stores the same
+    pattern is compared entry by entry with its transpose's data; any other
+    matrix goes through the difference M - M^H.  The caller's arrays
+    are never sorted or summed in place: the CSR matvec sums each row in the
+    stored order.
+    """
+    if sp.issparse(m) and m.format == "csr" and m.shape[0] == m.shape[1]:
+        if csr_has_canonical_format(m.shape[0], m.indptr, m.indices):
+            t = m.T.tocsr()  # M^T in new arrays, each row's columns ascending
+            if np.array_equal(t.indptr, m.indptr) and np.array_equal(t.indices, m.indices):
+                diff = t.data  # t's own array: M - M^H is built in place
+                np.conjugate(diff, out=diff)
+                np.subtract(m.data, diff, out=diff)
+                return float(np.abs(diff).max()) if diff.any() else 0.0
+    return float(abs(m - m.conj().T).max())
 
 
 def _csr_product(mat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
@@ -294,8 +368,9 @@ def quadratic_form_check(inst, ell: int, state: np.ndarray, graph) -> float:
         lhs += w * np.vdot(block(q), block(r))
 
     rhs = 0.0 + 0.0j
-    for c in inst.constraints:
-        rhs += c.coeff * np.vdot(state, apply_word(c.pauli, state))
+    xmasks, zmasks = masks_from_arrays(inst.n, inst.sites, inst.letters)
+    for x, z, coeff in zip(xmasks, zmasks, inst.coeffs.tolist()):
+        rhs += coeff * np.vdot(state, apply_word(PauliOp(inst.n, x, z), state))
     rhs *= graph.delta
 
     return float(abs(lhs - rhs) / max(1.0, abs(rhs)))

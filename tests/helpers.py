@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 
 from hkxor.instances import GeneratorConfig, generate
+from hkxor.oracle import word_action
 from hkxor.pauli import PauliOp, enumerate_slice, mul_words
 from hkxor.sos import (MAX_ENTROPY_WORDS, Contradiction, Derivation, ExactComplex,
                        PseudoExpectation, anticommuting_obstruction)
@@ -39,6 +40,32 @@ def degrees_reference(graph):
     ends = np.column_stack((graph.rows, graph.cols)).ravel()
     half = np.repeat(graph.weights[graph.tids] / 2.0, 2)
     return np.bincount(ends, weights=np.abs(half), minlength=graph.num_vertices)
+
+
+def assemble_pauli_sum_reference(n, terms):
+    """The dense sum of (PauliOp, coefficient) terms, one scatter-add of 2^n entries per
+    term in input order."""
+    cols = np.arange(1 << n, dtype=np.int64)
+    m = np.zeros((1 << n, 1 << n), dtype=complex)
+    for op, coeff in terms:
+        rows, vals = word_action(op)
+        m[rows, cols] += coeff * vals
+    return m
+
+
+def assemble_reference(inst):
+    """Dense H = Id/2 + (1/2|H|) sum_C b_C P_C: the per-term sum, divided, plus 0.5 on the
+    diagonal."""
+    m = assemble_pauli_sum_reference(inst.n, [(c.pauli, c.coeff) for c in inst.constraints])
+    if inst.m:
+        m /= 2 * inst.m
+    m.reshape(-1)[:: (1 << inst.n) + 1] += 0.5
+    return m
+
+
+def hermitian_deviation_reference(m):
+    """max|M - M^H| of a dense or sparse M through the whole difference matrix."""
+    return float(abs(m - m.conj().T).max())
 
 
 def lambda_max_reference(matrix):

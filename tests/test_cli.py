@@ -490,6 +490,37 @@ def test_report_header_lists_every_flag_and_reruns(tmp_path, capsys, command, fl
     assert untimed(run(capsys, *_rerun_argv(command, out))[1]) == untimed(out)
 
 
+def test_one_parser_serves_every_call_of_a_process(tmp_path, capsys, monkeypatch):
+    # main() builds its parser once; the reports, config.* headers included, are those
+    # of a parser built afresh for each call
+    assert _build_parser() is _build_parser()
+    path, moments = tmp_path / "inst", tmp_path / "pmom"
+    run(capsys, "gen", "--n", "5", "--k", "2", "--m", "6", "--model", "one-basis-z",
+        "--seed", "3", "--out", str(path))
+    moments.write_text(point_moments(5))
+    calls = [["certify", "--in", str(path), "--ell", "1", "--eps", "0.7"],
+             ["certify", "--in", str(path), "--ell", "one"],
+             ["oracle", "--in", str(path), "--expansion", "1.0", "2"],
+             ["witness", "--in", str(path), "--degree", "2", "--lift", str(moments)]]
+
+    def reports():
+        results = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            lines = [line for line in captured.out.splitlines() if "time_s=" not in line]
+            results.append((code, lines, captured.err))
+        return results
+
+    shared = reports() + reports()
+    monkeypatch.setattr("hkxor.cli._build_parser", _build_parser.__wrapped__)
+    fresh = reports()
+    assert [code for code, _, _ in fresh] == [0, 3, 0, 0]
+    assert "argument --ell: invalid int value: 'one'" in fresh[1][2]
+    assert any(line == "config.expansion=1.0 2" for line in fresh[2][1])
+    assert shared == fresh + fresh
+
+
 def test_certify_odd_past_int64_subword_ranks(tmp_path, capsys):
     # k = 13 on 200 sites: the weight-t subword slices of t = 9..13 hold 2^63 words or more
     path = tmp_path / "k13"

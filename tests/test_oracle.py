@@ -6,13 +6,17 @@ import random
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from helpers import lambda_max_reference
+from helpers import (assemble_pauli_sum_reference, assemble_reference,
+                     hermitian_deviation_reference, lambda_max_reference)
 from hkxor import oracle, sos
-from hkxor.certify import spectral_norm
-from hkxor.instances import GeneratorConfig, generate
+from hkxor.certify import certify, spectral_norm
+from hkxor.cli import main
+from hkxor.instances import GeneratorConfig, Instance, generate, serialize
+from hkxor.kikuchi_even import build_even
 from hkxor.oracle import (
     HERMITIAN_TOL,
     DenseOperator,
@@ -23,9 +27,12 @@ from hkxor.oracle import (
     assemble_star,
     classical_max,
     classical_value,
+    check_hermitian,
     dense_word,
+    hermitian_deviation,
     lambda_max,
     pauli_coefficient,
+    quadratic_form_check,
     rump_bound,
     word_action,
 )
@@ -313,3 +320,158 @@ def test_resource_guards():
         dense_word(PauliOp.identity(13))
     with pytest.raises(ResourceGuardError):
         classical_max([(0, 1)], [1.0], 25)
+
+
+# -- grouped assembly against the per-term reference ------------------------------
+
+RANDOM_MODELS = ("rademacher-semirandom", "gaussian-semirandom", "random", "one-basis-z")
+
+
+@st.composite
+def instances(draw):
+    """Generated instances on 1-10 qubits in all four models, m = 0 and all-zero
+    coefficients included."""
+    n = draw(st.integers(1, 10))
+    k = draw(st.integers(1, min(3, n)))
+    model = draw(st.sampled_from(RANDOM_MODELS))
+    m = draw(st.integers(0, 60))
+    if not m:
+        empty = np.zeros((0, k), dtype=np.int64)
+        return Instance(n, k, empty, empty, np.zeros(0), model)
+    inst = generate(GeneratorConfig(n=n, k=k, m=m, model=model, seed=draw(st.integers(0, 99))))
+    if draw(st.integers(0, 4)) == 0:
+        return Instance(n, k, inst.sites, inst.letters, np.zeros(m), model)
+    return inst
+
+
+@settings(max_examples=60)
+@given(instances())
+def test_grouped_assembly_is_the_per_term_sum_byte_for_byte(inst):
+    assert assemble(inst).matrix.tobytes() == assemble_reference(inst).tobytes()
+    star = assemble_pauli_sum_reference(inst.n, [(c.pauli, c.coeff) for c in inst.constraints])
+    assert assemble_star(inst).matrix.tobytes() == star.tobytes()
+
+
+@st.composite
+def shared_x_sums(draw):
+    """(n, terms) on 1-10 qubits: words from a pool of at most four x-masks, so words
+    repeat and share x-masks, with +-1, Gaussian, complex or zero coefficients."""
+    n = draw(st.integers(1, 10))
+    xs = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=4))
+    masks = st.tuples(st.sampled_from(xs), st.integers(0, (1 << n) - 1))
+    pool = draw(st.lists(masks, min_size=1, max_size=8))
+    words = [PauliOp(n, x, z) for x, z in draw(st.lists(st.sampled_from(pool), max_size=40))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = len(words)
+    coeffs = draw(st.sampled_from((
+        rng.choice([-1.0, 1.0], size), rng.standard_normal(size),
+        rng.standard_normal(size) + 1j * rng.standard_normal(size), np.zeros(size))))
+    return n, list(zip(words, coeffs.tolist()))
+
+
+@settings(max_examples=80)
+@given(shared_x_sums())
+def test_grouped_pauli_sum_is_the_per_term_sum_byte_for_byte(case):
+    n, terms = case
+    got = assemble_pauli_sum(n, terms).matrix
+    assert got.tobytes() == assemble_pauli_sum_reference(n, terms).tobytes()
+
+
+def test_grouped_assembly_guards_thirteen_qubits():
+    inst = generate(GeneratorConfig(n=13, k=3, m=4, seed=0))
+    for build in (lambda: assemble(inst), lambda: assemble_star(inst),
+                  lambda: assemble_pauli_sum(13, [(PauliOp.identity(13), 1.0)])):
+        with pytest.raises(ResourceGuardError, match="n <= 12, got 13"):
+            build()
+
+
+# -- Hermitian check --------------------------------------------------------------
+
+
+@st.composite
+def raw_csr(draw):
+    """A square CSR matrix built from its raw arrays: entries in drawn order inside each
+    row (so unsorted unless sorted on purpose), some duplicated, the pattern mirrored or
+    not, the mirror's values equal or off by a small or large amount, real or complex."""
+    dim = draw(st.integers(1, 7))
+    dtype = draw(st.sampled_from((float, complex)))
+    value = st.sampled_from((1.0, -1.0, 0.5, 2.0))
+    if dtype is complex:
+        value = st.builds(complex, value, value)
+    entry = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1), value)
+    entries = draw(st.lists(entry, max_size=20))
+    if draw(st.booleans()):
+        entries += [(j, i, v.conjugate() + draw(st.sampled_from((0.0, 1e-13, 1e-11, 1e-3))))
+                    for i, j, v in entries]
+    if draw(st.booleans()):
+        entries.sort(key=lambda e: e[:2])
+    entries.sort(key=lambda e: e[0])  # stable: each row keeps its order
+    indptr = np.searchsorted([i for i, _, _ in entries], np.arange(dim + 1))
+    return sp.csr_matrix((np.array([v for _, _, v in entries], dtype=dtype),
+                          np.array([j for _, j, _ in entries], dtype=np.int32),
+                          indptr.astype(np.int32)), shape=(dim, dim))
+
+
+@settings(max_examples=300)
+@given(raw_csr())
+def test_hermitian_deviation_matches_the_difference_formula(m):
+    arrays = [a.copy() for a in (m.data, m.indices, m.indptr)]
+    dev = hermitian_deviation_reference(m.copy())
+    refused = dev > HERMITIAN_TOL and dev > HERMITIAN_TOL * abs(m.copy()).max()
+    assert hermitian_deviation(m) == dev
+    try:
+        check_hermitian(m)
+    except ValueError:
+        assert refused
+    else:
+        assert not refused
+    for before, after in zip(arrays, (m.data, m.indices, m.indptr)):
+        assert before.dtype == after.dtype and before.tobytes() == after.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_entries_are_refused(bad, monkeypatch):
+    pair = np.array([[0.0, bad], [bad, 0.0]])
+    for matrix in (pair, sp.csr_matrix(pair)):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            spectral_norm(matrix)
+    # one pair of mirrored entries in an operator past the dense cut-off
+    h = assemble_pauli_sum(7, [(PauliOp.from_string("XZIIIII"), 0.25)]).matrix
+    h[3, 5] = h[5, 3] = bad
+    for matrix in (h, np.diag([1.0, 0.0]) + pair):
+        with pytest.raises(ValueError, match="non-finite entry"):
+            lambda_max(DenseOperator(len(matrix).bit_length() - 1, matrix.astype(complex)))
+    inst = generate(GeneratorConfig(n=5, k=3, m=6, model="one-basis-z", seed=2))
+    pe = lift_classical(inst, MomentOracle.from_distribution(5, [(1, -1, 1, 1, -1)]), 4)
+    moments = sos.moment_matrix(pe, 4)
+    moments[0, 1] = moments[1, 0] = bad
+    monkeypatch.setattr(sos, "moment_matrix", lambda *_: moments)
+    with pytest.raises(ValueError, match="non-finite entry"):
+        positivity_check(pe, 4)
+
+
+# -- the oracle reads the instance columns only -----------------------------------
+
+
+def test_oracle_and_certify_never_read_the_row_view(tmp_path, capsys, monkeypatch):
+    odd = generate(GeneratorConfig(n=7, k=3, m=12, model="gaussian-semirandom", seed=3))
+    even = generate(GeneratorConfig(n=6, k=2, m=10, model="random", seed=5))
+    path = tmp_path / "inst"
+    path.write_text(serialize(odd))
+    expected = lambda_max(assemble(odd))
+    rng = np.random.default_rng(0)
+    psi = rng.standard_normal(1 << even.n) + 1j * rng.standard_normal(1 << even.n)
+    psi /= np.linalg.norm(psi)
+    graph = build_even(even, 1)
+    qform = quadratic_form_check(even, 1, psi, graph)
+
+    def no_rows(_inst):
+        raise AssertionError("Instance.constraints was read")
+
+    monkeypatch.setattr(Instance, "constraints", property(no_rows))
+    certify(odd, 2, eps=0.8)
+    certify(even, 1, eps=0.8)
+    assert lambda_max(assemble(odd)) == expected
+    assert quadratic_form_check(even, 1, psi, graph) == qform <= 1e-9
+    assert main(["oracle", "--in", str(path)]) == 0
+    assert f"lambda_max={expected!r}" in capsys.readouterr().out.splitlines()
