@@ -56,7 +56,7 @@ from .instances import Instance, check_eps, digest, over_eps_power
 from .kikuchi_even import build_even, regularize
 from .kikuchi_odd import (build_odd, check_free_sites, cs_operator, edge_delete,
                           regularity_decompose)
-from .oracle import DENSE_DIM, check_hermitian, ritz_pair, ritz_residual
+from .oracle import DENSE_DIM, ResourceGuardError, check_hermitian, ritz_pair, ritz_residual
 
 DEFAULT_TOL = 1e-6
 ETA_CONST = 3
@@ -207,19 +207,30 @@ def _scaled(matrix: sp.csr_matrix, gamma: np.ndarray) -> sp.csr_matrix:
     return out
 
 
+def certified_norm(graph, tol: float, seed: int) -> tuple[float, float, float, float]:
+    """(sigma, residual, sigma + tol * max(1, sigma), Tr Gamma) of the regularized graph,
+    sigma = ||Gamma^{-1/2} A* Gamma^{-1/2}||; all zero at zero total degree (no
+    edges, or only zero weights), where the graph has nothing to regularize."""
+    if not graph.total_degree:
+        return 0.0, 0.0, 0.0, 0.0
+    reg = regularize(graph)
+    sigma, residual = spectral_norm(_scaled(graph.signed_matrix(), reg.gamma), tol=tol, seed=seed)
+    return sigma, residual, sigma + tol * max(1.0, sigma), reg.trace
+
+
 def trace_moment(graph, reg, r: int) -> tuple[float, float]:
     """(Tr((Gamma^{-1} A*)^{2r}), its 2r-th root) by repeated sparse products."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     mat = graph.signed_matrix()
     if 2 * r * max(mat.nnz, 1) > TRACE_BUDGET_NNZ:
-        raise MemoryError("trace moment exceeds the configured memory budget")
+        raise ResourceGuardError("trace moment exceeds the configured memory budget")
     b = (sp.diags(1.0 / reg.gamma) @ mat).tocsr()
     power = b
     for _ in range(r - 1):
         power = (power @ b).tocsr()
         if power.nnz > TRACE_BUDGET_NNZ:
-            raise MemoryError("trace moment exceeds the configured memory budget")
+            raise ResourceGuardError("trace moment exceeds the configured memory budget")
     value = float(power.multiply(power.T).sum())
     value = max(value, 0.0)
     return value, value ** (1.0 / (2 * r))
@@ -307,14 +318,10 @@ def certify_even(inst: Instance, ell: int, tol: float = DEFAULT_TOL,
     if inst.k % 2 != 0:
         raise ValueError(f"even branch needs even k, got k={inst.k}")
     graph = build_even(inst, ell)
-    algval, sigma, residual = 0.5, 0.0, 0.0
-    # zero total degree (no constraint, or only zero coefficients): H = Id/2 and sigma = 0
-    if graph.total_degree:
-        reg = regularize(graph)
-        sigma, residual = spectral_norm(_scaled(graph.signed_matrix(), reg.gamma),
-                                        tol=tol, seed=solver_seed)
-        factor = graph.total_degree / (graph.delta * inst.m)
-        algval = 0.5 + factor * (sigma + tol * max(1.0, sigma))
+    sigma, residual, padded, _ = certified_norm(graph, tol, solver_seed)
+    # zero total degree (no constraint, or only zero coefficients): H = Id/2 and padded = 0
+    factor = graph.total_degree / (graph.delta * inst.m) if inst.m else 0.0
+    algval = 0.5 + factor * padded
     return Certificate(digest(inst), "even", ell, None, tol, solver_seed,
                        algval, sigma, residual, graph.num_vertices, graph.num_edges,
                        time.perf_counter() - start)
@@ -359,16 +366,13 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
                      for (cid, cid2), r in zip(pruned.pairs[over].tolist(),
                                                pruned.rho[over].tolist())]
 
-        norm_t = residual_t = norm_term = 0.0
+        norm_t, residual_t, padded, trace = certified_norm(pruned, tol, solver_seed)
+        norm_term = 0.0
         if pruned.total_degree:  # zero total degree: no edges, or only zero weights
             active = [(r, count, a) for r, count, a in zip(rho, counts, abs_signs) if count]
             w_min = min(r * count for r, count, _ in active)
             slack = sum((r * count - w_min) * a for r, count, a in active)
-            reg = regularize(pruned)
-            norm_t, residual_t = spectral_norm(
-                _scaled(pruned.signed_matrix(), reg.gamma), tol=tol, seed=solver_seed)
-            padded = norm_t + tol * max(1.0, norm_t)
-            norm_term = cs.scale * (padded * reg.trace + slack) / w_min
+            norm_term = cs.scale * (padded * trace + slack) / w_min
         slices.append(SliceCertificate(t, cs.constant_term + norm_term + cs.scale * penalty,
                                        cs.num_centers, cs.num_constraints, norm_t, residual_t,
                                        gamma, eta, pruned.num_vertices, pruned.num_edges,

@@ -30,7 +30,7 @@ from .instances import (
     read_number,
     serialize,
 )
-from .oracle import assemble, classical_max, lambda_max
+from .oracle import ResourceGuardError, assemble, classical_max, lambda_max
 from .pauli import site_mask
 from .sos import (
     Contradiction,
@@ -202,7 +202,7 @@ def _cmd_witness(args) -> int:
         min_eig, passed = positivity_check(pe, args.degree)
         lines.append(f"positivity.min_eig={min_eig!r}")
         lines.append(f"positivity.pass={int(passed)}")
-    except MemoryError as exc:
+    except ResourceGuardError as exc:
         lines.append(f"positivity.skipped={exc}")
     lines.append("")
     lines.append(pe.dump().rstrip("\n"))

@@ -5,7 +5,9 @@ a Pauli word P_C supported exactly on C, and a real coefficient b_C.  An
 :class:`Instance` stores them as three columns: the (m, k) sites, the (m, k)
 letters and the (m,) coefficients.  Its ``constraints`` view turns each row
 into a :class:`Constraint`, which stores only P_C and b_C and reads C off
-the word.  An instance defines the Hamiltonian
+the word.  No library path reads that view: every one reads the columns.
+Only the benchmark's workloads and the view's own tests read it.  An
+instance defines the Hamiltonian
 Id/2 + (1/2|H|) * sum_C b_C P_C.
 
 Generation models (coefficient law / structure law):

@@ -30,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .instances import Instance
+from .oracle import ResourceGuardError
 from .pauli import (PauliOp, SliceIndex, enumerate_slice, masks_from_arrays, mul_words,
                     site_mask)
 
@@ -106,8 +107,6 @@ class KikuchiGraph:
     def signed_matrix(self) -> sp.csr_matrix:
         """N x N symmetric signed adjacency (E + E^T)/2, duplicate entries summed."""
         size = self.num_vertices
-        if not self.num_edges:
-            return sp.csr_matrix((size, size))
         rows, cols, vals = self._endpoints()
         return sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
 
@@ -150,7 +149,7 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
     delta = delta_count(n, k, ell)
     edges = inst.m * delta
     if edges > EDGE_BUDGET:
-        raise MemoryError(f"{edges:.2e} edges exceeds budget {EDGE_BUDGET:.1e}")
+        raise ResourceGuardError(f"{edges:.2e} edges exceeds budget {EDGE_BUDGET:.1e}")
 
     index = SliceIndex(n, ell)
     rank = index.rank

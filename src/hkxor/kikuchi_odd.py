@@ -70,6 +70,7 @@ import numpy as np
 
 from .instances import Instance, check_eps, over_eps_power
 from .kikuchi_even import EDGE_BUDGET, KikuchiGraph
+from .oracle import ResourceGuardError
 from .pauli import PauliOp, SliceIndex, slice_arrays, words_to_arrays
 
 
@@ -555,7 +556,8 @@ def build_odd(dec: BipartiteDecomposition, inst: Instance, t: int, ell: int) -> 
 
     est = 2 * float(delta_t) * sum(s * (s - 1) for s in sizes)
     if est > EDGE_BUDGET:
-        raise MemoryError(f"estimated {est:.2e} edge candidates exceeds budget {EDGE_BUDGET:.1e}")
+        raise ResourceGuardError(f"estimated {est:.2e} edge candidates exceeds budget "
+                                 f"{EDGE_BUDGET:.1e}")
 
     bids, cids, sites, letters = residuals(dec, inst, t)
     first, second = _bucket_pairs(sizes)

@@ -33,9 +33,9 @@ from itertools import combinations
 import numpy as np
 
 from .instances import Instance
-from .oracle import check_hermitian
-from .pauli import (PauliOp, canonical_key, commutes, enumerate_slice, mul_words, site_mask,
-                    slice_size)
+from .oracle import ResourceGuardError, check_hermitian
+from .pauli import (PauliOp, canonical_key, commutes, enumerate_slice, masks_from_arrays,
+                    mul_words, site_mask, slice_size)
 
 MOMENT_MATRIX_CAP = 5000
 # most words the max-entropy closure assigns before it stops (each new word is
@@ -221,10 +221,11 @@ def _derivation(rules: dict[PauliOp, tuple], word: PauliOp) -> Derivation:
 
 
 def _energy(inst: Instance, value_of) -> ExactComplex:
-    """1/2 + (1/2|H|) sum_C b_C value_of(C) over the constraints C, exactly; 1/2 when m = 0."""
+    """1/2 + (1/2|H|) sum_C b_C value_of(x_C, z_C) over the rows' masks, exactly; 1/2 when m = 0."""
     total = ZERO
-    for c in inst.constraints:
-        total = total + ExactComplex.of(Fraction(c.coeff)) * value_of(c)
+    xs, zs = masks_from_arrays(inst.n, inst.sites, inst.letters)
+    for x, z, coeff in zip(xs, zs, inst.coeffs.tolist()):
+        total = total + ExactComplex.of(Fraction(coeff)) * value_of(x, z)
     half = ExactComplex.of(Fraction(1, 2))
     return half + ExactComplex.of(Fraction(1, 2 * inst.m)) * total if inst.m else half
 
@@ -266,7 +267,7 @@ class PseudoExpectation:
 
     def energy(self, inst: Instance) -> ExactComplex:
         """pE[Id/2 + (1/2|H|) sum_C b_C P_C] in exact arithmetic for +-1 coefficients."""
-        return _energy(inst, lambda c: self.value(c.pauli))
+        return _energy(inst, lambda x, z: self.values.get((inst.n, x, z), ZERO))
 
     def dump(self) -> str:
         lines = [f"PSEXP v1 n={self.n} d={self.degree}"]
@@ -281,14 +282,12 @@ def anticommuting_obstruction(inst: Instance) -> list[tuple[int, int]]:
     """All constraint pairs whose words anticommute.
 
     A non-empty list certifies that no degree-2k pseudo-expectation assigns
-    both terms value 1.
+    both terms value 1.  Rows i < j anticommute when popcount((x_i & z_j) ^
+    (z_i & x_j)) is odd; the masks are Python ints, so any n works.
     """
-    out = []
-    for i in range(inst.m):
-        for j in range(i + 1, inst.m):
-            if not commutes(inst.constraints[i].pauli, inst.constraints[j].pauli):
-                out.append((i, j))
-    return out
+    xs, zs = masks_from_arrays(inst.n, inst.sites, inst.letters)
+    return [(i, j) for i, (xi, zi) in enumerate(zip(xs, zs))
+            for j in range(i + 1, inst.m) if ((xi & zs[j]) ^ (zi & xs[j])).bit_count() & 1]
 
 
 def max_entropy_build(inst: Instance, d: int):
@@ -300,8 +299,8 @@ def max_entropy_build(inst: Instance, d: int):
     become ExactComplex values only in the result.  On one-basis instances
     (any single letter type) products carry no phase and all values are +-1.
     Other instances are accepted as experimental: values may be +-i and the
-    anticommutation scan result is attached.  Raises MemoryError rather than
-    assign more than MAX_ENTROPY_WORDS words.
+    anticommutation scan result is attached.  Raises ResourceGuardError rather
+    than assign more than MAX_ENTROPY_WORDS words.
     """
     if d < inst.k:
         raise ValueError(f"degree {d} below constraint arity {inst.k}")
@@ -317,7 +316,7 @@ def max_entropy_build(inst: Instance, d: int):
         existing = exps.get(word)
         if existing is None:
             if len(order) >= MAX_ENTROPY_WORDS:
-                raise MemoryError(f"max-entropy closure exceeds {MAX_ENTROPY_WORDS} words")
+                raise ResourceGuardError(f"max-entropy closure exceeds {MAX_ENTROPY_WORDS} words")
             exps[word] = exp
             rules[word] = rule
             order.append(word)
@@ -330,11 +329,12 @@ def max_entropy_build(inst: Instance, d: int):
         return None
 
     assign(PauliOp.identity(inst.n), 0, "identity")
-    # seed the axioms in constraint order
-    for cid, c in enumerate(inst.constraints):
-        if c.coeff not in (1, -1):
+    # seed the axioms in row order: row i's coefficient is checked after rows before i
+    xs, zs = masks_from_arrays(inst.n, inst.sites, inst.letters)
+    for cid, (x, z, coeff) in enumerate(zip(xs, zs, inst.coeffs.tolist())):
+        if coeff not in (1, -1):
             raise ValueError("max-entropy seeding needs +-1 coefficients")
-        found = assign(c.pauli, 0 if c.coeff == 1 else 2, "axiom", cid)
+        found = assign(PauliOp(inst.n, x, z), 0 if coeff == 1 else 2, "axiom", cid)
         if found is not None:
             return found
 
@@ -375,11 +375,12 @@ def moment_rows(n: int, d: int) -> int:
 def moment_matrix(pe: PseudoExpectation, d: int) -> np.ndarray:
     """Complex moment matrix pE[a^dag b] over the words a, b of weight <= d/2, slice by slice.
 
-    Raises MemoryError above MOMENT_MATRIX_CAP rows.
+    Raises ResourceGuardError above MOMENT_MATRIX_CAP rows.
     """
     count = moment_rows(pe.n, d)
     if count > MOMENT_MATRIX_CAP:
-        raise MemoryError(f"moment matrix would have {count} rows (cap {MOMENT_MATRIX_CAP})")
+        raise ResourceGuardError(f"moment matrix would have {count} rows "
+                                 f"(cap {MOMENT_MATRIX_CAP})")
     words: list[PauliOp] = []
     for w in _moment_weights(pe.n, d):
         words.extend(enumerate_slice(pe.n, w))
@@ -559,4 +560,4 @@ def lift_classical(inst: Instance, moments: MomentOracle, d: int) -> PseudoExpec
 
 def classical_energy(inst: Instance, moments: MomentOracle) -> ExactComplex:
     """The classical SoS objective 1/2 + (1/2|H|) sum_C b_C pE[x_C], exactly."""
-    return _energy(inst, lambda c: moments.value(c.pauli.support_mask))
+    return _energy(inst, lambda x, z: moments.value(x | z))

@@ -6,7 +6,7 @@ import numpy as np
 
 from hkxor.instances import GeneratorConfig, generate
 from hkxor.oracle import word_action
-from hkxor.pauli import PauliOp, enumerate_slice, mul_words
+from hkxor.pauli import PauliOp, enumerate_slice, mul_words, words_from_arrays
 from hkxor.sos import (MAX_ENTROPY_WORDS, Contradiction, Derivation, ExactComplex,
                        PseudoExpectation, anticommuting_obstruction)
 
@@ -16,6 +16,11 @@ def explicit_instance(n, k, words_sparse, coeffs=None):
     words = tuple(PauliOp.from_sparse(w, n) for w in words_sparse)
     return generate(GeneratorConfig(n=n, k=k, m=len(words), model="explicit", words=words,
                                     coeffs=coeffs or (1.0,) * len(words)))
+
+
+def instance_rows(inst):
+    """The instance's rows as (word, coefficient) pairs, built from its columns."""
+    return list(zip(words_from_arrays(inst.n, inst.sites, inst.letters), inst.coeffs.tolist()))
 
 
 def single_zz():
@@ -56,7 +61,7 @@ def assemble_pauli_sum_reference(n, terms):
 def assemble_reference(inst):
     """Dense H = Id/2 + (1/2|H|) sum_C b_C P_C: the per-term sum, divided, plus 0.5 on the
     diagonal."""
-    m = assemble_pauli_sum_reference(inst.n, [(c.pauli, c.coeff) for c in inst.constraints])
+    m = assemble_pauli_sum_reference(inst.n, instance_rows(inst))
     if inst.m:
         m /= 2 * inst.m
     m.reshape(-1)[:: (1 << inst.n) + 1] += 0.5
@@ -138,11 +143,11 @@ def max_entropy_reference(inst, d):
         return None
 
     assign(PauliOp.identity(inst.n), one, "identity")
-    for cid, c in enumerate(inst.constraints):
-        val = ExactComplex.of(Fraction(c.coeff))
+    for cid, (word, coeff) in enumerate(instance_rows(inst)):
+        val = ExactComplex.of(Fraction(coeff))
         if val * val != one:
             raise ValueError("max-entropy seeding needs +-1 coefficients")
-        found = assign(c.pauli, val, "axiom", cid)
+        found = assign(word, val, "axiom", cid)
         if found is not None:
             return found
 

@@ -39,6 +39,8 @@ from hkxor.sos import (
     positivity_check,
 )
 
+from helpers import instance_rows
+
 
 def verdict(criterion: str, passed: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {criterion}: {'PASS' if passed else 'FAIL'} {detail}")
@@ -323,7 +325,7 @@ def test_criterion_7_max_entropy():
     assert result.value_a * result.value_b.conjugate() == ExactComplex.of(-1)
     acc = 0
     for cid in result.combined_axioms:
-        acc ^= sum(1 << i for i in tri.constraints[cid].support)
+        acc ^= instance_rows(tri)[cid][0].support_mask
     assert acc == 0
     verdict("7 max-entropy", True, "30/30 expander builds, triangle contradiction confirmed")
 

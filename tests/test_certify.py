@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from hkxor import kikuchi_even, kikuchi_odd, sos
 from hkxor.certify import (
     SpectralNormError,
     certify,
@@ -20,9 +21,10 @@ from hkxor.certify import (
 )
 from hkxor.instances import GeneratorConfig, generate, parse
 from hkxor.kikuchi_even import build_even, regularize
-from hkxor.oracle import DENSE_DIM, _csr_product, assemble, lambda_max
+from hkxor.kikuchi_odd import build_odd, regularity_decompose
+from hkxor.oracle import DENSE_DIM, ResourceGuardError, _csr_product, assemble, lambda_max
 
-from helpers import explicit_instance, single_zz
+from helpers import explicit_instance, instance_rows, single_zz
 
 
 def empty(n, k):
@@ -362,7 +364,7 @@ def test_certify_odd_two_large_components_at_benchmark_scale(monkeypatch):
     # the odd-slice benchmark's graph: its signed matrix stores 1,792 cancelled
     # zeros, and its two components above DENSE_DIM are solved one at a
     # time; algval recorded when both shared one ARPACK call
-    words = tuple(c.pauli for c in generate(GeneratorConfig(n=12, k=3, m=60, seed=0)).constraints)
+    words = tuple(w for w, _ in instance_rows(generate(GeneratorConfig(n=12, k=3, m=60, seed=0))))
     inst = generate(GeneratorConfig(n=12, k=3, m=60, model="rademacher-semirandom", seed=1,
                                     words=words))
     sizes = counting_eigsh(monkeypatch)
@@ -540,3 +542,54 @@ def test_certify_reads_only_the_instance_columns(k, ell):
     inst = generate(GeneratorConfig(n=8, k=k, m=40, model="gaussian-semirandom", seed=k))
     certify(inst, ell, eps=0.8)
     assert "constraints" not in vars(inst)
+
+
+def test_every_size_limit_raises_the_guard_type(monkeypatch):
+    # each documented size limit is a ResourceGuardError (a MemoryError, so the CLI
+    # exits 4) with its own message; a plain MemoryError is an allocation failure
+    even = generate(GeneratorConfig(n=6, k=2, m=10, seed=1))
+    odd = generate(GeneratorConfig(n=7, k=3, m=12, seed=2))
+    dec = regularity_decompose(odd, 2, 0.8)
+    z = generate(GeneratorConfig(n=5, k=2, m=4, model="one-basis-z", seed=3))
+    pe = sos.PseudoExpectation(n=5, degree=2, values={})
+    leaves = 20  # a star: 40 stored entries, and its square 1 + 20^2
+    star = sp.csr_matrix((np.ones(2 * leaves), (np.r_[np.zeros(leaves, int), 1:leaves + 1],
+                                                 np.r_[1:leaves + 1, np.zeros(leaves, int)])))
+    graph = type("Star", (), {"signed_matrix": lambda self: star})()
+    reg = type("Reg", (), {"gamma": np.ones(leaves + 1)})()
+    monkeypatch.setattr(kikuchi_even, "EDGE_BUDGET", -1.0)
+    monkeypatch.setattr(kikuchi_odd, "EDGE_BUDGET", -1.0)
+    monkeypatch.setattr(sos, "MAX_ENTROPY_WORDS", 2)
+    monkeypatch.setattr(sos, "MOMENT_MATRIX_CAP", 1)
+    guarded = (
+        (lambda: build_even(even, 1), r"^2\.00e\+01 edges exceeds budget -1\.0e\+00$"),
+        (lambda: build_odd(dec, odd, dec.nonempty_levels()[0], 2),
+         r"edge candidates exceeds budget -1\.0e\+00$"),
+        (lambda: sos.max_entropy_build(z, 2), "^max-entropy closure exceeds 2 words$"),
+        (lambda: sos.moment_matrix(pe, 2), r"^moment matrix would have 16 rows \(cap 1\)$"),
+    )
+    for call, message in guarded:
+        with pytest.raises(ResourceGuardError, match=message):
+            call()
+    for budget in (100, 200):  # 2 r nnz = 160: the first check, then the squared star's
+        monkeypatch.setattr(certify_module, "TRACE_BUDGET_NNZ", budget)
+        with pytest.raises(ResourceGuardError, match="^trace moment exceeds the configured"):
+            trace_moment(graph, reg, 2)
+
+
+def test_both_branches_take_the_norm_step_through_the_module_globals(monkeypatch):
+    # the tracer wraps regularize, _scaled and spectral_norm where the certify module
+    # looks them up, so the shared norm step must resolve them there on every call
+    calls = []
+    for name in ("regularize", "_scaled", "spectral_norm"):
+        def wrapper(*args, _real=getattr(certify_module, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(certify_module, name, wrapper)
+    even = generate(GeneratorConfig(n=6, k=2, m=10, seed=1))
+    odd = generate(GeneratorConfig(n=7, k=3, m=12, seed=2))
+    for run in (lambda: certify_even(even, 1), lambda: certify_odd(odd, 2, 0.8)):
+        cert = run()
+        graphs = sum(part.num_edges > 0 for part in cert.per_t or [cert])
+        assert graphs and calls == ["regularize", "_scaled", "spectral_norm"] * graphs
+        calls.clear()

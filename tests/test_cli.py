@@ -10,8 +10,11 @@ from pathlib import Path
 import pytest
 
 import hkxor
+from hkxor import sos
 from hkxor.cli import _build_parser, main
 from hkxor.instances import parse
+
+from helpers import instance_rows
 
 
 def run(capsys, *argv):
@@ -38,7 +41,7 @@ def test_gen_one_basis(tmp_path, capsys):
                   "--model", "one-basis-z", "--seed", "1", "--out", str(out))
     assert code == 0
     inst = parse(out.read_text())
-    assert all(c.pauli.xmask == 0 for c in inst.constraints)
+    assert all(word.xmask == 0 for word, _ in instance_rows(inst))
 
 
 def test_gen_deterministic(tmp_path, capsys):
@@ -642,6 +645,23 @@ def test_witness_reports_a_skipped_moment_matrix(tmp_path, capsys):
             in out.splitlines())
     assert "positivity.rows=5152" in out.splitlines()
     assert "energy=+1" in out.splitlines()
+
+
+def test_witness_reports_an_allocation_failure_as_a_guard_exit(tmp_path, capsys, monkeypatch):
+    # only a documented size guard reads as positivity.skipped; a plain MemoryError,
+    # say from the moment matrix's np.zeros, ends the command with exit 4
+    path = tmp_path / "z.hkxor"
+    path.write_text("HKXOR v1 n=4 k=2 m=2 model=one-basis-z seed=0\nZ1 Z2 1.0\nZ3 Z4 -1.0\n")
+
+    def fail(pe, d):
+        raise MemoryError("cannot allocate the moment matrix")
+
+    monkeypatch.setattr(sos, "moment_matrix", fail)
+    code = main(["witness", "--in", str(path), "--degree", "4"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert "positivity.skipped" not in captured.out
+    assert captured.err == "hkxor: resource guard: cannot allocate the moment matrix\n"
 
 
 def test_witness_lift_repeated_monomial_is_usage_error(tmp_path, capsys):

@@ -24,19 +24,21 @@ from hkxor.instances import (
 )
 from hkxor.pauli import PauliOp
 
+from helpers import instance_rows
+
 
 def test_rademacher_model():
     inst = generate(GeneratorConfig(n=4, k=2, m=3, model="rademacher-semirandom", seed=42))
     assert inst.m == 3
-    assert all(c.coeff in (-1.0, 1.0) for c in inst.constraints)
-    assert all(len(c.support) == 2 for c in inst.constraints)
+    assert all(coeff in (-1.0, 1.0) for _, coeff in instance_rows(inst))
+    assert all(word.weight() == 2 for word, _ in instance_rows(inst))
 
 
 def test_one_basis_z_explicit_hypergraph():
     cfg = GeneratorConfig(n=3, k=2, m=2, model="one-basis-z", seed=0,
                           hypergraph=((0, 1), (1, 2)))
     inst = generate(cfg)
-    assert [c.pauli.to_sparse() for c in inst.constraints] == ["Z1 Z2", "Z2 Z3"]
+    assert [word.to_sparse() for word, _ in instance_rows(inst)] == ["Z1 Z2", "Z2 Z3"]
     assert inst.is_one_basis()
 
 
@@ -132,7 +134,7 @@ def test_generate_equals_numpy_calls(case):
     n, k, m, model, seed = case
     inst = generate(GeneratorConfig(n=n, k=k, m=m, model=model, seed=seed))
     words, coeffs = numpy_draws(n, k, m, model, seed)
-    assert [c.pauli for c in inst.constraints] == words
+    assert [word for word, _ in instance_rows(inst)] == words
     assert inst.coeffs.tolist() == coeffs
 
 
@@ -145,9 +147,10 @@ def test_generate_explicit_hypergraph_equals_numpy_calls(model, seed):
     inst = generate(GeneratorConfig(n=7, k=3, m=len(hypergraph), model=model, seed=seed,
                                     hypergraph=hypergraph))
     words, coeffs = numpy_draws(7, 3, len(hypergraph), model, seed, hypergraph)
-    assert [c.pauli for c in inst.constraints] == words
+    rows = instance_rows(inst)
+    assert [word for word, _ in rows] == words
     assert inst.coeffs.tolist() == coeffs
-    assert [c.support for c in inst.constraints] == [tuple(sorted(e)) for e in hypergraph]
+    assert [word.support() for word, _ in rows] == [tuple(sorted(e)) for e in hypergraph]
 
 
 MULTI_BLOCK_CASES = (
@@ -301,8 +304,7 @@ def test_parse_serialize_round_trip(inst):
 def test_parse_minimal():
     inst = parse("HKXOR v1 n=2 k=2 m=1 model=explicit seed=0\nZ1 Z2 1.0\n")
     assert inst.m == 1 and inst.k == 2
-    assert inst.constraints[0].pauli == PauliOp.from_sparse("Z1 Z2", 2)
-    assert inst.constraints[0].coeff == 1.0
+    assert instance_rows(inst) == [(PauliOp.from_sparse("Z1 Z2", 2), 1.0)]
 
 
 def test_parse_errors_carry_line_numbers():
@@ -356,7 +358,7 @@ def serialize_by_rows(inst):
     """The per-row formatter serialize replaced: each word's sparse form and repr(coeff)."""
     lines = [f"HKXOR v1 n={inst.n} k={inst.k} m={inst.m} model={inst.model} "
              f"seed={inst.seed} rng=philox"]
-    lines += [f"{c.pauli.to_sparse()} {c.coeff!r}" for c in inst.constraints]
+    lines += [f"{word.to_sparse()} {coeff!r}" for word, coeff in instance_rows(inst)]
     return "\n".join(lines) + "\n"
 
 

@@ -18,7 +18,7 @@ from hkxor.kikuchi_even import (
 from hkxor.kikuchi_odd import build_odd, regularity_decompose
 from hkxor.pauli import PauliOp, SliceIndex, enumerate_slice, mul_words
 
-from helpers import degrees_reference, single_zz
+from helpers import degrees_reference, instance_rows, single_zz
 
 
 def full_pair_scan(word, n, ell):
@@ -101,10 +101,10 @@ def test_empty_instance_graph():
 def test_build_matches_scan_per_constraint():
     inst = generate(GeneratorConfig(n=4, k=2, m=3, model="rademacher-semirandom", seed=5))
     g = build_even(inst, 2)
-    for cid, c in enumerate(inst.constraints):
+    for cid, (word, _) in enumerate(instance_rows(inst)):
         mine = g.tids == cid
         built = sorted(zip(g.rows[mine].tolist(), g.cols[mine].tolist()))
-        assert built == sorted(fast_pair_scan(c.pauli, 4, 2))
+        assert built == sorted(fast_pair_scan(word, 4, 2))
         assert len(built) == g.delta == 12
 
 
@@ -122,8 +122,9 @@ def test_degrees_equal_out_degrees():
         inst = generate(GeneratorConfig(n=6, k=2, m=8, model="gaussian-semirandom", seed=seed))
         g = build_even(inst, 2)
         out = np.zeros(g.num_vertices)
+        rows = instance_rows(inst)
         for q, cid in zip(g.rows.tolist(), g.tids.tolist()):
-            out[q] += abs(inst.constraints[cid].coeff)
+            out[q] += abs(rows[cid][1])
         assert np.allclose(g.degrees, out, rtol=1e-12, atol=0.0)
 
 

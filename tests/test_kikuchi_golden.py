@@ -21,7 +21,7 @@ from hkxor.kikuchi_odd import (BipartiteDecomposition, Bucket, build_odd, edge_d
 from hkxor.oracle import assemble
 from hkxor.pauli import PauliOp
 
-from helpers import explicit_instance
+from helpers import explicit_instance, instance_rows
 
 
 def sha(text):
@@ -107,7 +107,7 @@ def odd_dump(graph):
 
 def test_odd_dump_at_benchmark_scale():
     # n=12, k=3, m=60, ell=3, eps=0.8 with one word structure and seeded signs
-    words = tuple(c.pauli for c in generate(GeneratorConfig(n=12, k=3, m=60, seed=0)).constraints)
+    words = tuple(w for w, _ in instance_rows(generate(GeneratorConfig(n=12, k=3, m=60, seed=0))))
     inst = generate(GeneratorConfig(n=12, k=3, m=60, model="rademacher-semirandom", seed=1,
                                     words=words))
     dec = regularity_decompose(inst, 3, 0.8)

@@ -34,7 +34,7 @@ from hkxor.oracle import apply_word
 from hkxor.pauli import (PauliOp, PhasedPauli, SliceIndex, canonical_key, commutes, multiply,
                          mul_words, site_mask, words_to_arrays)
 
-from helpers import explicit_instance
+from helpers import explicit_instance, instance_rows
 
 
 def components(v, n):
@@ -114,7 +114,7 @@ def regularity_decompose_reference(inst, ell, eps):
     """The rescan form of regularity_decompose: rebuild the count table after every
     bucket and take the canonically lowest ready center.  Returns the dump."""
     n, k = inst.n, inst.k
-    words = [c.pauli for c in inst.constraints]
+    words = [w for w, _ in instance_rows(inst)]
     remaining = set(range(inst.m))
     buckets = []
     for t in range(k, 0, -1):
@@ -223,10 +223,11 @@ def regularity_check_reference(dec, inst, eps, ell):
     """regularity_check on per-row words: count every subword of width t + 1..k of a
     bucket's members in a dict, and return the first violating entry in insertion order."""
     n, k = dec.n, dec.k
+    rows = instance_rows(inst)
     for bid, bucket in enumerate(dec.buckets):
         seen = {}
         for cid in bucket.cids:
-            w = inst.constraints[cid].pauli
+            w = rows[cid][0]
             for width in range(bucket.t + 1, k + 1):
                 for sub in itertools.combinations(w.support(), width):
                     cand = w.restrict(site_mask(sub))
@@ -350,9 +351,10 @@ def test_build_odd_matches_scan():
     g = build_odd(dec, inst, t=1, ell=2)
     assert len(g.pairs) == 2 and not g.skipped
     center = {cid: b.center for b in dec.slice(1) for cid in b.cids}
+    rows = instance_rows(inst)
     for tid, (cid, cid2) in enumerate(g.pairs.tolist()):
-        p = tilde_word(inst.constraints[cid].pauli, center[cid])
-        q = tilde_word(inst.constraints[cid2].pauli, center[cid2])
+        p = tilde_word(rows[cid][0], center[cid])
+        q = tilde_word(rows[cid2][0], center[cid2])
         commuting, _ = odd_pair_scan(p, q, 2)
         mine = g.tids == tid
         pairs = list(zip(g.rows[mine].tolist(), g.cols[mine].tolist()))
@@ -384,6 +386,7 @@ def type_table_reference(dec, inst, t, ell):
     skipped), one entry per ordered pair by bucket, then cid, then cid2."""
     delta_t = delta_count_odd(inst.n, inst.k, t, ell)
     pairs, rho, signs, labels, skipped = [], [], [], [], []
+    rows = instance_rows(inst)
     for bid, bucket in enumerate(dec.buckets):
         if bucket.t != t:
             continue
@@ -391,10 +394,11 @@ def type_table_reference(dec, inst, t, ell):
             for cid2 in bucket.cids:
                 if cid == cid2:
                     continue
-                p = tilde_word(inst.constraints[cid].pauli, bucket.center)
-                q = tilde_word(inst.constraints[cid2].pauli, bucket.center)
+                (word, coeff), (word2, coeff2) = rows[cid], rows[cid2]
+                p = tilde_word(word, bucket.center)
+                q = tilde_word(word2, bucket.center)
                 nc, na = rho_counts(p, q, ell)
-                bb = inst.constraints[cid].coeff * inst.constraints[cid2].coeff
+                bb = coeff * coeff2
                 if nc == 0:
                     skipped.append((bid, cid, cid2, abs(bb)))
                     continue
@@ -665,9 +669,10 @@ def test_quadratic_form_identity_odd():
                   for i, j, w in zip(mat.row, mat.col, mat.data))
         rhs = 0.0
         center = {cid: b.center for b in dec.slice(1) for cid in b.cids}
+        rows = instance_rows(inst)
         for (cid, cid2), sign in zip(g.pairs.tolist(), g.signs.tolist()):
-            p = tilde_word(inst.constraints[cid].pauli, center[cid])
-            q = tilde_word(inst.constraints[cid2].pauli, center[cid2])
+            p = tilde_word(rows[cid][0], center[cid])
+            q = tilde_word(rows[cid2][0], center[cid2])
             prod = mul_words(p, q)
             rhs += sign * prod.phase * np.vdot(psi, apply_word(prod.op, psi))
         rhs *= float(g.delta)
@@ -681,9 +686,10 @@ def test_cs_operator():
     assert cs.sum_b_sq == 2.0
     assert cs.scale == 9 * 1 / (4 * 4)
     assert cs.constant_term == 4 * cs.scale * 2.0
+    rows = instance_rows(inst)
     for b in dec.slice(1):
         for cid in b.cids:
-            assert tilde_word(inst.constraints[cid].pauli, b.center).weight() == inst.k - 1
+            assert tilde_word(rows[cid][0], b.center).weight() == inst.k - 1
 
 
 def test_cs_operator_reads_the_slice_without_residuals(monkeypatch):
@@ -893,6 +899,7 @@ def test_cs_operator_upper_bounds_slice_square():
     for seed in range(6):
         inst = generate(GeneratorConfig(n=5, k=3, m=6, model="random", seed=40 + seed))
         dec = regularity_decompose(inst, 2, 0.8)
+        rows = instance_rows(inst)
         for t in dec.nonempty_levels():
             cs = cs_operator(dec, inst, t)
             dim = 1 << inst.n
@@ -900,13 +907,12 @@ def test_cs_operator_upper_bounds_slice_square():
             for b in dec.slice(t):
                 s_u = np.zeros((dim, dim), dtype=complex)
                 for cid in b.cids:
-                    s_u += (inst.constraints[cid].coeff
-                            * dense_word(tilde_word(inst.constraints[cid].pauli, b.center)))
+                    word, coeff = rows[cid]
+                    s_u += coeff * dense_word(tilde_word(word, b.center))
                 acc += s_u @ s_u
             u_t = cs.scale * acc
             slice_sum = assemble_pauli_sum(
-                inst.n, [(inst.constraints[cid].pauli, inst.constraints[cid].coeff)
-                         for b in dec.slice(t) for cid in b.cids])
+                inst.n, [rows[cid] for b in dec.slice(t) for cid in b.cids])
             eps_t = lambda_max(slice_sum) / (2 * inst.m)
             lam_u = float(np.linalg.eigvalsh(u_t)[-1])
             assert (inst.k * eps_t) ** 2 <= lam_u + 1e-9

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from helpers import (assemble_pauli_sum_reference, assemble_reference,
-                     hermitian_deviation_reference, lambda_max_reference)
+                     hermitian_deviation_reference, instance_rows, lambda_max_reference)
 from hkxor import oracle, sos
 from hkxor.certify import certify, spectral_norm
 from hkxor.cli import main
@@ -120,9 +120,9 @@ def test_assemble_examples():
 def test_pauli_coefficient_round_trip():
     inst = generate(GeneratorConfig(n=4, k=2, m=5, model="random", seed=9))
     h = assemble(inst)
-    for c in inst.constraints:
-        got = pauli_coefficient(h, c.pauli)
-        assert abs(got - c.coeff / (2 * inst.m)) < 1e-12
+    for word, coeff in instance_rows(inst):
+        got = pauli_coefficient(h, word)
+        assert abs(got - coeff / (2 * inst.m)) < 1e-12
 
 
 def test_lambda_max_examples():
@@ -216,8 +216,8 @@ def test_a_ritz_value_below_the_top_falls_back_to_eigvalsh(monkeypatch):
 def test_lambda_max_repr_golden(monkeypatch):
     # the verify workload's rademacher instance and a gaussian one, both on the
     # Ritz path; the reprs pin every bit of the ARPACK run
-    words = tuple(c.pauli for c in generate(GeneratorConfig(n=10, k=3, m=200,
-                                                            seed=0)).constraints)
+    words = tuple(w for w, _ in instance_rows(generate(GeneratorConfig(n=10, k=3, m=200,
+                                                                       seed=0))))
     rademacher = generate(GeneratorConfig(n=10, k=3, m=200, model="rademacher-semirandom",
                                           seed=0, words=words))
     gaussian = generate(GeneratorConfig(n=9, k=3, m=40, model="gaussian-semirandom", seed=0))
@@ -348,7 +348,7 @@ def instances(draw):
 @given(instances())
 def test_grouped_assembly_is_the_per_term_sum_byte_for_byte(inst):
     assert assemble(inst).matrix.tobytes() == assemble_reference(inst).tobytes()
-    star = assemble_pauli_sum_reference(inst.n, [(c.pauli, c.coeff) for c in inst.constraints])
+    star = assemble_pauli_sum_reference(inst.n, instance_rows(inst))
     assert assemble_star(inst).matrix.tobytes() == star.tobytes()
 
 

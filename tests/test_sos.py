@@ -1,6 +1,7 @@
 """Max-entropy pseudo-expectations, expansion, positivity, lifting."""
 
 import hashlib
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import hkxor.sos as sos
-from hkxor.instances import GeneratorConfig, generate, parse
+from hkxor.cli import main
+from hkxor.instances import GeneratorConfig, Instance, generate, parse, serialize
 from hkxor.oracle import apply_word, assemble, lambda_max
 from hkxor.pauli import PauliOp, canonical_key, commutes, enumerate_slice, mul_words
 from hkxor.sos import (
@@ -32,7 +34,7 @@ from hkxor.sos import (
     positivity_check,
 )
 
-from helpers import max_entropy_reference, moment_matrix_reference
+from helpers import instance_rows, max_entropy_reference, moment_matrix_reference
 
 ONE = ExactComplex.of(1)
 
@@ -199,7 +201,7 @@ def test_max_entropy_contradiction_triangle():
     # combined axiom set has empty support XOR: a boundary-expansion violation
     acc = 0
     for cid in result.combined_axioms:
-        acc ^= sum(1 << i for i in inst.constraints[cid].support)
+        acc ^= instance_rows(inst)[cid][0].support_mask
     assert acc == 0
     report = boundary_expansion_check(inst.sites.tolist(), beta=0.5,
                                       d=len(result.combined_axioms))
@@ -475,7 +477,7 @@ def test_lift_satisfying_distribution_has_value_one():
 def test_lift_requires_z_basis():
     inst = generate(GeneratorConfig(n=4, k=2, m=3, model="random", seed=2))
     moments = MomentOracle.from_distribution(4, [(1, 1, 1, 1)])
-    if any(c.pauli.xmask for c in inst.constraints):
+    if any(word.xmask for word, _ in instance_rows(inst)):
         with pytest.raises(ValueError):
             lift_classical(inst, moments, 2)
 
@@ -583,3 +585,63 @@ def test_witness_layer_golden():
     assert sum("i" in line for line in lines if line.startswith("value_")) == 56
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "b11ded340f1d709b243c92c7525c2d5738e0f9edcb1f091094324b99118f8b52")
+
+
+def obstruction_reference(inst):
+    """Every pair i < j of rows whose words fail ``commutes``, pair by pair."""
+    words = [word for word, _ in instance_rows(inst)]
+    return [(i, j) for i in range(inst.m) for j in range(i + 1, inst.m)
+            if not commutes(words[i], words[j])]
+
+
+@settings(max_examples=80)
+@given(st.integers(1, 70), st.integers(1, 4), st.integers(1, 25),
+       st.sampled_from(("one-basis-z", "random", "rademacher-semirandom")),
+       st.integers(0, 2**32), st.sampled_from((None, 0, 1, 2)))
+@example(70, 3, 25, "random", 1, None)  # masks past 64 bits
+@example(65, 1, 20, "rademacher-semirandom", 2, None)
+@example(70, 4, 25, "random", 3, 1)  # an all-Y instance
+def test_anticommuting_obstruction_matches_pairwise_commutes(n, k, m, model, seed, one_letter):
+    k = min(k, n)
+    inst = generate(GeneratorConfig(n=n, k=k, m=m, model=model, seed=seed))
+    if one_letter is not None:
+        inst = Instance(n, k, inst.sites, np.full_like(inst.letters, one_letter), inst.coeffs,
+                        "explicit")
+    expected = obstruction_reference(inst)
+    assert anticommuting_obstruction(inst) == expected
+    if inst.is_one_basis():
+        assert expected == []
+
+
+def test_witness_paths_read_only_the_instance_columns(tmp_path, capsys, monkeypatch):
+    z = generate(GeneratorConfig(n=6, k=3, m=5, model="one-basis-z", seed=1))
+    mixed = generate(GeneratorConfig(n=5, k=2, m=8, model="random", seed=3))
+    experimental = generate(GeneratorConfig(n=5, k=3, m=3, model="random", seed=5))
+    moments = MomentOracle.from_distribution(6, [(1, 1, -1, 1, -1, 1), (-1, 1, 1, 1, 1, -1)])
+    inst_path, pmom = tmp_path / "z.hkxor", tmp_path / "z.pmom"
+    inst_path.write_text(serialize(z))
+    pmom.write_text("PMOM v1 n=6 d=4\n- 1\n" + "".join(
+        f"{','.join(str(i + 1) for i in sites)} {moments.value(sum(1 << i for i in sites)).re}\n"
+        for size in range(1, 5) for sites in itertools.combinations(range(6), size)))
+
+    def outputs():
+        pe, contradiction = max_entropy_build(z, 4), max_entropy_build(mixed, 4)
+        trial = max_entropy_build(experimental, 5)
+        lifted = lift_classical(z, moments, 4)
+        out = [pe.dump(), pe.energy(z), contradiction.dump_lines(), contradiction.obstructions,
+               trial.dump(), trial.energy(experimental), lifted.dump(), lifted.energy(z),
+               classical_energy(z, moments)]
+        for lift in ((), ("--lift", str(pmom))):
+            code = main(["witness", "--in", str(inst_path), "--degree", "4", *lift])
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    want = outputs()
+    assert isinstance(want[2], list) and want[3]  # the scan ran and found pairs
+    assert want[-1][0] == want[-2][0] == 0 and "kind=lifted" in want[-1][1]
+
+    def no_rows(_inst):
+        raise AssertionError("Instance.constraints was read")
+
+    monkeypatch.setattr(Instance, "constraints", property(no_rows))
+    assert outputs() == want

@@ -1,10 +1,15 @@
 """The test suite's own configuration."""
 
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+# the only modules that know the per-row word view Instance.constraints: its
+# definition, its own tests and the tests' one row builder
+ROW_VIEW_READERS = {"src/hkxor/instances.py", "tests/test_instances.py", "tests/helpers.py"}
 
 
 def test_a_failing_property_test_reports_its_example(tmp_path):
@@ -22,3 +27,16 @@ def test_a_failing_property_test_reports_its_example(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "Falsifying example: test_fails(" in run.stdout
+
+
+def test_only_the_instance_module_and_its_tests_read_the_row_view():
+    # library paths and tests read an instance through its columns (sites, letters,
+    # coeffs); an attribute named `constraints` anywhere else is a read of the view
+    modules = [*sorted((ROOT / "src" / "hkxor").glob("*.py")),
+               *sorted((ROOT / "tests").glob("*.py"))]
+    assert len(modules) > 15
+    reads = [f"{path.relative_to(ROOT)}:{node.lineno}"
+             for path in modules if path.relative_to(ROOT).as_posix() not in ROW_VIEW_READERS
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "constraints"]
+    assert reads == []
