@@ -23,7 +23,6 @@ from .instances import (  # noqa: F401
 )
 from .kikuchi_even import (  # noqa: F401
     KikuchiGraph,
-    Regularizer,
     average_degree_bound,
     build_even,
     build_level_n,

@@ -54,8 +54,8 @@ from scipy.sparse.csgraph import connected_components
 
 from .instances import Instance, check_eps, digest, over_eps_power
 from .kikuchi_even import build_even, regularize
-from .kikuchi_odd import (build_odd, check_free_sites, cs_operator, edge_delete,
-                          regularity_decompose)
+from .kikuchi_odd import (build_odd, check_feasible_level, check_free_sites, cs_operator,
+                          edge_delete, regularity_decompose)
 from .oracle import DENSE_DIM, ResourceGuardError, check_hermitian, ritz_pair, ritz_residual
 
 DEFAULT_TOL = 1e-6
@@ -213,19 +213,20 @@ def certified_norm(graph, tol: float, seed: int) -> tuple[float, float, float, f
     edges, or only zero weights), where the graph has nothing to regularize."""
     if not graph.total_degree:
         return 0.0, 0.0, 0.0, 0.0
-    reg = regularize(graph)
-    sigma, residual = spectral_norm(_scaled(graph.signed_matrix(), reg.gamma), tol=tol, seed=seed)
-    return sigma, residual, sigma + tol * max(1.0, sigma), reg.trace
+    gamma = regularize(graph)
+    sigma, residual = spectral_norm(_scaled(graph.signed_matrix(), gamma), tol=tol, seed=seed)
+    return sigma, residual, sigma + tol * max(1.0, sigma), float(gamma.sum())
 
 
-def trace_moment(graph, reg, r: int) -> tuple[float, float]:
-    """(Tr((Gamma^{-1} A*)^{2r}), its 2r-th root) by repeated sparse products."""
+def trace_moment(graph, r: int) -> tuple[float, float]:
+    """(Tr((Gamma^{-1} A*)^{2r}), its 2r-th root) by repeated sparse products,
+    with Gamma = ``regularize(graph)``."""
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     mat = graph.signed_matrix()
     if 2 * r * max(mat.nnz, 1) > TRACE_BUDGET_NNZ:
         raise ResourceGuardError("trace moment exceeds the configured memory budget")
-    b = (sp.diags(1.0 / reg.gamma) @ mat).tocsr()
+    b = (sp.diags(1.0 / regularize(graph)) @ mat).tocsr()
     power = b
     for _ in range(r - 1):
         power = (power @ b).tocsr()
@@ -339,15 +340,19 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
     check_tol(tol)
     check_seed(solver_seed)
     dec = regularity_decompose(inst, ell, eps)
+    # the levels with a constraint pair, the only ones that build a graph
+    paired = [t for t in dec.nonempty_levels() if any(len(b.cids) >= 2 for b in dec.slice(t))]
     for t in dec.nonempty_levels():
         check_free_sites(inst.n, inst.k, t, ell)
+        if t in paired:
+            check_feasible_level(inst.k, t, ell)
     eta = eta_bound(inst.k, eps)
     slices: list[SliceCertificate] = []
     warnings = list(dec.warnings)
 
     for t in dec.nonempty_levels():
         cs = cs_operator(dec, inst, t)
-        if not any(len(b.cids) >= 2 for b in dec.slice(t)):
+        if t not in paired:
             slices.append(SliceCertificate(t, cs.constant_term, cs.num_centers,
                                            cs.num_constraints, 0.0, 0.0, 0.0, eta, 0, 0, 0))
             continue

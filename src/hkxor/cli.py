@@ -2,7 +2,7 @@
 
 Reports are line-oriented ``key=value`` text with stable keys, so runs are
 diffable and re-runnable from their own header.  Exit codes: 0 success,
-2 contradiction witness, 3 usage error, 4 resource guard exceeded.
+2 contradiction witness, 3 usage error, 4 resource guard exceeded or out of memory.
 
 Every command is deterministic given its flags.
 """
@@ -318,8 +318,11 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except MemoryError as exc:
+    except ResourceGuardError as exc:
         print(f"hkxor: resource guard: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"hkxor: out of memory: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (ValueError, OSError) as exc:
         print(f"hkxor: error: {exc}", file=sys.stderr)

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import _LETTERS, PauliOp, words_from_arrays, words_to_arrays
+from .pauli import LETTERS, PauliOp, words_from_arrays, words_to_arrays
 
 MODELS = ("rademacher-semirandom", "gaussian-semirandom", "random", "one-basis-z", "explicit")
 
@@ -338,7 +338,7 @@ def serialize(inst: Instance) -> str:
     head = (f"{_FORMAT_MAGIC} {_FORMAT_VERSION} n={inst.n} k={inst.k} m={inst.m} "
             f"model={inst.model} seed={inst.seed} rng=philox\n")
     codes, at = np.unique(inst.sites * 3 + inst.letters, return_inverse=True)
-    tokens = np.array([f"{_LETTERS[c % 3]}{c // 3 + 1}" for c in codes.tolist()], dtype=str)
+    tokens = np.array([f"{LETTERS[c % 3]}{c // 3 + 1}" for c in codes.tolist()], dtype=str)
     bits, coeff_at = np.unique(inst.coeffs.view(np.uint64), return_inverse=True)
     values = np.array([repr(b) for b in bits.view(np.float64).tolist()], dtype=str)
     at = at.reshape(inst.sites.shape)

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .instances import Instance
-from .oracle import ResourceGuardError
+from .oracle import ResourceGuardError, dense_word
 from .pauli import (PauliOp, SliceIndex, enumerate_slice, masks_from_arrays, mul_words,
                     site_mask)
 
@@ -179,28 +179,15 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
     return _sorted_graph(n, k, ell, index, delta, rows, cols, tids, inst.coeffs)
 
 
-@dataclass
-class Regularizer:
-    """Per-vertex diagonal Gamma = degree + average degree."""
-
-    gamma: np.ndarray
-    average_degree: float
-
-    @property
-    def trace(self) -> float:
-        return float(self.gamma.sum())
-
-
-def regularize(graph: KikuchiGraph) -> Regularizer:
-    """Gamma = D + d*Id from a built graph; Tr(Gamma) equals twice the total degree."""
+def regularize(graph: KikuchiGraph) -> np.ndarray:
+    """The diagonal of Gamma = D + d*Id of a built graph, d its average degree;
+    Tr(Gamma) equals twice the total degree."""
     total = graph.total_degree
     if total <= 0:
         raise DegenerateRegularizerError("cannot regularize an empty graph")
-    d = total / graph.num_vertices
-    gamma = graph.degrees + d
-    reg = Regularizer(gamma=gamma, average_degree=d)
-    assert abs(reg.trace - 2 * total) <= 1e-9 * max(1.0, 2 * total)
-    return reg
+    gamma = graph.degrees + total / graph.num_vertices
+    assert abs(gamma.sum() - 2 * total) <= 1e-9 * max(1.0, 2 * total)
+    return gamma
 
 
 def dump_graph(graph: KikuchiGraph) -> str:
@@ -233,31 +220,17 @@ class FullGroupIndex:
         return PauliOp(self.n, index >> self.n, index & ((1 << self.n) - 1))
 
 
-def build_level_n(source, n: int | None = None) -> KikuchiGraph:
+def build_level_n(terms, n: int) -> KikuchiGraph:
     """Kikuchi graph over all 4^n words: (Q, R) is an edge of weight c(P) iff Q*R = P up to phase.
 
-    ``source`` is either a DenseOperator (coefficients extracted by inner
-    products) or an iterable of (PauliOp, real coefficient) pairs with ``n``
-    given.  Gated to n <= 6 (4^n vertices).  One edge type per nonzero term.
+    ``terms`` is an iterable of (PauliOp, real coefficient) pairs on n
+    qubits.  Gated to n <= 6 (4^n vertices).  One edge type per nonzero term.
     The phase-free product XORs masks, so R = Q*P ranks as rank(Q) ^ rank(P).
     """
-    from .oracle import DenseOperator, pauli_coefficient
-
-    dense = isinstance(source, DenseOperator)
-    if dense:
-        n = source.n
-    elif n is None:
-        raise ValueError("n is required for coefficient-map input")
     if n > LEVEL_N_QUBIT_CAP:
         raise ValueError(f"level-n graph needs n <= {LEVEL_N_QUBIT_CAP}, got {n}")
     full = FullGroupIndex(n)
-    if dense:
-        words = [PauliOp(n, x, z) for x in range(1 << n) for z in range(1 << n)]  # rank order
-        coeffs = [pauli_coefficient(source, p) for p in words]
-        if any(abs(c.imag) > 1e-12 for c in coeffs):
-            raise ValueError("operator has non-real Pauli coefficients")
-        source = [(p, c.real) for p, c in zip(words, coeffs)]
-    terms = [(p, float(c)) for p, c in source if abs(c) > 0]
+    terms = [(p, float(c)) for p, c in terms if abs(c) > 0]
     if any(p.n != n for p, _c in terms):
         raise ValueError(f"every term of a level-n graph must act on n={n} qubits")
 
@@ -276,8 +249,6 @@ def level_n_hatted(graph: KikuchiGraph) -> np.ndarray:
     Equal to conjugating (signed adjacency tensor Id) by the block-diagonal
     unitary with blocks Q, so its spectrum matches the graph's.
     """
-    from .oracle import dense_word
-
     n = graph.n
     if n > 3:
         raise ValueError("hatted operator is gated to n <= 3 (dimension 8^n)")

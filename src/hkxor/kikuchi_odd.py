@@ -193,11 +193,12 @@ def regularity_check(dec: BipartiteDecomposition, inst: Instance, eps: float,
     / eps^2 bucket members all subsuming W.  Returns (ok, first witness or None):
     the first bucket's first violating word by member, then by width, then by subset.
     """
+    check_eps(eps)
     n, k = dec.n, dec.k
     for bid, bucket in enumerate(dec.buckets):
         cids, found = list(bucket.cids), []
         for width in range(bucket.t + 1, k + 1):
-            bound = max((3 * n / ell) ** (k / 2 - 1 - width), 1.0) / eps**2
+            bound = over_eps_power(max((3 * n / ell) ** (k / 2 - 1 - width), 1.0), eps, 2)
             ranks = _subword_ranks(n, inst.sites[cids], inst.letters[cids], width)
             words, at, counts = np.unique(ranks, return_index=True, return_counts=True)
             # at = member * C(k, width) + subset, the word's first place
@@ -284,6 +285,13 @@ def check_free_sites(n: int, k: int, t: int, ell: int) -> None:
         raise ValueError("not enough free sites for the level")
 
 
+def check_feasible_level(k: int, t: int, ell: int) -> None:
+    """Raise InfeasibleLevelError unless ell >= k - t, so that a vertex pair can
+    realize a residual pair at level t."""
+    if ell < k - t:
+        raise InfeasibleLevelError(f"need ell >= k-t, got ell={ell}, k-t={k - t}")
+
+
 def delta_count_odd(n: int, k: int, t: int, ell: int) -> Fraction:
     """Exact uniform pair weight per ordered residual pair:
 
@@ -292,8 +300,7 @@ def delta_count_odd(n: int, k: int, t: int, ell: int) -> Fraction:
     kk = k - t
     if not 0 <= kk <= k:
         raise ValueError(f"need 0 <= t <= k, got t={t}, k={k}")
-    if ell < kk:
-        raise InfeasibleLevelError(f"need ell >= k-t, got ell={ell}, k-t={kk}")
+    check_feasible_level(k, t, ell)
     check_free_sites(n, k, t, ell)
     val = (
         Fraction(1, 2)

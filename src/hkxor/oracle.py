@@ -341,11 +341,11 @@ def _dense_lambda_max(matrix: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(matrix)[-1])
 
 
-def quadratic_form_check(inst, ell: int, state: np.ndarray, graph) -> float:
+def quadratic_form_check(inst, state: np.ndarray, graph) -> float:
     """Relative error between the weight-slice quadratic form and the direct energy.
 
-    Materializes the block vector with blocks P|psi> for P in the weight-ell
-    slice, evaluates the signed adjacency as sum over edges of
+    Materializes the block vector with blocks P|psi> for P in the graph's
+    weight-ell slice, evaluates the signed adjacency as sum over edges of
     w * (Q|psi>)^dag (R|psi>), and compares to Delta * sum_C b_C <psi|P_C|psi>.
     Returns |lhs - rhs| / max(1, |rhs|).
     """

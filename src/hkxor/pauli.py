@@ -33,8 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-# letter codes used by the canonical ordering: X < Y < Z
-_LETTERS = "XYZ"
+# letter of each letter code (X, Y, Z -> 0, 1, 2), the canonical order X < Y < Z
+LETTERS = "XYZ"
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 # letter of a site's bit pair, indexed by x | z << 1
 _PAIR_LETTER = "IXZY"
@@ -103,7 +103,7 @@ class PauliOp(namedtuple("PauliOp", "n xmask zmask")):
 
     def support(self) -> tuple[int, ...]:
         """Ascending 0-indexed sites carrying a non-identity letter."""
-        return _set_bits(self.support_mask)
+        return word_columns(self.xmask, self.zmask)[0]
 
     def is_identity(self) -> bool:
         return self.xmask == 0 and self.zmask == 0
@@ -123,15 +123,8 @@ class PauliOp(namedtuple("PauliOp", "n xmask zmask")):
 
     def to_sparse(self) -> str:
         """Sparse form like ``"X3 Z7"`` with ascending 1-indexed sites; identity is ``"I"``."""
-        xm, zm = self.xmask, self.zmask
-        parts = []
-        rest = xm | zm
-        while rest:
-            low = rest & -rest  # the bit of 0-indexed site low.bit_length() - 1
-            parts.append(_PAIR_LETTER[(xm & low != 0) | (zm & low != 0) << 1]
-                         + str(low.bit_length()))
-            rest ^= low
-        return " ".join(parts) or "I"
+        sites, codes = word_columns(self.xmask, self.zmask)
+        return " ".join(f"{LETTERS[c]}{s + 1}" for s, c in zip(sites, codes)) or "I"
 
     @staticmethod
     def from_string(s: str) -> "PauliOp":
@@ -170,9 +163,8 @@ class PauliOp(namedtuple("PauliOp", "n xmask zmask")):
 
 def canonical_key(op: PauliOp) -> tuple:
     """Sort key: weight, then support lexicographic, then letters X<Y<Z (first site most significant)."""
-    sup = op.support()
-    xm, zm = op.xmask, op.zmask
-    return (len(sup), sup, tuple(_PAIR_CODE[(xm >> i & 1) | (zm >> i & 1) << 1] for i in sup))
+    sites, codes = word_columns(op.xmask, op.zmask)
+    return (len(sites), sites, codes)
 
 
 class PhasedPauli(namedtuple("PhasedPauli", "op phase_exp")):
@@ -200,14 +192,17 @@ def _letter_bits(letter: str) -> tuple[int, int]:
         raise ValueError(f"bad Pauli letter {letter!r}") from None
 
 
-def _set_bits(mask: int) -> tuple[int, ...]:
-    """Ascending positions of the set bits of a nonnegative int, one step per set bit."""
-    bits = []
-    while mask:
-        low = mask & -mask
-        bits.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(bits)
+def word_columns(xmask: int, zmask: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The ascending 0-indexed sites of the word (xmask, zmask) and their letter codes
+    (X, Y, Z -> 0, 1, 2): one row of :func:`masks_from_arrays`, read back."""
+    sites, codes = [], []
+    rest = xmask | zmask
+    while rest:
+        low = rest & -rest  # the bit of site low.bit_length() - 1
+        sites.append(low.bit_length() - 1)
+        codes.append(_PAIR_CODE[(xmask & low != 0) | (zmask & low != 0) << 1])
+        rest ^= low
+    return tuple(sites), tuple(codes)
 
 
 def site_mask(sites) -> int:
@@ -372,15 +367,15 @@ class SliceIndex:
 
     def _rank(self, xmask: int, zmask: int) -> int:
         """Rank of the word (xmask, zmask) on self.n qubits, computed from its bits."""
-        sup = _set_bits(xmask | zmask)
+        sites, codes = word_columns(xmask, zmask)
         n, ell, comb = self.n, self.ell, self._comb
-        if len(sup) != ell:
-            raise ValueError(f"word has weight {len(sup)}, slice expects {ell}")
+        if len(sites) != ell:
+            raise ValueError(f"word has weight {len(sites)}, slice expects {ell}")
         sup_rank = comb[n][ell] - 1
         code = 0
-        for j, s in enumerate(sup):
+        for j, (s, c) in enumerate(zip(sites, codes)):
             sup_rank -= comb[n - 1 - s][ell - j]
-            code = 3 * code + _PAIR_CODE[(xmask >> s & 1) | (zmask >> s & 1) << 1]
+            code = 3 * code + c
         return sup_rank * 3**ell + code
 
     def rank_batch(self, sites: np.ndarray, letters: np.ndarray) -> np.ndarray:
@@ -424,13 +419,13 @@ class SliceIndex:
         if not 0 <= index < self.size:
             raise ValueError(f"index {index} out of range [0, {self.size})")
         sup_rank, code = divmod(index, 3**self.ell)
-        sites = _comb_unrank(sup_rank, self.n, self.ell)
-        letters = []
-        for _ in range(self.ell):
-            code, d = divmod(code, 3)
-            letters.append(_LETTERS[d])
-        letters.reverse()
-        return PauliOp.from_letters(self.n, sites, "".join(letters))
+        xmask = zmask = 0
+        # the last site's letter code is the least significant digit
+        for s in reversed(_comb_unrank(sup_rank, self.n, self.ell)):
+            code, c = divmod(code, 3)
+            xmask |= (c != 2) << s  # as masks_from_arrays: X and Y set x, Y and Z set z
+            zmask |= (c != 0) << s
+        return PauliOp(self.n, xmask, zmask)
 
 
 def slice_arrays(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:

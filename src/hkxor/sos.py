@@ -155,10 +155,6 @@ class Derivation:
     steps: tuple[tuple[PauliOp, str, tuple], ...]
     axiom_ids: frozenset[int]
 
-    @property
-    def width(self) -> int:
-        return len(self.axiom_ids)
-
     def dump_lines(self, prefix: str) -> list[str]:
         out = []
         for i, (word, rule, data) in enumerate(self.steps):
@@ -538,7 +534,8 @@ def lift_classical(inst: Instance, moments: MomentOracle, d: int) -> PseudoExpec
 
     Z-type words of weight <= d get the classical monomial value on their
     support; every other word gets 0.  The lifted value of the Hamiltonian
-    equals the classical objective value by construction.
+    equals the classical objective value by construction.  A pseudo-expectation
+    has pE[Id] = 1, so the empty monomial's value must be exactly 1.
     """
     if moments.n != inst.n:
         raise ValueError(f"moments are for n={moments.n} qubits, instance has n={inst.n}")
@@ -548,6 +545,10 @@ def lift_classical(inst: Instance, moments: MomentOracle, d: int) -> PseudoExpec
         raise ValueError(f"degree {d} below constraint arity {inst.k}")
     if moments.degree < d:
         raise MomentOracleGap(f"oracle degree {moments.degree} below requested {d}")
+    one = moments.value(0)
+    if one != _ONE:
+        raise ValueError(f"lifted moments need E[1] = 1, got {one.re}"
+                         + (f" + ({one.im})i" if one.im else ""))
     values: dict[PauliOp, ExactComplex] = {}
     for size in range(d + 1):
         for sites in combinations(range(inst.n), size):

@@ -14,7 +14,7 @@ import numpy as np
 
 from hkxor.certify import certify, eta_bound, trace_moment
 from hkxor.instances import GeneratorConfig, generate, threshold_size
-from hkxor.kikuchi_even import build_even, build_level_n, delta_count, level_n_hatted, regularize
+from hkxor.kikuchi_even import build_even, build_level_n, delta_count, level_n_hatted
 from hkxor.kikuchi_odd import (
     build_odd,
     delta_count_odd,
@@ -103,7 +103,7 @@ def test_criterion_2_quadratic_form_identity():
             psi /= np.linalg.norm(psi)
         else:
             psi = haar_product_state(rng, n)
-        err = quadratic_form_check(inst, ell, psi, graph)
+        err = quadratic_form_check(inst, psi, graph)
         worst = max(worst, err)
         assert err <= 1e-9, (trial, err)
     verdict("2 quadratic-form-identity", True, f"100/100, max rel err {worst:.2e}")
@@ -380,10 +380,9 @@ def test_criterion_10_trace_moment_bound():
         inst = generate(GeneratorConfig(n=n, k=k, m=m, model="rademacher-semirandom",
                                         seed=seed))
         g = build_even(inst, ell)
-        reg = regularize(g)
         d_avg = g.average_degree
         for r in sums:
-            sums[r] += trace_moment(g, reg, r)[0]
+            sums[r] += trace_moment(g, r)[0]
     size = 3 * n
     details = []
     for r, total in sums.items():

@@ -21,7 +21,7 @@ from hkxor.certify import (
 )
 from hkxor.instances import GeneratorConfig, generate, parse
 from hkxor.kikuchi_even import build_even, regularize
-from hkxor.kikuchi_odd import build_odd, regularity_decompose
+from hkxor.kikuchi_odd import InfeasibleLevelError, build_odd, regularity_decompose
 from hkxor.oracle import DENSE_DIM, ResourceGuardError, _csr_product, assemble, lambda_max
 
 from helpers import explicit_instance, instance_rows, single_zz
@@ -258,8 +258,7 @@ def test_permuted_equals_fancy_indexing_entry_for_entry(seed):
 
 def test_spectral_norm_matches_dense_on_kikuchi():
     g = build_even(single_zz(), 1)
-    reg = regularize(g)
-    inv = np.diag(1.0 / np.sqrt(reg.gamma))
+    inv = np.diag(1.0 / np.sqrt(regularize(g)))
     dense = inv @ g.signed_matrix().toarray() @ inv
     expected = float(np.max(np.abs(np.linalg.eigvalsh(dense))))
     sigma, _ = spectral_norm(sp.csr_matrix(dense), tol=1e-10)
@@ -320,6 +319,21 @@ def test_certify_checks_eps_on_every_branch(eps, monkeypatch):
                          (empty(5, 3), "auto")):
         with pytest.raises(ValueError, match=f"need 0 < eps <= 1, got {eps}"):
             certify(inst, 1 if inst.k == 2 else 2, eps=eps, branch=branch)
+
+
+def test_odd_refuses_an_infeasible_paired_level_before_any_build(monkeypatch):
+    # t=1 holds a constraint pair with k - t = 4 > ell; the t=5 slice used to be built
+    # first (here past the edge budget) and the t=1 build to raise only after it
+    def no_build(*args):
+        raise AssertionError("a graph was built before the levels were checked")
+
+    monkeypatch.setattr(certify_module, "build_odd", no_build)
+    inst = explicit_instance(6, 5, ["Z1 Z2 Z3 Z4 Z5"] * 100 + ["X1 Y2 Z3 X4 Y5", "X1 Z2 Y3 Z4 X6"])
+    with pytest.raises(InfeasibleLevelError, match=r"^need ell >= k-t, got ell=3, k-t=4$"):
+        certify_odd(inst, 3, 1.0)
+    # single constraints build no graph, so their level needs no vertex pair
+    singles = explicit_instance(6, 5, ["X1 Y2 Z3 X4 Y5", "Y1 Z2 Y3 Z4 X6"])
+    assert [s.t for s in certify_odd(singles, 3, 1.0).per_t] == [1]
 
 
 @pytest.mark.parametrize("seed", (-1, 2**128, -(2**70)))
@@ -469,9 +483,9 @@ def test_certificate_determinism():
 def test_trace_moment_r1():
     inst = generate(GeneratorConfig(n=5, k=2, m=6, model="rademacher-semirandom", seed=2))
     g = build_even(inst, 2)
-    reg = regularize(g)
-    value, root = trace_moment(g, reg, 1)
-    expected = sum(w * w / (reg.gamma[q] * reg.gamma[r])
+    gamma = regularize(g)
+    value, root = trace_moment(g, 1)
+    expected = sum(w * w / (gamma[q] * gamma[r])
                    for q, r, w in zip(g.rows, g.cols, g.weights[g.tids]))
     assert abs(value - expected) < 1e-9 * max(1.0, expected)
     assert abs(root - value**0.5) < 1e-12
@@ -481,11 +495,10 @@ def test_trace_moment_root_dominates_norm():
     for seed in range(10):
         inst = generate(GeneratorConfig(n=5, k=2, m=8, model="rademacher-semirandom", seed=seed))
         g = build_even(inst, 2)
-        reg = regularize(g)
-        inv = sp.diags(1.0 / np.sqrt(reg.gamma))
+        inv = sp.diags(1.0 / np.sqrt(regularize(g)))
         sigma, _ = spectral_norm(inv @ g.signed_matrix() @ inv, tol=1e-8)
         for r in (1, 2, 3):
-            _, root = trace_moment(g, reg, r)
+            _, root = trace_moment(g, r)
             assert root >= sigma - 1e-8
 
 
@@ -493,7 +506,7 @@ def test_trace_moment_validates_r():
     inst = generate(GeneratorConfig(n=4, k=2, m=3, model="random", seed=0))
     g = build_even(inst, 1)
     with pytest.raises(ValueError):
-        trace_moment(g, regularize(g), 0)
+        trace_moment(g, 0)
 
 
 def test_report_lines_stable_keys():
@@ -556,7 +569,7 @@ def test_every_size_limit_raises_the_guard_type(monkeypatch):
     star = sp.csr_matrix((np.ones(2 * leaves), (np.r_[np.zeros(leaves, int), 1:leaves + 1],
                                                  np.r_[1:leaves + 1, np.zeros(leaves, int)])))
     graph = type("Star", (), {"signed_matrix": lambda self: star})()
-    reg = type("Reg", (), {"gamma": np.ones(leaves + 1)})()
+    monkeypatch.setattr(certify_module, "regularize", lambda graph: np.ones(leaves + 1))
     monkeypatch.setattr(kikuchi_even, "EDGE_BUDGET", -1.0)
     monkeypatch.setattr(kikuchi_odd, "EDGE_BUDGET", -1.0)
     monkeypatch.setattr(sos, "MAX_ENTROPY_WORDS", 2)
@@ -574,7 +587,7 @@ def test_every_size_limit_raises_the_guard_type(monkeypatch):
     for budget in (100, 200):  # 2 r nnz = 160: the first check, then the squared star's
         monkeypatch.setattr(certify_module, "TRACE_BUDGET_NNZ", budget)
         with pytest.raises(ResourceGuardError, match="^trace moment exceeds the configured"):
-            trace_moment(graph, reg, 2)
+            trace_moment(graph, 2)
 
 
 def test_both_branches_take_the_norm_step_through_the_module_globals(monkeypatch):

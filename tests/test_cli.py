@@ -649,7 +649,8 @@ def test_witness_reports_a_skipped_moment_matrix(tmp_path, capsys):
 
 def test_witness_reports_an_allocation_failure_as_a_guard_exit(tmp_path, capsys, monkeypatch):
     # only a documented size guard reads as positivity.skipped; a plain MemoryError,
-    # say from the moment matrix's np.zeros, ends the command with exit 4
+    # say from the moment matrix's np.zeros, ends the command with exit 4 and is not
+    # reported as a guard
     path = tmp_path / "z.hkxor"
     path.write_text("HKXOR v1 n=4 k=2 m=2 model=one-basis-z seed=0\nZ1 Z2 1.0\nZ3 Z4 -1.0\n")
 
@@ -661,7 +662,15 @@ def test_witness_reports_an_allocation_failure_as_a_guard_exit(tmp_path, capsys,
     captured = capsys.readouterr()
     assert code == 4
     assert "positivity.skipped" not in captured.out
-    assert captured.err == "hkxor: resource guard: cannot allocate the moment matrix\n"
+    assert captured.err == "hkxor: out of memory: cannot allocate the moment matrix\n"
+
+
+def test_witness_lift_of_unnormalized_moments_is_usage_error(tmp_path, capsys):
+    # every moment 2 used to print energy=1.5 and positivity.pass=1, dump III 2.0 and exit 0
+    code, err = lift_error(tmp_path, capsys,
+                           "PMOM v1 n=3 d=2\n- 2\n1 2\n2 2\n3 2\n1,2 2\n1,3 2\n2,3 2\n")
+    assert code == 3
+    assert err == "hkxor: error: lifted moments need E[1] = 1, got 2\n"
 
 
 def test_witness_lift_repeated_monomial_is_usage_error(tmp_path, capsys):

@@ -11,6 +11,7 @@ each constraint's shared words and each type's free slots themselves.
 """
 
 import hashlib
+from itertools import product
 
 import pytest
 
@@ -18,7 +19,7 @@ from hkxor.instances import GeneratorConfig, generate
 from hkxor.kikuchi_even import build_even, build_level_n, dump_graph
 from hkxor.kikuchi_odd import (BipartiteDecomposition, Bucket, build_odd, edge_delete,
                                regularity_decompose)
-from hkxor.oracle import assemble
+from hkxor.oracle import assemble, pauli_coefficient
 from hkxor.pauli import PauliOp
 
 from helpers import explicit_instance, instance_rows
@@ -86,8 +87,14 @@ def test_level_n_dumps():
              (PauliOp.from_sparse("Y2", 2), 0.1)]
     assert sha(dump_graph(build_level_n(terms, n=2))) == (
         "6cfdb910183d8f351876974844405219c6887b45de88d46afdd95cee4662a790")
-    inst = generate(GeneratorConfig(n=2, k=2, m=3, model="gaussian-semirandom", seed=3))
-    assert sha(dump_graph(build_level_n(assemble(inst)))) == (
+    # every word's coefficient in the assembled Hamiltonian, in FullGroupIndex rank order
+    dense = assemble(generate(GeneratorConfig(n=2, k=2, m=3, model="gaussian-semirandom",
+                                              seed=3)))
+    words = [PauliOp(2, x, z) for x, z in product(range(4), repeat=2)]
+    coeffs = [pauli_coefficient(dense, p) for p in words]
+    assert max(abs(c.imag) for c in coeffs) <= 1e-12
+    terms = [(p, c.real) for p, c in zip(words, coeffs)]
+    assert sha(dump_graph(build_level_n(terms, 2))) == (
         "b64367e65127d58e673ccbe552de0fece2612f4fb243984fd876ac6aa9a54293")
 
 

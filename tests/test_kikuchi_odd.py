@@ -260,6 +260,18 @@ def test_regularity_check_matches_the_word_reference():
     assert violations >= 20
 
 
+def test_regularity_check_validates_eps():
+    # 0 and 1e-170 used to raise ZeroDivisionError, and -1 and 2 were accepted
+    inst = explicit_instance(4, 3, ["Z1 Z2 Z3"] * 6)
+    dec = regularity_decompose(inst, 2, 1.0)
+    for eps in (0.0, -1.0, 2.0):
+        with pytest.raises(ValueError, match=f"^need 0 < eps <= 1, got {eps}$"):
+            regularity_check(dec, inst, eps, 2)
+    for eps in (1e-155, 1e-170):  # the bound overflows to inf, and eps^2 underflows to zero
+        with pytest.raises(ValueError, match=f"is not a finite float at eps={eps!r}$"):
+            regularity_check(dec, inst, eps, 2)
+
+
 def test_regularity_check_empty():
     dec = BipartiteDecomposition(n=4, k=3, ell=2, eps=0.5, m=0, buckets=())
     ok, witness = regularity_check(dec, parse("HKXOR v1 n=4 k=3 m=0 model=explicit seed=0\n"),

@@ -463,7 +463,7 @@ def test_oracle_and_certify_never_read_the_row_view(tmp_path, capsys, monkeypatc
     psi = rng.standard_normal(1 << even.n) + 1j * rng.standard_normal(1 << even.n)
     psi /= np.linalg.norm(psi)
     graph = build_even(even, 1)
-    qform = quadratic_form_check(even, 1, psi, graph)
+    qform = quadratic_form_check(even, psi, graph)
 
     def no_rows(_inst):
         raise AssertionError("Instance.constraints was read")
@@ -472,6 +472,6 @@ def test_oracle_and_certify_never_read_the_row_view(tmp_path, capsys, monkeypatc
     certify(odd, 2, eps=0.8)
     certify(even, 1, eps=0.8)
     assert lambda_max(assemble(odd)) == expected
-    assert quadratic_form_check(even, 1, psi, graph) == qform <= 1e-9
+    assert quadratic_form_check(even, psi, graph) == qform <= 1e-9
     assert main(["oracle", "--in", str(path)]) == 0
     assert f"lambda_max={expected!r}" in capsys.readouterr().out.splitlines()

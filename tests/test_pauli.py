@@ -16,10 +16,12 @@ from hkxor.pauli import (
     canonical_key,
     commutes,
     enumerate_slice,
+    masks_from_arrays,
     mul_words,
     multiply,
     slice_arrays,
     slice_size,
+    word_columns,
     words_from_arrays,
     words_to_arrays,
 )
@@ -231,6 +233,22 @@ def test_rank_batch_rejects_a_repeated_site_in_any_column_pair(case, data):
         SliceIndex(n, ell).rank_batch(sites, letters)
 
 
+@settings(max_examples=200)
+@given(slice_words())
+@example((65, 2, [((64, 0), [1, 2]), ((3, 63), [0, 0])]))
+@example((70, 3, [((69, 0, 64), [2, 1, 0]), ((64, 65, 66), [0, 1, 2]), ((5, 69, 1), [1, 1, 1])]))
+def test_word_columns_reads_back_mask_rows_and_orders_like_the_slice_index(case):
+    # masks past 64 qubits are Python ints from object arrays; rows come in any site order
+    n, ell, words = case
+    sites = np.array([w[0] for w in words], dtype=np.int64).reshape(len(words), ell)
+    letters = np.array([w[1] for w in words], dtype=np.int8).reshape(len(words), ell)
+    rows = [sorted(zip(*w)) for w in words]  # (site, code) pairs by site
+    expected = [(tuple(s for s, _ in row), tuple(c for _, c in row)) for row in rows]
+    assert [word_columns(x, z) for x, z in zip(*masks_from_arrays(n, sites, letters))] == expected
+    ops = words_from_arrays(n, sites, letters)
+    assert sorted(ops, key=canonical_key) == sorted(ops, key=SliceIndex(n, ell).rank)
+
+
 def test_rank_memo_still_checks_qubit_count():
     idx = SliceIndex(4, 2)
     op = PauliOp.from_sparse("X1 Z3", 4)
@@ -329,7 +347,7 @@ def test_support_equals_site_scan(p):
 @given(st.integers(0, 200).flatmap(words_on))
 @example(PauliOp.identity(5))
 def test_to_sparse_equals_letter_scan(p):
-    # to_sparse reads the bit pairs itself; letter_at is the reference
+    # to_sparse reads the bit pairs through word_columns; letter_at is the reference
     expected = " ".join(f"{p.letter_at(i)}{i + 1}" for i in range(p.n) if p.letter_at(i) != "I")
     assert p.to_sparse() == (expected or "I")
 

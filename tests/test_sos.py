@@ -482,6 +482,18 @@ def test_lift_requires_z_basis():
             lift_classical(inst, moments, 2)
 
 
+def test_lift_refuses_moments_with_e1_other_than_one():
+    # pE[Id] = 1; doubled moments used to lift to energy 3/2 with a passing positivity check
+    inst = z_instance(3, [(0, 1), (1, 2)], [1.0, 1.0])
+    moments = MomentOracle.from_distribution(3, [(1, 1, 1)], degree=2)
+    for scale, shown in ((2, "2"), (Fraction(1, 2), "1/2"), (0, "0")):
+        scaled = MomentOracle(3, 2, {mask: v * ExactComplex.of(scale)
+                                     for mask, v in moments.values.items()})
+        with pytest.raises(ValueError, match=rf"^lifted moments need E\[1\] = 1, got {shown}$"):
+            lift_classical(inst, scaled, 2)
+    assert lift_classical(inst, moments, 2).energy(inst) == ONE
+
+
 def test_moment_oracle_gap():
     moments = MomentOracle.from_distribution(3, [(1, 1, 1)], degree=1)
     with pytest.raises(MomentOracleGap):
@@ -503,7 +515,7 @@ def test_contradiction_dump():
     assert lines[0].startswith("CONTRADICTION word=")
     assert any(line.startswith("deriv_a.step.0=") for line in lines)
     assert any(line.startswith("deriv_b.") for line in lines)
-    assert result.derivation_b.width >= 2
+    assert len(result.derivation_b.axiom_ids) >= 2
 
 
 def test_lift_value_bounded_by_dense_maximum():

@@ -40,3 +40,17 @@ def test_only_the_instance_module_and_its_tests_read_the_row_view():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "constraints"]
     assert reads == []
+
+
+def test_no_library_module_imports_another_modules_private_names():
+    # a name with a leading underscore belongs to its module; another hkxor module that
+    # needs it asks for a public name (dunders such as __version__ are public)
+    imports = []
+    for path in sorted((ROOT / "src" / "hkxor").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "hkxor"
+                                                     or node.module.startswith("hkxor.")):
+                imports += [f"{path.relative_to(ROOT).as_posix()}:{node.lineno} {alias.name}"
+                            for alias in node.names
+                            if alias.name.startswith("_") and not alias.name.endswith("__")]
+    assert imports == []
