@@ -49,7 +49,6 @@ from .certify import (  # noqa: F401
     trace_moment,
 )
 from .oracle import (  # noqa: F401
-    DenseOperator,
     assemble,
     classical_max,
     classical_value,

@@ -100,9 +100,6 @@ class Bucket:
 class BipartiteDecomposition:
     n: int
     k: int
-    ell: int
-    eps: float
-    m: int
     buckets: tuple[Bucket, ...]
     warnings: tuple[str, ...] = ()
 
@@ -181,8 +178,7 @@ def regularity_decompose(inst: Instance, ell: int, eps: float) -> BipartiteDecom
         buckets.append(Bucket(t=1, center=SliceIndex(n, 1).unrank(rank), cids=tuple(cids.tolist()),
                               residual=True))
 
-    return BipartiteDecomposition(n=n, k=k, ell=ell, eps=eps, m=inst.m,
-                                  buckets=tuple(buckets), warnings=tuple(warnings))
+    return BipartiteDecomposition(n=n, k=k, buckets=tuple(buckets), warnings=tuple(warnings))
 
 
 def regularity_check(dec: BipartiteDecomposition, inst: Instance, eps: float,
@@ -243,7 +239,6 @@ def residuals(dec: BipartiteDecomposition, inst: Instance,
 class CSOperator:
     """Bookkeeping for the squared slice operator after the Cauchy-Schwarz step."""
 
-    t: int
     num_centers: int
     num_constraints: int
     total_m: int
@@ -265,7 +260,6 @@ def cs_operator(dec: BipartiteDecomposition, inst: Instance, t: int) -> CSOperat
     if not cids:
         raise ValueError(f"slice t={t} is empty")
     return CSOperator(
-        t=t,
         num_centers=len(dec.slice(t)),
         num_constraints=len(cids),
         total_m=inst.m,
@@ -355,8 +349,7 @@ def rho_counts(p: PauliOp, q: PauliOp, ell: int) -> tuple[int, int]:
     if p.weight() != q.weight():
         raise ValueError("residual words must have equal weight")
     kk = p.weight()
-    if ell < kk:
-        raise InfeasibleLevelError(f"need ell >= {kk}, got {ell}")
+    check_feasible_level(kk, 0, ell)
     inter = p.support_mask & q.support_mask
     agree = ~((p.xmask ^ q.xmask) | (p.zmask ^ q.zmask))
     e = (inter & agree).bit_count()
@@ -470,9 +463,8 @@ def type_edges(n: int, sites: np.ndarray, letters: np.ndarray, first, second,
     if not len(first):
         return empty, empty, empty
     kk = sites.shape[1]
+    check_feasible_level(kk, 0, ell)
     L = ell - kk
-    if L < 0:
-        raise InfeasibleLevelError(f"need ell >= {kk}, got {ell}")
     index = SliceIndex(2 * n, ell)
     if len(first) * index.size > 2**63:
         raise ValueError(f"{len(first)} types of {index.size} vertices overflow the int64 edge key")

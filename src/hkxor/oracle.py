@@ -58,7 +58,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,7 +65,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import zpotrf
 from scipy.sparse._sparsetools import csr_has_canonical_format, csr_matvec
 
-from .pauli import PHASES, PauliOp, PhasedPauli, masks_from_arrays, site_mask
+from .pauli import PHASES, PauliOp, masks_from_arrays, site_mask
 
 DENSE_QUBIT_CAP = 12
 QFORM_QUBIT_CAP = 8
@@ -112,44 +111,21 @@ def dense_word(op: PauliOp) -> np.ndarray:
     return _grouped_sum(op.n, [op.xmask], [op.zmask], [1.0])
 
 
-def dense_phased(p: PhasedPauli) -> np.ndarray:
-    return p.phase * dense_word(p.op)
+def assemble_pauli_sum(n: int, terms) -> np.ndarray:
+    """Dense sum of (PauliOp, coefficient) terms on n qubits, by ``_grouped_sum``."""
+    terms = list(terms)
+    if any(op.n != n for op, _ in terms):
+        raise ValueError(f"every term of a dense sum must act on n={n} qubits")
+    columns = [(op.xmask, op.zmask, coeff) for op, coeff in terms]
+    return _grouped_sum(n, *(zip(*columns) if columns else ((), (), ())))
 
 
-@dataclass(frozen=True)
-class DenseOperator:
-    """Dense 2^n Hermitian realization of an operator."""
-
-    n: int
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        dim = 1 << self.n
-        if self.matrix.shape != (dim, dim):
-            raise ValueError(f"matrix shape {self.matrix.shape} != ({dim}, {dim})")
-
-
-def assemble_pauli_sum(n: int, terms) -> DenseOperator:
-    """Dense sum of (PauliOp, coefficient) terms, by ``_grouped_sum``."""
-    terms = [(op.xmask, op.zmask, coeff) for op, coeff in terms]
-    return DenseOperator(n, _grouped_sum(n, *(zip(*terms) if terms else ((), (), ()))))
-
-
-def assemble_star(inst) -> DenseOperator:
-    """Dense unnormalized sum of signed constraint words."""
-    return DenseOperator(inst.n, _grouped_sum(inst.n, *_columns(inst)))
-
-
-def assemble(inst) -> DenseOperator:
+def assemble(inst) -> np.ndarray:
     """Dense H = Id/2 + (1/2|H|) sum_C b_C P_C for an Instance."""
-    m = _grouped_sum(inst.n, *_columns(inst), divisor=2 * inst.m)
+    xmasks, zmasks = masks_from_arrays(inst.n, inst.sites, inst.letters)
+    m = _grouped_sum(inst.n, xmasks, zmasks, inst.coeffs, divisor=2 * inst.m)
     m.reshape(-1)[:: (1 << inst.n) + 1] += 0.5  # the diagonal, as a view
-    return DenseOperator(inst.n, m)
-
-
-def _columns(inst) -> tuple[list, list, np.ndarray]:
-    """(xmasks, zmasks, coeffs) of an Instance's rows."""
-    return (*masks_from_arrays(inst.n, inst.sites, inst.letters), inst.coeffs)
+    return m
 
 
 def _grouped_sum(n: int, xmasks, zmasks, coeffs, divisor: int = 0) -> np.ndarray:
@@ -198,11 +174,18 @@ def _grouped_sum(n: int, xmasks, zmasks, coeffs, divisor: int = 0) -> np.ndarray
     return out
 
 
-def pauli_coefficient(op: DenseOperator, word: PauliOp) -> complex:
-    """<H, P> = Tr(P H) / 2^n, using the signed-permutation structure of P."""
+def pauli_coefficient(matrix: np.ndarray, word: PauliOp) -> complex:
+    """<H, P> = Tr(P H) / 2^n, using the signed-permutation structure of P.
+
+    Raises ValueError unless H is 2^n x 2^n for the word's n.
+    """
+    dim = 1 << word.n
+    if matrix.shape != (dim, dim):
+        raise ValueError(f"matrix shape {matrix.shape} != ({dim}, {dim}) of an "
+                         f"n={word.n} word")
     rows, vals = word_action(word)
-    cols = np.arange(1 << op.n, dtype=np.int64)
-    return complex(np.sum(vals * op.matrix[cols, rows]) / (1 << op.n))
+    cols = np.arange(dim, dtype=np.int64)
+    return complex(np.sum(vals * matrix[cols, rows]) / dim)
 
 
 def check_hermitian(m) -> None:
@@ -299,8 +282,8 @@ def rump_bound(matrix: np.ndarray, shift: float) -> float | None:
     return math.nextafter(shift + c, math.inf) if info == 0 else None
 
 
-def lambda_max(op: DenseOperator) -> float:
-    """Maximum eigenvalue of a Hermitian operator, proved to within delta.
+def lambda_max(m: np.ndarray) -> float:
+    """Maximum eigenvalue of a square Hermitian matrix, proved to within delta.
 
     Returns the largest diagonal entry of a matrix without off-diagonal
     entries, and the dense ``eigvalsh`` value up to dimension DENSE_DIM.
@@ -308,9 +291,11 @@ def lambda_max(op: DenseOperator) -> float:
     the key-0 Philox start vector), after ``rump_bound`` has proved
     lambda_max < lam + delta (see the module docstring); if ARPACK fails or
     the Cholesky refuses, returns the dense ``eigvalsh`` value.
-    Raises ValueError if ``check_hermitian`` refuses the matrix.
+    Raises ValueError unless M is a square 2-D array with at least one row,
+    and if ``check_hermitian`` refuses it.
     """
-    m = op.matrix
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.shape[0]:
+        raise ValueError(f"need a square matrix with at least one row, got shape {m.shape}")
     csr = _csr_of_dense(m)  # the Lanczos operand; the Hermitian check reads it too
     check_hermitian(csr)
     diag = csr.diagonal()

@@ -404,8 +404,6 @@ def positivity_check(pe: PseudoExpectation, d: int) -> tuple[float, bool]:
 
 @dataclass(frozen=True)
 class ExpansionReport:
-    beta: float
-    d: int
     passed: bool
     witness: tuple[int, ...] | None
     exhaustive: bool
@@ -450,8 +448,8 @@ def boundary_expansion_check(hypergraph, beta: float, d: int) -> ExpansionReport
         best_by_size[size] = min(best_by_size.get(size, boundary), boundary)
         if boundary < beta * size and witness is None:
             witness = subset
-    return ExpansionReport(beta=beta, d=d, passed=witness is None, witness=witness,
-                           exhaustive=exhaustive, profile=tuple(sorted(best_by_size.items())))
+    return ExpansionReport(passed=witness is None, witness=witness, exhaustive=exhaustive,
+                           profile=tuple(sorted(best_by_size.items())))
 
 
 # -- the anticommutation obstruction value ------------------------------------------

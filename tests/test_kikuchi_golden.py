@@ -133,7 +133,7 @@ def test_odd_dumps_with_odd_residual_weight():
     ops = [PauliOp.from_sparse(w, n) for w in words]
     inst = generate(GeneratorConfig(n=n, k=5, m=len(ops), model="explicit", words=tuple(ops),
                                     coeffs=coeffs))
-    dec = BipartiteDecomposition(n=n, k=5, ell=4, eps=1.0, m=8, buckets=(
+    dec = BipartiteDecomposition(n=n, k=5, buckets=(
         Bucket(t=2, center=PauliOp.from_sparse("X1 Y2", n), cids=(0, 1, 2, 3, 4)),
         Bucket(t=2, center=PauliOp.from_sparse("X5 Z7", n), cids=(5, 7)),
         Bucket(t=1, center=PauliOp.from_sparse("Y3", n), cids=(6,), residual=True)))

@@ -138,8 +138,7 @@ def regularity_decompose_reference(inst, ell, eps):
         groups.setdefault(w.restrict(1 << min(w.support())), []).append(cid)
     for center in sorted(groups, key=canonical_key):
         buckets.append(Bucket(t=1, center=center, cids=tuple(groups[center]), residual=True))
-    return BipartiteDecomposition(n=n, k=k, ell=ell, eps=eps, m=inst.m,
-                                  buckets=tuple(buckets)).dump()
+    return BipartiteDecomposition(n=n, k=k, buckets=tuple(buckets)).dump()
 
 
 def hub_instance(n, k, m, seed, hubs, gaussian=False):
@@ -211,9 +210,7 @@ def test_decomposition_passes_own_regularity():
 def test_regularity_check_adversarial_bucket():
     inst = explicit_instance(4, 3, ["Z1 Z2 Z3"] * 6)
     dec = BipartiteDecomposition(
-        n=4, k=3, ell=2, eps=0.5, m=6,
-        buckets=(Bucket(t=1, center=PauliOp.from_sparse("Z1", 4), cids=tuple(range(6))),),
-    )
+        n=4, k=3, buckets=(Bucket(t=1, center=PauliOp.from_sparse("Z1", 4), cids=tuple(range(6))),))
     ok, witness = regularity_check(dec, inst, 0.5, 2)
     assert not ok
     assert witness[1].weight() > 1 and witness[2] == 6
@@ -247,7 +244,7 @@ def test_regularity_check_matches_the_word_reference():
         inst = hub_instance(n, k, 120 + 20 * seed, seed, 3, gaussian=seed % 2)
         ell = (k + 1) // 2
         dec = regularity_decompose(inst, ell, 1.0)
-        whole = [BipartiteDecomposition(n=n, k=k, ell=ell, eps=1.0, m=inst.m, buckets=(
+        whole = [BipartiteDecomposition(n=n, k=k, buckets=(
             Bucket(t=t, center=PauliOp.identity(n), cids=tuple(range(inst.m))[::-1]),))
             for t in (1, k - 1)]
         for d in [dec] + whole:
@@ -273,7 +270,7 @@ def test_regularity_check_validates_eps():
 
 
 def test_regularity_check_empty():
-    dec = BipartiteDecomposition(n=4, k=3, ell=2, eps=0.5, m=0, buckets=())
+    dec = BipartiteDecomposition(n=4, k=3, buckets=())
     ok, witness = regularity_check(dec, parse("HKXOR v1 n=4 k=3 m=0 model=explicit seed=0\n"),
                                    0.5, 2)
     assert ok and witness is None
@@ -350,6 +347,20 @@ def test_rho_can_exceed_one_for_overlapping_residuals():
 def test_delta_infeasible_level():
     with pytest.raises(InfeasibleLevelError):
         delta_count_odd(4, 3, 1, 1)
+
+
+RESIDUALS = (PauliOp.from_sparse("X1 Y2", 4), PauliOp.from_sparse("Z1 Z3", 4))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: delta_count_odd(4, 3, 1, 1),
+    lambda: rho_counts(*RESIDUALS, 1),
+    lambda: type_edges(4, *words_to_arrays(RESIDUALS, 4, 2), [0], [1], 1),
+], ids=["delta_count_odd", "rho_counts", "type_edges"])
+def test_every_direct_caller_words_an_infeasible_level_alike(call):
+    # weight-2 residuals (k - t = 2) at ell = 1
+    with pytest.raises(InfeasibleLevelError, match=r"^need ell >= k-t, got ell=1, k-t=2$"):
+        call()
 
 
 def shared_first_site_instance():
@@ -457,15 +468,13 @@ def odd_slices(draw):
     buckets.insert(draw(st.integers(0, len(buckets))),
                    Bucket(t=t % k + 1, center=PauliOp.from_sparse("X1", n), cids=(0,)))
     inst = explicit_instance(n, k, words, coeffs)
-    return inst, BipartiteDecomposition(n=n, k=k, ell=ell, eps=1.0, m=inst.m,
-                                        buckets=tuple(buckets)), t, ell
+    return inst, BipartiteDecomposition(n=n, k=k, buckets=tuple(buckets)), t, ell
 
 
 def one_bucket_slice(n, k, t, ell, words, coeffs, center):
     inst = explicit_instance(n, k, words, coeffs)
     bucket = Bucket(t=t, center=PauliOp.from_sparse(center, n), cids=tuple(range(inst.m)))
-    return inst, BipartiteDecomposition(n=n, k=k, ell=ell, eps=1.0, m=inst.m,
-                                        buckets=(bucket,)), t, ell
+    return inst, BipartiteDecomposition(n=n, k=k, buckets=(bucket,)), t, ell
 
 
 # residuals (Y1 Y2, Z1 Z2) and (Y1 Y2, X1 Y2): four of the six ordered types are skipped

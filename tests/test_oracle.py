@@ -19,12 +19,10 @@ from hkxor.instances import GeneratorConfig, Instance, generate, serialize
 from hkxor.kikuchi_even import build_even
 from hkxor.oracle import (
     HERMITIAN_TOL,
-    DenseOperator,
     ResourceGuardError,
     apply_word,
     assemble,
     assemble_pauli_sum,
-    assemble_star,
     classical_max,
     classical_value,
     check_hermitian,
@@ -84,11 +82,11 @@ def test_assemble_adds_repeated_words_and_shared_x_masks():
         n=3, k=2, m=4, model="explicit", words=tuple(map(PauliOp.from_string, words)),
         coeffs=coeffs)))
     ref = 0.5 * np.eye(8) + sum(b * kron_word(w) for w, b in zip(words, coeffs)) / 8
-    np.testing.assert_allclose(h.matrix, ref, atol=1e-14)
+    np.testing.assert_allclose(h, ref, atol=1e-14)
     h2 = assemble_pauli_sum(2, [(PauliOp.from_string("XZ"), 0.3),
                                 (PauliOp.from_string("XZ"), -0.7),
                                 (PauliOp.from_string("YI"), 0.25)])
-    np.testing.assert_allclose(h2.matrix, -0.4 * kron_word("XZ") + 0.25 * kron_word("YI"),
+    np.testing.assert_allclose(h2, -0.4 * kron_word("XZ") + 0.25 * kron_word("YI"),
                                atol=1e-14)
 
 
@@ -111,10 +109,10 @@ def zz_instance():
 def test_assemble_examples():
     h1 = assemble(generate(GeneratorConfig(n=1, k=1, m=1, model="explicit",
                                            words=(PauliOp.from_sparse("Z1", 1),), coeffs=(1.0,))))
-    np.testing.assert_allclose(h1.matrix, np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(h1, np.diag([1.0, 0.0]), atol=1e-14)
 
     g = assemble(zz_instance())
-    np.testing.assert_allclose(g.matrix, np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-14)
+    np.testing.assert_allclose(g, np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-14)
 
 
 def test_pauli_coefficient_round_trip():
@@ -143,8 +141,9 @@ def test_assemble_equals_the_eye_formula_entry_for_entry():
     for seed, model in enumerate(["rademacher-semirandom", "gaussian-semirandom", "random",
                                   "one-basis-z"]):
         inst = generate(GeneratorConfig(n=6, k=3, m=9, model=model, seed=seed))
-        formula = assemble_star(inst).matrix / (2 * inst.m) + 0.5 * np.eye(1 << inst.n)
-        assert (assemble(inst).matrix == formula).all()
+        star = assemble_pauli_sum(inst.n, instance_rows(inst))
+        formula = star / (2 * inst.m) + 0.5 * np.eye(1 << inst.n)
+        assert (assemble(inst) == formula).all()
 
 
 @pytest.mark.parametrize("scale", [1.01, 0.99])
@@ -153,7 +152,7 @@ def test_hermitian_threshold_is_relative_to_the_largest_entry(scale, monkeypatch
     # 3 * HERMITIAN_TOL; an entry that is 0 in M and eps in its mirror
     # deviates by exactly eps
     h = assemble_pauli_sum(2, [(PauliOp.from_string("XI"), 3.0),
-                               (PauliOp.from_string("ZZ"), 1.0)]).matrix
+                               (PauliOp.from_string("ZZ"), 1.0)])
     inst = generate(GeneratorConfig(n=5, k=3, m=6, model="one-basis-z", seed=2))
     points = [(1, -1, 1, 1, -1), (-1, -1, 1, -1, 1), (1, 1, 1, -1, -1)]
     pe = lift_classical(inst, MomentOracle.from_distribution(5, points), 4)
@@ -162,7 +161,7 @@ def test_hermitian_threshold_is_relative_to_the_largest_entry(scale, monkeypatch
         monkeypatch.setattr(sos, "moment_matrix", lambda *_: m)
         return positivity_check(pe, 4)[0]
 
-    cases = [(h, lambda m: lambda_max(DenseOperator(2, m)), lambda_max_reference),
+    cases = [(h, lambda_max, lambda_max_reference),
              (h.real, lambda m: spectral_norm(m)[0],
               lambda m: np.abs(np.linalg.eigvalsh(m)).max()),
              # the moments of a distribution's lift scaled to total mass 3
@@ -181,7 +180,7 @@ def gapped_instance():
     """A gaussian n=7 Hamiltonian whose top eigenvalue is over 1e-4 above the next."""
     h = assemble(generate(GeneratorConfig(n=7, k=3, m=20, model="gaussian-semirandom",
                                           seed=4)))
-    vals = np.linalg.eigvalsh(h.matrix)
+    vals = np.linalg.eigvalsh(h)
     assert vals[-1] - vals[-2] > 1e-4
     return h, float(vals[-1]), float(vals[-2])
 
@@ -195,7 +194,7 @@ def test_lanczos_value_is_proved_without_the_dense_fallback(monkeypatch):
     monkeypatch.setattr(oracle, "_dense_lambda_max", no_dense)
     lam = lambda_max(h)
     assert abs(lam - top) < 1e-12
-    bound = rump_bound(h.matrix, lam + 1e-11)
+    bound = rump_bound(h, lam + 1e-11)
     assert bound is not None and top < bound < top + 1e-10
     # the start vector is seeded, so the same matrix gives the same float
     assert lambda_max(h) == lam
@@ -203,14 +202,14 @@ def test_lanczos_value_is_proved_without_the_dense_fallback(monkeypatch):
 
 def test_proof_refuses_a_shift_below_lambda_max():
     h, top, _ = gapped_instance()
-    assert rump_bound(h.matrix, top - 1e-6) is None
+    assert rump_bound(h, top - 1e-6) is None
 
 
 def test_a_ritz_value_below_the_top_falls_back_to_eigvalsh(monkeypatch):
     h, top, second = gapped_instance()
     monkeypatch.setattr(oracle, "ritz_pair", lambda *args: (second, 0.0))
-    assert rump_bound(h.matrix, second + 1e-10) is None
-    assert lambda_max(h) == lambda_max_reference(h.matrix)
+    assert rump_bound(h, second + 1e-10) is None
+    assert lambda_max(h) == lambda_max_reference(h)
 
 
 def test_lambda_max_repr_golden(monkeypatch):
@@ -233,18 +232,42 @@ def test_arpack_failure_falls_back_to_eigvalsh(monkeypatch):
         raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
 
     monkeypatch.setattr(oracle.spla, "eigsh", fail)
-    assert lambda_max(h) == lambda_max_reference(h.matrix)
+    assert lambda_max(h) == lambda_max_reference(h)
 
 
 def test_diagonal_matrices_return_their_largest_entry(monkeypatch):
     monkeypatch.setattr(oracle, "_dense_lambda_max", no_dense)
-    assert lambda_max(DenseOperator(3, 0.5 * np.eye(8, dtype=complex))) == 0.5
-    assert lambda_max(DenseOperator(7, np.zeros((128, 128), dtype=complex))) == 0.0
+    assert lambda_max(0.5 * np.eye(8, dtype=complex)) == 0.5
+    assert lambda_max(np.zeros((128, 128), dtype=complex)) == 0.0
     inst = generate(GeneratorConfig(n=9, k=3, m=12, model="one-basis-z", seed=1))
     h = assemble(inst)
-    assert lambda_max(h) == np.diag(h.matrix).real.max()
+    assert lambda_max(h) == np.diag(h).real.max()
     best, _ = classical_max(inst.sites.tolist(), inst.coeffs.tolist(), inst.n)
     assert abs(lambda_max(h) - best) < 1e-12
+
+
+def hermitian_matrix(dim, seed):
+    """A seeded complex Hermitian dim x dim matrix: (A + A^H) / 2 is Hermitian bit for bit."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize("dim", [48, 100])
+def test_lambda_max_proves_square_matrices_of_any_dimension(dim, monkeypatch):
+    # neither dimension is a power of two; they fall on either side of DENSE_DIM, and
+    # above it the dense eigvalsh may not answer, so the Lanczos run and the Rump proof do
+    assert (dim > oracle.DENSE_DIM) == (dim == 100)
+    m = hermitian_matrix(dim, seed=dim)
+    if dim > oracle.DENSE_DIM:
+        monkeypatch.setattr(oracle, "_dense_lambda_max", no_dense)
+    assert abs(lambda_max(m) - lambda_max_reference(m)) <= 1e-10
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 3), (0, 0)])
+def test_lambda_max_refuses_anything_but_a_square_matrix(shape):
+    with pytest.raises(ValueError, match=r"^need a square matrix with at least one row"):
+        lambda_max(np.zeros(shape, dtype=complex))
 
 
 @st.composite
@@ -271,7 +294,7 @@ def pauli_sums(draw):
 def test_lambda_max_matches_dense_eigvalsh(case):
     n, terms = case
     h = assemble_pauli_sum(n, terms)
-    assert abs(lambda_max(h) - lambda_max_reference(h.matrix)) <= 1e-12
+    assert abs(lambda_max(h) - lambda_max_reference(h)) <= 1e-12
 
 
 def test_value_floor_on_generated_instances():
@@ -347,9 +370,9 @@ def instances(draw):
 @settings(max_examples=60)
 @given(instances())
 def test_grouped_assembly_is_the_per_term_sum_byte_for_byte(inst):
-    assert assemble(inst).matrix.tobytes() == assemble_reference(inst).tobytes()
+    assert assemble(inst).tobytes() == assemble_reference(inst).tobytes()
     star = assemble_pauli_sum_reference(inst.n, instance_rows(inst))
-    assert assemble_star(inst).matrix.tobytes() == star.tobytes()
+    assert assemble_pauli_sum(inst.n, instance_rows(inst)).tobytes() == star.tobytes()
 
 
 @st.composite
@@ -373,13 +396,27 @@ def shared_x_sums(draw):
 @given(shared_x_sums())
 def test_grouped_pauli_sum_is_the_per_term_sum_byte_for_byte(case):
     n, terms = case
-    got = assemble_pauli_sum(n, terms).matrix
+    got = assemble_pauli_sum(n, terms)
     assert got.tobytes() == assemble_pauli_sum_reference(n, terms).tobytes()
+
+
+def test_dense_sums_and_coefficients_refuse_another_qubit_count():
+    # a Z or an X on qubit 2 of a one-qubit sum was dropped or raised IndexError
+    for op in (PauliOp(2, 0, 2), PauliOp(2, 2, 0)):
+        with pytest.raises(ValueError, match=r"^every term of a dense sum must act on n=1 "):
+            assemble_pauli_sum(1, [(op, 1.0)])
+    # the zero-qubit identity read 0.075 off a two-qubit sum; a one-qubit word raised IndexError
+    h = assemble_pauli_sum(2, [(PauliOp.from_string("XZ"), 0.3)])
+    for word in (PauliOp.identity(0), PauliOp.from_string("X")):
+        with pytest.raises(ValueError, match=r"^matrix shape \(4, 4\) != "):
+            pauli_coefficient(h, word)
+    assert abs(pauli_coefficient(h, PauliOp.from_string("XZ")) - 0.3) < 1e-15
 
 
 def test_grouped_assembly_guards_thirteen_qubits():
     inst = generate(GeneratorConfig(n=13, k=3, m=4, seed=0))
-    for build in (lambda: assemble(inst), lambda: assemble_star(inst),
+    for build in (lambda: assemble(inst),
+                  lambda: assemble_pauli_sum(inst.n, instance_rows(inst)),
                   lambda: assemble_pauli_sum(13, [(PauliOp.identity(13), 1.0)])):
         with pytest.raises(ResourceGuardError, match="n <= 12, got 13"):
             build()
@@ -436,11 +473,11 @@ def test_non_finite_entries_are_refused(bad, monkeypatch):
         with pytest.raises(ValueError, match="non-finite entry"):
             spectral_norm(matrix)
     # one pair of mirrored entries in an operator past the dense cut-off
-    h = assemble_pauli_sum(7, [(PauliOp.from_string("XZIIIII"), 0.25)]).matrix
+    h = assemble_pauli_sum(7, [(PauliOp.from_string("XZIIIII"), 0.25)])
     h[3, 5] = h[5, 3] = bad
     for matrix in (h, np.diag([1.0, 0.0]) + pair):
         with pytest.raises(ValueError, match="non-finite entry"):
-            lambda_max(DenseOperator(len(matrix).bit_length() - 1, matrix.astype(complex)))
+            lambda_max(matrix.astype(complex))
     inst = generate(GeneratorConfig(n=5, k=3, m=6, model="one-basis-z", seed=2))
     pe = lift_classical(inst, MomentOracle.from_distribution(5, [(1, -1, 1, 1, -1)]), 4)
     moments = sos.moment_matrix(pe, 4)
