@@ -42,14 +42,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .pauli import LETTERS, PauliOp, words_from_arrays, words_to_arrays
+from .pauli import LETTERS, PauliOp, check_sites, words_from_arrays, words_to_arrays
 
 MODELS = ("rademacher-semirandom", "gaussian-semirandom", "random", "one-basis-z", "explicit")
 
@@ -179,14 +178,7 @@ def _tail_shuffle(n: int, k: int) -> bool:
 
 def _check_edge(edge, n: int, k: int) -> None:
     """ValueError unless an explicit hyperedge is k distinct sites in [0, n)."""
-    seen = set()
-    for site in edge:
-        site = operator.index(site)
-        if not 0 <= site < n:
-            raise ValueError(f"site {site} out of range for n={n}")
-        if site in seen:
-            raise ValueError(f"duplicate site {site}")
-        seen.add(site)
+    check_sites(edge, n)
     if len(edge) != k:
         raise ValueError(f"hyperedge {tuple(edge)} has {len(edge)} sites, expected k={k}")
 

@@ -5,13 +5,13 @@ operators are capped at n <= 12 qubits and the weight-slice quadratic-form
 check at n <= 8; callers hitting the caps get a ResourceGuardError, a
 MemoryError.
 
-A dense Hamiltonian is built from mask columns in one grouped pass
-(``_grouped_sum``): the terms are grouped by x-mask, since the words of one
-group fill the same 2^n entries, and each group's entries are summed over
-its members in input order, one vectorized add per member rank, then
-divided and scattered once into the zero matrix.  Summation order is the
-rule that keeps every bit: each entry is the same sequence of additions as
-one scatter-add per term in input order, so no regrouped reduction (a
+A dense Hamiltonian is built from its words in one pass (``_dense_sum``):
+the terms are grouped by x-mask, since the words of one group fill the same
+2^n entries, and each group's entries are summed over its members in input
+order, each member's ``coeff * vals`` from ``word_action``, then divided
+and written once into the zero matrix.  Summation order is the rule that
+keeps every bit: each entry is the same sequence of additions as one
+scatter-add per term in input order, so no regrouped reduction (a
 ``reduceat`` or a pairwise sum) may replace it.
 
 This module also holds the Hermitian eigen-kernel that ``certify`` and
@@ -65,7 +65,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import zpotrf
 from scipy.sparse._sparsetools import csr_has_canonical_format, csr_matvec
 
-from .pauli import PHASES, PauliOp, masks_from_arrays, site_mask
+from .pauli import PHASES, PauliOp, check_sites, site_mask, words_from_arrays
 
 DENSE_QUBIT_CAP = 12
 QFORM_QUBIT_CAP = 8
@@ -76,9 +76,6 @@ HERMITIAN_TOL = 1e-12
 DENSE_DIM = 64
 UNIT_ROUNDOFF = 2.0**-53
 SMALLEST_SUBNORMAL = 2.0**-1074
-# dense assembly sums at most this many entries of x-mask groups at a time
-ASSEMBLY_CHUNK = 1 << 16
-_PHASE_TABLE = np.array(PHASES, dtype=complex)
 
 
 class ResourceGuardError(MemoryError):
@@ -93,84 +90,66 @@ def word_action(op: PauliOp) -> tuple[np.ndarray, np.ndarray]:
     words XORs their masks.
     """
     cols = np.arange(1 << op.n, dtype=np.int64)
-    phase = (1j) ** ((op.xmask & op.zmask).bit_count() % 4)
-    vals = phase * (1.0 - 2.0 * (np.bitwise_count(cols & op.zmask) & 1))
-    return cols ^ op.xmask, vals
+    phase = complex(PHASES[(op.xmask & op.zmask).bit_count() % 4])
+    signed = phase * np.array((1.0, -1.0))  # the values at parity 0 and 1
+    return cols ^ op.xmask, signed[np.bitwise_count(cols & op.zmask) & 1]
 
 
 def apply_word(op: PauliOp, psi: np.ndarray) -> np.ndarray:
-    """Apply a phase-free word to a statevector of dimension 2^n."""
-    if psi.shape[0] != 1 << op.n:
-        raise ValueError(f"state dimension {psi.shape[0]} != 2^{op.n}")
+    """Apply a phase-free word to a statevector of shape (2^n,); ValueError for any
+    other shape."""
+    if psi.shape != (1 << op.n,):
+        raise ValueError(f"state shape {psi.shape} != ({1 << op.n},) of an n={op.n} word")
     rows, vals = word_action(op)
     return vals[rows] * psi[rows]
 
 
 def dense_word(op: PauliOp) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a phase-free word (signed permutation)."""
-    return _grouped_sum(op.n, [op.xmask], [op.zmask], [1.0])
+    return _dense_sum(op.n, [(op, 1.0)])
 
 
 def assemble_pauli_sum(n: int, terms) -> np.ndarray:
-    """Dense sum of (PauliOp, coefficient) terms on n qubits, by ``_grouped_sum``."""
+    """Dense sum of (PauliOp, coefficient) terms on n qubits, by ``_dense_sum``."""
     terms = list(terms)
     if any(op.n != n for op, _ in terms):
         raise ValueError(f"every term of a dense sum must act on n={n} qubits")
-    columns = [(op.xmask, op.zmask, coeff) for op, coeff in terms]
-    return _grouped_sum(n, *(zip(*columns) if columns else ((), (), ())))
+    return _dense_sum(n, terms)
 
 
 def assemble(inst) -> np.ndarray:
     """Dense H = Id/2 + (1/2|H|) sum_C b_C P_C for an Instance."""
-    xmasks, zmasks = masks_from_arrays(inst.n, inst.sites, inst.letters)
-    m = _grouped_sum(inst.n, xmasks, zmasks, inst.coeffs, divisor=2 * inst.m)
+    words = words_from_arrays(inst.n, inst.sites, inst.letters)
+    m = _dense_sum(inst.n, zip(words, inst.coeffs.tolist()), divisor=2 * inst.m)
     m.reshape(-1)[:: (1 << inst.n) + 1] += 0.5  # the diagonal, as a view
     return m
 
 
-def _grouped_sum(n: int, xmasks, zmasks, coeffs, divisor: int = 0) -> np.ndarray:
-    """Dense sum_t coeffs[t] W(xmasks[t], zmasks[t]), divided by ``divisor`` unless it is 0.
+def _dense_sum(n: int, terms, divisor: int = 0) -> np.ndarray:
+    """Dense sum of (PauliOp, coefficient) terms on n qubits, divided by ``divisor``
+    unless it is 0.
 
-    Word t puts w_t (-1)^{|z_t & b|} in entry (b ^ x_t, b), with w_t =
-    coeffs[t] i^{|x_t & z_t|} from the exact table ``PHASES``.  The terms are
-    grouped by x-mask, and each group's 2^n entries are summed in input order,
-    one vectorized add per member rank (groups by descending size, so the
-    groups with an r-th member are a prefix): every entry sees the additions,
-    and so the roundings, of one scatter-add per term.  A group sum is divided
-    and then scattered once into the zero matrix.  Groups go in chunks of at
-    most ``ASSEMBLY_CHUNK`` entries, which bounds the temporaries.
+    The terms are grouped by x-mask, input order kept inside a group.  A group's
+    2^n entries start at zero and add ``coeff * vals`` from ``word_action`` for
+    each member in turn, so every entry sees the additions, and so the roundings,
+    of one scatter-add per term; the group sum is divided and then written once.
     """
     if n > DENSE_QUBIT_CAP:
         raise ResourceGuardError(f"dense assembly needs n <= {DENSE_QUBIT_CAP}, got {n}")
     dim = 1 << n
     out = np.zeros((dim, dim), dtype=complex)
-    if not len(coeffs):
-        return out
-    xmasks, zmasks = np.asarray(xmasks, dtype=np.int64), np.asarray(zmasks, dtype=np.int64)
-    weights = _PHASE_TABLE[np.bitwise_count(xmasks & zmasks) & 3] * np.asarray(coeffs)
-    keys, group, sizes = np.unique(xmasks, return_inverse=True, return_counts=True)
-    by_term = np.argsort(group, kind="stable")  # group by group, input order inside one
-    rank = np.empty_like(by_term)
-    rank[by_term] = np.arange(len(by_term)) - (np.cumsum(sizes) - sizes)[group[by_term]]
-    by_size = np.argsort(-sizes, kind="stable")
-    slot = np.empty_like(by_size)
-    slot[by_size] = np.arange(len(by_size))
-    table = np.zeros((len(sizes), int(sizes.max())), dtype=np.int64)  # term of (slot, rank)
-    table[slot[group], rank] = np.arange(len(group))
-    keys, sizes = keys[by_size], sizes[by_size]
+    groups: dict[int, list] = {}
+    for op, coeff in terms:
+        groups.setdefault(op.xmask, []).append((op, coeff))
     cols = np.arange(dim, dtype=np.int64)
-    step = max(1, ASSEMBLY_CHUNK >> n)
-    for a in range(0, len(keys), step):
-        chunk = sizes[a:a + step]
-        acc = np.zeros((len(chunk), dim), dtype=complex)
-        for r in range(int(chunk[0])):
-            terms = table[a:a + np.count_nonzero(chunk > r), r]
-            odd = np.bitwise_count(zmasks[terms, None] & cols) & 1
-            w = weights[terms, None]
-            acc[:len(terms)] += np.where(odd, -w, w)
+    for members in groups.values():
+        acc = np.zeros(dim, dtype=complex)
+        for op, coeff in members:
+            rows, vals = word_action(op)  # the group's rows: its members share x
+            acc += coeff * vals
         if divisor:
             acc /= divisor
-        out[keys[a:a + step, None] ^ cols, cols] = acc
+        out[rows, cols] = acc
     return out
 
 
@@ -353,9 +332,9 @@ def quadratic_form_check(inst, state: np.ndarray, graph) -> float:
         lhs += w * np.vdot(block(q), block(r))
 
     rhs = 0.0 + 0.0j
-    xmasks, zmasks = masks_from_arrays(inst.n, inst.sites, inst.letters)
-    for x, z, coeff in zip(xmasks, zmasks, inst.coeffs.tolist()):
-        rhs += coeff * np.vdot(state, apply_word(PauliOp(inst.n, x, z), state))
+    for op, coeff in zip(words_from_arrays(inst.n, inst.sites, inst.letters),
+                         inst.coeffs.tolist()):
+        rhs += coeff * np.vdot(state, apply_word(op, state))
     rhs *= graph.delta
 
     return float(abs(lhs - rhs) / max(1.0, abs(rhs)))
@@ -367,13 +346,17 @@ CLASSICAL_QUBIT_CAP = 24
 
 
 def classical_value(hypergraph, coeffs, x) -> float:
-    """val(I, x) = 1/2 + (1/2|H|) sum_C b_C prod_{i in C} x_i, sites 0-indexed."""
+    """val(I, x) = 1/2 + (1/2|H|) sum_C b_C prod_{i in C} x_i, sites 0-indexed.
+
+    Raises ValueError unless every edge's sites are distinct in [0, len(x)).
+    """
     if len(hypergraph) != len(coeffs):
         raise ValueError("hypergraph and coefficient counts differ")
     if not hypergraph:
         return 0.5
     phi = 0.0
     for sites, b in zip(hypergraph, coeffs):
+        check_sites(sites, len(x))
         prod = 1
         for i in sites:
             prod *= x[i]
@@ -384,7 +367,8 @@ def classical_value(hypergraph, coeffs, x) -> float:
 def classical_max(hypergraph, coeffs, n: int) -> tuple[float, tuple[int, ...]]:
     """Exact max of val(I, .) over {+-1}^n with the lexicographically-first argmax.
 
-    Assignments are ordered by (x_1, x_2, ...) with +1 before -1.
+    Assignments are ordered by (x_1, x_2, ...) with +1 before -1.  Raises
+    ValueError unless every edge's sites are distinct in [0, n).
     """
     if n > CLASSICAL_QUBIT_CAP:
         raise ResourceGuardError(f"classical_max needs n <= {CLASSICAL_QUBIT_CAP}, got {n}")
@@ -394,6 +378,7 @@ def classical_max(hypergraph, coeffs, n: int) -> tuple[float, tuple[int, ...]]:
     idx = np.arange(dim, dtype=np.int64)
     phi = np.zeros(dim)
     for sites, b in zip(hypergraph, coeffs):
+        check_sites(sites, n)
         phi += b * (1.0 - 2.0 * (np.bitwise_count(idx & site_mask(sites)) & 1))
     m = len(hypergraph)
     vals = 0.5 + phi / (2 * m) if m else np.full(dim, 0.5)

@@ -26,6 +26,7 @@ strings and sparse ``"X3 Z7"`` strings) use 1-indexed sites.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
@@ -81,15 +82,12 @@ class PauliOp(namedtuple("PauliOp", "n xmask zmask")):
         """Word with ``letters[j]`` on 0-indexed ``sites[j]``, identity elsewhere."""
         if len(sites) != len(letters):
             raise ValueError("sites and letters must have equal length")
+        check_sites(sites, n)
         xm = zm = 0
         for site, letter in zip(sites, letters):
-            if not 0 <= site < n:
-                raise ValueError(f"site {site} out of range for n={n}")
             x, z = _letter_bits(letter)
             if x == 0 and z == 0:
                 raise ValueError("identity letter not allowed in from_letters")
-            if (xm | zm) >> site & 1:
-                raise ValueError(f"duplicate site {site}")
             xm |= x << site
             zm |= z << site
         return PauliOp(n, xm, zm)
@@ -205,6 +203,19 @@ def word_columns(xmask: int, zmask: int) -> tuple[tuple[int, ...], tuple[int, ..
     return tuple(sites), tuple(codes)
 
 
+def check_sites(sites, n: int) -> None:
+    """ValueError unless the 0-indexed sites are distinct in [0, n); TypeError for a
+    site that is not an integer."""
+    seen = set()
+    for site in sites:
+        site = operator.index(site)
+        if not 0 <= site < n:
+            raise ValueError(f"site {site} out of range for n={n}")
+        if site in seen:
+            raise ValueError(f"duplicate site {site}")
+        seen.add(site)
+
+
 def site_mask(sites) -> int:
     """Bit mask with bit s set for every 0-indexed site s."""
     mask = 0
@@ -243,17 +254,12 @@ def words_to_arrays(words, n: int, weight: int) -> tuple[np.ndarray, np.ndarray]
     """
     if any(w.n != n for w in words):
         raise ValueError(f"every word must act on n={n} qubits")
-    size = (n + 7) // 8
-    raw = b"".join(mask.to_bytes(size, "little") for w in words for mask in (w.xmask, w.zmask))
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(len(words), 2, size),
-                         axis=2, count=n, bitorder="little")
-    pairs = bits[:, 0] | bits[:, 1] << 1  # x | z << 1 per site
-    weights = np.count_nonzero(pairs, axis=1)
-    if (weights != weight).any():
-        raise ValueError(f"word weight {weights[weights != weight][0]} != {weight}")
-    rows, sites = np.nonzero(pairs)
-    return (sites.reshape(len(words), weight),
-            np.array(_PAIR_CODE, dtype=np.int8)[pairs[rows, sites]].reshape(len(words), weight))
+    rows = [word_columns(w.xmask, w.zmask) for w in words]
+    for sites, _ in rows:
+        if len(sites) != weight:
+            raise ValueError(f"word weight {len(sites)} != {weight}")
+    return (np.array([sites for sites, _ in rows], dtype=np.int64).reshape(len(rows), weight),
+            np.array([codes for _, codes in rows], dtype=np.int8).reshape(len(rows), weight))
 
 
 def _check_same_n(a: PauliOp, b: PauliOp) -> None:

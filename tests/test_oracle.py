@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,21 @@ def test_apply_word_matches_dense():
         op = PauliOp.from_string(letters)
         psi = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         np.testing.assert_allclose(apply_word(op, psi), dense_word(op) @ psi, atol=1e-12)
+
+
+def test_apply_word_and_the_quadratic_form_refuse_anything_but_a_state_vector():
+    # a (4, 1) column came back (4, 4), a (4, 4) input had its columns scaled by the
+    # wrong entries, and the quadratic form died inside numpy on a column state
+    op = PauliOp.from_string("XZ")
+    psi = np.arange(4, dtype=complex)
+    for bad in (psi.reshape(-1, 1), np.outer(psi, psi), psi[:2], psi.reshape(1, -1)):
+        with pytest.raises(ValueError, match=r"^state shape .* != \(4,\) of an n=2 word"):
+            apply_word(op, bad)
+    inst = generate(GeneratorConfig(n=4, k=2, m=6, model="random", seed=1))
+    state = np.zeros((1 << inst.n, 1), dtype=complex)
+    state[0] = 1.0
+    with pytest.raises(ValueError, match=r"^state shape \(16, 1\) != \(16,\)"):
+        quadratic_form_check(inst, state, build_even(inst, 1))
 
 
 def zz_instance():
@@ -338,6 +354,18 @@ def test_classical_parity_symmetry_even_k():
     assert abs(classical_value(hyper, coeffs, x) - classical_value(hyper, coeffs, neg)) < 1e-15
 
 
+def test_classical_brute_force_refuses_bad_sites():
+    # site 3 of n=3 was dropped ((1.0, (-1, 1, 1))), and a repeated site read as a
+    # one-site edge: max 1.0 where every assignment has value 0 (the product x0 x0 is 1)
+    for hyper, n, message in (([(0, 3)], 3, "site 3 out of range for n=3"),
+                              ([(0, 0)], 1, "duplicate site 0"),
+                              ([(1, 2), (-1, 0)], 3, "site -1 out of range for n=3")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classical_max(hyper, [-1.0] * len(hyper), n)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classical_value(hyper, [-1.0] * len(hyper), (1,) * n)
+
+
 def test_resource_guards():
     with pytest.raises(ResourceGuardError):
         dense_word(PauliOp.identity(13))
@@ -398,6 +426,8 @@ def test_grouped_pauli_sum_is_the_per_term_sum_byte_for_byte(case):
     n, terms = case
     got = assemble_pauli_sum(n, terms)
     assert got.tobytes() == assemble_pauli_sum_reference(n, terms).tobytes()
+    for op, _ in terms:
+        assert dense_word(op).tobytes() == assemble_pauli_sum_reference(n, [(op, 1.0)]).tobytes()
 
 
 def test_dense_sums_and_coefficients_refuse_another_qubit_count():
