@@ -53,7 +53,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .instances import Instance, check_eps, digest, over_eps_power
-from .kikuchi_even import build_even, regularize
+from .kikuchi_even import build_even, regularize, running_sum
 from .kikuchi_odd import (build_odd, check_feasible_level, check_free_sites, cs_operator,
                           edge_delete, regularity_decompose)
 from .oracle import DENSE_DIM, ResourceGuardError, check_hermitian, ritz_pair, ritz_residual
@@ -359,10 +359,8 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
 
         graph = build_odd(dec, inst, t, ell)
         pruned, gamma = edge_delete(graph, eta)
-        counts = pruned.type_counts().tolist()
-        rho, abs_signs = pruned.rho.tolist(), np.abs(pruned.signs).tolist()
-        penalty = sum((a for a, count in zip(abs_signs, counts) if not count),
-                      start=sum(absbb for *_, absbb in pruned.skipped))
+        counts, abs_signs = pruned.type_counts(), np.abs(pruned.signs)
+        penalty = running_sum([absbb for *_, absbb in pruned.skipped], abs_signs[counts == 0])
         # rho > 1 exactly when |commuting| (a type's count before pruning) < Delta_t,
         # as |commuting| + |anticommuting| = 2 Delta_t
         over = graph.type_counts() < math.ceil(graph.delta)
@@ -374,9 +372,10 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
         norm_t, residual_t, padded, trace = certified_norm(pruned, tol, solver_seed)
         norm_term = 0.0
         if pruned.total_degree:  # zero total degree: no edges, or only zero weights
-            active = [(r, count, a) for r, count, a in zip(rho, counts, abs_signs) if count]
-            w_min = min(r * count for r, count, _ in active)
-            slack = sum((r * count - w_min) * a for r, count, a in active)
+            active = counts > 0
+            weight = pruned.rho[active] * counts[active]
+            w_min = float(weight.min())
+            slack = running_sum((weight - w_min) * abs_signs[active])
             norm_term = cs.scale * (padded * trace + slack) / w_min
         slices.append(SliceCertificate(t, cs.constant_term + norm_term + cs.scale * penalty,
                                        cs.num_centers, cs.num_constraints, norm_t, residual_t,

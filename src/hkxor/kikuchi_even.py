@@ -97,8 +97,7 @@ class KikuchiGraph:
     @property
     def total_degree(self) -> float:
         """Sum of |w| over directed edges, accumulated type by type (|w| * count)."""
-        counts = self.type_counts().tolist()
-        return float(sum(abs(w) * c for w, c in zip(self.weights.tolist(), counts)))
+        return running_sum(np.abs(self.weights) * self.type_counts())
 
     @property
     def average_degree(self) -> float:
@@ -113,6 +112,13 @@ class KikuchiGraph:
     def type_columns(self) -> list[str]:
         """Per type, the dump columns after "row col": "<type id> <weight>"."""
         return [f"{tid} {w!r}" for tid, w in enumerate(self.weights.tolist())]
+
+
+def running_sum(*parts) -> float:
+    """The values of ``parts`` added one at a time in order, bit for bit as Python
+    3.11's ``sum`` adds floats (0.0, then each value in turn): ``np.cumsum`` adds
+    in order, where ``np.sum`` adds pairwise."""
+    return float(np.cumsum(np.concatenate(([0.0], *parts)))[-1])
 
 
 def _sorted_graph(n: int, k: int, ell: int, index, delta: int, rows, cols, tids,

@@ -5,14 +5,17 @@ operators are capped at n <= 12 qubits and the weight-slice quadratic-form
 check at n <= 8; callers hitting the caps get a ResourceGuardError, a
 MemoryError.
 
-A dense Hamiltonian is built from its words in one pass (``_dense_sum``):
-the terms are grouped by x-mask, since the words of one group fill the same
-2^n entries, and each group's entries are summed over its members in input
-order, each member's ``coeff * vals`` from ``word_action``, then divided
-and written once into the zero matrix.  Summation order is the rule that
-keeps every bit: each entry is the same sequence of additions as one
-scatter-add per term in input order, so no regrouped reduction (a
-``reduceat`` or a pairwise sum) may replace it.
+A Hamiltonian is built from its words in two steps.  ``_group_sums`` groups
+the terms by x-mask, since the words of one group fill the same 2^n entries
+(entry b in row b ^ X), and sums each group's entries over its members in
+input order, each member's ``coeff * vals`` from ``word_action``, then
+divides once.  Summation order is the rule that keeps every bit: each entry
+is the same sequence of additions as one scatter-add per term in input
+order, so no regrouped reduction (a ``reduceat`` or a pairwise sum) may
+replace it.  The same groups then feed one of two scatters: the dense
+matrix (``_dense_scatter``, written once per group into the zero matrix) or
+its CSR (``_csr_scatter``, the arrays ``scipy.sparse.csr_matrix`` makes of
+the dense matrix), which the ``oracle`` command proves lambda_max on.
 
 This module also holds the Hermitian eigen-kernel that ``certify`` and
 ``sos`` share with ``lambda_max``: one symmetry rule (``check_hermitian``,
@@ -42,11 +45,13 @@ where the second term covers the rounding of the shifted diagonal, the
 third is Rump's underflow term (doubled for complex arithmetic, eta =
 2^-1074), and c is inflated by 2^-40 for the roundings in evaluating it.
 The shift is t = lam + r + c(lam), r the Ritz residual, so a Ritz value at
-the top passes and delta = t + c - lam is about 2c: 3.5e-11 at n=10.  A
-Cholesky that refuses proves nothing, and the dense ``eigvalsh`` answers
-instead; it also answers for dimension <= DENSE_DIM, where ARPACK does not
-apply.  A matrix without off-diagonal entries returns its largest
-diagonal entry, exactly.
+the top passes and delta = t + c - lam is about 2c: 3.5e-11 at n=10.
+``lambda_max`` takes H dense or as a CSR; the CSR is the Lanczos operand,
+and B, made from it by ``toarray`` and an in-place negation and shift, is
+the only dense matrix the proof holds.  A Cholesky that refuses proves
+nothing, and the dense ``eigvalsh`` answers instead; it also answers for
+dimension <= DENSE_DIM, where ARPACK does not apply.  A matrix without
+off-diagonal entries returns its largest diagonal entry, exactly.
 
 Basis convention: computational basis states are indexed by integers whose
 bit i is the state of (0-indexed) site i, site 0 least significant.  Bit 0
@@ -106,51 +111,79 @@ def apply_word(op: PauliOp, psi: np.ndarray) -> np.ndarray:
 
 def dense_word(op: PauliOp) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a phase-free word (signed permutation)."""
-    return _dense_sum(op.n, [(op, 1.0)])
+    return _dense_scatter(op.n, _group_sums(op.n, [(op, 1.0)]))
 
 
 def assemble_pauli_sum(n: int, terms) -> np.ndarray:
-    """Dense sum of (PauliOp, coefficient) terms on n qubits, by ``_dense_sum``."""
+    """Dense sum of (PauliOp, coefficient) terms on n qubits, from ``_group_sums``."""
     terms = list(terms)
     if any(op.n != n for op, _ in terms):
         raise ValueError(f"every term of a dense sum must act on n={n} qubits")
-    return _dense_sum(n, terms)
+    return _dense_scatter(n, _group_sums(n, terms))
 
 
-def assemble(inst) -> np.ndarray:
-    """Dense H = Id/2 + (1/2|H|) sum_C b_C P_C for an Instance."""
+def assemble(inst, sparse: bool = False) -> np.ndarray | sp.csr_matrix:
+    """H = Id/2 + (1/2|H|) sum_C b_C P_C for an Instance: a dense complex array, or
+    with ``sparse`` the same matrix as a CSR, equal array for array to
+    ``sp.csr_matrix(assemble(inst))``."""
     words = words_from_arrays(inst.n, inst.sites, inst.letters)
-    m = _dense_sum(inst.n, zip(words, inst.coeffs.tolist()), divisor=2 * inst.m)
-    m.reshape(-1)[:: (1 << inst.n) + 1] += 0.5  # the diagonal, as a view
-    return m
+    groups = _group_sums(inst.n, zip(words, inst.coeffs.tolist()), divisor=2 * inst.m)
+    groups.setdefault(0, np.zeros(1 << inst.n, dtype=complex))
+    groups[0] += 0.5  # Id/2, after the division
+    return (_csr_scatter if sparse else _dense_scatter)(inst.n, groups)
 
 
-def _dense_sum(n: int, terms, divisor: int = 0) -> np.ndarray:
-    """Dense sum of (PauliOp, coefficient) terms on n qubits, divided by ``divisor``
-    unless it is 0.
+def _group_sums(n: int, terms, divisor: int = 0) -> dict[int, np.ndarray]:
+    """x-mask -> the 2^n values of its group's sum of (PauliOp, coefficient) terms on
+    n qubits, divided by ``divisor`` unless it is 0.
 
     The terms are grouped by x-mask, input order kept inside a group.  A group's
     2^n entries start at zero and add ``coeff * vals`` from ``word_action`` for
     each member in turn, so every entry sees the additions, and so the roundings,
-    of one scatter-add per term; the group sum is divided and then written once.
+    of one scatter-add per term; the group sum is divided once.  Entry b of group
+    X belongs to row b ^ X and column b of the matrix.
     """
     if n > DENSE_QUBIT_CAP:
         raise ResourceGuardError(f"dense assembly needs n <= {DENSE_QUBIT_CAP}, got {n}")
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    groups: dict[int, list] = {}
+    members: dict[int, list] = {}
     for op, coeff in terms:
-        groups.setdefault(op.xmask, []).append((op, coeff))
-    cols = np.arange(dim, dtype=np.int64)
-    for members in groups.values():
-        acc = np.zeros(dim, dtype=complex)
-        for op, coeff in members:
-            rows, vals = word_action(op)  # the group's rows: its members share x
-            acc += coeff * vals
+        members.setdefault(op.xmask, []).append((op, coeff))
+    groups = {}
+    for xmask, group in members.items():
+        acc = np.zeros(1 << n, dtype=complex)
+        for op, coeff in group:
+            acc += coeff * word_action(op)[1]
         if divisor:
             acc /= divisor
-        out[rows, cols] = acc
+        groups[xmask] = acc
+    return groups
+
+
+def _dense_scatter(n: int, groups: dict[int, np.ndarray]) -> np.ndarray:
+    """The 2^n x 2^n zero matrix with every group's entries written once."""
+    dim = 1 << n
+    out = np.zeros((dim, dim), dtype=complex)
+    cols = np.arange(dim, dtype=np.int64)
+    for xmask, acc in groups.items():
+        out[cols ^ xmask, cols] = acc
     return out
+
+
+def _csr_scatter(n: int, groups: dict[int, np.ndarray]) -> sp.csr_matrix:
+    """The CSR of the groups' matrix, the arrays ``sp.csr_matrix`` makes of
+    ``_dense_scatter``: row r holds column r ^ X with value acc_X[r ^ X] for every
+    group X, columns ascending and exact zeros dropped.
+
+    The entries go in column by column, and the COO-to-CSR conversion, a stable
+    counting sort by row, keeps each row's columns in that ascending order.
+    """
+    cols = np.arange(1 << n, dtype=np.int32)
+    rows = cols[:, None] ^ np.fromiter(groups, dtype=np.int32, count=len(groups))
+    data = np.stack(list(groups.values()), axis=1)  # entry (b, X): acc_X[b] at row b ^ X
+    keep = data != 0
+    coo = sp.coo_matrix((data[keep], (rows[keep], np.repeat(cols, keep.sum(axis=1)))),
+                        shape=(len(cols), len(cols)))
+    return coo.tocsr()
 
 
 def pauli_coefficient(matrix: np.ndarray, word: PauliOp) -> complex:
@@ -243,17 +276,19 @@ def rump_shift(diag: np.ndarray) -> float:
     return c * (1 + 2.0**-40)
 
 
-def rump_bound(matrix: np.ndarray, shift: float) -> float | None:
-    """A proved upper bound on lambda_max of a Hermitian matrix, or None.
+def rump_bound(matrix, shift: float) -> float | None:
+    """A proved upper bound on lambda_max of a dense or CSR Hermitian matrix, or None.
 
     One LAPACK ``zpotrf`` of fl(shift I - H) (H the Hermitian matrix of the
     lower triangle, as ``eigvalsh`` reads it); if it runs to completion, the
-    bound is shift + c.  The factorization runs in place on one shifted copy:
+    bound is shift + c.  The factorization runs in place on the one dense
+    operand, a copy of the matrix negated in place and shifted on its diagonal:
     -H in C order is -H^T = -conj(H) in Fortran order, which has the same
     spectrum, and its upper triangle is H's lower one.
     """
     dim = matrix.shape[0]
-    shifted = np.negative(matrix, order="C", dtype=complex)
+    shifted = matrix.toarray() if sp.issparse(matrix) else np.array(matrix, dtype=complex)
+    np.negative(shifted, out=shifted)
     diag = shifted.reshape(-1)[:: dim + 1]
     diag += shift
     c = rump_shift(diag.real)
@@ -261,21 +296,23 @@ def rump_bound(matrix: np.ndarray, shift: float) -> float | None:
     return math.nextafter(shift + c, math.inf) if info == 0 else None
 
 
-def lambda_max(m: np.ndarray) -> float:
-    """Maximum eigenvalue of a square Hermitian matrix, proved to within delta.
+def lambda_max(m) -> float:
+    """Maximum eigenvalue of a square Hermitian matrix, dense or CSR, proved to within
+    delta.
 
     Returns the largest diagonal entry of a matrix without off-diagonal
     entries, and the dense ``eigvalsh`` value up to dimension DENSE_DIM.
     Otherwise returns the top Ritz value lam of ``ritz_pair`` ("LA", tol=0,
-    the key-0 Philox start vector), after ``rump_bound`` has proved
+    the key-0 Philox start vector) on the CSR, after ``rump_bound`` has proved
     lambda_max < lam + delta (see the module docstring); if ARPACK fails or
-    the Cholesky refuses, returns the dense ``eigvalsh`` value.
-    Raises ValueError unless M is a square 2-D array with at least one row,
+    the Cholesky refuses, returns the dense ``eigvalsh`` value.  A dense matrix
+    becomes ``sp.csr_matrix(m)`` first.
+    Raises ValueError unless M is a square 2-D matrix with at least one row,
     and if ``check_hermitian`` refuses it.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.shape[0]:
         raise ValueError(f"need a square matrix with at least one row, got shape {m.shape}")
-    csr = _csr_of_dense(m)  # the Lanczos operand; the Hermitian check reads it too
+    csr = sp.csr_matrix(m)  # a CSR's own arrays, not a copy
     check_hermitian(csr)
     diag = csr.diagonal()
     if csr.nnz == np.count_nonzero(diag):  # diagonal: the entries are the eigenvalues
@@ -285,20 +322,9 @@ def lambda_max(m: np.ndarray) -> float:
         v0 = np.random.Generator(np.random.Philox(key=0)).standard_normal(m.shape[0])
         with contextlib.suppress(spla.ArpackError):
             lam, residual = ritz_pair(csr, v0, "LA", 0)
-            if rump_bound(m, lam + residual + rump_shift(lam - diag.real)) is not None:
+            if rump_bound(csr, lam + residual + rump_shift(lam - diag.real)) is not None:
                 return lam
-    return _dense_lambda_max(m)
-
-
-def _csr_of_dense(m: np.ndarray) -> sp.csr_matrix:
-    """``sp.csr_matrix(m)`` for a dense square m, array for array, from one nonzero mask:
-    the row-major flat positions of the entries give their columns, and the per-row
-    counts summed up give the row pointers."""
-    mask = m != 0
-    flat = np.flatnonzero(mask)
-    indptr = np.zeros(m.shape[0] + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(mask, axis=1), out=indptr[1:])
-    return sp.csr_matrix((m.ravel()[flat], flat % m.shape[1], indptr), shape=m.shape)
+    return _dense_lambda_max(m.toarray() if sp.issparse(m) else m)
 
 
 def _dense_lambda_max(matrix: np.ndarray) -> float:

@@ -23,6 +23,15 @@ def instance_rows(inst):
     return list(zip(words_from_arrays(inst.n, inst.sites, inst.letters), inst.coeffs.tolist()))
 
 
+def verify_rademacher():
+    """The verify workload's rademacher instance: n=10, k=3, m=200, the words of the
+    seed-0 generator draw with seed-0 signs."""
+    words = tuple(w for w, _ in instance_rows(generate(GeneratorConfig(n=10, k=3, m=200,
+                                                                       seed=0))))
+    return generate(GeneratorConfig(n=10, k=3, m=200, model="rademacher-semirandom", seed=0,
+                                    words=words))
+
+
 def single_zz():
     """Z1 Z2 with coefficient 1.0 on two qubits."""
     return explicit_instance(2, 2, ["Z1 Z2"])

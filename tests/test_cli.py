@@ -5,6 +5,8 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,9 +14,9 @@ import pytest
 import hkxor
 from hkxor import sos
 from hkxor.cli import _build_parser, main
-from hkxor.instances import parse
+from hkxor.instances import parse, serialize
 
-from helpers import instance_rows
+from helpers import instance_rows, verify_rademacher
 
 
 def run(capsys, *argv):
@@ -113,6 +115,39 @@ def test_oracle_one_basis_and_expansion(tmp_path, capsys):
     fields = dict(l.split("=", 1) for l in out.splitlines() if "=" in l)
     assert abs(float(fields["lambda_max"]) - float(fields["classical.value"])) < 1e-10
     assert "expansion.pass" in fields
+
+
+def test_oracle_holds_one_dense_matrix(tmp_path, capsys):
+    # a dense n=10 H is 16 MiB; the Cholesky operand is the one dense matrix oracle
+    # builds, so a second one (a dense H next to it) would double the peak
+    path = tmp_path / "rad.hkxor"
+    path.write_text(serialize(verify_rademacher()))
+    tracemalloc.start()
+    try:
+        code, _ = run(capsys, "oracle", "--in", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 1.25 * 16 * 2**20
+
+
+def test_oracle_calls_the_benchmark_stages_once(tmp_path, capsys, monkeypatch):
+    # the benchmark times hkxor.cli's assemble and lambda_max as the oracle stages
+    cli = importlib.import_module("hkxor.cli")
+    calls = Counter()
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("assemble", "lambda_max"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    path = tmp_path / "inst"
+    run(capsys, "gen", "--n", "7", "--k", "3", "--m", "10", "--seed", "1", "--out", str(path))
+    code, _ = run(capsys, "oracle", "--in", str(path))
+    assert code == 0 and calls == {"assemble": 1, "lambda_max": 1}
 
 
 def test_oracle_resource_guard(tmp_path, capsys):

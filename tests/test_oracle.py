@@ -11,8 +11,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from helpers import (assemble_pauli_sum_reference, assemble_reference,
-                     hermitian_deviation_reference, instance_rows, lambda_max_reference)
+from helpers import (assemble_pauli_sum_reference, assemble_reference, explicit_instance,
+                     hermitian_deviation_reference, instance_rows, lambda_max_reference,
+                     verify_rademacher)
 from hkxor import oracle, sos
 from hkxor.certify import certify, spectral_norm
 from hkxor.cli import main
@@ -192,10 +193,13 @@ def test_hermitian_threshold_is_relative_to_the_largest_entry(scale, monkeypatch
             assert abs(run(m) - reference(m)) < 1e-12
 
 
+# a gaussian n=7 instance whose top eigenvalue is over 1e-4 above the next
+GAPPED = GeneratorConfig(n=7, k=3, m=20, model="gaussian-semirandom", seed=4)
+
+
 def gapped_instance():
-    """A gaussian n=7 Hamiltonian whose top eigenvalue is over 1e-4 above the next."""
-    h = assemble(generate(GeneratorConfig(n=7, k=3, m=20, model="gaussian-semirandom",
-                                          seed=4)))
+    """The GAPPED Hamiltonian, its top eigenvalue and the next one."""
+    h = assemble(generate(GAPPED))
     vals = np.linalg.eigvalsh(h)
     assert vals[-1] - vals[-2] > 1e-4
     return h, float(vals[-1]), float(vals[-2])
@@ -241,14 +245,33 @@ def test_lambda_max_repr_golden(monkeypatch):
     assert repr(lambda_max(assemble(gaussian))) == "0.6457668173943302"
 
 
+def fail_arpack(*args, **kwargs):
+    raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+
 def test_arpack_failure_falls_back_to_eigvalsh(monkeypatch):
     h, _, _ = gapped_instance()
-
-    def fail(*args, **kwargs):
-        raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
-
-    monkeypatch.setattr(oracle.spla, "eigsh", fail)
+    monkeypatch.setattr(oracle.spla, "eigsh", fail_arpack)
     assert lambda_max(h) == lambda_max_reference(h)
+
+
+def test_a_csr_falls_back_to_eigvalsh_like_the_dense_matrix(monkeypatch):
+    # a Ritz value below the top, then an ARPACK failure, on the group CSR
+    h, _, second = gapped_instance()
+    csr = assemble(generate(GAPPED), sparse=True)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "ritz_pair", lambda *args: (second, 0.0))
+        assert lambda_max(csr) == lambda_max_reference(h)
+    monkeypatch.setattr(oracle.spla, "eigsh", fail_arpack)
+    assert lambda_max(csr) == lambda_max_reference(h)
+
+
+def test_lambda_max_repr_golden_from_a_csr(monkeypatch):
+    # the reprs of test_lambda_max_repr_golden, from the group CSR that oracle passes
+    gaussian = generate(GeneratorConfig(n=9, k=3, m=40, model="gaussian-semirandom", seed=0))
+    monkeypatch.setattr(oracle, "_dense_lambda_max", no_dense)
+    assert repr(lambda_max(assemble(verify_rademacher(), sparse=True))) == "0.5753201572846055"
+    assert repr(lambda_max(assemble(gaussian, sparse=True))) == "0.6457668173943302"
 
 
 def test_diagonal_matrices_return_their_largest_entry(monkeypatch):
@@ -401,6 +424,38 @@ def test_grouped_assembly_is_the_per_term_sum_byte_for_byte(inst):
     assert assemble(inst).tobytes() == assemble_reference(inst).tobytes()
     star = assemble_pauli_sum_reference(inst.n, instance_rows(inst))
     assert assemble_pauli_sum(inst.n, instance_rows(inst)).tobytes() == star.tobytes()
+
+
+GROUP_CSR_CASES = {
+    "verify-rademacher": verify_rademacher,
+    "gaussian": lambda: generate(GeneratorConfig(n=9, k=3, m=40, model="gaussian-semirandom",
+                                                 seed=0)),
+    "one-basis": lambda: generate(GeneratorConfig(n=8, k=3, m=12, model="one-basis-z", seed=1)),
+    # every word has an X or a Y, so there is no x-mask-0 group
+    "no-z-only-word": lambda: explicit_instance(4, 2, ["X1 Z2", "Y2 Y3", "Z3 X4", "X1 Y4"],
+                                                (0.5, -1.0, 2.0, 1.5)),
+    # X1 X2 + Y1 Y2 sums to 0 at |00> and |11>
+    "xx-plus-yy": lambda: explicit_instance(2, 2, ["X1 X2", "Y1 Y2"]),
+}
+
+
+@pytest.mark.parametrize("case", GROUP_CSR_CASES)
+def test_group_csr_is_the_csr_of_the_dense_matrix_array_for_array(case):
+    inst = GROUP_CSR_CASES[case]()
+    got, want = assemble(inst, sparse=True), sp.csr_matrix(assemble(inst))
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.data.all()  # no stored zero
+
+
+def test_group_csr_diagonal_and_cancelled_entries():
+    h = assemble(GROUP_CSR_CASES["no-z-only-word"](), sparse=True)
+    assert (h.diagonal() == 0.5).all()
+    # Id/2 on the diagonal and (X1 X2 + Y1 Y2) / 4 = 1/2 at (1, 2) and (2, 1) only
+    h = assemble(GROUP_CSR_CASES["xx-plus-yy"](), sparse=True)
+    assert h.nnz == 6 and (h.toarray() == [[0.5, 0, 0, 0], [0, 0.5, 0.5, 0],
+                                           [0, 0.5, 0.5, 0], [0, 0, 0, 0.5]]).all()
 
 
 @st.composite
