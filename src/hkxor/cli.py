@@ -115,7 +115,7 @@ def _cmd_oracle(args) -> int:
     start = time.perf_counter()
     lines = _header(args)
     lines.append(f"digest={digest(inst)}")
-    lam = lambda_max(assemble(inst, sparse=True))
+    lam = lambda_max(assemble(inst))
     lines.append(f"lambda_max={lam!r}")
     # sites as Python ints (.tolist()): masks of int64 sites overflow past 62 sites
     if inst.is_one_basis():

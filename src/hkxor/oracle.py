@@ -13,8 +13,9 @@ divides once.  Summation order is the rule that keeps every bit: each entry
 is the same sequence of additions as one scatter-add per term in input
 order, so no regrouped reduction (a ``reduceat`` or a pairwise sum) may
 replace it.  The same groups then feed one of two scatters: the dense
-matrix (``_dense_scatter``, written once per group into the zero matrix) or
-its CSR (``_csr_scatter``, the arrays ``scipy.sparse.csr_matrix`` makes of
+matrix of ``dense_word`` and ``assemble_pauli_sum`` (``_dense_scatter``,
+written once per group into the zero matrix) or the CSR that ``assemble``
+returns (``_csr_scatter``, the arrays ``scipy.sparse.csr_matrix`` makes of
 the dense matrix), which the ``oracle`` command proves lambda_max on.
 
 This module also holds the Hermitian eigen-kernel that ``certify`` and
@@ -122,15 +123,14 @@ def assemble_pauli_sum(n: int, terms) -> np.ndarray:
     return _dense_scatter(n, _group_sums(n, terms))
 
 
-def assemble(inst, sparse: bool = False) -> np.ndarray | sp.csr_matrix:
-    """H = Id/2 + (1/2|H|) sum_C b_C P_C for an Instance: a dense complex array, or
-    with ``sparse`` the same matrix as a CSR, equal array for array to
-    ``sp.csr_matrix(assemble(inst))``."""
+def assemble(inst) -> sp.csr_matrix:
+    """H = Id/2 + (1/2|H|) sum_C b_C P_C for an Instance, as a CSR equal array for array
+    to ``sp.csr_matrix`` of the dense matrix; ``toarray()`` gives that matrix."""
     words = words_from_arrays(inst.n, inst.sites, inst.letters)
     groups = _group_sums(inst.n, zip(words, inst.coeffs.tolist()), divisor=2 * inst.m)
     groups.setdefault(0, np.zeros(1 << inst.n, dtype=complex))
     groups[0] += 0.5  # Id/2, after the division
-    return (_csr_scatter if sparse else _dense_scatter)(inst.n, groups)
+    return _csr_scatter(inst.n, groups)
 
 
 def _group_sums(n: int, terms, divisor: int = 0) -> dict[int, np.ndarray]:
@@ -174,16 +174,24 @@ def _csr_scatter(n: int, groups: dict[int, np.ndarray]) -> sp.csr_matrix:
     ``_dense_scatter``: row r holds column r ^ X with value acc_X[r ^ X] for every
     group X, columns ascending and exact zeros dropped.
 
-    The entries go in column by column, and the COO-to-CSR conversion, a stable
-    counting sort by row, keeps each row's columns in that ascending order.
+    The group sums move one at a time into the columns of one array, emptying
+    ``groups``, so they are held once.  The nonzero entries go in column by column,
+    and the COO-to-CSR conversion, a stable counting sort by row, keeps each row's
+    columns in that ascending order.
     """
-    cols = np.arange(1 << n, dtype=np.int32)
-    rows = cols[:, None] ^ np.fromiter(groups, dtype=np.int32, count=len(groups))
-    data = np.stack(list(groups.values()), axis=1)  # entry (b, X): acc_X[b] at row b ^ X
-    keep = data != 0
-    coo = sp.coo_matrix((data[keep], (rows[keep], np.repeat(cols, keep.sum(axis=1)))),
-                        shape=(len(cols), len(cols)))
-    return coo.tocsr()
+    dim = 1 << n
+    xmasks = np.empty(len(groups), dtype=np.int32)
+    values = np.empty((dim, len(groups)), dtype=complex)  # (b, j): column b, row b ^ X_j
+    for j in range(len(groups)):
+        xmasks[j], values[:, j] = groups.popitem()
+    keep = values != 0
+    data = values[keep]
+    del values
+    cols = np.arange(dim, dtype=np.int32)
+    rows = (cols[:, None] ^ xmasks)[keep]
+    cols = np.repeat(cols, keep.sum(axis=1))
+    del keep
+    return sp.coo_matrix((data, (rows, cols)), shape=(dim, dim)).tocsr()
 
 
 def pauli_coefficient(matrix: np.ndarray, word: PauliOp) -> complex:
@@ -276,18 +284,21 @@ def rump_shift(diag: np.ndarray) -> float:
     return c * (1 + 2.0**-40)
 
 
-def rump_bound(matrix, shift: float) -> float | None:
-    """A proved upper bound on lambda_max of a dense or CSR Hermitian matrix, or None.
+def rump_bound(matrix: sp.spmatrix, shift: float) -> float | None:
+    """A proved upper bound on lambda_max of a sparse Hermitian matrix, or None.
 
     One LAPACK ``zpotrf`` of fl(shift I - H) (H the Hermitian matrix of the
     lower triangle, as ``eigvalsh`` reads it); if it runs to completion, the
     bound is shift + c.  The factorization runs in place on the one dense
-    operand, a copy of the matrix negated in place and shifted on its diagonal:
-    -H in C order is -H^T = -conj(H) in Fortran order, which has the same
-    spectrum, and its upper triangle is H's lower one.
+    operand, the complex C-order ``toarray`` of the matrix negated in place and
+    shifted on its diagonal: -H in C order is -H^T = -conj(H) in Fortran order,
+    which has the same spectrum, and its upper triangle is H's lower one.
+    Raises TypeError for a dense matrix.
     """
+    if not sp.issparse(matrix):
+        raise TypeError("rump_bound takes a sparse matrix")
     dim = matrix.shape[0]
-    shifted = matrix.toarray() if sp.issparse(matrix) else np.array(matrix, dtype=complex)
+    shifted = matrix.toarray(order="C").astype(complex, copy=False)
     np.negative(shifted, out=shifted)
     diag = shifted.reshape(-1)[:: dim + 1]
     diag += shift

@@ -89,7 +89,7 @@ def test_level_n_dumps():
         "6cfdb910183d8f351876974844405219c6887b45de88d46afdd95cee4662a790")
     # every word's coefficient in the assembled Hamiltonian, in FullGroupIndex rank order
     dense = assemble(generate(GeneratorConfig(n=2, k=2, m=3, model="gaussian-semirandom",
-                                              seed=3)))
+                                              seed=3))).toarray()
     words = [PauliOp(2, x, z) for x, z in product(range(4), repeat=2)]
     coeffs = [pauli_coefficient(dense, p) for p in words]
     assert max(abs(c.imag) for c in coeffs) <= 1e-12

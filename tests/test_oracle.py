@@ -82,7 +82,7 @@ def test_assemble_adds_repeated_words_and_shared_x_masks():
     coeffs = [1.0, 1.0, -1.0, 1.0]
     h = assemble(generate(GeneratorConfig(
         n=3, k=2, m=4, model="explicit", words=tuple(map(PauliOp.from_string, words)),
-        coeffs=coeffs)))
+        coeffs=coeffs))).toarray()
     ref = 0.5 * np.eye(8) + sum(b * kron_word(w) for w, b in zip(words, coeffs)) / 8
     np.testing.assert_allclose(h, ref, atol=1e-14)
     h2 = assemble_pauli_sum(2, [(PauliOp.from_string("XZ"), 0.3),
@@ -126,15 +126,15 @@ def zz_instance():
 def test_assemble_examples():
     h1 = assemble(generate(GeneratorConfig(n=1, k=1, m=1, model="explicit",
                                            words=(PauliOp.from_sparse("Z1", 1),), coeffs=(1.0,))))
-    np.testing.assert_allclose(h1, np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(h1.toarray(), np.diag([1.0, 0.0]), atol=1e-14)
 
     g = assemble(zz_instance())
-    np.testing.assert_allclose(g, np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-14)
+    np.testing.assert_allclose(g.toarray(), np.diag([1.0, 0.0, 0.0, 1.0]), atol=1e-14)
 
 
 def test_pauli_coefficient_round_trip():
     inst = generate(GeneratorConfig(n=4, k=2, m=5, model="random", seed=9))
-    h = assemble(inst)
+    h = assemble(inst).toarray()
     for word, coeff in instance_rows(inst):
         got = pauli_coefficient(h, word)
         assert abs(got - coeff / (2 * inst.m)) < 1e-12
@@ -160,7 +160,7 @@ def test_assemble_equals_the_eye_formula_entry_for_entry():
         inst = generate(GeneratorConfig(n=6, k=3, m=9, model=model, seed=seed))
         star = assemble_pauli_sum(inst.n, instance_rows(inst))
         formula = star / (2 * inst.m) + 0.5 * np.eye(1 << inst.n)
-        assert (assemble(inst) == formula).all()
+        assert (assemble(inst).toarray() == formula).all()
 
 
 @pytest.mark.parametrize("scale", [1.01, 0.99])
@@ -198,9 +198,10 @@ GAPPED = GeneratorConfig(n=7, k=3, m=20, model="gaussian-semirandom", seed=4)
 
 
 def gapped_instance():
-    """The GAPPED Hamiltonian, its top eigenvalue and the next one."""
+    """The GAPPED Hamiltonian (the CSR of ``assemble``), its top eigenvalue and the next
+    one."""
     h = assemble(generate(GAPPED))
-    vals = np.linalg.eigvalsh(h)
+    vals = np.linalg.eigvalsh(h.toarray())
     assert vals[-1] - vals[-2] > 1e-4
     return h, float(vals[-1]), float(vals[-2])
 
@@ -229,7 +230,7 @@ def test_a_ritz_value_below_the_top_falls_back_to_eigvalsh(monkeypatch):
     h, top, second = gapped_instance()
     monkeypatch.setattr(oracle, "ritz_pair", lambda *args: (second, 0.0))
     assert rump_bound(h, second + 1e-10) is None
-    assert lambda_max(h) == lambda_max_reference(h)
+    assert lambda_max(h) == lambda_max_reference(h.toarray())
 
 
 def test_lambda_max_repr_golden(monkeypatch):
@@ -252,26 +253,38 @@ def fail_arpack(*args, **kwargs):
 def test_arpack_failure_falls_back_to_eigvalsh(monkeypatch):
     h, _, _ = gapped_instance()
     monkeypatch.setattr(oracle.spla, "eigsh", fail_arpack)
+    assert lambda_max(h) == lambda_max_reference(h.toarray())
+
+
+def test_a_dense_matrix_falls_back_to_eigvalsh_like_the_csr(monkeypatch):
+    # a Ritz value below the top, then an ARPACK failure, on the dense H
+    csr, _, second = gapped_instance()
+    h = csr.toarray()
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "ritz_pair", lambda *args: (second, 0.0))
+        assert lambda_max(h) == lambda_max_reference(h)
+    monkeypatch.setattr(oracle.spla, "eigsh", fail_arpack)
     assert lambda_max(h) == lambda_max_reference(h)
 
 
-def test_a_csr_falls_back_to_eigvalsh_like_the_dense_matrix(monkeypatch):
-    # a Ritz value below the top, then an ARPACK failure, on the group CSR
-    h, _, second = gapped_instance()
-    csr = assemble(generate(GAPPED), sparse=True)
-    with monkeypatch.context() as patch:
-        patch.setattr(oracle, "ritz_pair", lambda *args: (second, 0.0))
-        assert lambda_max(csr) == lambda_max_reference(h)
-    monkeypatch.setattr(oracle.spla, "eigsh", fail_arpack)
-    assert lambda_max(csr) == lambda_max_reference(h)
-
-
-def test_lambda_max_repr_golden_from_a_csr(monkeypatch):
-    # the reprs of test_lambda_max_repr_golden, from the group CSR that oracle passes
+def test_lambda_max_repr_golden_from_a_dense_matrix(monkeypatch):
+    # the reprs of test_lambda_max_repr_golden, from the dense H instead of the CSR
     gaussian = generate(GeneratorConfig(n=9, k=3, m=40, model="gaussian-semirandom", seed=0))
     monkeypatch.setattr(oracle, "_dense_lambda_max", no_dense)
-    assert repr(lambda_max(assemble(verify_rademacher(), sparse=True))) == "0.5753201572846055"
-    assert repr(lambda_max(assemble(gaussian, sparse=True))) == "0.6457668173943302"
+    assert repr(lambda_max(assemble(verify_rademacher()).toarray())) == "0.5753201572846055"
+    assert repr(lambda_max(assemble(gaussian).toarray())) == "0.6457668173943302"
+
+
+def test_rump_bound_reads_a_sparse_matrix_of_any_dtype_and_order():
+    # a Fortran-ordered dense -I once had its shift added to a throwaway copy of the
+    # diagonal, so -I itself was factored and -5 "proved" above lambda_max = -1
+    minus_eye = -np.eye(3)
+    with pytest.raises(TypeError, match="sparse"):
+        rump_bound(np.asfortranarray(minus_eye), -5.0)
+    for matrix in (minus_eye, np.asfortranarray(minus_eye), minus_eye.astype(int)):
+        assert rump_bound(sp.csr_matrix(matrix), -5.0) is None
+        bound = rump_bound(sp.csr_matrix(matrix), -0.5)
+        assert bound is not None and -0.5 < bound < -0.5 + 1e-12
 
 
 def test_diagonal_matrices_return_their_largest_entry(monkeypatch):
@@ -280,7 +293,7 @@ def test_diagonal_matrices_return_their_largest_entry(monkeypatch):
     assert lambda_max(np.zeros((128, 128), dtype=complex)) == 0.0
     inst = generate(GeneratorConfig(n=9, k=3, m=12, model="one-basis-z", seed=1))
     h = assemble(inst)
-    assert lambda_max(h) == np.diag(h).real.max()
+    assert lambda_max(h) == h.diagonal().real.max()
     best, _ = classical_max(inst.sites.tolist(), inst.coeffs.tolist(), inst.n)
     assert abs(lambda_max(h) - best) < 1e-12
 
@@ -421,7 +434,7 @@ def instances(draw):
 @settings(max_examples=60)
 @given(instances())
 def test_grouped_assembly_is_the_per_term_sum_byte_for_byte(inst):
-    assert assemble(inst).tobytes() == assemble_reference(inst).tobytes()
+    assert assemble(inst).toarray().tobytes() == assemble_reference(inst).tobytes()
     star = assemble_pauli_sum_reference(inst.n, instance_rows(inst))
     assert assemble_pauli_sum(inst.n, instance_rows(inst)).tobytes() == star.tobytes()
 
@@ -442,20 +455,11 @@ GROUP_CSR_CASES = {
 @pytest.mark.parametrize("case", GROUP_CSR_CASES)
 def test_group_csr_is_the_csr_of_the_dense_matrix_array_for_array(case):
     inst = GROUP_CSR_CASES[case]()
-    got, want = assemble(inst, sparse=True), sp.csr_matrix(assemble(inst))
+    got, want = assemble(inst), sp.csr_matrix(assemble_reference(inst))
     for name in ("indptr", "indices", "data"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     assert got.data.all()  # no stored zero
-
-
-def test_group_csr_diagonal_and_cancelled_entries():
-    h = assemble(GROUP_CSR_CASES["no-z-only-word"](), sparse=True)
-    assert (h.diagonal() == 0.5).all()
-    # Id/2 on the diagonal and (X1 X2 + Y1 Y2) / 4 = 1/2 at (1, 2) and (2, 1) only
-    h = assemble(GROUP_CSR_CASES["xx-plus-yy"](), sparse=True)
-    assert h.nnz == 6 and (h.toarray() == [[0.5, 0, 0, 0], [0, 0.5, 0.5, 0],
-                                           [0, 0.5, 0.5, 0], [0, 0, 0, 0.5]]).all()
 
 
 @st.composite
