@@ -382,7 +382,7 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
                                        gamma, eta, pruned.num_vertices, pruned.num_edges,
                                        len(pruned.skipped)))
 
-    algval = 0.5 + sum(math.sqrt(max(0.0, s.algval)) / inst.k for s in slices)
+    algval = 0.5 + running_sum([math.sqrt(max(0.0, s.algval)) / inst.k for s in slices])
     return Certificate(digest(inst), "odd", ell, eps, tol, solver_seed, algval,
                        max((s.norm for s in slices), default=0.0),
                        max((s.residual for s in slices), default=0.0),

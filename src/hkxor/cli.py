@@ -115,16 +115,20 @@ def _cmd_oracle(args) -> int:
     start = time.perf_counter()
     lines = _header(args)
     lines.append(f"digest={digest(inst)}")
+    if args.expansion:
+        try:
+            beta, d = read_number(args.expansion[0], float), read_number(args.expansion[1])
+        except ValueError:
+            raise ValueError("--expansion needs a number BETA and a whole number D, got "
+                             + " ".join(args.expansion)) from None
+        report = boundary_expansion_check(inst.sites.tolist(), beta, d)
     lam = lambda_max(assemble(inst))
     lines.append(f"lambda_max={lam!r}")
-    # sites as Python ints (.tolist()): masks of int64 sites overflow past 62 sites
     if inst.is_one_basis():
-        value, argmax = classical_max(inst.sites.tolist(), inst.coeffs.tolist(), inst.n)
+        value, argmax = classical_max(inst)
         lines.append(f"classical.value={value!r}")
         lines.append("classical.argmax=" + ",".join(str(v) for v in argmax))
     if args.expansion:
-        beta, d = float(args.expansion[0]), int(args.expansion[1])
-        report = boundary_expansion_check(inst.sites.tolist(), beta, d)
         lines.append(f"expansion.beta={beta!r}")
         lines.append(f"expansion.d={d}")
         lines.append(f"expansion.pass={int(report.passed)}")

@@ -69,7 +69,7 @@ from itertools import combinations
 import numpy as np
 
 from .instances import Instance, check_eps, over_eps_power
-from .kikuchi_even import EDGE_BUDGET, KikuchiGraph
+from .kikuchi_even import EDGE_BUDGET, KikuchiGraph, running_sum
 from .oracle import ResourceGuardError
 from .pauli import PauliOp, SliceIndex, slice_arrays, words_to_arrays
 
@@ -264,7 +264,7 @@ def cs_operator(dec: BipartiteDecomposition, inst: Instance, t: int) -> CSOperat
         num_constraints=len(cids),
         total_m=inst.m,
         k=inst.k,
-        sum_b_sq=float(sum(c ** 2 for c in inst.coeffs[cids].tolist())),
+        sum_b_sq=running_sum(inst.coeffs[cids] ** 2),
     )
 
 

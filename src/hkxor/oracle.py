@@ -9,14 +9,15 @@ A Hamiltonian is built from its words in two steps.  ``_group_sums`` groups
 the terms by x-mask, since the words of one group fill the same 2^n entries
 (entry b in row b ^ X), and sums each group's entries over its members in
 input order, each member's ``coeff * vals`` from ``word_action``, then
-divides once.  Summation order is the rule that keeps every bit: each entry
-is the same sequence of additions as one scatter-add per term in input
-order, so no regrouped reduction (a ``reduceat`` or a pairwise sum) may
-replace it.  The same groups then feed one of two scatters: the dense
-matrix of ``dense_word`` and ``assemble_pauli_sum`` (``_dense_scatter``,
-written once per group into the zero matrix) or the CSR that ``assemble``
-returns (``_csr_scatter``, the arrays ``scipy.sparse.csr_matrix`` makes of
-the dense matrix), which the ``oracle`` command proves lambda_max on.
+divides once (by 1 for a plain sum, which is exact).  Summation order is the
+rule that keeps every bit: each entry is the same sequence of additions as
+one scatter-add per term in input order, so no regrouped reduction (a
+``reduceat`` or a pairwise sum) may replace it.  ``_csr_scatter`` then
+writes the groups into the one matrix form, the CSR that
+``scipy.sparse.csr_matrix`` makes of the dense matrix: ``assemble`` returns
+it, and the ``oracle`` command proves lambda_max on it; ``dense_word`` and
+``assemble_pauli_sum`` return its ``toarray()``, the dense matrix byte for
+byte, since the group sums start at +0.0 and so never hold -0.0.
 
 This module also holds the Hermitian eigen-kernel that ``certify`` and
 ``sos`` share with ``lambda_max``: one symmetry rule (``check_hermitian``,
@@ -71,7 +72,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import zpotrf
 from scipy.sparse._sparsetools import csr_has_canonical_format, csr_matvec
 
-from .pauli import PHASES, PauliOp, check_sites, site_mask, words_from_arrays
+from .pauli import PHASES, PauliOp, site_mask, words_from_arrays
 
 DENSE_QUBIT_CAP = 12
 QFORM_QUBIT_CAP = 8
@@ -112,7 +113,7 @@ def apply_word(op: PauliOp, psi: np.ndarray) -> np.ndarray:
 
 def dense_word(op: PauliOp) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a phase-free word (signed permutation)."""
-    return _dense_scatter(op.n, _group_sums(op.n, [(op, 1.0)]))
+    return _csr_scatter(op.n, _group_sums(op.n, [(op, 1.0)], 1)).toarray()
 
 
 def assemble_pauli_sum(n: int, terms) -> np.ndarray:
@@ -120,22 +121,22 @@ def assemble_pauli_sum(n: int, terms) -> np.ndarray:
     terms = list(terms)
     if any(op.n != n for op, _ in terms):
         raise ValueError(f"every term of a dense sum must act on n={n} qubits")
-    return _dense_scatter(n, _group_sums(n, terms))
+    return _csr_scatter(n, _group_sums(n, terms, 1)).toarray()
 
 
 def assemble(inst) -> sp.csr_matrix:
     """H = Id/2 + (1/2|H|) sum_C b_C P_C for an Instance, as a CSR equal array for array
     to ``sp.csr_matrix`` of the dense matrix; ``toarray()`` gives that matrix."""
     words = words_from_arrays(inst.n, inst.sites, inst.letters)
-    groups = _group_sums(inst.n, zip(words, inst.coeffs.tolist()), divisor=2 * inst.m)
+    groups = _group_sums(inst.n, zip(words, inst.coeffs.tolist()), 2 * inst.m)
     groups.setdefault(0, np.zeros(1 << inst.n, dtype=complex))
     groups[0] += 0.5  # Id/2, after the division
     return _csr_scatter(inst.n, groups)
 
 
-def _group_sums(n: int, terms, divisor: int = 0) -> dict[int, np.ndarray]:
+def _group_sums(n: int, terms, divisor: int) -> dict[int, np.ndarray]:
     """x-mask -> the 2^n values of its group's sum of (PauliOp, coefficient) terms on
-    n qubits, divided by ``divisor`` unless it is 0.
+    n qubits, divided by ``divisor``.
 
     The terms are grouped by x-mask, input order kept inside a group.  A group's
     2^n entries start at zero and add ``coeff * vals`` from ``word_action`` for
@@ -153,25 +154,14 @@ def _group_sums(n: int, terms, divisor: int = 0) -> dict[int, np.ndarray]:
         acc = np.zeros(1 << n, dtype=complex)
         for op, coeff in group:
             acc += coeff * word_action(op)[1]
-        if divisor:
-            acc /= divisor
+        acc /= divisor
         groups[xmask] = acc
     return groups
 
 
-def _dense_scatter(n: int, groups: dict[int, np.ndarray]) -> np.ndarray:
-    """The 2^n x 2^n zero matrix with every group's entries written once."""
-    dim = 1 << n
-    out = np.zeros((dim, dim), dtype=complex)
-    cols = np.arange(dim, dtype=np.int64)
-    for xmask, acc in groups.items():
-        out[cols ^ xmask, cols] = acc
-    return out
-
-
 def _csr_scatter(n: int, groups: dict[int, np.ndarray]) -> sp.csr_matrix:
-    """The CSR of the groups' matrix, the arrays ``sp.csr_matrix`` makes of
-    ``_dense_scatter``: row r holds column r ^ X with value acc_X[r ^ X] for every
+    """The CSR of the groups' matrix, the arrays ``sp.csr_matrix`` makes of the
+    dense matrix: row r holds column r ^ X with value acc_X[r ^ X] for every
     group X, columns ascending and exact zeros dropped.
 
     The group sums move one at a time into the columns of one array, emptying
@@ -382,50 +372,36 @@ def quadratic_form_check(inst, state: np.ndarray, graph) -> float:
 CLASSICAL_QUBIT_CAP = 24
 
 
-def classical_value(hypergraph, coeffs, x) -> float:
-    """val(I, x) = 1/2 + (1/2|H|) sum_C b_C prod_{i in C} x_i, sites 0-indexed.
-
-    Raises ValueError unless every edge's sites are distinct in [0, len(x)).
-    """
-    if len(hypergraph) != len(coeffs):
-        raise ValueError("hypergraph and coefficient counts differ")
-    if not hypergraph:
+def classical_value(inst, x) -> float:
+    """val(I, x) = 1/2 + (1/2|H|) sum_C b_C prod_{i in C} x_i of an Instance, sites
+    0-indexed; ValueError unless x has n entries."""
+    if len(x) != inst.n:
+        raise ValueError(f"assignment of {len(x)} entries != n={inst.n}")
+    if not inst.m:
         return 0.5
     phi = 0.0
-    for sites, b in zip(hypergraph, coeffs):
-        check_sites(sites, len(x))
-        prod = 1
-        for i in sites:
-            prod *= x[i]
-        phi += b * prod
-    return 0.5 + phi / (2 * len(hypergraph))
+    for sites, b in zip(inst.sites.tolist(), inst.coeffs.tolist()):
+        phi += b * math.prod(x[i] for i in sites)
+    return 0.5 + phi / (2 * inst.m)
 
 
-def classical_max(hypergraph, coeffs, n: int) -> tuple[float, tuple[int, ...]]:
+def classical_max(inst) -> tuple[float, tuple[int, ...]]:
     """Exact max of val(I, .) over {+-1}^n with the lexicographically-first argmax.
 
-    Assignments are ordered by (x_1, x_2, ...) with +1 before -1.  Raises
-    ValueError unless every edge's sites are distinct in [0, n).
+    Assignments are ordered by (x_1, x_2, ...) with +1 before -1.
     """
+    n = inst.n
     if n > CLASSICAL_QUBIT_CAP:
         raise ResourceGuardError(f"classical_max needs n <= {CLASSICAL_QUBIT_CAP}, got {n}")
-    if len(hypergraph) != len(coeffs):
-        raise ValueError("hypergraph and coefficient counts differ")
     dim = 1 << n
     idx = np.arange(dim, dtype=np.int64)
     phi = np.zeros(dim)
-    for sites, b in zip(hypergraph, coeffs):
-        check_sites(sites, n)
+    for sites, b in zip(inst.sites.tolist(), inst.coeffs.tolist()):
         phi += b * (1.0 - 2.0 * (np.bitwise_count(idx & site_mask(sites)) & 1))
-    m = len(hypergraph)
-    vals = 0.5 + phi / (2 * m) if m else np.full(dim, 0.5)
+    vals = 0.5 + phi / (2 * inst.m) if inst.m else np.full(dim, 0.5)
     best = float(vals.max())
     winners = np.nonzero(vals >= best - 1e-15)[0]
-
-    def lex_key(b: int) -> int:
-        # bit i encodes site i with 1 = -1; lex order compares site 1 first
-        return int("".join("1" if b >> i & 1 else "0" for i in range(n)), 2)
-
-    b_star = min((int(b) for b in winners), key=lex_key)
+    # bit i encodes x_{i+1} with 1 = -1, and lex order compares x_1 first
+    b_star = min(map(int, winners), key=lambda b: [b >> i & 1 for i in range(n)])
     x = tuple(1 - 2 * (b_star >> i & 1) for i in range(n))
     return best, x

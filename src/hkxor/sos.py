@@ -499,24 +499,32 @@ class MomentOracle:
     @staticmethod
     def from_distribution(n: int, assignments, weights=None, degree: int | None = None
                           ) -> "MomentOracle":
-        """Exact moments of a distribution over +-1 assignments (uniform by default)."""
+        """Exact moments of a distribution over +-1 assignments (uniform by default).
+
+        Raises ValueError unless there is at least one assignment, each of n
+        entries +1 or -1, and one nonnegative weight per assignment, the
+        weights summing to one.
+        """
         if not assignments:
             raise ValueError("need at least one assignment")
+        for x in assignments:
+            if len(x) != n or not set(x) <= {1, -1}:
+                raise ValueError(f"assignment {tuple(x)} is not {n} entries of +1 or -1")
         if weights is None:
             weights = [Fraction(1, len(assignments))] * len(assignments)
         weights = [Fraction(w) for w in weights]
+        if len(weights) != len(assignments):
+            raise ValueError(f"{len(weights)} weights for {len(assignments)} assignments")
+        if min(weights) < 0:
+            raise ValueError("weights must be nonnegative")
         if sum(weights) != 1:
             raise ValueError("weights must sum to one")
         degree = n if degree is None else degree
         values: dict[int, ExactComplex] = {}
         for size in range(degree + 1):
             for sites in combinations(range(n), size):
-                total = Fraction(0)
-                for x, w in zip(assignments, weights):
-                    prod = 1
-                    for i in sites:
-                        prod *= x[i]
-                    total += w * prod
+                total = sum((w * math.prod(x[i] for i in sites)
+                             for x, w in zip(assignments, weights)), Fraction(0))
                 values[site_mask(sites)] = ExactComplex.of(total)
         return MomentOracle(n=n, degree=degree, values=values)
 

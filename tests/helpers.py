@@ -18,6 +18,13 @@ def explicit_instance(n, k, words_sparse, coeffs=None):
                                     coeffs=coeffs or (1.0,) * len(words)))
 
 
+def z_instance(n, supports, coeffs):
+    """The one-basis-z instance of the given 0-indexed supports and coefficients."""
+    words = tuple(PauliOp.from_letters(n, tuple(sorted(s)), "Z" * len(s)) for s in supports)
+    return generate(GeneratorConfig(n=n, k=len(supports[0]), m=len(words), model="one-basis-z",
+                                    words=words, coeffs=coeffs))
+
+
 def instance_rows(inst):
     """The instance's rows as (word, coefficient) pairs, built from its columns."""
     return list(zip(words_from_arrays(inst.n, inst.sites, inst.letters), inst.coeffs.tolist()))

@@ -285,7 +285,7 @@ def test_criterion_6_lifting():
         n = 6 + trial % 5
         m = 8 + trial % 10
         inst = generate(GeneratorConfig(n=n, k=3, m=m, model="one-basis-z", seed=trial))
-        best, _ = classical_max(inst.sites.tolist(), inst.coeffs.tolist(), n)
+        best, _ = classical_max(inst)
         lam = lambda_max(assemble(inst))
         assert abs(best - lam) <= 1e-10, trial
         assignments = [tuple(int(v) for v in rng.choice([-1, 1], n))

@@ -62,6 +62,13 @@ def test_spectral_norm_rejects_asymmetric():
         spectral_norm(sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]])), tol=1e-6)
 
 
+def test_spectral_norm_refuses_a_non_square_matrix():
+    for mat in (np.zeros((2, 3)), sp.csr_matrix((3, 2))):
+        message = re.escape(f"matrix is not square: {mat.shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            spectral_norm(mat)
+
+
 def test_spectral_norm_refuses_complex_input():
     # the dense blocks are real, so a complex matrix would lose its imaginary part
     for mat in (np.array([[0, 1j], [1j, 0]]), np.array([[0, 1j], [-1j, 0]]),

@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import pytest
 
 import hkxor
 from hkxor import sos
+from hkxor.certify import SpectralNormError
 from hkxor.cli import _build_parser, main
 from hkxor.instances import parse, serialize
 
@@ -349,6 +351,19 @@ def test_witness_lift_non_ascii_or_underscored_number_is_usage_error(tmp_path, c
     code, err = lift_error(tmp_path, capsys, pmom)
     assert code == 3
     assert err.startswith(f"hkxor: error: {message}")
+
+
+@pytest.mark.parametrize("row,message", [
+    ("1,4 1", "site 4 out of range"),
+    ("0 1", "site 0 out of range"),
+    ("2,2 1", "repeated site in '2,2'"),
+    ("1,3,1 1", "repeated site in '1,3,1'"),
+])
+def test_witness_lift_site_out_of_range_or_repeated_is_usage_error(tmp_path, capsys, row,
+                                                                   message):
+    code, err = lift_error(tmp_path, capsys, f"PMOM v1 n=3 d=2\n- 1\n{row}\n")
+    assert code == 3
+    assert err == f"hkxor: error: line 3: {message}\n"
 
 
 def test_certify_non_ascii_site_is_usage_error(tmp_path, capsys):
@@ -733,6 +748,48 @@ def test_non_finite_coefficient_is_usage_error(tmp_path, capsys):
             assert captured.out == ""
 
 
+def test_solver_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise SpectralNormError("did not converge", best_estimate=1.5)
+
+    path = tmp_path / "inst"
+    run(capsys, "gen", "--n", "6", "--k", "2", "--m", "4", "--seed", "1", "--out", str(path))
+    monkeypatch.setattr("hkxor.cli.certify", fail)
+    code = main(["certify", "--in", str(path), "--ell", "1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "hkxor: solver failure: did not converge (best estimate 1.5)\n"
+    assert captured.out == ""
+
+
+def test_oracle_expansion_values_are_checked_before_the_dense_oracle(tmp_path, capsys,
+                                                                     monkeypatch):
+    # they were read and checked after lambda_max, and a value that is not a number gave
+    # float()'s or int()'s message
+    path = tmp_path / "inst"
+    run(capsys, "gen", "--n", "6", "--k", "2", "--m", "4", "--model", "one-basis-z",
+        "--seed", "1", "--out", str(path))
+
+    def no_assembly(inst):
+        raise AssertionError("the dense oracle ran before --expansion was checked")
+
+    monkeypatch.setattr("hkxor.cli.assemble", no_assembly)
+    not_numbers = "--expansion needs a number BETA and a whole number D, got "
+    for values, message in ((("abc", "2"), not_numbers + "abc 2"),
+                            (("1", "2.5"), not_numbers + "1 2.5"),
+                            (("1", "-2"), not_numbers + "1 -2"),
+                            (("1", ""), not_numbers + "1 "),
+                            (("1_0", "2"), not_numbers + "1_0 2"),
+                            (("1", "\u0662"), not_numbers + "1 \u0662"),
+                            (("nan", "2"), "expansion beta must be finite, got nan"),
+                            (("1", "0"), "expansion subset size d must be at least 1, got 0")):
+        code = main(["oracle", "--in", str(path), "--expansion", *values])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == f"hkxor: error: {message}\n"
+        assert captured.out == ""
+
+
 def test_oracle_non_finite_expansion_beta_is_usage_error(tmp_path, capsys):
     # `boundary < nan * size` is never true, so nan used to report expansion.pass=1
     path = tmp_path / "inst"
@@ -815,3 +872,82 @@ def test_python_dash_m_hkxor_runs_the_cli_without_installing(tmp_path):
     done = hkxor_module("certify", "--bogus")
     assert done.returncode == 3
     assert "error: the following arguments are required: --in" in done.stderr
+
+
+# X1 X2 X3 and Z3 Z4 Z5 anticommute, so their max-entropy witness is experimental
+OBSTRUCTED = "HKXOR v1 n=5 k=3 m=2 model=explicit seed=0 rng=philox\nX1 X2 X3 1.0\nZ3 Z4 Z5 1.0\n"
+
+
+def test_witness_reports_the_obstruction_pairs(tmp_path, capsys):
+    path = tmp_path / "xz"
+    path.write_text(OBSTRUCTED)
+    code, out = run(capsys, "witness", "--in", str(path), "--degree", "3")
+    assert code == 0
+    head, report = out.split("\n\n")[0].split("\n", 1)  # the lines above the dump
+    assert head == "HKXOR-REPORT v1"
+    fields = dict(line.split("=", 1) for line in report.splitlines())
+    assert fields["kind"] == "max-entropy"
+    assert fields["experimental"] == "1"
+    assert fields["obstruction_pairs"] == "0,1"
+    assert fields["positivity.pass"] == "1"
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum`` as Python 3.12 computes it over Python floats (Neumaier's compensated
+    sum); any other input goes to the builtin."""
+    items = list(iterable)
+    if not items or type(start) not in (int, float) or any(type(v) is not float for v in items):
+        return sum(items, start)
+    total, comp = float(start), 0.0
+    for v in items:
+        t = total + v
+        comp += (total - t) + v if abs(total) >= abs(v) else (v - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_reports_do_not_depend_on_the_interpreters_float_sum(tmp_path, capsys, monkeypatch):
+    # pyproject allows Python >= 3.10, and from 3.12 the builtin sum is compensated: the
+    # odd certificate's sum of b^2 and its sum over slices once went through it
+    paths = {}
+    for name, flags in (("gauss", ["--n", "12", "--k", "3", "--m", "200", "--model", "gaussian",
+                                   "--seed", "4"]),
+                        ("random", ["--n", "8", "--k", "3", "--m", "40", "--model", "random",
+                                    "--seed", "2"]),
+                        ("even", ["--n", "10", "--k", "2", "--m", "60", "--model", "gaussian",
+                                  "--seed", "3"]),
+                        ("z", ["--n", "8", "--k", "3", "--m", "12", "--model", "one-basis-z",
+                               "--seed", "1"]),
+                        ("z2", ["--n", "8", "--k", "2", "--m", "10", "--model", "one-basis-z",
+                                "--seed", "1"])):
+        paths[name] = str(tmp_path / name)
+        run(capsys, "gen", *flags, "--out", paths[name])
+    (tmp_path / "xz").write_text(OBSTRUCTED)
+    paths["xz"] = str(tmp_path / "xz")
+    (tmp_path / "pmom").write_text(point_moments(8))
+    commands = [["certify", "--in", paths["gauss"], "--ell", "3", "--eps", "0.8"],
+                ["certify", "--in", paths["random"], "--ell", "2", "--eps", "0.8"],
+                ["certify", "--in", paths["even"], "--ell", "2"],
+                ["oracle", "--in", paths["random"]],
+                ["oracle", "--in", paths["z"], "--expansion", "1.0", "3"],
+                ["witness", "--in", paths["z"], "--degree", "4"],
+                ["witness", "--in", paths["xz"], "--degree", "3"],
+                ["witness", "--in", paths["z2"], "--degree", "2", "--lift", str(tmp_path / "pmom")],
+                ["sweep", "--n", "10", "--k", "3", "--ell", "2", "--eps", "0.8",
+                 "--m-grid", "40,80", "--seeds", "2", "--model", "gaussian"],
+                ["sweep", "--n", "10", "--k", "2", "--ell", "1", "--eps", "0.5",
+                 "--m-grid", "20", "--seeds", "2", "--model", "gaussian"]]
+
+    def reports():
+        results = []
+        for argv in commands:
+            code, out = run(capsys, *argv)
+            results.append((code, [line for line in out.splitlines() if "time_s=" not in line]))
+        return results
+
+    plain = reports()
+    assert [code for code, _ in plain] == [0, 0, 0, 0, 0, 2, 0, 0, 0, 0]
+    for name, module in list(sys.modules.items()):
+        if name == "hkxor" or name.startswith("hkxor."):
+            monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert reports() == plain

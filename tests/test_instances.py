@@ -239,6 +239,22 @@ def test_generate_errors():
         GeneratorConfig(n=3, k=4, m=1)
     with pytest.raises(ValueError):
         GeneratorConfig(n=3, k=2, m=0)
+    with pytest.raises(ValueError, match="^unknown model 'mixed'$"):
+        GeneratorConfig(n=3, k=2, m=1, model="mixed")
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="^seed must fit in 64 bits$"):
+            GeneratorConfig(n=3, k=2, m=1, seed=seed)
+    assert generate(GeneratorConfig(n=3, k=2, m=1, seed=2**64 - 1)).seed == 2**64 - 1
+    for change, message in ((dict(hypergraph=((0, 1),)), "explicit hypergraph must have m edges"),
+                            (dict(words=(PauliOp.from_sparse("X1 Z3", 3),)),
+                             "explicit words must have length m"),
+                            (dict(coeffs=(1.0,)), "explicit coefficients must have length m"),
+                            (dict(coeffs=(1.0, 1.0, 1.0)),
+                             "explicit coefficients must have length m"),
+                            (dict(model="explicit"),
+                             "explicit model requires explicit coefficients")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate(GeneratorConfig(n=3, k=2, m=2, **change))
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             generate(GeneratorConfig(n=3, k=2, m=2, model="explicit", coeffs=(1.0, bad),
@@ -321,6 +337,11 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as err:
         parse("HKXOR v2 n=2 k=2 m=1 model=explicit seed=0\nZ1 Z2 1.0\n")
     assert err.value.lineno == 1
+    with pytest.raises(ParseError, match="^line 1: empty document$"):
+        parse("")
+    for head in ("PMOM v1 n=2 k=2 m=1 model=explicit seed=0", "", "HKXOR"):
+        with pytest.raises(ParseError, match="^line 1: expected HKXOR header$"):
+            parse(head + "\nZ1 Z2 1.0\n")
     with pytest.raises(ParseError, match="^line 1: header fields n, k, m and seed must be integers"):
         parse("HKXOR v1 n=x k=2 m=1 model=explicit seed=0\nZ1 Z2 1.0\n")
     head = "HKXOR v1 n=3 k=2 m=2 model=explicit seed=0\nZ1 Z2 1.0\n"

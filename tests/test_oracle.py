@@ -3,7 +3,6 @@
 import itertools
 import math
 import random
-import re
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import (assemble_pauli_sum_reference, assemble_reference, explicit_instance,
                      hermitian_deviation_reference, instance_rows, lambda_max_reference,
-                     verify_rademacher)
+                     verify_rademacher, z_instance)
 from hkxor import oracle, sos
 from hkxor.certify import certify, spectral_norm
 from hkxor.cli import main
@@ -294,7 +293,7 @@ def test_diagonal_matrices_return_their_largest_entry(monkeypatch):
     inst = generate(GeneratorConfig(n=9, k=3, m=12, model="one-basis-z", seed=1))
     h = assemble(inst)
     assert lambda_max(h) == h.diagonal().real.max()
-    best, _ = classical_max(inst.sites.tolist(), inst.coeffs.tolist(), inst.n)
+    best, _ = classical_max(inst)
     assert abs(lambda_max(h) - best) < 1e-12
 
 
@@ -360,53 +359,66 @@ def test_value_floor_on_generated_instances():
 def test_one_basis_matches_classical_brute_force():
     for seed in range(6):
         inst = generate(GeneratorConfig(n=6, k=3, m=10, model="one-basis-z", seed=seed))
-        best, _ = classical_max(inst.sites.tolist(), inst.coeffs.tolist(), inst.n)
+        best, _ = classical_max(inst)
         assert abs(lambda_max(assemble(inst)) - best) < 1e-10
 
 
 def test_classical_three_cycle():
-    hyper = [(0, 1), (1, 2), (0, 2)]
-    coeffs = [1.0, -1.0, 1.0]
-    assert abs(classical_value(hyper, coeffs, (1, 1, 1)) - 2 / 3) < 1e-15
-    best, x = classical_max(hyper, coeffs, 3)
+    inst = z_instance(3, [(0, 1), (1, 2), (0, 2)], [1.0, -1.0, 1.0])
+    assert abs(classical_value(inst, (1, 1, 1)) - 2 / 3) < 1e-15
+    best, x = classical_max(inst)
     assert abs(best - 2 / 3) < 1e-15
     assert x == (1, 1, 1)  # lexicographically-first maximizer
 
 
 def test_classical_all_ones():
-    hyper = [(0, 1, 2), (1, 2, 3)]
-    coeffs = [1.0, 1.0]
-    assert classical_value(hyper, coeffs, (1,) * 4) == 1.0
-    best, x = classical_max(hyper, coeffs, 4)
+    inst = z_instance(4, [(0, 1, 2), (1, 2, 3)], [1.0, 1.0])
+    assert classical_value(inst, (1,) * 4) == 1.0
+    best, x = classical_max(inst)
     assert best == 1.0 and x == (1, 1, 1, 1)
 
 
 def test_classical_parity_symmetry_even_k():
     rng = np.random.default_rng(11)
-    hyper = [tuple(sorted(rng.choice(5, 2, replace=False))) for _ in range(6)]
-    coeffs = list(rng.standard_normal(6))
+    hyper = [tuple(sorted(rng.choice(5, 2, replace=False).tolist())) for _ in range(6)]
+    inst = z_instance(5, hyper, tuple(rng.standard_normal(6)))
     x = tuple(int(v) for v in rng.choice([-1, 1], 5))
     neg = tuple(-v for v in x)
-    assert abs(classical_value(hyper, coeffs, x) - classical_value(hyper, coeffs, neg)) < 1e-15
+    assert abs(classical_value(inst, x) - classical_value(inst, neg)) < 1e-15
 
 
-def test_classical_brute_force_refuses_bad_sites():
-    # site 3 of n=3 was dropped ((1.0, (-1, 1, 1))), and a repeated site read as a
-    # one-site edge: max 1.0 where every assignment has value 0 (the product x0 x0 is 1)
-    for hyper, n, message in (([(0, 3)], 3, "site 3 out of range for n=3"),
-                              ([(0, 0)], 1, "duplicate site 0"),
-                              ([(1, 2), (-1, 0)], 3, "site -1 out of range for n=3")):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            classical_max(hyper, [-1.0] * len(hyper), n)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            classical_value(hyper, [-1.0] * len(hyper), (1,) * n)
+def test_classical_value_refuses_an_assignment_of_another_length():
+    inst = z_instance(3, [(0, 2)], [1.0])
+    for x in ((1, 1), (1, 1, 1, 1)):
+        with pytest.raises(ValueError, match=rf"^assignment of {len(x)} entries != n=3$"):
+            classical_value(inst, x)
+
+
+def test_classical_brute_force_of_an_empty_instance_is_one_half():
+    inst = Instance(2, 1, np.zeros((0, 1), dtype=np.int64), np.zeros((0, 1), dtype=np.int64), [],
+                    "one-basis-z")
+    assert classical_value(inst, (1, -1)) == 0.5
+    assert classical_max(inst) == (0.5, (1, 1))
+
+
+def test_quadratic_form_check_refuses_large_n_and_non_unit_states():
+    # both guards run before the graph is read
+    big = generate(GeneratorConfig(n=9, k=2, m=1, seed=0))
+    with pytest.raises(ResourceGuardError, match="^quadratic form check needs n <= 8$"):
+        quadratic_form_check(big, np.zeros(1 << 9, dtype=complex), None)
+    inst = generate(GeneratorConfig(n=3, k=2, m=1, seed=0))
+    for scale in (2.0, 0.0):
+        state = np.zeros(8, dtype=complex)
+        state[3] = scale
+        with pytest.raises(ValueError, match=rf"^state is not a unit vector \(norm {scale}\)$"):
+            quadratic_form_check(inst, state, None)
 
 
 def test_resource_guards():
     with pytest.raises(ResourceGuardError):
         dense_word(PauliOp.identity(13))
     with pytest.raises(ResourceGuardError):
-        classical_max([(0, 1)], [1.0], 25)
+        classical_max(z_instance(25, [(0, 1)], [1.0]))
 
 
 # -- grouped assembly against the per-term reference ------------------------------

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -34,15 +35,9 @@ from hkxor.sos import (
     positivity_check,
 )
 
-from helpers import instance_rows, max_entropy_reference, moment_matrix_reference
+from helpers import instance_rows, max_entropy_reference, moment_matrix_reference, z_instance
 
 ONE = ExactComplex.of(1)
-
-
-def z_instance(n, supports, coeffs):
-    words = tuple(PauliOp.from_letters(n, tuple(sorted(s)), "Z" * len(s)) for s in supports)
-    return generate(GeneratorConfig(n=n, k=len(supports[0]), m=len(words), model="one-basis-z",
-                                    words=words, coeffs=coeffs))
 
 
 def test_exact_complex():
@@ -494,6 +489,24 @@ def test_lift_refuses_moments_with_e1_other_than_one():
     assert lift_classical(inst, moments, 2).energy(inst) == ONE
 
 
+@pytest.mark.parametrize("assignments,weights,message", [
+    ([], None, "need at least one assignment"),
+    ([(1, 5, 1)], None, "assignment (1, 5, 1) is not 3 entries of +1 or -1"),
+    ([(1, 0, 1)], None, "assignment (1, 0, 1) is not 3 entries of +1 or -1"),
+    ([(1, 1)], None, "assignment (1, 1) is not 3 entries of +1 or -1"),
+    ([(1, 1, 1, 1)], None, "assignment (1, 1, 1, 1) is not 3 entries of +1 or -1"),
+    ([(1, 1, 1), (-1, 1, 1)], [1], "1 weights for 2 assignments"),
+    ([(1, 1, 1)], [Fraction(1, 2), Fraction(1, 2)], "2 weights for 1 assignments"),
+    ([(1, 1, 1), (-1, 1, 1)], [2, -1], "weights must be nonnegative"),
+    ([(1, 1, 1), (-1, 1, 1)], [Fraction(1, 2), Fraction(1, 4)], "weights must sum to one"),
+])
+def test_from_distribution_refuses_what_is_not_a_distribution(assignments, weights, message):
+    # weights (2, -1) gave E[x_1] = 3, an entry 5 gave E[x_2] = 5, and zip dropped the
+    # assignments past a short weights list
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MomentOracle.from_distribution(3, assignments, weights)
+
+
 def test_moment_oracle_gap():
     moments = MomentOracle.from_distribution(3, [(1, 1, 1)], degree=1)
     with pytest.raises(MomentOracleGap):
@@ -530,7 +543,7 @@ def test_lift_value_bounded_by_dense_maximum():
         assignments = [tuple(int(v) for v in rng.choice([-1, 1], 7)) for _ in range(2)]
         pe = lift_classical(inst, MomentOracle.from_distribution(7, assignments), 3)
         assert float(pe.energy(inst).re) <= lam + 1e-10
-        _, argmax = classical_max(inst.sites.tolist(), inst.coeffs.tolist(), inst.n)
+        _, argmax = classical_max(inst)
         pe_opt = lift_classical(inst, MomentOracle.from_distribution(7, [argmax]), 3)
         assert abs(float(pe_opt.energy(inst).re) - lam) < 1e-10
 
