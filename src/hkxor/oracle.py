@@ -38,7 +38,16 @@ lambda_min(B) >= -g tr|diag B|.
 Real arithmetic needs K = N + 1; a complex product adds at most
 sqrt(2) gamma_2 < gamma_3 relative error (Higham, "Accuracy and Stability
 of Numerical Algorithms", section 3.6), and K = 2(N + 1) covers that and a
-reciprocal in the triangular solves.  With B = fl(t I - H) this gives
+reciprocal in the triangular solves.  The Cholesky is LAPACK's ``zpftrf`` on
+the lower triangle of B in rectangular full packed (RFP) storage, N(N + 1)/2
+entries (Gustavson, Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 2010).
+It is Cholesky all the same: ``zpotrf`` on the leading half triangle,
+``ztrsm`` for the block below it, ``zherk`` on the trailing half triangle and
+``zpotrf`` on that, so every entry of R is the usual inner-product recurrence
+with its sum split over the calls.  The componentwise bound (Higham,
+Theorem 10.3) holds for any order of the inner-product sums with
+conventional BLAS, so K = 2(N + 1) still holds.  With B = fl(t I - H) this
+gives
 
     lambda_max(H) <= t + c,
     c = g sum_i |B_ii| + 2u max_i |B_ii| + 8 eta (2(N + 1) + max_i |B_ii|),
@@ -48,12 +57,13 @@ third is Rump's underflow term (doubled for complex arithmetic, eta =
 2^-1074), and c is inflated by 2^-40 for the roundings in evaluating it.
 The shift is t = lam + r + c(lam), r the Ritz residual, so a Ritz value at
 the top passes and delta = t + c - lam is about 2c: 3.5e-11 at n=10.
-``lambda_max`` takes H dense or as a CSR; the CSR is the Lanczos operand,
-and B, made from it by ``toarray`` and an in-place negation and shift, is
-the only dense matrix the proof holds.  A Cholesky that refuses proves
-nothing, and the dense ``eigvalsh`` answers instead; it also answers for
-dimension <= DENSE_DIM, where ARPACK does not apply.  A matrix without
-off-diagonal entries returns its largest diagonal entry, exactly.
+``lambda_max`` takes H dense or as a CSR, of any dtype, and works in float64
+or complex128; the CSR is the Lanczos operand, and the packed triangle of B,
+scattered straight from it, is the only dense array the proof holds: half
+the square matrix.  A Cholesky that refuses proves nothing, and the dense
+``eigvalsh`` answers instead; it also answers for dimension <= DENSE_DIM,
+where ARPACK does not apply.  A matrix without off-diagonal entries returns
+its largest diagonal entry, exactly.
 
 Basis convention: computational basis states are indexed by integers whose
 bit i is the state of (0-indexed) site i, site 0 least significant.  Bit 0
@@ -69,7 +79,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import zpotrf
+from scipy.linalg.lapack import zpftrf
 from scipy.sparse._sparsetools import csr_has_canonical_format, csr_matvec
 
 from .pauli import PHASES, PauliOp, site_mask, words_from_arrays
@@ -277,43 +287,77 @@ def rump_shift(diag: np.ndarray) -> float:
 def rump_bound(matrix: sp.spmatrix, shift: float) -> float | None:
     """A proved upper bound on lambda_max of a sparse Hermitian matrix, or None.
 
-    One LAPACK ``zpotrf`` of fl(shift I - H) (H the Hermitian matrix of the
+    One LAPACK ``zpftrf`` of fl(shift I - H) (H the Hermitian matrix of the
     lower triangle, as ``eigvalsh`` reads it); if it runs to completion, the
-    bound is shift + c.  The factorization runs in place on the one dense
-    operand, the complex C-order ``toarray`` of the matrix negated in place and
-    shifted on its diagonal: -H in C order is -H^T = -conj(H) in Fortran order,
-    which has the same spectrum, and its upper triangle is H's lower one.
+    bound is shift + c (see the module docstring).  The operand is the lower
+    triangle of fl(shift I - H) in RFP storage (``transr="N"``, ``uplo="L"``):
+    one complex array of N(N + 1)/2 entries, a Fortran lda x h array for
+    h = (N + 1) // 2, e = 1 - N % 2 and lda = N + e.  Entry (i, j), i >= j, of
+    the leading h columns is at row i + e of column j; any other is at row
+    j - h of column i - h + 1 - e, conjugated, so the trailing triangle is
+    stored conjugate-transposed.  Each entry is 0 - H_ij, the stored entries
+    subtracted in stored order, so duplicates are summed as ``toarray`` sums
+    them; the diagonal is (0 - H_ii) + shift, and c is ``rump_shift`` of it.
+    The array is ``ztrttf`` of the dense fl(shift I - H), byte for byte.
     Raises TypeError for a dense matrix.
     """
     if not sp.issparse(matrix):
         raise TypeError("rump_bound takes a sparse matrix")
     dim = matrix.shape[0]
-    shifted = matrix.toarray(order="C").astype(complex, copy=False)
-    np.negative(shifted, out=shifted)
-    diag = shifted.reshape(-1)[:: dim + 1]
-    diag += shift
-    c = rump_shift(diag.real)
-    _, info = zpotrf(shifted.T, lower=0, clean=0, overwrite_a=1)
+    half, even = (dim + 1) // 2, 1 - dim % 2
+    slots, values = _packed_entries(matrix, half, even)
+    packed = np.zeros(dim * (dim + 1) // 2, dtype=complex)
+    np.subtract.at(packed, slots, values)
+    del slots, values  # freed before the trailing triangle's mask is made
+    # the diagonal: (d + e, d) for d < h, then (d - h, d - h + 1 - e)
+    lda = dim + even
+    step = lda + 1
+    diag = (packed[even:half * step:step], packed[(1 - even) * lda::step][:dim - half])
+    for part in diag:
+        part += shift
+    c = rump_shift(np.concatenate(diag).real)
+    # conjugate the trailing triangle: Fortran (r, c) with r <= c - 1 + e
+    block = packed.reshape(half, lda)[:, :half].imag
+    np.negative(block, out=block, where=np.tri(half, k=even - 1, dtype=bool))
+    _, info = zpftrf(dim, packed, transr="N", uplo="L", overwrite_a=1)
     return math.nextafter(shift + c, math.inf) if info == 0 else None
+
+
+def _packed_entries(matrix: sp.spmatrix, half: int,
+                    even: int) -> tuple[np.ndarray, np.ndarray]:
+    """(slots, values): the stored entries (i, j), i >= j, of a square sparse matrix
+    in stored order, and each one's index in the RFP array of ``rump_bound``:
+    i + e + j lda if j < h, else j - h + (i - h + 1 - e) lda, for lda = N + e."""
+    lda = matrix.shape[0] + even
+    coo = matrix.tocoo(copy=False)
+    lower = coo.row >= coo.col
+    i = coo.row[lower].astype(np.int64)
+    j = coo.col[lower].astype(np.int64)
+    slots = np.where(j < half, i + even + j * lda, j - half + (i - half + 1 - even) * lda)
+    return slots, coo.data[lower]
 
 
 def lambda_max(m) -> float:
     """Maximum eigenvalue of a square Hermitian matrix, dense or CSR, proved to within
     delta.
 
+    Works in float64, or complex128 for a complex M: a matrix of another dtype
+    is converted first, and a float64 or complex128 CSR is used as it is.
     Returns the largest diagonal entry of a matrix without off-diagonal
     entries, and the dense ``eigvalsh`` value up to dimension DENSE_DIM.
     Otherwise returns the top Ritz value lam of ``ritz_pair`` ("LA", tol=0,
     the key-0 Philox start vector) on the CSR, after ``rump_bound`` has proved
-    lambda_max < lam + delta (see the module docstring); if ARPACK fails or
-    the Cholesky refuses, returns the dense ``eigvalsh`` value.  A dense matrix
-    becomes ``sp.csr_matrix(m)`` first.
+    lambda_max < lam + delta on the packed lower triangle of fl(t I - H) (see
+    the module docstring); if ARPACK fails or the Cholesky refuses, returns
+    the dense ``eigvalsh`` value.  A dense matrix becomes
+    ``sp.csr_matrix(m)`` first.
     Raises ValueError unless M is a square 2-D matrix with at least one row,
     and if ``check_hermitian`` refuses it.
     """
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not m.shape[0]:
         raise ValueError(f"need a square matrix with at least one row, got shape {m.shape}")
-    csr = sp.csr_matrix(m)  # a CSR's own arrays, not a copy
+    dtype = complex if np.iscomplexobj(m) else float
+    csr = sp.csr_matrix(m).astype(dtype, copy=False)  # a CSR of dtype: its own arrays
     check_hermitian(csr)
     diag = csr.diagonal()
     if csr.nnz == np.count_nonzero(diag):  # diagonal: the entries are the eigenvalues
@@ -325,7 +369,7 @@ def lambda_max(m) -> float:
             lam, residual = ritz_pair(csr, v0, "LA", 0)
             if rump_bound(csr, lam + residual + rump_shift(lam - diag.real)) is not None:
                 return lam
-    return _dense_lambda_max(m.toarray() if sp.issparse(m) else m)
+    return _dense_lambda_max(csr.toarray() if sp.issparse(m) else np.asarray(m, dtype))
 
 
 def _dense_lambda_max(matrix: np.ndarray) -> float:

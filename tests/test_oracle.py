@@ -3,12 +3,14 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
+from scipy.linalg.lapack import zpftrf, ztrttf
 
 from helpers import (assemble_pauli_sum_reference, assemble_reference, explicit_instance,
                      hermitian_deviation_reference, instance_rows, lambda_max_reference,
@@ -319,6 +321,116 @@ def test_lambda_max_proves_square_matrices_of_any_dimension(dim, monkeypatch):
 def test_lambda_max_refuses_anything_but_a_square_matrix(shape):
     with pytest.raises(ValueError, match=r"^need a square matrix with at least one row"):
         lambda_max(np.zeros(shape, dtype=complex))
+
+
+def path_graph(dim):
+    """The adjacency matrix of the dim-vertex path, lambda_max = 2 cos(pi / (dim + 1))."""
+    return np.eye(dim, k=1, dtype=int) + np.eye(dim, k=-1, dtype=int)
+
+
+@pytest.mark.parametrize("dim", [33, 65])
+def test_lambda_max_runs_in_double_precision(dim, monkeypatch):
+    # a float32 path graph's Ritz step once ran in float32 and came out 8.5e-7 low;
+    # at dimension <= DENSE_DIM the dense eigvalsh answers, in float64 too
+    p = path_graph(dim)
+    top = 2 * math.cos(math.pi / (dim + 1))
+    if dim > oracle.DENSE_DIM:
+        monkeypatch.setattr(oracle, "_dense_lambda_max", no_dense)
+    for dtype in (np.float32, np.complex64, np.int8, np.int64, float, complex):
+        for matrix in (p.astype(dtype), sp.csr_matrix(p.astype(dtype))):
+            assert abs(lambda_max(matrix) - top) <= 1e-12, dtype
+
+
+def test_lambda_max_runs_on_a_complex128_csr_itself(monkeypatch):
+    h = sp.csr_matrix(path_graph(65).astype(complex))
+    seen = []
+    real_ritz_pair = oracle.ritz_pair
+    monkeypatch.setattr(oracle, "ritz_pair", lambda csr, *args: (seen.append(csr),
+                                                                 real_ritz_pair(csr, *args))[1])
+    lambda_max(h)
+    assert np.shares_memory(seen[0].data, h.data)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A sparse matrix of dimension 1-130 with repeated entries (COO) or summed ones
+    (CSR), and real, complex or integer values; rounded values give exact zeros, -0.0
+    and cancelling duplicates."""
+    dim = draw(st.integers(1, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nnz = draw(st.integers(0, 3 * dim))
+    rows, cols = rng.integers(0, dim, (2, nnz))
+    values = rng.standard_normal((2, nnz)).round(draw(st.integers(0, 3)))
+    dtype = draw(st.sampled_from((float, complex, np.int64)))
+    data = (values[0] + 1j * values[1] if dtype is complex else values[0]).astype(dtype)
+    coo = sp.coo_matrix((data, (rows, cols)), shape=(dim, dim))
+    return coo.asformat(draw(st.sampled_from(("coo", "csr"))))
+
+
+@settings(max_examples=150)
+@given(sparse_matrices(), st.floats(-4.0, 4.0))
+def test_rump_bound_factors_the_packed_lower_triangle(matrix, shift):
+    # the factored array is LAPACK's RFP form (transr="N", uplo="L") of the dense
+    # fl(shift I - H), entries 0 - H_ij and diagonal (0 - H_ii) + shift, byte for byte
+    calls = []
+
+    def spy(n, a, **kwargs):
+        calls.append((n, a.copy(), kwargs))
+        return zpftrf(n, a, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "zpftrf", spy)
+        rump_bound(matrix, shift)
+    dim = matrix.shape[0]
+    dense = 0.0 - matrix.toarray().astype(complex)
+    dense.reshape(-1)[:: dim + 1] += shift
+    expected, info = ztrttf(dense, transr="N", uplo="L")
+    assert info == 0
+    [(n, packed, kwargs)] = calls
+    assert (n, kwargs) == (dim, {"transr": "N", "uplo": "L", "overwrite_a": 1})
+    assert packed.dtype == expected.dtype and packed.tobytes() == expected.tobytes()
+
+
+def test_rump_bound_sums_duplicate_entries():
+    # [[0.5 + 0.5, 1], [1, 0]] has lambda_max (1 + sqrt 5) / 2 = 1.618; a fill that
+    # kept one duplicate would factor [[0.5, 1], [1, 0]] (lambda_max 1.281) and prove 1.5
+    coo = sp.coo_matrix(([0.5, 1.0, 1.0, 0.5], ([0, 0, 1, 0], [0, 1, 0, 0])), shape=(2, 2))
+    csr = sp.csr_matrix(([0.5, 1.0, 0.5, 1.0], [0, 1, 0, 0], [0, 3, 4]), shape=(2, 2))
+    assert not csr.has_canonical_format
+    summed = sp.csr_matrix(coo.toarray())
+    assert np.array_equal(summed.toarray(), [[1.0, 1.0], [1.0, 0.0]])
+    for matrix in (coo, csr, summed):
+        assert rump_bound(matrix, 1.5) is None
+        bound = rump_bound(matrix, 2.2)
+        assert bound is not None and 2.2 < bound < 2.2 + 1e-12
+
+
+@pytest.mark.parametrize("dim", [64, 65, 100, 101])
+def test_rump_bound_and_lambda_max_at_odd_and_even_dimensions(dim, monkeypatch):
+    # the packed triangle's two halves differ in size at odd dimensions
+    rng = np.random.default_rng(dim)
+    keep = np.triu(rng.random((dim, dim)) < 0.2)
+    h = sp.csr_matrix(hermitian_matrix(dim, seed=dim) * (keep | keep.T))
+    top = lambda_max_reference(h.toarray())
+    assert rump_bound(h, top - 1e-6) is None
+    bound = rump_bound(h, top + 1e-9)
+    assert bound is not None and top < bound < top + 1e-8
+    if dim > oracle.DENSE_DIM:
+        monkeypatch.setattr(oracle, "_dense_lambda_max", no_dense)
+    assert abs(lambda_max(h) - top) <= 1e-12
+
+
+def test_rump_bound_holds_one_packed_triangle():
+    # verify's n=10 operator: a square complex operand alone would take 16 MiB
+    h = assemble(verify_rademacher())
+    tracemalloc.start()
+    try:
+        bound = rump_bound(h, 0.5753201572846055 + 1e-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound is not None
+    assert peak < 0.75 * 16 * 2**20
 
 
 @st.composite
