@@ -32,11 +32,18 @@ count rho * count' (equal to Delta_t when nothing was deleted), slack the
 Every norm is taken per connected component of the matrix, since the norm
 of a block-diagonal matrix is the largest norm of its blocks: components of
 at most oracle.DENSE_DIM vertices are solved exactly by batched dense
-eigvalsh, each larger one by its own iterative (ARPACK) solve whose Ritz
-pair must pass a residual check.  The symmetry check, the ARPACK step and
-the residual are the oracle's (``check_hermitian``, ``ritz_pair``,
-``ritz_residual``), so certify and the ground truth share one Hermitian
-eigen-kernel.  Every certificate is deterministic given (instance bytes,
+eigvalsh, each larger one M by its own iterative (ARPACK) solve for the top
+eigenvalue theta of the squared operator M M, applied as M(Mx) and never
+formed (to M scaled by a power of two), so sigma = sqrt(theta) = ||M||.
+That pair must pass a residual check: the eigenvalues of M M are the
+lambda^2 of M, so the squared residual r2 gives
+|sigma - |lambda|| = |theta - lambda^2| / (sigma + |lambda|) <= r2 / sigma
+for some eigenvalue lambda of M.
+Squaring merges a near +-pair at the ends of the spectrum into the top of a
+PSD one, which Lanczos resolves in fewer steps.  The symmetry check, the
+ARPACK step and the residual are the oracle's (``check_hermitian``,
+``ritz_pair``, ``ritz_residual``), so certify and the ground truth share one
+Hermitian eigen-kernel.  Every certificate is deterministic given (instance bytes,
 ell, eps, tol, solver seed): the iterative eigensolver starts from a seeded
 vector.
 """
@@ -134,15 +141,20 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     stored entries are dropped and the rest permuted by (component size,
     label): each component becomes one contiguous diagonal block.
     Components of at most DENSE_DIM vertices are solved exactly by batched
-    dense eigvalsh, and each larger one by its own ``oracle.ritz_pair`` call
-    ("LM") started from the seeded Philox vector of the whole matrix
-    restricted to that block; the result depends only on (matrix, seed).
-    sigma is the largest of the parts (a large component wins a tie with the
-    small-block maximum), and residual is ``oracle.ritz_residual`` of the
-    winning eigenpair.  Every Ritz pair's residual certifies its value (for
-    symmetric M the eigenvalue error is at most the residual); a failed solve
-    raises SpectralNormError whose best_estimate is never below a part
-    already solved.
+    dense eigvalsh, and each larger one M by its own ``oracle.ritz_pair`` call
+    ("LM": the top eigenvalue theta of M M, as sigma = sqrt(theta)) started
+    from the seeded Philox vector of the whole matrix restricted to that
+    block; the result depends only on (matrix, seed).  sigma is the largest
+    of the parts (a large component wins a tie with the small-block maximum),
+    and residual is the winning part's: r2 / sigma for a large component,
+    from the residual r2 of its pair of M M, and ``oracle.ritz_residual`` of
+    the winning eigenpair for a small one.  Every residual certifies its
+    value: for symmetric M the eigenvalue error is at most the residual, and
+    for M M, whose eigenvalues are the lambda^2 of M, |sigma - |lambda|| =
+    |theta - lambda^2| / (sigma + |lambda|) <= r2 / sigma.  A failed solve
+    raises SpectralNormError whose best_estimate (``ritz_pair`` turns a partial
+    Ritz value theta of M M into the norm sqrt(max(theta, 0))) is never below
+    a part already solved.
     """
     check_tol(tol)
     check_seed(seed)
@@ -175,18 +187,18 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     while a < len(order):
         b = a + int(vsize[a])
         try:
-            lam, res = ritz_pair(mat[a:b, a:b], v0[a:b], "LM", min(tol * 1e-3, 1e-10),
-                                 max(1000, 20 * (b - a)))
+            sigma, res = ritz_pair(mat[a:b, a:b], v0[a:b], "LM", min(tol * 1e-3, 1e-10),
+                                   max(1000, 20 * (b - a)))
         except spla.ArpackNoConvergence as exc:
-            known = np.append(np.abs(exc.eigenvalues),
+            known = np.append(exc.eigenvalues,  # partial norms, from ritz_pair
                               [] if block is None and residual is None else [best])
             best = float(known.max()) if len(known) else None
             raise SpectralNormError("eigensolver did not converge", best) from exc
-        if res > tol * max(1.0, abs(lam)):
+        if res > tol * max(1.0, sigma):
             raise SpectralNormError(
-                f"residual {res:.3e} exceeds tolerance budget", max(best, abs(lam)))
-        if abs(lam) >= best:
-            best, residual = abs(lam), res
+                f"residual {res:.3e} exceeds tolerance budget", max(best, sigma))
+        if sigma >= best:
+            best, residual = sigma, res
         a = b
     if residual is not None:
         return best, residual

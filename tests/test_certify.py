@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings, strategies as st
 
 from hkxor import kikuchi_even, kikuchi_odd, sos
 from hkxor.certify import (
@@ -187,8 +188,63 @@ def test_spectral_norm_error_keeps_small_block_maximum(monkeypatch):
     assert abs(err.value.best_estimate - small) < 1e-10
 
 
-def counting_eigsh(monkeypatch, fail_on=None):
-    """Record the size of every eigsh call; call number fail_on does not converge."""
+@pytest.mark.parametrize("scale", [1.0, 8.0])
+def test_spectral_norm_error_reports_partial_ritz_values_as_norms(monkeypatch, scale):
+    # the large components are solved on M M, so a Ritz value 4.0 stands for the
+    # norm 2.0, above the small block; their largest entries are 0.75 * scale, so
+    # ritz_pair solves them divided by scale, and the norm is 2.0 * scale
+    rng = np.random.default_rng(17)
+    large = [random_block(rng, size) for size in (DENSE_DIM + 1, 150)]
+    mat = scale * sp.block_diag([random_block(rng, 30, 0.1)]
+                                + [0.75 / abs(b).max() * b for b in large], format="csr")
+    assert dense_norm(mat[:30, :30]) < 2.0 * scale
+
+    def no_convergence(sub, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.array([4.0]),
+                                       np.ones((sub.shape[0], 1)))
+
+    monkeypatch.setattr(certify_module.spla, "eigsh", no_convergence)
+    with pytest.raises(SpectralNormError, match="did not converge") as err:
+        spectral_norm(mat, tol=1e-9)
+    assert err.value.best_estimate == 2.0 * scale
+
+    def poor_pair(sub, **kwargs):
+        return np.array([4.0]), np.ones((sub.shape[0], 1))
+
+    monkeypatch.setattr(certify_module.spla, "eigsh", poor_pair)
+    with pytest.raises(SpectralNormError, match="exceeds tolerance budget") as err:
+        spectral_norm(mat, tol=1e-9)
+    assert err.value.best_estimate == 2.0 * scale
+
+
+@st.composite
+def near_tie_matrices(draw):
+    """A permuted block-diagonal symmetric matrix of 1-3 dense components of 65-160
+    vertices, each with a planted spectrum whose two ends nearly cancel: one end at
+    +-top, the other 1e-4 closer to zero, either sign winning."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for size in draw(st.lists(st.integers(DENSE_DIM + 1, 160), min_size=1, max_size=3)):
+        top = draw(st.floats(0.5, 2.0)) * draw(st.sampled_from((1.0, -1.0)))
+        spectrum = np.concatenate(([top, -top * (1 - 1e-4)],
+                                   rng.uniform(-0.9, 0.9, size - 2) * top))
+        q, _ = np.linalg.qr(rng.standard_normal((size, size)))
+        block = (q * spectrum) @ q.T
+        blocks.append(sp.csr_matrix((block + block.T) / 2))
+    return permuted(sp.block_diag(blocks, format="csr"), rng)
+
+
+@settings(max_examples=30)
+@given(near_tie_matrices())
+def test_spectral_norm_resolves_near_plus_minus_ties(mat):
+    sigma, residual = spectral_norm(mat, tol=1e-9)
+    assert abs(sigma - dense_norm(mat)) < 1e-10
+    assert residual <= 1e-9 * max(1.0, sigma)
+
+
+def counting_eigsh(monkeypatch, fail_on=None, applications=None):
+    """Record the size of every eigsh call, and if given a list, append to it the
+    number of operator applications of each; call number fail_on does not converge."""
     sizes = []
     real = spla.eigsh
 
@@ -197,7 +253,15 @@ def counting_eigsh(monkeypatch, fail_on=None):
         if len(sizes) == fail_on:
             raise spla.ArpackNoConvergence("no convergence", np.array([]),
                                            np.ones((sub.shape[0], 0)))
-        return real(sub, **kwargs)
+        if applications is None:
+            return real(sub, **kwargs)
+        applications.append(0)
+
+        def counted(x):
+            applications[-1] += 1
+            return sub.matvec(x)
+
+        return real(spla.LinearOperator(sub.shape, matvec=counted, dtype=sub.dtype), **kwargs)
 
     monkeypatch.setattr(certify_module.spla, "eigsh", wrapper)
     return sizes
@@ -240,6 +304,16 @@ def test_spectral_norm_empty_rows_between_blocks_match_dense():
         sigma, residual = spectral_norm(candidate, tol=1e-9)
         assert abs(sigma - dense_norm(candidate)) < 1e-10
         assert residual <= 1e-9 * max(1.0, sigma)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e-150, 1e150, 1e200, 1e300])
+def test_spectral_norm_at_extreme_scales(scale):
+    # the squared operator is taken of M times a power of two near 1 / max|M_ij|,
+    # so M M neither underflows nor overflows
+    mat = (scale * random_block(np.random.default_rng(3), 100)).tocsr()
+    sigma, residual = spectral_norm(mat, tol=1e-9)
+    assert abs(sigma - dense_norm(mat)) <= 1e-12 * dense_norm(mat)
+    assert residual <= 1e-9 * max(1.0, sigma)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -388,9 +462,12 @@ def test_certify_odd_two_large_components_at_benchmark_scale(monkeypatch):
     words = tuple(w for w, _ in instance_rows(generate(GeneratorConfig(n=12, k=3, m=60, seed=0))))
     inst = generate(GeneratorConfig(n=12, k=3, m=60, model="rademacher-semirandom", seed=1,
                                     words=words))
-    sizes = counting_eigsh(monkeypatch)
+    applications = []
+    sizes = counting_eigsh(monkeypatch, applications=applications)
     cert = certify_odd(inst, 3, 0.8)
     assert sizes == [4944, 5694]
+    # "LM" on M took 181 + 261 applications of M; "LA" on M M takes 111 + 131 of M M
+    assert sum(applications) <= 330, applications
     assert (cert.num_vertices, cert.num_edges) == (54648, 37120)
     assert abs(cert.algval - 1.3394618017977042) <= 1e-12 * 1.3394618017977042
 
@@ -416,8 +493,24 @@ def test_certify_odd_skipped_types_stay_sound():
     assert cert.algval >= lambda_max(assemble(inst)) - 1e-9
 
 
+# (algval, ((per_t.algval, per_t.norm), ...)) of each golden case as "LM" on M gave
+# them; the squared solve moves last digits, so the sha256 pins the current bits
+ODD_GOLDEN_VALUES = [
+    (2.483791228068338, ((25.7356209185242, 0.5812157657435907), (0.7714897853185596, 0.0))),
+    (1.290569415042095, ((5.625, 0.0),)),
+    (1.4847427414510033, ((15.515492269447, 0.9935602575896966),)),
+    (1.365906380077654, ((6.748144731532682, 0.0),)),
+    (1.4338037355038913, ((7.847904747969192, 0.8372354925224404),)),
+    (1.5106750095854418, ((9.193175775004795, 0.9120400370669571),)),
+    (1.4546644524164818, ((8.202457950368949, 0.8953279584065373),)),
+]
+# the relative distance the golden values may move when the eigensolver changes
+ODD_GOLDEN_RTOL = 1e-12
+
+
 def test_odd_report_lines_golden(monkeypatch):
-    # recorded from the certify_odd that kept one branch per slice kind and running totals
+    # recorded from the certify_odd that kept one branch per slice kind and running
+    # totals; its values stay within ODD_GOLDEN_RTOL of ODD_GOLDEN_VALUES
     hub = [f"X1 Y2 {'XYZ'[i % 3]}{3 + i // 3 % 4}" for i in range(36)] + ["Z3 X4 Y5", "Y4 Y5 Y6"]
     cases = [  # (instance, ell, eps, eta or None for eta_bound)
         (explicit_instance(6, 3, hub, [(-1) ** i * (1 + i / 8) for i in range(38)]), 2, 1.0, None),
@@ -434,13 +527,14 @@ def test_odd_report_lines_golden(monkeypatch):
     ]
     certify_module = importlib.import_module("hkxor.certify")
     eta_bound = certify_module.eta_bound
-    lines, slices, warnings = [], [], []
+    lines, slices, warnings, values = [], [], [], []
     for inst, ell, eps, eta in cases:
         monkeypatch.setattr(certify_module, "eta_bound",
                             eta_bound if eta is None else lambda k, eps, eta=eta: eta)
         cert = certify_odd(inst, ell, eps)
         lines += [line for line in cert.report_lines() if not line.startswith("wall_time_s=")]
         slices += cert.per_t
+        values.append((cert.algval, tuple((s.algval, s.norm) for s in cert.per_t)))
         warnings += cert.warnings
     # a slice without pairs, one whose types all placed or kept no edge, one pruned
     # with gamma > 0 that keeps edges, and a pair weight rho > 1
@@ -448,8 +542,12 @@ def test_odd_report_lines_golden(monkeypatch):
     assert any(s.num_vertices and not s.num_edges for s in slices)
     assert any(0 < s.gamma < 1 and s.num_edges for s in slices)
     assert any("rho=1.500" in w for w in warnings)
+    assert len(values) == len(ODD_GOLDEN_VALUES)
+    for (algval, per_t), (old, old_per_t) in zip(values, ODD_GOLDEN_VALUES):
+        np.testing.assert_allclose((algval, *np.ravel(per_t)), (old, *np.ravel(old_per_t)),
+                                   rtol=ODD_GOLDEN_RTOL, atol=0)
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-        "b9e6e89de566e1ad19e13f138bd79a1101359167a1e346dd9e51661f50f098ef")
+        "0703525303f4cf4edabf6e6dde030ada120224d719aae24c2a79c1d671bc7642")
 
 
 def test_certify_odd_checks_free_sites_before_any_graph(monkeypatch):

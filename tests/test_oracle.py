@@ -234,6 +234,11 @@ def test_a_ritz_value_below_the_top_falls_back_to_eigvalsh(monkeypatch):
     assert lambda_max(h) == lambda_max_reference(h.toarray())
 
 
+def test_ritz_pair_refuses_an_unknown_mode():
+    with pytest.raises(ValueError, match="which must be 'LA' or 'LM', got 'SA'"):
+        oracle.ritz_pair(sp.eye(70, format="csr"), np.ones(70), "SA", 0)
+
+
 def test_lambda_max_repr_golden(monkeypatch):
     # the verify workload's rademacher instance and a gaussian one, both on the
     # Ritz path; the reprs pin every bit of the ARPACK run
