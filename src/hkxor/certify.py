@@ -32,20 +32,13 @@ count rho * count' (equal to Delta_t when nothing was deleted), slack the
 Every norm is taken per connected component of the matrix, since the norm
 of a block-diagonal matrix is the largest norm of its blocks: components of
 at most oracle.DENSE_DIM vertices are solved exactly by batched dense
-eigvalsh, each larger one M by its own iterative (ARPACK) solve for the top
-eigenvalue theta of the squared operator M M, applied as M(Mx) and never
-formed (to M scaled by a power of two), so sigma = sqrt(theta) = ||M||.
-That pair must pass a residual check: the eigenvalues of M M are the
-lambda^2 of M, so the squared residual r2 gives
-|sigma - |lambda|| = |theta - lambda^2| / (sigma + |lambda|) <= r2 / sigma
-for some eigenvalue lambda of M.
-Squaring merges a near +-pair at the ends of the spectrum into the top of a
-PSD one, which Lanczos resolves in fewer steps.  The symmetry check, the
-ARPACK step and the residual are the oracle's (``check_hermitian``,
-``ritz_pair``, ``ritz_residual``), so certify and the ground truth share one
-Hermitian eigen-kernel.  Every certificate is deterministic given (instance bytes,
-ell, eps, tol, solver seed): the iterative eigensolver starts from a seeded
-vector.
+eigvalsh, each larger one by the oracle's ``ritz_pair`` on its squared
+operator, and every value passes a residual check (``spectral_norm`` proves
+the bound).  The symmetry check and
+the ARPACK step are the oracle's (``check_hermitian``, ``ritz_pair``), so
+certify and the ground truth share one Hermitian eigen-kernel.  Every
+certificate is deterministic given (instance bytes, ell, eps, tol, solver
+seed): the iterative eigensolver starts from a seeded vector.
 """
 
 from __future__ import annotations
@@ -57,13 +50,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
 
 from .instances import Instance, check_eps, digest, over_eps_power
 from .kikuchi_even import build_even, regularize, running_sum
 from .kikuchi_odd import (build_odd, check_feasible_level, check_free_sites, cs_operator,
                           edge_delete, regularity_decompose)
-from .oracle import DENSE_DIM, ResourceGuardError, check_hermitian, ritz_pair, ritz_residual
+from .oracle import DENSE_DIM, ResourceGuardError, check_hermitian, ritz_pair
 
 DEFAULT_TOL = 1e-6
 ETA_CONST = 3
@@ -79,9 +73,10 @@ class SpectralNormError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-def _small_blocks(coo: sp.coo_matrix, vsize: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """(max |eigenvalue| over the components of at most DENSE_DIM vertices,
-    the dense block of a component attaining it, or None if there are none).
+def _small_blocks(coo: sp.coo_matrix, vsize: np.ndarray) -> tuple[float, float]:
+    """(sigma, residual): the largest |eigenvalue| over the components of at most
+    DENSE_DIM vertices, and ||B v - lambda v|| / ||v|| of the ``eigh`` pair of the
+    first block B attaining it; (0.0, 0.0) if there are none.
 
     coo holds the rows of those components, ordered by (size, label), so the
     blocks of one size lie one after another on its diagonal; vsize is the
@@ -101,9 +96,14 @@ def _small_blocks(coo: sp.coo_matrix, vsize: np.ndarray) -> tuple[float, np.ndar
             np.add.at(blocks, (row // s, row % s, col % s), coo.data[e])
             norms = np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
             i = int(np.argmax(norms))
-            if winner is None or norms[i] > best:
+            if norms[i] > best:
                 best, winner = float(norms[i]), blocks[i]
-    return best, winner
+    if winner is None:
+        return 0.0, 0.0
+    vals, vecs = np.linalg.eigh(winner)
+    i = int(np.argmax(np.abs(vals)))
+    lam, vec = float(vals[i]), vecs[:, i]
+    return best, float(np.linalg.norm(winner @ vec - lam * vec) / np.linalg.norm(vec))
 
 
 def _permuted(mat: sp.csr_matrix, order: np.ndarray) -> sp.csr_matrix:
@@ -135,26 +135,39 @@ def check_seed(seed: int) -> None:
 def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[float, float]:
     """(sigma, residual) with |sigma - lambda_absmax| <= tol * max(1, sigma).
 
-    Accepts a symmetric real sparse or dense matrix; a complex dtype, or a
-    matrix that ``oracle.check_hermitian`` refuses, raises ValueError.  Its
-    norm is the largest norm of its connected components, so rows without
-    stored entries are dropped and the rest permuted by (component size,
-    label): each component becomes one contiguous diagonal block.
-    Components of at most DENSE_DIM vertices are solved exactly by batched
-    dense eigvalsh, and each larger one M by its own ``oracle.ritz_pair`` call
-    ("LM": the top eigenvalue theta of M M, as sigma = sqrt(theta)) started
-    from the seeded Philox vector of the whole matrix restricted to that
-    block; the result depends only on (matrix, seed).  sigma is the largest
-    of the parts (a large component wins a tie with the small-block maximum),
-    and residual is the winning part's: r2 / sigma for a large component,
-    from the residual r2 of its pair of M M, and ``oracle.ritz_residual`` of
-    the winning eigenpair for a small one.  Every residual certifies its
-    value: for symmetric M the eigenvalue error is at most the residual, and
-    for M M, whose eigenvalues are the lambda^2 of M, |sigma - |lambda|| =
-    |theta - lambda^2| / (sigma + |lambda|) <= r2 / sigma.  A failed solve
-    raises SpectralNormError whose best_estimate (``ritz_pair`` turns a partial
-    Ritz value theta of M M into the norm sqrt(max(theta, 0))) is never below
-    a part already solved.
+    Accepts a symmetric real sparse or dense matrix of any real dtype and works
+    in float64; a complex dtype, or a matrix that ``oracle.check_hermitian``
+    refuses, raises ValueError.  Its norm is the largest norm of its connected
+    components, formed on the nonzero entries (a stored zero joins nothing),
+    so rows without nonzero entries are dropped and the rest permuted by
+    (component size, label): each component becomes one contiguous diagonal
+    block.  Components of at most DENSE_DIM vertices are solved exactly by
+    batched dense eigvalsh (``_small_blocks``), with the residual of a dense
+    eigenpair, which bounds a symmetric matrix's eigenvalue error.
+
+    Each larger component M is solved by its own ``oracle.ritz_pair`` call on
+    the squared operator S S, S = uM for the power of two u that puts
+    max|S_ij| in [1/2, 1) (exact, so that S S neither overflows nor
+    underflows), started from the seeded Philox vector of the whole matrix
+    restricted to that block.  S S is never formed: each step applies S twice,
+    the inner product into one reused work vector, by scipy's CSR kernel, so
+    every row is summed in stored order.  With theta the top Ritz value and r2
+    its residual, sigma = sqrt(max(theta, 0)) / u and the residual is
+    r2 / (u sqrt(theta)) (sqrt(r2) / u when that is smaller, so theta = 0
+    needs no division).  This bounds the error: the eigenvalues of S S are the
+    (u lambda)^2 for the eigenvalues lambda of M, so |theta - (u lambda)^2|
+    <= r2 for one of them, and
+    |sqrt(theta) - u|lambda|| = |theta - (u lambda)^2| / (sqrt(theta) + u|lambda|)
+    <= r2 / sqrt(theta).  Squaring merges a near +-pair at the two ends of the
+    spectrum into the top of a PSD one, which Lanczos resolves in fewer steps
+    than the largest |eigenvalue| of M.
+
+    sigma is the largest of the parts (a large component wins a tie with the
+    small-block maximum), and residual is the winning part's; the result
+    depends only on (matrix, seed).  A failed solve raises SpectralNormError
+    whose best_estimate, the largest of the partial Ritz values theta turned
+    into norms sqrt(max(theta, 0)) / u and the parts already solved, is never
+    below a part already solved.
     """
     check_tol(tol)
     check_seed(seed)
@@ -164,6 +177,8 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
         raise ValueError(f"matrix is not square: {mat.shape}")
     if np.iscomplexobj(mat):
         raise ValueError(f"matrix is complex ({mat.dtype}); spectral_norm takes a real one")
+    mat = mat.astype(float)  # its own arrays, so dropping zeros leaves the caller's alone
+    mat.eliminate_zeros()
     check_hermitian(mat)
     if mat.nnz == 0:
         return 0.0, 0.0
@@ -178,45 +193,51 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     vsize = sizes[labels[order]]  # ascending
     mat = _permuted(mat, order)
     cut = int(np.searchsorted(vsize, DENSE_DIM, side="right"))
-    best, block = _small_blocks(mat[:cut].tocoo(), vsize[:cut])
-    residual = None  # the winning large component's, once there is one
+    best, residual = _small_blocks(mat[:cut].tocoo(), vsize[:cut])
 
     if cut < len(order):
         v0 = np.random.Generator(np.random.Philox(key=seed)).standard_normal(size)[order]
     a = cut
     while a < len(order):
         b = a + int(vsize[a])
+        block = mat[a:b, a:b]
+        unit = math.ldexp(1.0, -math.frexp(float(np.abs(block.data).max()))[1])
+        block = block * unit
+        work = np.empty(b - a)
+
+        def squared(x: np.ndarray) -> np.ndarray:
+            out = np.zeros(b - a)
+            work.fill(0)
+            csr_matvec(*block.shape, block.indptr, block.indices, block.data, x, work)
+            csr_matvec(*block.shape, block.indptr, block.indices, block.data, work, out)
+            return out
+
         try:
-            sigma, res = ritz_pair(mat[a:b, a:b], v0[a:b], "LM", min(tol * 1e-3, 1e-10),
-                                   max(1000, 20 * (b - a)))
+            theta, r2 = ritz_pair(spla.LinearOperator(block.shape, matvec=squared, dtype=float),
+                                  v0[a:b], min(tol * 1e-3, 1e-10), max(1000, 20 * (b - a)))
         except spla.ArpackNoConvergence as exc:
-            known = np.append(exc.eigenvalues,  # partial norms, from ritz_pair
-                              [] if block is None and residual is None else [best])
-            best = float(known.max()) if len(known) else None
-            raise SpectralNormError("eigensolver did not converge", best) from exc
+            # rows before a belong to parts already solved
+            known = np.append(np.sqrt(np.maximum(exc.eigenvalues, 0.0)) / unit,
+                              [best] if a else [])
+            raise SpectralNormError("eigensolver did not converge",
+                                    float(known.max()) if len(known) else None) from exc
+        root = math.sqrt(max(theta, 0.0))
+        sigma, res = root / unit, (r2 / root if r2 < theta else math.sqrt(r2)) / unit
         if res > tol * max(1.0, sigma):
             raise SpectralNormError(
                 f"residual {res:.3e} exceeds tolerance budget", max(best, sigma))
         if sigma >= best:
             best, residual = sigma, res
         a = b
-    if residual is not None:
-        return best, residual
-
-    vals, vecs = np.linalg.eigh(block)
-    i = int(np.argmax(np.abs(vals)))
-    return best, ritz_residual(block, float(vals[i]), vecs[:, i])
+    return best, residual
 
 
 def _scaled(matrix: sp.csr_matrix, gamma: np.ndarray) -> sp.csr_matrix:
-    """Gamma^{-1/2} M Gamma^{-1/2} as a sparse matrix without stored zeros (an
-    explicit zero would join two components)."""
+    """Gamma^{-1/2} M Gamma^{-1/2} as a sparse matrix of M's stored pattern."""
     s = 1.0 / np.sqrt(gamma)
     rows = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
-    out = sp.csr_matrix((matrix.data * s[rows] * s[matrix.indices], matrix.indices.copy(),
-                         matrix.indptr.copy()), shape=matrix.shape)
-    out.eliminate_zeros()
-    return out
+    return sp.csr_matrix((matrix.data * s[rows] * s[matrix.indices], matrix.indices.copy(),
+                          matrix.indptr.copy()), shape=matrix.shape)
 
 
 def certified_norm(graph, tol: float, seed: int) -> tuple[float, float, float, float]:

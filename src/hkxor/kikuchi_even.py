@@ -87,12 +87,12 @@ class KikuchiGraph:
     def degrees(self) -> np.ndarray:
         """Unsigned weighted degree vector: |w|/2 at both endpoints of every edge.
 
-        Summed over the ends q, r of each edge in turn, as signed_matrix
-        interleaves them: the summation order fixes the float result.
+        Summed over the rows of ``_endpoints``, the ends q, r of each edge in
+        turn as signed_matrix interleaves them: the summation order fixes the
+        float result.
         """
-        ends = np.column_stack((self.rows, self.cols)).ravel()
-        half = np.repeat(np.abs(self.weights)[self.tids] / 2.0, 2)
-        return np.bincount(ends, weights=half, minlength=self.num_vertices)
+        ends, _, half = self._endpoints()
+        return np.bincount(ends, weights=np.abs(half), minlength=self.num_vertices)
 
     @property
     def total_degree(self) -> float:

@@ -22,12 +22,10 @@ byte, since the group sums start at +0.0 and so never hold -0.0.
 This module also holds the Hermitian eigen-kernel that ``certify`` and
 ``sos`` share with ``lambda_max``: one symmetry rule (``check_hermitian``,
 relative to the largest entry, refusing non-finite entries), one seeded
-ARPACK step (``ritz_pair``, one ``eigsh(k=1, which="LA")`` whose matvec is
-scipy's CSR kernel called directly: on M for the top eigenvalue, and on M M,
-applied as M(Mx) to M scaled by a power of two, for the largest |eigenvalue|
-sigma = sqrt(theta) with residual r2 / sigma, since |sigma - |lambda|| =
-|theta - lambda^2| / (sigma + |lambda|) <= r2 / sigma for some eigenvalue
-lambda of M), one residual (``ritz_residual``) and one dense cut-off
+ARPACK step (``ritz_pair``, one ``eigsh(k=1, which="LA")`` on whatever
+Hermitian operator the caller passes: M itself here, by scipy's CSR kernel
+called directly, and the squared operator of ``certify.spectral_norm``,
+whose docstring proves its norm bound) and one dense cut-off
 (``DENSE_DIM``).
 
 ``lambda_max`` returns the top eigenvalue without diagonalizing the whole
@@ -257,63 +255,15 @@ def _csr_product(mat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def ritz_residual(m, lam: float, vec: np.ndarray) -> float:
-    """||M v - lam v|| / ||v|| for a dense or sparse M."""
-    return float(np.linalg.norm(m @ vec - lam * vec) / np.linalg.norm(vec))
-
-
-def ritz_pair(csr: sp.csr_matrix, v0: np.ndarray, which: str, tol: float,
+def ritz_pair(op: spla.LinearOperator, v0: np.ndarray, tol: float,
               maxiter: int | None = None) -> tuple[float, float]:
-    """(lam, r) from one ARPACK ``eigsh(k=1, which="LA")`` run on a Hermitian CSR
-    matrix M, started from v0.
-
-    ``which="LA"``: lam is the top Ritz value of M and r its ``ritz_residual``.
-    ``which="LM"``: lam >= 0 is the largest |eigenvalue| of M, read off the top
-    eigenvalue of the squared operator.  With S = uM for the power of two u
-    that puts max|S_ij| in [1/2, 1) (exact, so that S S neither overflows nor
-    underflows), theta is the top Ritz value of S S,
-    lam = sqrt(max(theta, 0)) / u and r = r2 / (u sqrt(theta)) for the squared
-    residual r2 = ||S(Sx) - theta x|| / ||x|| (sqrt(r2) / u when that is
-    smaller, so theta = 0 needs no division).  The eigenvalues of S S are the
-    (u lambda)^2 for the eigenvalues lambda of M, so |theta - (u lambda)^2| <= r2
-    for one of them, and
-    |sqrt(theta) - u|lambda|| = |theta - (u lambda)^2| / (sqrt(theta) + u|lambda|)
-    <= r2 / sqrt(theta).  Squaring merges a near +-pair at the two ends of the
-    spectrum into the top of a PSD one, which Lanczos resolves in fewer steps
-    than "LM" on M.  S S is never formed: each step applies S twice, the inner
-    product into one reused work vector.
-
-    ARPACK multiplies by ``_csr_product``, so every matvec sums each row in
-    the order the CSR stores it.  ARPACK errors propagate; under "LM" the
-    partial eigenvalues of an ``ArpackNoConvergence`` become the norms
-    sqrt(max(theta, 0)) / u.
-    """
-    if which not in ("LA", "LM"):
-        raise ValueError(f"which must be 'LA' or 'LM', got {which!r}")
-    if which == "LA":
-        apply = functools.partial(_csr_product, csr)
-    else:
-        unit = math.ldexp(1.0, -math.frexp(float(np.abs(csr.data).max()))[1])
-        csr = csr * unit
-        work = np.empty(csr.shape[0], dtype=np.result_type(csr.dtype, float))
-
-        def apply(x: np.ndarray) -> np.ndarray:
-            work.fill(0)
-            csr_matvec(*csr.shape, csr.indptr, csr.indices, csr.data, x, work)
-            return _csr_product(csr, work)
-    op = spla.LinearOperator(csr.shape, matvec=apply, dtype=csr.dtype)
-    try:
-        vals, vecs = spla.eigsh(op, k=1, which="LA", v0=v0, tol=tol, maxiter=maxiter)
-    except spla.ArpackNoConvergence as exc:
-        if which == "LM":
-            exc.eigenvalues = np.sqrt(np.maximum(exc.eigenvalues, 0.0)) / unit
-        raise
+    """(theta, r) from one ARPACK ``eigsh(k=1, which="LA")`` run on a Hermitian
+    operator, started from v0: theta is the top Ritz value and
+    r = ||op(v) - theta v|| / ||v|| the residual of its Ritz vector v.  ARPACK
+    errors propagate."""
+    vals, vecs = spla.eigsh(op, k=1, which="LA", v0=v0, tol=tol, maxiter=maxiter)
     theta, vec = float(vals[0]), vecs[:, 0]
-    if which == "LA":
-        return theta, ritz_residual(csr, theta, vec)
-    r2 = float(np.linalg.norm(apply(vec) - theta * vec) / np.linalg.norm(vec))
-    root = math.sqrt(max(theta, 0.0))
-    return root / unit, (r2 / root if r2 < theta else math.sqrt(r2)) / unit
+    return theta, float(np.linalg.norm(op.matvec(vec) - theta * vec) / np.linalg.norm(vec))
 
 
 def rump_shift(diag: np.ndarray) -> float:
@@ -388,11 +338,11 @@ def lambda_max(m) -> float:
     is converted first, and a float64 or complex128 CSR is used as it is.
     Returns the largest diagonal entry of a matrix without off-diagonal
     entries, and the dense ``eigvalsh`` value up to dimension DENSE_DIM.
-    Otherwise returns the top Ritz value lam of ``ritz_pair`` ("LA", tol=0,
-    the key-0 Philox start vector) on the CSR, after ``rump_bound`` has proved
-    lambda_max < lam + delta on the packed lower triangle of fl(t I - H) (see
-    the module docstring); if ARPACK fails or the Cholesky refuses, returns
-    the dense ``eigvalsh`` value.  A dense matrix becomes
+    Otherwise returns the top Ritz value lam of ``ritz_pair`` (tol=0, the key-0
+    Philox start vector) on the CSR's ``_csr_product``, after ``rump_bound``
+    has proved lambda_max < lam + delta on the packed lower triangle of
+    fl(t I - H) (see the module docstring); if ARPACK fails or the Cholesky
+    refuses, returns the dense ``eigvalsh`` value.  A dense matrix becomes
     ``sp.csr_matrix(m)`` first.
     Raises ValueError unless M is a square 2-D matrix with at least one row,
     and if ``check_hermitian`` refuses it.
@@ -409,7 +359,9 @@ def lambda_max(m) -> float:
         # machine precision from a seeded start, so the result depends only on H
         v0 = np.random.Generator(np.random.Philox(key=0)).standard_normal(m.shape[0])
         with contextlib.suppress(spla.ArpackError):
-            lam, residual = ritz_pair(csr, v0, "LA", 0)
+            op = spla.LinearOperator(csr.shape, matvec=functools.partial(_csr_product, csr),
+                                     dtype=csr.dtype)
+            lam, residual = ritz_pair(op, v0, 0)
             if rump_bound(csr, lam + residual + rump_shift(lam - diag.real)) is not None:
                 return lam
     return _dense_lambda_max(csr.toarray() if sp.issparse(m) else np.asarray(m, dtype))

@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib
+import math
 import re
 
 import numpy as np
@@ -472,7 +473,7 @@ def test_certify_odd_two_large_components_at_benchmark_scale(monkeypatch):
     assert abs(cert.algval - 1.3394618017977042) <= 1e-12 * 1.3394618017977042
 
 
-def test_scaled_matches_diagonal_products_and_drops_stored_zeros():
+def test_scaled_matches_diagonal_products_on_the_stored_pattern():
     rng = np.random.default_rng(31)
     mat = random_block(rng, 40)
     mat.data[::7] = 0.0  # cancelled entries, as signed_matrix may store them
@@ -480,9 +481,54 @@ def test_scaled_matches_diagonal_products_and_drops_stored_zeros():
     inv = sp.diags(1.0 / np.sqrt(gamma))
     expected = (inv @ mat @ inv).tocsr()
     got = certify_module._scaled(mat, gamma)
-    assert not (got.data == 0).any()
+    # the stored zeros stay stored: spectral_norm forms components on nonzero entries
+    assert np.array_equal(got.indptr, mat.indptr) and np.array_equal(got.indices, mat.indices)
+    got.eliminate_zeros()
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(got, attr), getattr(expected, attr))
+
+
+def path_with_stored_zeros(size: int) -> sp.csr_matrix:
+    """The pattern of the size-vertex path, every entry a stored 0.0."""
+    ends = np.arange(size - 1)
+    rows, cols = np.concatenate((ends, ends + 1)), np.concatenate((ends + 1, ends))
+    return sp.csr_matrix((np.zeros(len(rows)), (rows, cols)), shape=(size, size))
+
+
+def test_spectral_norm_of_stored_zeros_is_zero(monkeypatch):
+    # 138 stored zeros once went to ARPACK as one 70-vertex component and raised
+    mat = path_with_stored_zeros(70)
+    assert mat.nnz == 138
+    sizes = counting_eigsh(monkeypatch)
+    assert spectral_norm(mat) == (0.0, 0.0)
+    assert sizes == [] and mat.nnz == 138  # the caller's zeros stay stored
+
+
+def test_spectral_norm_a_stored_zero_joins_no_components(monkeypatch):
+    # two 40-vertex blocks joined by a stored zero once went to ARPACK as one
+    # 80-vertex component; the dense blocks give the same bits without the zero
+    rng = np.random.default_rng(37)
+    apart = sp.block_diag([random_block(rng, 40), random_block(rng, 40, 3.0)], format="csr")
+    coo = apart.tocoo()
+    joined = sp.csr_matrix((np.append(coo.data, (0.0, 0.0)),
+                            (np.append(coo.row, (39, 40)), np.append(coo.col, (40, 39)))),
+                           shape=apart.shape)
+    assert joined.nnz == apart.nnz + 2 and (joined != apart).nnz == 0
+    sizes = counting_eigsh(monkeypatch)
+    sigma, residual = spectral_norm(joined, tol=1e-9)
+    assert (sigma, residual) == spectral_norm(apart, tol=1e-9)
+    assert sizes == []
+    assert abs(sigma - dense_norm(apart)) < 1e-10
+
+
+def test_spectral_norm_runs_in_double_precision():
+    # a float32 path's squared Ritz step once ran in float32 and missed its
+    # tolerance budget with residual 3.0e-6
+    path = np.eye(100, k=1, dtype=int) + np.eye(100, k=-1, dtype=int)
+    top = 2 * math.cos(math.pi / 101)
+    for dtype in (np.float32, np.int8, np.int64, float):
+        for mat in (path.astype(dtype), sp.csr_matrix(path.astype(dtype))):
+            assert abs(spectral_norm(mat)[0] - top) <= 1e-12, dtype
 
 
 def test_certify_odd_skipped_types_stay_sound():

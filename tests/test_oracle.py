@@ -234,11 +234,6 @@ def test_a_ritz_value_below_the_top_falls_back_to_eigvalsh(monkeypatch):
     assert lambda_max(h) == lambda_max_reference(h.toarray())
 
 
-def test_ritz_pair_refuses_an_unknown_mode():
-    with pytest.raises(ValueError, match="which must be 'LA' or 'LM', got 'SA'"):
-        oracle.ritz_pair(sp.eye(70, format="csr"), np.ones(70), "SA", 0)
-
-
 def test_lambda_max_repr_golden(monkeypatch):
     # the verify workload's rademacher instance and a gaussian one, both on the
     # Ritz path; the reprs pin every bit of the ARPACK run
@@ -349,11 +344,27 @@ def test_lambda_max_runs_in_double_precision(dim, monkeypatch):
 def test_lambda_max_runs_on_a_complex128_csr_itself(monkeypatch):
     h = sp.csr_matrix(path_graph(65).astype(complex))
     seen = []
-    real_ritz_pair = oracle.ritz_pair
-    monkeypatch.setattr(oracle, "ritz_pair", lambda csr, *args: (seen.append(csr),
-                                                                 real_ritz_pair(csr, *args))[1])
+    real_product = oracle._csr_product
+    monkeypatch.setattr(oracle, "_csr_product", lambda mat, x: (seen.append(mat),
+                                                                real_product(mat, x))[1])
     lambda_max(h)
-    assert np.shares_memory(seen[0].data, h.data)
+    assert seen and all(np.shares_memory(mat.data, h.data) for mat in seen)
+
+
+def test_ritz_pair_on_a_matrix_free_operator_matches_its_csr():
+    # the operator is the argument: a closure over a dense array gives what the
+    # CSR of that array gives
+    m = hermitian_matrix(100, seed=41)
+    assert m.shape[0] > oracle.DENSE_DIM
+    csr = sp.csr_matrix(m)
+    v0 = np.random.Generator(np.random.Philox(key=0)).standard_normal(100)
+    free = spla.LinearOperator(m.shape, matvec=lambda x: m @ x, dtype=m.dtype)
+    stored = spla.LinearOperator(m.shape, matvec=lambda x: oracle._csr_product(csr, x),
+                                 dtype=csr.dtype)
+    theta, residual = oracle.ritz_pair(free, v0, 0)
+    expected = oracle.ritz_pair(stored, v0, 0)
+    assert abs(theta - expected[0]) <= 1e-12 and abs(residual - expected[1]) <= 1e-12
+    assert abs(theta - lambda_max_reference(m)) <= 1e-10
 
 
 @st.composite
