@@ -426,16 +426,12 @@ def certify_odd(inst: Instance, ell: int, eps: float, tol: float = DEFAULT_TOL,
 
 
 def certify(inst: Instance, ell: int, eps: float = 0.5, tol: float = DEFAULT_TOL,
-            branch: str = "auto", solver_seed: int = 0) -> Certificate:
-    """Dispatch on k parity (branch="auto"), or force a branch explicitly.
+            solver_seed: int = 0) -> Certificate:
+    """Dispatch on k's parity: the even branch for even k, the odd one for odd k.
 
     ``eps`` is checked on either branch, though only the odd one reads it.
     """
-    if branch not in ("auto", "even", "odd"):
-        raise ValueError(f"unknown branch {branch!r}")
     check_eps(eps)
-    if branch == "auto":
-        branch = "even" if inst.k % 2 == 0 else "odd"
-    if branch == "even":
+    if inst.k % 2 == 0:
         return certify_even(inst, ell, tol=tol, solver_seed=solver_seed)
     return certify_odd(inst, ell, eps, tol=tol, solver_seed=solver_seed)

@@ -101,8 +101,7 @@ def _cmd_gen(args) -> int:
 def _cmd_certify(args) -> int:
     inst = _load_instance(args.infile)
     start = time.perf_counter()
-    cert = certify(inst, args.ell, eps=args.eps, tol=args.tol, branch=args.branch,
-                   solver_seed=args.solver_seed)
+    cert = certify(inst, args.ell, eps=args.eps, tol=args.tol, solver_seed=args.solver_seed)
     lines = _header(args)
     lines += cert.report_lines()
     lines.append(f"total_time_s={time.perf_counter() - start:.3f}")
@@ -218,7 +217,7 @@ def _sweep_cell(base: dict, m: int, seed: int):
     cfg = GeneratorConfig(n=base["n"], k=base["k"], m=m, model=base["model"], seed=seed)
     inst = generate(cfg)
     cert = certify(inst, base["ell"], eps=base["eps"], tol=base["tol"],
-                   branch=base["branch"], solver_seed=base["solver_seed"])
+                   solver_seed=base["solver_seed"])
     return cert.algval
 
 
@@ -241,7 +240,7 @@ def _cmd_sweep(args) -> int:
     seeds = list(range(args.seeds))
     base = {"n": args.n, "k": args.k, "ell": args.ell, "eps": args.eps,
             "tol": args.tol, "model": _MODEL_ALIASES[args.model],
-            "branch": args.branch, "solver_seed": args.solver_seed}
+            "solver_seed": args.solver_seed}
     cells = [(m, seed) for m in m_grid for seed in seeds]
     algvals = [_sweep_cell(base, *cell) for cell in cells]
 
@@ -280,7 +279,6 @@ def _build_parser() -> _Parser:
     cert.add_argument("--ell", type=int, required=True)
     cert.add_argument("--eps", type=float, default=0.5)
     cert.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    cert.add_argument("--branch", choices=("auto", "even", "odd"), default="auto")
     cert.add_argument("--solver-seed", type=int, default=0)
     cert.add_argument("--out", default=None)
     cert.set_defaults(func=_cmd_certify)
@@ -307,7 +305,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--m-grid", required=True, help="comma-separated m values")
     sweep.add_argument("--seeds", type=int, required=True)
     sweep.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    sweep.add_argument("--branch", choices=("auto", "even", "odd"), default="auto")
     sweep.add_argument("--solver-seed", type=int, default=0)
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(func=_cmd_sweep)

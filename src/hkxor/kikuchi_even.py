@@ -10,7 +10,7 @@ the product is asserted during construction.
 Edges are generated per constraint by direct combinatorial enumeration (the
 Delta pairs), never by scanning all N^2 vertex pairs: each half of supp(P),
 read off the instance's site and letter columns, times each word of the
-weight-(ell - k/2) slice that is disjoint from supp(P).  Entries are ordered
+weight-(ell - k/2) slice on the n - k sites off supp(P).  Entries are ordered
 (row, col) pairs; the edge set is closed under transposition, so the signed
 adjacency is symmetric.
 
@@ -24,19 +24,26 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice, repeat
+from operator import eq
 
 import numpy as np
 import scipy.sparse as sp
 
 from .instances import Instance
 from .oracle import ResourceGuardError, dense_word
-from .pauli import (PauliOp, SliceIndex, enumerate_slice, masks_from_arrays, mul_words,
-                    site_mask)
+from .pauli import PauliOp, SliceIndex, mask_arrays, mul_words, slice_arrays
 
 LEVEL_N_QUBIT_CAP = 6
 # most edges (even) or edge candidates (odd) one graph build may make
 EDGE_BUDGET = 20_000_000
+# build_even computes the endpoint masks of about _EDGE_BLOCK edges at a time, which
+# bounds its arrays, and turns _WORD_BLOCK of them at a time into words, few enough
+# that the words are still in cache when they are multiplied and ranked
+_EDGE_BLOCK = 1 << 14
+_WORD_BLOCK = 1 << 8
+
+_tuple_new = tuple.__new__
 
 
 class DegenerateRegularizerError(ValueError):
@@ -124,7 +131,7 @@ def running_sum(*parts) -> float:
 def _sorted_graph(n: int, k: int, ell: int, index, delta: int, rows, cols, tids,
                   weights) -> KikuchiGraph:
     """Graph with entries in ascending (row, col, type id) order."""
-    rows_a, cols_a, tids_a = (np.array(v, dtype=np.int64) for v in (rows, cols, tids))
+    rows_a, cols_a, tids_a = (np.asarray(v, dtype=np.int64) for v in (rows, cols, tids))
     order = np.lexsort((tids_a, cols_a, rows_a))
     return KikuchiGraph(n=n, k=k, ell=ell, index=index, delta=delta, rows=rows_a[order],
                         cols=cols_a[order], tids=tids_a[order],
@@ -146,7 +153,16 @@ def average_degree_bound(n: int, k: int, ell: int, m: int) -> float:
 
 
 def build_even(inst: Instance, ell: int) -> KikuchiGraph:
-    """Level-ell Kikuchi graph of an even-arity instance: one edge type per constraint."""
+    """Level-ell Kikuchi graph of an even-arity instance: one edge type per constraint.
+
+    The endpoint masks are built as arrays, a block of constraints at a time:
+    P on each half of supp(P) and the shared words on the n - k sites off
+    supp(P).  Each edge then pays one ``mul_words`` call for the +P check and
+    two ``SliceIndex.rank`` calls, all driven by ``map``.  Its endpoints are
+    built with ``tuple.__new__``, skipping the ``PauliOp`` mask check: a
+    sub-mask of P's word OR'd with a word off supp(P) is in range by
+    construction, the rule ``mul_words`` relies on for its product.
+    """
     n, k = inst.n, inst.k
     if k % 2 != 0:
         raise ValueError(f"even-arity builder needs even k, got k={k}; use the odd pipeline")
@@ -159,30 +175,51 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
 
     index = SliceIndex(n, ell)
     rank = index.rank
-    rows: list[int] = []
-    cols: list[int] = []
-    # the words Q and R may share off supp(P): weight ell - k/2, disjoint from supp(P)
-    shared_slice = list(enumerate_slice(n, ell - k // 2))
+    rows = np.empty(edges, dtype=np.int64)
+    cols = np.empty(edges, dtype=np.int64)
+    # the columns of each half of supp(P), in combinations order
+    halves = np.array(list(combinations(range(k), k // 2)), dtype=np.intp).reshape(-1, k // 2)
+    # the words Q and R may share off supp(P): the weight-(ell - k/2) slice on n - k sites,
+    # its site j moved to the j-th site off supp(P), which keeps the slice's order
+    shared_sites, shared_letters = slice_arrays(n - k, ell - k // 2)
+    block = max(1, _EDGE_BLOCK // delta)
+    at = 0
 
-    for sites, px, pz in zip(inst.sites.tolist(), *masks_from_arrays(n, inst.sites, inst.letters)):
-        word, supp = (n, px, pz), px | pz
-        shared_words = [w for w in shared_slice if not (w.xmask | w.zmask) & supp]
-        for half in combinations(sites, k // 2):
-            q_mask = site_mask(half)
-            qx, qz = px & q_mask, pz & q_mask  # P on the half
-            rx, rz = px ^ qx, pz ^ qz  # P on the rest of supp(P)
-            for shared in shared_words:
-                q = PauliOp(n, qx | shared.xmask, qz | shared.zmask)
-                r = PauliOp(n, rx | shared.xmask, rz | shared.zmask)
-                prod = mul_words(q, r)
-                # q r = +P with P Hermitian gives r q = (q r)^dag = q r, so q and r commute
-                assert prod.op == word and prod.phase_exp == 0, "edge product is not +P"
-                rows.append(rank(q))
-                cols.append(rank(r))
+    for first in range(0, inst.m, block):
+        sites, letters = inst.sites[first:first + block], inst.letters[first:first + block]
+        px, pz = mask_arrays(n, sites, letters)
+        qx, qz = mask_arrays(n, sites[:, halves], letters[:, halves])  # P on each half
+        rx, rz = px[:, None] ^ qx, pz[:, None] ^ qz  # P on the rest of supp(P)
+        # site j off supp(P) is j plus the sites s_i of supp(P) with s_i - i <= j
+        below = (sites - np.arange(k))[:, None, None, :] <= shared_sites[..., None]
+        sx, sz = mask_arrays(n, shared_sites + below.sum(axis=-1), shared_letters)
+        # edge (constraint, half, shared word), in that order: delta per constraint
+        qx, qz, rx, rz = ((h[:, :, None] | w[:, None, :]).ravel()
+                          for h, w in ((qx, sx), (qz, sz), (rx, sx), (rz, sz)))
+        # +P, as (word, phase exponent 0), once for each of a constraint's delta edges
+        plus_p = chain.from_iterable(map(repeat, zip(zip(repeat(n), px.tolist(), pz.tolist()),
+                                                     repeat(0)), repeat(delta)))
+        for lo in range(0, len(qx), _WORD_BLOCK):
+            hi = lo + _WORD_BLOCK
+            qs = _unchecked_words(n, qx[lo:hi], qz[lo:hi])
+            rs = _unchecked_words(n, rx[lo:hi], rz[lo:hi])
+            # q r = +P with P Hermitian gives r q = (q r)^dag = q r, so q and r commute;
+            # a raise, not an assert, since the check is what computes the products
+            if not all(map(eq, map(mul_words, qs, rs), islice(plus_p, len(qs)))):
+                raise AssertionError("edge product is not +P")
+            rows[at:at + len(qs)] = np.fromiter(map(rank, qs), dtype=np.int64, count=len(qs))
+            cols[at:at + len(rs)] = np.fromiter(map(rank, rs), dtype=np.int64, count=len(rs))
+            at += len(qs)
 
     # every constraint places exactly delta edges, in constraint order
     tids = np.repeat(np.arange(inst.m), delta)
     return _sorted_graph(n, k, ell, index, delta, rows, cols, tids, inst.coeffs)
+
+
+def _unchecked_words(n: int, xmasks: np.ndarray, zmasks: np.ndarray) -> list[PauliOp]:
+    """The words (n, xmasks[i], zmasks[i]) of in-range masks, without PauliOp's check."""
+    return list(map(_tuple_new, repeat(PauliOp), zip(repeat(n), xmasks.tolist(),
+                                                     zmasks.tolist())))
 
 
 def regularize(graph: KikuchiGraph) -> np.ndarray:

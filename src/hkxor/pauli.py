@@ -171,6 +171,10 @@ class PhasedPauli(namedtuple("PhasedPauli", "op phase_exp")):
     __slots__ = ()
 
     def __new__(cls, op: PauliOp, phase_exp: int = 0) -> "PhasedPauli":
+        try:
+            phase_exp = operator.index(phase_exp)
+        except TypeError:
+            raise TypeError(f"phase exponent must be an integer, got {phase_exp!r}") from None
         return _tuple_new(cls, (op, phase_exp % 4))
 
     @classmethod
@@ -227,18 +231,25 @@ def site_mask(sites) -> int:
 # -- words as (site, letter) arrays ----------------------------------------------
 
 
-def masks_from_arrays(n: int, sites: np.ndarray, letters: np.ndarray) -> tuple[list, list]:
-    """(xmasks, zmasks) of row i: letter code ``letters[i, j]`` (0, 1, 2 -> X, Y, Z) on
-    site ``sites[i, j]``.
+def mask_arrays(n: int, sites: np.ndarray, letters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(xmasks, zmasks) of the words given along the last axis: letter code
+    ``letters[..., j]`` (0, 1, 2 -> X, Y, Z) on site ``sites[..., j]``.
 
-    The sites of a row must be distinct in [0, n).  Masks are uint64 sums of
-    distinct bits up to 64 qubits and Python ints beyond; both lists hold
-    Python ints.
+    The sites of a word must be distinct in [0, n); ``letters`` broadcasts
+    against ``sites``.  Masks are uint64 sums of distinct bits up to 64
+    qubits and Python ints in object arrays beyond.
     """
     dtype = np.uint64 if n <= 64 else object
     bits = np.ones((), dtype=dtype) << sites.astype(dtype)
-    return (np.where(letters != 2, bits, 0).sum(axis=1).tolist(),
-            np.where(letters != 0, bits, 0).sum(axis=1).tolist())
+    return (np.where(letters != 2, bits, 0).sum(axis=-1),
+            np.where(letters != 0, bits, 0).sum(axis=-1))
+
+
+def masks_from_arrays(n: int, sites: np.ndarray, letters: np.ndarray) -> tuple[list, list]:
+    """The rows of :func:`mask_arrays` of (m, k) site and letter arrays, as two lists of
+    Python ints."""
+    xmasks, zmasks = mask_arrays(n, sites, letters)
+    return xmasks.tolist(), zmasks.tolist()
 
 
 def words_from_arrays(n: int, sites: np.ndarray, letters: np.ndarray) -> list[PauliOp]:
@@ -274,12 +285,13 @@ def mul_words(p: PauliOp, q: PauliOp) -> PhasedPauli:
     |x1&z1| + |x2&z2| - |x3&z3| + 2*|z1&x2|  (mod 4), x3 = x1^x2, z3 = z1^z2.
 
     The result is built without re-checking: the XOR of two in-range masks
-    is in range, and ``e % 4`` is what PhasedPauli stores.
+    is in range, and ``e % 4`` is what PhasedPauli stores.  Each word is
+    unpacked once, the cheapest read of a tuple's fields.
     """
-    n = p.n
-    if n != q.n:  # _check_same_n, inlined on this hot path
-        raise ValueError(f"qubit counts differ: {n} != {q.n}")
-    px, pz, qx, qz = p.xmask, p.zmask, q.xmask, q.zmask
+    n, px, pz = p
+    qn, qx, qz = q
+    if n != qn:  # _check_same_n, inlined on this hot path
+        raise ValueError(f"qubit counts differ: {n} != {qn}")
     x3, z3 = px ^ qx, pz ^ qz
     e = ((px & pz).bit_count() + (qx & qz).bit_count() - (x3 & z3).bit_count()
          + 2 * (pz & qx).bit_count())
@@ -363,13 +375,14 @@ class SliceIndex:
         self._ranks: dict[tuple[int, int], int] = {}
 
     def rank(self, op: PauliOp) -> int:
-        if op.n != self.n:
-            raise ValueError(f"qubit counts differ: {op.n} != {self.n}")
-        key = (op.xmask, op.zmask)
-        found = self._ranks.get(key)
-        if found is None:
-            found = self._ranks[key] = self._rank(*key)
-        return found
+        n, xmask, zmask = op
+        if n != self.n:
+            raise ValueError(f"qubit counts differ: {n} != {self.n}")
+        try:
+            return self._ranks[xmask, zmask]
+        except KeyError:  # at most size misses per index; _rank checks the weight
+            found = self._ranks[xmask, zmask] = self._rank(xmask, zmask)
+            return found
 
     def _rank(self, xmask: int, zmask: int) -> int:
         """Rank of the word (xmask, zmask) on self.n qubits, computed from its bits."""

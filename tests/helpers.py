@@ -1,12 +1,15 @@
 """Instances and reference implementations shared by the test modules."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from hkxor.instances import GeneratorConfig, generate
-from hkxor.oracle import word_action
-from hkxor.pauli import PauliOp, enumerate_slice, mul_words, words_from_arrays
+from hkxor.kikuchi_even import EDGE_BUDGET, _sorted_graph, delta_count
+from hkxor.oracle import ResourceGuardError, word_action
+from hkxor.pauli import (PauliOp, SliceIndex, enumerate_slice, masks_from_arrays, mul_words,
+                         site_mask, words_from_arrays)
 from hkxor.sos import (MAX_ENTROPY_WORDS, Contradiction, Derivation, ExactComplex,
                        PseudoExpectation, anticommuting_obstruction)
 
@@ -54,6 +57,47 @@ def moment_matrix_reference(pe, d):
             prod = mul_words(a, b)
             mat[i, j] = complex(pe.value(prod.op).times_i(prod.phase_exp))
     return mat
+
+
+def build_even_reference(inst, ell):
+    """``build_even`` edge by edge: each endpoint built by ``PauliOp``, multiplied, checked
+    to give +P and ranked in one loop over (constraint, half, shared word)."""
+    n, k = inst.n, inst.k
+    if k % 2 != 0:
+        raise ValueError(f"even-arity builder needs even k, got k={k}; use the odd pipeline")
+    if not k // 2 <= ell <= n // 2:
+        raise ValueError(f"need k/2 <= ell <= n/2, got k={k}, ell={ell}, n={n}")
+    delta = delta_count(n, k, ell)
+    edges = inst.m * delta
+    if edges > EDGE_BUDGET:
+        raise ResourceGuardError(f"{edges:.2e} edges exceeds budget {EDGE_BUDGET:.1e}")
+
+    index = SliceIndex(n, ell)
+    rank = index.rank
+    rows: list[int] = []
+    cols: list[int] = []
+    # the words Q and R may share off supp(P): weight ell - k/2, disjoint from supp(P)
+    shared_slice = list(enumerate_slice(n, ell - k // 2))
+
+    for sites, px, pz in zip(inst.sites.tolist(), *masks_from_arrays(n, inst.sites, inst.letters)):
+        word, supp = (n, px, pz), px | pz
+        shared_words = [w for w in shared_slice if not (w.xmask | w.zmask) & supp]
+        for half in combinations(sites, k // 2):
+            q_mask = site_mask(half)
+            qx, qz = px & q_mask, pz & q_mask  # P on the half
+            rx, rz = px ^ qx, pz ^ qz  # P on the rest of supp(P)
+            for shared in shared_words:
+                q = PauliOp(n, qx | shared.xmask, qz | shared.zmask)
+                r = PauliOp(n, rx | shared.xmask, rz | shared.zmask)
+                prod = mul_words(q, r)
+                # q r = +P with P Hermitian gives r q = (q r)^dag = q r, so q and r commute
+                assert prod.op == word and prod.phase_exp == 0, "edge product is not +P"
+                rows.append(rank(q))
+                cols.append(rank(r))
+
+    # every constraint places exactly delta edges, in constraint order
+    tids = np.repeat(np.arange(inst.m), delta)
+    return _sorted_graph(n, k, ell, index, delta, rows, cols, tids, inst.coeffs)
 
 
 def degrees_reference(graph):

@@ -375,11 +375,6 @@ def test_empty_instance_still_checks_ell_and_eps():
             certify_odd(empty(4, 3), ell, eps)
 
 
-def test_certify_rejects_an_unknown_branch():
-    with pytest.raises(ValueError, match="unknown branch 'both'"):
-        certify(single_zz(), 1, branch="both")
-
-
 def test_certify_even_soundness_sweep():
     models = ["rademacher-semirandom", "gaussian-semirandom", "random", "one-basis-z"]
     for seed in range(24):
@@ -396,11 +391,9 @@ def test_certify_checks_eps_on_every_branch(eps, monkeypatch):
     monkeypatch.setattr(certify_module, "build_even", no_build)
     monkeypatch.setattr(certify_module, "regularity_decompose", no_build)
     odd = generate(GeneratorConfig(n=5, k=3, m=4, model="random", seed=0))
-    for inst, branch in ((single_zz(), "auto"), (single_zz(), "even"), (odd, "auto"),
-                         (odd, "odd"), (empty(4, 2), "auto"),
-                         (empty(5, 3), "auto")):
+    for inst in (single_zz(), odd, empty(4, 2), empty(5, 3)):
         with pytest.raises(ValueError, match=f"need 0 < eps <= 1, got {eps}"):
-            certify(inst, 1 if inst.k == 2 else 2, eps=eps, branch=branch)
+            certify(inst, 1 if inst.k == 2 else 2, eps=eps)
 
 
 def test_odd_refuses_an_infeasible_paired_level_before_any_build(monkeypatch):
@@ -618,10 +611,9 @@ def test_certify_dispatch():
     odd = generate(GeneratorConfig(n=4, k=3, m=4, model="random", seed=1))
     assert certify(even, 1).branch == "even"
     assert certify(odd, 2, eps=0.5).branch == "odd"
-    with pytest.raises(ValueError):
+    # k's parity alone picks the branch: there is no option to force one
+    with pytest.raises(TypeError, match="branch"):
         certify(odd, 2, branch="even")
-    # the odd path is permitted for even k
-    assert certify(even, 1, eps=0.5, branch="odd").branch == "odd"
 
 
 def test_certificate_determinism():

@@ -86,13 +86,16 @@ def test_certify_empty_like_instance(tmp_path, capsys):
     assert float(fields["algval"]) >= 0.5
 
 
-def test_certify_branch_mismatch(tmp_path, capsys):
+def test_certify_and_sweep_have_no_branch_flag(tmp_path, capsys):
+    # k's parity alone picks the branch, so forcing one is a usage error
     path = tmp_path / "odd"
     run(capsys, "gen", "--n", "6", "--k", "3", "--m", "6", "--seed", "2",
         "--out", str(path))
-    code = main(["certify", "--in", str(path), "--ell", "2", "--branch", "even"])
-    capsys.readouterr()
-    assert code == 3
+    for argv in (["certify", "--in", str(path), "--ell", "2", "--branch", "even"],
+                 ["sweep", "--n", "6", "--k", "2", "--ell", "1", "--eps", "0.5",
+                  "--m-grid", "4", "--seeds", "1", "--branch", "odd"]):
+        assert main(argv) == 3
+        assert "unrecognized arguments: --branch" in capsys.readouterr().err
 
 
 def test_certify_then_oracle_soundness(tmp_path, capsys):
@@ -519,7 +522,7 @@ def _rerun_argv(command, out):
 
 
 @pytest.mark.parametrize("command,flags", [
-    ("certify", ["--ell", "2", "--eps", "0.9", "--branch", "odd", "--solver-seed", "3"]),
+    ("certify", ["--ell", "2", "--eps", "0.9", "--solver-seed", "3"]),
     ("oracle", ["--expansion", "1.0", "2"]),
     ("witness", ["--degree", "3"]),
     ("sweep", ["--n", "8", "--k", "2", "--ell", "1", "--eps", "0.5", "--m-grid", "4,6",

@@ -1,10 +1,13 @@
 """Even-arity Kikuchi construction against exhaustive pair scans."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hkxor.kikuchi_even as kikuchi_even
 from hkxor.instances import GeneratorConfig, generate, parse
 from hkxor.kikuchi_even import (
     DegenerateRegularizerError,
@@ -12,13 +15,14 @@ from hkxor.kikuchi_even import (
     build_even,
     build_level_n,
     delta_count,
+    dump_graph,
     level_n_hatted,
     regularize,
 )
 from hkxor.kikuchi_odd import build_odd, regularity_decompose
-from hkxor.pauli import PauliOp, SliceIndex, enumerate_slice, mul_words
+from hkxor.pauli import PauliOp, PhasedPauli, SliceIndex, enumerate_slice, mul_words
 
-from helpers import degrees_reference, instance_rows, single_zz
+from helpers import build_even_reference, degrees_reference, instance_rows, single_zz
 
 
 def full_pair_scan(word, n, ell):
@@ -106,6 +110,77 @@ def test_build_matches_scan_per_constraint():
         built = sorted(zip(g.rows[mine].tolist(), g.cols[mine].tolist()))
         assert built == sorted(fast_pair_scan(word, 4, 2))
         assert len(built) == g.delta == 12
+
+
+def assert_same_graph(graph, reference):
+    for name in ("rows", "cols", "tids", "weights"):
+        mine, theirs = getattr(graph, name), getattr(reference, name)
+        assert (mine.dtype, mine.tobytes()) == (theirs.dtype, theirs.tobytes()), name
+    assert (graph.delta, graph.num_vertices) == (reference.delta, reference.num_vertices)
+    assert dump_graph(graph) == dump_graph(reference)
+
+
+MODELS = ("rademacher-semirandom", "gaussian-semirandom", "random", "one-basis-z")
+
+
+@st.composite
+def even_builds(draw):
+    """(instance, ell, edge block, word block): k in {2, 4}, ell in {k/2, k/2 + 1}, and
+    blocks from one edge or word at a time up to the builder's own sizes."""
+    k = draw(st.sampled_from((2, 4)))
+    ell = k // 2 + draw(st.integers(0, 1))
+    n = draw(st.integers(max(k, 2 * ell), 9))
+    inst = generate(GeneratorConfig(n=n, k=k, m=draw(st.integers(1, 12)),
+                                    model=draw(st.sampled_from(MODELS)),
+                                    seed=draw(st.integers(0, 2**32))))
+    return (inst, ell, draw(st.sampled_from((1, 5, 64, kikuchi_even._EDGE_BLOCK))),
+            draw(st.sampled_from((1, 7, kikuchi_even._WORD_BLOCK))))
+
+
+@settings(max_examples=60)
+@given(even_builds())
+def test_build_even_equals_the_per_edge_reference_byte_for_byte(case):
+    inst, ell, edge_block, word_block = case
+    with mock.patch.object(kikuchi_even, "_EDGE_BLOCK", edge_block), \
+            mock.patch.object(kikuchi_even, "_WORD_BLOCK", word_block):
+        graph = build_even(inst, ell)
+    assert_same_graph(graph, build_even_reference(inst, ell))
+
+
+@pytest.mark.parametrize("n, k, ell, m", ((70, 2, 1, 40), (70, 2, 2, 12), (70, 4, 2, 10),
+                                          (130, 2, 1, 30)))
+def test_build_even_equals_the_reference_past_64_qubits(n, k, ell, m):
+    # the masks take the object-dtype path: Python ints past bit 63
+    for model in MODELS:
+        inst = generate(GeneratorConfig(n=n, k=k, m=m, model=model, seed=n + ell))
+        graph = build_even(inst, ell)
+        assert graph.num_edges == m * graph.delta
+        assert_same_graph(graph, build_even_reference(inst, ell))
+
+
+@pytest.mark.parametrize("k, ell", ((2, 1), (2, 2), (4, 2), (4, 3)))
+def test_build_even_pays_one_product_and_two_ranks_per_edge(monkeypatch, k, ell):
+    calls = {"mul_words": 0, "rank": 0}
+
+    def counted(name, func):
+        def call(*args):
+            calls[name] += 1
+            return func(*args)
+        return call
+
+    monkeypatch.setattr(kikuchi_even, "mul_words", counted("mul_words", mul_words))
+    monkeypatch.setattr(SliceIndex, "rank", counted("rank", SliceIndex.rank))
+    graph = build_even(generate(GeneratorConfig(n=8, k=k, m=9, seed=ell)), ell)
+    assert graph.num_edges > 0
+    assert calls == {"mul_words": graph.num_edges, "rank": 2 * graph.num_edges}
+
+
+def test_build_even_refuses_an_edge_whose_product_is_not_plus_p(monkeypatch):
+    # the check stays in the build whatever the benchmark counts
+    monkeypatch.setattr(kikuchi_even, "mul_words",
+                        lambda q, r: PhasedPauli(mul_words(q, r).op, 2))
+    with pytest.raises(AssertionError, match="edge product is not \\+P"):
+        build_even(single_zz(), 1)
 
 
 def test_signed_matrix_symmetric():

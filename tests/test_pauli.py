@@ -466,6 +466,22 @@ def test_phased_pauli_reduces_negative_phases_mod_4():
     assert PhasedPauli(p, 0)._replace(phase_exp=-6) == (p, 2)
 
 
+@pytest.mark.parametrize("path", ("new", "_make", "_replace"))
+def test_phased_pauli_refuses_a_non_integer_phase_exponent(path):
+    # PhasedPauli(p, 1.5) used to be stored, and reading .phase then raised a bare TypeError
+    p = PauliOp(2, 1, 0)
+    make = {"new": lambda e: PhasedPauli(p, e),
+            "_make": lambda e: PhasedPauli._make((p, e)),
+            "_replace": lambda e: PhasedPauli(p, 1)._replace(phase_exp=e)}[path]
+    for exponent in (1.5, 2.0, "1", None, 1j):
+        with pytest.raises(TypeError, match="phase exponent must be an integer, got"):
+            make(exponent)
+    for exponent in (np.int64(7), np.uint8(3), True, -5):
+        phased = make(exponent)
+        assert phased == (p, int(exponent) % 4) and type(phased.phase_exp) is int
+        assert phased.phase == PHASES[int(exponent) % 4]
+
+
 def test_words_order_like_their_field_tuples():
     # not used by the package, which orders words by canonical_key
     assert PauliOp(2, 1, 0) < PauliOp(2, 1, 2) < PauliOp(3, 0, 0)
