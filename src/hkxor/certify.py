@@ -33,10 +33,13 @@ Every norm is taken per connected component of the matrix, since the norm
 of a block-diagonal matrix is the largest norm of its blocks: components of
 at most oracle.DENSE_DIM vertices are solved exactly by batched dense
 eigvalsh, each larger one by the oracle's ``ritz_pair`` on its squared
-operator, and every value passes a residual check (``spectral_norm`` proves
-the bound).  The symmetry check and
-the ARPACK step are the oracle's (``check_hermitian``, ``ritz_pair``), so
-certify and the ground truth share one Hermitian eigen-kernel.  Every
+operator (``oracle.squared_operator``).  Each value comes with a residual r
+that proves |value - |lambda|| <= r for some eigenvalue lambda of its
+component, and a larger component's r is checked against the tolerance;
+that this lambda is the larger component's largest in absolute value is
+ARPACK's claim, not proved.  The symmetry check and the ARPACK step are
+the oracle's (``check_hermitian``, ``ritz_pair``), so certify and the
+ground truth share one Hermitian eigen-kernel.  Every
 certificate is deterministic given (instance bytes, ell, eps, tol, solver
 seed): the iterative eigensolver starts from a seeded vector.
 """
@@ -50,14 +53,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.csgraph import connected_components
 
 from .instances import Instance, check_eps, digest, over_eps_power
 from .kikuchi_even import build_even, regularize, running_sum
 from .kikuchi_odd import (build_odd, check_feasible_level, check_free_sites, cs_operator,
                           edge_delete, regularity_decompose)
-from .oracle import DENSE_DIM, ResourceGuardError, check_hermitian, ritz_pair
+from .oracle import DENSE_DIM, ResourceGuardError, check_hermitian, ritz_pair, squared_operator
 
 DEFAULT_TOL = 1e-6
 ETA_CONST = 3
@@ -106,20 +108,6 @@ def _small_blocks(coo: sp.coo_matrix, vsize: np.ndarray) -> tuple[float, float]:
     return best, float(np.linalg.norm(winner @ vec - lam * vec) / np.linalg.norm(vec))
 
 
-def _permuted(mat: sp.csr_matrix, order: np.ndarray) -> sp.csr_matrix:
-    """``mat[order][:, order]`` as one row gather and a relabel of the column
-    indices.  Each row keeps its stored entries in their order, so a product
-    with the result sums every row in the same order; entries in columns
-    outside ``order`` are dropped."""
-    rows = mat[order]
-    relabel = np.full(mat.shape[1], -1, dtype=mat.indices.dtype)
-    relabel[order] = np.arange(len(order))
-    cols = relabel[rows.indices]
-    keep = cols >= 0
-    indptr = np.concatenate(([0], np.cumsum(keep)))[rows.indptr]  # entries kept before each row
-    return sp.csr_matrix((rows.data[keep], cols[keep], indptr), shape=(len(order), len(order)))
-
-
 def check_tol(tol: float) -> None:
     """Raise ValueError unless tol is finite and positive, as the algval margin needs."""
     if not (math.isfinite(tol) and tol > 0):
@@ -133,7 +121,14 @@ def check_seed(seed: int) -> None:
 
 
 def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[float, float]:
-    """(sigma, residual) with |sigma - lambda_absmax| <= tol * max(1, sigma).
+    """(sigma, residual): the largest |eigenvalue| over the connected components,
+    exact for those of at most DENSE_DIM vertices and ARPACK's for larger ones.
+
+    What is proved is that |sigma - |lambda|| <= residual for some eigenvalue
+    lambda of the winning component, and for a larger component the residual
+    is checked to be at most tol * max(1, sigma).  That no eigenvalue of a
+    larger component exceeds its sigma in absolute value is ARPACK's claim,
+    not proved: the residual check does not see a missed top eigenvalue.
 
     Accepts a symmetric real sparse or dense matrix of any real dtype and works
     in float64; a complex dtype, or a matrix that ``oracle.check_hermitian``
@@ -149,14 +144,14 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     the squared operator S S, S = uM for the power of two u that puts
     max|S_ij| in [1/2, 1) (exact, so that S S neither overflows nor
     underflows), started from the seeded Philox vector of the whole matrix
-    restricted to that block.  S S is never formed: each step applies S twice,
-    the inner product into one reused work vector, by scipy's CSR kernel, so
-    every row is summed in stored order.  With theta the top Ritz value and r2
-    its residual, sigma = sqrt(max(theta, 0)) / u and the residual is
-    r2 / (u sqrt(theta)) (sqrt(r2) / u when that is smaller, so theta = 0
-    needs no division).  This bounds the error: the eigenvalues of S S are the
-    (u lambda)^2 for the eigenvalues lambda of M, so |theta - (u lambda)^2|
-    <= r2 for one of them, and
+    restricted to that block.  S S is never formed: ``oracle.squared_operator``
+    applies S twice by scipy's CSR kernel, so every row is summed in stored
+    order.  With theta the top Ritz value and r2 its residual,
+    sigma = sqrt(max(theta, 0)) / u and the residual is r2 / (u sqrt(theta))
+    (sqrt(r2) / u when that is smaller, so theta = 0 needs no division).
+    This bounds the error: the eigenvalues of S S are the (u lambda)^2 for
+    the eigenvalues lambda of M, so |theta - (u lambda)^2| <= r2 for one of
+    them, and
     |sqrt(theta) - u|lambda|| = |theta - (u lambda)^2| / (sqrt(theta) + u|lambda|)
     <= r2 / sqrt(theta).  Squaring merges a near +-pair at the two ends of the
     spectrum into the top of a PSD one, which Lanczos resolves in fewer steps
@@ -180,18 +175,14 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     mat = mat.astype(float)  # its own arrays, so dropping zeros leaves the caller's alone
     mat.eliminate_zeros()
     check_hermitian(mat)
-    if mat.nnz == 0:
-        return 0.0, 0.0
 
     _, labels = connected_components(mat, directed=False)
     sizes = np.bincount(labels)
     rows = np.flatnonzero(np.diff(mat.indptr))  # rows without stored entries add nothing
-    # by (component size, label), each below len(sizes) <= size; a stable sort
-    # keeps the rows of one component ascending
-    key = sizes[labels[rows]] * len(sizes) + labels[rows]
-    order = rows[np.argsort(key, kind="stable")]
+    # by (component size, label); lexsort is stable, so the rows of one component stay ascending
+    order = rows[np.lexsort((labels[rows], sizes[labels[rows]]))]
     vsize = sizes[labels[order]]  # ascending
-    mat = _permuted(mat, order)
+    mat = mat[order][:, order]
     cut = int(np.searchsorted(vsize, DENSE_DIM, side="right"))
     best, residual = _small_blocks(mat[:cut].tocoo(), vsize[:cut])
 
@@ -202,19 +193,9 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
         b = a + int(vsize[a])
         block = mat[a:b, a:b]
         unit = math.ldexp(1.0, -math.frexp(float(np.abs(block.data).max()))[1])
-        block = block * unit
-        work = np.empty(b - a)
-
-        def squared(x: np.ndarray) -> np.ndarray:
-            out = np.zeros(b - a)
-            work.fill(0)
-            csr_matvec(*block.shape, block.indptr, block.indices, block.data, x, work)
-            csr_matvec(*block.shape, block.indptr, block.indices, block.data, work, out)
-            return out
-
         try:
-            theta, r2 = ritz_pair(spla.LinearOperator(block.shape, matvec=squared, dtype=float),
-                                  v0[a:b], min(tol * 1e-3, 1e-10), max(1000, 20 * (b - a)))
+            theta, r2 = ritz_pair(squared_operator(block * unit), v0[a:b],
+                                  min(tol * 1e-3, 1e-10), max(1000, 20 * (b - a)))
         except spla.ArpackNoConvergence as exc:
             # rows before a belong to parts already solved
             known = np.append(np.sqrt(np.maximum(exc.eigenvalues, 0.0)) / unit,

@@ -5,7 +5,7 @@ weight ell; (Q, R) is an edge iff Q*R = P exactly and Q, R overlap on exactly
 ell - k/2 sites.  Equivalently: on supp(P) exactly one of Q, R is non-trivial
 and agrees with P there (half of supp(P) each), and off supp(P) the two words
 are identical.  Such endpoints always commute and the product phase is +1;
-the product is asserted during construction.
+the product is checked during construction.
 
 Edges are generated per constraint by direct combinatorial enumeration (the
 Delta pairs), never by scanning all N^2 vertex pairs: each half of supp(P),
@@ -203,8 +203,7 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
             hi = lo + _WORD_BLOCK
             qs = _unchecked_words(n, qx[lo:hi], qz[lo:hi])
             rs = _unchecked_words(n, rx[lo:hi], rz[lo:hi])
-            # q r = +P with P Hermitian gives r q = (q r)^dag = q r, so q and r commute;
-            # a raise, not an assert, since the check is what computes the products
+            # q r = +P with P Hermitian gives r q = (q r)^dag = q r, so q and r commute
             if not all(map(eq, map(mul_words, qs, rs), islice(plus_p, len(qs)))):
                 raise AssertionError("edge product is not +P")
             rows[at:at + len(qs)] = np.fromiter(map(rank, qs), dtype=np.int64, count=len(qs))
@@ -229,7 +228,8 @@ def regularize(graph: KikuchiGraph) -> np.ndarray:
     if total <= 0:
         raise DegenerateRegularizerError("cannot regularize an empty graph")
     gamma = graph.degrees + total / graph.num_vertices
-    assert abs(gamma.sum() - 2 * total) <= 1e-9 * max(1.0, 2 * total)
+    if not abs(gamma.sum() - 2 * total) <= 1e-9 * max(1.0, 2 * total):
+        raise AssertionError("Tr(Gamma) != twice the total degree")
     return gamma
 
 

@@ -29,7 +29,7 @@ type, with weight rho * b_C * b_C' and
 rho = (|commuting| + |anticommuting|) / (2 |commuting|).  Both counts depend
 only on the residuals' overlap signature (shared sites where they agree, and
 where they differ), and |commuting| + |anticommuting| = 2 Delta_t (the
-store's ``delta``) is asserted exactly for every signature.  OddKikuchiGraph
+store's ``delta``) is checked exactly for every signature.  OddKikuchiGraph
 adds the slice t, one column per type field (the pair, rho, the sign
 b_C b_C' and whether the residual labels commute) and the skipped types.
 Types whose commuting set is empty (possible when the residuals share their
@@ -174,7 +174,8 @@ def regularity_decompose(inst: Instance, ell: int, eps: float) -> BipartiteDecom
         warnings.append(f"|H|={inst.m} < n*tau_1={n * tau1}: center-count bound not guaranteed")
     rows = np.flatnonzero(left)
     for rank, cids in _held_by(inst.sites[rows, :1] * 3 + inst.letters[rows, :1], rows, 1):
-        assert len(cids) < tau1, "residual bucket reached the extraction threshold"
+        if not len(cids) < tau1:
+            raise AssertionError("residual bucket reached the extraction threshold")
         buckets.append(Bucket(t=1, center=SliceIndex(n, 1).unrank(rank), cids=tuple(cids.tolist()),
                               residual=True))
 
@@ -229,7 +230,8 @@ def residuals(dec: BipartiteDecomposition, inst: Instance,
     centers = words_to_arrays([dec.buckets[bid].center for bid in bids], inst.n, t)[0]
     sites = inst.sites[cids]
     on_center = (sites[:, :, None] == np.repeat(centers, sizes, axis=0)[:, None, :]).any(axis=2)
-    assert (on_center.sum(axis=1) == t).all(), "a residual does not have weight k - t"
+    if not (on_center.sum(axis=1) == t).all():
+        raise AssertionError("a residual does not have weight k - t")
     shape = (len(cids), inst.k - t)
     return (np.repeat(np.array(bids, dtype=np.int64), sizes), cids,
             sites[~on_center].reshape(shape), inst.letters[cids][~on_center].reshape(shape))
@@ -340,7 +342,8 @@ def _rho_counts_signature(n: int, ell: int, kk: int, e: int, d: int) -> tuple[in
         signed += mult * sub_signed * signed_free
     nc = (total + signed) // 2
     na = (total - signed) // 2
-    assert nc + na == total and nc - na == signed
+    if not (nc + na == total and nc - na == signed):
+        raise AssertionError("closed-form total and signed counts differ in parity")
     return nc, na
 
 
@@ -430,16 +433,18 @@ def _check_edges(n: int, kk: int, q: tuple[np.ndarray, np.ndarray],
 
     qk, rk, tk = ([s * 3 + a for s, a in zip(sites.T, letters.T)] for sites, letters in (q, r, res))
     qt = [[a == c for c in tk] for a in qk]
-    assert (all((count([a == b for b in rk] + row) == 1).all() for a, row in zip(qk, qt))
-            and (count([b == c for b in rk for c in tk]) == kk).all()), \
-        "edge product is not +P (x) P'"
+    if not (all((count([a == b for b in rk] + row) == 1).all() for a, row in zip(qk, qt))
+            and (count([b == c for b in rk for c in tk]) == kk).all()):
+        raise AssertionError("edge product is not +P (x) P'")
     # Q meets kk keys of P (x) P', s1 of them on supp(P) and kk - s1 on supp(P')
     s1 = count([row[c] for row in qt for c in range(kk)])
-    assert (np.abs(2 * s1 - kk) <= 1).all(), "edge splits a residual unevenly"
+    if not (np.abs(2 * s1 - kk) <= 1).all():
+        raise AssertionError("edge splits a residual unevenly")
     # sites of Q2 where P acts with another letter
     anti = count([(qs == ps + n) & (ql != pl) for qs, ql in zip(q[0].T, q[1].T)
                   for ps, pl in zip(res[0].T[:kk], res[1].T[:kk])])
-    assert not (anti % 2).any(), "edge endpoints fail the commuting sign"
+    if (anti % 2).any():
+        raise AssertionError("edge endpoints fail the commuting sign")
 
 
 def type_edges(n: int, sites: np.ndarray, letters: np.ndarray, first, second,
@@ -568,7 +573,8 @@ def build_odd(dec: BipartiteDecomposition, inst: Instance, t: int, ell: int) -> 
     sigs, inverse = np.unique(agree * (kk + 1) + differ, return_inverse=True)
     counts = [_rho_counts_signature(n, ell, kk, e, d)
               for e, d in zip((sigs // (kk + 1)).tolist(), (sigs % (kk + 1)).tolist())]
-    assert all(nc + na == 2 * delta_t for nc, na in counts), "weighted pair count != Delta_t"
+    if not all(nc + na == 2 * delta_t for nc, na in counts):
+        raise AssertionError("weighted pair count != Delta_t")
     nc = np.array([c for c, _ in counts], dtype=np.int64)[inverse]
     # rho is read only where nc > 0: the others are skipped types
     rho = np.array([(c + a) / (2 * c) if c else math.nan for c, a in counts])[inverse]
@@ -580,8 +586,8 @@ def build_odd(dec: BipartiteDecomposition, inst: Instance, t: int, ell: int) -> 
                        np.abs(signs[skip]).tolist()))
     place = ~skip
     rows, cols, tids = type_edges(n, sites, letters, first[place], second[place], ell)
-    assert np.array_equal(np.bincount(tids, minlength=place.sum()), nc[place]), \
-        "enumerated commuting count != closed form"
+    if not np.array_equal(np.bincount(tids, minlength=place.sum()), nc[place]):
+        raise AssertionError("enumerated commuting count != closed form")
     return OddKikuchiGraph(
         n=n, k=k, ell=ell, index=index, delta=delta_t, rows=rows, cols=cols, tids=tids,
         weights=rho[place] * signs[place], t=t, pairs=pairs[place], rho=rho[place],

@@ -24,9 +24,10 @@ This module also holds the Hermitian eigen-kernel that ``certify`` and
 relative to the largest entry, refusing non-finite entries), one seeded
 ARPACK step (``ritz_pair``, one ``eigsh(k=1, which="LA")`` on whatever
 Hermitian operator the caller passes: M itself here, by scipy's CSR kernel
-called directly, and the squared operator of ``certify.spectral_norm``,
-whose docstring proves its norm bound) and one dense cut-off
-(``DENSE_DIM``).
+called directly, and for ``certify.spectral_norm`` the squared operator
+M M that ``squared_operator`` builds on the same kernel) and one dense
+cut-off (``DENSE_DIM``).  It is the one module that calls scipy's private
+sparse kernels.
 
 ``lambda_max`` returns the top eigenvalue without diagonalizing the whole
 matrix, and proves it.  The value is the top Ritz value lam of one seeded
@@ -253,6 +254,22 @@ def _csr_product(mat: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     out = np.zeros(mat.shape[0], dtype=np.result_type(mat.dtype, x.dtype))
     csr_matvec(*mat.shape, mat.indptr, mat.indices, mat.data, x, out)
     return out
+
+
+def squared_operator(mat: sp.csr_matrix) -> spla.LinearOperator:
+    """M M for a real square CSR M as a float64 ``LinearOperator``, never formed: each
+    product applies M twice by scipy's CSR kernel, the inner product into one
+    reused work vector, so every row is summed in stored order."""
+    work = np.empty(mat.shape[0])
+
+    def squared(x: np.ndarray) -> np.ndarray:
+        out = np.zeros(mat.shape[0])
+        work.fill(0)
+        csr_matvec(*mat.shape, mat.indptr, mat.indices, mat.data, x, work)
+        csr_matvec(*mat.shape, mat.indptr, mat.indices, mat.data, work, out)
+        return out
+
+    return spla.LinearOperator(mat.shape, matvec=squared, dtype=float)
 
 
 def ritz_pair(op: spla.LinearOperator, v0: np.ndarray, tol: float,

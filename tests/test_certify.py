@@ -24,7 +24,7 @@ from hkxor.certify import (
 from hkxor.instances import GeneratorConfig, generate, parse
 from hkxor.kikuchi_even import build_even, regularize
 from hkxor.kikuchi_odd import InfeasibleLevelError, build_odd, regularity_decompose
-from hkxor.oracle import DENSE_DIM, ResourceGuardError, _csr_product, assemble, lambda_max
+from hkxor.oracle import DENSE_DIM, ResourceGuardError, assemble, lambda_max
 
 from helpers import explicit_instance, instance_rows, single_zz
 
@@ -317,25 +317,35 @@ def test_spectral_norm_at_extreme_scales(scale):
     assert residual <= 1e-9 * max(1.0, sigma)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_permuted_equals_fancy_indexing_entry_for_entry(seed):
-    # the component order and the ARPACK operator must sum every row in the order
-    # mat[order][:, order] stores it, so each matvec, and sigma, stay bit-identical
+@pytest.mark.parametrize("duplicates", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_spectral_norm_takes_unsorted_and_duplicate_entries(seed, duplicates):
+    # CSR input need not be canonical: rows that store their entries out of column
+    # order, optionally each entry split into two stored parts (a pair sums the same
+    # either way round, so the matrix stays exactly symmetric), plus a one-sided entry
+    # under the symmetry tolerance in the column of an empty row; the caller's arrays
+    # are read, never changed
     rng = np.random.default_rng(seed)
     mat = permuted(mixed_blocks(rng, 1.0, 1.0), rng).tolil()
-    mat[0, mat.shape[0] - 1] = 1e-20  # one-sided, under the symmetry tolerance
+    counts = np.diff(mat.tocsr().indptr)
+    mat[int(np.argmax(counts)), int(np.argmin(counts))] = 1e-20  # into a column of no row
     mat = mat.tocsr()
+    if duplicates:  # each entry stored twice, as a quarter and three quarters of it
+        rows = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        entries = np.argsort(np.concatenate([rows, rows]), kind="stable")
+        mat = sp.csr_matrix((np.concatenate([mat.data / 4, mat.data * 0.75])[entries],
+                             np.concatenate([mat.indices, mat.indices])[entries],
+                             2 * mat.indptr), shape=mat.shape)
     for i in range(mat.shape[0]):  # store each row's entries out of column order
         e = slice(mat.indptr[i], mat.indptr[i + 1])
         shuffle = rng.permutation(e.stop - e.start)
         mat.indices[e], mat.data[e] = mat.indices[e][shuffle], mat.data[e][shuffle]
     mat.has_sorted_indices = False
-    order = rng.permutation(np.flatnonzero(np.diff(mat.indptr)))
-    mine, reference = certify_module._permuted(mat, order), mat[order][:, order]
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(mine, name), getattr(reference, name))
-    x = rng.standard_normal(len(order))
-    assert _csr_product(mine, x).tobytes() == (reference @ x).tobytes()
+    before = [getattr(mat, name).tobytes() for name in ("indptr", "indices", "data")]
+    sigma, residual = spectral_norm(mat, tol=1e-9)
+    assert abs(sigma - dense_norm(mat)) <= 1e-9 * max(1.0, sigma)
+    assert residual <= 1e-9 * max(1.0, sigma)
+    assert [getattr(mat, name).tobytes() for name in ("indptr", "indices", "data")] == before
 
 
 def test_spectral_norm_matches_dense_on_kikuchi():

@@ -2,8 +2,12 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -607,6 +611,54 @@ def test_check_edges_trips_each_condition(monkeypatch):
     new = (p_letter + 1) % 3 if q[1][row, kk] == p_letter else p_letter
     q[1][row, kk] = r[1][row, kk] = new
     assert column_check(n, kk, q, r, res) == "edge endpoints fail the commuting sign"
+
+
+# run under python -O: a wrong letter for _check_edges, and a closed-form count
+# that misses 2 Delta_t by one, as in test_build_odd_checks_its_counts_exactly
+OPTIMIZED_CHECKS = """
+import sys
+from hkxor import kikuchi_odd
+from hkxor.instances import GeneratorConfig, generate
+from hkxor.kikuchi_odd import build_odd, regularity_decompose, type_edges
+from hkxor.pauli import PauliOp, words_to_arrays
+
+
+def message(call, *args):
+    try:
+        call(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return "nothing raised"
+
+
+print(f"optimized={sys.flags.optimize > 0}")
+check, calls = kikuchi_odd._check_edges, []
+kikuchi_odd._check_edges = lambda n, kk, *ends: calls.append(ends)
+words = [PauliOp.from_sparse(w, 4) for w in ("X1 Y2", "Z3 Z4")]
+type_edges(4, *words_to_arrays(words, 4, 2), [0], [1], 3)
+kikuchi_odd._check_edges = check
+q, r, res = calls[0]
+q = (q[0], q[1].copy())
+q[1][0, 0] = (q[1][0, 0] + 1) % 3
+print(message(check, 4, 2, q, r, res))
+words = tuple(PauliOp.from_sparse(w, 3) for w in ("X1 X2 Y3", "X1 Y2 Y3"))
+inst = generate(GeneratorConfig(n=3, k=3, m=2, model="explicit", words=words, coeffs=(1.0, -1.0)))
+signature = kikuchi_odd._rho_counts_signature
+kikuchi_odd._rho_counts_signature = lambda *args: (signature(*args)[0], signature(*args)[1] + 1)
+print(message(build_odd, regularity_decompose(inst, ell=2, eps=1.0), inst, 1, 2))
+"""
+
+
+def test_build_checks_survive_python_dash_o():
+    # python -O strips assert statements; the checks that guard the certificate raise
+    # AssertionError themselves, so they still run
+    src = str(Path(kikuchi_odd.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+                         timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["optimized=True", "edge product is not +P (x) P'",
+                                       "weighted pair count != Delta_t"]
 
 
 @pytest.mark.parametrize("n,words,ell", [

@@ -54,3 +54,24 @@ def test_no_library_module_imports_another_modules_private_names():
                             for alias in node.names
                             if alias.name.startswith("_") and not alias.name.endswith("__")]
     assert imports == []
+
+
+def test_only_the_oracle_imports_numpy_or_scipy_internals():
+    # scipy's private sparse kernels (scipy.sparse._sparsetools) have one owner,
+    # oracle.py; any other module asks it for a public function
+    imports = []
+    for path in sorted((ROOT / "src" / "hkxor").glob("*.py")):
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            imports += [f"{path.relative_to(ROOT).as_posix()}:{node.lineno} {module}"
+                        for module in modules
+                        if module.split(".")[0] in ("numpy", "scipy")
+                        and any(part.startswith("_") for part in module.split("."))]
+    assert imports == []
