@@ -39,9 +39,11 @@ component, and a larger component's r is checked against the tolerance;
 that this lambda is the larger component's largest in absolute value is
 ARPACK's claim, not proved.  The symmetry check and the ARPACK step are
 the oracle's (``check_hermitian``, ``ritz_pair``), so certify and the
-ground truth share one Hermitian eigen-kernel.  Every
-certificate is deterministic given (instance bytes, ell, eps, tol, solver
-seed): the iterative eigensolver starts from a seeded vector.
+ground truth share one Hermitian eigen-kernel.  For a given BLAS build and
+thread count, every certificate is deterministic given (instance bytes, ell,
+eps, tol, solver seed): the iterative eigensolver starts from a seeded
+vector.  Another thread count can move the last bits of a residual, as
+BLAS reductions then add in another order.
 """
 
 from __future__ import annotations
@@ -75,39 +77,6 @@ class SpectralNormError(RuntimeError):
         self.best_estimate = best_estimate
 
 
-def _small_blocks(coo: sp.coo_matrix, vsize: np.ndarray) -> tuple[float, float]:
-    """(sigma, residual): the largest |eigenvalue| over the components of at most
-    DENSE_DIM vertices, and ||B v - lambda v|| / ||v|| of the ``eigh`` pair of the
-    first block B attaining it; (0.0, 0.0) if there are none.
-
-    coo holds the rows of those components, ordered by (size, label), so the
-    blocks of one size lie one after another on its diagonal; vsize is the
-    component size of each row (ascending).  Each size is solved by batched
-    eigvalsh on chunks of at most max(1, CHUNK_ENTRIES // size^2) blocks, each
-    chunk one contiguous row range.
-    """
-    best, winner = 0.0, None
-    for s in np.unique(vsize).tolist():
-        lo, hi = np.searchsorted(vsize, (s, s + 1))
-        per = max(1, CHUNK_ENTRIES // (s * s)) * s  # rows of one chunk
-        for a in range(lo, hi, per):
-            b = min(a + per, hi)
-            e = slice(*np.searchsorted(coo.row, (a, b)))
-            row, col = coo.row[e] - a, coo.col[e] - a
-            blocks = np.zeros(((b - a) // s, s, s))
-            np.add.at(blocks, (row // s, row % s, col % s), coo.data[e])
-            norms = np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
-            i = int(np.argmax(norms))
-            if norms[i] > best:
-                best, winner = float(norms[i]), blocks[i]
-    if winner is None:
-        return 0.0, 0.0
-    vals, vecs = np.linalg.eigh(winner)
-    i = int(np.argmax(np.abs(vals)))
-    lam, vec = float(vals[i]), vecs[:, i]
-    return best, float(np.linalg.norm(winner @ vec - lam * vec) / np.linalg.norm(vec))
-
-
 def check_tol(tol: float) -> None:
     """Raise ValueError unless tol is finite and positive, as the algval margin needs."""
     if not (math.isfinite(tol) and tol > 0):
@@ -136,9 +105,12 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     components, formed on the nonzero entries (a stored zero joins nothing),
     so rows without nonzero entries are dropped and the rest permuted by
     (component size, label): each component becomes one contiguous diagonal
-    block.  Components of at most DENSE_DIM vertices are solved exactly by
-    batched dense eigvalsh (``_small_blocks``), with the residual of a dense
-    eigenpair, which bounds a symmetric matrix's eigenvalue error.
+    block.  One walk over the distinct component sizes, ascending, solves
+    each.  The components of one size s <= DENSE_DIM are solved exactly by
+    batched dense eigvalsh, in chunks of max(1, CHUNK_ENTRIES // s^2) blocks
+    read by row range from one COO of the small rows; the first block that
+    attains the norm keeps it, and its residual is that of its dense ``eigh``
+    pair, which bounds a symmetric matrix's eigenvalue error.
 
     Each larger component M is solved by its own ``oracle.ritz_pair`` call on
     the squared operator S S, S = uM for the power of two u that puts
@@ -158,16 +130,15 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     than the largest |eigenvalue| of M.
 
     sigma is the largest of the parts (a large component wins a tie with the
-    small-block maximum), and residual is the winning part's; the result
-    depends only on (matrix, seed).  A failed solve raises SpectralNormError
-    whose best_estimate, the largest of the partial Ritz values theta turned
-    into norms sqrt(max(theta, 0)) / u and the parts already solved, is never
-    below a part already solved.
+    parts before it), and residual is the winning part's; for a given BLAS
+    build and thread count the result depends only on (matrix, seed).  A
+    failed solve raises SpectralNormError whose best_estimate, the largest of
+    the partial Ritz values theta turned into norms sqrt(max(theta, 0)) / u
+    and the parts already solved, is never below a part already solved.
     """
     check_tol(tol)
     check_seed(seed)
     mat = sp.csr_matrix(matrix)
-    size = mat.shape[0]
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"matrix is not square: {mat.shape}")
     if np.iscomplexobj(mat):
@@ -182,34 +153,50 @@ def spectral_norm(matrix, tol: float = DEFAULT_TOL, seed: int = 0) -> tuple[floa
     # by (component size, label); lexsort is stable, so the rows of one component stay ascending
     order = rows[np.lexsort((labels[rows], sizes[labels[rows]]))]
     vsize = sizes[labels[order]]  # ascending
+    v0 = np.random.Generator(np.random.Philox(key=seed)).standard_normal(mat.shape[0])[order]
     mat = mat[order][:, order]
-    cut = int(np.searchsorted(vsize, DENSE_DIM, side="right"))
-    best, residual = _small_blocks(mat[:cut].tocoo(), vsize[:cut])
-
-    if cut < len(order):
-        v0 = np.random.Generator(np.random.Philox(key=seed)).standard_normal(size)[order]
-    a = cut
-    while a < len(order):
-        b = a + int(vsize[a])
-        block = mat[a:b, a:b]
-        unit = math.ldexp(1.0, -math.frexp(float(np.abs(block.data).max()))[1])
-        try:
-            theta, r2 = ritz_pair(squared_operator(block * unit), v0[a:b],
-                                  min(tol * 1e-3, 1e-10), max(1000, 20 * (b - a)))
-        except spla.ArpackNoConvergence as exc:
-            # rows before a belong to parts already solved
-            known = np.append(np.sqrt(np.maximum(exc.eigenvalues, 0.0)) / unit,
-                              [best] if a else [])
-            raise SpectralNormError("eigensolver did not converge",
-                                    float(known.max()) if len(known) else None) from exc
-        root = math.sqrt(max(theta, 0.0))
-        sigma, res = root / unit, (r2 / root if r2 < theta else math.sqrt(r2)) / unit
-        if res > tol * max(1.0, sigma):
-            raise SpectralNormError(
-                f"residual {res:.3e} exceeds tolerance budget", max(best, sigma))
-        if sigma >= best:
-            best, residual = sigma, res
-        a = b
+    # the rows of the components of at most DENSE_DIM vertices
+    small = mat[:int(np.searchsorted(vsize, DENSE_DIM, side="right"))].tocoo()
+    best, residual, winner = 0.0, 0.0, None
+    for s in np.unique(vsize).tolist():
+        lo, hi = np.searchsorted(vsize, (s, s + 1))
+        if s <= DENSE_DIM:  # chunks of equal-size blocks, each one contiguous row range
+            per = max(1, CHUNK_ENTRIES // (s * s)) * s
+            for a in range(lo, hi, per):
+                b = min(a + per, hi)
+                e = slice(*np.searchsorted(small.row, (a, b)))
+                row, col = small.row[e] - a, small.col[e] - a
+                blocks = np.zeros(((b - a) // s, s, s))
+                np.add.at(blocks, (row // s, row % s, col % s), small.data[e])
+                norms = np.abs(np.linalg.eigvalsh(blocks)).max(axis=1)
+                i = int(np.argmax(norms))
+                if norms[i] > best:
+                    best, winner = float(norms[i]), blocks[i]
+            continue
+        for a in range(lo, hi, s):
+            block = mat[a:a + s, a:a + s]
+            unit = math.ldexp(1.0, -math.frexp(float(np.abs(block.data).max()))[1])
+            try:
+                theta, r2 = ritz_pair(squared_operator(block * unit), v0[a:a + s],
+                                      min(tol * 1e-3, 1e-10), max(1000, 20 * s))
+            except spla.ArpackNoConvergence as exc:
+                # rows before a belong to parts already solved
+                known = np.append(np.sqrt(np.maximum(exc.eigenvalues, 0.0)) / unit,
+                                  [best] if a else [])
+                raise SpectralNormError("eigensolver did not converge",
+                                        float(known.max()) if len(known) else None) from exc
+            root = math.sqrt(max(theta, 0.0))
+            sigma, res = root / unit, (r2 / root if r2 < theta else math.sqrt(r2)) / unit
+            if res > tol * max(1.0, sigma):
+                raise SpectralNormError(
+                    f"residual {res:.3e} exceeds tolerance budget", max(best, sigma))
+            if sigma >= best:
+                best, residual, winner = sigma, res, None
+    if winner is not None:  # a small block holds the norm: the residual of its eigh pair
+        vals, vecs = np.linalg.eigh(winner)
+        i = int(np.argmax(np.abs(vals)))
+        vec = vecs[:, i]
+        residual = float(np.linalg.norm(winner @ vec - vals[i] * vec) / np.linalg.norm(vec))
     return best, residual
 
 
@@ -233,21 +220,28 @@ def certified_norm(graph, tol: float, seed: int) -> tuple[float, float, float, f
 
 
 def trace_moment(graph, r: int) -> tuple[float, float]:
-    """(Tr((Gamma^{-1} A*)^{2r}), its 2r-th root) by repeated sparse products,
-    with Gamma = ``regularize(graph)``."""
+    """(Tr((Gamma^{-1} A*)^{2r}), its 2r-th root), with Gamma = ``regularize(graph)``.
+
+    The trace is taken as ||S^r||_F^2 of S = Gamma^{-1/2} A* Gamma^{-1/2}, the
+    matrix ``certified_norm`` bounds: S is similar to Gamma^{-1} A* and S^r is
+    symmetric.  Each sparse power is refused before it is built when a bound on
+    its stored entries exceeds TRACE_BUDGET_NNZ: row i of P S has at most
+    min(N, sum over the columns j of row i of P of the entries of row j of S).
+    """
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     mat = graph.signed_matrix()
     if 2 * r * max(mat.nnz, 1) > TRACE_BUDGET_NNZ:
         raise ResourceGuardError("trace moment exceeds the configured memory budget")
-    b = (sp.diags(1.0 / regularize(graph)) @ mat).tocsr()
-    power = b
+    s = power = _scaled(mat, regularize(graph))
+    row_nnz = np.diff(s.indptr).astype(float)  # stored entries per row of S
     for _ in range(r - 1):
-        power = (power @ b).tocsr()
-        if power.nnz > TRACE_BUDGET_NNZ:
+        pattern = sp.csr_matrix((np.ones(power.nnz), power.indices, power.indptr), power.shape)
+        if np.minimum(pattern @ row_nnz, s.shape[0]).sum() > TRACE_BUDGET_NNZ:
             raise ResourceGuardError("trace moment exceeds the configured memory budget")
-    value = float(power.multiply(power.T).sum())
-    value = max(value, 0.0)
+        power = power @ s
+    # einsum adds in its own fixed order, where a BLAS dot's order moves with the thread count
+    value = float(np.einsum("i,i", power.data, power.data))
     return value, value ** (1.0 / (2 * r))
 
 

@@ -4,7 +4,9 @@ Reports are line-oriented ``key=value`` text with stable keys, so runs are
 diffable and re-runnable from their own header.  Exit codes: 0 success,
 2 contradiction witness, 3 usage error, 4 resource guard exceeded or out of memory.
 
-Every command is deterministic given its flags.
+For a given BLAS build and thread count, every command is deterministic
+given its flags; another thread count can move the last bits of a solver
+residual.
 """
 
 from __future__ import annotations

@@ -271,7 +271,7 @@ def build_level_n(terms, n: int) -> KikuchiGraph:
     The phase-free product XORs masks, so R = Q*P ranks as rank(Q) ^ rank(P).
     """
     if n > LEVEL_N_QUBIT_CAP:
-        raise ValueError(f"level-n graph needs n <= {LEVEL_N_QUBIT_CAP}, got {n}")
+        raise ResourceGuardError(f"level-n graph needs n <= {LEVEL_N_QUBIT_CAP}, got {n}")
     full = FullGroupIndex(n)
     terms = [(p, float(c)) for p, c in terms if abs(c) > 0]
     if any(p.n != n for p, _c in terms):
@@ -294,7 +294,7 @@ def level_n_hatted(graph: KikuchiGraph) -> np.ndarray:
     """
     n = graph.n
     if n > 3:
-        raise ValueError("hatted operator is gated to n <= 3 (dimension 8^n)")
+        raise ResourceGuardError("hatted operator is gated to n <= 3 (dimension 8^n)")
     dim = 1 << n
     size = graph.num_vertices
     out = np.zeros((size * dim, size * dim), dtype=complex)

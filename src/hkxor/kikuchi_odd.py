@@ -472,7 +472,8 @@ def type_edges(n: int, sites: np.ndarray, letters: np.ndarray, first, second,
     L = ell - kk
     index = SliceIndex(2 * n, ell)
     if len(first) * index.size > 2**63:
-        raise ValueError(f"{len(first)} types of {index.size} vertices overflow the int64 edge key")
+        raise ResourceGuardError(
+            f"{len(first)} types of {index.size} vertices overflow the int64 edge key")
 
     dense = np.zeros((len(sites), n), dtype=np.int8)  # letter code + 1, 0 off the support
     np.put_along_axis(dense, sites, letters + 1, axis=1)
@@ -655,8 +656,8 @@ def edge_delete(graph: OddKikuchiGraph, eta: int) -> tuple[OddKikuchiGraph, floa
     rows, cols, tids = graph.rows, graph.cols, graph.tids
     keep = np.ones(graph.num_edges, dtype=bool)
     initial = graph.type_counts().tolist()
-    # the edges of type i, in store order, are by_type[bounds[i]:bounds[i + 1]]
-    by_type = np.argsort(tids, kind="stable")
+    # the store order (type by type, rows ascending, at most one edge per row of a
+    # type) puts the edges of type i at bounds[i]:bounds[i + 1]
     bounds = np.cumsum([0] + initial)
 
     def delete(e: int) -> int:
@@ -664,10 +665,12 @@ def edge_delete(graph: OddKikuchiGraph, eta: int) -> tuple[OddKikuchiGraph, floa
         tid, q, r = tids[e], rows[e], cols[e]
         if not graph.labels_commute[tid] or q == r:
             return 1
-        same = by_type[bounds[tid]:bounds[tid + 1]]
-        mirror = same[keep[same] & (rows[same] == r) & (cols[same] == q)][:1]
-        keep[mirror] = False
-        return 1 + len(mirror)
+        lo, hi = bounds[tid], bounds[tid + 1]
+        m = lo + int(np.searchsorted(rows[lo:hi], r))  # the type's one edge at row r, if any
+        if m < hi and keep[m] and rows[m] == r and cols[m] == q:
+            keep[m] = False
+            return 2
+        return 1
 
     keys, counts, span = _partner_counts(graph)
     by_row = np.argsort(rows, kind="stable")
@@ -690,7 +693,7 @@ def edge_delete(graph: OddKikuchiGraph, eta: int) -> tuple[OddKikuchiGraph, floa
         need = math.ceil(gamma * n0 - 1e-12) - (n0 - kept[tid])
         if need <= 0:
             continue
-        for e in by_type[bounds[tid]:bounds[tid + 1]].tolist():
+        for e in range(bounds[tid], bounds[tid + 1]):
             if need <= 0:
                 break
             if keep[e]:

@@ -373,7 +373,8 @@ def lambda_max(m) -> float:
     if csr.nnz == np.count_nonzero(diag):  # diagonal: the entries are the eigenvalues
         return float(diag.real.max())
     if m.shape[0] > DENSE_DIM:
-        # machine precision from a seeded start, so the result depends only on H
+        # machine precision from a seeded start, so for a given BLAS build and thread
+        # count the result depends only on H
         v0 = np.random.Generator(np.random.Philox(key=0)).standard_normal(m.shape[0])
         with contextlib.suppress(spla.ArpackError):
             op = spla.LinearOperator(csr.shape, matvec=functools.partial(_csr_product, csr),

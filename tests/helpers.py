@@ -4,9 +4,10 @@ from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
+import scipy.sparse as sp
 
 from hkxor.instances import GeneratorConfig, generate
-from hkxor.kikuchi_even import EDGE_BUDGET, _sorted_graph, delta_count
+from hkxor.kikuchi_even import EDGE_BUDGET, _sorted_graph, delta_count, regularize
 from hkxor.oracle import ResourceGuardError, word_action
 from hkxor.pauli import (PauliOp, SliceIndex, enumerate_slice, masks_from_arrays, mul_words,
                          site_mask, words_from_arrays)
@@ -105,6 +106,16 @@ def degrees_reference(graph):
     ends = np.column_stack((graph.rows, graph.cols)).ravel()
     half = np.repeat(graph.weights[graph.tids] / 2.0, 2)
     return np.bincount(ends, weights=np.abs(half), minlength=graph.num_vertices)
+
+
+def trace_moment_reference(graph, r):
+    """Tr((Gamma^{-1} A*)^{2r}) on the non-symmetric operator B = Gamma^{-1} A*: the
+    sum of the entries of B^r times those of (B^r)^T."""
+    b = (sp.diags(1.0 / regularize(graph)) @ graph.signed_matrix()).tocsr()
+    power = b
+    for _ in range(r - 1):
+        power = (power @ b).tocsr()
+    return float(power.multiply(power.T).sum())
 
 
 def assemble_pauli_sum_reference(n, terms):

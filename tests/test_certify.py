@@ -4,6 +4,7 @@ import hashlib
 import importlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from hkxor.certify import (
     trace_moment,
 )
 from hkxor.instances import GeneratorConfig, generate, parse
-from hkxor.kikuchi_even import build_even, regularize
-from hkxor.kikuchi_odd import InfeasibleLevelError, build_odd, regularity_decompose
+from hkxor.kikuchi_even import build_even, build_level_n, level_n_hatted, regularize
+from hkxor.kikuchi_odd import InfeasibleLevelError, build_odd, regularity_decompose, type_edges
 from hkxor.oracle import DENSE_DIM, ResourceGuardError, assemble, lambda_max
+from hkxor.pauli import PauliOp, words_to_arrays
 
-from helpers import explicit_instance, instance_rows, single_zz
+from helpers import explicit_instance, instance_rows, single_zz, trace_moment_reference
 
 
 def empty(n, k):
@@ -157,6 +159,45 @@ def test_spectral_norm_chunk_of_one_block(monkeypatch):
     sigma, _ = spectral_norm(mat, tol=1e-9)
     assert abs(sigma - dense_norm(mat)) < 1e-10
     assert sigma == expected[0]
+
+
+def norm_golden_cases():
+    """Deterministic matrices for the (sigma, residual) golden: a small-block winner, a
+    large winner, a small-large tie that the large component wins (a +-1 pair against
+    a 67-cycle of weight 1/2, both of norm exactly 1.0), an all-small matrix, and the
+    small winner again with chunks of one block."""
+    rng = np.random.default_rng(37)
+    cycle = np.arange(67)
+    ring = sp.csr_matrix((np.full(134, 0.5), (np.r_[cycle, (cycle + 1) % 67],
+                                               np.r_[(cycle + 1) % 67, cycle])))
+    small = permuted(mixed_blocks(rng, 10.0, 1.0), rng)
+    return [("small wins", small, None),
+            ("large wins", permuted(mixed_blocks(rng, 1.0, 10.0), rng), None),
+            ("tie", sp.block_diag([sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]]), ring], format="csr"),
+             None),
+            ("all small", sp.block_diag([random_block(rng, s) for s in (3, 8, 8, 30, DENSE_DIM)],
+                                        format="csr"), None),
+            ("chunks of one", small, 1)]
+
+
+NORM_GOLDEN = {
+    "small wins": "(45.0013532480209, 7.053717913730783e-14)",
+    "large wins": "(51.18685912483883, 1.6694133077001157e-13)",
+    "tie": "(1.0, 9.490743003318313e-15)",  # the cycle's Ritz residual: the large one won
+    "all small": "(5.085548616026131, 4.518450857811802e-15)",
+    "chunks of one": "(45.0013532480209, 7.053717913730783e-14)",
+}
+
+
+def test_spectral_norm_repr_golden(monkeypatch):
+    # recorded from the spectral_norm that solved the small blocks in a walk of their
+    # own before the large components
+    got = {}
+    for name, mat, chunk in norm_golden_cases():
+        if chunk is not None:
+            monkeypatch.setattr(certify_module, "CHUNK_ENTRIES", chunk)
+        got[name] = repr(spectral_norm(mat, tol=1e-9))
+    assert got == NORM_GOLDEN
 
 
 def test_spectral_norm_same_seed_same_repr():
@@ -655,6 +696,43 @@ def test_trace_moment_root_dominates_norm():
             assert root >= sigma - 1e-8
 
 
+def test_trace_moment_matches_the_gamma_inverse_reference():
+    # ||S^r||_F^2 of the symmetric S = Gamma^{-1/2} A* Gamma^{-1/2} against the trace
+    # of the transpose product of (Gamma^{-1} A*)^r
+    graphs = [build_even(generate(GeneratorConfig(n=n, k=k, m=m, model=model, seed=seed)), 2)
+              for k, n, m in ((2, 6, 12), (4, 7, 10))
+              for model in ("rademacher-semirandom", "gaussian-semirandom") for seed in range(3)]
+    odd = generate(GeneratorConfig(n=6, k=3, m=16, model="gaussian-semirandom", seed=1))
+    graphs.append(kikuchi_odd.edge_delete(build_odd(regularity_decompose(odd, 3, 1.0), odd, 1, 3),
+                                          2)[0])
+    for graph in graphs:
+        for r in (1, 2, 3):
+            value, root = trace_moment(graph, r)
+            expected = trace_moment_reference(graph, r)
+            assert abs(value - expected) <= 1e-12 * expected
+            assert root == value ** (1.0 / (2 * r))
+
+
+def test_refused_trace_moment_peaks_like_one_power(monkeypatch):
+    # the bound on each power's entries refuses it before the product is built, so a
+    # refused r = 2 call holds no more than an r = 1 call
+    graph = build_even(generate(GeneratorConfig(n=30, k=2, m=600, seed=1)), 2)
+    monkeypatch.setattr(certify_module, "TRACE_BUDGET_NNZ", 4 * graph.signed_matrix().nnz)
+    peaks = []
+    for r in (1, 2):
+        tracemalloc.start()
+        try:
+            trace_moment(graph, r)
+        except ResourceGuardError:
+            assert r == 2
+        else:
+            assert r == 1
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
 def test_trace_moment_validates_r():
     inst = generate(GeneratorConfig(n=4, k=2, m=3, model="random", seed=0))
     g = build_even(inst, 1)
@@ -727,7 +805,14 @@ def test_every_size_limit_raises_the_guard_type(monkeypatch):
     monkeypatch.setattr(kikuchi_odd, "EDGE_BUDGET", -1.0)
     monkeypatch.setattr(sos, "MAX_ENTROPY_WORDS", 2)
     monkeypatch.setattr(sos, "MOMENT_MATRIX_CAP", 1)
+    level_4 = build_level_n([(PauliOp.from_sparse("Z1", 4), 1.0)], 4)
+    # one type of SliceIndex(80, 20).size > 2^63 vertices, refused before any allocation
+    residual = words_to_arrays([PauliOp.from_sparse("X1 Y2", 40)], 40, 2)
     guarded = (
+        (lambda: build_level_n([], 7), "^level-n graph needs n <= 6, got 7$"),
+        (lambda: level_n_hatted(level_4), r"^hatted operator is gated to n <= 3 \(dimension"),
+        (lambda: type_edges(40, *residual, [0], [0], 20),
+         "^1 types of .* vertices overflow the int64 edge key$"),
         (lambda: build_even(even, 1), r"^2\.00e\+01 edges exceeds budget -1\.0e\+00$"),
         (lambda: build_odd(dec, odd, dec.nonempty_levels()[0], 2),
          r"edge candidates exceeds budget -1\.0e\+00$"),
@@ -737,7 +822,7 @@ def test_every_size_limit_raises_the_guard_type(monkeypatch):
     for call, message in guarded:
         with pytest.raises(ResourceGuardError, match=message):
             call()
-    for budget in (100, 200):  # 2 r nnz = 160: the first check, then the squared star's
+    for budget in (100, 200):  # 2 r nnz = 160: the first check, then the squared star's bound
         monkeypatch.setattr(certify_module, "TRACE_BUDGET_NNZ", budget)
         with pytest.raises(ResourceGuardError, match="^trace moment exceeds the configured"):
             trace_moment(graph, 2)

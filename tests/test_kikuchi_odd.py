@@ -917,6 +917,29 @@ def test_edge_delete_matches_fixpoint_reference():
                 assert_prunes_like_reference(g, eta)
 
 
+def test_build_odd_and_edge_delete_keep_the_store_order():
+    # type by type, rows ascending, at most one edge per (type, row): edge_delete reads
+    # a type's edges as one range and finds a mirror edge by its row
+    def assert_store_order(graph):
+        key = graph.tids * graph.num_vertices + graph.rows
+        assert (np.diff(key) > 0).all()
+
+    graphs = 0
+    for model in ("rademacher-semirandom", "gaussian-semirandom", "random"):
+        for n in (6, 7, 8):
+            inst = generate(GeneratorConfig(n=n, k=3, m=4 * n, model=model, seed=n))
+            dec = regularity_decompose(inst, 3, 1.0)
+            for t in dec.nonempty_levels():
+                if not any(len(b.cids) >= 2 for b in dec.slice(t)):
+                    continue
+                g = build_odd(dec, inst, t, 3)
+                assert_store_order(g)
+                graphs += g.num_edges > 0
+                for eta in (1, 2):
+                    assert_store_order(edge_delete(g, eta)[0])
+    assert graphs >= 9
+
+
 def test_edge_delete_skips_phase_one_when_no_constraint_has_more_than_eta_types(monkeypatch):
     # a key's partner count is at most the types its constraint has on that side
     inst = generate(GeneratorConfig(n=6, k=3, m=16, model="random", seed=1))
