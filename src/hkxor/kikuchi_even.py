@@ -43,8 +43,6 @@ EDGE_BUDGET = 20_000_000
 _EDGE_BLOCK = 1 << 14
 _WORD_BLOCK = 1 << 8
 
-_tuple_new = tuple.__new__
-
 
 class DegenerateRegularizerError(ValueError):
     """Raised when regularizing an empty graph (average degree zero)."""
@@ -159,9 +157,10 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
     P on each half of supp(P) and the shared words on the n - k sites off
     supp(P).  Each edge then pays one ``mul_words`` call for the +P check and
     two ``SliceIndex.rank`` calls, all driven by ``map``.  Its endpoints are
-    built with ``tuple.__new__``, skipping the ``PauliOp`` mask check: a
-    sub-mask of P's word OR'd with a word off supp(P) is in range by
-    construction, the rule ``mul_words`` relies on for its product.
+    bare ``(n, xmask, zmask)`` triples, which both callees read as a word's
+    fields, so no ``PauliOp`` is made or checked: a sub-mask of P's word OR'd
+    with a word off supp(P) is in range by construction, the precondition
+    ``mul_words`` leaves to its caller.
     """
     n, k = inst.n, inst.k
     if k % 2 != 0:
@@ -201,8 +200,8 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
                                                      repeat(0)), repeat(delta)))
         for lo in range(0, len(qx), _WORD_BLOCK):
             hi = lo + _WORD_BLOCK
-            qs = _unchecked_words(n, qx[lo:hi], qz[lo:hi])
-            rs = _unchecked_words(n, rx[lo:hi], rz[lo:hi])
+            qs = list(zip(repeat(n), qx[lo:hi].tolist(), qz[lo:hi].tolist()))
+            rs = list(zip(repeat(n), rx[lo:hi].tolist(), rz[lo:hi].tolist()))
             # q r = +P with P Hermitian gives r q = (q r)^dag = q r, so q and r commute
             if not all(map(eq, map(mul_words, qs, rs), islice(plus_p, len(qs)))):
                 raise AssertionError("edge product is not +P")
@@ -213,12 +212,6 @@ def build_even(inst: Instance, ell: int) -> KikuchiGraph:
     # every constraint places exactly delta edges, in constraint order
     tids = np.repeat(np.arange(inst.m), delta)
     return _sorted_graph(n, k, ell, index, delta, rows, cols, tids, inst.coeffs)
-
-
-def _unchecked_words(n: int, xmasks: np.ndarray, zmasks: np.ndarray) -> list[PauliOp]:
-    """The words (n, xmasks[i], zmasks[i]) of in-range masks, without PauliOp's check."""
-    return list(map(_tuple_new, repeat(PauliOp), zip(repeat(n), xmasks.tolist(),
-                                                     zmasks.tolist())))
 
 
 def regularize(graph: KikuchiGraph) -> np.ndarray:

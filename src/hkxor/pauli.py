@@ -284,9 +284,12 @@ def mul_words(p: PauliOp, q: PauliOp) -> PhasedPauli:
     With W(x,z) = i^{|x&z|} X^x Z^z the product phase exponent is
     |x1&z1| + |x2&z2| - |x3&z3| + 2*|z1&x2|  (mod 4), x3 = x1^x2, z3 = z1^z2.
 
-    The result is built without re-checking: the XOR of two in-range masks
-    is in range, and ``e % 4`` is what PhasedPauli stores.  Each word is
-    unpacked once, the cheapest read of a tuple's fields.
+    Each word is read only as its (n, xmask, zmask) fields, unpacked once,
+    the cheapest read of a tuple's fields, so a bare triple serves as well as
+    a ``PauliOp``.  The result is built without re-checking: the XOR of two
+    in-range masks is in range, and ``e % 4`` is what PhasedPauli stores.
+    The mask range itself is not checked: masks below 2^n are the caller's
+    precondition, and out-of-range masks give an out-of-range product.
     """
     n, px, pz = p
     qn, qx, qz = q
@@ -375,19 +378,28 @@ class SliceIndex:
         self._ranks: dict[tuple[int, int], int] = {}
 
     def rank(self, op: PauliOp) -> int:
+        """Rank of a weight-ell word on n qubits.
+
+        The word is read only as its (n, xmask, zmask) fields, so a bare
+        triple serves as well as a ``PauliOp``.  The qubit count is checked
+        on every call; the mask range and the weight only when the word is
+        first ranked, so a word that fails them is never kept.
+        """
         n, xmask, zmask = op
         if n != self.n:
             raise ValueError(f"qubit counts differ: {n} != {self.n}")
         try:
             return self._ranks[xmask, zmask]
-        except KeyError:  # at most size misses per index; _rank checks the weight
+        except KeyError:  # at most size misses per index; _rank checks range and weight
             found = self._ranks[xmask, zmask] = self._rank(xmask, zmask)
             return found
 
     def _rank(self, xmask: int, zmask: int) -> int:
         """Rank of the word (xmask, zmask) on self.n qubits, computed from its bits."""
-        sites, codes = word_columns(xmask, zmask)
         n, ell, comb = self.n, self.ell, self._comb
+        if (xmask | zmask) >> n:  # a site s >= n would wrap round comb[n - 1 - s]
+            raise ValueError("mask bits beyond qubit count must be zero")
+        sites, codes = word_columns(xmask, zmask)
         if len(sites) != ell:
             raise ValueError(f"word has weight {len(sites)}, slice expects {ell}")
         sup_rank = comb[n][ell] - 1

@@ -256,8 +256,22 @@ def test_rank_memo_still_checks_qubit_count():
     assert idx.rank(op) == idx.rank(op)
     assert (op.xmask, op.zmask) in idx._ranks
     for n in (3, 5):
-        with pytest.raises(ValueError, match="qubit counts differ"):
-            idx.rank(PauliOp(n, op.xmask, op.zmask))
+        for word in (PauliOp(n, op.xmask, op.zmask), (n, op.xmask, op.zmask)):
+            with pytest.raises(ValueError, match="qubit counts differ"):
+                idx.rank(word)
+
+
+def test_rank_refuses_mask_bits_beyond_the_qubit_count_and_never_stores_them():
+    # a bare triple can carry bits a PauliOp refuses; comb[n - 1 - s] would wrap round
+    idx = SliceIndex(4, 1)
+    for word in ((4, 1 << 5, 0), (4, 1 << 4, 0), (4, 0, 1 << 7)):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="mask bits beyond qubit count must be zero"):
+                idx.rank(word)
+    assert idx._ranks == {}
+    for site, letter in ((5, 0), (4, 0), (7, 2)):
+        with pytest.raises(ValueError, match="distinct in"):
+            idx.rank_batch(np.array([[site]]), np.array([[letter]]))
 
 
 def test_rank_memo_never_stores_a_word_of_the_wrong_weight():
@@ -284,6 +298,10 @@ def test_warm_rank_equals_rank_batch_and_a_fresh_index(case):
     expected = warm.rank_batch(sites, letters).tolist()
     assert [warm.rank(op) for op in ops] == expected
     assert [SliceIndex(n, ell).rank(op) for op in ops] == expected
+    # a bare (n, xmask, zmask) triple ranks as its word, warm or fresh
+    assert [warm.rank(tuple(op)) for op in ops] == expected
+    assert [SliceIndex(n, ell).rank(tuple(op)) for op in ops] == expected
+    assert len(warm._ranks) == len(set(ops))
 
 
 @settings(max_examples=200)
@@ -322,11 +340,16 @@ def test_mul_words_builds_checked_words(words):
     assert prod.op == PauliOp(p.n, prod.op.xmask, prod.op.zmask)
     assert prod == PhasedPauli(PauliOp(p.n, p.xmask ^ q.xmask, p.zmask ^ q.zmask),
                                prod.phase_exp)
+    # bare (n, xmask, zmask) triples give the same checked product
+    bare = mul_words(tuple(p), tuple(q))
+    assert bare == prod and type(bare) is PhasedPauli and type(bare.op) is PauliOp
 
 
 def test_mul_words_refuses_mismatched_qubit_counts():
     with pytest.raises(ValueError, match="qubit counts differ: 2 != 3"):
         mul_words(PauliOp.identity(2), PauliOp.identity(3))
+    with pytest.raises(ValueError, match="qubit counts differ: 2 != 3"):
+        mul_words((2, 1, 0), (3, 1, 0))
 
 
 @settings(max_examples=200)
