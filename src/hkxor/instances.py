@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -85,7 +86,9 @@ class Instance:
 
     Row i is the word with letter code ``letters[i, j]`` (0, 1, 2 for X, Y, Z)
     on site ``sites[i, j]``, ascending in j, and the coefficient ``coeffs[i]``.
-    The arrays are copied and checked when the instance is built.
+    The arrays are copied and checked when the instance is built; n, k and
+    seed must be integers, kept as ints, and seed nonnegative, as the file
+    format holds them.
     """
 
     n: int
@@ -99,6 +102,13 @@ class Instance:
     def __post_init__(self) -> None:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
+        for name in ("n", "k", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name}={getattr(self, name)!r} is not an integer") from None
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 1 <= self.k <= self.n:
             raise ValueError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
         sites, letters = np.asarray(self.sites), np.asarray(self.letters)

@@ -260,13 +260,16 @@ def build_level_n(terms, n: int) -> KikuchiGraph:
     """Kikuchi graph over all 4^n words: (Q, R) is an edge of weight c(P) iff Q*R = P up to phase.
 
     ``terms`` is an iterable of (PauliOp, real coefficient) pairs on n
-    qubits.  Gated to n <= 6 (4^n vertices).  One edge type per nonzero term.
+    qubits.  Gated to n <= 6 (4^n vertices).  One edge type per nonzero term;
+    a NaN or infinite coefficient raises ValueError.
     The phase-free product XORs masks, so R = Q*P ranks as rank(Q) ^ rank(P).
     """
     if n > LEVEL_N_QUBIT_CAP:
         raise ResourceGuardError(f"level-n graph needs n <= {LEVEL_N_QUBIT_CAP}, got {n}")
     full = FullGroupIndex(n)
-    terms = [(p, float(c)) for p, c in terms if abs(c) > 0]
+    terms = [(p, float(c)) for p, c in terms if c != 0]  # NaN != 0: kept, then refused
+    if not all(math.isfinite(c) for _p, c in terms):
+        raise ValueError("coefficients must be finite")
     if any(p.n != n for p, _c in terms):
         raise ValueError(f"every term of a level-n graph must act on n={n} qubits")
 

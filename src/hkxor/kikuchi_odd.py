@@ -7,7 +7,9 @@ member satisfies U below P_C; stripping U leaves the residual word
 P~_C = P_C * P_U of weight k - t.  A subword is named by its
 SliceIndex(n, t) rank, one rank_batch call per level over the (m, C(k, t))
 column subsets of ``inst.sites`` and ``inst.letters``; within one weight,
-rank order is canonical word order, so no per-row word is built.
+rank order is canonical word order, so no per-row word is built.  A
+center's word is read off the subword columns of a row that holds it, not
+decoded from its rank: one words_from_arrays call per level.
 
 Odd Kikuchi graph for a slice t.  Vertices are ordered component pairs
 (Q1, Q2) with |Q1| + |Q2| = ell, encoded as single weight-ell words on 2n
@@ -71,7 +73,7 @@ import numpy as np
 from .instances import Instance, check_eps, over_eps_power
 from .kikuchi_even import EDGE_BUDGET, KikuchiGraph, running_sum
 from .oracle import ResourceGuardError
-from .pauli import PauliOp, SliceIndex, slice_arrays, words_to_arrays
+from .pauli import PauliOp, SliceIndex, slice_arrays, words_from_arrays, words_to_arrays
 
 
 class InfeasibleLevelError(ValueError):
@@ -116,38 +118,38 @@ class BipartiteDecomposition:
         return "\n".join(lines) + "\n"
 
 
-def _subword_ranks(n: int, sites: np.ndarray, letters: np.ndarray, t: int) -> np.ndarray:
-    """(R, C(k, t)) ``SliceIndex(n, t)`` ranks of the weight-t subwords of each of the
-    R rows of (R, k) ascending sites and letter codes, subsets in combinations order.
-
-    Within one weight, rank order is canonical word order.
-    """
+def _subwords(sites: np.ndarray, letters: np.ndarray, t: int) -> tuple[np.ndarray, np.ndarray]:
+    """(R, C(k, t), t) sites and letter codes of the weight-t subwords of each of the R
+    rows of (R, k) ascending sites and letter codes, subsets in combinations order."""
     cols = np.array(list(combinations(range(sites.shape[1]), t)), dtype=np.int64)
-    return SliceIndex(n, t).rank_batch(sites[:, cols], letters[:, cols])
+    return sites[:, cols], letters[:, cols]
 
 
-def _held_by(keys: np.ndarray, rows: np.ndarray, least: int) -> list[tuple[int, np.ndarray]]:
+def _held_by(keys: np.ndarray, rows: np.ndarray, least: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """The entries of the (R, c) ``keys`` that at least ``least`` of the rows (R,) hold,
-    ascending, each with the rows holding it, ascending."""
+    ascending: for each, the flat index in ``keys`` of one place holding it, and the
+    rows holding it, ascending."""
     order = np.argsort(keys.ravel())
-    distinct, start, counts = np.unique(keys.ravel()[order], return_index=True, return_counts=True)
+    _, start, counts = np.unique(keys.ravel()[order], return_index=True, return_counts=True)
     held = np.repeat(rows, keys.shape[1])[order]
-    return [(int(distinct[u]), np.sort(held[start[u]:start[u] + counts[u]]))
-            for u in np.flatnonzero(counts >= least).tolist()]
+    ready = np.flatnonzero(counts >= least)
+    return order[start[ready]], [np.sort(held[start[u]:start[u] + counts[u]])
+                                 for u in ready.tolist()]
 
 
 def regularity_decompose(inst: Instance, ell: int, eps: float) -> BipartiteDecomposition:
     """Greedy bucketing by shared subwords, t = k down to 1, then the residual pass.
 
     Subwords are named by their ``SliceIndex(n, t)`` ranks, computed on the
-    instance's columns.  Each level ranks the remaining rows' subwords once
-    and walks the centers ready in it in rank (canonical word) order, taking
-    tau still-remaining members at a time in ascending constraint id.  Counts
+    instance's columns, and each center's word is read off a row that holds
+    it.  Each level ranks the remaining rows' subwords once and walks the
+    centers ready in it in rank (canonical word) order, taking tau
+    still-remaining members at a time in ascending constraint id.  Counts
     only fall as buckets are taken, so no center below the current one
     becomes ready again; the output is the one a rescan after every bucket
     would give, and it is deterministic.  The residual pass groups the
-    leftovers by their lowest site's letter, whose weight-1 rank is
-    3 site + letter.
+    leftovers by their lowest site's letter, keyed 3 site + letter (its
+    weight-1 rank), and reads each center off a leftover row the same way.
     """
     check_eps(eps)
     if ell < inst.k / 2:
@@ -160,10 +162,15 @@ def regularity_decompose(inst: Instance, ell: int, eps: float) -> BipartiteDecom
     for t in range(k, 0, -1):
         tau = tau_threshold(n, k, ell, eps, t)
         rows = np.flatnonzero(left)
-        ranks = _subword_ranks(n, inst.sites[rows], inst.letters[rows], t)
-        for rank, members in _held_by(ranks, rows, tau):
+        sub_sites, sub_letters = _subwords(inst.sites[rows], inst.letters[rows], t)
+        at, held = _held_by(SliceIndex(n, t).rank_batch(sub_sites, sub_letters), rows, tau)
+        if not held:  # the words call costs as much on no rows as on a few
+            continue
+        # each center is read off the subword columns of a row that holds it, at flat
+        # index row * C(k, t) + subset
+        centers = words_from_arrays(n, sub_sites.reshape(-1, t)[at], sub_letters.reshape(-1, t)[at])
+        for center, members in zip(centers, held):
             members = members[left[members]]
-            center = SliceIndex(n, t).unrank(rank)
             for i in range(0, len(members) - tau + 1, tau):
                 take = members[i:i + tau]
                 buckets.append(Bucket(t=t, center=center, cids=tuple(take.tolist())))
@@ -173,11 +180,12 @@ def regularity_decompose(inst: Instance, ell: int, eps: float) -> BipartiteDecom
     if inst.m < n * tau1:
         warnings.append(f"|H|={inst.m} < n*tau_1={n * tau1}: center-count bound not guaranteed")
     rows = np.flatnonzero(left)
-    for rank, cids in _held_by(inst.sites[rows, :1] * 3 + inst.letters[rows, :1], rows, 1):
+    at, held = _held_by(inst.sites[rows, :1] * 3 + inst.letters[rows, :1], rows, 1)
+    centers = words_from_arrays(n, inst.sites[rows[at], :1], inst.letters[rows[at], :1])
+    for center, cids in zip(centers, held):
         if not len(cids) < tau1:
             raise AssertionError("residual bucket reached the extraction threshold")
-        buckets.append(Bucket(t=1, center=SliceIndex(n, 1).unrank(rank), cids=tuple(cids.tolist()),
-                              residual=True))
+        buckets.append(Bucket(t=1, center=center, cids=tuple(cids.tolist()), residual=True))
 
     return BipartiteDecomposition(n=n, k=k, buckets=tuple(buckets), warnings=tuple(warnings))
 
@@ -193,17 +201,19 @@ def regularity_check(dec: BipartiteDecomposition, inst: Instance, eps: float,
     check_eps(eps)
     n, k = dec.n, dec.k
     for bid, bucket in enumerate(dec.buckets):
-        cids, found = list(bucket.cids), []
+        cids, found, subs = list(bucket.cids), [], {}
         for width in range(bucket.t + 1, k + 1):
             bound = over_eps_power(max((3 * n / ell) ** (k / 2 - 1 - width), 1.0), eps, 2)
-            ranks = _subword_ranks(n, inst.sites[cids], inst.letters[cids], width)
-            words, at, counts = np.unique(ranks, return_index=True, return_counts=True)
+            subs[width] = _subwords(inst.sites[cids], inst.letters[cids], width)
+            ranks = SliceIndex(n, width).rank_batch(*subs[width])
+            _, at, counts = np.unique(ranks, return_index=True, return_counts=True)
             # at = member * C(k, width) + subset, the word's first place
-            found += [(a // ranks.shape[1], width, a, word, count, bound) for a, word, count
-                      in zip(at.tolist(), words.tolist(), counts.tolist()) if count > bound + 1e-9]
+            found += [(a // ranks.shape[1], width, a, count, bound) for a, count
+                      in zip(at.tolist(), counts.tolist()) if count > bound + 1e-9]
         if found:
-            _, width, _, word, count, bound = min(found)
-            return False, (bid, SliceIndex(n, width).unrank(word), count, bound)
+            _, width, a, count, bound = min(found)
+            witness = words_from_arrays(n, *(c.reshape(-1, width)[a:a + 1] for c in subs[width]))[0]
+            return False, (bid, witness, count, bound)
     return True, None
 
 
@@ -348,7 +358,12 @@ def _rho_counts_signature(n: int, ell: int, kk: int, e: int, d: int) -> tuple[in
 
 
 def rho_counts(p: PauliOp, q: PauliOp, ell: int) -> tuple[int, int]:
-    """Closed-form (commuting, anticommuting) pair counts for residuals p, q."""
+    """Closed-form (commuting, anticommuting) pair counts for residuals p, q.
+
+    Raises ValueError unless p and q act on the same qubits and have equal weight.
+    """
+    if p.n != q.n:
+        raise ValueError(f"qubit counts differ: {p.n} != {q.n}")
     if p.weight() != q.weight():
         raise ValueError("residual words must have equal weight")
     kk = p.weight()
@@ -603,9 +618,12 @@ def _partner_counts(graph: OddKikuchiGraph):
 
     Keys are encoded as (q * C + cid) * 2 + side with C above every
     constraint id, so ascending codes are ascending (q, cid, side) tuples.
-    Returns (ascending key codes, partner counts, C).
+    Returns (ascending key codes, partner counts, C).  Raises ResourceGuardError
+    when a (key, partner) code, below 2 N C^2 for N vertices, could pass int64.
     """
     span = int(graph.pairs.max()) + 1 if len(graph.pairs) else 1
+    if 2 * graph.num_vertices * span**2 > 2**63:
+        raise ResourceGuardError(f"{graph.num_vertices} vertices and {span} cids overflow int64")
     q, a, b = graph.rows, graph.pairs[graph.tids, 0], graph.pairs[graph.tids, 1]
     # (key, partner) pairs: side 0 keys (q, cid) with partner cid2, side 1 the reverse;
     # np.unique would hash them, far slower than this sort
@@ -621,6 +639,7 @@ def local_degrees(graph: OddKikuchiGraph) -> dict[tuple[int, int, int], int]:
 
     Key (q, cid, 0) counts partners C' with an edge from q typed (cid, C');
     (q, cid, 1) counts partners typed (C', cid).  Zero entries are omitted.
+    Raises ResourceGuardError when the partner key could pass int64.
     """
     keys, counts, span = _partner_counts(graph)
     return {(key // (2 * span), key // 2 % span, key % 2): count

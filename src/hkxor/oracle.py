@@ -85,7 +85,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import zpftrf
 from scipy.sparse._sparsetools import csr_has_canonical_format, csr_matvec
 
-from .pauli import PHASES, PauliOp, site_mask, words_from_arrays
+from .pauli import PHASES, PauliOp, site_mask, slice_arrays, words_from_arrays
 
 DENSE_QUBIT_CAP = 12
 QFORM_QUBIT_CAP = 8
@@ -403,17 +403,13 @@ def quadratic_form_check(inst, state: np.ndarray, graph) -> float:
     if abs(nrm - 1.0) > 1e-9:
         raise ValueError(f"state is not a unit vector (norm {nrm})")
 
-    blocks: dict[int, np.ndarray] = {}
-
-    def block(idx: int) -> np.ndarray:
-        if idx not in blocks:
-            blocks[idx] = apply_word(graph.index.unrank(idx), state)
-        return blocks[idx]
-
+    # vertex i is row i of the table of the graph's slice
+    n, ell = graph.index.n, graph.index.ell
+    blocks = [apply_word(word, state) for word in words_from_arrays(n, *slice_arrays(n, ell))]
     lhs = 0.0 + 0.0j
     weights = graph.weights[graph.tids].tolist()
     for q, r, w in zip(graph.rows.tolist(), graph.cols.tolist(), weights):
-        lhs += w * np.vdot(block(q), block(r))
+        lhs += w * np.vdot(blocks[q], blocks[r])
 
     rhs = 0.0 + 0.0j
     for op, coeff in zip(words_from_arrays(inst.n, inst.sites, inst.letters),

@@ -337,21 +337,6 @@ def _binomial_array(n: int, ell: int) -> np.ndarray:
     return table
 
 
-def _comb_unrank(rank: int, n: int, k: int) -> tuple[int, ...]:
-    sites = []
-    v = 0
-    for j in range(k):
-        while True:
-            block = math.comb(n - 1 - v, k - 1 - j)
-            if rank < block:
-                break
-            rank -= block
-            v += 1
-        sites.append(v)
-        v += 1
-    return tuple(sites)
-
-
 class SliceIndex:
     """Bijection between weight-ell words on n qubits and [0, 3^ell * C(n, ell)).
 
@@ -363,8 +348,12 @@ class SliceIndex:
 
     as term j counts the supports after it that first differ at position j:
     their last ell - j sites all lie above c_j.  Both ``rank`` (one word) and
-    ``rank_batch`` (arrays) evaluate it.  ``rank`` keeps every rank it
-    computes, keyed by the word's masks, so a builder that meets the same
+    ``rank_batch`` (arrays) evaluate it.  The slice is enumerated only by
+    :func:`slice_arrays`, whose row i is the word of rank i; the index only
+    inverts that order and has no unrank, so a caller that needs the word
+    of a rank reads it off the table, or off the row it ranked (as the odd
+    decomposition does for its bucket centers).  ``rank`` keeps every rank
+    it computes, keyed by the word's masks, so a builder that meets the same
     vertex many times ranks it once; the memo holds at most ``size`` entries.
     """
 
@@ -445,18 +434,6 @@ class SliceIndex:
             ranks -= flat[(n - 1 - c) * (ell + 1) + ell - j] * 3**ell
             ranks += letters[..., i] * pow3[j]
         return ranks
-
-    def unrank(self, index: int) -> PauliOp:
-        if not 0 <= index < self.size:
-            raise ValueError(f"index {index} out of range [0, {self.size})")
-        sup_rank, code = divmod(index, 3**self.ell)
-        xmask = zmask = 0
-        # the last site's letter code is the least significant digit
-        for s in reversed(_comb_unrank(sup_rank, self.n, self.ell)):
-            code, c = divmod(code, 3)
-            xmask |= (c != 2) << s  # as masks_from_arrays: X and Y set x, Y and Z set z
-            zmask |= (c != 0) << s
-        return PauliOp(self.n, xmask, zmask)
 
 
 def slice_arrays(n: int, ell: int) -> tuple[np.ndarray, np.ndarray]:

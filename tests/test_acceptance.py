@@ -24,7 +24,7 @@ from hkxor.kikuchi_odd import (
     rho_counts,
 )
 from hkxor.oracle import assemble, classical_max, lambda_max, quadratic_form_check
-from hkxor.pauli import PauliOp, PhasedPauli, SliceIndex, commutes, enumerate_slice, multiply, mul_words
+from hkxor.pauli import PauliOp, PhasedPauli, commutes, enumerate_slice, multiply, mul_words
 from hkxor.sos import (
     Contradiction,
     ExactComplex,
@@ -132,12 +132,10 @@ def odd_scan_counts(p, q, ell):
     kk = p.weight()
     lo, hi = kk // 2, (kk + 1) // 2
     splits = {(lo, hi), (hi, lo)}
-    idx = SliceIndex(2 * n, ell)
     low = (1 << n) - 1
     target = mul_words(p, q)
     nc = na = 0
-    for vi in range(idx.size):
-        v = idx.unrank(vi)
+    for v in enumerate_slice(2 * n, ell):
         q1 = PauliOp(n, v.xmask & low, v.zmask & low)
         q2 = PauliOp(n, v.xmask >> n, v.zmask >> n)
         prod1, prod2 = mul_words(q1, p), mul_words(q2, q)

@@ -5,6 +5,7 @@ import importlib
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,9 +25,10 @@ from hkxor.certify import (
 )
 from hkxor.instances import GeneratorConfig, generate, parse
 from hkxor.kikuchi_even import build_even, build_level_n, level_n_hatted, regularize
-from hkxor.kikuchi_odd import InfeasibleLevelError, build_odd, regularity_decompose, type_edges
+from hkxor.kikuchi_odd import (InfeasibleLevelError, build_odd, local_degrees, regularity_decompose,
+                               type_edges)
 from hkxor.oracle import DENSE_DIM, ResourceGuardError, assemble, lambda_max
-from hkxor.pauli import PauliOp, words_to_arrays
+from hkxor.pauli import PauliOp, SliceIndex, words_to_arrays
 
 from helpers import explicit_instance, instance_rows, single_zz, trace_moment_reference
 
@@ -794,6 +796,8 @@ def test_every_size_limit_raises_the_guard_type(monkeypatch):
     even = generate(GeneratorConfig(n=6, k=2, m=10, seed=1))
     odd = generate(GeneratorConfig(n=7, k=3, m=12, seed=2))
     dec = regularity_decompose(odd, 2, 0.8)
+    # an odd graph on SliceIndex(400, 7): its (vertex, cid, side, partner) codes pass 2^63
+    wide = replace(build_odd(dec, odd, dec.nonempty_levels()[0], 2), index=SliceIndex(400, 7))
     z = generate(GeneratorConfig(n=5, k=2, m=4, model="one-basis-z", seed=3))
     pe = sos.PseudoExpectation(n=5, degree=2, values={})
     leaves = 20  # a star: 40 stored entries, and its square 1 + 20^2
@@ -813,6 +817,8 @@ def test_every_size_limit_raises_the_guard_type(monkeypatch):
         (lambda: level_n_hatted(level_4), r"^hatted operator is gated to n <= 3 \(dimension"),
         (lambda: type_edges(40, *residual, [0], [0], 20),
          "^1 types of .* vertices overflow the int64 edge key$"),
+        (lambda: local_degrees(wide),
+         r"^\d+ vertices and \d+ cids overflow int64$"),
         (lambda: build_even(even, 1), r"^2\.00e\+01 edges exceeds budget -1\.0e\+00$"),
         (lambda: build_odd(dec, odd, dec.nonempty_levels()[0], 2),
          r"edge candidates exceeds budget -1\.0e\+00$"),

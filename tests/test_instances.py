@@ -439,11 +439,29 @@ def instance_args(**change):
     dict(letters=np.array([[2, 2], [0, 2]])),  # an X under one-basis-z
     dict(coeffs=[1.0]), dict(coeffs=[[1.0], [-1.0]]), dict(coeffs=1.0),
     dict(coeffs=[1.0, math.nan]), dict(coeffs=[math.inf, 1.0]), dict(coeffs=[1.0, -math.inf]),
+    # header fields the file format cannot hold: "n=4.0" and "seed=-1" did not parse
+    # back, and k=2.0 made serialize raise TypeError
+    dict(n=4.0), dict(k=2.0), dict(seed=1.0), dict(seed="1"), dict(seed=-1),
 ))
 def test_instance_rejects_malformed_columns(change):
     Instance(**instance_args())
     with pytest.raises(ValueError):
         Instance(**instance_args(**change))
+
+
+def test_instance_keeps_its_header_fields_as_ints_through_the_file_format():
+    with pytest.raises(ValueError, match="^n=4.0 is not an integer$"):
+        Instance(**instance_args(n=4.0))
+    with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+        Instance(**instance_args(seed=-1))
+    # numpy integers are stored as ints, and the file round-trips
+    inst = Instance(**instance_args(n=np.int64(4), k=np.int8(2), seed=np.uint64(2**64 - 1)))
+    assert (type(inst.n), type(inst.k), type(inst.seed)) == (int, int, int)
+    text = serialize(inst)
+    assert text.startswith(f"HKXOR v1 n=4 k=2 m=2 model=one-basis-z seed={2**64 - 1} rng=philox\n")
+    again = parse(text)
+    assert (again.n, again.k, again.seed, again.model) == (4, 2, 2**64 - 1, "one-basis-z")
+    assert serialize(again) == text and digest(again) == digest(inst)
 
 
 def test_instance_columns_are_read_only_copies():

@@ -269,6 +269,17 @@ def test_level_n_rejects_terms_on_other_qubit_counts():
             build_level_n([(PauliOp.from_sparse("Z1 Z2", 2), 1.0)], n=n)
 
 
+def test_level_n_refuses_non_finite_coefficients():
+    # a NaN coefficient was dropped as if zero, and an infinite one kept as a weight
+    z1 = PauliOp.from_sparse("Z1", 2)
+    for bad in (math.nan, math.inf, -math.inf):
+        for terms in ([(z1, bad)], [(z1, 1.0), (PauliOp.from_sparse("X2", 2), bad)]):
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                build_level_n(terms, n=2)
+    # zeros, of either sign, still place no type
+    assert build_level_n([(z1, 0.0), (z1, -0.0), (z1, 2.0)], n=2).weights.tolist() == [2.0]
+
+
 def test_level_n_spectrum_equality():
     rng = np.random.default_rng(7)
     for n in (1, 2):

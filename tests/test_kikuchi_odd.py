@@ -35,8 +35,8 @@ from hkxor.kikuchi_odd import (
     BipartiteDecomposition,
 )
 from hkxor.oracle import apply_word
-from hkxor.pauli import (PauliOp, PhasedPauli, SliceIndex, canonical_key, commutes, multiply,
-                         mul_words, site_mask, words_to_arrays)
+from hkxor.pauli import (PauliOp, PhasedPauli, SliceIndex, canonical_key, commutes,
+                         enumerate_slice, multiply, mul_words, site_mask, words_to_arrays)
 
 from helpers import explicit_instance, instance_rows
 
@@ -60,8 +60,7 @@ def odd_pair_scan(p, q, ell):
     idx = SliceIndex(2 * n, ell)
     commuting, anticommuting = [], []
     target = mul_words(p, q)
-    for vi in range(idx.size):
-        v = idx.unrank(vi)
+    for vi, v in enumerate(enumerate_slice(2 * n, ell)):
         q1, q2 = components(v, n)
         prod1, prod2 = mul_words(q1, p), mul_words(q2, q)
         if prod1.phase_exp or prod2.phase_exp:
@@ -354,6 +353,14 @@ def test_delta_infeasible_level():
 
 
 RESIDUALS = (PauliOp.from_sparse("X1 Y2", 4), PauliOp.from_sparse("Z1 Z3", 4))
+
+
+def test_rho_counts_refuses_residuals_on_different_qubit_counts():
+    # the counts were those of p.n: (48, 0) for X1 Z2 on 4 qubits against 6
+    p, q = PauliOp.from_sparse("X1 Z2", 4), PauliOp.from_sparse("X1 Z2", 6)
+    for a, b in ((p, q), (q, p)):
+        with pytest.raises(ValueError, match=r"^qubit counts differ: (4 != 6|6 != 4)$"):
+            rho_counts(a, b, 3)
 
 
 @pytest.mark.parametrize("call", [
@@ -733,8 +740,8 @@ def test_quadratic_form_identity_odd():
         psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         psi /= np.linalg.norm(psi)
         blocks = {}
-        for vi in range(g.num_vertices):
-            q1, q2 = components(g.index.unrank(vi), 3)
+        for vi, v in enumerate(enumerate_slice(g.index.n, g.index.ell)):
+            q1, q2 = components(v, 3)
             word = multiply(PhasedPauli(q1), PhasedPauli(q2))
             blocks[vi] = word.phase * apply_word(word.op, psi)
         mat = g.signed_matrix().tocoo()

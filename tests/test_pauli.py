@@ -149,13 +149,14 @@ def test_slice_canonical_order_is_sorted_by_key():
 
 @pytest.mark.parametrize("n,ell", [(n, ell) for n in range(1, 9) for ell in range(0, min(n, 3) + 1)])
 def test_rank_unrank_bijection(n, ell):
+    # the table enumerates the slice and rank and rank_batch invert it: row i ranks i
     idx = SliceIndex(n, ell)
-    seen = set()
-    for i, op in enumerate(enumerate_slice(n, ell)):
-        assert idx.rank(op) == i
-        assert idx.unrank(i) == op
-        seen.add(i)
-    assert seen == set(range(idx.size))
+    sites, letters = slice_arrays(n, ell)
+    words = list(enumerate_slice(n, ell))
+    assert words == words_from_arrays(n, sites, letters)
+    assert len(set(words)) == len(words) == idx.size
+    assert [idx.rank(op) for op in words] == list(range(idx.size))
+    assert idx.rank_batch(sites, letters).tolist() == list(range(idx.size))
 
 
 @st.composite
@@ -218,7 +219,6 @@ def test_slice_table_ranks_in_order_in_any_column_order(case, seed):
     words = list(enumerate_slice(n, ell))
     assert words == words_from_arrays(n, sites, letters)
     assert [idx.rank(w) for w in words] == list(range(idx.size))
-    assert words == [idx.unrank(i) for i in range(idx.size)]
 
 
 @settings(max_examples=60)
@@ -305,13 +305,16 @@ def test_warm_rank_equals_rank_batch_and_a_fresh_index(case):
 
 
 @settings(max_examples=200)
-@given(st.integers(1, 120).flatmap(lambda n: st.tuples(
+@given(st.integers(1, 14).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(0, min(n, 4)).flatmap(lambda ell: st.tuples(
         st.just(ell), st.integers(0, slice_size(n, ell) - 1))))))
 def test_rank_unrank_round_trip(case):
+    # row i of the slice table is the word of rank i, as one word and as a batch row
     n, (ell, i) = case
     idx = SliceIndex(n, ell)
-    assert idx.rank(idx.unrank(i)) == i
+    sites, letters = (a[i:i + 1] for a in slice_arrays(n, ell))
+    assert idx.rank(words_from_arrays(n, sites, letters)[0]) == i
+    assert idx.rank_batch(sites, letters).tolist() == [i]
 
 
 def words_on(n: int):
@@ -398,11 +401,15 @@ def test_rank_batch_rejects_bad_rows_and_ranks_oversized_slices():
         assert (ranks.shape, ranks.dtype) == ((40,), object)
         # the first row's sites reversed and reranked alone: any site order, any batch size
         assert idx.rank_batch(sites[:1, ::-1], letters[:1, ::-1]).tolist() == ranks[:1].tolist()
+        words = []
         for row, letter_row, rank in zip(sites.tolist(), letters.tolist(), ranks.tolist()):
             order = np.argsort(row)
-            word = PauliOp.from_letters(n, [row[i] for i in order],
-                                        "".join("XYZ"[letter_row[i]] for i in order))
-            assert type(rank) is int and rank == idx.rank(word) and idx.unrank(rank) == word
+            words.append(PauliOp.from_letters(n, [row[i] for i in order],
+                                              "".join("XYZ"[letter_row[i]] for i in order)))
+            assert type(rank) is int and 0 <= rank == idx.rank(words[-1]) < idx.size
+        # distinct words get distinct ranks, in canonical word order
+        by_rank = sorted(zip(ranks.tolist(), words))
+        assert [w for _, w in by_rank] == sorted(set(words), key=canonical_key)
 
 
 def test_string_round_trips():
